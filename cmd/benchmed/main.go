@@ -20,12 +20,21 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"medchain/internal/experiments"
 	"medchain/internal/sim"
 )
+
+// validIDs is everything -run accepts.
+var validIDs = []string{
+	"all", "sim",
+	"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10",
+	"e12", "e13", "e14", "e15", "e16", "e17",
+	"a1", "a2", "a3", "a4",
+}
 
 func main() {
 	run := flag.String("run", "all", "comma-separated experiment ids (e1..e10,e12..e17,a1..a4), 'all', or 'sim'")
@@ -36,7 +45,12 @@ func main() {
 
 	selected := map[string]bool{}
 	for _, id := range strings.Split(strings.ToLower(*run), ",") {
-		selected[strings.TrimSpace(id)] = true
+		id = strings.TrimSpace(id)
+		if !slices.Contains(validIDs, id) {
+			fmt.Fprintf(os.Stderr, "benchmed: unknown experiment id %q; valid ids: %s\n", id, strings.Join(validIDs, " "))
+			os.Exit(2)
+		}
+		selected[id] = true
 	}
 	want := func(id string) bool { return selected["all"] || selected[id] }
 

@@ -47,16 +47,10 @@ type ClusterConfig struct {
 	CommitTimeout time.Duration
 	// KeySeed prefixes the deterministic node key seeds.
 	KeySeed string
-	// ParallelWorkers enables the parallel execution engine on every
-	// node with the given worker count (0 = serial reference execution,
-	// < 0 = GOMAXPROCS). Results are bit-identical to serial, so
-	// parallel and serial clusters interoperate.
-	ParallelWorkers int
-	// ExecMode selects the parallel engine's scheduler when
-	// ParallelWorkers != 0: two-phase speculate/commit (default) or one
-	// of the MVCC dependency-wave schedulers. Every mode is
-	// bit-identical to serial, so clusters may mix modes across nodes.
-	ExecMode parexec.Mode
+	// Exec configures every node's block executor (zero value =
+	// serial). Modes are bit-identical, so clusters may mix them across
+	// nodes via Node.SetExec.
+	Exec parexec.Config
 	// Persist makes every node disk-backed (nil = memory-only).
 	Persist *PersistConfig
 	// StrictSchedule makes every node reject proposals whose sealer is
@@ -195,9 +189,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			c.Close()
 			return nil, err
 		}
-		if cfg.ParallelWorkers != 0 {
-			n.UseExecEngine(cfg.ExecMode, cfg.ParallelWorkers)
-		}
+		n.SetExec(cfg.Exec)
 		if cfg.StrictSchedule {
 			n.SetStrictSchedule(true)
 		}

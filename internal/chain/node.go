@@ -99,8 +99,7 @@ type Node struct {
 	state    *contract.State
 	receipts map[cryptoutil.Digest]*contract.Receipt
 	gasUsed  int64           // cumulative gas this node burned executing contracts
-	parEng   *parexec.Engine // nil = serial reference execution path
-	parStats parexec.Stats   // totals from engines retired by UseParallelExec
+	exec     *parexec.Engine // block executor; replaced whole by SetExec
 
 	// pool is the bounded priority mempool; admission is the
 	// client-facing overload controller in front of it. Both have their
@@ -197,6 +196,7 @@ func newNode(id p2p.NodeID, key *cryptoutil.KeyPair, chainID string, engine cons
 		chainID:      chainID,
 		chain:        ledger.NewChain(chainID),
 		state:        contract.NewState(),
+		exec:         parexec.NewEngine(parexec.Config{}),
 		pool:         NewMempool(MempoolConfig{}),
 		admission:    guard.NewAdmission(guard.AdmissionConfig{}),
 		receipts:     make(map[cryptoutil.Digest]*contract.Receipt),
@@ -237,60 +237,29 @@ func (n *Node) State() *contract.State { return n.state }
 // SetHost installs oracle host functions on the node's state machine.
 func (n *Node) SetHost(host map[string]vm.HostFunc) { n.state.SetHost(host) }
 
-// UseParallelExec switches block execution (apply and proposer
-// preview) to the two-phase speculative parallel engine with the given
-// worker count; workers == 0 restores the serial reference path,
-// workers < 0 selects GOMAXPROCS. Results are bit-identical to serial
-// execution — a cluster may freely mix parallel and serial nodes. With
-// the engine enabled, HOST functions installed via SetHost may be
-// called concurrently and must be safe for concurrent use.
-func (n *Node) UseParallelExec(workers int) {
-	n.UseExecEngine(parexec.ModeTwoPhase, workers)
-}
-
-// UseExecEngine switches block execution (apply and proposer preview)
-// to the parallel engine in the given mode — two-phase
-// speculate/commit or one of the MVCC dependency-wave schedulers.
-// workers == 0 restores the serial reference path, workers < 0 selects
-// GOMAXPROCS. Every mode is bit-identical to serial execution, so a
-// cluster may freely mix engine modes across nodes — consensus itself
-// then acts as a cross-engine differential oracle.
-func (n *Node) UseExecEngine(mode parexec.Mode, workers int) {
+// SetExec replaces the node's block executor (live apply and proposer
+// preview); the default parexec.Config{} is the serial loop. Every
+// mode is bit-identical to serial execution, so a cluster may freely
+// mix modes across nodes — consensus itself then acts as a
+// cross-engine differential oracle. Under ModeMVCCWave, HOST functions
+// installed via SetHost may be called concurrently and must be safe
+// for concurrent use.
+func (n *Node) SetExec(cfg parexec.Config) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.parEng != nil {
-		// Fold the outgoing engine's counters into the node-lifetime
-		// totals so ParallelStats stays cumulative across swaps.
-		n.parStats.Add(n.parEng.Stats())
-	}
-	if workers == 0 {
-		n.parEng = nil
-		return
-	}
-	n.parEng = parexec.NewEngine(parexec.Config{Workers: workers, Mode: mode})
+	n.exec = parexec.NewEngine(cfg)
 }
 
-// parallelEngine returns the installed engine, or nil on the serial
-// path.
-func (n *Node) parallelEngine() *parexec.Engine {
+// executor returns the installed block executor.
+func (n *Node) executor() *parexec.Engine {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.parEng
+	return n.exec
 }
 
-// ParallelStats returns the node-lifetime parallel execution counters:
-// everything the current engine has done plus totals carried over from
-// engines replaced by earlier UseParallelExec calls (zero value when
-// the node has only ever executed serially).
-func (n *Node) ParallelStats() parexec.Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	st := n.parStats
-	if n.parEng != nil {
-		st.Add(n.parEng.Stats())
-	}
-	return st
-}
+// ExecStats returns the execution counters accumulated since the last
+// SetExec.
+func (n *Node) ExecStats() parexec.Stats { return n.executor().Stats() }
 
 // GasUsed returns the cumulative gas this node burned executing
 // transactions (its share of the cluster's duplicated computation).
@@ -1152,30 +1121,17 @@ func (n *Node) pruneConsensusBuffers(committed uint64) {
 	}
 }
 
-// execute applies all transactions of a block to the state machine,
-// recording receipts, gas, and events. With a parallel engine
-// installed, execution is speculative across a worker pool but the
-// resulting state, receipts, and event order are identical to the
-// serial loop.
+// execute applies all transactions of a block to the state machine
+// through the node's executor, recording receipts, gas, and events.
 func (n *Node) execute(blk *ledger.Block) error {
-	if eng := n.parallelEngine(); eng != nil {
-		receipts, _, err := eng.ExecuteBlock(n.state, blk.Txs, blk.Header.Height, blk.Header.Timestamp)
-		// On a mid-block error the receipts cover the applied prefix;
-		// record them before failing so bookkeeping (receipts map, gas,
-		// published events) matches the serial path exactly.
-		for i, r := range receipts {
-			n.recordReceipt(blk, blk.Txs[i], r)
-		}
-		return err
+	receipts, _, err := n.executor().ExecuteBlock(n.state, blk.Txs, blk.Header.Height, blk.Header.Timestamp)
+	// On a mid-block error the receipts cover the applied prefix;
+	// record them before failing so the receipts map, gas, and
+	// published events match the state.
+	for i, r := range receipts {
+		n.recordReceipt(blk, blk.Txs[i], r)
 	}
-	for _, tx := range blk.Txs {
-		r, err := n.state.Apply(tx, blk.Header.Height, blk.Header.Timestamp)
-		if err != nil {
-			return err
-		}
-		n.recordReceipt(blk, tx, r)
-	}
-	return nil
+	return err
 }
 
 // recordReceipt stores one committed receipt and publishes its events.
@@ -1237,20 +1193,10 @@ func (n *Node) produceBlock(maxTxs int, votesNeeded int, voteTimeout time.Durati
 	blk.Header.TxRoot = root
 
 	// Preview-execute on a clone to obtain the post-state root;
-	// followers re-execute on their live state and must agree. The
-	// parallel engine previews too — its result is bit-identical to
-	// serial, so mixed clusters still converge.
+	// followers re-execute on their live state and must agree.
 	preview := n.state.Clone()
-	if eng := n.parallelEngine(); eng != nil {
-		if _, _, err := eng.ExecuteBlock(preview, txs, blk.Header.Height, ts); err != nil {
-			return nil, err
-		}
-	} else {
-		for _, tx := range txs {
-			if _, err := preview.Apply(tx, blk.Header.Height, ts); err != nil {
-				return nil, err
-			}
-		}
+	if _, _, err := n.executor().ExecuteBlock(preview, txs, blk.Header.Height, ts); err != nil {
+		return nil, err
 	}
 	blk.Header.StateRoot = preview.Root()
 

@@ -58,16 +58,13 @@ func parallelBatch(t testing.TB, user *cryptoutil.KeyPair) []*ledger.Transaction
 }
 
 // TestParallelClusterMatchesSerial commits the same signed batch on a
-// serial cluster and on clusters running each parallel engine mode,
-// and requires identical state roots and receipts on every node.
+// serial cluster and on an mvcc-wave cluster, and requires identical
+// state roots and receipts on every node.
 func TestParallelClusterMatchesSerial(t *testing.T) {
 	user := userKey(t, "par-user")
 
-	commit := func(seed string, workers int, mode parexec.Mode) (*Cluster, *ledger.Block) {
-		c, err := NewCluster(ClusterConfig{
-			Nodes: 3, Engine: EngineQuorum, KeySeed: seed,
-			ParallelWorkers: workers, ExecMode: mode,
-		})
+	commit := func(seed string, exec parexec.Config) (*Cluster, *ledger.Block) {
+		c, err := NewCluster(ClusterConfig{Nodes: 3, Engine: EngineQuorum, KeySeed: seed, Exec: exec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,65 +76,47 @@ func TestParallelClusterMatchesSerial(t *testing.T) {
 		return c, blk
 	}
 
-	serialC, serialBlk := commit("par-eq", 0, parexec.ModeTwoPhase)
+	serialC, serialBlk := commit("par-eq", parexec.Config{})
+	parC, parBlk := commit("par-eq-mvcc-wave", parexec.Config{Workers: 4, Mode: parexec.ModeMVCCWave})
 
-	for _, mode := range []parexec.Mode{parexec.ModeTwoPhase, parexec.ModeMVCCWave, parexec.ModeMVCCOptimistic} {
-		parC, parBlk := commit("par-eq-"+mode.String(), 4, mode)
-
-		if sr, pr := serialBlk.Header.StateRoot, parBlk.Header.StateRoot; sr != pr {
-			t.Fatalf("%v: state root diverged: serial %s, parallel %s", mode, sr.Short(), pr.Short())
+	if sr, pr := serialBlk.Header.StateRoot, parBlk.Header.StateRoot; sr != pr {
+		t.Fatalf("state root diverged: serial %s, parallel %s", sr.Short(), pr.Short())
+	}
+	for _, tx := range serialBlk.Txs {
+		sRec, ok := serialC.Node(0).Receipt(tx.ID())
+		if !ok {
+			t.Fatalf("serial receipt missing for %s", tx.ID().Short())
 		}
-		for _, tx := range serialBlk.Txs {
-			sRec, ok := serialC.Node(0).Receipt(tx.ID())
-			if !ok {
-				t.Fatalf("serial receipt missing for %s", tx.ID().Short())
-			}
-			pRec, ok := parC.Node(0).Receipt(tx.ID())
-			if !ok {
-				t.Fatalf("%v: parallel receipt missing for %s", mode, tx.ID().Short())
-			}
-			if sRec.Err != pRec.Err || sRec.GasUsed != pRec.GasUsed || len(sRec.Events) != len(pRec.Events) {
-				t.Fatalf("%v: receipt diverged for %s:\n serial %+v\n parallel %+v", mode, tx.ID().Short(), sRec, pRec)
-			}
+		pRec, ok := parC.Node(0).Receipt(tx.ID())
+		if !ok {
+			t.Fatalf("parallel receipt missing for %s", tx.ID().Short())
 		}
-		if serialC.Node(0).GasUsed() != parC.Node(0).GasUsed() {
-			t.Fatalf("%v: gas accounting diverged: %d vs %d",
-				mode, serialC.Node(0).GasUsed(), parC.Node(0).GasUsed())
-		}
-
-		// The parallel cluster really used the engine: every node saw
-		// the batch, and the accounting invariant held. The batch has
-		// forced conflicts, so two-phase must show serial residue and
-		// the MVCC modes must dispatch dependency waves.
-		for i, n := range parC.Nodes() {
-			st := n.ParallelStats()
-			if st.Txs == 0 {
-				t.Fatalf("%v: node %d never used the parallel engine", mode, i)
-			}
-			if st.Clean+st.Aborted+st.Serial != st.Txs {
-				t.Fatalf("%v: node %d violated the stats invariant: %+v", mode, i, st)
-			}
-			if mode == parexec.ModeTwoPhase && (st.Clean == 0 || st.Serial == 0) {
-				t.Fatalf("two-phase: node %d stats missing clean or conflict txs: %+v", i, st)
-			}
-			if mode != parexec.ModeTwoPhase && (st.Clean == 0 || st.Waves == 0) {
-				t.Fatalf("%v: node %d stats missing clean txs or waves: %+v", mode, i, st)
-			}
-			if mode == parexec.ModeMVCCOptimistic && st.Aborted == 0 {
-				t.Fatalf("mvcc-occ: node %d never aborted despite forced conflicts: %+v", i, st)
-			}
+		if sRec.Err != pRec.Err || sRec.GasUsed != pRec.GasUsed || len(sRec.Events) != len(pRec.Events) {
+			t.Fatalf("receipt diverged for %s:\n serial %+v\n parallel %+v", tx.ID().Short(), sRec, pRec)
 		}
 	}
-	if st := serialC.Node(0).ParallelStats(); st.Txs != 0 {
-		t.Fatalf("serial cluster unexpectedly used the engine: %+v", st)
+	if serialC.Node(0).GasUsed() != parC.Node(0).GasUsed() {
+		t.Fatalf("gas accounting diverged: %d vs %d", serialC.Node(0).GasUsed(), parC.Node(0).GasUsed())
+	}
+
+	// The parallel cluster really ran the wave scheduler: every node
+	// saw the batch, committed it on the parallel path, and dispatched
+	// dependency waves for the forced conflicts.
+	for i, n := range parC.Nodes() {
+		st := n.ExecStats()
+		if st.Txs == 0 || st.Clean != st.Txs || st.Waves == 0 {
+			t.Fatalf("node %d did not commit the batch through waves: %+v", i, st)
+		}
+	}
+	if st := serialC.Node(0).ExecStats(); st.Txs == 0 || st.Serial != st.Txs {
+		t.Fatalf("serial cluster did not apply in order: %+v", st)
 	}
 }
 
-// TestMixedModeClusterAgrees runs one cluster whose nodes each use a
-// different execution engine — serial, two-phase, MVCC wave, MVCC
-// optimistic — so consensus itself is a cross-engine differential
-// oracle: every committed block's state root must be agreed by all
-// four.
+// TestMixedModeClusterAgrees runs one cluster whose nodes mix serial
+// and mvcc-wave execution at different pool sizes, so consensus itself
+// is a cross-engine differential oracle: every committed block's state
+// root must be agreed by all four.
 func TestMixedModeClusterAgrees(t *testing.T) {
 	user := userKey(t, "mix-user")
 	c, err := NewCluster(ClusterConfig{Nodes: 4, Engine: EngineQuorum, KeySeed: "par-mix"})
@@ -145,48 +124,46 @@ func TestMixedModeClusterAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	c.Node(1).UseExecEngine(parexec.ModeTwoPhase, 2)
-	c.Node(2).UseExecEngine(parexec.ModeMVCCWave, 4)
-	c.Node(3).UseExecEngine(parexec.ModeMVCCOptimistic, 4)
+	c.Node(2).SetExec(parexec.Config{Workers: 2, Mode: parexec.ModeMVCCWave})
+	c.Node(3).SetExec(parexec.Config{Workers: 8, Mode: parexec.ModeMVCCWave})
 
 	submitAndCommit(t, c, parallelBatch(t, user)...)
 	if err := c.VerifyConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range []int{1, 2, 3} {
-		st := c.Node(i).ParallelStats()
-		if st.Txs == 0 {
-			t.Fatalf("node %d never used its engine", i)
+	for i, n := range c.Nodes() {
+		st := n.ExecStats()
+		if st.Txs == 0 || st.Clean+st.Serial != st.Txs {
+			t.Fatalf("node %d stats: %+v", i, st)
 		}
-		if st.Clean+st.Aborted+st.Serial != st.Txs {
-			t.Fatalf("node %d violated the stats invariant: %+v", i, st)
+		if wave := i >= 2; wave != (st.Waves > 0) {
+			t.Fatalf("node %d ran the wrong mode: %+v", i, st)
 		}
 	}
 }
 
-// TestUseParallelExecToggle flips a node between engines mid-chain.
-func TestUseParallelExecToggle(t *testing.T) {
+// TestSetExecToggle flips a node between modes mid-chain.
+func TestSetExecToggle(t *testing.T) {
 	c := newCluster(t, 1, EnginePoA)
 	user := userKey(t, "toggle-user")
 
 	n := c.Node(0)
-	n.UseParallelExec(2)
+	n.SetExec(parexec.Config{Workers: 2, Mode: parexec.ModeMVCCWave})
 	submitAndCommit(t, c, signedTx(t, user, 0, ledger.TxData, "register_dataset", contract.RegisterDatasetArgs{
 		ID: "tog/a", Digest: cryptoutil.Sum([]byte("a")), SiteID: "s",
 	}))
-	// The proposer runs the engine twice per block: once for the
+	// The proposer runs the executor twice per block: once for the
 	// proposal preview, once for the commit.
-	after1 := n.ParallelStats()
-	if after1.Txs == 0 || after1.Blocks == 0 {
-		t.Fatalf("engine not used: %+v", after1)
+	if st := n.ExecStats(); st.Blocks != 2 || st.Clean != 2 {
+		t.Fatalf("wave scheduler not used for preview and commit: %+v", st)
 	}
 
-	n.UseParallelExec(0) // back to the serial reference path
+	n.SetExec(parexec.Config{}) // back to serial
 	submitAndCommit(t, c, signedTx(t, user, 1, ledger.TxData, "register_dataset", contract.RegisterDatasetArgs{
 		ID: "tog/b", Digest: cryptoutil.Sum([]byte("b")), SiteID: "s",
 	}))
-	if st := n.ParallelStats(); st != after1 {
-		t.Fatalf("serial path incremented engine stats: %+v -> %+v", after1, st)
+	if st := n.ExecStats(); st.Blocks != 2 || st.Serial != 2 || st.Clean != 0 {
+		t.Fatalf("serial executor not used for preview and commit: %+v", st)
 	}
 	if _, ok := n.State().Dataset("tog/b"); !ok {
 		t.Fatal("dataset missing after toggle back to serial")

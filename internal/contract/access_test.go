@@ -133,7 +133,7 @@ func TestAccessSetOfPerMethod(t *testing.T) {
 }
 
 // TestSnapshotExecuteMergeMatchesDirectApply runs each transaction kind
-// the speculative way — SnapshotFor, Apply on the snapshot,
+// the speculative way — SnapshotAt, Apply on the snapshot,
 // MergeSpeculative back — and checks the root and receipt match a
 // direct Apply on a clone. This is the single-transaction soundness
 // property the parallel engine composes.
@@ -184,7 +184,7 @@ func TestSnapshotExecuteMergeMatchesDirectApply(t *testing.T) {
 
 			spec := base.Clone()
 			acc := AccessSetOf(tc.tx)
-			snap := spec.SnapshotFor(acc)
+			snap := NewVersions(spec).SnapshotAt(0, acc)
 			gotReceipt, err := snap.Apply(tc.tx, 2, 2000)
 			if err != nil {
 				t.Fatal(err)
@@ -222,7 +222,7 @@ func TestSnapshotIsolation(t *testing.T) {
 		Resource: "data:ds1", Grantee: grantee.Address(), Actions: []Action{ActionRead},
 	})
 	acc := AccessSetOf(gtx)
-	snap := base.SnapshotFor(acc)
+	snap := NewVersions(base).SnapshotAt(0, acc)
 	if r, err := snap.Apply(gtx, 2, 2000); err != nil || !r.OK() {
 		t.Fatalf("speculative apply: %v %v", err, r)
 	}

@@ -78,7 +78,7 @@ func TestAuditReportEvidence(t *testing.T) {
 
 // TestSnapshotMergeCarriesEvidence is the regression test for the
 // parallel-execution path: an audit transaction speculated against a
-// SnapshotFor snapshot and committed via MergeSpeculative must land its
+// SnapshotAt snapshot and committed via MergeSpeculative must land its
 // evidence record in the base state and reach the same root as serial
 // application — the divergence the sim's differential oracle caught.
 func TestSnapshotMergeCarriesEvidence(t *testing.T) {
@@ -94,7 +94,7 @@ func TestSnapshotMergeCarriesEvidence(t *testing.T) {
 	if acc.Unknown || len(acc.Writes) == 0 {
 		t.Fatalf("audit tx footprint not derived: %v", acc)
 	}
-	snap := base.SnapshotFor(acc)
+	snap := NewVersions(base).SnapshotAt(0, acc)
 	mustOK(t, apply(t, snap, transaction))
 	base.MergeSpeculative(snap, acc)
 
@@ -107,7 +107,7 @@ func TestSnapshotMergeCarriesEvidence(t *testing.T) {
 
 	// With the record present in the base, a snapshot for the same key
 	// must carry it so the dedupe check holds under speculation too.
-	snap2 := base.SnapshotFor(acc)
+	snap2 := NewVersions(base).SnapshotAt(0, acc)
 	if apply(t, snap2, transaction).OK() {
 		t.Fatal("speculative re-report missed the dedupe record")
 	}

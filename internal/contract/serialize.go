@@ -221,9 +221,9 @@ func ImportState(ex *StateExport) *State {
 
 // AdoptHostFrom installs src's host table on s, rebinding the
 // "registry.*" entries to s's own registry (the same rule Clone and
-// SnapshotFor apply). A nil src host leaves s without one. The storage
-// engine's recovery path uses this to carry a node's oracle bridges
-// onto the state it rebuilt from disk.
+// Versions.SnapshotAt apply). A nil src host leaves s without one. The
+// storage engine's recovery path uses this to carry a node's oracle
+// bridges onto the state it rebuilt from disk.
 func (s *State) AdoptHostFrom(src *State) {
 	src.mu.RLock()
 	host := src.host

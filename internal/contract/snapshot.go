@@ -4,43 +4,6 @@ import (
 	"medchain/internal/vm"
 )
 
-// SnapshotFor builds a minimal state containing exactly the objects in
-// an access set: read keys share the base state's objects (they are
-// never mutated through a read), write keys get deep copies the
-// speculative execution is free to mutate. Unlike Clone, the cost is
-// O(|access set|), not O(|state|), which is what makes per-transaction
-// speculation cheap enough to win.
-//
-// The base state must not be mutated while snapshots built from it are
-// executing — the parallel engine guarantees this with a barrier
-// between its speculation and commit phases.
-func (s *State) SnapshotFor(acc AccessSet) *State {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c := NewState()
-	c.requestSeq = s.requestSeq
-	c.unsafeSkipCrossProof = s.unsafeSkipCrossProof
-	for _, k := range acc.Reads {
-		s.shareInto(c, k)
-	}
-	for _, k := range acc.Writes {
-		s.copyInto(c, k)
-	}
-	if s.host != nil {
-		// Rebind registry.* HOST functions to the snapshot (as Clone
-		// does); other host entries are shared — they must be
-		// deterministic, state-independent, and (under parallel
-		// execution) safe for concurrent use.
-		c.host = c.RegistryHostFuncs()
-		for name, fn := range s.host {
-			if _, registry := c.host[name]; !registry {
-				c.host[name] = fn
-			}
-		}
-	}
-	return c
-}
-
 // shareInto installs the base state's object for key k into c without
 // copying. Safe only for keys the transaction declared read-only.
 func (s *State) shareInto(c *State, k StateKey) {
@@ -222,9 +185,9 @@ func copyTrial(t *Trial) *Trial {
 }
 
 // MergeSpeculative adopts the objects named by the access set's write
-// keys from a finished speculative snapshot into s — the commit step
-// for a transaction whose declared set is disjoint from everything an
-// earlier transaction in the block wrote. The snapshot is consumed: its
+// keys from a finished speculative snapshot into s — the materialize
+// step of the MVCC engine, called in canonical transaction order so the
+// newest writer of each key lands last. The snapshot is consumed: its
 // written objects were private deep copies, so adopting the pointers is
 // safe and allocation-free.
 func (s *State) MergeSpeculative(from *State, acc AccessSet) {

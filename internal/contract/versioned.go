@@ -1,23 +1,21 @@
 package contract
 
 // This file implements the multi-version state plumbing the MVCC
-// parallel execution engine (internal/parexec) is built on. Where the
-// two-phase engine gives every transaction a snapshot of the
-// block-start state and re-executes the conflicting residue serially,
-// the MVCC engine keeps a *version chain* per StateKey: every committed
-// transaction appends the objects it wrote, tagged with its block
-// position, and a later conflicting transaction re-reads the newest
-// version older than its own position instead of being re-executed
-// against live state. Versions reference the writer's (frozen)
-// speculative snapshot, so committing is allocation-free and reading a
-// version is a pointer share / deep copy of exactly one object.
+// parallel execution engine (internal/parexec) is built on. The engine
+// keeps a *version chain* per StateKey: every committed transaction
+// appends the objects it wrote, tagged with its block position, and a
+// later conflicting transaction reads the newest version older than its
+// own position instead of being re-executed against live state.
+// Versions reference the writer's (frozen) speculative snapshot, so
+// committing is allocation-free and reading a version is a pointer
+// share / deep copy of exactly one object.
 //
 // Concurrency contract: Commit appends to chains and must be called
-// from a single goroutine (the engine's wave barrier); SnapshotAt and
-// HasVersionBefore only read the chains and may run concurrently from
-// the wave's workers. The base state must not be mutated while a
-// Versions built on it is in use — the engine materializes writes into
-// the base only after all waves have finished.
+// from a single goroutine (the engine's wave barrier); SnapshotAt only
+// reads the chains and may run concurrently from the wave's workers.
+// The base state must not be mutated while a Versions built on it is in
+// use — the engine materializes writes into the base only after all
+// waves have finished.
 
 // version is one committed entry of a key's chain: the writer's block
 // position and the snapshot state holding its written object.
@@ -63,20 +61,6 @@ func (v *Versions) latest(k StateKey, idx int) *State {
 	return nil
 }
 
-// HasVersionBefore reports whether any key in acc's touched set has a
-// committed version older than position idx — the version-visibility
-// check the optimistic (OCC) scheduler runs before adopting a
-// speculation that read the block-start state: if an older version
-// exists, the speculation read stale data and must abort.
-func (v *Versions) HasVersionBefore(idx int, acc AccessSet) bool {
-	for _, k := range acc.Touched() {
-		if v.latest(k, idx) != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // SnapshotAt builds the speculative state transaction idx executes
 // against: for every key in its access set, the newest committed
 // version older than idx, falling back to the base state. Read keys
@@ -91,6 +75,7 @@ func (v *Versions) SnapshotAt(idx int, acc AccessSet) *State {
 	defer s.mu.RUnlock()
 	c := NewState()
 	c.requestSeq = s.requestSeq
+	c.unsafeSkipCrossProof = s.unsafeSkipCrossProof
 	if seqSrc := v.latest(KeySeq, idx); seqSrc != nil {
 		c.requestSeq = seqSrc.requestSeq
 	}
@@ -124,8 +109,10 @@ func (v *Versions) SnapshotAt(idx int, acc AccessSet) *State {
 		}
 	}
 	if s.host != nil {
-		// Rebind registry.* HOST functions to the snapshot (as
-		// SnapshotFor does); other host entries are shared.
+		// Rebind registry.* HOST functions to the snapshot (as Clone
+		// does); other host entries are shared — they must be
+		// deterministic, state-independent, and safe for concurrent
+		// use.
 		c.host = c.RegistryHostFuncs()
 		for name, fn := range s.host {
 			if _, registry := c.host[name]; !registry {

@@ -23,8 +23,7 @@ func versionedBase(t *testing.T, kp *cryptoutil.KeyPair, id string) *State {
 // TestVersionsVisibilityChain drives a write-write conflict pair
 // (grant then revoke of the same policy) through the version chains by
 // hand: the revoke at position 1 must observe the grant committed at
-// position 0 — the exact read the two-phase engine could only satisfy
-// by re-executing serially — and both receipts must equal serial's.
+// position 0, and both receipts must equal serial's.
 func TestVersionsVisibilityChain(t *testing.T) {
 	kp := key(t, "ver-owner")
 	base := versionedBase(t, kp, "vd0")
@@ -46,23 +45,12 @@ func TestVersionsVisibilityChain(t *testing.T) {
 
 	ver := NewVersions(base)
 	acc0, acc1 := AccessSetOf(txGrant), AccessSetOf(txRevoke)
-	if ver.HasVersionBefore(0, acc0) || ver.HasVersionBefore(1, acc1) {
-		t.Fatal("empty chains reported a visible version")
-	}
-
 	snap0 := ver.SnapshotAt(0, acc0)
 	rec0, err := snap0.Apply(txGrant, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ver.Commit(0, snap0, acc0)
-
-	if !ver.HasVersionBefore(1, acc1) {
-		t.Fatal("committed grant not visible to the revoke at position 1")
-	}
-	if ver.HasVersionBefore(0, acc0) {
-		t.Fatal("position 0 must not see its own (or any) version")
-	}
 
 	snap1 := ver.SnapshotAt(1, acc1)
 	rec1, err := snap1.Apply(txRevoke, 2, 2)
@@ -74,8 +62,9 @@ func TestVersionsVisibilityChain(t *testing.T) {
 			rec0, rec1, wantGrant, wantRevoke)
 	}
 	// The revoke must genuinely have depended on the version read: the
-	// same revoke against the block-start state sees no grant.
-	stale, err := base.SnapshotFor(acc1).Apply(txRevoke, 2, 2)
+	// same revoke at position 0 sees no version, only the block-start
+	// state, and finds no grant.
+	stale, err := ver.SnapshotAt(0, acc1).Apply(txRevoke, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,5 +168,39 @@ func TestVersionsFallbackToBase(t *testing.T) {
 	snap.datasets["vfb"].SiteID = "mutated"
 	if base.datasets["vfb"].SiteID == "mutated" {
 		t.Fatal("mutating a write snapshot leaked into the base")
+	}
+}
+
+// TestSnapshotAtCarriesUnkeyedFields: SnapshotAt is the only snapshot
+// builder, so every State field that no StateKey addresses — the
+// request sequence, the host table, the cross-proof mutation knob —
+// must reach the snapshot exactly as Clone carries it. The knob was
+// once dropped, which made it silently inert for any TxCross executed
+// on the MVCC path.
+func TestSnapshotAtCarriesUnkeyedFields(t *testing.T) {
+	kp := key(t, "ver-unkeyed-owner")
+	base := versionedBase(t, kp, "vuk")
+	base.SetHost(base.RegistryHostFuncs())
+	base.SetUnsafeSkipCrossProofVerify(true)
+	req := tx(t, kp, ledger.TxData, "request_access",
+		RequestAccessArgs{Resource: "data:vuk", Action: ActionRead})
+	if _, err := base.Apply(req, 2, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	clone := base.Clone()
+	snap := NewVersions(base).SnapshotAt(0, AccessSet{})
+	if clone.requestSeq == 0 || !clone.unsafeSkipCrossProof || len(clone.host) == 0 {
+		t.Fatalf("test vacuous: clone carries seq=%d skipProof=%v host=%d",
+			clone.requestSeq, clone.unsafeSkipCrossProof, len(clone.host))
+	}
+	if snap.requestSeq != clone.requestSeq {
+		t.Errorf("requestSeq = %d, Clone carries %d", snap.requestSeq, clone.requestSeq)
+	}
+	if snap.unsafeSkipCrossProof != clone.unsafeSkipCrossProof {
+		t.Errorf("unsafeSkipCrossProof = %v, Clone carries %v", snap.unsafeSkipCrossProof, clone.unsafeSkipCrossProof)
+	}
+	if len(snap.host) != len(clone.host) {
+		t.Errorf("host table has %d entries, Clone carries %d", len(snap.host), len(clone.host))
 	}
 }

@@ -9,33 +9,27 @@ import (
 	"medchain/internal/parexec"
 )
 
-// --- E10: parallel execution — conflict rate x scheduler matrix ---
+// --- E10: parallel execution — conflict rate x workers ---
 //
 // The paper's thesis is that a blockchain should become a distributed
 // *parallel* computing architecture, yet baseline block application is
-// serial. E10 measures every parallel engine mode (two-phase
-// speculative, MVCC dependency waves, MVCC optimistic) against the
+// serial. E10 measures the MVCC dependency-wave engine against the
 // serial reference on the same seeded batch while sweeping the worker
 // count and the conflict rate, and verifies on every single cell that
 // the parallel state root and receipts are bit-identical to serial
 // execution — speedup is only admissible if determinism holds.
 //
 // Beyond determinism, E10Verify enforces the timing-free scheduling
-// claim the MVCC rewrite makes: at every (conflict rate, workers)
-// cell the MVCC schedulers' clean-commit ratio — the share of the
-// batch committed by the parallel path, never re-executed serially —
-// must be at least the two-phase engine's, and strictly higher
-// wherever two-phase was forced into serial re-execution. Timings are
-// reported for the tables but never gate anything: wall-clock is
-// machine-dependent, the commit ratios are not.
+// claim: the workload's footprints are all bounded, so at every
+// conflict rate the whole batch must commit on the parallel path
+// (clean ratio 1.000, no serial tail). Timings are reported for the
+// tables but never gate anything: wall-clock is machine-dependent, the
+// commit ratios are not.
 
 // E10Config tunes the parallel-execution sweep.
 type E10Config struct {
 	// Workers are the pool sizes to sweep (default 1, 2, 4, 8).
 	Workers []int
-	// Engines are the parallel modes to sweep (default two-phase,
-	// mvcc-wave, mvcc-occ).
-	Engines []parexec.Mode
 	// ConflictRates are the hot-key shares to sweep (default 0, 0.3,
 	// 0.5, 1).
 	ConflictRates []float64
@@ -56,9 +50,6 @@ type E10Config struct {
 func (c E10Config) withDefaults() E10Config {
 	if len(c.Workers) == 0 {
 		c.Workers = []int{1, 2, 4, 8}
-	}
-	if len(c.Engines) == 0 {
-		c.Engines = []parexec.Mode{parexec.ModeTwoPhase, parexec.ModeMVCCWave, parexec.ModeMVCCOptimistic}
 	}
 	if len(c.ConflictRates) == 0 {
 		c.ConflictRates = []float64{0, 0.3, 0.5, 1}
@@ -81,31 +72,25 @@ func (c E10Config) withDefaults() E10Config {
 	return c
 }
 
-// E10Row is one (conflict rate, engine, worker count) cell.
+// E10Row is one (conflict rate, worker count) cell.
 type E10Row struct {
 	// ConflictRate is the swept hot-key share.
 	ConflictRate float64
-	// Engine is the parallel scheduler under test.
-	Engine parexec.Mode
 	// Workers is the pool size.
 	Workers int
 	// Txs is the batch size.
 	Txs int
 	// Serial is the serial reference apply time (min over repeats).
 	Serial time.Duration
-	// Parallel is the engine's apply time (min over repeats).
+	// Parallel is the mvcc-wave engine's apply time (min over repeats).
 	Parallel time.Duration
 	// Speedup is Serial/Parallel.
 	Speedup float64
-	// Clean is how many speculative results committed without
-	// re-execution; Aborted is the MVCC-occ deterministic-abort count
-	// (re-executed in parallel against version chains); Conflicts is
-	// the serially re-executed residue; Waves is the dependency-wave
-	// count dispatched by the MVCC schedulers.
-	Clean, Aborted, Conflicts, Waves int64
-	// CleanRatio is the share of the batch committed by the parallel
-	// path — (Txs - Conflicts) / Txs. Aborted-and-retried MVCC txs
-	// still count: their retry runs inside a wave, not serially.
+	// Clean is how many transactions committed on the parallel path;
+	// SerialTail is how many fell to the in-order tail; Waves is the
+	// dependency-wave count the scheduler dispatched.
+	Clean, SerialTail, Waves int64
+	// CleanRatio is Clean / Txs.
 	CleanRatio float64
 	// Match reports that the parallel state root AND receipts are
 	// bit-identical to serial execution.
@@ -139,7 +124,7 @@ func E10ParallelExec(cfg E10Config) ([]E10Row, error) {
 		}
 
 		// Serial reference: time the plain apply loop, keep its root and
-		// receipts as ground truth for every engine below.
+		// receipts as ground truth for every cell below.
 		var serialBest time.Duration
 		var serialReceipts []*contract.Receipt
 		var serialRoot string
@@ -158,90 +143,56 @@ func E10ParallelExec(cfg E10Config) ([]E10Row, error) {
 			serialRoot = st.Root().String()
 		}
 
-		for _, mode := range cfg.Engines {
-			for _, w := range cfg.Workers {
-				eng := parexec.NewEngine(parexec.Config{Workers: w, Mode: mode})
-				var parBest time.Duration
-				var stats parexec.Stats
-				match := true
-				for rep := 0; rep < cfg.Repeats; rep++ {
-					st := base.Clone()
-					start := time.Now()
-					receipts, bs, err := eng.ExecuteBlock(st, wl.Batch, 2, 2)
-					if err != nil {
-						return nil, err
-					}
-					elapsed := time.Since(start)
-					if rep == 0 || elapsed < parBest {
-						parBest = elapsed
-					}
-					stats = bs
-					if st.Root().String() != serialRoot || !reflect.DeepEqual(receipts, serialReceipts) {
-						match = false
-					}
+		for _, w := range cfg.Workers {
+			eng := parexec.NewEngine(parexec.Config{Workers: w, Mode: parexec.ModeMVCCWave})
+			var parBest time.Duration
+			var stats parexec.Stats
+			match := true
+			for rep := 0; rep < cfg.Repeats; rep++ {
+				st := base.Clone()
+				start := time.Now()
+				receipts, bs, err := eng.ExecuteBlock(st, wl.Batch, 2, 2)
+				if err != nil {
+					return nil, err
 				}
-				row := E10Row{
-					ConflictRate: rate, Engine: mode, Workers: w, Txs: cfg.Txs,
-					Serial: serialBest, Parallel: parBest,
-					Clean: stats.Clean, Aborted: stats.Aborted,
-					Conflicts: stats.Serial, Waves: stats.Waves, Match: match,
+				elapsed := time.Since(start)
+				if rep == 0 || elapsed < parBest {
+					parBest = elapsed
 				}
-				if parBest > 0 {
-					row.Speedup = float64(serialBest) / float64(parBest)
+				stats = bs
+				if st.Root().String() != serialRoot || !reflect.DeepEqual(receipts, serialReceipts) {
+					match = false
 				}
-				if stats.Txs > 0 {
-					row.CleanRatio = float64(stats.Txs-stats.Serial) / float64(stats.Txs)
-				}
-				rows = append(rows, row)
 			}
+			row := E10Row{
+				ConflictRate: rate, Workers: w, Txs: cfg.Txs,
+				Serial: serialBest, Parallel: parBest,
+				Clean: stats.Clean, SerialTail: stats.Serial, Waves: stats.Waves, Match: match,
+			}
+			if parBest > 0 {
+				row.Speedup = float64(serialBest) / float64(parBest)
+			}
+			if stats.Txs > 0 {
+				row.CleanRatio = float64(stats.Clean) / float64(stats.Txs)
+			}
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil
 }
 
-// E10Verify applies the timing-free gates to the sweep:
-//
-//  1. every cell's state root and receipts are bit-identical to
-//     serial (Match), and the engine accounting invariant
-//     Clean + Aborted + Conflicts == Txs holds;
-//  2. at every (conflict rate, workers) cell, each MVCC scheduler's
-//     clean-commit ratio is at least the two-phase engine's, and
-//     strictly higher wherever two-phase had serial residue — the
-//     scheduling claim the MVCC engine exists to make.
+// E10Verify applies the timing-free gates to the sweep: every cell's
+// state root and receipts are bit-identical to serial (Match), and the
+// whole batch committed on the parallel path — Clean == Txs with no
+// serial tail — at every conflict rate.
 func E10Verify(rows []E10Row) error {
-	type cell struct {
-		rate    float64
-		workers int
-	}
-	twoPhase := make(map[cell]E10Row)
 	for _, r := range rows {
 		if !r.Match {
-			return fmt.Errorf("experiments: e10 divergence at conflict=%.2f engine=%s workers=%d",
-				r.ConflictRate, r.Engine, r.Workers)
+			return fmt.Errorf("experiments: e10 divergence at conflict=%.2f workers=%d", r.ConflictRate, r.Workers)
 		}
-		if r.Clean+r.Aborted+r.Conflicts != int64(r.Txs) {
-			return fmt.Errorf("experiments: e10 accounting broken at conflict=%.2f engine=%s workers=%d: clean=%d aborted=%d reexec=%d txs=%d",
-				r.ConflictRate, r.Engine, r.Workers, r.Clean, r.Aborted, r.Conflicts, r.Txs)
-		}
-		if r.Engine == parexec.ModeTwoPhase {
-			twoPhase[cell{r.ConflictRate, r.Workers}] = r
-		}
-	}
-	for _, r := range rows {
-		if r.Engine == parexec.ModeTwoPhase {
-			continue
-		}
-		tp, ok := twoPhase[cell{r.ConflictRate, r.Workers}]
-		if !ok {
-			continue // sweep did not include a two-phase baseline
-		}
-		if r.CleanRatio < tp.CleanRatio {
-			return fmt.Errorf("experiments: e10 %s clean ratio %.3f below two-phase %.3f at conflict=%.2f workers=%d",
-				r.Engine, r.CleanRatio, tp.CleanRatio, r.ConflictRate, r.Workers)
-		}
-		if tp.Conflicts > 0 && r.CleanRatio <= tp.CleanRatio {
-			return fmt.Errorf("experiments: e10 %s clean ratio %.3f not above two-phase %.3f despite %d two-phase conflicts at conflict=%.2f workers=%d",
-				r.Engine, r.CleanRatio, tp.CleanRatio, tp.Conflicts, r.ConflictRate, r.Workers)
+		if r.Clean != int64(r.Txs) || r.SerialTail != 0 {
+			return fmt.Errorf("experiments: e10 clean ratio %.3f at conflict=%.2f workers=%d: clean=%d tail=%d txs=%d",
+				r.CleanRatio, r.ConflictRate, r.Workers, r.Clean, r.SerialTail, r.Txs)
 		}
 	}
 	return nil
@@ -253,23 +204,21 @@ func TableE10(rows []E10Row) string {
 	for i, r := range rows {
 		out[i] = []string{
 			fmt.Sprintf("%.2f", r.ConflictRate),
-			r.Engine.String(),
 			fmt.Sprint(r.Workers),
 			fmt.Sprint(r.Txs),
 			fmtDur(r.Serial),
 			fmtDur(r.Parallel),
 			fmt.Sprintf("%.2fx", r.Speedup),
 			fmt.Sprint(r.Clean),
-			fmt.Sprint(r.Aborted),
-			fmt.Sprint(r.Conflicts),
+			fmt.Sprint(r.SerialTail),
 			fmt.Sprint(r.Waves),
 			fmt.Sprintf("%.3f", r.CleanRatio),
 			fmt.Sprint(r.Match),
 		}
 	}
 	return Table(
-		"E10 Parallel execution: conflict rate x scheduler matrix (state must match serial bit-for-bit; MVCC clean ratio must dominate two-phase)",
-		[]string{"conflict", "engine", "workers", "txs", "serial", "parallel", "speedup", "clean", "aborted", "reexec", "waves", "cleanratio", "match"},
+		"E10 Parallel execution: serial vs mvcc-wave, conflict rate x workers (state must match serial bit-for-bit; clean ratio must be 1.000)",
+		[]string{"conflict", "workers", "txs", "serial", "mvcc-wave", "speedup", "clean", "tail", "waves", "cleanratio", "match"},
 		out,
 	)
 }

@@ -45,8 +45,8 @@ func TestEmptyBlock(t *testing.T) {
 }
 
 // TestSingleTxBlock: a one-transaction block has nothing to conflict
-// with; it must commit clean in every mode and match serial
-// bit-for-bit. The MVCC modes dispatch exactly one wave.
+// with; it must match serial bit-for-bit in every mode, and mvcc-wave
+// commits it clean in exactly one wave.
 func TestSingleTxBlock(t *testing.T) {
 	kp, err := cryptoutil.DeriveKeyPair("px-edge-single")
 	if err != nil {
@@ -74,22 +74,16 @@ func TestSingleTxBlock(t *testing.T) {
 			t.Fatalf("%v: single-tx receipt diverged: %+v vs %+v", mode, recs, want)
 		}
 		checkStats(t, mode, stats)
-		if stats.Clean != 1 || stats.Serial != 0 {
-			t.Fatalf("%v: single tx should commit clean: %+v", mode, stats)
-		}
-		if mode != parexec.ModeTwoPhase && stats.Waves != 1 {
-			t.Fatalf("%v: single tx should dispatch exactly one wave: %+v", mode, stats)
+		if mode == parexec.ModeMVCCWave && (stats.Clean != 1 || stats.Serial != 0 || stats.Waves != 1) {
+			t.Fatalf("%v: single tx should commit clean in one wave: %+v", mode, stats)
 		}
 	}
 }
 
 // TestAllConflictingBlock: every transaction mutates the same policy —
-// the worst case for speculation, and exactly where the schedulers
-// differ. Two-phase saves only the first (n-1 serial); MVCC wave runs
-// every tx exactly once against its predecessor's version (n clean, n
-// waves, 0 serial); the optimistic scheduler adopts the first and
-// deterministically aborts + re-reads the rest (1 clean, n-1 aborted).
-// All three must match serial's receipts, root, and gas exactly.
+// the worst case for a parallel scheduler. MVCC wave runs every tx
+// exactly once against its predecessor's version (n clean, n waves, 0
+// serial) and must match serial's receipts, root, and gas exactly.
 func TestAllConflictingBlock(t *testing.T) {
 	kp, err := cryptoutil.DeriveKeyPair("px-edge-conflict")
 	if err != nil {
@@ -115,40 +109,29 @@ func TestAllConflictingBlock(t *testing.T) {
 	serial := base.Clone()
 	want := applyAll(t, serial, batch)
 
-	for _, tc := range []struct {
-		mode                          parexec.Mode
-		clean, aborted, serial, waves int64
-	}{
-		{mode: parexec.ModeTwoPhase, clean: 1, serial: n - 1},
-		{mode: parexec.ModeMVCCWave, clean: n, waves: n},
-		{mode: parexec.ModeMVCCOptimistic, clean: 1, aborted: n - 1, waves: n},
-	} {
-		st := base.Clone()
-		got, stats, err := newEngine(tc.mode, 8).ExecuteBlock(st, batch, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Root() != serial.Root() {
-			t.Fatalf("%v: root diverged under total conflict", tc.mode)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: receipts diverged under total conflict", tc.mode)
-		}
-		if gasOf(got) != gasOf(want) {
-			t.Fatalf("%v: gas diverged: %d vs %d", tc.mode, gasOf(got), gasOf(want))
-		}
-		checkStats(t, tc.mode, stats)
-		if stats.Clean != tc.clean || stats.Aborted != tc.aborted || stats.Serial != tc.serial || stats.Waves != tc.waves {
-			t.Fatalf("%v: want clean=%d aborted=%d serial=%d waves=%d, got %+v",
-				tc.mode, tc.clean, tc.aborted, tc.serial, tc.waves, stats)
-		}
+	st := base.Clone()
+	got, stats, err := newEngine(parexec.ModeMVCCWave, 8).ExecuteBlock(st, batch, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Root() != serial.Root() {
+		t.Fatal("root diverged under total conflict")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("receipts diverged under total conflict")
+	}
+	if gasOf(got) != gasOf(want) {
+		t.Fatalf("gas diverged: %d vs %d", gasOf(got), gasOf(want))
+	}
+	checkStats(t, parexec.ModeMVCCWave, stats)
+	if stats.Clean != n || stats.Serial != 0 || stats.Waves != n {
+		t.Fatalf("want clean=%d serial=0 waves=%d, got %+v", n, n, stats)
 	}
 }
 
 // TestUnknownMidBlockSerialTail: an undecodable payload at position k
-// poisons everything from k on in every mode — the engine must fall
-// back to serial for the tail and still match the serial reference's
-// receipts, root, and gas.
+// poisons everything from k on — mvcc-wave must apply the tail in order
+// and still match the serial reference's receipts, root, and gas.
 func TestUnknownMidBlockSerialTail(t *testing.T) {
 	kp, err := cryptoutil.DeriveKeyPair("px-edge-unknown")
 	if err != nil {
@@ -201,17 +184,16 @@ func TestUnknownMidBlockSerialTail(t *testing.T) {
 			t.Fatalf("%v: gas diverged: %d vs %d", mode, gasOf(got), gasOf(want))
 		}
 		checkStats(t, mode, stats)
+		if mode == parexec.ModeSerial {
+			continue
+		}
 		if stats.Unknown != 1 {
 			t.Fatalf("%v: undecodable payload not counted Unknown once: %+v", mode, stats)
 		}
 		// The Unknown tx and everything after it execute serially; the
-		// conflict-free prefix before it commits clean. The MVCC modes
-		// need exactly one wave for that prefix.
-		if stats.Serial != int64(len(batch)-k) || stats.Clean != k {
-			t.Fatalf("%v: want clean=%d serial=%d, got %+v", mode, k, len(batch)-k, stats)
-		}
-		if mode != parexec.ModeTwoPhase && stats.Waves != 1 {
-			t.Fatalf("%v: conflict-free prefix should be one wave: %+v", mode, stats)
+		// conflict-free prefix before it commits clean in one wave.
+		if stats.Serial != int64(len(batch)-k) || stats.Clean != k || stats.Waves != 1 {
+			t.Fatalf("%v: want clean=%d serial=%d waves=1, got %+v", mode, k, len(batch)-k, stats)
 		}
 	}
 }

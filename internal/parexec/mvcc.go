@@ -26,14 +26,13 @@ import (
 
 // mvccResult is one prefix transaction's execution outcome.
 type mvccResult struct {
-	snap    *contract.State
-	rec     *contract.Receipt
-	err     error
-	aborted bool // optimistic speculation failed the visibility check
+	snap *contract.State
+	rec  *contract.Receipt
+	err  error
 }
 
-// executeMVCC runs the block under ModeMVCCWave or ModeMVCCOptimistic.
-// See Engine.ExecuteBlock for the contract.
+// executeMVCC runs the block under ModeMVCCWave. See
+// Engine.ExecuteBlock for the contract.
 func (e *Engine) executeMVCC(bs *Stats, st *contract.State, txs []*ledger.Transaction, height uint64, now int64) ([]*contract.Receipt, error) {
 	accs := make([]contract.AccessSet, len(txs))
 	ForEachN(len(txs), e.cfg.Workers, func(i int) {
@@ -41,8 +40,7 @@ func (e *Engine) executeMVCC(bs *Stats, st *contract.State, txs []*ledger.Transa
 	})
 
 	// The MVCC prefix ends at the first unbounded footprint; it and
-	// everything after it apply serially once the prefix materializes
-	// (the same taint rule as the two-phase engine).
+	// everything after it apply in order once the prefix materializes.
 	prefix := len(txs)
 	for i, acc := range accs {
 		if acc.Unknown {
@@ -51,64 +49,35 @@ func (e *Engine) executeMVCC(bs *Stats, st *contract.State, txs []*ledger.Transa
 		}
 	}
 
-	receipts := make([]*contract.Receipt, len(txs))
-	results := make([]mvccResult, prefix)
-
+	receipts := make([]*contract.Receipt, prefix, len(txs))
 	if prefix > 0 {
-		waves := e.buildWaves(accs[:prefix])
+		results := make([]mvccResult, prefix)
 		ver := contract.NewVersions(st)
-
-		// Optimistic phase A: speculate every prefix transaction
-		// against the block-start state up front, in parallel.
-		if e.cfg.Mode == ModeMVCCOptimistic {
-			ForEachN(prefix, e.cfg.Workers, func(j int) {
-				snap := st.SnapshotFor(accs[j])
-				rec, err := snap.Apply(txs[j], height, now)
-				results[j] = mvccResult{snap: snap, rec: rec, err: err}
-			})
-		}
-
-		hardErr := false
-		for _, wave := range waves {
+		for _, wave := range e.buildWaves(accs[:prefix]) {
 			bs.Waves++
 			wave := wave
 			ForEachN(len(wave), e.cfg.Workers, func(i int) {
 				j := wave[i]
-				aborted := false
-				if e.cfg.Mode == ModeMVCCOptimistic {
-					if e.cfg.UnsafeSkipVersionCheck || !ver.HasVersionBefore(j, accs[j]) {
-						// No earlier writer materialized a version of
-						// anything j touches: the block-start
-						// speculation saw exactly what serial would
-						// have. Adopt it as-is.
-						return
-					}
-					aborted = true
-				}
 				snap := ver.SnapshotAt(j, accs[j])
 				rec, err := snap.Apply(txs[j], height, now)
-				results[j] = mvccResult{snap: snap, rec: rec, err: err, aborted: aborted}
+				results[j] = mvccResult{snap: snap, rec: rec, err: err}
 			})
 			// Wave barrier: publish this wave's writes to the version
 			// chains in ascending transaction index.
 			for _, j := range wave {
 				if results[j].err != nil {
-					hardErr = true
-					break
+					// Unreachable today: Apply hard-errors only on nil
+					// transactions, which always derive Unknown
+					// footprints and land in the serial tail. st is
+					// still untouched, so apply the whole block in order
+					// for exact serial state and bookkeeping.
+					*bs = Stats{Blocks: 1, Txs: int64(len(txs))}
+					all, err := applyInOrder(st, txs, height, now)
+					bs.Serial = int64(len(all))
+					return all, err
 				}
 				ver.Commit(j, results[j].snap, accs[j])
 			}
-			if hardErr {
-				break
-			}
-		}
-		if hardErr {
-			// Unreachable today: Apply hard-errors only on nil
-			// transactions, which always derive Unknown footprints and
-			// land in the serial tail. st is still untouched, so fall
-			// back to plain serial execution of the whole block for
-			// exact serial state and bookkeeping.
-			return e.executeSerialFallback(bs, st, txs, height, now)
 		}
 
 		// Materialize: adopt every transaction's writes into the live
@@ -117,28 +86,18 @@ func (e *Engine) executeMVCC(bs *Stats, st *contract.State, txs []*ledger.Transa
 		for j := 0; j < prefix; j++ {
 			st.MergeSpeculative(results[j].snap, accs[j])
 			receipts[j] = results[j].rec
-			if results[j].aborted {
-				bs.Aborted++
-			} else {
-				bs.Clean++
-			}
 		}
+		bs.Clean = int64(prefix)
 	}
 
-	// Serial tail.
-	for i := prefix; i < len(txs); i++ {
-		r, err := st.Apply(txs[i], height, now)
-		if err != nil {
-			bs.Txs = int64(i) // stats cover the applied prefix only
-			return receipts[:i], err
-		}
-		receipts[i] = r
-		bs.Serial++
-		if accs[i].Unknown {
+	tail, err := applyInOrder(st, txs[prefix:], height, now)
+	bs.Serial = int64(len(tail))
+	for _, acc := range accs[prefix : prefix+len(tail)] {
+		if acc.Unknown {
 			bs.Unknown++
 		}
 	}
-	return receipts, nil
+	return append(receipts, tail...), err
 }
 
 // buildWaves derives the dependency DAG from the declared access sets
@@ -183,25 +142,4 @@ func (e *Engine) buildWaves(accs []contract.AccessSet) [][]int {
 		waves[depth[j]] = append(waves[depth[j]], j)
 	}
 	return waves
-}
-
-// executeSerialFallback discards any speculative work and applies the
-// whole block serially — the defensive path for a hard error surfacing
-// inside the DAG, where no per-wave prefix matches serial order.
-func (e *Engine) executeSerialFallback(bs *Stats, st *contract.State, txs []*ledger.Transaction, height uint64, now int64) ([]*contract.Receipt, error) {
-	*bs = Stats{Blocks: 1, Txs: int64(len(txs))}
-	receipts := make([]*contract.Receipt, len(txs))
-	for i, tx := range txs {
-		r, err := st.Apply(tx, height, now)
-		if err != nil {
-			bs.Txs = int64(i)
-			return receipts[:i], err
-		}
-		receipts[i] = r
-		bs.Serial++
-		if contract.AccessSetOf(tx).Unknown {
-			bs.Unknown++
-		}
-	}
-	return receipts, nil
 }

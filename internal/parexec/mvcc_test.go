@@ -45,115 +45,56 @@ func chainBatch(t *testing.T) (*contract.State, []*ledger.Transaction) {
 	return base, batch
 }
 
-// TestMVCCSchedulerAccounting pins the wave structure and per-mode
-// counters for a known DAG: waves == chain depth, the wave scheduler
-// runs everything exactly once (all Clean), and the optimistic
-// scheduler aborts exactly the transactions with predecessors.
+// TestMVCCSchedulerAccounting pins the wave structure and counters for
+// a known DAG: waves == chain depth, and the scheduler runs everything
+// exactly once on the parallel path (all Clean, no serial tail) even
+// though three of the five transactions conflict.
 func TestMVCCSchedulerAccounting(t *testing.T) {
 	base, batch := chainBatch(t)
 	serial := base.Clone()
 	want := applyAll(t, serial, batch)
 
-	for _, tc := range []struct {
-		mode                  parexec.Mode
-		clean, aborted, waves int64
-	}{
-		{mode: parexec.ModeMVCCWave, clean: 5, waves: 3},
-		{mode: parexec.ModeMVCCOptimistic, clean: 3, aborted: 2, waves: 3},
-	} {
-		st := base.Clone()
-		got, stats, err := newEngine(tc.mode, 4).ExecuteBlock(st, batch, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Root() != serial.Root() || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: diverged from serial", tc.mode)
-		}
-		checkStats(t, tc.mode, stats)
-		if stats.Clean != tc.clean || stats.Aborted != tc.aborted || stats.Waves != tc.waves || stats.Serial != 0 {
-			t.Fatalf("%v: want clean=%d aborted=%d waves=%d, got %+v",
-				tc.mode, tc.clean, tc.aborted, tc.waves, stats)
-		}
+	st := base.Clone()
+	got, stats, err := newEngine(parexec.ModeMVCCWave, 4).ExecuteBlock(st, batch, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Root() != serial.Root() || !reflect.DeepEqual(got, want) {
+		t.Fatal("diverged from serial")
+	}
+	checkStats(t, parexec.ModeMVCCWave, stats)
+	if stats.Clean != 5 || stats.Waves != 3 || stats.Serial != 0 {
+		t.Fatalf("want clean=5 waves=3 serial=0, got %+v", stats)
 	}
 }
 
-// TestMVCCMutationKnobsDiverge proves both unsafe knobs are
-// load-bearing at the engine level: on a conflicting workload, the
-// mutated engine must produce a state root or receipts that differ
-// from serial, while the unmutated configuration matches exactly. (The
-// sim differential oracle proves the same end to end in
-// internal/sim.)
-func TestMVCCMutationKnobsDiverge(t *testing.T) {
+// TestMVCCDropDAGEdgeDiverges proves the unsafe knob is load-bearing at
+// the engine level: on a conflicting workload, the mutated engine must
+// produce a state root or receipts that differ from serial, while the
+// unmutated configuration matches exactly. (The sim differential
+// oracle proves the same end to end in internal/sim.)
+func TestMVCCDropDAGEdgeDiverges(t *testing.T) {
 	base, batch := chainBatch(t)
 	serial := base.Clone()
 	want := applyAll(t, serial, batch)
+	cfg := parexec.Config{Workers: 4, Mode: parexec.ModeMVCCWave, UnsafeDropDAGEdge: true}
 
-	for _, tc := range []struct {
-		name string
-		cfg  parexec.Config
-	}{
-		{name: "occ skip version check", cfg: parexec.Config{Workers: 4, Mode: parexec.ModeMVCCOptimistic, UnsafeSkipVersionCheck: true}},
-		{name: "wave drop DAG edge", cfg: parexec.Config{Workers: 4, Mode: parexec.ModeMVCCWave, UnsafeDropDAGEdge: true}},
-		{name: "occ drop DAG edge", cfg: parexec.Config{Workers: 4, Mode: parexec.ModeMVCCOptimistic, UnsafeDropDAGEdge: true}},
-	} {
-		// Sanity: the same mode unmutated matches serial.
-		clean := tc.cfg
-		clean.UnsafeSkipVersionCheck, clean.UnsafeDropDAGEdge = false, false
-		st := base.Clone()
-		got, _, err := parexec.NewEngine(clean).ExecuteBlock(st, batch, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Root() != serial.Root() || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: unmutated engine diverged — test is not isolating the knob", tc.name)
-		}
-
-		mutated := base.Clone()
-		got, _, err = parexec.NewEngine(tc.cfg).ExecuteBlock(mutated, batch, 2, 2)
-		if err != nil {
-			t.Fatalf("%s: mutated engine errored instead of diverging: %v", tc.name, err)
-		}
-		if mutated.Root() == serial.Root() && reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: knob enabled but results still match serial — the guard it deletes is dead code", tc.name)
-		}
-		// The divergence must be deterministic (seed-reproducible in
-		// the sim): a second mutated run lands on the identical wrong
-		// answer.
-		again := base.Clone()
-		got2, _, err := parexec.NewEngine(tc.cfg).ExecuteBlock(again, batch, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again.Root() != mutated.Root() || !reflect.DeepEqual(got, got2) {
-			t.Fatalf("%s: mutated divergence is nondeterministic", tc.name)
-		}
+	mutated := base.Clone()
+	got, _, err := parexec.NewEngine(cfg).ExecuteBlock(mutated, batch, 2, 2)
+	if err != nil {
+		t.Fatalf("mutated engine errored instead of diverging: %v", err)
 	}
-}
-
-// TestMVCCWaveBeatsTwoPhaseCleanRatio pins the tentpole's win in a
-// timing-free way: under total conflict the wave scheduler commits the
-// whole block from parallel executions (no serial residue), where
-// two-phase degrades to n-1 serial re-executions. This is the same bar
-// E10Verify holds the full matrix to.
-func TestMVCCWaveBeatsTwoPhaseCleanRatio(t *testing.T) {
-	base, batch := chainBatch(t)
-	twoPhase := base.Clone()
-	_, tpStats, err := newEngine(parexec.ModeTwoPhase, 4).ExecuteBlock(twoPhase, batch, 2, 2)
+	if mutated.Root() == serial.Root() && reflect.DeepEqual(got, want) {
+		t.Fatal("knob enabled but results still match serial — the guard it deletes is dead code")
+	}
+	// The divergence must be deterministic (seed-reproducible in the
+	// sim): a second mutated run lands on the identical wrong answer.
+	again := base.Clone()
+	got2, _, err := parexec.NewEngine(cfg).ExecuteBlock(again, batch, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wave := base.Clone()
-	_, wvStats, err := newEngine(parexec.ModeMVCCWave, 4).ExecuteBlock(wave, batch, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tpStats.Serial == 0 {
-		t.Fatalf("workload has conflicts, two-phase should have serial residue: %+v", tpStats)
-	}
-	if wvStats.Serial != 0 || wvStats.Clean != wvStats.Txs {
-		t.Fatalf("wave scheduler should commit the whole block clean: %+v", wvStats)
-	}
-	if wvStats.Clean <= tpStats.Clean {
-		t.Fatalf("wave clean (%d) must beat two-phase clean (%d)", wvStats.Clean, tpStats.Clean)
+	if again.Root() != mutated.Root() || !reflect.DeepEqual(got, got2) {
+		t.Fatal("mutated divergence is nondeterministic")
 	}
 }

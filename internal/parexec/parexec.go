@@ -3,34 +3,26 @@
 // available cores, per the paper's claim that a blockchain can be
 // transformed into a distributed *parallel* computing architecture.
 //
-// The engine has three block-execution modes, selected by Config.Mode,
-// all bit-identical to serial execution at every worker count:
+// The engine has two block-execution modes, selected by Config.Mode,
+// bit-identical to each other at every worker count:
 //
-//   - ModeTwoPhase (the original engine): speculate every transaction
-//     against a block-start snapshot in parallel, then commit in
-//     canonical order, serially re-executing the conflicting residue
-//     against live state. Degrades toward serial under high conflict.
+//   - ModeSerial (the zero value): apply the block's transactions in
+//     order with State.Apply — the reference loop.
 //   - ModeMVCCWave: build a dependency DAG from the declared access
 //     sets (contract.AccessSetOf), group transactions into waves by
 //     DAG depth, and execute each wave in parallel against a
 //     multi-version state cache (contract.Versions) — a conflicting
-//     transaction re-reads the committed version written by its
+//     transaction reads the committed version written by its
 //     predecessor instead of being re-executed serially. Every
 //     transaction executes exactly once.
-//   - ModeMVCCOptimistic: OCC on top of the same DAG — additionally
-//     speculate every transaction against block-start versions up
-//     front; at its wave, a version-visibility check either adopts the
-//     speculation (no earlier writer materialized → it saw exactly
-//     what serial would have) or deterministically aborts and
-//     re-executes against the multi-version cache.
 //
-// Determinism argument (all modes): the schedule depends only on the
+// Determinism argument: the wave schedule depends only on the
 // statically declared access sets and the canonical transaction order,
-// never on timing. In the MVCC modes, version chains are appended only
-// at wave barriers in ascending transaction index, and every
-// transaction reads "the newest version older than my index" — a pure
-// function of the block, so aborts and re-reads are identical on every
-// run and worker count. See mvcc.go for the scheduler.
+// never on timing. Version chains are appended only at wave barriers in
+// ascending transaction index, and every transaction reads "the newest
+// version older than my index" — a pure function of the block, so the
+// values it observes are identical on every run and worker count. See
+// mvcc.go for the scheduler.
 //
 // Off chain, the same bounded pool (ForEachN) fans analytics tasks out
 // across sites (offchain.Runner.RunAll) — the paper's "move the
@@ -87,44 +79,30 @@ func ForEachN(n, workers int, fn func(i int)) {
 type Mode int
 
 const (
-	// ModeTwoPhase is the original speculate/commit engine: conflicting
-	// transactions re-execute serially against live state.
-	ModeTwoPhase Mode = iota
+	// ModeSerial applies the block's transactions in order on the
+	// calling goroutine.
+	ModeSerial Mode = iota
 	// ModeMVCCWave executes the dependency DAG wave by wave against a
 	// multi-version state cache; every transaction runs exactly once.
 	ModeMVCCWave
-	// ModeMVCCOptimistic additionally speculates every transaction
-	// against block-start versions and adopts speculations that pass
-	// the version-visibility check, aborting the rest onto the
-	// multi-version cache.
-	ModeMVCCOptimistic
 )
 
 // String names the mode for logs, experiment tables, and oracles.
 func (m Mode) String() string {
-	switch m {
-	case ModeMVCCWave:
+	if m == ModeMVCCWave {
 		return "mvcc-wave"
-	case ModeMVCCOptimistic:
-		return "mvcc-occ"
-	default:
-		return "two-phase"
 	}
+	return "serial"
 }
 
-// Config configures an Engine.
+// Config configures an Engine. The zero value is serial execution.
 type Config struct {
-	// Workers is the bounded pool size (<= 0 means GOMAXPROCS).
+	// Workers is the bounded pool size (<= 0 means GOMAXPROCS); unused
+	// by ModeSerial.
 	Workers int
-	// Mode selects the execution strategy (default ModeTwoPhase).
+	// Mode selects the execution strategy (default ModeSerial).
 	Mode Mode
 
-	// UnsafeSkipVersionCheck disables the optimistic scheduler's
-	// version-visibility check, committing stale block-start
-	// speculations as-is. It exists ONLY so the sim differential
-	// oracle can prove the check is load-bearing (mutation testing) —
-	// never enable it outside that test.
-	UnsafeSkipVersionCheck bool
 	// UnsafeDropDAGEdge drops each transaction's highest-indexed
 	// dependency edge before computing wave depths, letting dependents
 	// run alongside (or before) their predecessors. It exists ONLY so
@@ -135,7 +113,7 @@ type Config struct {
 
 // Stats counts engine activity. Invariant (asserted in tests):
 //
-//	Clean + Aborted + Serial == Txs
+//	Clean + Serial == Txs
 //
 // On the mid-block hard-error path (nil transaction), Txs is trimmed
 // to the applied prefix so the invariant holds for the stats actually
@@ -146,24 +124,19 @@ type Stats struct {
 	// Txs is the total transactions applied (trimmed to the applied
 	// prefix when a block aborts on a hard error).
 	Txs int64
-	// Clean is how many parallel results were committed as-is: clean
-	// speculations (two-phase, optimistic) or wave executions (MVCC
-	// wave mode).
+	// Clean is how many transactions the wave scheduler executed on the
+	// parallel path.
 	Clean int64
-	// Aborted is how many optimistic speculations failed the
-	// version-visibility check and were deterministically re-executed
-	// against the multi-version cache. Always 0 outside
-	// ModeMVCCOptimistic.
-	Aborted int64
-	// Serial is how many transactions were applied serially against
-	// live state (conflicting residue in two-phase mode; the
-	// unbounded-footprint tail in every mode).
+	// Serial is how many transactions were applied in order against
+	// live state: every transaction in ModeSerial, the
+	// unbounded-footprint tail in ModeMVCCWave.
 	Serial int64
-	// Unknown counts transactions with unbounded footprints (a subset
-	// of Serial).
+	// Unknown counts the unbounded footprints the wave scheduler met in
+	// its serial tail (a subset of Serial; ModeSerial derives no access
+	// sets and leaves it 0).
 	Unknown int64
-	// Waves is the total dependency waves dispatched (0 outside the
-	// MVCC modes; at most Txs).
+	// Waves is the total dependency waves dispatched (0 in ModeSerial;
+	// at most Txs).
 	Waves int64
 }
 
@@ -172,28 +145,20 @@ func (s *Stats) Add(o Stats) {
 	s.Blocks += o.Blocks
 	s.Txs += o.Txs
 	s.Clean += o.Clean
-	s.Aborted += o.Aborted
 	s.Serial += o.Serial
 	s.Unknown += o.Unknown
 	s.Waves += o.Waves
 }
 
-// Engine executes transaction batches in parallel with deterministic
-// serial-equivalent results. It is stateless between blocks apart from
-// accumulated Stats and safe for concurrent use by independent blocks
-// on independent states.
+// Engine executes transaction batches in the configured mode with
+// deterministic serial-equivalent results. It is stateless between
+// blocks apart from accumulated Stats and safe for concurrent use by
+// independent blocks on independent states.
 type Engine struct {
 	cfg Config
 
 	mu    sync.Mutex
 	stats Stats
-}
-
-// New creates a two-phase engine with the given worker-pool size
-// (<= 0 means GOMAXPROCS). Kept for compatibility; NewEngine selects
-// the mode.
-func New(workers int) *Engine {
-	return NewEngine(Config{Workers: workers})
 }
 
 // NewEngine creates an engine from a config.
@@ -217,14 +182,6 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// speculation is one transaction's parallel-phase outcome.
-type speculation struct {
-	acc  contract.AccessSet
-	snap *contract.State
-	rec  *contract.Receipt
-	err  error
-}
-
 // ExecuteBlock applies txs to st in canonical order using the
 // configured mode and returns the receipts (index-aligned with txs)
 // plus this block's stats. The final state and receipts are
@@ -243,69 +200,29 @@ func (e *Engine) ExecuteBlock(st *contract.State, txs []*ledger.Transaction, hei
 		receipts []*contract.Receipt
 		err      error
 	)
-	switch e.cfg.Mode {
-	case ModeMVCCWave, ModeMVCCOptimistic:
+	if e.cfg.Mode == ModeMVCCWave {
 		receipts, err = e.executeMVCC(&bs, st, txs, height, now)
-	default:
-		receipts, err = e.executeTwoPhase(&bs, st, txs, height, now)
+	} else {
+		receipts, err = applyInOrder(st, txs, height, now)
+		bs.Serial = int64(len(receipts))
+	}
+	if err != nil {
+		bs.Txs = int64(len(receipts)) // stats cover the applied prefix only
 	}
 	e.record(bs)
 	return receipts, bs, err
 }
 
-// executeTwoPhase is the original engine: speculate everything against
-// the block-start state, commit in order, re-execute conflicts
-// serially.
-func (e *Engine) executeTwoPhase(bs *Stats, st *contract.State, txs []*ledger.Transaction, height uint64, now int64) ([]*contract.Receipt, error) {
-	// Phase 1 — speculate: every tx runs against a private snapshot of
-	// its declared access set, all seeing the block-start state.
-	specs := make([]speculation, len(txs))
-	ForEachN(len(txs), e.cfg.Workers, func(i int) {
-		acc := contract.AccessSetOf(txs[i])
-		sp := speculation{acc: acc}
-		if !acc.Unknown {
-			sp.snap = st.SnapshotFor(acc)
-			sp.rec, sp.err = sp.snap.Apply(txs[i], height, now)
+// applyInOrder applies txs to live state one after another and returns
+// their receipts; on a hard error, the receipts of the applied prefix.
+func applyInOrder(st *contract.State, txs []*ledger.Transaction, height uint64, now int64) ([]*contract.Receipt, error) {
+	receipts := make([]*contract.Receipt, 0, len(txs))
+	for _, tx := range txs {
+		r, err := st.Apply(tx, height, now)
+		if err != nil {
+			return receipts, err
 		}
-		specs[i] = sp
-	})
-
-	// Phase 2 — commit in canonical order: merge clean speculations,
-	// serially re-execute the conflicting residue.
-	receipts := make([]*contract.Receipt, len(txs))
-	written := make(map[contract.StateKey]struct{}, len(txs))
-	tainted := false // an unbounded footprint forces everything after it serial
-	for i, tx := range txs {
-		sp := specs[i]
-		clean := !tainted && !sp.acc.Unknown && sp.err == nil
-		if clean {
-			for _, k := range sp.acc.Touched() {
-				if _, hit := written[k]; hit {
-					clean = false
-					break
-				}
-			}
-		}
-		if clean {
-			st.MergeSpeculative(sp.snap, sp.acc)
-			receipts[i] = sp.rec
-			bs.Clean++
-		} else {
-			r, err := st.Apply(tx, height, now)
-			if err != nil {
-				bs.Txs = int64(i) // stats cover the applied prefix only
-				return receipts[:i], err
-			}
-			receipts[i] = r
-			bs.Serial++
-			if sp.acc.Unknown {
-				bs.Unknown++
-				tainted = true
-			}
-		}
-		for _, k := range sp.acc.Writes {
-			written[k] = struct{}{}
-		}
+		receipts = append(receipts, r)
 	}
 	return receipts, nil
 }

@@ -49,10 +49,9 @@ type Config struct {
 	MaxBlockTxs int
 	// CommitTimeout bounds one commit round on every chain.
 	CommitTimeout time.Duration
-	// ParallelWorkers / ExecMode configure each node's execution engine
-	// (0 workers = serial reference execution).
-	ParallelWorkers int
-	ExecMode        parexec.Mode
+	// Exec configures every node's block executor on every chain (zero
+	// value = serial).
+	Exec parexec.Config
 	// DestExpiryBlocks is the destination-height deadline granted to a
 	// transfer at prepare time: dest height at submission + this
 	// (default 50). Small values force aborts — experiments use that.
@@ -214,7 +213,7 @@ func NewSystem(cfg Config) (*System, error) {
 		Nodes: cfg.CoordNodes, ChainID: "coord", Engine: cfg.Engine,
 		Network: cfg.Network, MaxBlockTxs: cfg.MaxBlockTxs,
 		CommitTimeout: cfg.CommitTimeout, KeySeed: cfg.KeySeed + "/coord",
-		ParallelWorkers: cfg.ParallelWorkers, ExecMode: cfg.ExecMode,
+		Exec:  cfg.Exec,
 		Guard: cfg.Guard, Persist: cfg.persistFor("coord"),
 	})
 	if err != nil {
@@ -264,7 +263,7 @@ func (s *System) addShardCluster(i int) error {
 		Nodes: s.cfg.NodesPerShard, ChainID: id, Engine: s.cfg.Engine,
 		Network: s.cfg.Network, MaxBlockTxs: s.cfg.MaxBlockTxs,
 		CommitTimeout: s.cfg.CommitTimeout, KeySeed: fmt.Sprintf("%s/%s", s.cfg.KeySeed, id),
-		ParallelWorkers: s.cfg.ParallelWorkers, ExecMode: s.cfg.ExecMode,
+		Exec:  s.cfg.Exec,
 		Guard: s.cfg.Guard, Persist: s.cfg.persistFor(id),
 	})
 	if err != nil {

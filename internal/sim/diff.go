@@ -43,35 +43,13 @@ func (SerialExecutor) Execute(st *contract.State, txs []*ledger.Transaction, hei
 	return receipts, nil
 }
 
-// ParallelExecutor replays blocks through the speculative parallel
-// engine (internal/parexec) with a fixed worker count.
-type ParallelExecutor struct {
-	// Workers is the engine pool size (<= 0 means GOMAXPROCS).
-	Workers int
-}
-
-// Name implements Executor.
-func (e ParallelExecutor) Name() string { return fmt.Sprintf("parallel-w%d", e.Workers) }
-
-// Execute implements Executor.
-func (e ParallelExecutor) Execute(st *contract.State, txs []*ledger.Transaction, height uint64, now int64) ([]*contract.Receipt, error) {
-	receipts, _, err := parexec.New(e.Workers).ExecuteBlock(st, txs, height, now)
-	return receipts, err
-}
-
-// MVCCExecutor replays blocks through one of the MVCC dependency-wave
-// schedulers. The Unsafe knobs pass through to the engine so mutation
-// tests can prove the version-visibility check and the dependency DAG
-// are each load-bearing.
+// MVCCExecutor replays blocks through the MVCC dependency-wave
+// scheduler (internal/parexec). The Unsafe knob passes through to the
+// engine so a mutation test can prove the dependency DAG is
+// load-bearing.
 type MVCCExecutor struct {
 	// Workers is the engine pool size (<= 0 means GOMAXPROCS).
 	Workers int
-	// Optimistic selects ModeMVCCOptimistic (OCC with deterministic
-	// aborts); false selects ModeMVCCWave.
-	Optimistic bool
-	// UnsafeSkipVersionCheck disables the optimistic scheduler's
-	// version-visibility check (sim self-test only).
-	UnsafeSkipVersionCheck bool
 	// UnsafeDropDAGEdge drops one dependency edge per transaction (sim
 	// self-test only).
 	UnsafeDropDAGEdge bool
@@ -79,45 +57,31 @@ type MVCCExecutor struct {
 
 // Name implements Executor.
 func (e MVCCExecutor) Name() string {
-	name := fmt.Sprintf("%s-w%d", e.mode(), e.Workers)
-	if e.UnsafeSkipVersionCheck {
-		name += "-skipvercheck"
-	}
+	name := fmt.Sprintf("%s-w%d", parexec.ModeMVCCWave, e.Workers)
 	if e.UnsafeDropDAGEdge {
 		name += "-dropdagedge"
 	}
 	return name
 }
 
-func (e MVCCExecutor) mode() parexec.Mode {
-	if e.Optimistic {
-		return parexec.ModeMVCCOptimistic
-	}
-	return parexec.ModeMVCCWave
-}
-
 // Execute implements Executor.
 func (e MVCCExecutor) Execute(st *contract.State, txs []*ledger.Transaction, height uint64, now int64) ([]*contract.Receipt, error) {
 	eng := parexec.NewEngine(parexec.Config{
-		Workers:                e.Workers,
-		Mode:                   e.mode(),
-		UnsafeSkipVersionCheck: e.UnsafeSkipVersionCheck,
-		UnsafeDropDAGEdge:      e.UnsafeDropDAGEdge,
+		Workers:           e.Workers,
+		Mode:              parexec.ModeMVCCWave,
+		UnsafeDropDAGEdge: e.UnsafeDropDAGEdge,
 	})
 	receipts, _, err := eng.ExecuteBlock(st, txs, height, now)
 	return receipts, err
 }
 
 // DefaultExecutors returns the suspects the harness checks against the
-// serial reference by default — the three-way oracle: the two-phase
-// engine at two and eight workers plus both MVCC schedulers, so every
-// committed block is replayed serial vs two-phase vs MVCC.
+// serial reference by default: the MVCC wave scheduler at two and eight
+// workers.
 func DefaultExecutors() []Executor {
 	return []Executor{
-		ParallelExecutor{Workers: 2},
-		ParallelExecutor{Workers: 8},
-		MVCCExecutor{Workers: 4},
-		MVCCExecutor{Workers: 4, Optimistic: true},
+		MVCCExecutor{Workers: 2},
+		MVCCExecutor{Workers: 8},
 	}
 }
 

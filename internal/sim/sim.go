@@ -83,21 +83,15 @@ type Config struct {
 	// and the harness waits for mempool convergence before every
 	// commit, making block contents deterministic per seed.
 	NoFaults bool
-	// Workers is the per-node parallel worker pattern (index i mod
-	// len). 0 = serial reference execution. The default {0, 2, 8, 4}
-	// makes consensus itself a live cross-engine differential oracle:
-	// nodes running different engines must still agree on every state
-	// root.
+	// Workers is the per-node worker pattern (index i mod len): 0 =
+	// serial execution, otherwise mvcc-wave with that pool size. The
+	// default {0, 2, 8, 4} makes consensus itself a live cross-engine
+	// differential oracle: serial and mvcc-wave nodes must still agree
+	// on every state root.
 	Workers []int
-	// Modes is the per-node execution-mode pattern (index i mod len),
-	// applied alongside Workers to nodes with a nonzero worker count.
-	// The default {two-phase, two-phase, mvcc-wave, mvcc-occ} mixes
-	// every engine mode into the live cluster.
-	Modes []parexec.Mode
 	// Executors are the differential suspects replayed against the
 	// serial reference after every block (default DefaultExecutors:
-	// two-phase at w2/w8 plus both MVCC schedulers — the three-way
-	// oracle).
+	// mvcc-wave at w2 and w8).
 	Executors []Executor
 	// OffchainBatch flushes the offchain determinism check every N
 	// collected run authorizations (default 32).
@@ -170,9 +164,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers == nil {
 		c.Workers = []int{0, 2, 8, 4}
-	}
-	if c.Modes == nil {
-		c.Modes = []parexec.Mode{parexec.ModeTwoPhase, parexec.ModeTwoPhase, parexec.ModeMVCCWave, parexec.ModeMVCCOptimistic}
 	}
 	if c.Executors == nil {
 		c.Executors = DefaultExecutors()
@@ -324,7 +315,7 @@ func Run(cfg Config) (*Result, error) {
 	defer cluster.Close()
 	for i, n := range cluster.Nodes() {
 		if w := cfg.Workers[i%len(cfg.Workers)]; w != 0 {
-			n.UseExecEngine(cfg.Modes[i%len(cfg.Modes)], w)
+			n.SetExec(parexec.Config{Workers: w, Mode: parexec.ModeMVCCWave})
 		}
 	}
 	var adv *adversary

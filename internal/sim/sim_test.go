@@ -108,103 +108,11 @@ func (brokenExecutor) Execute(st *contract.State, txs []*ledger.Transaction, hei
 	return receipts, nil
 }
 
-// TestSimCatchesConflictBug is the mutation test from the acceptance
-// criteria: with conflict detection deliberately broken, the
-// differential oracle must fail with a minimized, seed-reproducible
-// counterexample — and reproduce the identical counterexample when the
-// same seed is replayed.
-func TestSimCatchesConflictBug(t *testing.T) {
-	cfg := Config{
-		Seed:     42,
-		Rounds:   80,
-		NoFaults: true, // deterministic block packing => identical counterexample per seed
-		Executors: []Executor{
-			brokenExecutor{},
-		},
-	}
-	run := func() *Counterexample {
-		res, err := Run(cfg)
-		if err == nil {
-			t.Fatal("broken conflict detection was not caught")
-		}
-		if res.Counterexample == nil {
-			t.Fatalf("failed without a counterexample: %v", err)
-		}
-		return res.Counterexample
-	}
-	cex := run()
-	t.Logf("counterexample:\n%s", cex)
-	if cex.Executor != "parallel-noconflict" {
-		t.Fatalf("blamed executor %q", cex.Executor)
-	}
-	if len(cex.Minimized) == 0 || len(cex.Minimized) > len(cex.BlockTxs) {
-		t.Fatalf("bad minimization: %d of %d txs", len(cex.Minimized), len(cex.BlockTxs))
-	}
-	if !strings.Contains(cex.Repro(), "-sim.seed=42") || !strings.Contains(cex.Repro(), "-sim.rounds=80") {
-		t.Fatalf("repro command does not pin seed/rounds: %s", cex.Repro())
-	}
-	// Seed-reproducible: the replay finds the same divergence at the
-	// same height and shrinks it to the same transactions.
-	again := run()
-	if again.Height != cex.Height {
-		t.Fatalf("replay diverged at height %d, first run at %d", again.Height, cex.Height)
-	}
-	if len(again.Minimized) != len(cex.Minimized) {
-		t.Fatalf("replay minimized to %d txs, first run to %d", len(again.Minimized), len(cex.Minimized))
-	}
-	for i := range cex.Minimized {
-		if again.Minimized[i] != cex.Minimized[i] {
-			t.Fatalf("replay counterexample differs at tx %d:\n  first:  %s\n  replay: %s", i, cex.Minimized[i], again.Minimized[i])
-		}
-	}
-}
-
-// TestSimThreeWayOracle is the MVCC acceptance gate: a NoFaults run
-// (deterministic block packing) of at least 500 fuzz rounds where
-// every committed block is replayed serial vs two-phase vs both MVCC
-// schedulers, the live cluster itself mixes all four engines across
-// its nodes, and zero divergences are tolerated.
-func TestSimThreeWayOracle(t *testing.T) {
-	rounds := 500
-	if *flagRounds > rounds {
-		rounds = *flagRounds
-	}
-	res, err := Run(Config{
-		Seed:     *flagSeed,
-		Rounds:   rounds,
-		NoFaults: true,
-		Executors: []Executor{
-			ParallelExecutor{Workers: 2},
-			ParallelExecutor{Workers: 8},
-			MVCCExecutor{Workers: 1},
-			MVCCExecutor{Workers: 4},
-			MVCCExecutor{Workers: 1, Optimistic: true},
-			MVCCExecutor{Workers: 4, Optimistic: true},
-		},
-	})
-	if res != nil {
-		t.Logf("three-way oracle seed=%d rounds=%d: blocks=%d txs=%d checks=%d",
-			res.Seed, res.Rounds, res.Blocks, res.Txs, res.Checks)
-	}
-	if err != nil {
-		if res != nil && res.Counterexample != nil {
-			t.Fatalf("three-way oracle failed: %v\ncounterexample:\n%s", err, res.Counterexample)
-		}
-		t.Fatalf("three-way oracle failed: %v", err)
-	}
-	if res.Blocks < rounds*5/6 {
-		t.Fatalf("committed %d blocks, want >= %d of %d rounds", res.Blocks, rounds*5/6, rounds)
-	}
-	if res.Checks == 0 {
-		t.Fatal("no invariant checks ran")
-	}
-}
-
-// mvccMutationCase drives one unsafe-knob mutation through the sim
-// differential oracle: the mutated executor must be caught with a
-// minimized, seed-reproducible counterexample blaming it by name, and
-// the replay must shrink to the identical counterexample.
-func mvccMutationCase(t *testing.T, suspect MVCCExecutor) {
+// mutationCase drives one deliberately broken executor through the sim
+// differential oracle: it must be caught with a minimized,
+// seed-reproducible counterexample blaming it by name, and a replay of
+// the same seed must shrink to the identical counterexample.
+func mutationCase(t *testing.T, suspect Executor) {
 	t.Helper()
 	cfg := Config{
 		Seed:      42,
@@ -233,6 +141,8 @@ func mvccMutationCase(t *testing.T, suspect MVCCExecutor) {
 	if !strings.Contains(cex.Repro(), "-sim.seed=42") || !strings.Contains(cex.Repro(), "-sim.rounds=80") {
 		t.Fatalf("repro command does not pin seed/rounds: %s", cex.Repro())
 	}
+	// Seed-reproducible: the replay finds the same divergence at the
+	// same height and shrinks it to the same transactions.
 	again := run()
 	if again.Height != cex.Height {
 		t.Fatalf("replay diverged at height %d, first run at %d", again.Height, cex.Height)
@@ -247,12 +157,13 @@ func mvccMutationCase(t *testing.T, suspect MVCCExecutor) {
 	}
 }
 
-// TestSimCatchesSkippedVersionCheck: deleting the optimistic
-// scheduler's version-visibility check (commit every block-start
-// speculation as-is) must be fatal under the differential oracle —
-// proof that the check is the mechanism keeping OCC serial-equivalent.
-func TestSimCatchesSkippedVersionCheck(t *testing.T) {
-	mvccMutationCase(t, MVCCExecutor{Workers: 4, Optimistic: true, UnsafeSkipVersionCheck: true})
+// TestSimCatchesConflictBug is the mutation test from the acceptance
+// criteria: with conflict detection deliberately broken, the
+// differential oracle must fail with a minimized, seed-reproducible
+// counterexample — and reproduce the identical counterexample when the
+// same seed is replayed.
+func TestSimCatchesConflictBug(t *testing.T) {
+	mutationCase(t, brokenExecutor{})
 }
 
 // TestSimCatchesDroppedDAGEdge: severing one dependency edge per
@@ -261,7 +172,36 @@ func TestSimCatchesSkippedVersionCheck(t *testing.T) {
 // revalidation) is the mechanism keeping the wave scheduler
 // serial-equivalent.
 func TestSimCatchesDroppedDAGEdge(t *testing.T) {
-	mvccMutationCase(t, MVCCExecutor{Workers: 4, UnsafeDropDAGEdge: true})
+	mutationCase(t, MVCCExecutor{Workers: 4, UnsafeDropDAGEdge: true})
+}
+
+// TestSimDifferentialOracle is the MVCC acceptance gate: a NoFaults run
+// (deterministic block packing) of at least 500 fuzz rounds where
+// every committed block is replayed serial vs mvcc-wave at two and
+// eight workers, the live cluster itself mixes serial and mvcc-wave
+// nodes, and zero divergences are tolerated.
+func TestSimDifferentialOracle(t *testing.T) {
+	rounds := 500
+	if *flagRounds > rounds {
+		rounds = *flagRounds
+	}
+	res, err := Run(Config{Seed: *flagSeed, Rounds: rounds, NoFaults: true})
+	if res != nil {
+		t.Logf("differential oracle seed=%d rounds=%d: blocks=%d txs=%d checks=%d",
+			res.Seed, res.Rounds, res.Blocks, res.Txs, res.Checks)
+	}
+	if err != nil {
+		if res != nil && res.Counterexample != nil {
+			t.Fatalf("differential oracle failed: %v\ncounterexample:\n%s", err, res.Counterexample)
+		}
+		t.Fatalf("differential oracle failed: %v", err)
+	}
+	if res.Blocks < rounds*5/6 {
+		t.Fatalf("committed %d blocks, want >= %d of %d rounds", res.Blocks, rounds*5/6, rounds)
+	}
+	if res.Checks == 0 {
+		t.Fatal("no invariant checks ran")
+	}
 }
 
 // TestSimNoFaultsDeterministic pins the strongest replay guarantee the

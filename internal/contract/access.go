@@ -19,7 +19,9 @@ import (
 // execution whenever no earlier transaction in the block wrote into the
 // set.
 
-// keyKind partitions the state machine's tables.
+// keyKind partitions the state machine's tables. The values are never
+// stored; their order is the order State.Root hashes the kinds in (see
+// kinds.go), so a new kind goes before kindSeq, whose leaf is untagged.
 type keyKind uint8
 
 const (
@@ -28,56 +30,24 @@ const (
 	kindPolicy
 	kindTrial
 	kindAnchor
-	kindEvidence
-	kindVM
-	kindSeq       // the request-sequence counter
-	kindRegistry  // virtual key: the dataset/tool registry as a whole
 	kindManifest  // a dataset's off-chain manifest accumulator
+	kindEvidence  // one recorded equivocation proof
 	kindCrossCfg  // the chain's one-time shard identity (singleton)
 	kindShardDir  // one coordination-chain routing-table entry
+	kindRouting   // the coordination chain's routing-epoch table (singleton)
 	kindShardRoot // one anchored/relayed shard root (shard/height)
 	kindCrossOut  // one outbound cross-shard prepare (by transfer ID)
 	kindCrossIn   // one inbound cross-shard resolution (by src/ID)
 	kindFLRound   // one federated-learning round aggregation
-	kindRouting   // the coordination chain's routing-epoch table (singleton)
+	kindVM        // a deployed contract: code and storage
+	kindRegistry  // virtual key: the dataset/tool registry as a whole
+	kindSeq       // the request-sequence counter
+	numKinds      // one past the last kind; sizes the kinds table
 )
 
 func (k keyKind) String() string {
-	switch k {
-	case kindDataset:
-		return "ds"
-	case kindTool:
-		return "tool"
-	case kindPolicy:
-		return "pol"
-	case kindTrial:
-		return "trial"
-	case kindAnchor:
-		return "anchor"
-	case kindEvidence:
-		return "evidence"
-	case kindVM:
-		return "vm"
-	case kindSeq:
-		return "seq"
-	case kindRegistry:
-		return "reg"
-	case kindManifest:
-		return "mset"
-	case kindCrossCfg:
-		return "xcfg"
-	case kindShardDir:
-		return "xdir"
-	case kindShardRoot:
-		return "xroot"
-	case kindCrossOut:
-		return "xout"
-	case kindCrossIn:
-		return "xin"
-	case kindFLRound:
-		return "xfl"
-	case kindRouting:
-		return "xepoch"
+	if k < numKinds {
+		return kinds[k].tag()
 	}
 	return "?"
 }

@@ -3,7 +3,6 @@ package contract
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"medchain/internal/consensus"
 	"medchain/internal/cryptoutil"
@@ -126,19 +125,4 @@ func (s *State) HasEvidence(kind string, height uint64, offender cryptoutil.Addr
 
 // EvidenceRecords returns all recorded evidence, sorted by key — the
 // audit-node view.
-func (s *State) EvidenceRecords() []EvidenceRecord {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.evidence))
-	for k := range s.evidence {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]EvidenceRecord, 0, len(keys))
-	for _, k := range keys {
-		rec := *s.evidence[k]
-		rec.Evidence = append(json.RawMessage(nil), rec.Evidence...)
-		out = append(out, rec)
-	}
-	return out
-}
+func (s *State) EvidenceRecords() []EvidenceRecord { return evidenceKind.all(s) }

@@ -2,7 +2,6 @@ package contract
 
 import (
 	"fmt"
-	"sort"
 
 	"medchain/internal/cryptoutil"
 	"medchain/internal/ledger"
@@ -140,23 +139,8 @@ func (s *State) applyRegisterManifests(tx *ledger.Transaction, now int64, r *Rec
 
 // ManifestSetOf returns a copy of the dataset's manifest accumulator.
 func (s *State) ManifestSetOf(dataset string) (ManifestSet, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ms, ok := s.manifestSets[dataset]
-	if !ok {
-		return ManifestSet{}, false
-	}
-	return *ms, true
+	return manifestKind.get(s, dataset)
 }
 
 // ManifestSets returns the dataset IDs with anchored manifests, sorted.
-func (s *State) ManifestSets() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.manifestSets))
-	for id := range s.manifestSets {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
+func (s *State) ManifestSets() []string { return manifestKind.keys(s) }

@@ -1,12 +1,6 @@
 package contract
 
-import (
-	"encoding/json"
-	"sort"
-
-	"medchain/internal/cryptoutil"
-	"medchain/internal/vm"
-)
+import "medchain/internal/cryptoutil"
 
 // StateExport is the serializable form of a State: every table as a
 // deterministically-ordered slice (JSON maps cannot key on Address,
@@ -75,77 +69,9 @@ type VMPair struct {
 func (s *State) Export() *StateExport {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ex := &StateExport{RequestSeq: s.requestSeq}
-	forSortedKeys(s.datasets, func(_ string, d *Dataset) {
-		ex.Datasets = append(ex.Datasets, *d)
-	})
-	forSortedKeys(s.tools, func(_ string, t *Tool) {
-		ex.Tools = append(ex.Tools, *t)
-	})
-	forSortedKeys(s.trials, func(_ string, t *Trial) {
-		ex.Trials = append(ex.Trials, *copyTrial(t))
-	})
-	forSortedKeys(s.anchors, func(_ string, a *Anchor) {
-		ex.Anchors = append(ex.Anchors, *a)
-	})
-	forSortedKeys(s.evidence, func(_ string, e *EvidenceRecord) {
-		rec := *e
-		rec.Evidence = append(json.RawMessage(nil), e.Evidence...)
-		ex.Evidence = append(ex.Evidence, rec)
-	})
-	forSortedKeys(s.policies, func(key string, p *Policy) {
-		ex.Policies = append(ex.Policies, PolicyExport{Resource: key, Policy: *copyPolicy(p)})
-	})
-	forSortedKeys(s.manifestSets, func(_ string, ms *ManifestSet) {
-		ex.ManifestSets = append(ex.ManifestSets, *ms)
-	})
-	if s.crossCfg != nil {
-		cfg := *s.crossCfg
-		ex.CrossConfig = &cfg
-	}
-	ex.Routing = copyRoutingTable(s.routing)
-	forSortedKeys(s.shardDir, func(_ string, info *ShardInfo) {
-		ex.ShardDir = append(ex.ShardDir, *copyShardInfo(info))
-	})
-	forSortedKeys(s.shardRoots, func(_ string, root *ShardRoot) {
-		ex.ShardRoots = append(ex.ShardRoots, *root)
-	})
-	forSortedKeys(s.crossOut, func(_ string, prep *CrossPrepare) {
-		ex.CrossOut = append(ex.CrossOut, *copyCrossPrepare(prep))
-	})
-	forSortedKeys(s.crossIn, func(_ string, res *CrossResolution) {
-		ex.CrossIn = append(ex.CrossIn, *res)
-	})
-	forSortedKeys(s.flRounds, func(_ string, fl *FLRound) {
-		ex.FLRounds = append(ex.FLRounds, *copyFLRound(fl))
-	})
-	addrs := make([]string, 0, len(s.deployed))
-	byAddr := make(map[string]cryptoutil.Address, len(s.deployed))
-	for addr := range s.deployed {
-		k := addr.String()
-		addrs = append(addrs, k)
-		byAddr[k] = addr
-	}
-	sort.Strings(addrs)
-	for _, k := range addrs {
-		addr := byAddr[k]
-		d := *s.deployed[addr]
-		d.Code = append([]byte(nil), d.Code...)
-		ex.Deployed = append(ex.Deployed, d)
-		st, ok := s.vmStorage[addr]
-		if !ok {
-			continue
-		}
-		entry := VMStorageExport{Address: addr}
-		keys := st.Keys()
-		sort.Strings(keys)
-		for _, key := range keys {
-			v, _ := st.Get([]byte(key))
-			entry.Pairs = append(entry.Pairs, VMPair{
-				Key: []byte(key), Value: append([]byte(nil), v...),
-			})
-		}
-		ex.VMStorage = append(ex.VMStorage, entry)
+	ex := &StateExport{}
+	for _, k := range kinds {
+		k.export(s, ex)
 	}
 	return ex
 }
@@ -154,67 +80,8 @@ func (s *State) Export() *StateExport {
 // has no host table (see Export).
 func ImportState(ex *StateExport) *State {
 	s := NewState()
-	s.requestSeq = ex.RequestSeq
-	for i := range ex.Datasets {
-		d := ex.Datasets[i]
-		s.datasets[d.ID] = &d
-	}
-	for i := range ex.Tools {
-		t := ex.Tools[i]
-		s.tools[t.ID] = &t
-	}
-	for i := range ex.Trials {
-		s.trials[ex.Trials[i].ID] = copyTrial(&ex.Trials[i])
-	}
-	for i := range ex.Anchors {
-		a := ex.Anchors[i]
-		s.anchors[a.Label] = &a
-	}
-	for i := range ex.Evidence {
-		e := ex.Evidence[i]
-		e.Evidence = append(json.RawMessage(nil), e.Evidence...)
-		s.evidence[evidenceKey(e.Kind, e.Height, e.Offender)] = &e
-	}
-	for i := range ex.Policies {
-		s.policies[ex.Policies[i].Resource] = copyPolicy(&ex.Policies[i].Policy)
-	}
-	for i := range ex.ManifestSets {
-		ms := ex.ManifestSets[i]
-		s.manifestSets[ms.Dataset] = &ms
-	}
-	if ex.CrossConfig != nil {
-		cfg := *ex.CrossConfig
-		s.crossCfg = &cfg
-	}
-	s.routing = copyRoutingTable(ex.Routing)
-	for i := range ex.ShardDir {
-		s.shardDir[ex.ShardDir[i].ID] = copyShardInfo(&ex.ShardDir[i])
-	}
-	for i := range ex.ShardRoots {
-		root := ex.ShardRoots[i]
-		s.shardRoots[rootKey(root.Shard, root.Height)] = &root
-	}
-	for i := range ex.CrossOut {
-		s.crossOut[ex.CrossOut[i].Record.ID] = copyCrossPrepare(&ex.CrossOut[i])
-	}
-	for i := range ex.CrossIn {
-		res := ex.CrossIn[i]
-		s.crossIn[crossInKey(res.SourceShard, res.ID)] = &res
-	}
-	for i := range ex.FLRounds {
-		s.flRounds[ex.FLRounds[i].Round] = copyFLRound(&ex.FLRounds[i])
-	}
-	for i := range ex.Deployed {
-		d := ex.Deployed[i]
-		s.deployed[d.Address] = &d
-		s.vmStorage[d.Address] = vm.NewMemStorage()
-	}
-	for _, entry := range ex.VMStorage {
-		ms := vm.NewMemStorage()
-		for _, kv := range entry.Pairs {
-			ms.Set(kv.Key, kv.Value)
-		}
-		s.vmStorage[entry.Address] = ms
+	for _, k := range kinds {
+		k.load(s, ex)
 	}
 	return s
 }
@@ -228,16 +95,7 @@ func (s *State) AdoptHostFrom(src *State) {
 	src.mu.RLock()
 	host := src.host
 	src.mu.RUnlock()
-	if host == nil {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	merged := s.RegistryHostFuncs()
-	for name, fn := range host {
-		if _, registry := merged[name]; !registry {
-			merged[name] = fn
-		}
-	}
-	s.host = merged
+	s.bindHost(host)
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 
 	"medchain/internal/cryptoutil"
@@ -148,23 +147,11 @@ type State struct {
 
 // NewState creates an empty state machine.
 func NewState() *State {
-	return &State{
-		datasets:  make(map[string]*Dataset),
-		tools:     make(map[string]*Tool),
-		policies:  make(map[string]*Policy),
-		trials:    make(map[string]*Trial),
-		anchors:   make(map[string]*Anchor),
-		evidence:  make(map[string]*EvidenceRecord),
-		deployed:  make(map[cryptoutil.Address]*Deployed),
-		vmStorage: make(map[cryptoutil.Address]*vm.MemStorage),
-
-		manifestSets: make(map[string]*ManifestSet),
-		shardDir:     make(map[string]*ShardInfo),
-		shardRoots:   make(map[string]*ShardRoot),
-		crossOut:     make(map[string]*CrossPrepare),
-		crossIn:      make(map[string]*CrossResolution),
-		flRounds:     make(map[string]*FLRound),
+	s := &State{}
+	for _, k := range kinds {
+		k.alloc(s)
 	}
+	return s
 }
 
 // SetHost installs the HOST function table used by VM invocations (the
@@ -183,100 +170,43 @@ func (s *State) SetHost(host map[string]vm.HostFunc) {
 // path as every follower — so a proposal that fails consensus leaves
 // the real state untouched (the property proposer failover and commit
 // retry depend on).
-//
-// "registry.*" host entries are rebound to the clone's own registry so
-// they read cloned data; other host entries (oracle bridges) are shared
-// — they must be state-independent and deterministic anyway.
 func (s *State) Clone() *State {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	c := NewState()
-	c.requestSeq = s.requestSeq
-	for id, d := range s.datasets {
-		cp := *d
-		c.datasets[id] = &cp
-	}
-	for id, t := range s.tools {
-		cp := *t
-		c.tools[id] = &cp
-	}
-	for key, p := range s.policies {
-		cp := &Policy{Owner: p.Owner, Grants: make([]Grant, len(p.Grants))}
-		for i, g := range p.Grants {
-			g.Actions = append([]Action(nil), g.Actions...)
-			cp.Grants[i] = g
-		}
-		c.policies[key] = cp
-	}
-	for id, t := range s.trials {
-		cp := *t
-		cp.PrimaryOutcomes = append([]string(nil), t.PrimaryOutcomes...)
-		cp.Enrollments = append([]Enrollment(nil), t.Enrollments...)
-		cp.Reports = make([]OutcomeReport, len(t.Reports))
-		for i, rep := range t.Reports {
-			rep.Outcomes = append([]string(nil), rep.Outcomes...)
-			cp.Reports[i] = rep
-		}
-		cp.AdverseEvents = append([]AdverseEventRecord(nil), t.AdverseEvents...)
-		c.trials[id] = &cp
-	}
-	for label, a := range s.anchors {
-		cp := *a
-		c.anchors[label] = &cp
-	}
-	for id, ms := range s.manifestSets {
-		cp := *ms
-		c.manifestSets[id] = &cp
-	}
-	for key, e := range s.evidence {
-		cp := *e
-		cp.Evidence = append(json.RawMessage(nil), e.Evidence...)
-		c.evidence[key] = &cp
-	}
-	if s.crossCfg != nil {
-		cfg := *s.crossCfg
-		c.crossCfg = &cfg
-	}
-	c.unsafeSkipCrossProof = s.unsafeSkipCrossProof
-	c.routing = copyRoutingTable(s.routing)
-	for id, info := range s.shardDir {
-		c.shardDir[id] = copyShardInfo(info)
-	}
-	for key, root := range s.shardRoots {
-		cp := *root
-		c.shardRoots[key] = &cp
-	}
-	for id, prep := range s.crossOut {
-		c.crossOut[id] = copyCrossPrepare(prep)
-	}
-	for key, res := range s.crossIn {
-		cp := *res
-		c.crossIn[key] = &cp
-	}
-	for round, fl := range s.flRounds {
-		c.flRounds[round] = copyFLRound(fl)
-	}
-	for addr, d := range s.deployed {
-		cp := *d // Code bytes shared: immutable after deploy
-		c.deployed[addr] = &cp
-	}
-	for addr, st := range s.vmStorage {
-		ms := vm.NewMemStorage()
-		for _, k := range st.Keys() {
-			v, _ := st.Get([]byte(k))
-			ms.Set([]byte(k), v)
-		}
-		c.vmStorage[addr] = ms
-	}
-	if s.host != nil {
-		c.host = c.RegistryHostFuncs()
-		for name, fn := range s.host {
-			if _, registry := c.host[name]; !registry {
-				c.host[name] = fn
-			}
-		}
+	c := s.child()
+	for _, k := range kinds {
+		k.cloneInto(c, s)
 	}
 	return c
+}
+
+// child creates an empty state carrying everything of s that no
+// StateKey addresses: the request sequence, the mutation knob and the
+// host table. Clone and Versions.SnapshotAt fill it per kind. The
+// caller holds s.mu.
+func (s *State) child() *State {
+	c := NewState()
+	c.requestSeq = s.requestSeq
+	c.unsafeSkipCrossProof = s.unsafeSkipCrossProof
+	c.bindHost(s.host)
+	return c
+}
+
+// bindHost installs a host table on s with the "registry.*" entries
+// rebound to s's own registry, so they read s's data; other entries
+// (oracle bridges) are shared — they must be state-independent,
+// deterministic and safe for concurrent use anyway. A nil table leaves
+// s without one.
+func (s *State) bindHost(host map[string]vm.HostFunc) {
+	if host == nil {
+		return
+	}
+	s.host = s.RegistryHostFuncs()
+	for name, fn := range host {
+		if _, registry := s.host[name]; !registry {
+			s.host[name] = fn
+		}
+	}
 }
 
 // resource keys.
@@ -898,94 +828,44 @@ func (b *bufferedStorage) commit() {
 }
 
 // --- read API (used by oracles, query planners, audits) ---
+//
+// Every accessor returns a deep copy: Apply mutates stored objects in
+// place, so a pointer into the tables would race with the next commit.
 
 // Dataset returns a registered dataset.
-func (s *State) Dataset(id string) (*Dataset, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	d, ok := s.datasets[id]
-	return d, ok
-}
+func (s *State) Dataset(id string) (*Dataset, bool) { return ref(datasetKind.get(s, id)) }
 
 // Datasets returns all dataset IDs, sorted.
-func (s *State) Datasets() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.datasets))
-	for id := range s.datasets {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
+func (s *State) Datasets() []string { return datasetKind.keys(s) }
 
 // Tool returns a registered tool.
-func (s *State) Tool(id string) (*Tool, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, ok := s.tools[id]
-	return t, ok
-}
+func (s *State) Tool(id string) (*Tool, bool) { return ref(toolKind.get(s, id)) }
 
 // Tools returns all tool IDs, sorted.
-func (s *State) Tools() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.tools))
-	for id := range s.tools {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
+func (s *State) Tools() []string { return toolKind.keys(s) }
 
 // Trial returns a registered trial.
-func (s *State) Trial(id string) (*Trial, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, ok := s.trials[id]
-	return t, ok
-}
+func (s *State) Trial(id string) (*Trial, bool) { return ref(trialKind.get(s, id)) }
 
 // Trials returns all trial IDs, sorted.
-func (s *State) Trials() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.trials))
-	for id := range s.trials {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
+func (s *State) Trials() []string { return trialKind.keys(s) }
 
 // AnchorOf returns the anchor stored under a label.
-func (s *State) AnchorOf(label string) (*Anchor, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	a, ok := s.anchors[label]
-	return a, ok
-}
+func (s *State) AnchorOf(label string) (*Anchor, bool) { return ref(anchorKind.get(s, label)) }
 
-// PolicyOf returns a copy of the policy for a resource key
-// ("data:<id>" or "tool:<id>").
-func (s *State) PolicyOf(resource string) (Policy, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	p, ok := s.policies[resource]
-	if !ok {
-		return Policy{}, false
-	}
-	cp := Policy{Owner: p.Owner, Grants: append([]Grant(nil), p.Grants...)}
-	return cp, true
-}
+// PolicyOf returns the policy for a resource key ("data:<id>" or
+// "tool:<id>").
+func (s *State) PolicyOf(resource string) (Policy, bool) { return policyKind.get(s, resource) }
 
-// DeployedAt returns the deployed VM contract at an address.
+// DeployedAt returns the deployed VM contract at an address (Code is
+// shared: it is immutable after deploy).
 func (s *State) DeployedAt(addr cryptoutil.Address) (*Deployed, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	d, ok := s.deployed[addr]
-	return d, ok
+	if d, ok := s.deployed[addr]; ok {
+		return ref(*d, true)
+	}
+	return nil, false
 }
 
 // StorageValue reads one key of a deployed contract's storage.
@@ -1010,12 +890,7 @@ func (s *State) StorageValue(addr cryptoutil.Address, key []byte) ([]byte, bool)
 func (s *State) RegistryHostFuncs() map[string]vm.HostFunc {
 	return map[string]vm.HostFunc{
 		"registry.datasets": func([]byte) ([]byte, int64, error) {
-			ids := make([]string, 0, len(s.datasets))
-			for id := range s.datasets {
-				ids = append(ids, id)
-			}
-			sort.Strings(ids)
-			b, err := json.Marshal(ids)
+			b, err := json.Marshal(sortedKeys(s.datasets))
 			return b, int64(len(b)), err
 		},
 		"registry.dataset_info": func(arg []byte) ([]byte, int64, error) {
@@ -1027,12 +902,7 @@ func (s *State) RegistryHostFuncs() map[string]vm.HostFunc {
 			return b, int64(len(b)), err
 		},
 		"registry.tools": func([]byte) ([]byte, int64, error) {
-			ids := make([]string, 0, len(s.tools))
-			for id := range s.tools {
-				ids = append(ids, id)
-			}
-			sort.Strings(ids)
-			b, err := json.Marshal(ids)
+			b, err := json.Marshal(sortedKeys(s.tools))
 			return b, int64(len(b)), err
 		},
 	}
@@ -1044,126 +914,9 @@ func (s *State) RegistryHostFuncs() map[string]vm.HostFunc {
 func (s *State) Root() cryptoutil.Digest {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	h := make([][]byte, 0, 64)
-	add := func(parts ...string) {
-		for _, p := range parts {
-			h = append(h, []byte(p))
-		}
+	h := make(leaves, 0, 64)
+	for _, k := range kinds {
+		k.root(s, &h)
 	}
-	forSortedKeys(s.datasets, func(id string, d *Dataset) {
-		add("ds", id, d.Owner.String(), d.Digest.String(), d.Schema,
-			fmt.Sprint(d.Records), d.SiteID, fmt.Sprint(d.Version), fmt.Sprint(d.UpdatedAt),
-			fmt.Sprint(d.Frozen), d.MovedTo)
-	})
-	forSortedKeys(s.tools, func(id string, t *Tool) {
-		add("tool", id, t.Owner.String(), t.Digest.String())
-	})
-	forSortedKeys(s.policies, func(id string, p *Policy) {
-		add("pol", id, p.Owner.String())
-		for _, g := range p.Grants {
-			add(g.Grantee.String(), g.Purpose, fmt.Sprint(g.ExpiresAt), fmt.Sprint(g.MaxUses), fmt.Sprint(g.Uses))
-			for _, act := range g.Actions {
-				add(string(act))
-			}
-		}
-	})
-	forSortedKeys(s.trials, func(id string, t *Trial) {
-		add("trial", id, t.Sponsor.String(), t.ProtocolDigest.String())
-		add(t.PrimaryOutcomes...)
-		for _, e := range t.Enrollments {
-			add(e.Patient, e.Site, fmt.Sprint(e.At))
-		}
-		for _, rep := range t.Reports {
-			add(rep.ResultsDigest.String(), fmt.Sprint(rep.At))
-			add(rep.Outcomes...)
-		}
-		for _, ae := range t.AdverseEvents {
-			add(ae.Patient, ae.Description, fmt.Sprint(ae.Severity), ae.Site)
-		}
-	})
-	forSortedKeys(s.anchors, func(id string, a *Anchor) {
-		add("anchor", id, a.Digest.String(), a.By.String())
-	})
-	forSortedKeys(s.manifestSets, func(id string, ms *ManifestSet) {
-		add("mset", id, fmt.Sprint(ms.Count), fmt.Sprint(ms.Batches),
-			ms.Root.String(), fmt.Sprint(ms.UpdatedAt))
-	})
-	forSortedKeys(s.evidence, func(key string, e *EvidenceRecord) {
-		add("evidence", key, e.Reporter.String(), fmt.Sprint(e.At))
-		h = append(h, e.Evidence)
-	})
-	if s.crossCfg != nil {
-		add("xcfg", s.crossCfg.ShardID, fmt.Sprint(s.crossCfg.Shards), s.crossCfg.Coordinator.String())
-	}
-	forSortedKeys(s.shardDir, func(id string, info *ShardInfo) {
-		add("xdir", id, info.Gateway.String(), fmt.Sprint(info.At),
-			fmt.Sprint(info.LeaseBlocks), fmt.Sprint(info.LeaseHeight), fmt.Sprint(info.LastAnchor))
-		for _, m := range info.Committee {
-			add(m.String())
-		}
-	})
-	if s.routing != nil {
-		for _, ep := range []*RoutingEpoch{s.routing.Current, s.routing.Pending} {
-			if ep == nil {
-				add("xepoch", "nil")
-				continue
-			}
-			add("xepoch", fmt.Sprint(ep.Epoch), fmt.Sprint(ep.At))
-			add(ep.Shards...)
-		}
-	}
-	forSortedKeys(s.shardRoots, func(key string, root *ShardRoot) {
-		add("xroot", key, root.Root.String(), root.By.String(), fmt.Sprint(root.At))
-	})
-	forSortedKeys(s.crossOut, func(id string, prep *CrossPrepare) {
-		add("xout", id, string(prep.Status), prep.Reason, fmt.Sprint(prep.ResolvedAt),
-			string(prep.Record.Kind), prep.Record.SourceShard, prep.Record.DestShard,
-			prep.Record.From.String(), fmt.Sprint(prep.Record.SourceHeight),
-			fmt.Sprint(prep.Record.DestExpiry))
-		h = append(h, prep.Record.Payload)
-	})
-	forSortedKeys(s.crossIn, func(key string, res *CrossResolution) {
-		add("xin", key, string(res.Kind), res.Resource, fmt.Sprint(res.Applied),
-			res.Reason, fmt.Sprint(res.DestHeight))
-	})
-	forSortedKeys(s.flRounds, func(round string, fl *FLRound) {
-		add("xfl", round, fmt.Sprint(fl.TotalSamples), floatsString(fl.Aggregate), fmt.Sprint(fl.UpdatedAt))
-		for _, c := range fl.Contributions {
-			add(c.Shard, c.From.String(), fmt.Sprint(c.Samples), floatsString(c.Weights))
-		}
-	})
-	deployedKeys := make([]string, 0, len(s.deployed))
-	byKey := make(map[string]*Deployed, len(s.deployed))
-	for addr, d := range s.deployed {
-		k := addr.String()
-		deployedKeys = append(deployedKeys, k)
-		byKey[k] = d
-	}
-	sort.Strings(deployedKeys)
-	for _, k := range deployedKeys {
-		d := byKey[k]
-		add("vm", k, d.Name)
-		h = append(h, d.Code)
-		st := s.vmStorage[d.Address]
-		keys := st.Keys()
-		sort.Strings(keys)
-		for _, sk := range keys {
-			v, _ := st.Get([]byte(sk))
-			add(sk)
-			h = append(h, v)
-		}
-	}
-	add(fmt.Sprint(s.requestSeq))
 	return cryptoutil.SumAll(h...)
-}
-
-func forSortedKeys[V any](m map[string]V, fn func(string, V)) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fn(k, m[k])
-	}
 }

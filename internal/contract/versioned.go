@@ -50,7 +50,7 @@ func (v *Versions) Commit(idx int, src *State, acc AccessSet) {
 }
 
 // latest returns the state holding the newest committed version of k
-// older than position idx, or nil when idx should read the base state.
+// older than position idx: a frozen snapshot, or the base state.
 func (v *Versions) latest(k StateKey, idx int) *State {
 	ch := v.chains[k]
 	for i := len(ch) - 1; i >= 0; i-- {
@@ -58,7 +58,7 @@ func (v *Versions) latest(k StateKey, idx int) *State {
 			return ch[i].src
 		}
 	}
-	return nil
+	return v.base
 }
 
 // SnapshotAt builds the speculative state transaction idx executes
@@ -73,52 +73,39 @@ func (v *Versions) SnapshotAt(idx int, acc AccessSet) *State {
 	s := v.base
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	c := NewState()
-	c.requestSeq = s.requestSeq
-	c.unsafeSkipCrossProof = s.unsafeSkipCrossProof
-	if seqSrc := v.latest(KeySeq, idx); seqSrc != nil {
-		c.requestSeq = seqSrc.requestSeq
-	}
+	c := s.child()
 	for _, k := range acc.Reads {
 		if k.kind == kindRegistry {
 			// Base registry first, then every newer dataset/tool the
 			// block committed before idx. Keys are distinct, so the
 			// overlay order across chains is immaterial.
-			s.shareInto(c, k)
+			datasetKind.shareAll(c, s)
+			toolKind.shareAll(c, s)
 			for ck := range v.chains {
-				if ck.kind != kindDataset && ck.kind != kindTool {
-					continue
-				}
-				if src := v.latest(ck, idx); src != nil {
-					src.shareInto(c, ck)
+				if ck.kind == kindDataset || ck.kind == kindTool {
+					kinds[ck.kind].share(c, v.latest(ck, idx), ck)
 				}
 			}
 			continue
 		}
-		if src := v.latest(k, idx); src != nil {
-			src.shareInto(c, k)
-		} else {
-			s.shareInto(c, k)
-		}
+		kinds[k.kind].share(c, v.latest(k, idx), k)
 	}
 	for _, k := range acc.Writes {
-		if src := v.latest(k, idx); src != nil {
-			src.copyInto(c, k)
-		} else {
-			s.copyInto(c, k)
-		}
-	}
-	if s.host != nil {
-		// Rebind registry.* HOST functions to the snapshot (as Clone
-		// does); other host entries are shared — they must be
-		// deterministic, state-independent, and safe for concurrent
-		// use.
-		c.host = c.RegistryHostFuncs()
-		for name, fn := range s.host {
-			if _, registry := c.host[name]; !registry {
-				c.host[name] = fn
-			}
-		}
+		kinds[k.kind].copyInto(c, v.latest(k, idx), k)
 	}
 	return c
+}
+
+// MergeSpeculative adopts the objects named by the access set's write
+// keys from a finished speculative snapshot into s — the materialize
+// step of the MVCC engine, called in canonical transaction order so the
+// newest writer of each key lands last. The snapshot is consumed: its
+// written objects were private deep copies, so adopting the pointers is
+// safe and allocation-free.
+func (s *State) MergeSpeculative(from *State, acc AccessSet) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, k := range acc.Writes {
+		kinds[k.kind].share(s, from, k)
+	}
 }

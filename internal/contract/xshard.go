@@ -1030,158 +1030,38 @@ func (s *State) SetUnsafeSkipCrossProofVerify(skip bool) {
 // --- read API ---
 
 // CrossConfig returns the chain's shard config, if initialized.
-func (s *State) CrossConfig() (CrossShardConfig, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.crossCfg == nil {
-		return CrossShardConfig{}, false
-	}
-	return *s.crossCfg, true
-}
+func (s *State) CrossConfig() (CrossShardConfig, bool) { return crossCfgKind.get(s) }
 
 // ShardDirectory returns the registered shards, sorted by ID.
-func (s *State) ShardDirectory() []ShardInfo {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]ShardInfo, 0, len(s.shardDir))
-	forSortedKeys(s.shardDir, func(_ string, info *ShardInfo) {
-		out = append(out, *copyShardInfo(info))
-	})
-	return out
-}
+func (s *State) ShardDirectory() []ShardInfo { return shardDirKind.all(s) }
 
 // ShardInfoOf returns one shard's directory entry (committee, lease
 // state) on the coordination chain.
-func (s *State) ShardInfoOf(id string) (ShardInfo, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	info, ok := s.shardDir[id]
-	if !ok {
-		return ShardInfo{}, false
-	}
-	return *copyShardInfo(info), true
-}
+func (s *State) ShardInfoOf(id string) (ShardInfo, bool) { return shardDirKind.get(s, id) }
 
 // Routing returns the coordination chain's routing-epoch table: the
 // committed current epoch and, mid-transition, the pending one.
-func (s *State) Routing() (RoutingTable, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.routing == nil {
-		return RoutingTable{}, false
-	}
-	return *copyRoutingTable(s.routing), true
-}
+func (s *State) Routing() (RoutingTable, bool) { return routingKind.get(s) }
 
 // ShardRootAt returns the anchored root of (shard, height).
 func (s *State) ShardRootAt(shard string, height uint64) (ShardRoot, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	root, ok := s.shardRoots[rootKey(shard, height)]
-	if !ok {
-		return ShardRoot{}, false
-	}
-	return *root, true
+	return shardRootKind.get(s, rootKey(shard, height))
 }
 
 // CrossOutbound returns the source-side state of one transfer.
-func (s *State) CrossOutbound(id string) (CrossPrepare, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	prep, ok := s.crossOut[id]
-	if !ok {
-		return CrossPrepare{}, false
-	}
-	return *prep, true
-}
+func (s *State) CrossOutbound(id string) (CrossPrepare, bool) { return crossOutKind.get(s, id) }
 
 // CrossOutboundAll returns every source-side transfer, sorted by ID.
-func (s *State) CrossOutboundAll() []CrossPrepare {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]CrossPrepare, 0, len(s.crossOut))
-	forSortedKeys(s.crossOut, func(_ string, prep *CrossPrepare) {
-		out = append(out, *prep)
-	})
-	return out
-}
+func (s *State) CrossOutboundAll() []CrossPrepare { return crossOutKind.all(s) }
 
 // CrossInbound returns the destination-side resolution of one transfer.
 func (s *State) CrossInbound(sourceShard, id string) (CrossResolution, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	res, ok := s.crossIn[crossInKey(sourceShard, id)]
-	if !ok {
-		return CrossResolution{}, false
-	}
-	return *res, true
+	return crossInKind.get(s, crossInKey(sourceShard, id))
 }
 
 // CrossInboundAll returns every destination-side resolution, sorted by
 // source-shard/ID key.
-func (s *State) CrossInboundAll() []CrossResolution {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]CrossResolution, 0, len(s.crossIn))
-	forSortedKeys(s.crossIn, func(_ string, res *CrossResolution) {
-		out = append(out, *res)
-	})
-	return out
-}
+func (s *State) CrossInboundAll() []CrossResolution { return crossInKind.all(s) }
 
 // FLRoundOf returns a federated round's aggregation state.
-func (s *State) FLRoundOf(round string) (FLRound, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	fl, ok := s.flRounds[round]
-	if !ok {
-		return FLRound{}, false
-	}
-	return *copyFLRound(fl), true
-}
-
-func copyFLRound(fl *FLRound) *FLRound {
-	cp := *fl
-	cp.Contributions = make([]FLContribution, len(fl.Contributions))
-	for i, c := range fl.Contributions {
-		c.Weights = append([]float64(nil), c.Weights...)
-		cp.Contributions[i] = c
-	}
-	cp.Aggregate = append([]float64(nil), fl.Aggregate...)
-	return &cp
-}
-
-func copyCrossPrepare(p *CrossPrepare) *CrossPrepare {
-	cp := *p
-	cp.Record.Payload = append(json.RawMessage(nil), p.Record.Payload...)
-	return &cp
-}
-
-func copyShardInfo(info *ShardInfo) *ShardInfo {
-	cp := *info
-	cp.Committee = append([]cryptoutil.Address(nil), info.Committee...)
-	return &cp
-}
-
-func copyRoutingEpoch(ep *RoutingEpoch) *RoutingEpoch {
-	if ep == nil {
-		return nil
-	}
-	cp := *ep
-	cp.Shards = append([]string(nil), ep.Shards...)
-	return &cp
-}
-
-func copyRoutingTable(rt *RoutingTable) *RoutingTable {
-	if rt == nil {
-		return nil
-	}
-	return &RoutingTable{Current: copyRoutingEpoch(rt.Current), Pending: copyRoutingEpoch(rt.Pending)}
-}
-
-// floatsString renders a float slice deterministically for the state
-// root.
-func floatsString(v []float64) string {
-	b, _ := json.Marshal(v)
-	return string(b)
-}
+func (s *State) FLRoundOf(round string) (FLRound, bool) { return flRoundKind.get(s, round) }

@@ -54,7 +54,11 @@ const syncChunk = 64
 
 // Errors.
 var (
-	ErrStopped      = errors.New("chain: node stopped")
+	ErrStopped = errors.New("chain: node stopped")
+	// ErrMempool means the transaction itself is invalid (it failed
+	// ledger verification; the cause is wrapped). Load-dependent
+	// rejections are ErrMempoolFull and ErrRateLimited, never this —
+	// gossip ingress scores the relay on exactly this distinction.
 	ErrMempool      = errors.New("chain: mempool rejected transaction")
 	ErrNoQuorum     = errors.New("chain: vote collection failed")
 	ErrRootDiverged = errors.New("chain: state root diverged")
@@ -337,14 +341,18 @@ const mempoolFullRetryAfter = 50 * time.Millisecond
 // gossip): signature verification, committed/pending dedupe, admission
 // control (per-client rate, global budgets, overload shedding), then
 // bounded-pool admission (nonce contiguity, deadline, capacity).
-// Rejections are typed — ErrRateLimited and ErrMempoolFull carry
-// retry-after hints via resilience.RetryAfterHint — and duplicates are
-// silently idempotent, which gossip re-delivery depends on.
+// Rejections are typed — a transaction that fails verification returns
+// ErrMempool wrapping the ledger's reason, ErrRateLimited and
+// ErrMempoolFull carry retry-after hints via resilience.RetryAfterHint
+// — and duplicates are silently idempotent, which gossip re-delivery
+// depends on. The signature check goes through the chain's verified
+// set, so the proposal and block that later carry the transaction do
+// not repeat the ECDSA work on this node.
 func (n *Node) SubmitLocal(tx *ledger.Transaction) error {
-	if err := tx.Verify(); err != nil {
-		return fmt.Errorf("%w: %v", ErrMempool, err)
+	id, err := n.chain.VerifyTx(tx)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrMempool, err)
 	}
-	id := tx.ID()
 	if n.chain.HasTx(id) || n.pool.Contains(id) {
 		return nil // idempotent
 	}
@@ -362,7 +370,7 @@ func (n *Node) SubmitLocal(tx *ledger.Transaction) error {
 		}
 		return resilience.WithRetryAfter(base, d.RetryAfter)
 	}
-	err := n.pool.Add(tx, class, n.chain.NextNonce(tx.From), n.chain.Height())
+	err = n.pool.Add(tx, class, n.chain.NextNonce(tx.From), n.chain.Height())
 	switch {
 	case err == nil:
 		return nil
@@ -546,11 +554,14 @@ func (n *Node) handle(ep p2p.Endpoint, msg p2p.Message) {
 	switch msg.Topic {
 	case topicTx:
 		tx, err := ledger.DecodeTransaction(msg.Payload)
-		if err != nil || tx.Verify() != nil {
-			n.guard.Record(from, guard.OffenseMalformed)
-			return
+		if err == nil {
+			// Only a failed verification is the relay's offense;
+			// admission and pool rejections are load, not misbehavior.
+			if err = n.SubmitLocal(tx); !errors.Is(err, ErrMempool) {
+				return
+			}
 		}
-		_ = n.SubmitLocal(tx)
+		n.guard.Record(from, guard.OffenseMalformed)
 
 	case topicProposal:
 		n.handleProposal(ep, msg)

@@ -160,6 +160,11 @@ func (n *Node) persistBlock(blk *ledger.Block) {
 		n.notePersistErr()
 		return
 	}
+	// orderedReceipts walks the whole chain: only pay for it on the
+	// blocks that snapshot.
+	if !st.SnapshotDue() {
+		return
+	}
 	if _, err := st.MaybeSnapshot(n.chain, n.state, n.orderedReceipts(), false); err != nil {
 		n.notePersistErr()
 	}

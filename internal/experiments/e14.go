@@ -121,6 +121,10 @@ type E14Row struct {
 	Elapsed time.Duration
 }
 
+// e14BlockInterval paces the commit driver: with the default 16-tx
+// blocks the edge drains at most 1600 tx/s.
+const e14BlockInterval = 10 * time.Millisecond
+
 // E14Overload sweeps offered load across the configured multipliers,
 // one fresh constrained cluster per row.
 func E14Overload(cfg E14Config) ([]E14Row, error) {
@@ -143,6 +147,10 @@ func E14Overload(cfg E14Config) ([]E14Row, error) {
 			Duration:  cfg.Duration,
 			TTLBlocks: cfg.TTLBlocks,
 			KeySeed:   fmt.Sprintf("e14-%d-%g", cfg.Seed, mult),
+			// A fixed block interval caps the edge's drain rate at
+			// MaxBlockTxs per interval however fast a commit round is,
+			// so the top multiplier overloads it on any machine.
+			CommitInterval: e14BlockInterval,
 		})
 		if err != nil {
 			c.Close()

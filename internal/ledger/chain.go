@@ -30,6 +30,11 @@ type Chain struct {
 	txIndex map[cryptoutil.Digest]uint64 // tx ID -> block height
 	nonces  map[cryptoutil.Address]uint64
 	chainID string
+
+	// verified has its own lock, not c.mu: VerifyTx is called with c.mu
+	// read-held (Validate), write-held (Append) and not held at all
+	// (mempool admission).
+	verified verifiedSet
 }
 
 // NewChain creates a chain holding only the genesis block for chainID.
@@ -122,55 +127,58 @@ func (c *Chain) NextNonce(addr cryptoutil.Address) uint64 {
 	return c.nonces[addr]
 }
 
-// validate checks b against the current head without mutating state.
+// validate checks b against the current head without mutating chain
+// state and returns the transaction IDs it computed, in block order.
 // Caller holds c.mu.
-func (c *Chain) validate(b *Block) error {
+func (c *Chain) validate(b *Block) ([]cryptoutil.Digest, error) {
 	if b == nil {
-		return ErrNilBlock
+		return nil, ErrNilBlock
 	}
 	head := c.blocks[len(c.blocks)-1]
 	if b.Header.Parent != head.Hash() {
-		return fmt.Errorf("%w: parent %s, head %s", ErrBadParent, b.Header.Parent.Short(), head.Hash().Short())
+		return nil, fmt.Errorf("%w: parent %s, head %s", ErrBadParent, b.Header.Parent.Short(), head.Hash().Short())
 	}
 	if b.Header.Height != head.Header.Height+1 {
-		return fmt.Errorf("%w: height %d, head %d", ErrBadHeight, b.Header.Height, head.Header.Height)
+		return nil, fmt.Errorf("%w: height %d, head %d", ErrBadHeight, b.Header.Height, head.Header.Height)
 	}
 	if b.Header.Timestamp < head.Header.Timestamp {
-		return ErrBadTimestamp
+		return nil, ErrBadTimestamp
 	}
 	root, err := ComputeTxRoot(b.Txs)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if root != b.Header.TxRoot {
-		return fmt.Errorf("%w: computed %s, header %s", ErrBadTxRoot, root.Short(), b.Header.TxRoot.Short())
+		return nil, fmt.Errorf("%w: computed %s, header %s", ErrBadTxRoot, root.Short(), b.Header.TxRoot.Short())
 	}
 	expected := make(map[cryptoutil.Address]uint64, 4)
 	seen := make(map[cryptoutil.Digest]bool, len(b.Txs))
+	ids := make([]cryptoutil.Digest, len(b.Txs))
 	for i, tx := range b.Txs {
-		if err := tx.Verify(); err != nil {
-			return fmt.Errorf("ledger: tx %d: %w", i, err)
+		id, err := c.VerifyTx(tx)
+		if err != nil {
+			return nil, fmt.Errorf("ledger: tx %d: %w", i, err)
 		}
 		if tx.ExpiredAt(b.Header.Height) {
-			return fmt.Errorf("%w: tx %d deadline %d, block height %d",
+			return nil, fmt.Errorf("%w: tx %d deadline %d, block height %d",
 				ErrTxExpired, i, tx.Expiry, b.Header.Height)
 		}
-		id := tx.ID()
 		if seen[id] || c.hasTxLocked(id) {
-			return fmt.Errorf("%w: %s", ErrDuplicateTx, id.Short())
+			return nil, fmt.Errorf("%w: %s", ErrDuplicateTx, id.Short())
 		}
 		seen[id] = true
+		ids[i] = id
 		want, ok := expected[tx.From]
 		if !ok {
 			want = c.nonces[tx.From]
 		}
 		if tx.Nonce != want {
-			return fmt.Errorf("%w: tx %d from %s has nonce %d, want %d",
+			return nil, fmt.Errorf("%w: tx %d from %s has nonce %d, want %d",
 				ErrBadNonce, i, tx.From.Short(), tx.Nonce, want)
 		}
 		expected[tx.From] = want + 1
 	}
-	return nil
+	return ids, nil
 }
 
 func (c *Chain) hasTxLocked(id cryptoutil.Digest) bool {
@@ -182,20 +190,22 @@ func (c *Chain) hasTxLocked(id cryptoutil.Digest) bool {
 func (c *Chain) Validate(b *Block) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.validate(b)
+	_, err := c.validate(b)
+	return err
 }
 
 // Append validates and appends a block.
 func (c *Chain) Append(b *Block) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.validate(b); err != nil {
+	ids, err := c.validate(b)
+	if err != nil {
 		return err
 	}
 	c.blocks = append(c.blocks, b)
 	c.byHash[b.Hash()] = b
-	for _, tx := range b.Txs {
-		c.txIndex[tx.ID()] = b.Header.Height
+	for i, tx := range b.Txs {
+		c.txIndex[ids[i]] = b.Header.Height
 		c.nonces[tx.From] = tx.Nonce + 1
 	}
 	return nil

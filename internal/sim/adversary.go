@@ -124,6 +124,7 @@ type adversary struct {
 
 	honest []int // honest node indices
 
+	turns              int // behaviors played so far (offense emitted or not)
 	actions            int
 	offensesByBehavior map[Behavior]int
 	expected           map[string]expectedEvidence // strict-mode evidence ledger
@@ -255,7 +256,16 @@ func (a *adversary) advance(ck advSink, c *chain.Cluster, round int) {
 	if ref == nil {
 		return
 	}
-	switch b := a.acfg.Behaviors[a.rng.Intn(len(a.acfg.Behaviors))]; b {
+	// Each configured behavior plays once, in order, before the seeded
+	// draw takes over: quarantine decays on the wall clock, so a faster
+	// chain leaves a bounded run fewer turns, and draws alone can then
+	// leave a behavior unexercised.
+	pick := a.rng.Intn(len(a.acfg.Behaviors))
+	if a.turns < len(a.acfg.Behaviors) {
+		pick = a.turns
+	}
+	a.turns++
+	switch b := a.acfg.Behaviors[pick]; b {
 	case BehaviorEquivocate:
 		a.equivocate(ck, ref)
 	case BehaviorForgeVotes:

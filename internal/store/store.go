@@ -295,7 +295,7 @@ func (s *Store) AppendBlock(blk *ledger.Block) error {
 func (s *Store) MaybeSnapshot(chain *ledger.Chain, state *contract.State, receipts []*contract.Receipt, force bool) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !force && (s.opts.SnapshotEvery <= 0 || s.sinceSnap < s.opts.SnapshotEvery) {
+	if !force && !s.snapshotDue() {
 		return false, nil
 	}
 	height := chain.Height()
@@ -326,6 +326,20 @@ func (s *Store) MaybeSnapshot(chain *ledger.Chain, state *contract.State, receip
 	s.lastSnapAt = height
 	PruneSnapshots(s.fs, s.dir, s.opts.SnapshotKeep)
 	return true, nil
+}
+
+// SnapshotDue reports whether an unforced MaybeSnapshot would write a
+// snapshot now, so a caller can skip assembling the receipt log (which
+// grows with the chain) on the blocks where it would be discarded.
+func (s *Store) SnapshotDue() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.snapshotDue()
+}
+
+// snapshotDue is the SnapshotEvery schedule. Caller holds s.mu.
+func (s *Store) snapshotDue() bool {
+	return s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery
 }
 
 // Height returns the highest block height durably appended (synced or

@@ -20,8 +20,8 @@ import (
 // set.
 
 // keyKind partitions the state machine's tables. The values are never
-// stored; their order is the order State.Root hashes the kinds in (see
-// kinds.go), so a new kind goes before kindSeq, whose leaf is untagged.
+// stored or hashed — the state root places a key by its kind's tag (see
+// root.go) — so their order carries no meaning.
 type keyKind uint8
 
 const (
@@ -120,12 +120,15 @@ type AccessSet struct {
 	Reads []StateKey
 	// Writes are keys the transaction may create or mutate. A write
 	// implies a read (all mutations are read-modify-write at key
-	// granularity), so conflict checks use Touched.
+	// granularity), so conflict checks use Touched. Writes is also what
+	// State.Root re-hashes after the transaction, under every execution
+	// mode: it must cover everything Apply can mutate.
 	Writes []StateKey
 	// Unknown marks a transaction whose footprint could not be bounded;
 	// the engine executes it (and everything after it in the block)
-	// serially. It covers nil transactions, payloads whose arguments
-	// fail to decode, and future transaction types.
+	// serially, and the state rebuilds its root tree. It covers nil
+	// transactions, payloads whose arguments fail to decode, and future
+	// transaction types.
 	Unknown bool
 }
 

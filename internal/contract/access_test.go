@@ -226,7 +226,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if r, err := snap.Apply(gtx, 2, 2000); err != nil || !r.OK() {
 		t.Fatalf("speculative apply: %v %v", err, r)
 	}
-	if base.Root() != rootBefore {
+	if freshRoot(base) != rootBefore {
 		t.Fatal("speculative execution leaked into the base state")
 	}
 	pol, ok := base.PolicyOf("data:ds1")

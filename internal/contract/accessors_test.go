@@ -44,7 +44,7 @@ func TestReadAccessorsReturnCopies(t *testing.T) {
 	fl, _ := s.FLRoundOf("round-1")
 	fl.Contributions[0].Weights[0] = 99
 
-	if s.Root() != root {
+	if freshRoot(s) != root {
 		t.Fatal("a read accessor handed out memory the state still uses")
 	}
 }

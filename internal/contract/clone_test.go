@@ -48,7 +48,7 @@ func TestCloneIsDeepAndIndependent(t *testing.T) {
 	}
 	mustOK(t, apply(t, c, itx2))
 
-	if s.Root() != srcRoot {
+	if freshRoot(s) != srcRoot {
 		t.Fatal("mutating the clone changed the source root")
 	}
 	if _, ok := s.Dataset("clone-only"); ok {
@@ -62,7 +62,7 @@ func TestCloneIsDeepAndIndependent(t *testing.T) {
 	// And the other direction: source mutations stay out of the clone.
 	beforeSrcMutation := c.Root()
 	registerDataset(t, s, owner, "source-only", "site-3")
-	if c.Root() != beforeSrcMutation {
+	if freshRoot(c) != beforeSrcMutation {
 		t.Fatal("mutating the source changed the clone root")
 	}
 }

@@ -789,22 +789,45 @@ func BenchmarkApplyRegisterDataset(b *testing.B) {
 	}
 }
 
+// BenchmarkStateRoot times the two costs of the root over ~12k keys:
+// the build a never-rooted (imported, recovered) state pays once, and
+// the re-hash after one transaction that every block pays.
 func BenchmarkStateRoot(b *testing.B) {
 	s := NewState()
 	owner := key(b, "bench")
-	for i := 0; i < 100; i++ {
-		transaction := tx(b, owner, ledger.TxData, "register_dataset", RegisterDatasetArgs{
-			ID: fmt.Sprintf("d-%d", i), SiteID: "s",
-		})
-		if r, err := s.Apply(transaction, 1, 1); err != nil || !r.OK() {
-			b.Fatal("setup failed")
+	registerDataset(b, s, owner, "hot", "s")
+	for i := 0; i < 6000; i++ {
+		id := fmt.Sprintf("d-%d", i)
+		s.datasets[id] = &Dataset{ID: id, Owner: owner.Address(), SiteID: "s", Version: 1}
+		s.policies[dataKey(id)] = &Policy{Owner: owner.Address()}
+	}
+	update := tx(b, owner, ledger.TxData, "update_dataset", RegisterDatasetArgs{ID: "hot", Records: 3})
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.invalidateRoot()
+			s.Root()
 		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	})
+	b.Run("one-write", func(b *testing.B) {
 		s.Root()
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if r, err := s.Apply(update, 1, 1); err != nil || !r.OK() {
+				b.Fatal("apply failed")
+			}
+			s.Root()
+		}
+	})
+	b.Run("clone", func(b *testing.B) {
+		s.Root()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Clone()
+		}
+	})
 }
 
 // Property: replaying any randomly generated transaction sequence on

@@ -155,13 +155,17 @@ func allKindsExport(t testing.TB) *StateExport {
 	return ex
 }
 
-// Golden values of the all-kinds state, recorded at commit d74dfbb (the
-// last one with hand-wired per-kind Root/Export). Root bytes are what
-// every replica votes on and the export JSON is the on-disk snapshot
-// format, so a change to either constant is a consensus or storage
-// format break, not a refactor.
+// Golden values of the all-kinds state. Root bytes are what every
+// replica votes on and the export JSON is the on-disk snapshot format,
+// so a change to either constant is a consensus or storage format
+// break, not a refactor. goldenExportSum was recorded at commit d74dfbb
+// (the last one with hand-wired per-kind Export) and has not changed
+// since. goldenRoot was re-recorded when the flat whole-state hash
+// ("v1", 1eaf4496…) gave way to the bucketed hash tree of root.go:
+// it is the root under RootFormat "medchain/state-root/v2", and the
+// storage engine refuses data directories written under another format.
 const (
-	goldenRoot      = "1eaf44961b952530927cfb36ceacd261c15d625b995b25c4363d4601bbbf375e"
+	goldenRoot      = "f38bffbdf8037593a03d6c62052a3aba5b1f737183a25aab2666183a74c4cf1e"
 	goldenExportSum = "293a11b67c26e564a6c4350038a92b6b380ed04f98618b35b90c3841d40229fd"
 )
 

@@ -14,9 +14,10 @@ import (
 // stateKind describes one kind — where its objects live on a *State,
 // how to deep-copy one, what it contributes to the state root and which
 // StateExport field carries it — and NewState, Clone, the snapshot
-// share/copy/merge steps, Root, Export, ImportState and keyKind.String
-// are each a single loop over the kinds array. Adding a kind is one entry
-// here, its apply method, and its access-set derivation (DESIGN.md §5).
+// share/copy/merge steps, the root tree (root.go), Export, ImportState
+// and keyKind.String are each a single loop over the kinds array. Adding
+// a kind is one entry here, its apply method, and its access-set
+// derivation (DESIGN.md §5).
 
 // stateKind is the per-kind behaviour the generic state plumbing needs.
 // dst is always a state private to the caller; src is read-locked or
@@ -34,18 +35,21 @@ type stateKind interface {
 	share(dst, src *State, k StateKey)
 	// copyInto installs a private deep copy of src's object for k.
 	copyInto(dst, src *State, k StateKey)
-	// root appends the kind's leaves in sorted key order.
-	root(s *State, h *leaves)
+	// eachKey calls fn with the key of every stored object, its kind left
+	// for the caller to fill in.
+	eachKey(s *State, fn func(StateKey))
+	// leafOf appends the root-leaf parts of k's object; false when the
+	// state holds none.
+	leafOf(s *State, k StateKey, h *leafEnc) bool
 	// export appends deep copies to the kind's StateExport field, sorted;
 	// load is its inverse.
 	export(s *State, ex *StateExport)
 	load(s *State, ex *StateExport)
 }
 
-// kinds holds every kind's descriptor at its keyKind index, so ranging
-// over it visits the kinds in state-root order. Slot 0 (the zero
-// StateKey) and the virtual registry key own no storage and are inert;
-// Versions.SnapshotAt serves a whole-registry read itself.
+// kinds holds every kind's descriptor at its keyKind index. Slot 0 (the
+// zero StateKey) and the virtual registry key own no storage and are
+// inert; Versions.SnapshotAt serves a whole-registry read itself.
 var kinds = [numKinds]stateKind{
 	0: named("?"), kindDataset: datasetKind, kindTool: toolKind, kindPolicy: policyKind,
 	kindTrial: trialKind, kindAnchor: anchorKind, kindManifest: manifestKind, kindEvidence: evidenceKind,
@@ -53,17 +57,6 @@ var kinds = [numKinds]stateKind{
 	kindShardRoot: shardRootKind, kindCrossOut: crossOutKind, kindCrossIn: crossInKind,
 	kindFLRound: flRoundKind, kindVM: vmKind{"vm"}, kindRegistry: named("reg"), kindSeq: seqKind{"seq"},
 }
-
-// leaves accumulates the byte strings the state root hashes.
-type leaves [][]byte
-
-func (h *leaves) add(parts ...string) {
-	for _, p := range parts {
-		*h = append(*h, []byte(p))
-	}
-}
-
-func (h *leaves) raw(b []byte) { *h = append(*h, b) }
 
 // named is a kind's tag. It gives embedders inert defaults, so the
 // special kinds below spell out only what they do.
@@ -74,9 +67,11 @@ func (named) alloc(*State)                     {}
 func (named) cloneInto(_, _ *State)            {}
 func (named) share(_, _ *State, _ StateKey)    {}
 func (named) copyInto(_, _ *State, _ StateKey) {}
-func (named) root(*State, *leaves)             {}
+func (named) eachKey(*State, func(StateKey))   {}
 func (named) export(*State, *StateExport)      {}
 func (named) load(*State, *StateExport)        {}
+
+func (named) leafOf(*State, StateKey, *leafEnc) bool { return false }
 
 // flat is the deep copy of a type without reference fields.
 func flat[V any](v V) V { return v }
@@ -90,8 +85,9 @@ type table[V, E any] struct {
 	of func(*State) *map[string]*V
 	// cp deepens a shallow copy of one object.
 	cp func(V) V
-	// leaf appends the object's root leaves after the (tag, key) pair.
-	leaf   func(h *leaves, v *V)
+	// leaf appends the object's root-leaf parts. The encoding must be
+	// injective: a list that other parts follow is preceded by its length.
+	leaf   func(h *leafEnc, v *V)
 	slot   func(*StateExport) *[]E
 	pack   func(key string, v V) E
 	unpack func(e E) (string, V)
@@ -100,7 +96,7 @@ type table[V, E any] struct {
 // plainTable is a table whose export element is the object itself,
 // keyed by a field.
 func plainTable[V any](tag string, of func(*State) *map[string]*V, cp func(V) V,
-	leaf func(*leaves, *V), slot func(*StateExport) *[]V, keyOf func(*V) string) *table[V, V] {
+	leaf func(*leafEnc, *V), slot func(*StateExport) *[]V, keyOf func(*V) string) *table[V, V] {
 	return &table[V, V]{
 		named: named(tag), of: of, cp: cp, leaf: leaf, slot: slot,
 		pack:   func(_ string, v V) V { return v },
@@ -142,11 +138,18 @@ func (t *table[V, E]) shareAll(dst, src *State) {
 	}
 }
 
-func (t *table[V, E]) root(s *State, h *leaves) {
-	forSortedKeys(*t.of(s), func(key string, v *V) {
-		h.add(t.tag(), key)
+func (t *table[V, E]) eachKey(s *State, fn func(StateKey)) {
+	for id := range *t.of(s) {
+		fn(StateKey{id: id})
+	}
+}
+
+func (t *table[V, E]) leafOf(s *State, k StateKey, h *leafEnc) bool {
+	v, ok := (*t.of(s))[k.id]
+	if ok {
 		t.leaf(h, v)
-	})
+	}
+	return ok
 }
 
 func (t *table[V, E]) export(s *State, ex *StateExport) {
@@ -219,7 +222,7 @@ func forSortedKeys[V any](m map[string]V, fn func(string, V)) {
 var (
 	datasetKind = plainTable("ds",
 		func(s *State) *map[string]*Dataset { return &s.datasets }, flat[Dataset],
-		func(h *leaves, d *Dataset) {
+		func(h *leafEnc, d *Dataset) {
 			h.add(d.Owner.String(), d.Digest.String(), d.Schema, fmt.Sprint(d.Records), d.SiteID,
 				fmt.Sprint(d.Version), fmt.Sprint(d.UpdatedAt), fmt.Sprint(d.Frozen), d.MovedTo)
 		},
@@ -228,7 +231,7 @@ var (
 
 	toolKind = plainTable("tool",
 		func(s *State) *map[string]*Tool { return &s.tools }, flat[Tool],
-		func(h *leaves, t *Tool) { h.add(t.Owner.String(), t.Digest.String()) },
+		func(h *leafEnc, t *Tool) { h.add(t.Owner.String(), t.Digest.String()) },
 		func(ex *StateExport) *[]Tool { return &ex.Tools },
 		func(t *Tool) string { return t.ID })
 
@@ -238,10 +241,11 @@ var (
 		named: "pol",
 		of:    func(s *State) *map[string]*Policy { return &s.policies },
 		cp:    copyPolicy,
-		leaf: func(h *leaves, p *Policy) {
-			h.add(p.Owner.String())
+		leaf: func(h *leafEnc, p *Policy) {
+			h.add(p.Owner.String(), fmt.Sprint(len(p.Grants)))
 			for _, g := range p.Grants {
-				h.add(g.Grantee.String(), g.Purpose, fmt.Sprint(g.ExpiresAt), fmt.Sprint(g.MaxUses), fmt.Sprint(g.Uses))
+				h.add(g.Grantee.String(), g.Purpose, fmt.Sprint(g.ExpiresAt), fmt.Sprint(g.MaxUses), fmt.Sprint(g.Uses),
+					fmt.Sprint(len(g.Actions)))
 				for _, act := range g.Actions {
 					h.add(string(act))
 				}
@@ -254,14 +258,16 @@ var (
 
 	trialKind = plainTable("trial",
 		func(s *State) *map[string]*Trial { return &s.trials }, copyTrial,
-		func(h *leaves, t *Trial) {
-			h.add(t.Sponsor.String(), t.ProtocolDigest.String())
+		func(h *leafEnc, t *Trial) {
+			h.add(t.Sponsor.String(), t.ProtocolDigest.String(), fmt.Sprint(len(t.PrimaryOutcomes)))
 			h.add(t.PrimaryOutcomes...)
+			h.add(fmt.Sprint(len(t.Enrollments)))
 			for _, e := range t.Enrollments {
 				h.add(e.Patient, e.Site, fmt.Sprint(e.At))
 			}
+			h.add(fmt.Sprint(len(t.Reports)))
 			for _, rep := range t.Reports {
-				h.add(rep.ResultsDigest.String(), fmt.Sprint(rep.At))
+				h.add(rep.ResultsDigest.String(), fmt.Sprint(rep.At), fmt.Sprint(len(rep.Outcomes)))
 				h.add(rep.Outcomes...)
 			}
 			for _, ae := range t.AdverseEvents {
@@ -273,13 +279,13 @@ var (
 
 	anchorKind = plainTable("anchor",
 		func(s *State) *map[string]*Anchor { return &s.anchors }, flat[Anchor],
-		func(h *leaves, a *Anchor) { h.add(a.Digest.String(), a.By.String()) },
+		func(h *leafEnc, a *Anchor) { h.add(a.Digest.String(), a.By.String()) },
 		func(ex *StateExport) *[]Anchor { return &ex.Anchors },
 		func(a *Anchor) string { return a.Label })
 
 	manifestKind = plainTable("mset",
 		func(s *State) *map[string]*ManifestSet { return &s.manifestSets }, flat[ManifestSet],
-		func(h *leaves, ms *ManifestSet) {
+		func(h *leafEnc, ms *ManifestSet) {
 			h.add(fmt.Sprint(ms.Count), fmt.Sprint(ms.Batches), ms.Root.String(), fmt.Sprint(ms.UpdatedAt))
 		},
 		func(ex *StateExport) *[]ManifestSet { return &ex.ManifestSets },
@@ -291,7 +297,7 @@ var (
 			e.Evidence = append(json.RawMessage(nil), e.Evidence...)
 			return e
 		},
-		func(h *leaves, e *EvidenceRecord) {
+		func(h *leafEnc, e *EvidenceRecord) {
 			h.add(e.Reporter.String(), fmt.Sprint(e.At))
 			h.raw(e.Evidence)
 		},
@@ -304,7 +310,7 @@ var (
 			info.Committee = append([]cryptoutil.Address(nil), info.Committee...)
 			return info
 		},
-		func(h *leaves, info *ShardInfo) {
+		func(h *leafEnc, info *ShardInfo) {
 			h.add(info.Gateway.String(), fmt.Sprint(info.At),
 				fmt.Sprint(info.LeaseBlocks), fmt.Sprint(info.LeaseHeight), fmt.Sprint(info.LastAnchor))
 			for _, m := range info.Committee {
@@ -316,7 +322,7 @@ var (
 
 	shardRootKind = plainTable("xroot",
 		func(s *State) *map[string]*ShardRoot { return &s.shardRoots }, flat[ShardRoot],
-		func(h *leaves, r *ShardRoot) { h.add(r.Root.String(), r.By.String(), fmt.Sprint(r.At)) },
+		func(h *leafEnc, r *ShardRoot) { h.add(r.Root.String(), r.By.String(), fmt.Sprint(r.At)) },
 		func(ex *StateExport) *[]ShardRoot { return &ex.ShardRoots },
 		func(r *ShardRoot) string { return rootKey(r.Shard, r.Height) })
 
@@ -326,7 +332,7 @@ var (
 			p.Record.Payload = append(json.RawMessage(nil), p.Record.Payload...)
 			return p
 		},
-		func(h *leaves, p *CrossPrepare) {
+		func(h *leafEnc, p *CrossPrepare) {
 			rec := &p.Record
 			h.add(string(p.Status), p.Reason, fmt.Sprint(p.ResolvedAt), string(rec.Kind), rec.SourceShard,
 				rec.DestShard, rec.From.String(), fmt.Sprint(rec.SourceHeight), fmt.Sprint(rec.DestExpiry))
@@ -337,7 +343,7 @@ var (
 
 	crossInKind = plainTable("xin",
 		func(s *State) *map[string]*CrossResolution { return &s.crossIn }, flat[CrossResolution],
-		func(h *leaves, r *CrossResolution) {
+		func(h *leafEnc, r *CrossResolution) {
 			h.add(string(r.Kind), r.Resource, fmt.Sprint(r.Applied), r.Reason, fmt.Sprint(r.DestHeight))
 		},
 		func(ex *StateExport) *[]CrossResolution { return &ex.CrossIn },
@@ -350,7 +356,7 @@ var (
 			fl.Aggregate = append([]float64(nil), fl.Aggregate...)
 			return fl
 		},
-		func(h *leaves, fl *FLRound) {
+		func(h *leafEnc, fl *FLRound) {
 			h.add(fmt.Sprint(fl.TotalSamples), floatsString(fl.Aggregate), fmt.Sprint(fl.UpdatedAt))
 			for _, c := range fl.Contributions {
 				h.add(c.Shard, c.From.String(), fmt.Sprint(c.Samples), floatsString(c.Weights))
@@ -400,8 +406,8 @@ type single[V any] struct {
 	named
 	of func(*State) **V
 	cp func(V) V
-	// leaf appends the object's root leaves, tag included.
-	leaf func(h *leaves, v *V)
+	// leaf appends the object's root-leaf parts.
+	leaf func(h *leafEnc, v *V)
 	slot func(*StateExport) **V
 }
 
@@ -423,10 +429,18 @@ func (t *single[V]) share(dst, src *State, _ StateKey) {
 
 func (t *single[V]) copyInto(dst, src *State, _ StateKey) { t.cloneInto(dst, src) }
 
-func (t *single[V]) root(s *State, h *leaves) {
-	if v := *t.of(s); v != nil {
+func (t *single[V]) eachKey(s *State, fn func(StateKey)) {
+	if *t.of(s) != nil {
+		fn(StateKey{})
+	}
+}
+
+func (t *single[V]) leafOf(s *State, _ StateKey, h *leafEnc) bool {
+	v := *t.of(s)
+	if v != nil {
 		t.leaf(h, v)
 	}
+	return v != nil
 }
 
 func (t *single[V]) export(s *State, ex *StateExport) { *t.slot(ex) = t.dup(*t.of(s)) }
@@ -446,8 +460,8 @@ var (
 		named: "xcfg",
 		of:    func(s *State) **CrossShardConfig { return &s.crossCfg },
 		cp:    flat[CrossShardConfig],
-		leaf: func(h *leaves, cfg *CrossShardConfig) {
-			h.add("xcfg", cfg.ShardID, fmt.Sprint(cfg.Shards), cfg.Coordinator.String())
+		leaf: func(h *leafEnc, cfg *CrossShardConfig) {
+			h.add(cfg.ShardID, fmt.Sprint(cfg.Shards), cfg.Coordinator.String())
 		},
 		slot: func(ex *StateExport) **CrossShardConfig { return &ex.CrossConfig },
 	}
@@ -458,13 +472,13 @@ var (
 		cp: func(rt RoutingTable) RoutingTable {
 			return RoutingTable{Current: copyRoutingEpoch(rt.Current), Pending: copyRoutingEpoch(rt.Pending)}
 		},
-		leaf: func(h *leaves, rt *RoutingTable) {
+		leaf: func(h *leafEnc, rt *RoutingTable) {
 			for _, ep := range []*RoutingEpoch{rt.Current, rt.Pending} {
 				if ep == nil {
-					h.add("xepoch", "nil")
+					h.add("nil")
 					continue
 				}
-				h.add("xepoch", fmt.Sprint(ep.Epoch), fmt.Sprint(ep.At))
+				h.add("epoch", fmt.Sprint(ep.Epoch), fmt.Sprint(ep.At), fmt.Sprint(len(ep.Shards)))
 				h.add(ep.Shards...)
 			}
 		},
@@ -485,15 +499,20 @@ func copyRoutingEpoch(ep *RoutingEpoch) *RoutingEpoch {
 
 // seqKind is the request-sequence counter: a plain integer, so
 // "sharing" it is copying it. A new child state already starts from its
-// parent's value (State.child), which is why cloneInto stays inert. Its
-// root leaf is untagged, so it must stay the last kind.
+// parent's value (State.child), which is why cloneInto stays inert. It
+// always has a leaf, so no state's tree is empty.
 type seqKind struct{ named }
 
 func (seqKind) share(dst, src *State, _ StateKey)    { dst.requestSeq = src.requestSeq }
 func (seqKind) copyInto(dst, src *State, _ StateKey) { dst.requestSeq = src.requestSeq }
-func (seqKind) root(s *State, h *leaves)             { h.add(fmt.Sprint(s.requestSeq)) }
+func (seqKind) eachKey(_ *State, fn func(StateKey))  { fn(StateKey{}) }
 func (seqKind) export(s *State, ex *StateExport)     { ex.RequestSeq = s.requestSeq }
 func (seqKind) load(s *State, ex *StateExport)       { s.requestSeq = ex.RequestSeq }
+
+func (seqKind) leafOf(s *State, _ StateKey, h *leafEnc) bool {
+	h.add(fmt.Sprint(s.requestSeq))
+	return true
+}
 
 // vmKind is a deployed contract: two tables keyed by address (code and
 // storage) that live and move together under one KeyVM. Code bytes are
@@ -530,15 +549,24 @@ func (vmKind) copyInto(dst, src *State, k StateKey) {
 	}
 }
 
-func (v vmKind) root(s *State, h *leaves) {
-	for _, d := range sortedContracts(s) {
-		h.add(v.tag(), d.Address.String(), d.Name)
-		h.raw(d.Code)
-		for _, kv := range sortedPairs(s.vmStorage[d.Address]) {
-			h.raw(kv.Key)
-			h.raw(kv.Value)
-		}
+func (vmKind) eachKey(s *State, fn func(StateKey)) {
+	for addr := range s.deployed {
+		fn(StateKey{addr: addr})
 	}
+}
+
+func (vmKind) leafOf(s *State, k StateKey, h *leafEnc) bool {
+	d, ok := s.deployed[k.addr]
+	if !ok {
+		return false
+	}
+	h.add(d.Name)
+	h.raw(d.Code)
+	for _, kv := range sortedPairs(s.vmStorage[k.addr]) {
+		h.raw(kv.Key)
+		h.raw(kv.Value)
+	}
+	return true
 }
 
 func (vmKind) export(s *State, ex *StateExport) {

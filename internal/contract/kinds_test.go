@@ -108,12 +108,21 @@ func kindCases() map[keyKind]kindCase {
 	}
 }
 
+// poke runs a direct table write on s and drops s's root tree, which
+// cannot know about it.
+func poke(s *State, write func(*State)) {
+	write(s)
+	s.invalidateRoot()
+}
+
 // TestEveryKindWired is the kind-exhaustive wiring property: every
 // keyKind has a descriptor, and one object of that kind survives Clone,
 // Export → JSON → ImportState and a read snapshot root-equal, is
-// isolated from mutation of the copy, and travels through a write
-// snapshot → mutate → MergeSpeculative back into the base. A kind added
-// to the const block without a descriptor, or without a row here, fails.
+// isolated from mutation of the copy, travels through a write
+// snapshot → mutate → MergeSpeculative back into the base, and proves
+// against the root. A kind added to the const block without a
+// descriptor, or without a row here, fails. Leak checks read freshRoot:
+// the kept tree would not show a write that reached s behind its back.
 func TestEveryKindWired(t *testing.T) {
 	cases := kindCases()
 	empty := NewState().Root()
@@ -131,22 +140,23 @@ func TestEveryKindWired(t *testing.T) {
 				t.Fatalf("case key %v is not of kind %s", tc.key, k)
 			}
 			s := NewState()
-			tc.put(s)
+			poke(s, tc.put)
 			root := s.Root()
 			if root == empty {
 				t.Fatal("the object does not reach Root")
 			}
+			checkProof(t, s, tc)
 
 			c := s.Clone()
 			if c.Root() != root {
 				t.Fatal("Clone lost or altered the object")
 			}
-			tc.mutate(c)
+			poke(c, tc.mutate)
 			want := c.Root()
 			if want == root {
 				t.Fatal("case vacuous: the mutation does not change the root")
 			}
-			if s.Root() != root {
+			if freshRoot(s) != root {
 				t.Fatal("mutating the clone leaked into the source")
 			}
 
@@ -162,7 +172,7 @@ func TestEveryKindWired(t *testing.T) {
 			if imported.Root() != root {
 				t.Fatal("Export → ImportState lost or altered the object")
 			}
-			tc.mutate(imported)
+			poke(imported, tc.mutate)
 			if imported.Root() != want {
 				t.Fatal("the imported object is not live")
 			}
@@ -185,14 +195,55 @@ func TestEveryKindWired(t *testing.T) {
 			if snap.Root() != root {
 				t.Fatal("a write snapshot does not carry the object")
 			}
-			tc.mutate(snap)
-			if s.Root() != root {
+			poke(snap, tc.mutate)
+			if freshRoot(s) != root {
 				t.Fatal("mutating the write snapshot leaked into the base")
 			}
 			s.MergeSpeculative(snap, acc)
 			if s.Root() != want {
-				t.Fatal("MergeSpeculative did not adopt the written object")
+				t.Fatal("MergeSpeculative did not adopt the written object, or did not mark it")
 			}
 		})
+	}
+}
+
+// checkProof is TestEveryKindWired's inclusion-proof leg: the case's
+// object proves against s's root, and the proof stops verifying after a
+// one-byte change to the leaf, the key, a sibling or the root. A key
+// with no object behind it — the virtual registry key, or the case's
+// key on an empty state — is refused.
+func checkProof(t *testing.T, s *State, tc kindCase) {
+	t.Helper()
+	root := s.Root()
+	proof, ok := s.Prove(tc.key)
+	if tc.virtual {
+		if ok {
+			t.Fatal("the virtual key, which owns no object, proved")
+		}
+		return
+	}
+	if !ok || !VerifyStateProof(root, tc.key, proof) {
+		t.Fatalf("the object does not prove against Root (found %v)", ok)
+	}
+	if _, ok := NewState().Prove(tc.key); ok != (tc.key == KeySeq) {
+		t.Fatalf("Prove on an empty state = %v", ok)
+	}
+	tampered := func(edit func(p *StateProof, root *cryptoutil.Digest, k *StateKey)) bool {
+		p := &StateProof{Leaf: append([]byte(nil), proof.Leaf...), Bucket: append([]StateLeaf(nil), proof.Bucket...),
+			Path: append([]cryptoutil.Digest(nil), proof.Path...)}
+		r, k := root, tc.key
+		edit(p, &r, &k)
+		return VerifyStateProof(r, k, p)
+	}
+	for name, edit := range map[string]func(*StateProof, *cryptoutil.Digest, *StateKey){
+		"leaf":     func(p *StateProof, _ *cryptoutil.Digest, _ *StateKey) { p.Leaf[len(p.Leaf)-1] ^= 1 },
+		"key":      func(_ *StateProof, _ *cryptoutil.Digest, k *StateKey) { k.id += "x" },
+		"sibling":  func(p *StateProof, _ *cryptoutil.Digest, _ *StateKey) { p.Path[rootDepth/2][0] ^= 1 },
+		"root":     func(_ *StateProof, r *cryptoutil.Digest, _ *StateKey) { r[0] ^= 1 },
+		"path cut": func(p *StateProof, _ *cryptoutil.Digest, _ *StateKey) { p.Path = p.Path[1:] },
+	} {
+		if tampered(edit) {
+			t.Errorf("the proof still verifies after a change to the %s", name)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sync"
 
 	"medchain/internal/cryptoutil"
@@ -143,6 +144,12 @@ type State struct {
 	// mutation-testing knob, never set in production (see
 	// SetUnsafeSkipCrossProofVerify).
 	unsafeSkipCrossProof bool
+	// tree is the state root's hash tree and dirty the keys written
+	// since it was last current (see root.go). Both are nil until the
+	// first Root: a state that is never rooted — a speculative snapshot —
+	// pays nothing for them.
+	tree  *rootTree
+	dirty map[StateKey]struct{}
 }
 
 // NewState creates an empty state machine.
@@ -176,6 +183,12 @@ func (s *State) Clone() *State {
 	c := s.child()
 	for _, k := range kinds {
 		k.cloneInto(c, s)
+	}
+	if s.tree != nil {
+		// The clone roots incrementally too: it takes the tree (bucket
+		// slices are shared, see rootTree) and the pending marks.
+		tree := *s.tree
+		c.tree, c.dirty = &tree, maps.Clone(s.dirty)
 	}
 	return c
 }
@@ -247,6 +260,9 @@ func (s *State) Apply(tx *ledger.Transaction, height uint64, now int64) (*Receip
 	}
 	if err != nil {
 		r.Err = err.Error()
+	}
+	if s.tree != nil {
+		s.markWritten(AccessSetOf(tx))
 	}
 	return r, nil
 }
@@ -906,17 +922,4 @@ func (s *State) RegistryHostFuncs() map[string]vm.HostFunc {
 			return b, int64(len(b)), err
 		},
 	}
-}
-
-// Root computes the deterministic state root: a digest over the sorted
-// serialization of every table. Two nodes that applied the same
-// transactions produce identical roots.
-func (s *State) Root() cryptoutil.Digest {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	h := make(leaves, 0, 64)
-	for _, k := range kinds {
-		k.root(s, &h)
-	}
-	return cryptoutil.SumAll(h...)
 }

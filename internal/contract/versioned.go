@@ -108,4 +108,5 @@ func (s *State) MergeSpeculative(from *State, acc AccessSet) {
 	for _, k := range acc.Writes {
 		kinds[k.kind].share(s, from, k)
 	}
+	s.markWritten(acc)
 }

@@ -30,7 +30,10 @@ func HashLeaf(data []byte) cryptoutil.Digest {
 	return cryptoutil.SumAll(leafPrefix, data)
 }
 
-func hashNode(l, r cryptoutil.Digest) cryptoutil.Digest {
+// HashNode computes the domain-separated hash of an interior node from
+// its two children. The contract state root builds its fixed tree from
+// the same node hash.
+func HashNode(l, r cryptoutil.Digest) cryptoutil.Digest {
 	return cryptoutil.SumAll(nodePrefix, l[:], r[:])
 }
 
@@ -56,7 +59,7 @@ func New(leaves [][]byte) *Tree {
 		next := make([]cryptoutil.Digest, 0, (len(level)+1)/2)
 		for i := 0; i < len(level); i += 2 {
 			if i+1 < len(level) {
-				next = append(next, hashNode(level[i], level[i+1]))
+				next = append(next, HashNode(level[i], level[i+1]))
 			} else {
 				// Promote the odd node unchanged.
 				next = append(next, level[i])
@@ -128,9 +131,9 @@ func Verify(root cryptoutil.Digest, leaf []byte, p *Proof) bool {
 	h := HashLeaf(leaf)
 	for _, s := range p.Steps {
 		if s.Left {
-			h = hashNode(s.Hash, h)
+			h = HashNode(s.Hash, h)
 		} else {
-			h = hashNode(h, s.Hash)
+			h = HashNode(h, s.Hash)
 		}
 	}
 	return h == root

@@ -68,7 +68,7 @@ func TestLeafNodeDomainSeparation(t *testing.T) {
 	// The hash of a 2-leaf tree must not equal the leaf hash of the
 	// concatenated children — prefixes separate the domains.
 	l, r := HashLeaf([]byte("a")), HashLeaf([]byte("b"))
-	interior := hashNode(l, r)
+	interior := HashNode(l, r)
 	var concat []byte
 	concat = append(concat, l[:]...)
 	concat = append(concat, r[:]...)

@@ -23,12 +23,21 @@ var fuzzTypes = []ledger.TxType{
 // FuzzAccessSetDifferential guards the soundness of the declared access
 // sets against arbitrary payloads: contract.AccessSetOf must never
 // panic, and whatever footprint it derives — bounded or Unknown — a
-// one-transaction block through ModeMVCCWave must leave the same root
-// and receipt as ModeSerial. The bug class is a payload that fails the
-// access-set decode but passes Apply's (or the reverse), so the
-// transaction executes against a snapshot missing what it touches. The
-// committed corpus under testdata/fuzz holds the payloads that once
-// did exactly that; it runs as a plain test under `go test`.
+// block holding the fuzzed transaction through ModeMVCCWave must leave
+// the same root and receipts as ModeSerial. The bug class is a payload
+// that fails the access-set decode but passes Apply's (or the reverse),
+// so the transaction executes against a snapshot missing what it
+// touches.
+//
+// The declared write set also decides which leaves State.Root re-hashes,
+// on the serial path as much as on the wave path. The pre-state is
+// rooted, so both executions run on clones that carry its tree, and
+// each must root exactly like a state rebuilt from its own export: a
+// write the set misses, or an Unknown footprint that fails to drop the
+// tree, shows up there. A bounded transaction follows the fuzzed one so
+// marks made after a dropped tree are covered too. The committed corpus
+// under testdata/fuzz holds the payloads that once broke the first
+// property; it runs as a plain test under `go test`.
 func FuzzAccessSetDifferential(f *testing.F) {
 	kp, err := cryptoutil.DeriveKeyPair("px-owner")
 	if err != nil {
@@ -52,6 +61,9 @@ func FuzzAccessSetDifferential(f *testing.F) {
 		f.Fatalf("deploy: %v %v", err, r)
 	}
 	deployed := contract.DeployedAddress(kp.Address(), 100)
+	follower := mustTx(f, kp, 201, ledger.TxData, "update_dataset",
+		contract.RegisterDatasetArgs{ID: "d0", Digest: cryptoutil.Sum([]byte("y")), Records: 9}, cryptoutil.Address{})
+	base.Root() // from here on every clone of base roots incrementally
 
 	// One well-formed payload per family for the mutator to start from.
 	for _, seed := range []struct {
@@ -82,7 +94,7 @@ func FuzzAccessSetDifferential(f *testing.F) {
 			Contract: deployed, Method: method, Args: args, Timestamp: 7,
 		}
 		acc := contract.AccessSetOf(tx) // must not panic
-		block := []*ledger.Transaction{tx}
+		block := []*ledger.Transaction{tx, follower}
 
 		serial := base.Clone()
 		want, _, err := parexec.NewEngine(parexec.Config{}).ExecuteBlock(serial, block, 2, 2)
@@ -96,6 +108,12 @@ func FuzzAccessSetDifferential(f *testing.F) {
 		}
 		if wave.Root() != serial.Root() {
 			t.Fatalf("root diverged for %s/%s args=%q (access set %s)", tx.Type, method, args, acc)
+		}
+		for name, st := range map[string]*contract.State{"serial": serial, "mvcc-wave": wave} {
+			if st.Root() != contract.ImportState(st.Export()).Root() {
+				t.Fatalf("%s: incremental root differs from a rebuild for %s/%s args=%q (access set %s)",
+					name, tx.Type, method, args, acc)
+			}
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("receipt diverged for %s/%s args=%q (access set %s):\n got %+v\nwant %+v",

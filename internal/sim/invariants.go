@@ -145,6 +145,17 @@ func (ck *checker) checkBlock(c *chain.Cluster, blk *ledger.Block) {
 		return
 	}
 
+	// Root purity: the shadow roots through the tree it keeps between
+	// blocks, as every node does, so a write that nothing marked would be
+	// agreed on by all of them. A tree rebuilt from the export has no
+	// history to be wrong about.
+	ck.checks++
+	if got, rebuilt := serialSt.Root(), contract.ImportState(serialSt.Export()).Root(); got != rebuilt {
+		ck.violationf("state-root: block %d incremental root %s != root rebuilt from the export %s",
+			h, got.Short(), rebuilt.Short())
+		return
+	}
+
 	// Differential oracles: every suspect executor replays the block
 	// from the same pre-state and must agree with serial on all
 	// observables. A divergence is minimized into a counterexample.

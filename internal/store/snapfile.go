@@ -41,37 +41,43 @@ func snapHeight(name string) (uint64, bool) {
 }
 
 // WriteSnapshot durably publishes a height-tagged snapshot payload in
-// dir via temp-file + fsync + atomic rename.
+// dir.
 func WriteSnapshot(fs FS, dir string, height uint64, payload []byte) error {
-	final := Join(dir, snapName(height))
-	tmp := final + tmpSuffix
-	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: create snapshot tmp: %w", err)
-	}
 	buf := make([]byte, 8+len(payload))
 	copy(buf[0:4], snapMagic)
 	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
 	copy(buf[8:], payload)
+	return writeFileAtomic(fs, Join(dir, snapName(height)), buf)
+}
+
+// writeFileAtomic durably publishes buf as the file final via temp-file
+// + fsync + atomic rename: final either holds all of buf or is not
+// there.
+func writeFileAtomic(fs FS, final string, buf []byte) error {
+	tmp := final + tmpSuffix
+	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: create %s: %w", tmp, err)
+	}
 	if n, err := f.WriteAt(buf, 0); err != nil || n < len(buf) {
 		f.Close()
 		fs.Remove(tmp)
 		if err == nil {
 			err = fmt.Errorf("short write (%d/%d)", n, len(buf))
 		}
-		return fmt.Errorf("store: write snapshot: %w", err)
+		return fmt.Errorf("store: write %s: %w", tmp, err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		fs.Remove(tmp)
-		return fmt.Errorf("store: sync snapshot: %w", err)
+		return fmt.Errorf("store: sync %s: %w", tmp, err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: close snapshot: %w", err)
+		return fmt.Errorf("store: close %s: %w", tmp, err)
 	}
 	if err := fs.Rename(tmp, final); err != nil {
 		fs.Remove(tmp)
-		return fmt.Errorf("store: publish snapshot: %w", err)
+		return fmt.Errorf("store: publish %s: %w", final, err)
 	}
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"strings"
 	"sync"
 	"time"
 
@@ -37,6 +39,61 @@ func (e *CorruptError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrCorrupt) true.
 func (e *CorruptError) Unwrap() error { return ErrCorrupt }
+
+// FormatName is the file in a store directory that records the state-root
+// format (contract.RootFormat) its block headers and snapshots were
+// written under. Open writes it when it creates a store and checks it
+// before it touches anything else.
+const FormatName = "FORMAT"
+
+// FormatError reports a data directory whose committed state roots were
+// computed under another root format than this build's. The bytes on
+// disk are intact — replaying them would only end in a root mismatch at
+// the first block — so it is deliberately not a CorruptError, and Open
+// leaves the directory untouched.
+type FormatError struct {
+	// Dir is the store directory.
+	Dir string
+	// Have is the format the directory records; empty for a directory
+	// written before formats were recorded (the flat v1 root).
+	Have string
+	// Want is this build's contract.RootFormat.
+	Want string
+}
+
+func (e *FormatError) Error() string {
+	have := fmt.Sprintf("%q", e.Have)
+	if e.Have == "" {
+		have = "an unrecorded earlier format"
+	}
+	return fmt.Sprintf("store: %s holds state roots in %s, this build reads %q", e.Dir, have, e.Want)
+}
+
+// checkFormat compares dir's recorded root format with this build's. A
+// directory that holds no store yet is stamped; one that holds a WAL or
+// a snapshot but no stamp predates the stamp.
+func checkFormat(fs FS, dir string) error {
+	have, err := ReadFile(fs, Join(dir, FormatName))
+	if err == nil {
+		if got := strings.TrimSpace(string(have)); got != contract.RootFormat {
+			return &FormatError{Dir: dir, Have: got, Want: contract.RootFormat}
+		}
+		return nil
+	}
+	if !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("store: read %s: %w", FormatName, err)
+	}
+	names, err := fs.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("store: list %s: %w", dir, err)
+	}
+	for _, name := range names {
+		if _, snap := snapHeight(name); snap || name == WALName {
+			return &FormatError{Dir: dir, Want: contract.RootFormat}
+		}
+	}
+	return writeFileAtomic(fs, Join(dir, FormatName), []byte(contract.RootFormat+"\n"))
+}
 
 // Options configures a Store.
 type Options struct {
@@ -130,7 +187,8 @@ type Store struct {
 }
 
 // Open opens (or creates) the store directory and recovers its
-// contents: it truncates a torn WAL tail, loads the newest valid
+// contents: it refuses a directory written under another state-root
+// format (*FormatError), truncates a torn WAL tail, loads the newest valid
 // snapshot, replays the WAL suffix through the contract state machine,
 // and verifies every replayed block's state root against its committed
 // header plus the full chain integrity. The WAL — not the snapshot —
@@ -144,6 +202,9 @@ func Open(opts Options) (*Store, *Recovered, error) {
 	}
 	if err := opts.FS.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("store: mkdir %s: %w", opts.Dir, err)
+	}
+	if err := checkFormat(opts.FS, opts.Dir); err != nil {
+		return nil, nil, err
 	}
 
 	snapH, snapBody, err := LoadLatestSnapshot(opts.FS, opts.Dir)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
 
 	"medchain/internal/contract"
@@ -483,5 +484,85 @@ func TestDoubleRecoveryIdempotent(t *testing.T) {
 	}
 	if len(rec1.Receipts) != len(rec2.Receipts) {
 		t.Fatalf("receipt counts differ: %d vs %d", len(rec1.Receipts), len(rec2.Receipts))
+	}
+}
+
+// dirContents reads every file of an on-disk directory.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	names, err := OSFS{}.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(names))
+	for _, name := range names {
+		b, err := os.ReadFile(Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = string(b)
+	}
+	return out
+}
+
+// testdata/v1 is a data directory the parent of the root-format change
+// wrote (three blocks, snapshot at height 2): every header and the
+// snapshot hold flat "v1" state roots and nothing records a format.
+// Replaying it would fail at block 1 with a root mismatch that reads
+// like disk corruption; Open must refuse it by name instead and leave
+// every byte where it was.
+func TestPreFormatDataDirRefused(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range dirContents(t, Join("testdata", "v1")) {
+		if err := os.WriteFile(Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := dirContents(t, dir)
+	if len(before) != 2 {
+		t.Fatalf("fixture holds %d files, want a WAL and a snapshot", len(before))
+	}
+
+	_, _, err := Open(Options{Dir: dir, ChainID: testChainID})
+	var fe *FormatError
+	if !errors.As(err, &fe) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open = %v, want a *FormatError that is not ErrCorrupt", err)
+	}
+	if fe.Have != "" || fe.Want != contract.RootFormat || fe.Dir != dir {
+		t.Fatalf("FormatError = %+v", fe)
+	}
+	if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("Open changed a directory it refused")
+	}
+}
+
+// A new store is stamped with the build's root format before anything
+// else is written, the stamp survives a power loss, and a stamp naming
+// another format is refused by name.
+func TestFormatStamp(t *testing.T) {
+	blocks, _ := buildBlocks(t, testChainID, 2)
+	fs := NewMemFS()
+	seedStore(t, fs, "n0", blocks, Options{})
+	stamp, err := ReadFile(fs, Join("n0", FormatName))
+	if err != nil || string(stamp) != contract.RootFormat+"\n" {
+		t.Fatalf("stamp = %q, %v", stamp, err)
+	}
+	fs.Crash()
+	st, rec, err := Open(Options{FS: fs, Dir: "n0", ChainID: testChainID})
+	if err != nil {
+		t.Fatalf("reopen after power loss: %v", err)
+	}
+	st.Close()
+	if rec.Height != 2 {
+		t.Fatalf("reopen after power loss: height %d, want 2", rec.Height)
+	}
+
+	if err := writeFileAtomic(fs, Join("n0", FormatName), []byte("medchain/state-root/v9\n")); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Open(Options{FS: fs, Dir: "n0", ChainID: testChainID})
+	var fe *FormatError
+	if !errors.As(err, &fe) || fe.Have != "medchain/state-root/v9" {
+		t.Fatalf("Open = %v, want a *FormatError naming v9", err)
 	}
 }

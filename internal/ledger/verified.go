@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"medchain/internal/cryptoutil"
+	"medchain/internal/par"
 )
 
 // ErrNilTx rejects a nil transaction pointer (a decoded block may carry
@@ -94,6 +95,27 @@ func (c *Chain) VerifyTx(tx *Transaction) (cryptoutil.Digest, error) {
 	err := tx.Verify()
 	c.verified.note(key, err == nil)
 	return id, err
+}
+
+// VerifyWindow is how many transactions a caller may put through
+// VerifyTxs in one batch while the batch before it is still being
+// appended. Two batches are then the most marks placed between a
+// transaction's own mark and the Append that looks it up, and the set
+// keeps the last verifiedGenSize marks, so none is evicted unread and
+// each transaction costs one ECDSA. A block holding more than
+// VerifyWindow transactions goes in a batch of its own; the bound still
+// holds up to verifiedGenSize − VerifyWindow of them, and past that an
+// evicted mark is verified again by Append — slower, never wrong.
+const VerifyWindow = verifiedGenSize / 16
+
+// VerifyTxs runs VerifyTx on every transaction, on every core
+// (GOMAXPROCS goroutines, inline at 1), and returns when all are done.
+// It only warms the verified set: verdicts are dropped, because Validate
+// and Append reach each transaction again in block order and report the
+// first failure there, where a failed or nil transaction is simply
+// checked again.
+func (c *Chain) VerifyTxs(txs []*Transaction) {
+	par.ForEachN(len(txs), 0, func(i int) { c.VerifyTx(txs[i]) })
 }
 
 // VerifyCounts reports how many times VerifyTx ran Transaction.Verify

@@ -23,7 +23,7 @@ import (
 	"medchain/internal/cryptoutil"
 	"medchain/internal/emr"
 	"medchain/internal/oracle"
-	"medchain/internal/parexec"
+	"medchain/internal/par"
 )
 
 // Errors.
@@ -304,7 +304,7 @@ func (s *Site) ServeBlob(auth contract.AccessAuthorization, record string) ([]by
 
 // Runner fans authorized tasks out to sites in parallel — the
 // transformed architecture's compute engine. Fan-out runs on the same
-// bounded worker pool (parexec.ForEachN) the on-chain engine uses, so
+// bounded worker pool (par.ForEachN) the on-chain engine uses, so
 // a large task batch cannot spawn unbounded goroutines.
 type Runner struct {
 	mu      sync.RWMutex
@@ -372,7 +372,7 @@ func (r *Runner) RunAll(auths []contract.RunAuthorization) ([]*TaskResult, []err
 		}
 		sites[i] = site
 	}
-	parexec.ForEachN(len(auths), r.Workers(), func(i int) {
+	par.ForEachN(len(auths), r.Workers(), func(i int) {
 		if sites[i] == nil {
 			return // unknown site: error already recorded at this index
 		}

@@ -22,6 +22,7 @@ package parexec
 import (
 	"medchain/internal/contract"
 	"medchain/internal/ledger"
+	"medchain/internal/par"
 )
 
 // mvccResult is one prefix transaction's execution outcome.
@@ -35,7 +36,7 @@ type mvccResult struct {
 // Engine.ExecuteBlock for the contract.
 func (e *Engine) executeMVCC(bs *Stats, st *contract.State, txs []*ledger.Transaction, height uint64, now int64) ([]*contract.Receipt, error) {
 	accs := make([]contract.AccessSet, len(txs))
-	ForEachN(len(txs), e.cfg.Workers, func(i int) {
+	par.ForEachN(len(txs), e.cfg.Workers, func(i int) {
 		accs[i] = contract.AccessSetOf(txs[i])
 	})
 
@@ -56,7 +57,7 @@ func (e *Engine) executeMVCC(bs *Stats, st *contract.State, txs []*ledger.Transa
 		for _, wave := range e.buildWaves(accs[:prefix]) {
 			bs.Waves++
 			wave := wave
-			ForEachN(len(wave), e.cfg.Workers, func(i int) {
+			par.ForEachN(len(wave), e.cfg.Workers, func(i int) {
 				j := wave[i]
 				snap := ver.SnapshotAt(j, accs[j])
 				rec, err := snap.Apply(txs[j], height, now)

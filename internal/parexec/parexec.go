@@ -24,7 +24,7 @@
 // values it observes are identical on every run and worker count. See
 // mvcc.go for the scheduler.
 //
-// Off chain, the same bounded pool (ForEachN) fans analytics tasks out
+// Off chain, the same bounded pool (par.ForEachN) fans analytics tasks out
 // across sites (offchain.Runner.RunAll) — the paper's "move the
 // computing to the data" layer.
 package parexec
@@ -32,48 +32,10 @@ package parexec
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"medchain/internal/contract"
 	"medchain/internal/ledger"
 )
-
-// ForEachN runs fn(i) for every i in [0, n) on at most workers
-// goroutines (workers <= 0 means GOMAXPROCS). It returns when all
-// calls have completed — the barrier the engine's phases rely on.
-func ForEachN(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // Mode selects the block-execution strategy.
 type Mode int

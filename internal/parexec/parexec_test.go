@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"medchain/internal/contract"
@@ -15,38 +13,6 @@ import (
 	"medchain/internal/ledger"
 	"medchain/internal/parexec"
 )
-
-func TestForEachNVisitsEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 16} {
-		hits := make([]int32, 1000)
-		parexec.ForEachN(len(hits), workers, func(i int) {
-			atomic.AddInt32(&hits[i], 1)
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, h)
-			}
-		}
-	}
-}
-
-func TestForEachNBoundsConcurrency(t *testing.T) {
-	const workers = 3
-	var cur, peak int32
-	var mu sync.Mutex
-	parexec.ForEachN(100, workers, func(int) {
-		n := atomic.AddInt32(&cur, 1)
-		mu.Lock()
-		if n > peak {
-			peak = n
-		}
-		mu.Unlock()
-		atomic.AddInt32(&cur, -1)
-	})
-	if peak > workers {
-		t.Fatalf("observed %d concurrent calls, bound is %d", peak, workers)
-	}
-}
 
 func mustTx(t testing.TB, kp *cryptoutil.KeyPair, nonce uint64, typ ledger.TxType, method string, args any, to cryptoutil.Address) *ledger.Transaction {
 	t.Helper()

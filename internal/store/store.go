@@ -12,6 +12,7 @@ import (
 	"medchain/internal/contract"
 	"medchain/internal/cryptoutil"
 	"medchain/internal/ledger"
+	"medchain/internal/par"
 )
 
 // ErrCorrupt is the sentinel every unrecoverable on-disk damage error
@@ -169,6 +170,20 @@ type snapshotPayload struct {
 	Receipts  []*contract.Receipt   `json:"receipts,omitempty"`
 }
 
+// usable reports whether a decoded snapshot body describes chainID at
+// height and holds no JSON null where Open would dereference one.
+func (p *snapshotPayload) usable(chainID string, height uint64) bool {
+	if p.ChainID != chainID || p.Height != height || p.State == nil {
+		return false
+	}
+	for _, r := range p.Receipts {
+		if r == nil {
+			return false
+		}
+	}
+	return true
+}
+
 // Store is the durable storage engine: an open block WAL plus the
 // snapshot directory. One Store owns one directory. Methods are safe
 // for concurrent use; appends are serialized so WAL order always
@@ -186,14 +201,75 @@ type Store struct {
 	lastSnapAt uint64
 }
 
+// prepass is recovery's signature stage. One goroutine walks the decoded
+// blocks in order, puts whole blocks of at most ledger.VerifyWindow
+// transactions at a time (a larger block alone) through
+// chain.VerifyTxs, and hands each finished batch to the replay loop, so
+// that loop's Append finds every signature already checked — by this
+// recovery, on this chain instance — while the next batch is verified on
+// the other cores.
+type prepass struct {
+	// ready carries n: blocks[:n] are verified. It must stay unbuffered:
+	// the hand-off is what keeps the stage at most one batch ahead of the
+	// batch being appended (see ledger.VerifyWindow).
+	ready chan int
+	stop  chan struct{}
+	done  chan struct{}
+	// upTo is the replay loop's copy of the last n received.
+	upTo int
+}
+
+func startPrepass(chain *ledger.Chain, blocks []*ledger.Block) *prepass {
+	p := &prepass{ready: make(chan int), stop: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(p.done)
+		var txs []*ledger.Transaction
+		for i := 0; i < len(blocks); {
+			txs = append(txs[:0], blocks[i].Txs...)
+			n := i + 1
+			for n < len(blocks) && len(txs)+len(blocks[n].Txs) <= ledger.VerifyWindow {
+				txs = append(txs, blocks[n].Txs...)
+				n++
+			}
+			chain.VerifyTxs(txs)
+			select {
+			case p.ready <- n:
+			case <-p.stop:
+				return
+			}
+			i = n
+		}
+	}()
+	return p
+}
+
+// wait returns once blocks[i] has been through the stage.
+func (p *prepass) wait(i int) {
+	for p.upTo <= i {
+		p.upTo = <-p.ready
+	}
+}
+
+// close stops the stage and waits for its goroutine; Open defers it so
+// no return path leaves one behind.
+func (p *prepass) close() {
+	close(p.stop)
+	<-p.done
+}
+
 // Open opens (or creates) the store directory and recovers its
 // contents: it refuses a directory written under another state-root
 // format (*FormatError), truncates a torn WAL tail, loads the newest valid
-// snapshot, replays the WAL suffix through the contract state machine,
-// and verifies every replayed block's state root against its committed
-// header plus the full chain integrity. The WAL — not the snapshot —
-// is the source of truth: a snapshot claiming blocks the WAL does not
-// durably hold is ignored and the history is re-executed from genesis.
+// snapshot, validates every block of the WAL through Chain.Append —
+// linkage, height, transaction root, every signature, expiry,
+// duplicates and nonces, for blocks below the snapshot too — and replays
+// the suffix through the contract state machine, checking every replayed
+// block's state root against its committed header. Frames are decoded,
+// and signatures verified, on every core ahead of that serial loop
+// (prepass); Append still renders every verdict, in block order. The
+// WAL — not the snapshot — is the source of truth: a snapshot claiming
+// blocks the WAL does not durably hold is ignored and the history is
+// re-executed from genesis.
 func Open(opts Options) (*Store, *Recovered, error) {
 	start := time.Now()
 	opts = opts.withDefaults()
@@ -222,9 +298,12 @@ func Open(opts Options) (*Store, *Recovered, error) {
 	}
 
 	blocks := make([]*ledger.Block, len(frames))
-	for i, frame := range frames {
-		blk, err := ledger.DecodeBlock(frame)
-		if err != nil {
+	decodeErrs := make([]error, len(frames))
+	par.ForEachN(len(frames), 0, func(i int) {
+		blocks[i], decodeErrs[i] = ledger.DecodeBlock(frames[i])
+	})
+	for i, blk := range blocks {
+		if err := decodeErrs[i]; err != nil {
 			return fail(&CorruptError{Height: uint64(i + 1), Offset: -1,
 				Reason: fmt.Sprintf("undecodable wal frame: %v", err)})
 		}
@@ -232,7 +311,6 @@ func Open(opts Options) (*Store, *Recovered, error) {
 			return fail(&CorruptError{Height: uint64(i + 1), Offset: -1,
 				Reason: fmt.Sprintf("wal frame %d holds block height %d", i, blk.Header.Height)})
 		}
-		blocks[i] = blk
 	}
 
 	rec := &Recovered{TruncatedBytes: torn}
@@ -247,7 +325,7 @@ func Open(opts Options) (*Store, *Recovered, error) {
 			rec.SnapshotIgnored = true
 		} else {
 			var p snapshotPayload
-			if err := json.Unmarshal(snapBody, &p); err == nil && p.ChainID == opts.ChainID && p.Height == snapH {
+			if err := json.Unmarshal(snapBody, &p); err == nil && p.usable(opts.ChainID, snapH) {
 				snap = &p
 			} else {
 				rec.SnapshotIgnored = true
@@ -258,12 +336,23 @@ func Open(opts Options) (*Store, *Recovered, error) {
 	chain := ledger.NewChain(opts.ChainID)
 	state := contract.NewState()
 	replayFrom := 0
+	verified := startPrepass(chain, blocks)
+	defer verified.close()
+	// appendBlock is the one validation every WAL block gets, below the
+	// snapshot or past it.
+	appendBlock := func(i int) error {
+		verified.wait(i)
+		if err := chain.Append(blocks[i]); err != nil {
+			return &CorruptError{Height: blocks[i].Header.Height, Offset: -1,
+				Reason: fmt.Sprintf("recovered block rejected by ledger: %v", err)}
+		}
+		return nil
+	}
 
 	if snap != nil && snap.Height > 0 {
-		for _, blk := range blocks[:snap.Height] {
-			if err := chain.Append(blk); err != nil {
-				return fail(&CorruptError{Height: blk.Header.Height, Offset: -1,
-					Reason: fmt.Sprintf("recovered block rejected by ledger: %v", err)})
+		for i := range blocks[:snap.Height] {
+			if err := appendBlock(i); err != nil {
+				return fail(err)
 			}
 		}
 		if got := chain.Head().Hash(); got != snap.BlockHash {
@@ -284,7 +373,13 @@ func Open(opts Options) (*Store, *Recovered, error) {
 		replayFrom = int(snap.Height)
 	}
 
-	for _, blk := range blocks[replayFrom:] {
+	// Validate, then execute: Apply never sees a transaction Append has
+	// not accepted (a nil one, a forged signature).
+	for i := replayFrom; i < len(blocks); i++ {
+		if err := appendBlock(i); err != nil {
+			return fail(err)
+		}
+		blk := blocks[i]
 		for _, tx := range blk.Txs {
 			r, err := state.Apply(tx, blk.Header.Height, blk.Header.Timestamp)
 			if err != nil {
@@ -297,16 +392,7 @@ func Open(opts Options) (*Store, *Recovered, error) {
 			return fail(&CorruptError{Height: blk.Header.Height, Offset: -1,
 				Reason: fmt.Sprintf("replayed state root %s != committed header root %s", got, blk.Header.StateRoot)})
 		}
-		if err := chain.Append(blk); err != nil {
-			return fail(&CorruptError{Height: blk.Header.Height, Offset: -1,
-				Reason: fmt.Sprintf("recovered block rejected by ledger: %v", err)})
-		}
 		rec.ReplayedBlocks++
-	}
-
-	if err := chain.VerifyIntegrity(); err != nil {
-		return fail(&CorruptError{Height: chain.Height(), Offset: -1,
-			Reason: fmt.Sprintf("recovered chain integrity: %v", err)})
 	}
 
 	for _, r := range rec.Receipts {

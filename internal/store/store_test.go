@@ -21,48 +21,75 @@ const testChainID = "store-test"
 // serial state (the recovery oracle).
 func buildBlocks(t testing.TB, chainID string, n int) ([]*ledger.Block, *contract.State) {
 	t.Helper()
+	sizes := make([]int, n)
+	for i := range sizes {
+		sizes[i] = 1
+	}
+	return buildChain(t, chainID, sizes)
+}
+
+// storeKey is the key every test transaction is signed with.
+func storeKey(t testing.TB) *cryptoutil.KeyPair {
+	t.Helper()
 	kp, err := cryptoutil.DeriveKeyPair("store-test-user")
 	if err != nil {
 		t.Fatal(err)
 	}
+	return kp
+}
+
+// buildChain is buildBlocks with sizes[i] transactions in block i+1.
+func buildChain(t testing.TB, chainID string, sizes []int) ([]*ledger.Block, *contract.State) {
+	t.Helper()
+	kp := storeKey(t)
 	state := contract.NewState()
 	parent := ledger.NewGenesis(chainID)
-	blocks := make([]*ledger.Block, 0, n)
-	for i := 0; i < n; i++ {
-		args, err := json.Marshal(contract.RegisterDatasetArgs{
-			ID: fmt.Sprintf("d-%d", i), Digest: cryptoutil.Sum([]byte{byte(i)}),
-			Schema: "cdf/v1", Records: 10 + i, SiteID: "site",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tx := &ledger.Transaction{
-			Type: ledger.TxData, Nonce: uint64(i), Method: "register_dataset",
-			Args: args, Timestamp: int64(i + 1),
-		}
-		if err := tx.Sign(kp); err != nil {
-			t.Fatal(err)
-		}
+	blocks := make([]*ledger.Block, 0, len(sizes))
+	nonce := 0
+	for i, size := range sizes {
 		blk := &ledger.Block{
 			Header: ledger.Header{
 				Height: uint64(i + 1), Parent: parent.Hash(),
 				Timestamp: int64(i + 1), Proposer: kp.Address(),
 			},
-			Txs: []*ledger.Transaction{tx},
 		}
-		root, err := ledger.ComputeTxRoot(blk.Txs)
-		if err != nil {
-			t.Fatal(err)
+		for ; size > 0; size-- {
+			args, err := json.Marshal(contract.RegisterDatasetArgs{
+				ID: fmt.Sprintf("d-%d", nonce), Digest: cryptoutil.Sum([]byte{byte(nonce)}),
+				Schema: "cdf/v1", Records: 10 + nonce, SiteID: "site",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx := &ledger.Transaction{
+				Type: ledger.TxData, Nonce: uint64(nonce), Method: "register_dataset",
+				Args: args, Timestamp: int64(nonce + 1),
+			}
+			if err := tx.Sign(kp); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := state.Apply(tx, blk.Header.Height, blk.Header.Timestamp); err != nil {
+				t.Fatal(err)
+			}
+			blk.Txs = append(blk.Txs, tx)
+			nonce++
 		}
-		blk.Header.TxRoot = root
-		if _, err := state.Apply(tx, blk.Header.Height, blk.Header.Timestamp); err != nil {
-			t.Fatal(err)
-		}
+		reroot(t, blk)
 		blk.Header.StateRoot = state.Root()
 		blocks = append(blocks, blk)
 		parent = blk
 	}
 	return blocks, state
+}
+
+// reroot makes blk's header commit to the transactions it now holds.
+func reroot(t testing.TB, blk *ledger.Block) {
+	t.Helper()
+	root, err := ledger.ComputeTxRoot(blk.Txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk.Header.TxRoot = root
 }
 
 // seedStore writes blocks through a Store onto fs the way a node
@@ -121,6 +148,26 @@ func corruptWAL(t testing.TB, fs FS, dir string, off int64, b byte) {
 	}
 	defer f.Close()
 	if _, err := f.WriteAt([]byte{b}, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rewriteWAL replaces the WAL with one CRC-valid frame per block, as the
+// blocks encode now — so a defect put into a block reaches Open's replay
+// instead of dying at the frame checksum.
+func rewriteWAL(t testing.TB, fs FS, dir string, blocks []*ledger.Block) {
+	t.Helper()
+	var raw []byte
+	for _, blk := range blocks {
+		payload, err := blk.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hdr [frameHeaderSize]byte
+		writeFrameHeader(hdr[:], payload)
+		raw = append(append(raw, hdr[:]...), payload...)
+	}
+	if err := writeFileAtomic(fs, Join(dir, WALName), raw); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -234,6 +281,8 @@ type recoveryCase struct {
 	damage func(t *testing.T, fs FS, blocks []*ledger.Block)
 	// wantErr, when true, expects recovery to fail with ErrCorrupt.
 	wantErr bool
+	// wantHeight is the height the CorruptError must name.
+	wantHeight uint64
 	// check runs on the successful recovery.
 	check func(t *testing.T, rec *Recovered, blocks []*ledger.Block)
 }
@@ -308,7 +357,19 @@ func TestRecoveryEdgeCases(t *testing.T) {
 				raw := walBytes(t, fs, "n0")
 				corruptWAL(t, fs, "n0", frameHeaderSize+4, raw[frameHeaderSize+4]^0xff)
 			},
-			wantErr: true,
+			wantErr: true, wantHeight: 1,
+		},
+		{
+			// A CRC-valid frame whose block decodes to "txs":[null] and
+			// whose header commits to exactly that: only validation can
+			// refuse it, and it must do so before anything executes.
+			name: "nil tx in a valid frame", blocks: 6,
+			damage: func(t *testing.T, fs FS, blocks []*ledger.Block) {
+				blocks[3].Txs = []*ledger.Transaction{nil}
+				reroot(t, blocks[3])
+				rewriteWAL(t, fs, "n0", blocks)
+			},
+			wantErr: true, wantHeight: 4,
 		},
 		{
 			name: "snapshot newer than wal", blocks: 6,
@@ -362,8 +423,8 @@ func TestRecoveryEdgeCases(t *testing.T) {
 				if !errors.As(err, &ce) {
 					t.Fatalf("error %v is not a *CorruptError", err)
 				}
-				if ce.Height == 0 {
-					t.Fatalf("corrupt error carries no height: %v", err)
+				if ce.Height != tc.wantHeight {
+					t.Fatalf("corrupt error at height %d, want %d: %v", ce.Height, tc.wantHeight, err)
 				}
 				if !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("error %v does not match ErrCorrupt", err)

@@ -144,20 +144,7 @@ func run(nodes int, engine chain.EngineKind, difficulty uint8, blocks, txPerBloc
 			}
 		}
 		// Let gossip settle, then commit.
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			ready := true
-			for _, n := range c.Nodes() {
-				if n.MempoolSize() < 2*txPerBlock {
-					ready = false
-					break
-				}
-			}
-			if ready || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
+		c.WaitPooled(2*txPerBlock, 5*time.Second)
 		start := time.Now()
 		blk, err := c.Commit()
 		if err != nil {

@@ -75,20 +75,7 @@ func run(trials int, correct, unreported float64, seed int64, verbose bool) erro
 		}
 	}
 	// Wait for gossip, then drain the mempool into blocks.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ready := true
-		for _, n := range cluster.Nodes() {
-			if n.MempoolSize() < submitted {
-				ready = false
-				break
-			}
-		}
-		if ready || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	cluster.WaitPooled(submitted, 10*time.Second)
 	blocks, err := cluster.CommitAll()
 	if err != nil {
 		return err

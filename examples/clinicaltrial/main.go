@@ -145,22 +145,8 @@ func mustCommit(cluster *chain.Cluster, txs ...*ledger.Transaction) {
 			log.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		ready := true
-		for _, n := range cluster.Nodes() {
-			if n.MempoolSize() < len(txs) {
-				ready = false
-				break
-			}
-		}
-		if ready {
-			break
-		}
-		if time.Now().After(deadline) {
-			log.Fatal("gossip timeout")
-		}
-		time.Sleep(time.Millisecond)
+	if !cluster.WaitPooled(len(txs), 10*time.Second) {
+		log.Fatal("gossip timeout")
 	}
 	if _, err := cluster.CommitAll(); err != nil {
 		log.Fatal(err)

@@ -363,19 +363,62 @@ func (c *Cluster) proposerCandidates() []int {
 	return cands
 }
 
-// commitPoll is the backoff profile for commit-path condition waits
-// (proposer catch-up, block replication).
-func commitPoll() *resilience.Backoff {
-	return &resilience.Backoff{Base: 200 * time.Microsecond, Max: 2 * time.Millisecond}
+// waitNodes blocks until cond holds on every running node and reports
+// whether it came to. It sleeps on the events of the first node still
+// short of cond — whatever changes a node's height or pool fires one,
+// and so does its stopping — under a timer for timeout; every
+// timeout/4 it calls nudge (if any) on each node still short.
+func (c *Cluster) waitNodes(timeout time.Duration, nudge func(*Node), cond func(*Node) bool) bool {
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	var nudges <-chan time.Time
+	if every := timeout / 4; nudge != nil && every > 0 {
+		t := time.NewTicker(every)
+		defer t.Stop()
+		nudges = t.C
+	}
+	short := func(n *Node) bool { return n.Running() && !cond(n) }
+	for {
+		var woken <-chan struct{}
+		for _, n := range c.nodes {
+			// Taken before the check: an event in between still wakes us.
+			if ch := n.events.wait(); short(n) {
+				woken = ch
+				break
+			}
+		}
+		if woken == nil {
+			return true
+		}
+		select {
+		case <-woken:
+		case <-nudges:
+			for _, n := range c.nodes {
+				if short(n) {
+					nudge(n)
+				}
+			}
+		case <-deadline.C:
+			return false
+		}
+	}
+}
+
+// WaitPooled blocks until every running node has at least n
+// transactions pooled — the point from which the scheduled proposer,
+// whichever node that is, packs all of a batch submitted through one
+// node — and reports whether that happened within timeout.
+func (c *Cluster) WaitPooled(n int, timeout time.Duration) bool {
+	return c.waitNodes(timeout, nil, func(node *Node) bool { return node.MempoolSize() >= n })
 }
 
 // commitVia runs one commit attempt through proposer p within timeout:
 // sync p if it lags, produce the block, then wait until every running
-// node applied it, periodically nudging laggards with sync requests
+// node applied it, nudging laggards with sync requests every timeout/4
 // (a node that lost the block broadcast to message loss recovers this
-// way). Mirrors Commit's contract: (nil, err) when no block was
-// produced, (blk, wrapped ErrNoQuorum) when produced but not fully
-// replicated.
+// way). No stage polls: each sleeps on node events under a timer.
+// Mirrors Commit's contract: (nil, err) when no block was produced,
+// (blk, wrapped ErrNoQuorum) when produced but not fully replicated.
 func (c *Cluster) commitVia(p *Node, timeout time.Duration) (*ledger.Block, error) {
 	// Bring a lagging proposer (e.g. freshly healed from a partition or
 	// restarted after a crash) up to date before it builds on a stale
@@ -383,10 +426,10 @@ func (c *Cluster) commitVia(p *Node, timeout time.Duration) (*ledger.Block, erro
 	ref := c.nodes[c.maxHeightIndex()]
 	if p.Height() < ref.Height() {
 		p.requestSync(ref.ID())
-		ok := resilience.Poll(time.Now().Add(timeout), commitPoll(), func() bool {
-			return p.Height() >= ref.Height()
-		})
-		if !ok {
+		catchUp := time.NewTimer(timeout)
+		p.await(catchUp.C, func() bool { return p.Height() >= ref.Height() || !p.Running() })
+		catchUp.Stop()
+		if p.Height() < ref.Height() {
 			return nil, fmt.Errorf("chain: proposer %s stuck behind at height %d", p.ID(), p.Height())
 		}
 	}
@@ -394,24 +437,10 @@ func (c *Cluster) commitVia(p *Node, timeout time.Duration) (*ledger.Block, erro
 	if err != nil {
 		return nil, err
 	}
-	nudge := time.Now().Add(timeout / 4)
-	ok := resilience.Poll(time.Now().Add(timeout), commitPoll(), func() bool {
-		done := true
-		for _, n := range c.nodes {
-			if !n.Running() || n.Height() >= blk.Header.Height {
-				continue
-			}
-			done = false
-			if time.Now().After(nudge) {
-				n.requestSync(p.ID())
-			}
-		}
-		if time.Now().After(nudge) {
-			nudge = time.Now().Add(timeout / 4)
-		}
-		return done
-	})
-	if !ok {
+	replicated := c.waitNodes(timeout,
+		func(n *Node) { n.requestSync(p.ID()) },
+		func(n *Node) bool { return n.Height() >= blk.Header.Height })
+	if !replicated {
 		return blk, fmt.Errorf("chain: %w: block %d not replicated everywhere", ErrNoQuorum, blk.Header.Height)
 	}
 	return blk, nil

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"medchain/internal/consensus"
@@ -92,6 +93,12 @@ type Node struct {
 	stopped chan struct{}
 	wg      sync.WaitGroup
 
+	// events is the node's one notification primitive: it fires when a
+	// vote is buffered, a block is appended, a transaction is pooled, or
+	// the node stops or restarts. Every wait on the commit path sleeps on
+	// it (await, Cluster.waitNodes) instead of polling.
+	events signal
+
 	// applyMu serializes block application (execute + root check +
 	// append + persist): the proposer thread and the message loop can
 	// both reach acceptBlock, and the durable WAL must receive blocks
@@ -137,8 +144,13 @@ type Node struct {
 	voteSeen       map[uint64]map[cryptoutil.Address]consensus.Vote
 	evidenceSeen   map[string]bool
 	lastProposal   *consensus.SignedProposal
+	pending        *pendingBlock // the preview of the block this node last built
 	strictSchedule bool
 	skipVoteVerify bool // mutation hook for the sim self-test; never set otherwise
+
+	// clonePreviews counts the blocks this node previewed on a state
+	// clone because a footprint in them could not be bounded.
+	clonePreviews atomic.Int64
 
 	// guard scores peer misbehavior and quarantines repeat offenders.
 	// The pointer is fixed for the node's lifetime (retune via
@@ -160,6 +172,60 @@ type Node struct {
 	syncProg       map[p2p.NodeID]uint64
 	lastSyncHeight uint64
 	lastSyncTime   time.Time
+}
+
+// pendingBlock is the proposer's one execution of the block it last
+// built: run on write snapshots over the untouched live state, kept
+// while the block is voted on, and materialised by acceptBlock if that
+// very block — the object produceBlock built, or took back from the
+// cached proposal — is what commits at its height.
+type pendingBlock struct {
+	blk  *ledger.Block
+	spec *parexec.Speculation
+}
+
+// signal is a generation channel: wait returns the current generation's
+// channel and fire closes it, waking everyone who holds it. A waiter
+// takes the channel before it checks its condition, so an event between
+// the check and the select still wakes it. The zero value is ready; a
+// fire with nobody waiting costs one mutex.
+type signal struct {
+	mu sync.Mutex
+	ch chan struct{}
+}
+
+func (s *signal) wait() <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ch == nil {
+		s.ch = make(chan struct{})
+	}
+	return s.ch
+}
+
+func (s *signal) fire() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ch != nil {
+		close(s.ch)
+		s.ch = nil
+	}
+}
+
+// await blocks until cond holds or timeout delivers, re-checking cond
+// after every event on the node, and reports cond's last value.
+func (n *Node) await(timeout <-chan time.Time, cond func() bool) bool {
+	for {
+		woken := n.events.wait()
+		if cond() {
+			return true
+		}
+		select {
+		case <-woken:
+		case <-timeout:
+			return cond()
+		}
+	}
 }
 
 // voteSet accumulates verified votes for one proposed block.
@@ -373,6 +439,7 @@ func (n *Node) SubmitLocal(tx *ledger.Transaction) error {
 	err = n.pool.Add(tx, class, n.chain.NextNonce(tx.From), n.chain.Height())
 	switch {
 	case err == nil:
+		n.events.fire()
 		return nil
 	case errors.Is(err, ledger.ErrDuplicateTx):
 		return nil // idempotent
@@ -463,6 +530,7 @@ func (n *Node) Stop() {
 	ep := n.ep
 	n.ep = nil
 	n.lifeMu.Unlock()
+	n.events.fire()
 	if ep != nil {
 		ep.Close()
 	}
@@ -504,6 +572,7 @@ func (n *Node) Restart() error {
 	n.running = true
 	n.wg.Add(1)
 	go n.loop(ep, n.stopped)
+	n.events.fire()
 	return nil
 }
 
@@ -655,7 +724,7 @@ func (n *Node) handleProposal(ep p2p.Endpoint, msg p2p.Message) {
 	if err := n.chain.Validate(blk); err != nil {
 		return // likely honest head divergence; the sync path reconciles
 	}
-	vote, ok := n.lockAndSignVote(height, blk.Hash(), proposer)
+	vote, ok := n.lockAndSignVote(height, blk.Hash(), proposer, consensus.SignVote)
 	if !ok {
 		return
 	}
@@ -682,7 +751,7 @@ func (n *Node) handleVote(msg p2p.Message) {
 		return
 	}
 	if !n.skipVoteVerifyOn() {
-		if err := consensus.VerifyVote(v, eng.Validators()); err != nil {
+		if err := eng.VerifyVote(v); err != nil {
 			n.guard.Record(from, guard.OffenseInvalidVote)
 			return
 		}
@@ -770,6 +839,7 @@ func (n *Node) addVote(v consensus.Vote) {
 	}
 	vs.byVoter[v.Voter] = true
 	vs.votes = append(vs.votes, v)
+	n.events.fire()
 }
 
 // lockAndSignVote enforces one vote per (height, proposer): the first
@@ -780,8 +850,11 @@ func (n *Node) addVote(v consensus.Vote) {
 // cannot harvest conflicting honest votes and fork the chain, yet
 // proposer failover — a different validator re-proposing the height —
 // stays live. (Locking across proposers would need a full view-change
-// protocol to stay live under faults; see DESIGN.md.)
-func (n *Node) lockAndSignVote(height uint64, hash cryptoutil.Digest, proposer cryptoutil.Address) (consensus.Vote, bool) {
+// protocol to stay live under faults; see DESIGN.md.) sign is
+// consensus.SignVote, or the engine's own when the vote is the
+// proposer's and will come back in the certificate it assembles.
+func (n *Node) lockAndSignVote(height uint64, hash cryptoutil.Digest, proposer cryptoutil.Address,
+	sign func(uint64, cryptoutil.Digest, *cryptoutil.KeyPair) (consensus.Vote, error)) (consensus.Vote, bool) {
 	n.votesMu.Lock()
 	byProposer := n.votedAt[height]
 	if byProposer == nil {
@@ -794,7 +867,7 @@ func (n *Node) lockAndSignVote(height uint64, hash cryptoutil.Digest, proposer c
 	}
 	byProposer[proposer] = hash
 	n.votesMu.Unlock()
-	vote, err := consensus.SignVote(height, hash, n.key)
+	vote, err := sign(height, hash, n.key)
 	if err != nil {
 		return consensus.Vote{}, false
 	}
@@ -1056,10 +1129,14 @@ func (n *Node) requestSyncPaced(peer p2p.NodeID) {
 // acceptBlock verifies consensus + ledger rules, executes every
 // transaction (replicated execution), checks the state root, and
 // appends. Proposer and followers commit through this same path, so a
-// block that fails consensus never touches live state. It is idempotent
-// for already-known heights. applyMu keeps application single-file:
-// the proposer thread and the message loop both land here, and the
-// durable WAL must see blocks in commit order.
+// block that fails consensus never touches live state. The one
+// difference is that the proposer has already executed the block it
+// built (produceBlock's preview, on snapshots): when that very block
+// arrives with the head still its parent, the preview is materialised
+// instead of executing again. It is idempotent for already-known
+// heights. applyMu keeps application single-file: the proposer thread
+// and the message loop both land here, and the durable WAL must see
+// blocks in commit order.
 func (n *Node) acceptBlock(blk *ledger.Block) error {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
@@ -1069,7 +1146,8 @@ func (n *Node) acceptBlock(blk *ledger.Block) error {
 	if err := n.engine.VerifySeal(blk); err != nil {
 		return err
 	}
-	if err := n.chain.Validate(blk); err != nil {
+	valid, err := n.chain.ValidateForAppend(blk)
+	if err != nil {
 		return err
 	}
 	if err := n.execute(blk); err != nil {
@@ -1080,11 +1158,12 @@ func (n *Node) acceptBlock(blk *ledger.Block) error {
 	if root := n.state.Root(); root != blk.Header.StateRoot {
 		return fmt.Errorf("%w: computed %s, header %s", ErrRootDiverged, root.Short(), blk.Header.StateRoot.Short())
 	}
-	if err := n.chain.Append(blk); err != nil {
+	if err := n.chain.AppendValidated(valid); err != nil {
 		return err
 	}
 	n.pruneMempool(blk)
 	n.pruneConsensusBuffers(blk.Header.Height)
+	n.events.fire()
 	// Persistence is best-effort relative to consensus: a failing disk
 	// (fault injection, full volume) must not halt the replica — the
 	// block is already committed in memory by quorum. The failure is
@@ -1130,12 +1209,26 @@ func (n *Node) pruneConsensusBuffers(committed uint64) {
 	if n.lastProposal != nil && n.lastProposal.Block.Header.Height <= committed {
 		n.lastProposal = nil
 	}
+	if n.pending != nil && n.pending.blk.Header.Height <= committed {
+		n.pending = nil
+	}
 }
 
-// execute applies all transactions of a block to the state machine
-// through the node's executor, recording receipts, gas, and events.
+// execute applies all transactions of a block to the state machine,
+// recording receipts, gas, and events: by materialising this node's own
+// preview of the block if it holds one, through the executor otherwise.
+// The caller holds applyMu and has validated blk against the head, so a
+// preview of this block was made over exactly this state.
 func (n *Node) execute(blk *ledger.Block) error {
-	receipts, _, err := n.executor().ExecuteBlock(n.state, blk.Txs, blk.Header.Height, blk.Header.Timestamp)
+	var (
+		receipts []*contract.Receipt
+		err      error
+	)
+	if spec := n.takePending(blk); spec != nil {
+		receipts = n.executor().Commit(spec)
+	} else {
+		receipts, _, err = n.executor().ExecuteBlock(n.state, blk.Txs, blk.Header.Height, blk.Header.Timestamp)
+	}
 	// On a mid-block error the receipts cover the applied prefix;
 	// record them before failing so the receipts map, gas, and
 	// published events match the state.
@@ -1143,6 +1236,27 @@ func (n *Node) execute(blk *ledger.Block) error {
 		n.recordReceipt(blk, blk.Txs[i], r)
 	}
 	return err
+}
+
+// takePending hands over the preview of blk if the node holds it; a
+// preview commits at most once.
+func (n *Node) takePending(blk *ledger.Block) *parexec.Speculation {
+	n.votesMu.Lock()
+	defer n.votesMu.Unlock()
+	p := n.pending
+	if p == nil || p.blk != blk {
+		return nil
+	}
+	n.pending = nil
+	return p.spec
+}
+
+// setPending keeps the preview of the block this node is about to put
+// to consensus; nil forgets the one it held.
+func (n *Node) setPending(p *pendingBlock) {
+	n.votesMu.Lock()
+	defer n.votesMu.Unlock()
+	n.pending = p
 }
 
 // recordReceipt stores one committed receipt and publishes its events.
@@ -1172,59 +1286,26 @@ func (n *Node) takeMempool(max int) []*ledger.Transaction {
 }
 
 // produceBlock builds, seals, commits, and broadcasts the next block
-// from this node's mempool. The post-state root is computed by
-// preview-executing the candidate transactions on a state clone, so a
-// round that fails consensus (no quorum, timeout) leaves the live
-// state, mempool, and chain untouched — the invariant commit retry and
-// proposer failover rely on. On success the proposer commits through
-// the same acceptBlock path as every follower. Returns the committed
-// block.
+// from this node's mempool. The candidate is executed once, on write
+// snapshots over the live state, which yields the header's post-state
+// root without touching that state — so a round that fails consensus
+// (no quorum, timeout) leaves the live state, mempool, and chain
+// untouched, the invariant commit retry and proposer failover rely on.
+// On success the proposer commits through the same acceptBlock path as
+// every follower, which materialises the kept preview instead of
+// executing the block a second time. Returns the committed block.
 func (n *Node) produceBlock(maxTxs int, votesNeeded int, voteTimeout time.Duration) (*ledger.Block, error) {
 	ep := n.endpoint()
 	if ep == nil {
 		return nil, ErrStopped
 	}
-	txs := n.takeMempool(maxTxs)
-	head := n.chain.Head()
-	ts := head.Header.Timestamp + 1
-
-	blk := &ledger.Block{
-		Header: ledger.Header{
-			Height:    head.Header.Height + 1,
-			Parent:    head.Hash(),
-			Timestamp: ts,
-			Proposer:  n.key.Address(),
-		},
-		Txs: txs,
-	}
-	root, err := ledger.ComputeTxRoot(txs)
+	blk, err := n.buildBlock(maxTxs)
 	if err != nil {
 		return nil, err
 	}
-	blk.Header.TxRoot = root
-
-	// Preview-execute on a clone to obtain the post-state root;
-	// followers re-execute on their live state and must agree.
-	preview := n.state.Clone()
-	if _, _, err := n.executor().ExecuteBlock(preview, txs, blk.Header.Height, ts); err != nil {
-		return nil, err
-	}
-	blk.Header.StateRoot = preview.Root()
 
 	switch eng := n.engine.(type) {
 	case *consensus.Quorum:
-		// Retrying the same height against the same parent reuses the
-		// cached signed proposal even if the mempool has since grown:
-		// an honest proposer must never sign two different blocks at
-		// one height — that is exactly the equivocation the ingress
-		// layer evidences and quarantines.
-		n.votesMu.Lock()
-		if lp := n.lastProposal; lp != nil &&
-			lp.Block.Header.Height == blk.Header.Height &&
-			lp.Block.Header.Parent == blk.Header.Parent {
-			blk = lp.Block
-		}
-		n.votesMu.Unlock()
 		if err := n.gatherQuorum(eng, ep, blk, votesNeeded, voteTimeout); err != nil {
 			return nil, err
 		}
@@ -1248,10 +1329,71 @@ func (n *Node) produceBlock(maxTxs int, votesNeeded int, voteTimeout time.Durati
 	return blk, nil
 }
 
+// buildBlock assembles the next block on the current head, previews it
+// and keeps the preview for acceptBlock. applyMu is held for exactly
+// this (not for the vote wait that follows), so the preview sees one
+// consistent state. A block taken back from the cached proposal of an
+// earlier round is not previewed again: its own preview, if still held,
+// stays as it is.
+func (n *Node) buildBlock(maxTxs int) (*ledger.Block, error) {
+	n.applyMu.Lock()
+	defer n.applyMu.Unlock()
+	head := n.chain.Head()
+	height := head.Header.Height + 1
+
+	// Retrying the same height against the same parent reuses the
+	// cached signed proposal even if the mempool has since grown: an
+	// honest proposer must never sign two different blocks at one
+	// height — that is exactly the equivocation the ingress layer
+	// evidences and quarantines.
+	n.votesMu.Lock()
+	lp := n.lastProposal
+	n.votesMu.Unlock()
+	if lp != nil && lp.Block.Header.Height == height && lp.Block.Header.Parent == head.Hash() {
+		return lp.Block, nil
+	}
+
+	txs := n.takeMempool(maxTxs)
+	ts := head.Header.Timestamp + 1
+	blk := &ledger.Block{
+		Header: ledger.Header{
+			Height:    height,
+			Parent:    head.Hash(),
+			Timestamp: ts,
+			Proposer:  n.key.Address(),
+		},
+		Txs: txs,
+	}
+	root, err := ledger.ComputeTxRoot(txs)
+	if err != nil {
+		return nil, err
+	}
+	blk.Header.TxRoot = root
+
+	exec := n.executor()
+	if spec, ok := exec.Speculate(n.state, txs, height, ts); ok {
+		blk.Header.StateRoot = spec.Root()
+		n.setPending(&pendingBlock{blk: blk, spec: spec})
+		return blk, nil
+	}
+	// A footprint that cannot be bounded has no write set to snapshot:
+	// preview on a clone, and let acceptBlock execute on live state as a
+	// follower does.
+	n.setPending(nil)
+	n.clonePreviews.Add(1)
+	preview := n.state.Clone()
+	if _, _, err := exec.ExecuteBlock(preview, txs, height, ts); err != nil {
+		return nil, err
+	}
+	blk.Header.StateRoot = preview.Root()
+	return blk, nil
+}
+
 // gatherQuorum runs one round of the vote protocol: broadcast the
 // proposal, collect 2f+1 votes (own vote included), attach the
-// certificate. Vote collection polls with capped exponential backoff
-// instead of spinning; on timeout the partial vote set is kept so an
+// certificate. The wait sleeps on the node's events (every buffered
+// vote fires one) under a timer for the round timeout; it ends early if
+// the node stops. On timeout the partial vote set is kept so an
 // immediate re-proposal of the same block can reuse it.
 func (n *Node) gatherQuorum(eng *consensus.Quorum, ep p2p.Endpoint, blk *ledger.Block, votesNeeded int, timeout time.Duration) error {
 	hash := blk.Hash()
@@ -1266,7 +1408,7 @@ func (n *Node) gatherQuorum(eng *consensus.Quorum, ep p2p.Endpoint, blk *ledger.
 	// The proposer's own vote obeys the same one-per-height lock as
 	// everyone else's; a proposer locked to another block this height
 	// must gather the full quorum from its peers.
-	if own, ok := n.lockAndSignVote(height, hash, blk.Header.Proposer); ok {
+	if own, ok := n.lockAndSignVote(height, hash, blk.Header.Proposer, eng.SignVote); ok {
 		n.addVote(own)
 	}
 
@@ -1289,8 +1431,11 @@ func (n *Node) gatherQuorum(eng *consensus.Quorum, ep p2p.Endpoint, blk *ledger.
 		}
 		return 0
 	}
-	if !resilience.Poll(time.Now().Add(timeout), nil, func() bool { return count() >= votesNeeded }) {
-		return fmt.Errorf("%w: %d/%d votes", ErrNoQuorum, count(), votesNeeded)
+	round := time.NewTimer(timeout)
+	defer round.Stop()
+	n.await(round.C, func() bool { return count() >= votesNeeded || !n.Running() })
+	if got := count(); got < votesNeeded {
+		return fmt.Errorf("%w: %d/%d votes", ErrNoQuorum, got, votesNeeded)
 	}
 	n.votesMu.Lock()
 	vs := n.votes[hash]

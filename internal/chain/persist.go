@@ -126,6 +126,7 @@ func (n *Node) reopenStore() error {
 func (n *Node) adoptRecovered(rec *store.Recovered) {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
+	n.setPending(nil) // a preview is tied to the state object it was made over
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	rec.State.AdoptHostFrom(n.state)
@@ -143,6 +144,7 @@ func (n *Node) adoptRecovered(rec *store.Recovered) {
 		n.receipts[r.TxID] = r
 	}
 	n.gasUsed = rec.GasUsed
+	n.events.fire() // the height may have changed
 }
 
 // persistBlock appends a committed block to the WAL and snapshots when

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"medchain/internal/cryptoutil"
@@ -351,6 +352,10 @@ func DecodeQuorumCert(b []byte) (*QuorumCert, error) {
 // sealed by attaching an encoded QuorumCert.
 type Quorum struct {
 	vals *ValidatorSet
+	// seen remembers the votes this instance verified, so the node that
+	// collected a certificate does not verify its votes again when they
+	// come back inside it.
+	seen voteMemo
 }
 
 var _ Engine = (*Quorum)(nil)
@@ -363,6 +368,102 @@ func (q *Quorum) Name() string { return "quorum" }
 
 // Validators exposes the validator set (used by the chain protocol).
 func (q *Quorum) Validators() *ValidatorSet { return q.vals }
+
+// voteMemoGen bounds one generation of a Quorum's verified-vote memo.
+// A node buffers votes for a few heights of one validator set at a
+// time, so a small constant covers every vote between its arrival and
+// the certificate that carries it.
+const voteMemoGen = 256
+
+// voteKey binds a memo entry to the signature bytes as well as the
+// signed digest (which covers height, block and voter): a vote with one
+// signature bit flipped is a different key and is verified for itself.
+type voteKey struct {
+	digest cryptoutil.Digest
+	voter  cryptoutil.Address
+	sig    cryptoutil.Signature
+}
+
+// voteMemo is the verified set of package ledger, for votes: successes
+// only, bounded by a two-generation swap, owned by one Quorum instance
+// and never shared between nodes.
+type voteMemo struct {
+	mu       sync.Mutex
+	cur, old map[voteKey]struct{}
+	// verifies counts VerifyVote runs, hits the lookups that made one
+	// unnecessary.
+	verifies, hits uint64
+}
+
+func (m *voteMemo) has(k voteKey) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.cur[k]
+	if !ok {
+		_, ok = m.old[k]
+	}
+	if ok {
+		m.hits++
+	}
+	return ok
+}
+
+// note records one VerifyVote run (a vote signed here counts as none)
+// and, if it passed, the mark.
+func (m *voteMemo) note(k voteKey, verified, passed bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if verified {
+		m.verifies++
+	}
+	if !passed {
+		return
+	}
+	if len(m.cur) >= voteMemoGen {
+		m.old, m.cur = m.cur, nil
+	}
+	if m.cur == nil {
+		m.cur = make(map[voteKey]struct{})
+	}
+	m.cur[k] = struct{}{}
+}
+
+func keyOfVote(v Vote) voteKey {
+	return voteKey{digest: voteDigest(v.Height, v.Block, v.Voter), voter: v.Voter, sig: v.Sig}
+}
+
+// VerifyVote is VerifyVote against the engine's validator set, run at
+// most once per vote on this instance: a vote that verified before —
+// the same height, block, voter and signature bytes — is not verified
+// again. Vote ingress and certificate checks both come through here.
+func (q *Quorum) VerifyVote(v Vote) error {
+	k := keyOfVote(v)
+	if q.seen.has(k) {
+		return nil
+	}
+	err := VerifyVote(v, q.vals)
+	q.seen.note(k, true, err == nil)
+	return err
+}
+
+// SignVote signs this node's own vote and records it as verified: the
+// signer needs no proof of its own signature when the vote comes back
+// in the certificate it assembles.
+func (q *Quorum) SignVote(height uint64, block cryptoutil.Digest, key *cryptoutil.KeyPair) (Vote, error) {
+	v, err := SignVote(height, block, key)
+	if err == nil {
+		q.seen.note(keyOfVote(v), false, true)
+	}
+	return v, err
+}
+
+// VoteVerifyCounts reports how many votes this instance verified and
+// how many lookups the memo answered instead.
+func (q *Quorum) VoteVerifyCounts() (verifies, hits uint64) {
+	q.seen.mu.Lock()
+	defer q.seen.mu.Unlock()
+	return q.seen.verifies, q.seen.hits
+}
 
 // Seal returns an error: quorum blocks are sealed by attaching a
 // certificate gathered from the network, not locally.
@@ -415,7 +516,7 @@ func (q *Quorum) verifyCert(height uint64, block cryptoutil.Digest, qc *QuorumCe
 		if v.Block != block || v.Height != height || seen[v.Voter] {
 			continue
 		}
-		if VerifyVote(v, q.vals) != nil {
+		if q.VerifyVote(v) != nil {
 			continue
 		}
 		seen[v.Voter] = true

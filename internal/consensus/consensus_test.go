@@ -495,3 +495,120 @@ func BenchmarkPoASeal(b *testing.B) {
 		}
 	}
 }
+
+// The engine verifies each vote once: votes that came through
+// VerifyVote (vote ingress) or SignVote (the node's own) cost nothing
+// when AttachCert and VerifySeal meet them again in the certificate,
+// while an engine that collected nothing — a follower's — verifies
+// every signature. At the parent commit the collecting node ran
+// 2·|cert| further verifications per block.
+func TestQuorumVerifiesEachVoteOnce(t *testing.T) {
+	keys := testKeys(t, 4)
+	vs, err := NewValidatorSet(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proposer, follower := NewQuorum(vs), NewQuorum(vs)
+	b := testBlock(1)
+	b.Header.Proposer = keys[0].Address()
+
+	own, err := proposer.SignVote(1, b.Hash(), keys[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	qc := &QuorumCert{Block: b.Hash(), Votes: []Vote{own}}
+	for _, k := range keys[1:] {
+		v, err := SignVote(1, b.Hash(), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := proposer.VerifyVote(v); err != nil { // vote ingress
+			t.Fatal(err)
+		}
+		qc.Votes = append(qc.Votes, v)
+	}
+	if err := proposer.AttachCert(b, qc); err != nil {
+		t.Fatal(err)
+	}
+	if err := proposer.VerifySeal(b); err != nil {
+		t.Fatal(err)
+	}
+	if v, h := proposer.VoteVerifyCounts(); v != 3 || h != 8 {
+		t.Fatalf("collector: %d verifications, %d memo hits; want 3 (votes received) and 8 (two passes over 4 votes)", v, h)
+	}
+	if err := follower.VerifySeal(b); err != nil {
+		t.Fatal(err)
+	}
+	if v, h := follower.VoteVerifyCounts(); v != 4 || h != 0 {
+		t.Fatalf("follower: %d verifications, %d memo hits; want 4 and 0", v, h)
+	}
+}
+
+// The memo is bound to the signature bytes: a certificate holding a
+// vote with one signature bit flipped is refused by every engine, the
+// one that verified the genuine vote included, and a failed vote is
+// never remembered.
+func TestQuorumMemoDoesNotLaunderFlippedSignature(t *testing.T) {
+	keys := testKeys(t, 4)
+	vs, err := NewValidatorSet(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collector, stranger := NewQuorum(vs), NewQuorum(vs)
+	b := testBlock(1)
+	b.Header.Proposer = keys[0].Address()
+	qc := gatherCert(t, 1, b.Hash(), keys, 3) // exactly the threshold
+	if err := collector.AttachCert(b, qc); err != nil {
+		t.Fatal(err)
+	}
+	for bit := 0; bit < 8*len(qc.Votes[2].Sig); bit += 37 {
+		forged := *qc
+		forged.Votes = append([]Vote(nil), qc.Votes...)
+		forged.Votes[2].Sig[bit/8] ^= 1 << (bit % 8)
+		seal, err := forged.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb := *b
+		fb.Seal = seal
+		for name, q := range map[string]*Quorum{"collector": collector, "stranger": stranger} {
+			for pass := 0; pass < 2; pass++ { // the second pass would hit a memoised failure
+				if err := q.VerifySeal(&fb); err == nil {
+					t.Fatalf("%s accepted a certificate with signature bit %d flipped (pass %d)", name, bit, pass)
+				}
+			}
+		}
+	}
+	if err := collector.VerifySeal(b); err != nil {
+		t.Fatalf("genuine certificate refused afterwards: %v", err)
+	}
+}
+
+// The memo is bounded: past two generations the oldest marks are gone
+// and such a vote is simply verified again.
+func TestQuorumMemoIsBounded(t *testing.T) {
+	keys := testKeys(t, 4)
+	vs, err := NewValidatorSet(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := NewQuorum(vs)
+	first, err := q.SignVote(1, cryptoutil.Sum([]byte("first")), keys[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*voteMemoGen; i++ {
+		if _, err := q.SignVote(uint64(i+2), cryptoutil.Sum([]byte(fmt.Sprint(i))), keys[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(q.seen.cur) + len(q.seen.old); n > 2*voteMemoGen {
+		t.Fatalf("memo holds %d marks, bound is %d", n, 2*voteMemoGen)
+	}
+	if err := q.VerifyVote(first); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := q.VoteVerifyCounts(); v != 1 {
+		t.Fatalf("evicted vote cost %d verifications, want 1", v)
+	}
+}

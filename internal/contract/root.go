@@ -142,12 +142,25 @@ func (t *rootTree) update(s *State, keys []StateKey) {
 	changes := make([]leafChange, len(keys))
 	var enc leafEnc
 	for i, k := range keys {
-		enc = enc[:0]
-		changes[i].Key = k.hash()
-		if changes[i].present = kinds[k.kind].leafOf(s, k, &enc); changes[i].present {
-			changes[i].Leaf = sha256.Sum256(enc)
-		}
+		changes[i] = leafChangeOf(s, k, &enc)
 	}
+	t.apply(changes)
+}
+
+// leafChangeOf hashes k's object as s holds it (or notes its absence),
+// encoding into the caller's reusable buffer.
+func leafChangeOf(s *State, k StateKey, enc *leafEnc) leafChange {
+	c := leafChange{StateLeaf: StateLeaf{Key: k.hash()}}
+	*enc = (*enc)[:0]
+	if c.present = kinds[k.kind].leafOf(s, k, enc); c.present {
+		c.Leaf = sha256.Sum256(*enc)
+	}
+	return c
+}
+
+// apply installs re-hashed leaves (at most one per key) and re-hashes
+// the buckets and node paths above them.
+func (t *rootTree) apply(changes []leafChange) {
 	slices.SortFunc(changes, func(a, b leafChange) int { return bytes.Compare(a.Key[:], b.Key[:]) })
 
 	var stale []int // nodes whose children changed, ascending

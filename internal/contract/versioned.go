@@ -1,5 +1,7 @@
 package contract
 
+import "medchain/internal/cryptoutil"
+
 // This file implements the multi-version state plumbing the MVCC
 // parallel execution engine (internal/parexec) is built on. The engine
 // keeps a *version chain* per StateKey: every committed transaction
@@ -109,4 +111,84 @@ func (s *State) MergeSpeculative(from *State, acc AccessSet) {
 		kinds[k.kind].share(s, from, k)
 	}
 	s.markWritten(acc)
+}
+
+// dropAdoptedWrite is a mutation seam (export_test.go sets it): a write
+// key it claims is left out when AdoptSpeculative materialises a block.
+// Nil outside tests.
+var dropAdoptedWrite func(StateKey) bool
+
+// SpecWrite is one transaction's finished speculative execution: the
+// snapshot it ran on (Versions.SnapshotAt) and its declared footprint.
+type SpecWrite struct {
+	Snap *State
+	Acc  AccessSet
+}
+
+// PendingRoot is a base state's root tree as it will be once a block's
+// speculative writes are merged: the block proposer's header root,
+// computed without touching the base state (DESIGN.md "State root").
+type PendingRoot struct {
+	// base is the tree this one was derived from; AdoptSpeculative
+	// installs tree only while the state still holds base unmarked.
+	base, tree *rootTree
+}
+
+// Root is the state root after the block.
+func (p *PendingRoot) Root() cryptoutil.Digest { return rootDigest(p.tree.nodes[1]) }
+
+// PreviewRoot derives the root s will have after writes are merged in
+// order, leaving s as it is: a copy of s's tree (a fixed ~360 KB,
+// buckets shared) re-hashed at the written keys only, each leaf taken
+// from its last writer's snapshot.
+func (s *State) PreviewRoot(writes []SpecWrite) *PendingRoot {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.syncTree()
+	var (
+		changes []leafChange
+		seen    = make(map[StateKey]struct{})
+		enc     leafEnc
+	)
+	for j := len(writes) - 1; j >= 0; j-- {
+		for _, k := range writes[j].Acc.Writes {
+			if _, dup := seen[k]; !dup {
+				seen[k] = struct{}{}
+				changes = append(changes, leafChangeOf(writes[j].Snap, k, &enc))
+			}
+		}
+	}
+	p := &PendingRoot{base: s.tree, tree: s.tree}
+	if len(changes) > 0 {
+		tree := *s.tree
+		tree.apply(changes)
+		p.tree = &tree
+	}
+	return p
+}
+
+// AdoptSpeculative materialises a block executed on snapshots over s:
+// MergeSpeculative for every write in canonical order, then p — the
+// tree PreviewRoot derived from the same writes — becomes s's tree, so
+// the block is hashed once. s must not have been written since the
+// snapshots were taken (they would be stale, tree or no tree); as a
+// guard, a state that was marked or given another tree since
+// PreviewRoot keeps its own and marks the writes instead.
+func (s *State) AdoptSpeculative(writes []SpecWrite, p *PendingRoot) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, w := range writes {
+		for _, k := range w.Acc.Writes {
+			if dropAdoptedWrite == nil || !dropAdoptedWrite(k) {
+				kinds[k.kind].share(s, w.Snap, k)
+			}
+		}
+	}
+	if p != nil && s.tree == p.base && len(s.dirty) == 0 {
+		s.tree = p.tree
+		return
+	}
+	for _, w := range writes {
+		s.markWritten(w.Acc)
+	}
 }

@@ -204,3 +204,112 @@ func TestSnapshotAtCarriesUnkeyedFields(t *testing.T) {
 		t.Errorf("host table has %d entries, Clone carries %d", len(snap.host), len(clone.host))
 	}
 }
+
+// specPair runs grant then revoke of one policy on snapshots over base,
+// the way the proposer's preview does, and returns the writes in order.
+func specPair(t *testing.T, base *State, kp *cryptoutil.KeyPair, id string) []SpecWrite {
+	t.Helper()
+	grantee := cryptoutil.NamedAddress("spec-grantee")
+	txs := []*ledger.Transaction{
+		tx(t, kp, ledger.TxData, "grant", GrantArgs{Resource: "data:" + id, Grantee: grantee, Actions: []Action{ActionRead}}),
+		tx(t, kp, ledger.TxData, "revoke", RevokeArgs{Resource: "data:" + id, Grantee: grantee}),
+		tx(t, kp, ledger.TxData, "register_dataset", RegisterDatasetArgs{ID: id + "/new", Digest: cryptoutil.Sum([]byte("n")), SiteID: "s"}),
+	}
+	ver := NewVersions(base)
+	writes := make([]SpecWrite, len(txs))
+	for j, x := range txs {
+		acc := AccessSetOf(x)
+		snap := ver.SnapshotAt(j, acc)
+		if _, err := snap.Apply(x, 2, 2); err != nil {
+			t.Fatal(err)
+		}
+		ver.Commit(j, snap, acc)
+		writes[j] = SpecWrite{Snap: snap, Acc: acc}
+	}
+	return writes
+}
+
+// TestPreviewRootThenAdopt: the previewed root is the root after the
+// merge, read before it; the base is unchanged until AdoptSpeculative,
+// which installs the previewed tree (nothing left to re-hash) and leaves
+// a state whose tree equals a rebuild.
+func TestPreviewRootThenAdopt(t *testing.T) {
+	kp := key(t, "spec-owner")
+	base := versionedBase(t, kp, "sp0")
+	before := base.Root()
+	writes := specPair(t, base, kp, "sp0")
+
+	serial := base.Clone()
+	for _, w := range writes {
+		serial.MergeSpeculative(w.Snap, w.Acc)
+	}
+	p := base.PreviewRoot(writes)
+	if base.Root() != before || freshRoot(base) != before {
+		t.Fatal("PreviewRoot changed the base state")
+	}
+	if p.Root() != serial.Root() {
+		t.Fatalf("previewed root %s, merged root %s", p.Root().Short(), serial.Root().Short())
+	}
+	base.AdoptSpeculative(writes, p)
+	if len(base.dirty) != 0 || base.tree != p.tree {
+		t.Fatalf("adopted state still has %d marks / its own tree", len(base.dirty))
+	}
+	if base.Root() != serial.Root() || freshRoot(base) != serial.Root() {
+		t.Fatal("adopted state diverged from the merged one")
+	}
+}
+
+// TestAdoptSpeculativeKeepsItsOwnTreeWhenMarkedSince: a preview made
+// before the state was written again must not install its tree — the
+// writes are marked and re-hashed instead, so the root stays pure.
+func TestAdoptSpeculativeKeepsItsOwnTreeWhenMarkedSince(t *testing.T) {
+	kp := key(t, "spec-owner-2")
+	base := versionedBase(t, kp, "sq0")
+	base.Root()
+	writes := specPair(t, base, kp, "sq0")
+	p := base.PreviewRoot(writes)
+
+	other := tx(t, kp, ledger.TxAnchor, "anchor", AnchorArgs{Label: "between", Digest: cryptoutil.Sum([]byte("b"))})
+	if _, err := base.Apply(other, 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	base.AdoptSpeculative(writes, p)
+	if base.tree == p.tree {
+		t.Fatal("a stale preview's tree was installed")
+	}
+	if base.Root() != freshRoot(base) {
+		t.Fatal("root impure after adopting past a stale preview")
+	}
+	if base.Root() == p.Root() {
+		t.Fatal("the anchor written in between is missing from the root")
+	}
+}
+
+// TestDroppedAdoptedWriteFailsTheRebuildCheck is the mutation the
+// adopted tree invites: a write that reached the previewed tree but not
+// the tables. Replicas would agree on the header root; root == rebuild
+// is what sees it.
+func TestDroppedAdoptedWriteFailsTheRebuildCheck(t *testing.T) {
+	kp := key(t, "spec-owner-3")
+	base := versionedBase(t, kp, "sr0")
+	writes := specPair(t, base, kp, "sr0")
+	p := base.PreviewRoot(writes)
+	dropped := 0
+	defer SetDropAdoptedWrite(func(k StateKey) bool {
+		if k == KeyDataset("sr0/new") {
+			dropped++
+			return true
+		}
+		return false
+	})()
+	base.AdoptSpeculative(writes, p)
+	if dropped != 1 {
+		t.Fatalf("seam dropped %d keys, want 1", dropped)
+	}
+	if base.Root() != p.Root() {
+		t.Fatal("adopted tree should still carry the dropped write's leaf")
+	}
+	if base.Root() == freshRoot(base) {
+		t.Fatal("a dropped materialised write passed the rebuild check")
+	}
+}

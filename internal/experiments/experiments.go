@@ -324,23 +324,10 @@ func buildTx(kp *cryptoutil.KeyPair, nonce uint64, typ ledger.TxType, method str
 }
 
 func waitGossip(c *chain.Cluster, want int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		ready := true
-		for _, n := range c.Nodes() {
-			if n.MempoolSize() < want {
-				ready = false
-				break
-			}
-		}
-		if ready {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("experiments: gossip timeout (%d txs)", want)
-		}
-		time.Sleep(100 * time.Microsecond)
+	if !c.WaitPooled(want, timeout) {
+		return fmt.Errorf("experiments: gossip timeout (%d txs)", want)
 	}
+	return nil
 }
 
 func fmtDur(d time.Duration) string {

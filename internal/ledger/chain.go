@@ -188,10 +188,30 @@ func (c *Chain) hasTxLocked(id cryptoutil.Digest) bool {
 
 // Validate checks whether b could be appended right now.
 func (c *Chain) Validate(b *Block) error {
+	_, err := c.ValidateForAppend(b)
+	return err
+}
+
+// Validated is a block that passed validation against the head the
+// chain had then. AppendValidated takes it in place of a second
+// validation.
+type Validated struct {
+	block *Block
+	ids   []cryptoutil.Digest
+	head  *Block
+}
+
+// ValidateForAppend is Validate for a caller that goes on to append the
+// block: what validation computed comes back, so the append does not
+// compute it again. The caller must not modify b in between.
+func (c *Chain) ValidateForAppend(b *Block) (*Validated, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	_, err := c.validate(b)
-	return err
+	ids, err := c.validate(b)
+	if err != nil {
+		return nil, err
+	}
+	return &Validated{block: b, ids: ids, head: c.blocks[len(c.blocks)-1]}, nil
 }
 
 // Append validates and appends a block.
@@ -202,13 +222,33 @@ func (c *Chain) Append(b *Block) error {
 	if err != nil {
 		return err
 	}
+	c.append(b, ids)
+	return nil
+}
+
+// AppendValidated appends a block ValidateForAppend passed. Every rule
+// validate checks depends on the chain only through its head (the
+// transaction index and nonces change with it), so the one thing left
+// to check is that the head has not moved.
+func (c *Chain) AppendValidated(v *Validated) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if head := c.blocks[len(c.blocks)-1]; head != v.head {
+		return fmt.Errorf("%w: head moved to %d since block %d was validated",
+			ErrBadParent, head.Header.Height, v.block.Header.Height)
+	}
+	c.append(v.block, v.ids)
+	return nil
+}
+
+// append installs a validated block. Caller holds c.mu.
+func (c *Chain) append(b *Block, ids []cryptoutil.Digest) {
 	c.blocks = append(c.blocks, b)
 	c.byHash[b.Hash()] = b
 	for i, tx := range b.Txs {
 		c.txIndex[ids[i]] = b.Header.Height
 		c.nonces[tx.From] = tx.Nonce + 1
 	}
-	return nil
 }
 
 // Walk calls fn for every block from genesis to head, stopping early if

@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -442,5 +443,59 @@ func BenchmarkChainAppend(b *testing.B) {
 		if err := c.Append(makeBlock(b, c, []*Transaction{txs[i]})); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// ValidateForAppend + AppendValidated check a block once where Validate
+// + Append checked it twice: the append that follows a validation adds
+// no verified-set lookup (at the parent commit it added one per
+// transaction, and a second ComputeTxRoot), refuses a head that moved,
+// and leaves Append on its own validating in full.
+func TestAppendValidatedChecksOnce(t *testing.T) {
+	c := NewChain("test")
+	kp := testKey(t, "alice")
+	txs := []*Transaction{signedTx(t, kp, 0, TxInvoke), signedTx(t, kp, 1, TxInvoke), signedTx(t, kp, 2, TxInvoke)}
+	b := makeBlock(t, c, txs)
+	v, err := c.ValidateForAppend(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifies, hits := c.VerifyCounts()
+	if err := c.AppendValidated(v); err != nil {
+		t.Fatal(err)
+	}
+	if v2, h2 := c.VerifyCounts(); v2 != verifies || h2 != hits {
+		t.Fatalf("AppendValidated looked transactions up again: verifies %d→%d, hits %d→%d", verifies, v2, hits, h2)
+	}
+	if c.Height() != 1 || !c.HasTx(txs[2].ID()) || c.NextNonce(kp.Address()) != 3 {
+		t.Fatalf("block not installed: height %d, next nonce %d", c.Height(), c.NextNonce(kp.Address()))
+	}
+
+	// Two blocks validated against one head: the second append must be
+	// refused, and nothing of it installed.
+	x := makeBlock(t, c, []*Transaction{signedTx(t, kp, 3, TxInvoke)})
+	y := makeBlock(t, c, []*Transaction{signedTx(t, kp, 3, TxData)})
+	vx, errX := c.ValidateForAppend(x)
+	vy, errY := c.ValidateForAppend(y)
+	if errX != nil || errY != nil {
+		t.Fatal(errX, errY)
+	}
+	if err := c.AppendValidated(vx); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AppendValidated(vy); !errors.Is(err, ErrBadParent) {
+		t.Fatalf("append after the head moved: %v, want ErrBadParent", err)
+	}
+	if c.Height() != 2 || c.HasTx(y.Txs[0].ID()) {
+		t.Fatal("a block validated against a stale head was installed")
+	}
+
+	// Append alone still validates everything.
+	bad := makeBlock(t, c, []*Transaction{signedTx(t, kp, 9, TxInvoke)})
+	if err := c.Append(bad); !errors.Is(err, ErrBadNonce) {
+		t.Fatalf("Append of a bad-nonce block: %v", err)
+	}
+	if _, err := c.ValidateForAppend(bad); !errors.Is(err, ErrBadNonce) {
+		t.Fatalf("ValidateForAppend of a bad-nonce block: %v", err)
 	}
 }

@@ -119,5 +119,35 @@ func FuzzAccessSetDifferential(f *testing.F) {
 			t.Fatalf("receipt diverged for %s/%s args=%q (access set %s):\n got %+v\nwant %+v",
 				tx.Type, method, args, acc, got[0], want[0])
 		}
+
+		// The proposer's path: the block speculated on snapshots, its
+		// root read off the previewed tree, then materialised. It must
+		// refuse exactly the unbounded footprints, leave the state alone
+		// until Commit, and end where ExecuteBlock ends — adopted tree
+		// included.
+		for _, cfg := range []parexec.Config{{}, {Workers: 2, Mode: parexec.ModeMVCCWave}} {
+			eng := parexec.NewEngine(cfg)
+			st := base.Clone()
+			spec, ok := eng.Speculate(st, block, 2, 2)
+			if ok == acc.Unknown {
+				t.Fatalf("%s: Speculate ok=%v for access set %s", cfg.Mode, ok, acc)
+			}
+			if !ok {
+				continue
+			}
+			if st.Root() != base.Root() || contract.ImportState(st.Export()).Root() != base.Root() {
+				t.Fatalf("%s: Speculate changed the state for %s/%s args=%q", cfg.Mode, tx.Type, method, args)
+			}
+			if spec.Root() != serial.Root() {
+				t.Fatalf("%s: previewed root diverged for %s/%s args=%q (access set %s)", cfg.Mode, tx.Type, method, args, acc)
+			}
+			recs := eng.Commit(spec)
+			if st.Root() != serial.Root() || contract.ImportState(st.Export()).Root() != serial.Root() {
+				t.Fatalf("%s: committed speculation diverged for %s/%s args=%q (access set %s)", cfg.Mode, tx.Type, method, args, acc)
+			}
+			if !reflect.DeepEqual(recs, want) {
+				t.Fatalf("%s: speculated receipts diverged for %s/%s args=%q", cfg.Mode, tx.Type, method, args)
+			}
+		}
 	})
 }

@@ -21,73 +21,41 @@ package parexec
 
 import (
 	"medchain/internal/contract"
+	"medchain/internal/cryptoutil"
 	"medchain/internal/ledger"
 	"medchain/internal/par"
 )
 
-// mvccResult is one prefix transaction's execution outcome.
-type mvccResult struct {
-	snap *contract.State
-	rec  *contract.Receipt
-	err  error
-}
-
 // executeMVCC runs the block under ModeMVCCWave. See
 // Engine.ExecuteBlock for the contract.
 func (e *Engine) executeMVCC(bs *Stats, st *contract.State, txs []*ledger.Transaction, height uint64, now int64) ([]*contract.Receipt, error) {
-	accs := make([]contract.AccessSet, len(txs))
-	par.ForEachN(len(txs), e.cfg.Workers, func(i int) {
-		accs[i] = contract.AccessSetOf(txs[i])
-	})
+	accs := e.accessSets(txs)
 
 	// The MVCC prefix ends at the first unbounded footprint; it and
 	// everything after it apply in order once the prefix materializes.
-	prefix := len(txs)
-	for i, acc := range accs {
-		if acc.Unknown {
-			prefix = i
-			break
-		}
-	}
+	prefix := boundedPrefix(accs)
 
-	receipts := make([]*contract.Receipt, prefix, len(txs))
+	receipts := make([]*contract.Receipt, 0, len(txs))
 	if prefix > 0 {
-		results := make([]mvccResult, prefix)
-		ver := contract.NewVersions(st)
-		for _, wave := range e.buildWaves(accs[:prefix]) {
-			bs.Waves++
-			wave := wave
-			par.ForEachN(len(wave), e.cfg.Workers, func(i int) {
-				j := wave[i]
-				snap := ver.SnapshotAt(j, accs[j])
-				rec, err := snap.Apply(txs[j], height, now)
-				results[j] = mvccResult{snap: snap, rec: rec, err: err}
-			})
-			// Wave barrier: publish this wave's writes to the version
-			// chains in ascending transaction index.
-			for _, j := range wave {
-				if results[j].err != nil {
-					// Unreachable today: Apply hard-errors only on nil
-					// transactions, which always derive Unknown
-					// footprints and land in the serial tail. st is
-					// still untouched, so apply the whole block in order
-					// for exact serial state and bookkeeping.
-					*bs = Stats{Blocks: 1, Txs: int64(len(txs))}
-					all, err := applyInOrder(st, txs, height, now)
-					bs.Serial = int64(len(all))
-					return all, err
-				}
-				ver.Commit(j, results[j].snap, accs[j])
-			}
+		writes, recs, ok := e.speculate(bs, st, txs[:prefix], accs[:prefix], height, now)
+		if !ok {
+			// Unreachable today: Apply hard-errors only on nil
+			// transactions, which always derive Unknown footprints and
+			// land in the serial tail. st is still untouched, so apply
+			// the whole block in order for exact serial state and
+			// bookkeeping.
+			*bs = Stats{Blocks: 1, Txs: int64(len(txs))}
+			all, err := applyInOrder(st, txs, height, now)
+			bs.Serial = int64(len(all))
+			return all, err
 		}
-
 		// Materialize: adopt every transaction's writes into the live
 		// state in canonical order — the newest writer of each key
 		// lands last, so the final objects are exactly serial's.
-		for j := 0; j < prefix; j++ {
-			st.MergeSpeculative(results[j].snap, accs[j])
-			receipts[j] = results[j].rec
+		for _, w := range writes {
+			st.MergeSpeculative(w.Snap, w.Acc)
 		}
+		receipts = append(receipts, recs...)
 		bs.Clean = int64(prefix)
 	}
 
@@ -99,6 +67,122 @@ func (e *Engine) executeMVCC(bs *Stats, st *contract.State, txs []*ledger.Transa
 		}
 	}
 	return append(receipts, tail...), err
+}
+
+// accessSets derives every transaction's declared footprint: on the
+// engine's pool, or under ModeSerial on the calling goroutine.
+func (e *Engine) accessSets(txs []*ledger.Transaction) []contract.AccessSet {
+	workers := e.cfg.Workers
+	if e.cfg.Mode == ModeSerial {
+		workers = 1
+	}
+	accs := make([]contract.AccessSet, len(txs))
+	par.ForEachN(len(txs), workers, func(i int) {
+		accs[i] = contract.AccessSetOf(txs[i])
+	})
+	return accs
+}
+
+// boundedPrefix is the number of leading footprints that are bounded.
+func boundedPrefix(accs []contract.AccessSet) int {
+	for i, acc := range accs {
+		if acc.Unknown {
+			return i
+		}
+	}
+	return len(accs)
+}
+
+// speculate is the first half of an MVCC execution: it runs txs, whose
+// footprints accs are all bounded, on write snapshots over st and
+// leaves st untouched. ModeMVCCWave runs each dependency wave on the
+// pool; ModeSerial runs the transactions in order on the calling
+// goroutine, every one a wave of its own. Either way transaction j sees
+// exactly the writes of the transactions before it, so snapshots and
+// receipts are those of serial execution. ok is false on a hard error
+// from Apply.
+func (e *Engine) speculate(bs *Stats, st *contract.State, txs []*ledger.Transaction, accs []contract.AccessSet, height uint64, now int64) (writes []contract.SpecWrite, receipts []*contract.Receipt, ok bool) {
+	writes = make([]contract.SpecWrite, len(txs))
+	receipts = make([]*contract.Receipt, len(txs))
+	errs := make([]error, len(txs))
+	ver := contract.NewVersions(st)
+	run := func(j int) {
+		snap := ver.SnapshotAt(j, accs[j])
+		receipts[j], errs[j] = snap.Apply(txs[j], height, now)
+		writes[j] = contract.SpecWrite{Snap: snap, Acc: accs[j]}
+	}
+	if e.cfg.Mode == ModeSerial {
+		for j := range txs {
+			if run(j); errs[j] != nil {
+				return nil, nil, false
+			}
+			ver.Commit(j, writes[j].Snap, accs[j])
+		}
+		return writes, receipts, true
+	}
+	for _, wave := range e.buildWaves(accs) {
+		bs.Waves++
+		par.ForEachN(len(wave), e.cfg.Workers, func(i int) { run(wave[i]) })
+		// Wave barrier: publish this wave's writes to the version
+		// chains in ascending transaction index.
+		for _, j := range wave {
+			if errs[j] != nil {
+				return nil, nil, false
+			}
+			ver.Commit(j, writes[j].Snap, accs[j])
+		}
+	}
+	return writes, receipts, true
+}
+
+// Speculation is a block executed once on write snapshots over a state
+// it has not touched: what a proposer needs to put the post-state root
+// in the header before consensus, and to commit the block afterwards
+// without executing it again (DESIGN.md "Commit round").
+type Speculation struct {
+	st       *contract.State
+	writes   []contract.SpecWrite
+	receipts []*contract.Receipt
+	root     *contract.PendingRoot
+	stats    Stats
+}
+
+// Speculate executes txs against st without modifying it. ok is false
+// when a footprint cannot be bounded (or Apply hard-errors): such a
+// block has no write set to snapshot, and the caller previews it some
+// other way. Nothing is counted in Stats until Commit.
+func (e *Engine) Speculate(st *contract.State, txs []*ledger.Transaction, height uint64, now int64) (*Speculation, bool) {
+	accs := e.accessSets(txs)
+	if boundedPrefix(accs) < len(txs) {
+		return nil, false
+	}
+	sp := &Speculation{st: st, stats: Stats{Blocks: 1, Txs: int64(len(txs))}}
+	var ok bool
+	if sp.writes, sp.receipts, ok = e.speculate(&sp.stats, st, txs, accs, height, now); !ok {
+		return nil, false
+	}
+	if e.cfg.Mode == ModeMVCCWave {
+		sp.stats.Clean = int64(len(txs))
+	} else {
+		sp.stats.Serial = int64(len(txs))
+	}
+	sp.root = st.PreviewRoot(sp.writes)
+	return sp, true
+}
+
+// Root is the state root the block leaves behind.
+func (sp *Speculation) Root() cryptoutil.Digest { return sp.root.Root() }
+
+// Commit materialises a speculation into the state it was made over,
+// which must not have changed since, and returns the receipts
+// (index-aligned with the block's transactions). State and receipts are
+// those ExecuteBlock would have produced; the state's root tree is the
+// one Root was read from, so nothing is hashed twice. A speculation
+// commits at most once.
+func (e *Engine) Commit(sp *Speculation) []*contract.Receipt {
+	sp.st.AdoptSpeculative(sp.writes, sp.root)
+	e.record(sp.stats)
+	return sp.receipts
 }
 
 // buildWaves derives the dependency DAG from the declared access sets

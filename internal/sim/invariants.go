@@ -264,6 +264,22 @@ func (ck *checker) checkRound(c *chain.Cluster) {
 			return
 		}
 	}
+	// Live root purity: a proposer adopts the tree its preview hashed
+	// instead of re-hashing what it merged, so header agreement alone
+	// would not notice a write that reached the tree and not the tables.
+	// The node that proposed its own head is the one holding an adopted
+	// tree: it must equal a rebuild from the node's own export.
+	for _, ni := range c.RunningNodes() {
+		n := c.Node(ni)
+		if n.Chain().Head().Header.Proposer != n.Address() {
+			continue
+		}
+		ck.checks++
+		if st := n.State().Clone(); st.Root() != contract.ImportState(st.Export()).Root() {
+			ck.violationf("state-root: %s at height %d: live incremental root != root rebuilt from its export", n.ID(), n.Height())
+			return
+		}
+	}
 }
 
 // finish runs the end-of-run invariants, after the chaos schedule has

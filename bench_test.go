@@ -1,431 +1,51 @@
-// Root benchmark suite: one testing.B benchmark per experiment in
-// DESIGN.md §4 (E1–E8, A1–A3). Each benchmark prints the same
-// paper-shaped table that cmd/benchmed produces, so
+// Root benchmark suite: BenchmarkExperiments has one sub-benchmark per
+// entry of the internal/experiments registry (DESIGN.md §4). Each runs
+// its entry's Quick sweep once per iteration, logs the same
+// paper-shaped tables cmd/benchmed prints, and fails when the sweep
+// contradicts the claim the entry verifies, so
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench Experiments -benchtime 1x -v .
 //
-// regenerates every result in EXPERIMENTS.md. Benchmarks run the
-// experiment once per iteration with reduced sweep sizes; use
-// cmd/benchmed for the full-size sweeps.
+// is the CI smoke over the whole registry and
+// `-bench 'Experiments/E13$'` regenerates one experiment. Use
+// cmd/benchmed for the full-size sweeps EXPERIMENTS.md records.
 package medchain_test
 
 import (
+	"bytes"
+	"errors"
 	"testing"
-	"time"
 
 	"medchain/internal/experiments"
 )
 
-func BenchmarkE1Scalability(b *testing.B) {
-	var rows []experiments.E1Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.E1Scalability(experiments.E1Config{
-			NodeCounts: []int{1, 2, 4, 8},
-			TxPerRun:   6,
-			Latency:    2 * time.Millisecond,
-			Seed:       int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All() {
+		b.Run(e.ID, func(b *testing.B) { benchExperiment(b, e) })
 	}
-	b.StopTimer()
-	b.Log("\n" + experiments.TableE1(rows))
 }
 
-func BenchmarkE2DuplicatedCompute(b *testing.B) {
-	var rows []experiments.E2Row
+// benchExperiment times e's Quick sweep through the shared run loop.
+func benchExperiment(b *testing.B, e experiments.Experiment) {
+	var out bytes.Buffer
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.E2DuplicatedCompute(experiments.E2Config{
-			NodeCounts: []int{1, 2, 4, 8},
-			Contracts:  2,
-			LoopIters:  2000,
-			Seed:       int64(i + 1),
-		})
-		if err != nil {
+		out.Reset()
+		if err := experiments.Run(&out, []experiments.Experiment{e}, experiments.Quick, int64(i+1)); err != nil {
+			b.Log("\n" + out.String())
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	b.Log("\n" + experiments.TableE2(rows))
+	b.Log("\n" + out.String())
 }
 
-func BenchmarkE3ParallelSpeedup(b *testing.B) {
-	var rows []experiments.E3Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.E3ParallelSpeedup(experiments.E3Config{
-			SiteCounts:    []int{1, 2, 4, 8},
-			TotalPatients: 1600,
-			Repeats:       2,
-			Seed:          int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+// TestBenchmarkFailsOnFailedVerify: the sub-benchmark of an entry whose
+// sweep contradicts its claim fails instead of reporting a time.
+func TestBenchmarkFailsOnFailedVerify(t *testing.T) {
+	fake := experiments.Experiment{ID: "X1", Run: func(experiments.Size, int64) ([]experiments.Table, error) {
+		return nil, errors.New("throughput rose with nodes")
+	}}
+	if res := testing.Benchmark(func(b *testing.B) { benchExperiment(b, fake) }); res.N != 0 {
+		t.Fatalf("benchmark of a contradicted entry completed %d iterations", res.N)
 	}
-	b.StopTimer()
-	b.Log("\n" + experiments.TableE3(rows))
-}
-
-func BenchmarkE4DataMovement(b *testing.B) {
-	var rows []experiments.E4Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.E4DataMovement(experiments.E4Config{
-			PatientsPerSite: []int{50, 100, 200},
-			Sites:           4,
-			Seed:            int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Log("\n" + experiments.TableE4(rows))
-}
-
-func BenchmarkE5Integration(b *testing.B) {
-	var rows []experiments.E5Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.E5Integration(experiments.E5Config{
-			SiteCounts:      []int{1, 2, 4, 8, 16},
-			PatientsPerSite: 100,
-			Seed:            int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Log("\n" + experiments.TableE5(rows))
-}
-
-func BenchmarkE6Federated(b *testing.B) {
-	var rows []experiments.E6Row
-	var transfers []experiments.E6TransferRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, transfers, err = experiments.E6Federated(experiments.E6Config{
-			Sites:           6,
-			PatientsPerSite: 150,
-			Rounds:          15,
-			HoldoutPatients: 800,
-			TransferSizes:   []int{30, 60, 120},
-			Seed:            1, // fixed: quality numbers, not timing
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Log("\n" + experiments.TableE6(rows))
-	b.Log("\n" + experiments.TableE6Transfer(transfers))
-}
-
-func BenchmarkE7TrialIntegrity(b *testing.B) {
-	var res *experiments.E7Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.E7TrialIntegrity(experiments.E7Config{
-			Trials: 67,
-			Seed:   42, // COMPare-shaped corpus
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Log("\n" + experiments.TableE7(res))
-}
-
-func BenchmarkE8HIE(b *testing.B) {
-	var rows []experiments.E8Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.E8HIE(experiments.E8Config{
-			Sites:           3,
-			PatientsPerSite: 30,
-			Exchanges:       20,
-			Seed:            int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Log("\n" + experiments.TableE8(rows))
-}
-
-func BenchmarkE9Availability(b *testing.B) {
-	var rows []experiments.E9Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.E9Availability(experiments.E9Config{
-			Nodes:         4,
-			Rounds:        5,
-			CommitTimeout: time.Second,
-			Seed:          int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Log("\n" + experiments.TableE9(rows))
-}
-
-func BenchmarkE10ParallelExec(b *testing.B) {
-	var rows []experiments.E10Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.E10ParallelExec(experiments.E10Config{
-			Workers:       []int{1, 2, 4, 8},
-			ConflictRates: []float64{0, 0.3, 0.5, 1},
-			Txs:           256,
-			Seed:          int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := experiments.E10Verify(rows); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Log("\n" + experiments.TableE10(rows))
-}
-
-func BenchmarkE12Durability(b *testing.B) {
-	var recovery []experiments.E12RecoveryRow
-	var sync []experiments.E12SyncRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		recovery, sync, err = experiments.E12Durability(experiments.E12Config{
-			ChainLengths: []int{32, 128},
-			SyncBlocks:   128,
-			Repeats:      2,
-			Seed:         int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := experiments.E12Verify(recovery); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Log("\n" + experiments.TableE12Recovery(recovery))
-	b.Log("\n" + experiments.TableE12Sync(sync))
-}
-
-func BenchmarkE13Byzantine(b *testing.B) {
-	var rows []experiments.E13Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.E13Resilience(experiments.E13Config{
-			Rounds: 60,
-			Seed:   int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := experiments.E13Verify(rows); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Log("\n" + experiments.TableE13(rows))
-}
-
-func BenchmarkE14Overload(b *testing.B) {
-	var rows []experiments.E14Row
-	cfg := experiments.E14Config{}
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		var err error
-		rows, err = experiments.E14Overload(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := experiments.E14Verify(cfg, rows); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Log("\n" + experiments.TableE14(rows))
-}
-
-func BenchmarkE15Index(b *testing.B) {
-	var fresh []experiments.E15FreshnessRow
-	var queries []experiments.E15QueryRow
-	cfg := experiments.E15Config{
-		IngestRounds: 2,
-		IngestBatch:  40,
-		CorpusSizes:  []int{2_000, 8_000},
-		QueryRepeats: 20,
-	}
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		var err error
-		fresh, err = experiments.E15Freshness(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		queries, err = experiments.E15QueryScaling(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := experiments.E15Verify(cfg, fresh, queries); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Log("\n" + experiments.TableE15Freshness(fresh))
-	b.Log("\n" + experiments.TableE15Query(queries))
-}
-
-func BenchmarkE16Sharding(b *testing.B) {
-	var scale []experiments.E16ScaleRow
-	var cross *experiments.E16CrossRow
-	var contain *experiments.E16ContainRow
-	cfg := experiments.E16Config{
-		ShardCounts:    []int{1, 2, 4},
-		Rounds:         2,
-		TxsPerShard:    4,
-		CrossTransfers: 8,
-		ContainRounds:  10,
-	}
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		var err error
-		scale, err = experiments.E16Scaling(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cross, err = experiments.E16Cross(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		contain, err = experiments.E16Containment(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := experiments.E16Verify(cfg, scale, cross, contain); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Log("\n" + experiments.TableE16Scale(scale))
-	b.Log("\n" + experiments.TableE16Cross(cross))
-	b.Log("\n" + experiments.TableE16Contain(contain))
-}
-
-func BenchmarkE17Elasticity(b *testing.B) {
-	var recov []experiments.E17RecoverRow
-	var reshard []experiments.E17ReshardRow
-	var failover []experiments.E17FailoverRow
-	cfg := experiments.E17Config{
-		ChainLengths:  []int{4, 8},
-		DatasetCounts: []int{8, 16},
-	}
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
-		var err error
-		recov, err = experiments.E17Recovery(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reshard, err = experiments.E17Reshard(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		failover, err = experiments.E17Failover(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := experiments.E17Verify(cfg, recov, reshard, failover); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Log("\n" + experiments.TableE17Recover(recov))
-	b.Log("\n" + experiments.TableE17Reshard(reshard))
-	b.Log("\n" + experiments.TableE17Failover(failover))
-}
-
-func BenchmarkA1Consensus(b *testing.B) {
-	var rows []experiments.A1Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.A1Consensus(experiments.A1Config{
-			Nodes:         4,
-			Txs:           6,
-			PowDifficulty: 10,
-			Seed:          int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Log("\n" + experiments.TableA1(rows))
-}
-
-func BenchmarkA2OracleBatch(b *testing.B) {
-	var rows []experiments.A2Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.A2OracleBatch(experiments.A2Config{
-			Events:      100,
-			BatchSize:   20,
-			HandlerCost: 200 * time.Microsecond,
-			Seed:        int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Log("\n" + experiments.TableA2(rows))
-}
-
-func BenchmarkA3SecureAgg(b *testing.B) {
-	var rows []experiments.A3Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.A3SecureAgg(experiments.A3Config{
-			Clients: 16,
-			Dim:     64,
-			Rounds:  20,
-			Seed:    int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Log("\n" + experiments.TableA3(rows))
-}
-
-func BenchmarkA4Sharding(b *testing.B) {
-	var rows []experiments.A4Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.A4Sharding(experiments.A4Config{
-			TotalNodes:  8,
-			ShardCounts: []int{1, 2, 4},
-			Txs:         8,
-			Latency:     2 * time.Millisecond,
-			Seed:        int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.Log("\n" + experiments.TableA4(rows))
 }

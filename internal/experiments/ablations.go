@@ -14,8 +14,8 @@ import (
 
 // --- A1: consensus-engine ablation ---
 
-// A1Row is one engine's measurement on the same workload.
-type A1Row struct {
+// a1Row is one engine's measurement on the same workload.
+type a1Row struct {
 	// Engine names the consensus engine.
 	Engine chain.EngineKind
 	// Elapsed is the time to commit the workload.
@@ -26,63 +26,31 @@ type A1Row struct {
 	PoWHashes int64
 }
 
-// A1Config tunes the ablation.
-type A1Config struct {
-	// Nodes is the fixed cluster size.
-	Nodes int
-	// Txs is the workload size.
-	Txs int
-	// PowDifficulty is the PoW target.
-	PowDifficulty uint8
-	// Seed namespaces keys.
-	Seed int64
-}
+// The consensus ablation has one size.
+const (
+	// a1Nodes is the fixed cluster size.
+	a1Nodes = 4
+	// a1Txs is the workload size.
+	a1Txs = 8
+	// a1PowDifficulty is the PoW target.
+	a1PowDifficulty = 10
+)
 
-func (c A1Config) withDefaults() A1Config {
-	if c.Nodes <= 0 {
-		c.Nodes = 4
-	}
-	if c.Txs <= 0 {
-		c.Txs = 8
-	}
-	if c.PowDifficulty == 0 {
-		c.PowDifficulty = 10
-	}
-	return c
-}
-
-// A1Consensus commits the same workload under PoW, PoA, and quorum
+// a1Consensus commits the same workload under PoW, PoA, PoS and quorum
 // consensus on equally-sized clusters.
-func A1Consensus(cfg A1Config) ([]A1Row, error) {
-	cfg = cfg.withDefaults()
-	var rows []A1Row
+func a1Consensus(seed int64) ([]a1Row, error) {
+	var rows []a1Row
 	for _, engine := range []chain.EngineKind{chain.EnginePoW, chain.EnginePoA, chain.EnginePoS, chain.EngineQuorum} {
 		c, err := chain.NewCluster(chain.ClusterConfig{
-			Nodes:         cfg.Nodes,
+			Nodes:         a1Nodes,
 			Engine:        engine,
-			PowDifficulty: cfg.PowDifficulty,
-			KeySeed:       fmt.Sprintf("a1/%s/%d", engine, cfg.Seed),
+			PowDifficulty: a1PowDifficulty,
+			KeySeed:       fmt.Sprintf("a1/%s/%d", engine, seed),
 		})
 		if err != nil {
 			return nil, err
 		}
-		user, err := cryptoutil.DeriveKeyPair(fmt.Sprintf("a1-user-%s", engine))
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		for i := 0; i < cfg.Txs; i++ {
-			tx, err := registerTx(user, uint64(i), fmt.Sprintf("a1/%s/d-%d", engine, i))
-			if err != nil {
-				c.Close()
-				return nil, err
-			}
-			if err := c.Submit(tx); err != nil {
-				c.Close()
-				return nil, err
-			}
-		}
-		if err := waitGossip(c, cfg.Txs, timeout10s); err != nil {
+		if err := submitRegistrations(c, fmt.Sprintf("a1-user-%s", engine), fmt.Sprintf("a1/%s", engine), a1Txs); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -92,10 +60,10 @@ func A1Consensus(cfg A1Config) ([]A1Row, error) {
 			return nil, err
 		}
 		elapsed := time.Since(start)
-		rows = append(rows, A1Row{
+		rows = append(rows, a1Row{
 			Engine:     engine,
 			Elapsed:    elapsed,
-			Throughput: float64(cfg.Txs) / elapsed.Seconds(),
+			Throughput: float64(a1Txs) / elapsed.Seconds(),
 			PoWHashes:  c.PoWWork(),
 		})
 		c.Close()
@@ -103,28 +71,47 @@ func A1Consensus(cfg A1Config) ([]A1Row, error) {
 	return rows, nil
 }
 
-// TableA1 renders the engine comparison.
-func TableA1(rows []A1Row) string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{
-			string(r.Engine),
-			fmtDur(r.Elapsed),
-			fmt.Sprintf("%.1f", r.Throughput),
-			fmt.Sprint(r.PoWHashes),
+// verifyA1 holds the ablation's point: only PoW pays hash work, and
+// every engine — PoS included — is in the comparison.
+func verifyA1(rows []a1Row) error {
+	hashes := map[chain.EngineKind]int64{}
+	for _, r := range rows {
+		hashes[r.Engine] = r.PoWHashes
+	}
+	if hashes[chain.EnginePoW] == 0 {
+		return fmt.Errorf("experiments: a1: PoW did no work")
+	}
+	for _, engine := range []chain.EngineKind{chain.EnginePoA, chain.EnginePoS, chain.EngineQuorum} {
+		if n, ok := hashes[engine]; !ok {
+			return fmt.Errorf("experiments: a1: %s engine missing", engine)
+		} else if n != 0 {
+			return fmt.Errorf("experiments: a1: %s reports %d hashes of work", engine, n)
 		}
 	}
-	return Table(
+	return nil
+}
+
+var a1Columns = []column[a1Row]{
+	{"engine", func(r a1Row) string { return string(r.Engine) }},
+	{"elapsed", func(r a1Row) string { return fmtDur(r.Elapsed) }},
+	{"tx/s", func(r a1Row) string { return fmt.Sprintf("%.1f", r.Throughput) }},
+	{"pow hashes", func(r a1Row) string { return fmt.Sprint(r.PoWHashes) }},
+}
+
+func runA1(_ Size, seed int64) ([]Table, error) {
+	rows, err := a1Consensus(seed)
+	if err != nil {
+		return nil, err
+	}
+	return []Table{tabulate(
 		"A1  Consensus ablation (same workload, same cluster size): PoW burns hash work for nothing the medical chain needs",
-		[]string{"engine", "elapsed", "tx/s", "pow hashes"},
-		out,
-	)
+		rows, a1Columns)}, verifyA1(rows)
 }
 
 // --- A2: oracle dispatch batching ---
 
-// A2Row is one dispatch mode's overhead.
-type A2Row struct {
+// a2Row is one dispatch mode's overhead.
+type a2Row struct {
 	// Mode is "per-event" or "batched".
 	Mode string
 	// Events is the workload.
@@ -137,50 +124,33 @@ type A2Row struct {
 	Calls int64
 }
 
-// A2Config tunes the batching ablation.
-type A2Config struct {
-	// Events is the workload size.
-	Events int
-	// BatchSize for the batched mode.
-	BatchSize int
-	// HandlerCost simulates per-call RPC overhead.
-	HandlerCost time.Duration
-	// Seed namespaces keys.
-	Seed int64
-}
+// a2Events is the workload size.
+var a2Events = [...]int{Full: 200, Quick: 80}
 
-func (c A2Config) withDefaults() A2Config {
-	if c.Events <= 0 {
-		c.Events = 200
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 20
-	}
-	if c.HandlerCost <= 0 {
-		c.HandlerCost = 200 * time.Microsecond
-	}
-	return c
-}
+const (
+	// a2BatchSize is the batched mode's batch.
+	a2BatchSize = 20
+	// a2HandlerCost simulates per-call RPC overhead.
+	a2HandlerCost = 200 * time.Microsecond
+)
 
-// A2OracleBatch measures monitor-node dispatch with per-event handlers
+// a2OracleBatch measures monitor-node dispatch with per-event handlers
 // versus batched handlers when each handler call carries fixed RPC
 // overhead — the "standard format via remote procedure calls" path of
 // Fig. 3 at volume.
-func A2OracleBatch(cfg A2Config) ([]A2Row, error) {
-	cfg = cfg.withDefaults()
-
-	run := func(batch bool) (A2Row, error) {
+func a2OracleBatch(events int, seed int64) ([]a2Row, error) {
+	run := func(batch bool) (a2Row, error) {
 		c, err := chain.NewCluster(chain.ClusterConfig{
 			Nodes: 1, Engine: chain.EngineQuorum,
-			KeySeed: fmt.Sprintf("a2/%v/%d", batch, cfg.Seed),
+			KeySeed: fmt.Sprintf("a2/%v/%d", batch, seed),
 		})
 		if err != nil {
-			return A2Row{}, err
+			return a2Row{}, err
 		}
 		defer c.Close()
 		mcfg := oracle.MonitorConfig{}
 		if batch {
-			mcfg.BatchSize = cfg.BatchSize
+			mcfg.BatchSize = a2BatchSize
 		}
 		mon := oracle.NewMonitor(c.Node(0), mcfg)
 		defer mon.Close()
@@ -194,7 +164,7 @@ func A2OracleBatch(cfg A2Config) ([]A2Row, error) {
 			defer mu.Unlock()
 			calls++
 			handled += n
-			if handled >= cfg.Events {
+			if handled >= events {
 				select {
 				case <-done:
 				default:
@@ -204,13 +174,13 @@ func A2OracleBatch(cfg A2Config) ([]A2Row, error) {
 		}
 		if batch {
 			mon.OnBatch("DatasetRegistered", func(recs []chain.EventRecord) error {
-				time.Sleep(cfg.HandlerCost) // one RPC for the whole batch
+				time.Sleep(a2HandlerCost) // one RPC for the whole batch
 				mark(len(recs))
 				return nil
 			})
 		} else {
 			mon.On("DatasetRegistered", func(chain.EventRecord) error {
-				time.Sleep(cfg.HandlerCost) // one RPC per event
+				time.Sleep(a2HandlerCost) // one RPC per event
 				mark(1)
 				return nil
 			})
@@ -218,20 +188,20 @@ func A2OracleBatch(cfg A2Config) ([]A2Row, error) {
 
 		user, err := cryptoutil.DeriveKeyPair(fmt.Sprintf("a2-user-%v", batch))
 		if err != nil {
-			return A2Row{}, err
+			return a2Row{}, err
 		}
-		for i := 0; i < cfg.Events; i++ {
+		for i := 0; i < events; i++ {
 			tx, err := registerTx(user, uint64(i), fmt.Sprintf("a2/%v/d-%d", batch, i))
 			if err != nil {
-				return A2Row{}, err
+				return a2Row{}, err
 			}
 			if err := c.Node(0).SubmitLocal(tx); err != nil {
-				return A2Row{}, err
+				return a2Row{}, err
 			}
 		}
 		start := time.Now()
 		if _, err := c.CommitAll(); err != nil {
-			return A2Row{}, err
+			return a2Row{}, err
 		}
 		// Drain pending partial batches until all events are handled.
 		for {
@@ -242,13 +212,13 @@ func A2OracleBatch(cfg A2Config) ([]A2Row, error) {
 				defer mu.Unlock()
 				mode := "per-event"
 				if batch {
-					mode = fmt.Sprintf("batched (%d)", cfg.BatchSize)
+					mode = fmt.Sprintf("batched (%d)", a2BatchSize)
 				}
-				return A2Row{
+				return a2Row{
 					Mode:     mode,
-					Events:   cfg.Events,
+					Events:   events,
 					Elapsed:  elapsed,
-					PerEvent: elapsed / time.Duration(cfg.Events),
+					PerEvent: elapsed / time.Duration(events),
 					Calls:    calls,
 				}, nil
 			case <-time.After(5 * time.Millisecond):
@@ -265,32 +235,42 @@ func A2OracleBatch(cfg A2Config) ([]A2Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []A2Row{perEvent, batched}, nil
+	return []a2Row{perEvent, batched}, nil
 }
 
-// TableA2 renders the batching comparison.
-func TableA2(rows []A2Row) string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{
-			r.Mode,
-			fmt.Sprint(r.Events),
-			fmtDur(r.Elapsed),
-			fmtDur(r.PerEvent),
-			fmt.Sprint(r.Calls),
-		}
+// verifyA2 holds the ablation's point: batching makes fewer handler
+// calls and, each call carrying fixed RPC overhead, finishes sooner.
+func verifyA2(rows []a2Row) error {
+	perEvent, batched := rows[0], rows[1]
+	if batched.Calls >= perEvent.Calls {
+		return fmt.Errorf("experiments: a2: batching made more calls: %d vs %d", batched.Calls, perEvent.Calls)
 	}
-	return Table(
-		"A2  Monitor-node dispatch: batching amortizes per-call RPC overhead",
-		[]string{"mode", "events", "elapsed", "per event", "handler calls"},
-		out,
-	)
+	if batched.Elapsed >= perEvent.Elapsed {
+		return fmt.Errorf("experiments: a2: batching slower: %v vs %v", batched.Elapsed, perEvent.Elapsed)
+	}
+	return nil
+}
+
+var a2Columns = []column[a2Row]{
+	{"mode", func(r a2Row) string { return r.Mode }},
+	{"events", func(r a2Row) string { return fmt.Sprint(r.Events) }},
+	{"elapsed", func(r a2Row) string { return fmtDur(r.Elapsed) }},
+	{"per event", func(r a2Row) string { return fmtDur(r.PerEvent) }},
+	{"handler calls", func(r a2Row) string { return fmt.Sprint(r.Calls) }},
+}
+
+func runA2(size Size, seed int64) ([]Table, error) {
+	rows, err := a2OracleBatch(a2Events[size], seed)
+	if err != nil {
+		return nil, err
+	}
+	return []Table{tabulate("A2  Monitor-node dispatch: batching amortizes per-call RPC overhead", rows, a2Columns)}, verifyA2(rows)
 }
 
 // --- A3: secure-aggregation overhead ---
 
-// A3Row is one aggregation mode's cost.
-type A3Row struct {
+// a3Row is one aggregation mode's cost.
+type a3Row struct {
 	// Mode is "plain" or "masked".
 	Mode string
 	// Clients and Dim size the aggregation.
@@ -305,45 +285,28 @@ type A3Row struct {
 	ExactMatch bool
 }
 
-// A3Config tunes the aggregation ablation.
-type A3Config struct {
-	// Clients and Dim size each round's update set.
-	Clients int
-	Dim     int
-	// Rounds repeats the aggregation for stable timing.
-	Rounds int
-	// Seed drives the synthetic updates.
-	Seed int64
-}
+// The aggregation ablation has one size.
+const (
+	// a3Clients and a3Dim size each round's update set.
+	a3Clients = 16
+	a3Dim     = 64
+	// a3Rounds repeats the aggregation for stable timing.
+	a3Rounds = 50
+)
 
-func (c A3Config) withDefaults() A3Config {
-	if c.Clients <= 0 {
-		c.Clients = 16
-	}
-	if c.Dim <= 0 {
-		c.Dim = 64
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 50
-	}
-	return c
-}
-
-// A3SecureAgg measures the cost of pairwise additive masking relative
+// a3SecureAgg measures the cost of pairwise additive masking relative
 // to plain weighted averaging, and verifies exactness.
-func A3SecureAgg(cfg A3Config) ([]A3Row, error) {
-	cfg = cfg.withDefaults()
-	ids := make([]string, cfg.Clients)
-	updates := make([]linalg.Vector, cfg.Clients)
-	weights := make([]float64, cfg.Clients)
-	seed := cfg.Seed
+func a3SecureAgg(seed int64) ([]a3Row, error) {
+	ids := make([]string, a3Clients)
+	updates := make([]linalg.Vector, a3Clients)
+	weights := make([]float64, a3Clients)
 	next := func() float64 {
 		seed = seed*6364136223846793005 + 1442695040888963407
 		return float64(seed%1000) / 100
 	}
 	for i := range ids {
 		ids[i] = fmt.Sprintf("site-%02d", i)
-		v := make(linalg.Vector, cfg.Dim)
+		v := make(linalg.Vector, a3Dim)
 		for j := range v {
 			v[j] = next()
 		}
@@ -353,7 +316,7 @@ func A3SecureAgg(cfg A3Config) ([]A3Row, error) {
 
 	plainStart := time.Now()
 	var plain linalg.Vector
-	for r := 0; r < cfg.Rounds; r++ {
+	for r := 0; r < a3Rounds; r++ {
 		var err error
 		plain, err = linalg.WeightedMean(updates, weights)
 		if err != nil {
@@ -364,7 +327,7 @@ func A3SecureAgg(cfg A3Config) ([]A3Row, error) {
 
 	maskedStart := time.Now()
 	var masked linalg.Vector
-	for r := 0; r < cfg.Rounds; r++ {
+	for r := 0; r < a3Rounds; r++ {
 		ms, err := fl.MaskUpdates(ids, updates, weights, r)
 		if err != nil {
 			return nil, err
@@ -383,35 +346,43 @@ func A3SecureAgg(cfg A3Config) ([]A3Row, error) {
 			exact = false
 		}
 	}
-	return []A3Row{
+	return []a3Row{
 		{
-			Mode: "plain weighted mean", Clients: cfg.Clients, Dim: cfg.Dim,
-			Elapsed: plainElapsed, PerRound: plainElapsed / time.Duration(cfg.Rounds),
+			Mode: "plain weighted mean", Clients: a3Clients, Dim: a3Dim,
+			Elapsed: plainElapsed, PerRound: plainElapsed / time.Duration(a3Rounds),
 			ExactMatch: true, // the reference result
 		},
 		{
-			Mode: "pairwise masked", Clients: cfg.Clients, Dim: cfg.Dim,
-			Elapsed: maskedElapsed, PerRound: maskedElapsed / time.Duration(cfg.Rounds),
+			Mode: "pairwise masked", Clients: a3Clients, Dim: a3Dim,
+			Elapsed: maskedElapsed, PerRound: maskedElapsed / time.Duration(a3Rounds),
 			ExactMatch: exact,
 		},
 	}, nil
 }
 
-// TableA3 renders the aggregation comparison.
-func TableA3(rows []A3Row) string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{
-			r.Mode,
-			fmt.Sprint(r.Clients),
-			fmt.Sprint(r.Dim),
-			fmtDur(r.PerRound),
-			fmt.Sprint(r.ExactMatch),
-		}
+// verifyA3 holds exactness: the masks cancel, so the masked aggregate
+// equals the plain weighted mean.
+func verifyA3(rows []a3Row) error {
+	if !rows[1].ExactMatch {
+		return fmt.Errorf("experiments: a3: masked aggregation diverged from plain")
 	}
-	return Table(
+	return nil
+}
+
+var a3Columns = []column[a3Row]{
+	{"mode", func(r a3Row) string { return r.Mode }},
+	{"clients", func(r a3Row) string { return fmt.Sprint(r.Clients) }},
+	{"dim", func(r a3Row) string { return fmt.Sprint(r.Dim) }},
+	{"per round", func(r a3Row) string { return fmtDur(r.PerRound) }},
+	{"exact", func(r a3Row) string { return fmt.Sprint(r.ExactMatch) }},
+}
+
+func runA3(_ Size, seed int64) ([]Table, error) {
+	rows, err := a3SecureAgg(seed)
+	if err != nil {
+		return nil, err
+	}
+	return []Table{tabulate(
 		"A3  Secure aggregation: masking overhead per FedAvg round (result identical to plain averaging)",
-		[]string{"mode", "clients", "dim", "per round", "exact"},
-		out,
-	)
+		rows, a3Columns)}, verifyA3(rows)
 }

@@ -19,61 +19,41 @@ import (
 // the parallel state root and receipts are bit-identical to serial
 // execution — speedup is only admissible if determinism holds.
 //
-// Beyond determinism, E10Verify enforces the timing-free scheduling
+// Beyond determinism, verifyE10 enforces the timing-free scheduling
 // claim: the workload's footprints are all bounded, so at every
 // conflict rate the whole batch must commit on the parallel path
 // (clean ratio 1.000, no serial tail). Timings are reported for the
 // tables but never gate anything: wall-clock is machine-dependent, the
 // commit ratios are not.
 
-// E10Config tunes the parallel-execution sweep.
-type E10Config struct {
-	// Workers are the pool sizes to sweep (default 1, 2, 4, 8).
+// e10Config is the parallel-execution sweep.
+type e10Config struct {
+	// Workers are the pool sizes to sweep.
 	Workers []int
-	// ConflictRates are the hot-key shares to sweep (default 0, 0.3,
-	// 0.5, 1).
+	// ConflictRates are the hot-key shares to sweep.
 	ConflictRates []float64
-	// Txs is the batch size per run (default 256).
+	// Txs is the batch size per run.
 	Txs int
-	// GrantShare splits the batch between policy grants and VM
-	// invocations (default 0.5).
-	GrantShare float64
-	// LoopIters sizes each VM invocation's compute loop (default 3000).
-	LoopIters int
 	// Repeats is how many timed runs each cell takes; the minimum is
-	// reported (default 3).
+	// reported.
 	Repeats int
-	// Seed drives the workload generator.
-	Seed int64
 }
 
-func (c E10Config) withDefaults() E10Config {
-	if len(c.Workers) == 0 {
-		c.Workers = []int{1, 2, 4, 8}
-	}
-	if len(c.ConflictRates) == 0 {
-		c.ConflictRates = []float64{0, 0.3, 0.5, 1}
-	}
-	if c.Txs <= 0 {
-		c.Txs = 256
-	}
-	if c.GrantShare <= 0 {
-		c.GrantShare = 0.5
-	}
-	if c.LoopIters <= 0 {
-		c.LoopIters = 3000
-	}
-	if c.Repeats <= 0 {
-		c.Repeats = 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+var e10Sizes = [...]e10Config{
+	Full:  {Workers: []int{1, 2, 4, 8}, ConflictRates: []float64{0, 0.3, 0.5, 1}, Txs: 256, Repeats: 3},
+	Quick: {Workers: []int{1, 2, 4}, ConflictRates: []float64{0, 0.5, 1}, Txs: 128, Repeats: 2},
 }
 
-// E10Row is one (conflict rate, worker count) cell.
-type E10Row struct {
+const (
+	// e10GrantShare splits the batch between policy grants and VM
+	// invocations.
+	e10GrantShare = 0.5
+	// e10LoopIters sizes each VM invocation's compute loop.
+	e10LoopIters = 3000
+)
+
+// e10Row is one (conflict rate, worker count) cell.
+type e10Row struct {
 	// ConflictRate is the swept hot-key share.
 	ConflictRate float64
 	// Workers is the pool size.
@@ -97,17 +77,16 @@ type E10Row struct {
 	Match bool
 }
 
-// E10ParallelExec runs the sweep. It returns an error (rather than a
+// e10ParallelExec runs the sweep. It returns an error (rather than a
 // row) only for harness failures; a determinism violation is reported
 // through Match=false so the caller can fail loudly with the full
 // table in hand.
-func E10ParallelExec(cfg E10Config) ([]E10Row, error) {
-	cfg = cfg.withDefaults()
-	var rows []E10Row
+func e10ParallelExec(cfg e10Config, seed int64) ([]e10Row, error) {
+	var rows []e10Row
 	for _, rate := range cfg.ConflictRates {
 		wl, err := GenWorkload(WorkloadConfig{
-			Txs: cfg.Txs, ConflictRate: rate, GrantShare: cfg.GrantShare,
-			LoopIters: cfg.LoopIters, Seed: cfg.Seed,
+			Txs: cfg.Txs, ConflictRate: rate, GrantShare: e10GrantShare,
+			LoopIters: e10LoopIters, Seed: seed,
 		})
 		if err != nil {
 			return nil, err
@@ -164,7 +143,7 @@ func E10ParallelExec(cfg E10Config) ([]E10Row, error) {
 					match = false
 				}
 			}
-			row := E10Row{
+			row := e10Row{
 				ConflictRate: rate, Workers: w, Txs: cfg.Txs,
 				Serial: serialBest, Parallel: parBest,
 				Clean: stats.Clean, SerialTail: stats.Serial, Waves: stats.Waves, Match: match,
@@ -181,11 +160,11 @@ func E10ParallelExec(cfg E10Config) ([]E10Row, error) {
 	return rows, nil
 }
 
-// E10Verify applies the timing-free gates to the sweep: every cell's
+// verifyE10 applies the timing-free gates to the sweep: every cell's
 // state root and receipts are bit-identical to serial (Match), and the
 // whole batch committed on the parallel path — Clean == Txs with no
 // serial tail — at every conflict rate.
-func E10Verify(rows []E10Row) error {
+func verifyE10(rows []e10Row) error {
 	for _, r := range rows {
 		if !r.Match {
 			return fmt.Errorf("experiments: e10 divergence at conflict=%.2f workers=%d", r.ConflictRate, r.Workers)
@@ -198,27 +177,26 @@ func E10Verify(rows []E10Row) error {
 	return nil
 }
 
-// TableE10 renders the sweep.
-func TableE10(rows []E10Row) string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{
-			fmt.Sprintf("%.2f", r.ConflictRate),
-			fmt.Sprint(r.Workers),
-			fmt.Sprint(r.Txs),
-			fmtDur(r.Serial),
-			fmtDur(r.Parallel),
-			fmt.Sprintf("%.2fx", r.Speedup),
-			fmt.Sprint(r.Clean),
-			fmt.Sprint(r.SerialTail),
-			fmt.Sprint(r.Waves),
-			fmt.Sprintf("%.3f", r.CleanRatio),
-			fmt.Sprint(r.Match),
-		}
+var e10Columns = []column[e10Row]{
+	{"conflict", func(r e10Row) string { return fmt.Sprintf("%.2f", r.ConflictRate) }},
+	{"workers", func(r e10Row) string { return fmt.Sprint(r.Workers) }},
+	{"txs", func(r e10Row) string { return fmt.Sprint(r.Txs) }},
+	{"serial", func(r e10Row) string { return fmtDur(r.Serial) }},
+	{"mvcc-wave", func(r e10Row) string { return fmtDur(r.Parallel) }},
+	{"speedup", func(r e10Row) string { return fmt.Sprintf("%.2fx", r.Speedup) }},
+	{"clean", func(r e10Row) string { return fmt.Sprint(r.Clean) }},
+	{"tail", func(r e10Row) string { return fmt.Sprint(r.SerialTail) }},
+	{"waves", func(r e10Row) string { return fmt.Sprint(r.Waves) }},
+	{"cleanratio", func(r e10Row) string { return fmt.Sprintf("%.3f", r.CleanRatio) }},
+	{"match", func(r e10Row) string { return fmt.Sprint(r.Match) }},
+}
+
+func runE10(size Size, seed int64) ([]Table, error) {
+	rows, err := e10ParallelExec(e10Sizes[size], seed)
+	if err != nil {
+		return nil, err
 	}
-	return Table(
+	return []Table{tabulate(
 		"E10 Parallel execution: serial vs mvcc-wave, conflict rate x workers (state must match serial bit-for-bit; clean ratio must be 1.000)",
-		[]string{"conflict", "workers", "txs", "serial", "mvcc-wave", "speedup", "clean", "tail", "waves", "cleanratio", "match"},
-		out,
-	)
+		rows, e10Columns)}, verifyE10(rows)
 }

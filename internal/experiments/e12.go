@@ -36,55 +36,36 @@ import (
 // e12ChainID isolates E12's ledgers.
 const e12ChainID = "medchain-e12"
 
-// E12Config tunes the durability sweeps.
-type E12Config struct {
-	// ChainLengths are the block counts for the recovery sweep
-	// (default 32, 128, 512).
+// e12Config is the durability sweeps.
+type e12Config struct {
+	// ChainLengths are the block counts for the recovery sweep.
 	ChainLengths []int
-	// TxsPerBlock sizes each block (default 4).
-	TxsPerBlock int
-	// SnapshotEvery is the snapshot cadence on the snapshot-assisted
-	// path and the write-amplification sweep (default 32).
-	SnapshotEvery int
-	// SyncBatches are the group-commit batch sizes for the fsync
-	// throughput sweep (default 1, 8, 64).
-	SyncBatches []int
-	// SyncBlocks is the chain length for the fsync sweep (default 256).
+	// SyncBlocks is the chain length for the fsync sweep.
 	SyncBlocks int
 	// Repeats is how many timed runs each cell takes; the minimum is
-	// reported (default 3).
+	// reported.
 	Repeats int
-	// Seed derives the workload identities.
-	Seed int64
 }
 
-func (c E12Config) withDefaults() E12Config {
-	if len(c.ChainLengths) == 0 {
-		c.ChainLengths = []int{32, 128, 512}
-	}
-	if c.TxsPerBlock <= 0 {
-		c.TxsPerBlock = 4
-	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = 32
-	}
-	if len(c.SyncBatches) == 0 {
-		c.SyncBatches = []int{1, 8, 64}
-	}
-	if c.SyncBlocks <= 0 {
-		c.SyncBlocks = 256
-	}
-	if c.Repeats <= 0 {
-		c.Repeats = 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+var e12Sizes = [...]e12Config{
+	Full:  {ChainLengths: []int{32, 128, 512}, SyncBlocks: 256, Repeats: 3},
+	Quick: {ChainLengths: []int{16, 64}, SyncBlocks: 64, Repeats: 1},
 }
 
-// E12RecoveryRow is one chain length in the recovery-time sweep.
-type E12RecoveryRow struct {
+const (
+	// e12TxsPerBlock sizes each block.
+	e12TxsPerBlock = 4
+	// e12SnapshotEvery is the snapshot cadence on the snapshot-assisted
+	// path and the write-amplification sweep.
+	e12SnapshotEvery = 32
+)
+
+// e12SyncBatches are the group-commit batch sizes for the fsync
+// throughput sweep.
+var e12SyncBatches = []int{1, 8, 64}
+
+// e12RecoveryRow is one chain length in the recovery-time sweep.
+type e12RecoveryRow struct {
 	// Blocks is the chain length; Txs the transactions replayed.
 	Blocks, Txs int
 	// WALBytes is the on-disk frame log size.
@@ -102,8 +83,8 @@ type E12RecoveryRow struct {
 	Match bool
 }
 
-// E12SyncRow is one group-commit batch size in the fsync sweep.
-type E12SyncRow struct {
+// e12SyncRow is one group-commit batch size in the fsync sweep.
+type e12SyncRow struct {
 	// SyncEvery is the group-commit batch; Blocks the appended count.
 	SyncEvery, Blocks int
 	// Elapsed is the append+sync wall time (min over repeats).
@@ -121,8 +102,8 @@ type E12SyncRow struct {
 // e12Chain builds n sequential blocks of register_dataset txs with
 // honest post-execution state roots — the committed-chain workload the
 // storage engine sees — plus the final serial state as oracle.
-func e12Chain(cfg E12Config, n int) ([]*ledger.Block, *contract.State, error) {
-	kp, err := cryptoutil.DeriveKeyPair(fmt.Sprintf("e12-%d", cfg.Seed))
+func e12Chain(seed int64, n int) ([]*ledger.Block, *contract.State, error) {
+	kp, err := cryptoutil.DeriveKeyPair(fmt.Sprintf("e12-%d", seed))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -133,11 +114,11 @@ func e12Chain(cfg E12Config, n int) ([]*ledger.Block, *contract.State, error) {
 	for i := 0; i < n; i++ {
 		height := uint64(i + 1)
 		ts := int64(i + 1)
-		txs := make([]*ledger.Transaction, 0, cfg.TxsPerBlock)
-		for j := 0; j < cfg.TxsPerBlock; j++ {
+		txs := make([]*ledger.Transaction, 0, e12TxsPerBlock)
+		for j := 0; j < e12TxsPerBlock; j++ {
 			args, err := json.Marshal(contract.RegisterDatasetArgs{
 				ID:     fmt.Sprintf("d-%d-%d", i, j),
-				Digest: cryptoutil.Sum([]byte(fmt.Sprintf("%d/%d/%d", cfg.Seed, i, j))),
+				Digest: cryptoutil.Sum([]byte(fmt.Sprintf("%d/%d/%d", seed, i, j))),
 				Schema: "cdf/v1", Records: 10 + i, SiteID: fmt.Sprintf("site-%d", j),
 			})
 			if err != nil {
@@ -224,14 +205,12 @@ func e12Recover(fs store.FS) (*store.Recovered, time.Duration, int64, error) {
 	return rec, elapsed, wal, st.Close()
 }
 
-// E12Durability runs both sweeps. Determinism violations surface as
-// Match=false rows; E12Verify turns them into a hard failure.
-func E12Durability(cfg E12Config) ([]E12RecoveryRow, []E12SyncRow, error) {
-	cfg = cfg.withDefaults()
-
-	var recovery []E12RecoveryRow
+// e12Durability runs both sweeps. Determinism violations surface as
+// Match=false rows; verifyE12 turns them into a hard failure.
+func e12Durability(cfg e12Config, seed int64) ([]e12RecoveryRow, []e12SyncRow, error) {
+	var recovery []e12RecoveryRow
 	for _, n := range cfg.ChainLengths {
-		blocks, oracle, err := e12Chain(cfg, n)
+		blocks, oracle, err := e12Chain(seed, n)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -240,10 +219,10 @@ func E12Durability(cfg E12Config) ([]E12RecoveryRow, []E12SyncRow, error) {
 			return nil, nil, err
 		}
 		snap := store.NewMemFS()
-		if err := e12Seed(snap, blocks, cfg.SnapshotEvery, 1); err != nil {
+		if err := e12Seed(snap, blocks, e12SnapshotEvery, 1); err != nil {
 			return nil, nil, err
 		}
-		row := E12RecoveryRow{Blocks: n, Txs: n * cfg.TxsPerBlock, Match: true}
+		row := e12RecoveryRow{Blocks: n, Txs: n * e12TxsPerBlock, Match: true}
 		for rep := 0; rep < cfg.Repeats; rep++ {
 			recC, dC, wal, err := e12Recover(cold)
 			if err != nil {
@@ -271,7 +250,7 @@ func E12Durability(cfg E12Config) ([]E12RecoveryRow, []E12SyncRow, error) {
 		recovery = append(recovery, row)
 	}
 
-	blocks, _, err := e12Chain(cfg, cfg.SyncBlocks)
+	blocks, _, err := e12Chain(seed, cfg.SyncBlocks)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -283,13 +262,13 @@ func E12Durability(cfg E12Config) ([]E12RecoveryRow, []E12SyncRow, error) {
 		}
 		payload += int64(len(enc))
 	}
-	var sync []E12SyncRow
-	for _, batch := range cfg.SyncBatches {
-		row := E12SyncRow{SyncEvery: batch, Blocks: cfg.SyncBlocks, Payload: payload}
+	var sync []e12SyncRow
+	for _, batch := range e12SyncBatches {
+		row := e12SyncRow{SyncEvery: batch, Blocks: cfg.SyncBlocks, Payload: payload}
 		for rep := 0; rep < cfg.Repeats; rep++ {
 			meter := store.NewFaultFS(store.NewMemFS(), store.FaultConfig{})
 			start := time.Now()
-			if err := e12Seed(meter, blocks, cfg.SnapshotEvery, batch); err != nil {
+			if err := e12Seed(meter, blocks, e12SnapshotEvery, batch); err != nil {
 				return nil, nil, err
 			}
 			elapsed := time.Since(start)
@@ -310,62 +289,70 @@ func E12Durability(cfg E12Config) ([]E12RecoveryRow, []E12SyncRow, error) {
 	return recovery, sync, nil
 }
 
-// E12Verify returns an error naming the first recovery row whose
-// recovered state diverged from the committed chain.
-func E12Verify(rows []E12RecoveryRow) error {
-	for _, r := range rows {
+// verifyE12 holds the durability bars: both recoveries of every chain
+// length reproduce the committed root and did real work; the longest
+// chain's fast path starts from a snapshot instead of replaying the
+// whole log; group commit cuts fsyncs; and framing plus snapshots
+// amplify writes above the raw payload.
+func verifyE12(recovery []e12RecoveryRow, sync []e12SyncRow) error {
+	for _, r := range recovery {
 		if !r.Match {
 			return fmt.Errorf("experiments: e12 recovery divergence at %d blocks", r.Blocks)
+		}
+		if r.WALBytes == 0 || r.Cold == 0 || r.Snap == 0 {
+			return fmt.Errorf("experiments: e12: vacuous recovery row %+v", r)
+		}
+	}
+	if longest := recovery[len(recovery)-1]; longest.SnapHeight == 0 || longest.Replayed >= longest.Blocks {
+		return fmt.Errorf("experiments: e12: snapshot path did not accelerate: %+v", longest)
+	}
+	if every, batched := sync[0], sync[len(sync)-1]; every.Syncs <= batched.Syncs {
+		return fmt.Errorf("experiments: e12: syncEvery=%d cost %d fsyncs, syncEvery=%d cost %d",
+			every.SyncEvery, every.Syncs, batched.SyncEvery, batched.Syncs)
+	}
+	for _, r := range sync {
+		if r.WriteAmp <= 1.0 {
+			return fmt.Errorf("experiments: e12: write amplification %.2f <= 1 at syncEvery=%d", r.WriteAmp, r.SyncEvery)
 		}
 	}
 	return nil
 }
 
-// TableE12Recovery renders the recovery-time sweep.
-func TableE12Recovery(rows []E12RecoveryRow) string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		speedup := "-"
-		if r.Snap > 0 {
-			speedup = fmt.Sprintf("%.2fx", float64(r.Cold)/float64(r.Snap))
+var e12RecoveryColumns = []column[e12RecoveryRow]{
+	{"blocks", func(r e12RecoveryRow) string { return fmt.Sprint(r.Blocks) }},
+	{"txs", func(r e12RecoveryRow) string { return fmt.Sprint(r.Txs) }},
+	{"walBytes", func(r e12RecoveryRow) string { return fmt.Sprint(r.WALBytes) }},
+	{"cold", func(r e12RecoveryRow) string { return fmtDur(r.Cold) }},
+	{"snapshot", func(r e12RecoveryRow) string { return fmtDur(r.Snap) }},
+	{"speedup", func(r e12RecoveryRow) string {
+		if r.Snap == 0 {
+			return "-"
 		}
-		out[i] = []string{
-			fmt.Sprint(r.Blocks),
-			fmt.Sprint(r.Txs),
-			fmt.Sprint(r.WALBytes),
-			fmtDur(r.Cold),
-			fmtDur(r.Snap),
-			speedup,
-			fmt.Sprint(r.SnapHeight),
-			fmt.Sprint(r.Replayed),
-			fmt.Sprint(r.Match),
-		}
-	}
-	return Table(
-		"E12 Crash recovery: full WAL replay vs snapshot + suffix (recovered root must match committed root)",
-		[]string{"blocks", "txs", "walBytes", "cold", "snapshot", "speedup", "snapHeight", "replayed", "match"},
-		out,
-	)
+		return fmt.Sprintf("%.2fx", float64(r.Cold)/float64(r.Snap))
+	}},
+	{"snapHeight", func(r e12RecoveryRow) string { return fmt.Sprint(r.SnapHeight) }},
+	{"replayed", func(r e12RecoveryRow) string { return fmt.Sprint(r.Replayed) }},
+	{"match", func(r e12RecoveryRow) string { return fmt.Sprint(r.Match) }},
 }
 
-// TableE12Sync renders the fsync-batching sweep.
-func TableE12Sync(rows []E12SyncRow) string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{
-			fmt.Sprint(r.SyncEvery),
-			fmt.Sprint(r.Blocks),
-			fmtDur(r.Elapsed),
-			fmt.Sprintf("%.0f", r.BlocksPerSec),
-			fmt.Sprint(r.Syncs),
-			fmt.Sprint(r.Written),
-			fmt.Sprint(r.Payload),
-			fmt.Sprintf("%.2f", r.WriteAmp),
-		}
+var e12SyncColumns = []column[e12SyncRow]{
+	{"syncEvery", func(r e12SyncRow) string { return fmt.Sprint(r.SyncEvery) }},
+	{"blocks", func(r e12SyncRow) string { return fmt.Sprint(r.Blocks) }},
+	{"elapsed", func(r e12SyncRow) string { return fmtDur(r.Elapsed) }},
+	{"blocks/s", func(r e12SyncRow) string { return fmt.Sprintf("%.0f", r.BlocksPerSec) }},
+	{"fsyncs", func(r e12SyncRow) string { return fmt.Sprint(r.Syncs) }},
+	{"written", func(r e12SyncRow) string { return fmt.Sprint(r.Written) }},
+	{"payload", func(r e12SyncRow) string { return fmt.Sprint(r.Payload) }},
+	{"writeAmp", func(r e12SyncRow) string { return fmt.Sprintf("%.2f", r.WriteAmp) }},
+}
+
+func runE12(size Size, seed int64) ([]Table, error) {
+	recovery, sync, err := e12Durability(e12Sizes[size], seed)
+	if err != nil {
+		return nil, err
 	}
-	return Table(
-		"E12 Group-commit fsync batching: append throughput and write amplification vs batch size",
-		[]string{"syncEvery", "blocks", "elapsed", "blocks/s", "fsyncs", "written", "payload", "writeAmp"},
-		out,
-	)
+	return []Table{
+		tabulate("E12 Crash recovery: full WAL replay vs snapshot + suffix (recovered root must match committed root)", recovery, e12RecoveryColumns),
+		tabulate("E12 Group-commit fsync batching: append throughput and write amplification vs batch size", sync, e12SyncColumns),
+	}, verifyE12(recovery, sync)
 }

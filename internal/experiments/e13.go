@@ -32,27 +32,12 @@ import (
 // Runs are loss-free (NoFaults) so every metric is a pure function of
 // the seed; TestSimAdversaryUnderChaos covers the layered-faults case.
 
-// E13Config tunes the Byzantine-resilience comparison.
-type E13Config struct {
-	// Rounds is the per-scenario run length (default 200).
-	Rounds int
-	// Seed derives every run; scenarios share it so rows are comparable.
-	Seed int64
-}
+// e13Rounds is the per-scenario run length.
+var e13Rounds = [...]int{Full: 200, Quick: 40}
 
-func (c E13Config) withDefaults() E13Config {
-	if c.Rounds <= 0 {
-		c.Rounds = 200
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
-// E13Row is one scenario (honest baseline or a single adversary
+// e13Row is one scenario (honest baseline or a single adversary
 // behavior) of the resilience comparison.
-type E13Row struct {
+type e13Row struct {
 	// Scenario is "baseline" or the behavior name.
 	Scenario string
 	// Blocks and Txs are the committed totals; FailedRounds counts
@@ -76,25 +61,23 @@ type E13Row struct {
 	TPS     float64
 }
 
-// E13Resilience runs the honest baseline and one run per adversary
+// e13Resilience runs the honest baseline and one run per adversary
 // behavior, all on the same seed and round count.
-func E13Resilience(cfg E13Config) ([]E13Row, error) {
-	cfg = cfg.withDefaults()
-
-	row := func(scenario string, acfg *sim.AdversaryConfig) (E13Row, error) {
+func e13Resilience(rounds int, seed int64) ([]e13Row, error) {
+	row := func(scenario string, acfg *sim.AdversaryConfig) (e13Row, error) {
 		start := time.Now()
 		res, err := sim.Run(sim.Config{
-			Seed: cfg.Seed, Rounds: cfg.Rounds, NoFaults: true, Adversary: acfg,
+			Seed: seed, Rounds: rounds, NoFaults: true, Adversary: acfg,
 		})
 		if err != nil {
-			return E13Row{}, fmt.Errorf("experiments: e13 %s: %w", scenario, err)
+			return e13Row{}, fmt.Errorf("experiments: e13 %s: %w", scenario, err)
 		}
 		elapsed := time.Since(start)
 		offenses := 0
 		for _, n := range res.AdversaryOffenses {
 			offenses += n
 		}
-		r := E13Row{
+		r := e13Row{
 			Scenario: scenario,
 			Blocks:   res.Blocks, Txs: res.Txs, FailedRounds: res.FailedRounds,
 			Offenses: offenses, MutedRounds: res.AdversaryMutedRounds,
@@ -114,11 +97,11 @@ func E13Resilience(cfg E13Config) ([]E13Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := []E13Row{baseline}
+	rows := []e13Row{baseline}
 	for _, b := range sim.AllBehaviors() {
 		r, err := row(string(b), &sim.AdversaryConfig{Behaviors: []sim.Behavior{b}})
 		if err != nil {
-			return rows, err
+			return nil, err
 		}
 		if baseline.Delivered > 0 {
 			r.Amplification = float64(r.Delivered) / float64(baseline.Delivered)
@@ -128,13 +111,13 @@ func E13Resilience(cfg E13Config) ([]E13Row, error) {
 	return rows, nil
 }
 
-// E13Verify enforces the resilience acceptance bars on a finished
+// verifyE13 enforces the resilience acceptance bars on a finished
 // comparison: the baseline is clean (no evidence, nothing
 // quarantined), and every adversarial scenario kept committing, was
 // contained within the simulation's latency bound, had its traffic
 // discarded at ingress, and — for the equivocation scenario — produced
 // on-chain evidence.
-func E13Verify(rows []E13Row) error {
+func verifyE13(rows []e13Row) error {
 	if len(rows) == 0 {
 		return fmt.Errorf("experiments: e13 produced no rows")
 	}
@@ -165,36 +148,37 @@ func E13Verify(rows []E13Row) error {
 	return nil
 }
 
-// TableE13 renders the resilience comparison.
-func TableE13(rows []E13Row) string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		quarantine := "-"
-		if r.QuarantineBlocks >= 0 {
-			quarantine = fmt.Sprint(r.QuarantineBlocks)
+var e13Columns = []column[e13Row]{
+	{"scenario", func(r e13Row) string { return r.Scenario }},
+	{"blocks", func(r e13Row) string { return fmt.Sprint(r.Blocks) }},
+	{"txs", func(r e13Row) string { return fmt.Sprint(r.Txs) }},
+	{"failedRounds", func(r e13Row) string { return fmt.Sprint(r.FailedRounds) }},
+	{"offenses", func(r e13Row) string { return fmt.Sprint(r.Offenses) }},
+	{"muted", func(r e13Row) string { return fmt.Sprint(r.MutedRounds) }},
+	{"quarantineBlks", func(r e13Row) string {
+		if r.QuarantineBlocks < 0 {
+			return "-"
 		}
-		amp := "-"
-		if r.Amplification > 0 {
-			amp = fmt.Sprintf("%.2fx", r.Amplification)
+		return fmt.Sprint(r.QuarantineBlocks)
+	}},
+	{"evidence", func(r e13Row) string { return fmt.Sprint(r.Evidence) }},
+	{"dropped", func(r e13Row) string { return fmt.Sprint(r.Quarantined) }},
+	{"msgAmp", func(r e13Row) string {
+		if r.Amplification <= 0 {
+			return "-"
 		}
-		out[i] = []string{
-			r.Scenario,
-			fmt.Sprint(r.Blocks),
-			fmt.Sprint(r.Txs),
-			fmt.Sprint(r.FailedRounds),
-			fmt.Sprint(r.Offenses),
-			fmt.Sprint(r.MutedRounds),
-			quarantine,
-			fmt.Sprint(r.Evidence),
-			fmt.Sprint(r.Quarantined),
-			amp,
-			fmtDur(r.Elapsed),
-			fmt.Sprintf("%.0f", r.TPS),
-		}
+		return fmt.Sprintf("%.2fx", r.Amplification)
+	}},
+	{"elapsed", func(r e13Row) string { return fmtDur(r.Elapsed) }},
+	{"tps", func(r e13Row) string { return fmt.Sprintf("%.0f", r.TPS) }},
+}
+
+func runE13(size Size, seed int64) ([]Table, error) {
+	rows, err := e13Resilience(e13Rounds[size], seed)
+	if err != nil {
+		return nil, err
 	}
-	return Table(
+	return []Table{tabulate(
 		"E13 Byzantine resilience: honest baseline vs one compromised validator per behavior (same seed/rounds)",
-		[]string{"scenario", "blocks", "txs", "failedRounds", "offenses", "muted", "quarantineBlks", "evidence", "dropped", "msgAmp", "elapsed", "tps"},
-		out,
-	)
+		rows, e13Columns)}, verifyE13(rows)
 }

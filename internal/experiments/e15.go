@@ -40,52 +40,31 @@ import (
 // fabricated anchor events over a real blob store, so corpus size is
 // bounded by encode/decode throughput rather than consensus.
 
-// E15Config tunes the data-plane experiment.
-type E15Config struct {
-	// Sites / PatientsPerSite size the live freshness platform
-	// (default 2 x 40).
-	Sites           int
-	PatientsPerSite int
+// e15Config is the data-plane experiment.
+type e15Config struct {
 	// IngestRounds / IngestBatch shape the sustained ingest: rounds of
-	// IngestBatch fresh records each (default 4 x 60).
+	// IngestBatch fresh records each.
 	IngestRounds int
 	IngestBatch  int
-	// CorpusSizes are the record counts swept in the query-latency leg
-	// (default 5k, 25k, 100k).
+	// CorpusSizes are the record counts swept in the query-latency leg.
 	CorpusSizes []int
-	// QueryRepeats averages the index-side query latency (default 100).
+	// QueryRepeats averages the index-side query latency.
 	QueryRepeats int
-	// Seed drives generation.
-	Seed int64
 }
 
-func (c E15Config) withDefaults() E15Config {
-	if c.Sites <= 0 {
-		c.Sites = 2
-	}
-	if c.PatientsPerSite <= 0 {
-		c.PatientsPerSite = 40
-	}
-	if c.IngestRounds <= 0 {
-		c.IngestRounds = 4
-	}
-	if c.IngestBatch <= 0 {
-		c.IngestBatch = 60
-	}
-	if len(c.CorpusSizes) == 0 {
-		c.CorpusSizes = []int{5_000, 25_000, 100_000}
-	}
-	if c.QueryRepeats <= 0 {
-		c.QueryRepeats = 100
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+var e15Sizes = [...]e15Config{
+	Full:  {IngestRounds: 4, IngestBatch: 60, CorpusSizes: []int{5_000, 25_000, 100_000}, QueryRepeats: 100},
+	Quick: {IngestRounds: 2, IngestBatch: 40, CorpusSizes: []int{500, 2_000}, QueryRepeats: 20},
 }
 
-// E15FreshnessRow is one sustained-ingest round.
-type E15FreshnessRow struct {
+// The live freshness platform.
+const (
+	e15Sites           = 2
+	e15PatientsPerSite = 40
+)
+
+// e15FreshnessRow is one sustained-ingest round.
+type e15FreshnessRow struct {
 	// Round is 1-based.
 	Round int
 	// Ingested is the records anchored this round.
@@ -101,8 +80,8 @@ type E15FreshnessRow struct {
 	Docs        int
 }
 
-// E15QueryRow is one corpus size in the query-latency sweep.
-type E15QueryRow struct {
+// e15QueryRow is one corpus size in the query-latency sweep.
+type e15QueryRow struct {
 	// Records is the corpus size; Docs what the rebuilt index holds.
 	Records int
 	Docs    int
@@ -128,14 +107,13 @@ var e15Queries = []indexer.Query{
 	{Sex: emr.SexFemale, LabCode: emr.LabGlucose},
 }
 
-// E15Freshness runs the sustained-ingest leg on a live platform.
-func E15Freshness(cfg E15Config) ([]E15FreshnessRow, error) {
-	cfg = cfg.withDefaults()
+// e15Freshness runs the sustained-ingest leg on a live platform.
+func e15Freshness(cfg e15Config, seed int64) ([]e15FreshnessRow, error) {
 	p, err := core.NewPlatform(core.Config{
-		Sites:           cfg.Sites,
-		PatientsPerSite: cfg.PatientsPerSite,
-		Seed:            cfg.Seed,
-		KeySeed:         fmt.Sprintf("e15-%d", cfg.Seed),
+		Sites:           e15Sites,
+		PatientsPerSite: e15PatientsPerSite,
+		Seed:            seed,
+		KeySeed:         fmt.Sprintf("e15-%d", seed),
 		Index:           true,
 	})
 	if err != nil {
@@ -143,21 +121,21 @@ func E15Freshness(cfg E15Config) ([]E15FreshnessRow, error) {
 	}
 	defer p.Close()
 
-	rows := make([]E15FreshnessRow, 0, cfg.IngestRounds)
+	rows := make([]e15FreshnessRow, 0, cfg.IngestRounds)
 	nextID := 1_000_000
 	for round := 1; round <= cfg.IngestRounds; round++ {
 		recs := emr.NewGenerator(emr.GenConfig{
-			Seed:     cfg.Seed + int64(round)*104_729,
+			Seed:     seed + int64(round)*104_729,
 			Patients: cfg.IngestBatch,
 			StartID:  nextID,
 		}).Generate()
 		nextID += cfg.IngestBatch
-		site := fmt.Sprintf("site-%d", round%cfg.Sites)
+		site := fmt.Sprintf("site-%d", round%e15Sites)
 		if err := p.IngestBlobs(site, recs); err != nil {
-			return rows, fmt.Errorf("experiments: e15 round %d: %w", round, err)
+			return nil, fmt.Errorf("experiments: e15 round %d: %w", round, err)
 		}
 		indexed, tip := p.Indexer().Lag(p.Cluster().Node(0))
-		row := E15FreshnessRow{
+		row := e15FreshnessRow{
 			Round: round, Ingested: len(recs),
 			ChainHeight: tip, IndexedBefore: indexed,
 		}
@@ -224,20 +202,19 @@ func e15Corpus(n int, seed int64) (*blob.Store, []chain.EventRecord, error) {
 	return bs, events, nil
 }
 
-// E15QueryScaling runs the query-latency leg across corpus sizes.
-func E15QueryScaling(cfg E15Config) ([]E15QueryRow, error) {
-	cfg = cfg.withDefaults()
-	rows := make([]E15QueryRow, 0, len(cfg.CorpusSizes))
+// e15QueryScaling runs the query-latency leg across corpus sizes.
+func e15QueryScaling(cfg e15Config, seed int64) ([]e15QueryRow, error) {
+	rows := make([]e15QueryRow, 0, len(cfg.CorpusSizes))
 	for _, n := range cfg.CorpusSizes {
-		bs, events, err := e15Corpus(n, cfg.Seed)
+		bs, events, err := e15Corpus(n, seed)
 		if err != nil {
-			return rows, fmt.Errorf("experiments: e15 corpus %d: %w", n, err)
+			return nil, fmt.Errorf("experiments: e15 corpus %d: %w", n, err)
 		}
 		fetch := indexer.StoreFetcher(func(string) *blob.Store { return bs })
 
 		start := time.Now()
 		ix := indexer.Rebuild(events, fetch, uint64(len(events)))
-		row := E15QueryRow{Records: n, Docs: ix.Docs(), BuildElapsed: time.Since(start)}
+		row := e15QueryRow{Records: n, Docs: ix.Docs(), BuildElapsed: time.Since(start)}
 
 		// Full scan: fetch + decode every anchored blob, match on the
 		// complete record — the only way to answer without an index.
@@ -290,10 +267,9 @@ func E15QueryScaling(cfg E15Config) ([]E15QueryRow, error) {
 	return rows, nil
 }
 
-// E15Verify enforces the data-plane acceptance bars. Timing-sensitive
+// verifyE15 enforces the data-plane acceptance bars. Timing-sensitive
 // bars are limited to the ratio (speedup), never absolute latency.
-func E15Verify(cfg E15Config, fresh []E15FreshnessRow, queries []E15QueryRow) error {
-	cfg = cfg.withDefaults()
+func verifyE15(cfg e15Config, fresh []e15FreshnessRow, queries []e15QueryRow) error {
 	if len(fresh) == 0 || len(queries) == 0 {
 		return fmt.Errorf("experiments: e15 produced no rows")
 	}
@@ -303,7 +279,7 @@ func E15Verify(cfg E15Config, fresh []E15FreshnessRow, queries []E15QueryRow) er
 		}
 	}
 	last := fresh[len(fresh)-1]
-	wantDocs := cfg.Sites*cfg.PatientsPerSite + cfg.IngestRounds*cfg.IngestBatch
+	wantDocs := e15Sites*e15PatientsPerSite + cfg.IngestRounds*cfg.IngestBatch
 	if last.Docs != wantDocs {
 		return fmt.Errorf("experiments: e15: %d docs after final sync, want %d", last.Docs, wantDocs)
 	}
@@ -321,44 +297,38 @@ func E15Verify(cfg E15Config, fresh []E15FreshnessRow, queries []E15QueryRow) er
 	return nil
 }
 
-// TableE15Freshness renders the sustained-ingest leg.
-func TableE15Freshness(rows []E15FreshnessRow) string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{
-			fmt.Sprint(r.Round),
-			fmt.Sprint(r.Ingested),
-			fmt.Sprint(r.ChainHeight),
-			fmt.Sprint(r.IndexedBefore),
-			fmt.Sprint(r.Lag),
-			fmtDur(r.SyncElapsed),
-			fmt.Sprint(r.Docs),
-		}
-	}
-	return Table(
-		"E15a index freshness under sustained ingest (live chain; lag = blocks the index trails the tip before catch-up)",
-		[]string{"round", "ingested", "chainH", "indexedH", "lag", "sync", "docs"},
-		out,
-	)
+var e15FreshnessColumns = []column[e15FreshnessRow]{
+	{"round", func(r e15FreshnessRow) string { return fmt.Sprint(r.Round) }},
+	{"ingested", func(r e15FreshnessRow) string { return fmt.Sprint(r.Ingested) }},
+	{"chainH", func(r e15FreshnessRow) string { return fmt.Sprint(r.ChainHeight) }},
+	{"indexedH", func(r e15FreshnessRow) string { return fmt.Sprint(r.IndexedBefore) }},
+	{"lag", func(r e15FreshnessRow) string { return fmt.Sprint(r.Lag) }},
+	{"sync", func(r e15FreshnessRow) string { return fmtDur(r.SyncElapsed) }},
+	{"docs", func(r e15FreshnessRow) string { return fmt.Sprint(r.Docs) }},
 }
 
-// TableE15Query renders the query-latency leg.
-func TableE15Query(rows []E15QueryRow) string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{
-			fmt.Sprint(r.Records),
-			fmt.Sprint(r.Docs),
-			fmtDur(r.BuildElapsed),
-			fmtDur(r.IndexAvg),
-			fmtDur(r.ScanAvg),
-			fmt.Sprintf("%.0fx", r.Speedup),
-			fmt.Sprint(r.Mismatches),
-		}
+var e15QueryColumns = []column[e15QueryRow]{
+	{"records", func(r e15QueryRow) string { return fmt.Sprint(r.Records) }},
+	{"docs", func(r e15QueryRow) string { return fmt.Sprint(r.Docs) }},
+	{"build", func(r e15QueryRow) string { return fmtDur(r.BuildElapsed) }},
+	{"index", func(r e15QueryRow) string { return fmtDur(r.IndexAvg) }},
+	{"scan", func(r e15QueryRow) string { return fmtDur(r.ScanAvg) }},
+	{"speedup", func(r e15QueryRow) string { return fmt.Sprintf("%.0fx", r.Speedup) }},
+	{"mismatch", func(r e15QueryRow) string { return fmt.Sprint(r.Mismatches) }},
+}
+
+func runE15(size Size, seed int64) ([]Table, error) {
+	cfg := e15Sizes[size]
+	fresh, err := e15Freshness(cfg, seed)
+	if err != nil {
+		return nil, err
 	}
-	return Table(
-		"E15b cohort-query latency: inverted index vs full blob decode-and-scan (per-query mean over the panel)",
-		[]string{"records", "docs", "build", "index", "scan", "speedup", "mismatch"},
-		out,
-	)
+	queries, err := e15QueryScaling(cfg, seed)
+	if err != nil {
+		return nil, err
+	}
+	return []Table{
+		tabulate("E15a index freshness under sustained ingest (live chain; lag = blocks the index trails the tip before catch-up)", fresh, e15FreshnessColumns),
+		tabulate("E15b cohort-query latency: inverted index vs full blob decode-and-scan (per-query mean over the panel)", queries, e15QueryColumns),
+	}, verifyE15(cfg, fresh, queries)
 }

@@ -33,65 +33,41 @@ import (
 //     one shard must leave the other shards and the coordination chain
 //     live and consistent — the isolation argument for sharding at all.
 //
-// E16Verify is timing-free: it checks counts, terminal states, and
+// verifyE16 is timing-free: it checks counts, terminal states, and
 // containment, never wall-clock. Throughput and latency numbers are
 // reported for the tables and the benchmark, not gated.
 
-// E16Config tunes the sharding experiment.
-type E16Config struct {
-	// ShardCounts is the scaling sweep (default 1, 2, 4, 8).
+// e16Config is the sharding experiment.
+type e16Config struct {
+	// ShardCounts is the scaling sweep.
 	ShardCounts []int
-	// NodesPerShard sizes every cluster, coordination chain included
-	// (default 3).
-	NodesPerShard int
 	// Rounds / TxsPerShard shape the intra-shard workload: each round
 	// submits TxsPerShard registrations per shard, then every shard
-	// commits in parallel (default 4 x 8).
+	// commits in parallel.
 	Rounds      int
 	TxsPerShard int
 	// CrossTransfers is the number of 2PC transfers in the cross-shard
-	// leg, run on a 2-shard system (default 12).
+	// leg, run on a 2-shard system.
 	CrossTransfers int
-	// ShortExpiryEvery forces every Nth transfer onto the abort path by
-	// granting an already-passed destination deadline (default 4).
-	ShortExpiryEvery int
-	// ContainRounds drives the containment leg's sharded simulation
-	// (default 16; 0 skips the leg).
+	// ContainRounds drives the containment leg's sharded simulation.
 	ContainRounds int
-	// Seed drives key derivation and the simulation.
-	Seed int64
 }
 
-func (c E16Config) withDefaults() E16Config {
-	if len(c.ShardCounts) == 0 {
-		c.ShardCounts = []int{1, 2, 4, 8}
-	}
-	if c.NodesPerShard <= 0 {
-		c.NodesPerShard = 3
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 4
-	}
-	if c.TxsPerShard <= 0 {
-		c.TxsPerShard = 8
-	}
-	if c.CrossTransfers <= 0 {
-		c.CrossTransfers = 12
-	}
-	if c.ShortExpiryEvery <= 0 {
-		c.ShortExpiryEvery = 4
-	}
-	if c.ContainRounds == 0 {
-		c.ContainRounds = 16
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+var e16Sizes = [...]e16Config{
+	Full:  {ShardCounts: []int{1, 2, 4, 8}, Rounds: 4, TxsPerShard: 8, CrossTransfers: 12, ContainRounds: 16},
+	Quick: {ShardCounts: []int{1, 2, 4}, Rounds: 2, TxsPerShard: 4, CrossTransfers: 8, ContainRounds: 10},
 }
 
-// E16ScaleRow is one shard count in the throughput sweep.
-type E16ScaleRow struct {
+const (
+	// e16NodesPerShard sizes every cluster, coordination chain included.
+	e16NodesPerShard = 3
+	// e16ShortExpiryEvery forces every Nth transfer onto the abort path
+	// by granting an already-passed destination deadline.
+	e16ShortExpiryEvery = 4
+)
+
+// e16ScaleRow is one shard count in the throughput sweep.
+type e16ScaleRow struct {
 	// Shards is the member shard count; Nodes the total node count
 	// (members plus the coordination chain).
 	Shards int
@@ -105,8 +81,8 @@ type E16ScaleRow struct {
 	Speedup float64
 }
 
-// E16CrossRow summarizes the cross-shard 2PC leg.
-type E16CrossRow struct {
+// e16CrossRow summarizes the cross-shard 2PC leg.
+type e16CrossRow struct {
 	// Shards is the member shard count the transfers spanned.
 	Shards int
 	// Transfers / Committed / Aborted are the 2PC outcomes; Pending
@@ -124,8 +100,8 @@ type E16CrossRow struct {
 	Elapsed      time.Duration
 }
 
-// E16ContainRow summarizes the Byzantine containment leg.
-type E16ContainRow struct {
+// e16ContainRow summarizes the Byzantine containment leg.
+type e16ContainRow struct {
 	// Shards / ByzantineShard locate the adversary.
 	Shards         int
 	ByzantineShard int
@@ -145,17 +121,16 @@ type E16ContainRow struct {
 	Violations []string
 }
 
-// E16Scaling measures intra-shard throughput across shard counts.
-func E16Scaling(cfg E16Config) ([]E16ScaleRow, error) {
-	cfg = cfg.withDefaults()
-	rows := make([]E16ScaleRow, 0, len(cfg.ShardCounts))
+// e16Scaling measures intra-shard throughput across shard counts.
+func e16Scaling(cfg e16Config, seed int64) ([]e16ScaleRow, error) {
+	rows := make([]e16ScaleRow, 0, len(cfg.ShardCounts))
 	for _, shards := range cfg.ShardCounts {
 		sys, err := shard.NewSystem(shard.Config{
-			Shards: shards, NodesPerShard: cfg.NodesPerShard, CoordNodes: cfg.NodesPerShard,
-			KeySeed: fmt.Sprintf("e16-scale-%d-%d", cfg.Seed, shards),
+			Shards: shards, NodesPerShard: e16NodesPerShard, CoordNodes: e16NodesPerShard,
+			KeySeed: fmt.Sprintf("e16-scale-%d-%d", seed, shards),
 		})
 		if err != nil {
-			return rows, fmt.Errorf("experiments: e16 %d shards: %w", shards, err)
+			return nil, fmt.Errorf("experiments: e16 %d shards: %w", shards, err)
 		}
 		base := make([]uint64, shards)
 		for i := range base {
@@ -167,9 +142,9 @@ func E16Scaling(cfg E16Config) ([]E16ScaleRow, error) {
 			for i := 0; i < shards; i++ {
 				for k := 0; k < cfg.TxsPerShard; k++ {
 					seq++
-					if err := e16Register(sys, i, fmt.Sprintf("e16-ds-%d-%04d", cfg.Seed, seq)); err != nil {
+					if err := registerDataset(sys, i, fmt.Sprintf("e16-ds-%d-%04d", seed, seq)); err != nil {
 						sys.Close()
-						return rows, fmt.Errorf("experiments: e16 register: %w", err)
+						return nil, fmt.Errorf("experiments: e16 register: %w", err)
 					}
 				}
 			}
@@ -185,8 +160,8 @@ func E16Scaling(cfg E16Config) ([]E16ScaleRow, error) {
 			}
 			wg.Wait()
 		}
-		row := E16ScaleRow{
-			Shards: shards, Nodes: (shards + 1) * cfg.NodesPerShard,
+		row := e16ScaleRow{
+			Shards: shards, Nodes: (shards + 1) * e16NodesPerShard,
 			Elapsed: time.Since(start),
 		}
 		for i := 0; i < shards; i++ {
@@ -211,10 +186,16 @@ func E16Scaling(cfg E16Config) ([]E16ScaleRow, error) {
 	return rows, nil
 }
 
-// e16Register submits one register_dataset with a fresh per-dataset
+// datasetOwner derives the per-dataset owner key of the sharded
+// experiments (E16, E17).
+func datasetOwner(id string) (*cryptoutil.KeyPair, error) {
+	return cryptoutil.DeriveKeyPair("sharded/owner/" + id)
+}
+
+// registerDataset submits one register_dataset with a fresh per-dataset
 // owner key onto shard i.
-func e16Register(sys *shard.System, i int, id string) error {
-	owner, err := cryptoutil.DeriveKeyPair("e16/owner/" + id)
+func registerDataset(sys *shard.System, i int, id string) error {
+	owner, err := datasetOwner(id)
 	if err != nil {
 		return err
 	}
@@ -229,14 +210,13 @@ func e16Register(sys *shard.System, i int, id string) error {
 	})
 }
 
-// E16Cross measures 2PC settlement latency and the abort rate on a
+// e16Cross measures 2PC settlement latency and the abort rate on a
 // 2-shard system.
-func E16Cross(cfg E16Config) (*E16CrossRow, error) {
-	cfg = cfg.withDefaults()
+func e16Cross(cfg e16Config, seed int64) (*e16CrossRow, error) {
 	const shards = 2
 	sys, err := shard.NewSystem(shard.Config{
-		Shards: shards, NodesPerShard: cfg.NodesPerShard, CoordNodes: cfg.NodesPerShard,
-		KeySeed: fmt.Sprintf("e16-cross-%d", cfg.Seed),
+		Shards: shards, NodesPerShard: e16NodesPerShard, CoordNodes: e16NodesPerShard,
+		KeySeed: fmt.Sprintf("e16-cross-%d", seed),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: e16 cross: %w", err)
@@ -252,12 +232,12 @@ func E16Cross(cfg E16Config) (*E16CrossRow, error) {
 	}
 	xfers := make([]xfer, 0, cfg.CrossTransfers)
 	for k := 0; k < cfg.CrossTransfers; k++ {
-		id := fmt.Sprintf("e16-x-%d-%03d", cfg.Seed, k)
+		id := fmt.Sprintf("e16-x-%d-%03d", seed, k)
 		src := k % shards
-		if err := e16Register(sys, src, id); err != nil {
+		if err := registerDataset(sys, src, id); err != nil {
 			return nil, fmt.Errorf("experiments: e16 cross register: %w", err)
 		}
-		owner, _ := cryptoutil.DeriveKeyPair("e16/owner/" + id)
+		owner, _ := datasetOwner(id)
 		xfers = append(xfers, xfer{owner: owner, ds: id, src: src})
 	}
 	for i := 0; i < shards; i++ {
@@ -268,7 +248,7 @@ func E16Cross(cfg E16Config) (*E16CrossRow, error) {
 	for k, x := range xfers {
 		payload, _ := json.Marshal(contract.CrossTransferPayload{Dataset: x.ds})
 		var expiry uint64
-		if (k+1)%cfg.ShortExpiryEvery == 0 {
+		if (k+1)%e16ShortExpiryEvery == 0 {
 			expiry = 1
 		}
 		err := sys.SubmitPrepare(x.src, x.owner, contract.CrossPrepareArgs{
@@ -281,12 +261,12 @@ func E16Cross(cfg E16Config) (*E16CrossRow, error) {
 		}
 	}
 
-	row := &E16CrossRow{Shards: shards, Transfers: len(xfers)}
+	row := &e16CrossRow{Shards: shards, Transfers: len(xfers)}
 	start := time.Now()
 	for round := 0; round < 40; round++ {
 		for i := 0; i < shards; i++ {
 			if _, err := sys.Shard(i).CommitAll(); err != nil {
-				return row, fmt.Errorf("experiments: e16 settle commit: %w", err)
+				return nil, fmt.Errorf("experiments: e16 settle commit: %w", err)
 			}
 		}
 		sys.PumpRound()
@@ -315,15 +295,16 @@ func E16Cross(cfg E16Config) (*E16CrossRow, error) {
 	return row, nil
 }
 
-// E16Containment runs the sharded simulation with chaos plus the
-// Byzantine adversary confined to shard 0 of a 3-shard system.
-func E16Containment(cfg E16Config) (*E16ContainRow, error) {
-	cfg = cfg.withDefaults()
+// e16Containment runs the sharded simulation with chaos plus the
+// Byzantine adversary confined to shard 0 of a 3-shard system. A
+// simulation failure is reported through the row's Violations, so the
+// table is in hand when verifyE16 names it.
+func e16Containment(cfg e16Config, seed int64) (*e16ContainRow, error) {
 	res, err := sim.RunSharded(sim.ShardedConfig{
-		Seed: cfg.Seed, Shards: 3, NodesPerShard: 4, Rounds: cfg.ContainRounds,
+		Seed: seed, Shards: 3, NodesPerShard: 4, Rounds: cfg.ContainRounds,
 		Adversary: &sim.AdversaryConfig{}, ByzantineShard: 0,
 	})
-	row := &E16ContainRow{
+	row := &e16ContainRow{
 		Shards: res.Shards, ByzantineShard: 0,
 		QuarantineBlocks: res.QuarantineBlocks,
 		Transfers:        res.Transfers, Pending: res.Pending,
@@ -340,17 +321,16 @@ func E16Containment(cfg E16Config) (*E16ContainRow, error) {
 			row.HealthyMinHeight = h
 		}
 	}
-	if err != nil {
-		return row, fmt.Errorf("experiments: e16 containment: %w", err)
+	if err != nil && len(row.Violations) == 0 {
+		return nil, fmt.Errorf("experiments: e16 containment: %w", err)
 	}
 	return row, nil
 }
 
-// E16Verify enforces the sharding acceptance bars without reading a
+// verifyE16 enforces the sharding acceptance bars without reading a
 // clock: workload completeness per shard count, 2PC terminality with
 // both outcomes exercised, and containment with zero violations.
-func E16Verify(cfg E16Config, scale []E16ScaleRow, cross *E16CrossRow, contain *E16ContainRow) error {
-	cfg = cfg.withDefaults()
+func verifyE16(cfg e16Config, scale []e16ScaleRow, cross *e16CrossRow, contain *e16ContainRow) error {
 	if len(scale) != len(cfg.ShardCounts) {
 		return fmt.Errorf("experiments: e16: %d scale rows, want %d", len(scale), len(cfg.ShardCounts))
 	}
@@ -360,88 +340,76 @@ func E16Verify(cfg E16Config, scale []E16ScaleRow, cross *E16CrossRow, contain *
 			return fmt.Errorf("experiments: e16 %d shards: committed %d txs, want %d", r.Shards, r.Txs, want)
 		}
 	}
-	if cross == nil {
-		return fmt.Errorf("experiments: e16: no cross-shard row")
-	}
 	if cross.Pending != 0 {
 		return fmt.Errorf("experiments: e16: %d transfers never settled", cross.Pending)
 	}
 	if cross.Committed == 0 || cross.Aborted == 0 {
 		return fmt.Errorf("experiments: e16: 2PC outcomes not both exercised (committed=%d aborted=%d)", cross.Committed, cross.Aborted)
 	}
-	wantAborts := cfg.CrossTransfers / cfg.ShortExpiryEvery
+	wantAborts := cfg.CrossTransfers / e16ShortExpiryEvery
 	if cross.Aborted != wantAborts {
-		return fmt.Errorf("experiments: e16: %d aborts, want %d (every %dth transfer expires)", cross.Aborted, wantAborts, cfg.ShortExpiryEvery)
+		return fmt.Errorf("experiments: e16: %d aborts, want %d (every %dth transfer expires)", cross.Aborted, wantAborts, e16ShortExpiryEvery)
 	}
-	if cfg.ContainRounds > 0 {
-		if contain == nil {
-			return fmt.Errorf("experiments: e16: no containment row")
-		}
-		if len(contain.Violations) > 0 {
-			return fmt.Errorf("experiments: e16 containment: %d violation(s); first: %s", len(contain.Violations), contain.Violations[0])
-		}
-		if contain.Offenses == 0 {
-			return fmt.Errorf("experiments: e16 containment: adversary never acted")
-		}
-		if contain.Pending != 0 {
-			return fmt.Errorf("experiments: e16 containment: %d transfers pending", contain.Pending)
-		}
+	if len(contain.Violations) > 0 {
+		return fmt.Errorf("experiments: e16 containment: %d violation(s); first: %s", len(contain.Violations), contain.Violations[0])
+	}
+	if contain.Offenses == 0 {
+		return fmt.Errorf("experiments: e16 containment: adversary never acted")
+	}
+	if contain.Pending != 0 {
+		return fmt.Errorf("experiments: e16 containment: %d transfers pending", contain.Pending)
 	}
 	return nil
 }
 
-// TableE16Scale renders the throughput sweep.
-func TableE16Scale(rows []E16ScaleRow) string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{
-			fmt.Sprint(r.Shards),
-			fmt.Sprint(r.Nodes),
-			fmt.Sprint(r.Txs),
-			fmtDur(r.Elapsed),
-			fmt.Sprintf("%.0f", r.TPS),
-			fmt.Sprintf("%.2fx", r.Speedup),
-		}
+var e16ScaleColumns = []column[e16ScaleRow]{
+	{"shards", func(r e16ScaleRow) string { return fmt.Sprint(r.Shards) }},
+	{"nodes", func(r e16ScaleRow) string { return fmt.Sprint(r.Nodes) }},
+	{"txs", func(r e16ScaleRow) string { return fmt.Sprint(r.Txs) }},
+	{"elapsed", func(r e16ScaleRow) string { return fmtDur(r.Elapsed) }},
+	{"tps", func(r e16ScaleRow) string { return fmt.Sprintf("%.0f", r.TPS) }},
+	{"speedup", func(r e16ScaleRow) string { return fmt.Sprintf("%.2fx", r.Speedup) }},
+}
+
+var e16CrossColumns = []column[*e16CrossRow]{
+	{"shards", func(r *e16CrossRow) string { return fmt.Sprint(r.Shards) }},
+	{"transfers", func(r *e16CrossRow) string { return fmt.Sprint(r.Transfers) }},
+	{"committed", func(r *e16CrossRow) string { return fmt.Sprint(r.Committed) }},
+	{"aborted", func(r *e16CrossRow) string { return fmt.Sprint(r.Aborted) }},
+	{"abort%", func(r *e16CrossRow) string { return fmt.Sprintf("%.0f%%", r.AbortRate*100) }},
+	{"rounds", func(r *e16CrossRow) string { return fmt.Sprint(r.SettleRounds) }},
+	{"elapsed", func(r *e16CrossRow) string { return fmtDur(r.Elapsed) }},
+}
+
+var e16ContainColumns = []column[*e16ContainRow]{
+	{"shards", func(r *e16ContainRow) string { return fmt.Sprint(r.Shards) }},
+	{"byz", func(r *e16ContainRow) string { return shard.ShardID(r.ByzantineShard) }},
+	{"offenses", func(r *e16ContainRow) string { return fmt.Sprint(r.Offenses) }},
+	{"quarantine", func(r *e16ContainRow) string { return fmt.Sprint(r.QuarantineBlocks) }},
+	{"transfers", func(r *e16ContainRow) string { return fmt.Sprint(r.Transfers) }},
+	{"pending", func(r *e16ContainRow) string { return fmt.Sprint(r.Pending) }},
+	{"healthyMinH", func(r *e16ContainRow) string { return fmt.Sprint(r.HealthyMinHeight) }},
+	{"coordH", func(r *e16ContainRow) string { return fmt.Sprint(r.CoordHeight) }},
+	{"violations", func(r *e16ContainRow) string { return fmt.Sprint(len(r.Violations)) }},
+}
+
+func runE16(size Size, seed int64) ([]Table, error) {
+	cfg := e16Sizes[size]
+	scale, err := e16Scaling(cfg, seed)
+	if err != nil {
+		return nil, err
 	}
-	return Table(
-		"E16a intra-shard throughput vs shard count (same per-shard workload; shards commit in parallel)",
-		[]string{"shards", "nodes", "txs", "elapsed", "tps", "speedup"},
-		out,
-	)
-}
-
-// TableE16Cross renders the 2PC leg.
-func TableE16Cross(r *E16CrossRow) string {
-	return Table(
-		"E16b cross-shard 2PC: receipt-relay settlement latency and abort rate (every expired deadline must abort)",
-		[]string{"shards", "transfers", "committed", "aborted", "abort%", "rounds", "elapsed"},
-		[][]string{{
-			fmt.Sprint(r.Shards),
-			fmt.Sprint(r.Transfers),
-			fmt.Sprint(r.Committed),
-			fmt.Sprint(r.Aborted),
-			fmt.Sprintf("%.0f%%", r.AbortRate*100),
-			fmt.Sprint(r.SettleRounds),
-			fmtDur(r.Elapsed),
-		}},
-	)
-}
-
-// TableE16Contain renders the containment leg.
-func TableE16Contain(r *E16ContainRow) string {
-	return Table(
-		"E16c Byzantine containment: chaos + adversary confined to shard-0 (healthy shards and coord must stay live)",
-		[]string{"shards", "byz", "offenses", "quarantine", "transfers", "pending", "healthyMinH", "coordH", "violations"},
-		[][]string{{
-			fmt.Sprint(r.Shards),
-			shard.ShardID(r.ByzantineShard),
-			fmt.Sprint(r.Offenses),
-			fmt.Sprint(r.QuarantineBlocks),
-			fmt.Sprint(r.Transfers),
-			fmt.Sprint(r.Pending),
-			fmt.Sprint(r.HealthyMinHeight),
-			fmt.Sprint(r.CoordHeight),
-			fmt.Sprint(len(r.Violations)),
-		}},
-	)
+	cross, err := e16Cross(cfg, seed)
+	if err != nil {
+		return nil, err
+	}
+	contain, err := e16Containment(cfg, seed)
+	if err != nil {
+		return nil, err
+	}
+	return []Table{
+		tabulate("E16a intra-shard throughput vs shard count (same per-shard workload; shards commit in parallel)", scale, e16ScaleColumns),
+		tabulate("E16b cross-shard 2PC: receipt-relay settlement latency and abort rate (every expired deadline must abort)", []*e16CrossRow{cross}, e16CrossColumns),
+		tabulate("E16c Byzantine containment: chaos + adversary confined to shard-0 (healthy shards and coord must stay live)", []*e16ContainRow{contain}, e16ContainColumns),
+	}, verifyE16(cfg, scale, cross, contain)
 }

@@ -7,7 +7,6 @@ import (
 
 	"medchain/internal/contract"
 	"medchain/internal/cryptoutil"
-	"medchain/internal/ledger"
 	"medchain/internal/shard"
 	"medchain/internal/store"
 )
@@ -33,73 +32,48 @@ import (
 //     a standby takes the lease after it expires and the backlog
 //     settles, the downtime bounded in coordination-chain blocks.
 //
-// E17Verify is timing-free: head identity, replay arithmetic, dataset
+// verifyE17 is timing-free: head identity, replay arithmetic, dataset
 // censuses, lease membership and block-counted downtime — never
 // wall-clock. Elapsed times are reported for the tables only.
 
-// E17Config tunes the elasticity experiment.
-type E17Config struct {
+// e17Config is the elasticity experiment.
+type e17Config struct {
 	// ChainLengths is the recovery sweep: blocks committed on the
-	// victim shard before the power cut (default 4, 8, 16).
+	// victim shard before the power cut.
 	ChainLengths []int
-	// NodesPerShard sizes every cluster, coordination chain included
-	// (default 3).
-	NodesPerShard int
-	// SnapshotEvery is the state-snapshot cadence of the disk-backed
-	// recovery leg (default 4): recovery replays at most the blocks
-	// since the last snapshot.
-	SnapshotEvery int
 	// DatasetCounts is the resharding sweep: datasets registered before
-	// the 2 -> 3 shard epoch transition (default 8, 16, 32).
+	// the 2 -> 3 shard epoch transition.
 	DatasetCounts []int
-	// MigrateRounds bounds the migration drain (default 40).
-	MigrateRounds int
-	// CommitteeSizes is the failover sweep (default 1, 3): size 1 means
-	// no standby — the control run that shows what failover is for.
-	CommitteeSizes []int
-	// LeaseBlocks is the anchoring-lease bound in coordination-chain
-	// blocks for the failover leg (default 4).
-	LeaseBlocks uint64
-	// FailoverRounds bounds the post-kill commit/pump rounds while
-	// waiting for a standby takeover (default 16).
-	FailoverRounds int
-	// Seed namespaces deterministic keys.
-	Seed int64
 }
 
-func (c E17Config) withDefaults() E17Config {
-	if len(c.ChainLengths) == 0 {
-		c.ChainLengths = []int{4, 8, 16}
-	}
-	if c.NodesPerShard <= 0 {
-		c.NodesPerShard = 3
-	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = 4
-	}
-	if len(c.DatasetCounts) == 0 {
-		c.DatasetCounts = []int{8, 16, 32}
-	}
-	if c.MigrateRounds <= 0 {
-		c.MigrateRounds = 40
-	}
-	if len(c.CommitteeSizes) == 0 {
-		c.CommitteeSizes = []int{1, 3}
-	}
-	if c.LeaseBlocks == 0 {
-		c.LeaseBlocks = 4
-	}
-	if c.FailoverRounds <= 0 {
-		c.FailoverRounds = 16
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+var e17Sizes = [...]e17Config{
+	Full:  {ChainLengths: []int{4, 8, 16}, DatasetCounts: []int{8, 16, 32}},
+	Quick: {ChainLengths: []int{4, 8}, DatasetCounts: []int{8, 16}},
 }
 
-// E17RecoverRow is one chain length in the whole-shard recovery sweep.
-type E17RecoverRow struct {
+const (
+	// e17NodesPerShard sizes every cluster, coordination chain included.
+	e17NodesPerShard = 3
+	// e17SnapshotEvery is the state-snapshot cadence of the disk-backed
+	// recovery leg: recovery replays at most the blocks since the last
+	// snapshot.
+	e17SnapshotEvery = 4
+	// e17MigrateRounds bounds the migration drain.
+	e17MigrateRounds = 40
+	// e17LeaseBlocks is the anchoring-lease bound in coordination-chain
+	// blocks for the failover leg.
+	e17LeaseBlocks = 4
+	// e17FailoverRounds bounds the post-kill commit/pump rounds while
+	// waiting for a standby takeover.
+	e17FailoverRounds = 16
+)
+
+// e17CommitteeSizes is the failover sweep: size 1 means no standby —
+// the control run that shows what failover is for.
+var e17CommitteeSizes = []int{1, 3}
+
+// e17RecoverRow is one chain length in the whole-shard recovery sweep.
+type e17RecoverRow struct {
 	// Blocks is the blocks committed on the victim shard post-boot;
 	// Height the resulting (and recovered) chain height.
 	Blocks int
@@ -115,8 +89,8 @@ type E17RecoverRow struct {
 	Elapsed time.Duration
 }
 
-// E17ReshardRow is one dataset count in the epoch-transition sweep.
-type E17ReshardRow struct {
+// e17ReshardRow is one dataset count in the epoch-transition sweep.
+type e17ReshardRow struct {
 	// Datasets is the population size; Migrated how many the epoch
 	// transition moved to the new shard layout.
 	Datasets int
@@ -135,8 +109,8 @@ type E17ReshardRow struct {
 	Elapsed time.Duration
 }
 
-// E17FailoverRow is one committee size in the gateway-kill sweep.
-type E17FailoverRow struct {
+// e17FailoverRow is one committee size in the gateway-kill sweep.
+type e17FailoverRow struct {
 	// Committee is the gateway committee size; LeaseBlocks the lease
 	// bound in coordination-chain blocks.
 	Committee   int
@@ -160,28 +134,10 @@ type E17FailoverRow struct {
 	Pending int
 }
 
-// e17Register submits one register_dataset with a fresh per-dataset
-// owner key onto shard i.
-func e17Register(sys *shard.System, i int, id string) error {
-	owner, err := cryptoutil.DeriveKeyPair("e17/owner/" + id)
-	if err != nil {
-		return err
-	}
-	args, err := json.Marshal(contract.RegisterDatasetArgs{
-		ID: id, Schema: "fhir.r4", Records: 10, SiteID: shard.ShardID(i),
-	})
-	if err != nil {
-		return err
-	}
-	return shard.SubmitSigned(sys.Shard(i), owner, &ledger.Transaction{
-		Type: ledger.TxData, Method: "register_dataset", Args: args,
-	})
-}
-
 // e17Transfer prepares one cross-shard transfer of ds from src to dest
 // and commits the prepare on src.
 func e17Transfer(sys *shard.System, src, dest int, id, ds string) error {
-	owner, err := cryptoutil.DeriveKeyPair("e17/owner/" + ds)
+	owner, err := datasetOwner(ds)
 	if err != nil {
 		return err
 	}
@@ -200,32 +156,31 @@ func e17Transfer(sys *shard.System, src, dest int, id, ds string) error {
 	return err
 }
 
-// E17Recovery power-cuts a whole member shard at increasing chain
+// e17Recovery power-cuts a whole member shard at increasing chain
 // lengths and recovers it from its per-node stores.
-func E17Recovery(cfg E17Config) ([]E17RecoverRow, error) {
-	cfg = cfg.withDefaults()
-	rows := make([]E17RecoverRow, 0, len(cfg.ChainLengths))
-	for _, blocks := range cfg.ChainLengths {
+func e17Recovery(chainLengths []int, seed int64) ([]e17RecoverRow, error) {
+	rows := make([]e17RecoverRow, 0, len(chainLengths))
+	for _, blocks := range chainLengths {
 		sys, err := shard.NewSystem(shard.Config{
-			Shards: 2, NodesPerShard: cfg.NodesPerShard, CoordNodes: cfg.NodesPerShard,
-			KeySeed:       fmt.Sprintf("e17-rec-%d-%d", cfg.Seed, blocks),
+			Shards: 2, NodesPerShard: e17NodesPerShard, CoordNodes: e17NodesPerShard,
+			KeySeed:       fmt.Sprintf("e17-rec-%d-%d", seed, blocks),
 			FS:            store.NewMemFS(),
-			SnapshotEvery: cfg.SnapshotEvery,
+			SnapshotEvery: e17SnapshotEvery,
 		})
 		if err != nil {
-			return rows, fmt.Errorf("experiments: e17 recovery boot: %w", err)
+			return nil, fmt.Errorf("experiments: e17 recovery boot: %w", err)
 		}
 		for b := 0; b < blocks; b++ {
 			for k := 0; k < 2; k++ {
-				id := fmt.Sprintf("e17-rec-%d-%d-%02d-%d", cfg.Seed, blocks, b, k)
-				if err := e17Register(sys, 0, id); err != nil {
+				id := fmt.Sprintf("e17-rec-%d-%d-%02d-%d", seed, blocks, b, k)
+				if err := registerDataset(sys, 0, id); err != nil {
 					sys.Close()
-					return rows, fmt.Errorf("experiments: e17 recovery register: %w", err)
+					return nil, fmt.Errorf("experiments: e17 recovery register: %w", err)
 				}
 			}
 			if _, err := sys.Shard(0).CommitAll(); err != nil {
 				sys.Close()
-				return rows, fmt.Errorf("experiments: e17 recovery commit: %w", err)
+				return nil, fmt.Errorf("experiments: e17 recovery commit: %w", err)
 			}
 		}
 		pre := shard.BestNode(sys.Shard(0)).Chain().Head()
@@ -235,9 +190,9 @@ func E17Recovery(cfg E17Config) ([]E17RecoverRow, error) {
 		start := time.Now()
 		if err := sys.RecoverShard(0); err != nil {
 			sys.Close()
-			return rows, fmt.Errorf("experiments: e17 recover shard: %w", err)
+			return nil, fmt.Errorf("experiments: e17 recover shard: %w", err)
 		}
-		row := E17RecoverRow{Blocks: blocks, Elapsed: time.Since(start)}
+		row := e17RecoverRow{Blocks: blocks, Elapsed: time.Since(start)}
 		got := shard.BestNode(sys.Shard(0)).Chain().Head()
 		row.Height = got.Header.Height
 		row.HeadMatch = got.Hash() == wantHash && got.Header.Height == wantHeight
@@ -251,66 +206,65 @@ func E17Recovery(cfg E17Config) ([]E17RecoverRow, error) {
 	return rows, nil
 }
 
-// E17Reshard grows a 2-shard deployment to 3 through a full epoch
+// e17Reshard grows a 2-shard deployment to 3 through a full epoch
 // transition at increasing dataset counts and censuses the survivors.
-func E17Reshard(cfg E17Config) ([]E17ReshardRow, error) {
-	cfg = cfg.withDefaults()
-	rows := make([]E17ReshardRow, 0, len(cfg.DatasetCounts))
-	for _, count := range cfg.DatasetCounts {
+func e17Reshard(datasetCounts []int, seed int64) ([]e17ReshardRow, error) {
+	rows := make([]e17ReshardRow, 0, len(datasetCounts))
+	for _, count := range datasetCounts {
 		sys, err := shard.NewSystem(shard.Config{
-			Shards: 2, NodesPerShard: cfg.NodesPerShard, CoordNodes: cfg.NodesPerShard,
-			KeySeed: fmt.Sprintf("e17-rs-%d-%d", cfg.Seed, count),
+			Shards: 2, NodesPerShard: e17NodesPerShard, CoordNodes: e17NodesPerShard,
+			KeySeed: fmt.Sprintf("e17-rs-%d-%d", seed, count),
 		})
 		if err != nil {
-			return rows, fmt.Errorf("experiments: e17 reshard boot: %w", err)
+			return nil, fmt.Errorf("experiments: e17 reshard boot: %w", err)
 		}
 		ids := make([]string, 0, count)
 		pendingPer := make([]int, sys.Shards())
 		for k := 0; k < count; k++ {
-			id := fmt.Sprintf("e17-rs-%d-%d-%03d", cfg.Seed, count, k)
+			id := fmt.Sprintf("e17-rs-%d-%d-%03d", seed, count, k)
 			home := sys.ShardOf(id)
-			if err := e17Register(sys, home, id); err != nil {
+			if err := registerDataset(sys, home, id); err != nil {
 				sys.Close()
-				return rows, fmt.Errorf("experiments: e17 reshard register: %w", err)
+				return nil, fmt.Errorf("experiments: e17 reshard register: %w", err)
 			}
 			ids = append(ids, id)
 			if pendingPer[home]++; pendingPer[home] >= 8 {
 				pendingPer[home] = 0
 				if _, err := sys.Shard(home).CommitAll(); err != nil {
 					sys.Close()
-					return rows, fmt.Errorf("experiments: e17 reshard commit: %w", err)
+					return nil, fmt.Errorf("experiments: e17 reshard commit: %w", err)
 				}
 			}
 		}
 		for i := 0; i < sys.Shards(); i++ {
 			if _, err := sys.Shard(i).CommitAll(); err != nil {
 				sys.Close()
-				return rows, fmt.Errorf("experiments: e17 reshard commit: %w", err)
+				return nil, fmt.Errorf("experiments: e17 reshard commit: %w", err)
 			}
 		}
 
 		start := time.Now()
 		if _, err := sys.AddShard(); err != nil {
 			sys.Close()
-			return rows, fmt.Errorf("experiments: e17 add shard: %w", err)
+			return nil, fmt.Errorf("experiments: e17 add shard: %w", err)
 		}
 		if _, err := sys.BeginEpoch(sys.ShardIDs()); err != nil {
 			sys.Close()
-			return rows, fmt.Errorf("experiments: e17 begin epoch: %w", err)
+			return nil, fmt.Errorf("experiments: e17 begin epoch: %w", err)
 		}
 		moved, err := sys.DrainMigrations(func(m shard.Migration) *cryptoutil.KeyPair {
-			kp, _ := cryptoutil.DeriveKeyPair("e17/owner/" + m.Dataset)
+			kp, _ := datasetOwner(m.Dataset)
 			return kp
-		}, cfg.MigrateRounds)
+		}, e17MigrateRounds)
 		if err != nil {
 			sys.Close()
-			return rows, fmt.Errorf("experiments: e17 migrate: %w", err)
+			return nil, fmt.Errorf("experiments: e17 migrate: %w", err)
 		}
 		if err := sys.CommitEpoch(); err != nil {
 			sys.Close()
-			return rows, fmt.Errorf("experiments: e17 commit epoch: %w", err)
+			return nil, fmt.Errorf("experiments: e17 commit epoch: %w", err)
 		}
-		row := E17ReshardRow{
+		row := e17ReshardRow{
 			Datasets: count, Migrated: moved,
 			FinalEpoch: sys.Epoch(), Elapsed: time.Since(start),
 		}
@@ -341,37 +295,36 @@ func E17Reshard(cfg E17Config) ([]E17ReshardRow, error) {
 	return rows, nil
 }
 
-// E17Failover kills the active anchoring gateway of shard 0 with and
+// e17Failover kills the active anchoring gateway of shard 0 with and
 // without standby committee members and measures the anchoring outage
 // in coordination-chain blocks.
-func E17Failover(cfg E17Config) ([]E17FailoverRow, error) {
-	cfg = cfg.withDefaults()
-	rows := make([]E17FailoverRow, 0, len(cfg.CommitteeSizes))
-	for _, committee := range cfg.CommitteeSizes {
+func e17Failover(seed int64) ([]e17FailoverRow, error) {
+	rows := make([]e17FailoverRow, 0, len(e17CommitteeSizes))
+	for _, committee := range e17CommitteeSizes {
 		sys, err := shard.NewSystem(shard.Config{
-			Shards: 2, NodesPerShard: cfg.NodesPerShard, CoordNodes: cfg.NodesPerShard,
-			KeySeed:       fmt.Sprintf("e17-fo-%d-%d", cfg.Seed, committee),
+			Shards: 2, NodesPerShard: e17NodesPerShard, CoordNodes: e17NodesPerShard,
+			KeySeed:       fmt.Sprintf("e17-fo-%d-%d", seed, committee),
 			CommitteeSize: committee,
-			LeaseBlocks:   cfg.LeaseBlocks,
+			LeaseBlocks:   e17LeaseBlocks,
 		})
 		if err != nil {
-			return rows, fmt.Errorf("experiments: e17 failover boot: %w", err)
+			return nil, fmt.Errorf("experiments: e17 failover boot: %w", err)
 		}
 		// A dataset pool on each shard feeds one transfer per direction
 		// per round — outbound traffic is what makes the outage visible.
 		pool := make([][]string, 2)
 		for s := 0; s < 2; s++ {
-			for k := 0; k < cfg.FailoverRounds+4; k++ {
-				id := fmt.Sprintf("e17-fo-%d-%d-%d-%02d", cfg.Seed, committee, s, k)
-				if err := e17Register(sys, s, id); err != nil {
+			for k := 0; k < e17FailoverRounds+4; k++ {
+				id := fmt.Sprintf("e17-fo-%d-%d-%d-%02d", seed, committee, s, k)
+				if err := registerDataset(sys, s, id); err != nil {
 					sys.Close()
-					return rows, fmt.Errorf("experiments: e17 failover register: %w", err)
+					return nil, fmt.Errorf("experiments: e17 failover register: %w", err)
 				}
 				pool[s] = append(pool[s], id)
 			}
 			if _, err := sys.Shard(s).CommitAll(); err != nil {
 				sys.Close()
-				return rows, fmt.Errorf("experiments: e17 failover commit: %w", err)
+				return nil, fmt.Errorf("experiments: e17 failover commit: %w", err)
 			}
 		}
 		next := []int{0, 0}
@@ -391,11 +344,11 @@ func E17Failover(cfg E17Config) ([]E17FailoverRow, error) {
 		// the kill.
 		if err := transferEach(); err != nil {
 			sys.Close()
-			return rows, fmt.Errorf("experiments: e17 failover warmup: %w", err)
+			return nil, fmt.Errorf("experiments: e17 failover warmup: %w", err)
 		}
 		sys.Pump(10)
 
-		row := E17FailoverRow{Committee: committee, LeaseBlocks: cfg.LeaseBlocks, DowntimeBlocks: -1}
+		row := e17FailoverRow{Committee: committee, LeaseBlocks: e17LeaseBlocks, DowntimeBlocks: -1}
 		coordState := shard.BestNode(sys.Coord()).State()
 		if info, ok := coordState.ShardInfoOf(shard.ShardID(0)); ok {
 			row.AnchorAtKill = info.LastAnchor
@@ -403,10 +356,10 @@ func E17Failover(cfg E17Config) ([]E17FailoverRow, error) {
 		killed := sys.ActiveGateway(0)
 		sys.KillGateway(0)
 
-		for r := 0; r < cfg.FailoverRounds; r++ {
+		for r := 0; r < e17FailoverRounds; r++ {
 			if err := transferEach(); err != nil {
 				sys.Close()
-				return rows, fmt.Errorf("experiments: e17 failover round %d: %w", r, err)
+				return nil, fmt.Errorf("experiments: e17 failover round %d: %w", r, err)
 			}
 			sys.PumpRound()
 			n := shard.BestNode(sys.Coord())
@@ -434,7 +387,7 @@ func E17Failover(cfg E17Config) ([]E17FailoverRow, error) {
 			for s := 0; s < 2; s++ {
 				if _, err := sys.Shard(s).CommitAll(); err != nil {
 					sys.Close()
-					return rows, fmt.Errorf("experiments: e17 failover settle: %w", err)
+					return nil, fmt.Errorf("experiments: e17 failover settle: %w", err)
 				}
 			}
 			sys.PumpRound()
@@ -446,12 +399,11 @@ func E17Failover(cfg E17Config) ([]E17FailoverRow, error) {
 	return rows, nil
 }
 
-// E17Verify enforces the elasticity acceptance bars without reading a
+// verifyE17 enforces the elasticity acceptance bars without reading a
 // clock: bit-identical recovered heads with snapshot-bounded replay,
 // loss-free epoch transitions, and lease takeover if and only if a
 // standby exists.
-func E17Verify(cfg E17Config, recov []E17RecoverRow, reshard []E17ReshardRow, failover []E17FailoverRow) error {
-	cfg = cfg.withDefaults()
+func verifyE17(cfg e17Config, recov []e17RecoverRow, reshard []e17ReshardRow, failover []e17FailoverRow) error {
 	if len(recov) != len(cfg.ChainLengths) {
 		return fmt.Errorf("experiments: e17: %d recovery rows, want %d", len(recov), len(cfg.ChainLengths))
 	}
@@ -465,8 +417,8 @@ func E17Verify(cfg E17Config, recov []E17RecoverRow, reshard []E17ReshardRow, fa
 		if got, want := r.ReplayedBlocks, int(r.Height-r.SnapshotHeight); got != want {
 			return fmt.Errorf("experiments: e17 recovery at %d blocks: replayed %d, want height-snapshot = %d", r.Blocks, got, want)
 		}
-		if r.SnapshotHeight == 0 && r.Height > uint64(2*cfg.SnapshotEvery) {
-			return fmt.Errorf("experiments: e17 recovery at %d blocks: no snapshot used despite cadence %d", r.Blocks, cfg.SnapshotEvery)
+		if r.SnapshotHeight == 0 && r.Height > uint64(2*e17SnapshotEvery) {
+			return fmt.Errorf("experiments: e17 recovery at %d blocks: no snapshot used despite cadence %d", r.Blocks, e17SnapshotEvery)
 		}
 	}
 	if len(reshard) != len(cfg.DatasetCounts) {
@@ -487,8 +439,8 @@ func E17Verify(cfg E17Config, recov []E17RecoverRow, reshard []E17ReshardRow, fa
 			return fmt.Errorf("experiments: e17 reshard %d datasets: migrated %d > population", r.Datasets, r.Migrated)
 		}
 	}
-	if len(failover) != len(cfg.CommitteeSizes) {
-		return fmt.Errorf("experiments: e17: %d failover rows, want %d", len(failover), len(cfg.CommitteeSizes))
+	if len(failover) != len(e17CommitteeSizes) {
+		return fmt.Errorf("experiments: e17: %d failover rows, want %d", len(failover), len(e17CommitteeSizes))
 	}
 	sawControl, sawFailover := false, false
 	for _, r := range failover {
@@ -523,72 +475,66 @@ func E17Verify(cfg E17Config, recov []E17RecoverRow, reshard []E17ReshardRow, fa
 	return nil
 }
 
-// TableE17Recover renders the whole-shard recovery sweep.
-func TableE17Recover(rows []E17RecoverRow) string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		match := "no"
-		if r.HeadMatch {
-			match = "yes"
-		}
-		out[i] = []string{
-			fmt.Sprint(r.Blocks),
-			fmt.Sprint(r.Height),
-			fmt.Sprint(r.SnapshotHeight),
-			fmt.Sprint(r.ReplayedBlocks),
-			match,
-			fmtDur(r.Elapsed),
-		}
+// yesNo is how E17's tables print a bar that held or did not.
+func yesNo(ok bool) string {
+	if ok {
+		return "yes"
 	}
-	return Table(
-		"E17a whole-shard crash recovery vs chain length (snapshot cadence bounds WAL replay; head must be bit-identical)",
-		[]string{"blocks", "height", "snapshot@", "replayed", "head match", "recovery"},
-		out,
-	)
+	return "no"
 }
 
-// TableE17Reshard renders the epoch-transition sweep.
-func TableE17Reshard(rows []E17ReshardRow) string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{
-			fmt.Sprint(r.Datasets),
-			fmt.Sprint(r.Migrated),
-			fmt.Sprintf("%.0f%%", float64(r.Migrated)/float64(max(r.Datasets, 1))*100),
-			fmt.Sprint(r.FinalEpoch),
-			fmt.Sprint(r.Lost),
-			fmt.Sprint(r.Duplicated),
-			fmt.Sprint(r.Misplaced),
-			fmtDur(r.Elapsed),
-		}
-	}
-	return Table(
-		"E17b epoch-based resharding 2 -> 3 shards vs dataset count (zero lost/duplicated/misplaced datasets)",
-		[]string{"datasets", "migrated", "moved%", "epoch", "lost", "dup", "misplaced", "elapsed"},
-		out,
-	)
+var e17RecoverColumns = []column[e17RecoverRow]{
+	{"blocks", func(r e17RecoverRow) string { return fmt.Sprint(r.Blocks) }},
+	{"height", func(r e17RecoverRow) string { return fmt.Sprint(r.Height) }},
+	{"snapshot@", func(r e17RecoverRow) string { return fmt.Sprint(r.SnapshotHeight) }},
+	{"replayed", func(r e17RecoverRow) string { return fmt.Sprint(r.ReplayedBlocks) }},
+	{"head match", func(r e17RecoverRow) string { return yesNo(r.HeadMatch) }},
+	{"recovery", func(r e17RecoverRow) string { return fmtDur(r.Elapsed) }},
 }
 
-// TableE17Failover renders the gateway-kill sweep.
-func TableE17Failover(rows []E17FailoverRow) string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		recovered, downtime := "no", "∞"
-		if r.Recovered {
-			recovered = "yes"
-			downtime = fmt.Sprint(r.DowntimeBlocks)
+var e17ReshardColumns = []column[e17ReshardRow]{
+	{"datasets", func(r e17ReshardRow) string { return fmt.Sprint(r.Datasets) }},
+	{"migrated", func(r e17ReshardRow) string { return fmt.Sprint(r.Migrated) }},
+	{"moved%", func(r e17ReshardRow) string {
+		return fmt.Sprintf("%.0f%%", float64(r.Migrated)/float64(max(r.Datasets, 1))*100)
+	}},
+	{"epoch", func(r e17ReshardRow) string { return fmt.Sprint(r.FinalEpoch) }},
+	{"lost", func(r e17ReshardRow) string { return fmt.Sprint(r.Lost) }},
+	{"dup", func(r e17ReshardRow) string { return fmt.Sprint(r.Duplicated) }},
+	{"misplaced", func(r e17ReshardRow) string { return fmt.Sprint(r.Misplaced) }},
+	{"elapsed", func(r e17ReshardRow) string { return fmtDur(r.Elapsed) }},
+}
+
+var e17FailoverColumns = []column[e17FailoverRow]{
+	{"committee", func(r e17FailoverRow) string { return fmt.Sprint(r.Committee) }},
+	{"lease", func(r e17FailoverRow) string { return fmt.Sprint(r.LeaseBlocks) }},
+	{"recovered", func(r e17FailoverRow) string { return yesNo(r.Recovered) }},
+	{"downtime (coord blocks)", func(r e17FailoverRow) string {
+		if !r.Recovered {
+			return "∞"
 		}
-		out[i] = []string{
-			fmt.Sprint(r.Committee),
-			fmt.Sprint(r.LeaseBlocks),
-			recovered,
-			downtime,
-			fmt.Sprint(r.Pending),
-		}
+		return fmt.Sprint(r.DowntimeBlocks)
+	}},
+	{"pending", func(r e17FailoverRow) string { return fmt.Sprint(r.Pending) }},
+}
+
+func runE17(size Size, seed int64) ([]Table, error) {
+	cfg := e17Sizes[size]
+	recov, err := e17Recovery(cfg.ChainLengths, seed)
+	if err != nil {
+		return nil, err
 	}
-	return Table(
-		"E17c anchoring outage after gateway kill: no standby stalls forever; a committee takes the lease after expiry",
-		[]string{"committee", "lease", "recovered", "downtime (coord blocks)", "pending"},
-		out,
-	)
+	reshard, err := e17Reshard(cfg.DatasetCounts, seed)
+	if err != nil {
+		return nil, err
+	}
+	failover, err := e17Failover(seed)
+	if err != nil {
+		return nil, err
+	}
+	return []Table{
+		tabulate("E17a whole-shard crash recovery vs chain length (snapshot cadence bounds WAL replay; head must be bit-identical)", recov, e17RecoverColumns),
+		tabulate("E17b epoch-based resharding 2 -> 3 shards vs dataset count (zero lost/duplicated/misplaced datasets)", reshard, e17ReshardColumns),
+		tabulate("E17c anchoring outage after gateway kill: no standby stalls forever; a committee takes the lease after expiry", failover, e17FailoverColumns),
+	}, verifyE17(cfg, recov, reshard, failover)
 }

@@ -21,13 +21,13 @@ func jsonMarshal(v any) ([]byte, error) {
 }
 
 // runHeavyContract deploys a compute-heavy VM contract on an n-node
-// cluster and invokes it cfg.Contracts times, returning (useful gas,
+// cluster and invokes it contracts times, returning (useful gas,
 // cluster-wide gas).
-func runHeavyContract(n int, cfg E2Config, src string) (useful, total int64, err error) {
+func runHeavyContract(n, contracts int, seed int64, src string) (useful, total int64, err error) {
 	c, err := chain.NewCluster(chain.ClusterConfig{
 		Nodes:   n,
 		Engine:  chain.EngineQuorum,
-		KeySeed: fmt.Sprintf("e2/%d/%d", cfg.Seed, n),
+		KeySeed: fmt.Sprintf("e2/%d/%d", seed, n),
 	})
 	if err != nil {
 		return 0, 0, err
@@ -47,7 +47,7 @@ func runHeavyContract(n int, cfg E2Config, src string) (useful, total int64, err
 	}
 	txs := []*ledger.Transaction{deploy}
 	addr := contract.DeployedAddress(dev.Address(), 0)
-	for i := 0; i < cfg.Contracts; i++ {
+	for i := 0; i < contracts; i++ {
 		invoke := &ledger.Transaction{
 			Type: ledger.TxInvoke, Nonce: uint64(i + 1), Contract: addr,
 			Method: "run", Timestamp: int64(i + 2),
@@ -62,7 +62,7 @@ func runHeavyContract(n int, cfg E2Config, src string) (useful, total int64, err
 			return 0, 0, err
 		}
 	}
-	if err := waitGossip(c, len(txs), timeout10s); err != nil {
+	if err := waitGossip(c, len(txs)); err != nil {
 		return 0, 0, err
 	}
 	if _, err := c.CommitAll(); err != nil {
@@ -80,11 +80,11 @@ func runHeavyContract(n int, cfg E2Config, src string) (useful, total int64, err
 // runPolicyOnly runs the transformed equivalent: the same number of
 // on-chain operations are lightweight request_run policy checks (the
 // heavy compute happens off-chain, once). Returns cluster-wide gas.
-func runPolicyOnly(n int, cfg E2Config) (int64, error) {
+func runPolicyOnly(n, contracts int, seed int64) (int64, error) {
 	c, err := chain.NewCluster(chain.ClusterConfig{
 		Nodes:   n,
 		Engine:  chain.EngineQuorum,
-		KeySeed: fmt.Sprintf("e2t/%d/%d", cfg.Seed, n),
+		KeySeed: fmt.Sprintf("e2t/%d/%d", seed, n),
 	})
 	if err != nil {
 		return 0, err
@@ -106,7 +106,7 @@ func runPolicyOnly(n int, cfg E2Config) (int64, error) {
 		return 0, err
 	}
 	txs := []*ledger.Transaction{regData, regTool}
-	for i := 0; i < cfg.Contracts; i++ {
+	for i := 0; i < contracts; i++ {
 		req, err := buildTx(owner, uint64(i+2), ledger.TxAnalytics, "request_run", contract.RequestRunArgs{
 			Tool: "t", Dataset: "d",
 		})
@@ -120,7 +120,7 @@ func runPolicyOnly(n int, cfg E2Config) (int64, error) {
 			return 0, err
 		}
 	}
-	if err := waitGossip(c, len(txs), timeout10s); err != nil {
+	if err := waitGossip(c, len(txs)); err != nil {
 		return 0, err
 	}
 	if _, err := c.CommitAll(); err != nil {

@@ -11,13 +11,11 @@ import (
 	"medchain/internal/query"
 )
 
-const timeout10s = 10 * time.Second
-
 // --- E3: transformed parallel speedup ---
 
-// E3Row compares duplicated vs transformed execution of one analytics
+// e3Row compares duplicated vs transformed execution of one analytics
 // job at one site count.
-type E3Row struct {
+type e3Row struct {
 	// Sites is the number of data sites (= chain nodes).
 	Sites int
 	// DupLatency is the duplicated mode's per-node latency (each node
@@ -40,55 +38,42 @@ type E3Row struct {
 	CPUSaving float64
 }
 
-// E3Config tunes the speedup sweep.
-type E3Config struct {
+// e3Config is the speedup sweep.
+type e3Config struct {
 	// SiteCounts are the fan-outs to sweep.
 	SiteCounts []int
 	// TotalPatients is the fixed total cohort, sharded across sites
 	// (strong scaling).
 	TotalPatients int
-	// Epochs sizes the risk-model training job.
-	Epochs int
-	// Repeats averages the timing over several runs.
+	// Repeats is how many timed runs each cell takes (min reported).
 	Repeats int
-	// Seed drives generation.
-	Seed int64
 }
 
-func (c E3Config) withDefaults() E3Config {
-	if len(c.SiteCounts) == 0 {
-		c.SiteCounts = []int{1, 2, 4, 8}
-	}
-	if c.TotalPatients <= 0 {
-		c.TotalPatients = 1600
-	}
-	if c.Epochs <= 0 {
-		c.Epochs = 30
-	}
-	if c.Repeats <= 0 {
-		c.Repeats = 3
-	}
-	return c
+var e3Sizes = [...]e3Config{
+	Full:  {SiteCounts: []int{1, 2, 4, 8}, TotalPatients: 1600, Repeats: 3},
+	Quick: {SiteCounts: []int{1, 2, 4}, TotalPatients: 1200, Repeats: 2},
 }
 
-// E3ParallelSpeedup measures one fixed risk-model training job (the
+// e3Epochs sizes the risk-model training job.
+const e3Epochs = 30
+
+// e3ParallelSpeedup measures one fixed risk-model training job (the
 // paper's "complicated analytics") in both modes at increasing site
 // counts: the transformed architecture's latency shrinks with sites
 // while the duplicated baseline stays flat (Fig. 1's promise).
-func E3ParallelSpeedup(cfg E3Config) ([]E3Row, error) {
-	cfg = cfg.withDefaults()
-	var rows []E3Row
+func e3ParallelSpeedup(cfg e3Config, seed int64) ([]e3Row, error) {
+	var rows []e3Row
 	for _, sites := range cfg.SiteCounts {
 		p, err := core.NewPlatform(core.Config{
 			Sites:           sites,
 			PatientsPerSite: cfg.TotalPatients / sites,
-			Seed:            cfg.Seed,
-			KeySeed:         fmt.Sprintf("e3/%d/%d", cfg.Seed, sites),
+			Seed:            seed,
+			KeySeed:         fmt.Sprintf("e3/%d/%d", seed, sites),
 		})
 		if err != nil {
 			return nil, err
 		}
-		v := &query.Vector{Intent: query.IntentRisk, Condition: emr.CondDiabetes, Epochs: cfg.Epochs, Seed: cfg.Seed}
+		v := &query.Vector{Intent: query.IntentRisk, Condition: emr.CondDiabetes, Epochs: e3Epochs, Seed: seed}
 		toolID, params, err := v.Compile()
 		if err != nil {
 			p.Close()
@@ -136,7 +121,7 @@ func E3ParallelSpeedup(cfg E3Config) ([]E3Row, error) {
 			}
 		}
 		p.Close()
-		row := E3Row{
+		row := e3Row{
 			Sites:         sites,
 			DupLatency:    dupLat,
 			DupTotalCPU:   time.Duration(sites) * dupLat,
@@ -154,33 +139,45 @@ func E3ParallelSpeedup(cfg E3Config) ([]E3Row, error) {
 	return rows, nil
 }
 
-// TableE3 renders the E3 rows.
-func TableE3(rows []E3Row) string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{
-			fmt.Sprint(r.Sites),
-			fmtDur(r.DupLatency),
-			fmtDur(r.DupTotalCPU),
-			fmtDur(r.TransLatency),
-			fmtDur(r.TransTotalCPU),
-			fmt.Sprintf("%.2fx", r.Speedup),
-			fmt.Sprintf("%.1fx", r.CPUSaving),
-		}
+// verifyE3 holds Fig. 1's promise: at the widest fan-out the parallel
+// shards beat the full-data run, and the speedup grew on the way there.
+func verifyE3(rows []e3Row) error {
+	first, last := rows[0], rows[len(rows)-1]
+	if last.Speedup <= 1.0 {
+		return fmt.Errorf("experiments: e3: %d-site speedup %.2f ≤ 1", last.Sites, last.Speedup)
 	}
-	return Table(
+	if last.Speedup <= first.Speedup {
+		return fmt.Errorf("experiments: e3: speedup did not grow: %.2fx at %d site(s), %.2fx at %d",
+			first.Speedup, first.Sites, last.Speedup, last.Sites)
+	}
+	return nil
+}
+
+var e3Columns = []column[e3Row]{
+	{"sites", func(r e3Row) string { return fmt.Sprint(r.Sites) }},
+	{"dup latency", func(r e3Row) string { return fmtDur(r.DupLatency) }},
+	{"dup total CPU", func(r e3Row) string { return fmtDur(r.DupTotalCPU) }},
+	{"trans latency", func(r e3Row) string { return fmtDur(r.TransLatency) }},
+	{"trans total CPU", func(r e3Row) string { return fmtDur(r.TransTotalCPU) }},
+	{"speedup", func(r e3Row) string { return fmt.Sprintf("%.2fx", r.Speedup) }},
+	{"CPU saving", func(r e3Row) string { return fmt.Sprintf("%.1fx", r.CPUSaving) }},
+}
+
+func runE3(size Size, seed int64) ([]Table, error) {
+	rows, err := e3ParallelSpeedup(e3Sizes[size], seed)
+	if err != nil {
+		return nil, err
+	}
+	return []Table{tabulate(
 		"E3  Parallel speedup (fixed total cohort, risk-model training): transformed latency falls with sites; duplicated stays flat",
-		[]string{"sites", "dup latency", "dup total CPU", "trans latency", "trans total CPU", "speedup", "CPU saving"},
-		out,
-	)
+		rows, e3Columns)}, verifyE3(rows)
 }
 
 // --- E4: data movement (move computing to data) ---
 
-// E4Row compares bytes moved at one cohort size.
-type E4Row struct {
-	// Sites and PatientsPerSite size the federation.
-	Sites           int
+// e4Row compares bytes moved at one cohort size.
+type e4Row struct {
+	// PatientsPerSite sizes each of the e4Sites cohorts.
 	PatientsPerSite int
 	// DatasetBytes is the total serialized record volume.
 	DatasetBytes int64
@@ -196,39 +193,27 @@ type E4Row struct {
 	Ratio float64
 }
 
-// E4Config tunes the data-movement sweep.
-type E4Config struct {
-	// PatientsPerSite values to sweep (sites fixed).
-	PatientsPerSite []int
-	// Sites is the fixed federation size.
-	Sites int
-	// Seed drives generation.
-	Seed int64
+// e4Sizes are the patients-per-site values swept.
+var e4Sizes = [...][]int{
+	Full:  {50, 100, 200, 400},
+	Quick: {50, 100},
 }
 
-func (c E4Config) withDefaults() E4Config {
-	if len(c.PatientsPerSite) == 0 {
-		c.PatientsPerSite = []int{50, 100, 200, 400}
-	}
-	if c.Sites <= 0 {
-		c.Sites = 4
-	}
-	return c
-}
+// e4Sites is the fixed federation size.
+const e4Sites = 4
 
-// E4DataMovement measures the bytes that cross site boundaries for the
+// e4DataMovement measures the bytes that cross site boundaries for the
 // same cohort-count query under (a) centralized copy-everything, (b)
 // duplicated-chain replication, and (c) the transformed
 // compute-to-data mode.
-func E4DataMovement(cfg E4Config) ([]E4Row, error) {
-	cfg = cfg.withDefaults()
-	var rows []E4Row
-	for _, pts := range cfg.PatientsPerSite {
+func e4DataMovement(patientsPerSite []int, seed int64) ([]e4Row, error) {
+	var rows []e4Row
+	for _, pts := range patientsPerSite {
 		p, err := core.NewPlatform(core.Config{
-			Sites:           cfg.Sites,
+			Sites:           e4Sites,
 			PatientsPerSite: pts,
-			Seed:            cfg.Seed,
-			KeySeed:         fmt.Sprintf("e4/%d/%d", cfg.Seed, pts),
+			Seed:            seed,
+			KeySeed:         fmt.Sprintf("e4/%d/%d", seed, pts),
 		})
 		if err != nil {
 			return nil, err
@@ -250,9 +235,8 @@ func E4DataMovement(cfg E4Config) ([]E4Row, error) {
 			return nil, err
 		}
 		p.Close()
-		datasetBytes := dup.BytesReplicated / int64(cfg.Sites-1)
-		row := E4Row{
-			Sites:            cfg.Sites,
+		datasetBytes := dup.BytesReplicated / (e4Sites - 1)
+		row := e4Row{
 			PatientsPerSite:  pts,
 			DatasetBytes:     datasetBytes,
 			CentralizedBytes: datasetBytes,
@@ -267,24 +251,43 @@ func E4DataMovement(cfg E4Config) ([]E4Row, error) {
 	return rows, nil
 }
 
-// TableE4 renders the E4 rows.
-func TableE4(rows []E4Row) string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{
-			fmt.Sprint(r.PatientsPerSite),
-			fmtBytes(r.DatasetBytes),
-			fmtBytes(r.CentralizedBytes),
-			fmtBytes(r.ReplicatedBytes),
-			fmtBytes(r.TransformedBytes),
-			fmt.Sprintf("%.0fx", r.Ratio),
+// verifyE4 holds "move computing to data": the transformed mode moves
+// at least an order of magnitude fewer bytes than copying the records,
+// and the gap grows with data size (transformed bytes stay ~constant).
+func verifyE4(rows []e4Row) error {
+	for _, r := range rows {
+		if r.TransformedBytes >= r.CentralizedBytes {
+			return fmt.Errorf("experiments: e4 patients=%d: transformed %d ≥ centralized %d bytes",
+				r.PatientsPerSite, r.TransformedBytes, r.CentralizedBytes)
+		}
+		if r.Ratio < 10 {
+			return fmt.Errorf("experiments: e4 patients=%d: saving only %.0fx", r.PatientsPerSite, r.Ratio)
 		}
 	}
-	return Table(
-		fmt.Sprintf("E4  Data movement for one cohort query (%d sites): compute-to-data moves results only", rows[0].Sites),
-		[]string{"patients/site", "dataset", "centralized", "chain-replicated", "transformed", "saving"},
-		out,
-	)
+	if first, last := rows[0], rows[len(rows)-1]; last.Ratio <= first.Ratio {
+		return fmt.Errorf("experiments: e4: saving did not grow with data: %.0fx at %d patients, %.0fx at %d",
+			first.Ratio, first.PatientsPerSite, last.Ratio, last.PatientsPerSite)
+	}
+	return nil
+}
+
+var e4Columns = []column[e4Row]{
+	{"patients/site", func(r e4Row) string { return fmt.Sprint(r.PatientsPerSite) }},
+	{"dataset", func(r e4Row) string { return fmtBytes(r.DatasetBytes) }},
+	{"centralized", func(r e4Row) string { return fmtBytes(r.CentralizedBytes) }},
+	{"chain-replicated", func(r e4Row) string { return fmtBytes(r.ReplicatedBytes) }},
+	{"transformed", func(r e4Row) string { return fmtBytes(r.TransformedBytes) }},
+	{"saving", func(r e4Row) string { return fmt.Sprintf("%.0fx", r.Ratio) }},
+}
+
+func runE4(size Size, seed int64) ([]Table, error) {
+	rows, err := e4DataMovement(e4Sizes[size], seed)
+	if err != nil {
+		return nil, err
+	}
+	return []Table{tabulate(
+		fmt.Sprintf("E4  Data movement for one cohort query (%d sites): compute-to-data moves results only", e4Sites),
+		rows, e4Columns)}, verifyE4(rows)
 }
 
 // grantEverything creates a researcher with read+execute on all

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
 	"medchain/internal/chain"
 	"medchain/internal/chaos"
-	"medchain/internal/contract"
 	"medchain/internal/cryptoutil"
 	"medchain/internal/ledger"
 )
@@ -22,49 +20,33 @@ import (
 // consistency after the faults heal, and whether every node converges
 // to the same head and state root.
 
-// E9Config tunes the fault-availability experiment.
-type E9Config struct {
-	// Nodes is the cluster size (default 4: tolerates one crash under
-	// the 2f+1 quorum rule).
-	Nodes int
+// e9Config is the fault-availability run.
+type e9Config struct {
 	// Rounds is the number of submit+commit workload rounds per
 	// scenario.
 	Rounds int
-	// LossRate is the drop probability of the loss-spike scenario.
-	LossRate float64
 	// CommitTimeout bounds one commit round (kept short so faulted
 	// rounds fail fast instead of stalling the run).
 	CommitTimeout time.Duration
-	// RecoveryTimeout bounds the post-heal convergence wait.
-	RecoveryTimeout time.Duration
-	// Seed drives the chaos schedules (same seed, same fault log).
-	Seed int64
 }
 
-func (c E9Config) withDefaults() E9Config {
-	if c.Nodes <= 0 {
-		c.Nodes = 4
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 8
-	}
-	if c.LossRate <= 0 {
-		c.LossRate = 0.3
-	}
-	if c.CommitTimeout <= 0 {
-		c.CommitTimeout = 2 * time.Second
-	}
-	if c.RecoveryTimeout <= 0 {
-		c.RecoveryTimeout = 10 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+var e9Sizes = [...]e9Config{
+	Full:  {Rounds: 8, CommitTimeout: 2 * time.Second},
+	Quick: {Rounds: 5, CommitTimeout: time.Second},
 }
 
-// E9Row is one scenario's availability outcome.
-type E9Row struct {
+const (
+	// e9Nodes is the cluster size: 4 tolerates one crash under the 2f+1
+	// quorum rule.
+	e9Nodes = 4
+	// e9LossRate is the drop probability of the loss-spike scenario.
+	e9LossRate = 0.3
+	// e9RecoveryTimeout bounds the post-heal convergence wait.
+	e9RecoveryTimeout = 10 * time.Second
+)
+
+// e9Row is one scenario's availability outcome.
+type e9Row struct {
 	// Scenario names the fault script.
 	Scenario string
 	// Faults is the number of injected fault events.
@@ -82,32 +64,15 @@ type E9Row struct {
 	Overflow int64
 }
 
-func e9DatasetTx(kp *cryptoutil.KeyPair, nonce uint64, id string) (*ledger.Transaction, error) {
-	args, err := json.Marshal(contract.RegisterDatasetArgs{
-		ID: id, Digest: cryptoutil.Sum([]byte(id)), Schema: "cdf/v1", Records: 10, SiteID: "site",
-	})
-	if err != nil {
-		return nil, err
-	}
-	tx := &ledger.Transaction{
-		Type: ledger.TxData, Nonce: nonce, Method: "register_dataset",
-		Args: args, Timestamp: 1,
-	}
-	if err := tx.Sign(kp); err != nil {
-		return nil, err
-	}
-	return tx, nil
-}
-
 // e9Scenario runs one fault script against a fresh cluster: submit one
 // tx per round while the orchestrator injects faults, heal, drain the
 // mempools, await convergence, and account for every transaction.
-func e9Scenario(cfg E9Config, name string, sched chaos.Schedule) (E9Row, error) {
-	row := E9Row{Scenario: name}
+func e9Scenario(cfg e9Config, seed int64, name string, sched chaos.Schedule) (e9Row, error) {
+	row := e9Row{Scenario: name}
 	c, err := chain.NewCluster(chain.ClusterConfig{
-		Nodes:         cfg.Nodes,
+		Nodes:         e9Nodes,
 		Engine:        chain.EngineQuorum,
-		KeySeed:       fmt.Sprintf("e9-%s-%d", name, cfg.Seed),
+		KeySeed:       fmt.Sprintf("e9-%s-%d", name, seed),
 		CommitTimeout: cfg.CommitTimeout,
 	})
 	if err != nil {
@@ -116,14 +81,14 @@ func e9Scenario(cfg E9Config, name string, sched chaos.Schedule) (E9Row, error) 
 	defer c.Close()
 	orch := chaos.New(c, sched)
 
-	user, err := cryptoutil.DeriveKeyPair(fmt.Sprintf("e9-user-%d", cfg.Seed))
+	user, err := cryptoutil.DeriveKeyPair(fmt.Sprintf("e9-user-%d", seed))
 	if err != nil {
 		return row, err
 	}
 	var txs []*ledger.Transaction
 	for r := 0; r < cfg.Rounds; r++ {
 		orch.Advance(r)
-		tx, err := e9DatasetTx(user, uint64(r), fmt.Sprintf("e9/%s/d-%d", name, r))
+		tx, err := registerTx(user, uint64(r), fmt.Sprintf("e9/%s/d-%d", name, r))
 		if err != nil {
 			return row, err
 		}
@@ -139,7 +104,7 @@ func e9Scenario(cfg E9Config, name string, sched chaos.Schedule) (E9Row, error) 
 	if _, err := c.CommitAll(); err != nil {
 		return row, fmt.Errorf("experiments: e9 %s post-heal drain: %w", name, err)
 	}
-	recoveryErr := orch.AwaitRecovery(cfg.RecoveryTimeout)
+	recoveryErr := orch.AwaitRecovery(e9RecoveryTimeout)
 	row.Recovery = time.Since(healed)
 	row.Consistent = recoveryErr == nil && c.VerifyConsistency() == nil
 	row.Overflow = orch.ObserveOverflow()
@@ -156,26 +121,25 @@ func e9Scenario(cfg E9Config, name string, sched chaos.Schedule) (E9Row, error) 
 	return row, nil
 }
 
-// E9Availability runs the availability-under-faults suite: a fault-free
+// e9Availability runs the availability-under-faults suite: a fault-free
 // baseline, a mid-run crash of a follower, a crash of the scheduled
 // proposer (exercising Commit failover), a transient loss spike, and a
 // partition that heals. Every scenario must end consistent with all
 // submitted transactions committed.
-func E9Availability(cfg E9Config) ([]E9Row, error) {
-	cfg = cfg.withDefaults()
+func e9Availability(cfg e9Config, seed int64) ([]e9Row, error) {
 	scenarios := []struct {
 		name  string
 		sched chaos.Schedule
 	}{
 		{"baseline (no faults)", chaos.Schedule{Name: "baseline"}},
-		{"crash follower", chaos.CrashFollower(cfg.Nodes, cfg.Rounds, cfg.Seed)},
-		{"crash proposer", chaos.CrashProposer(cfg.Nodes, cfg.Rounds, cfg.Seed)},
-		{fmt.Sprintf("loss %.0f%%", cfg.LossRate*100), chaos.LossSpike(cfg.Rounds, cfg.LossRate, cfg.Seed)},
-		{"partition + heal", chaos.PartitionAndHeal(cfg.Nodes, cfg.Rounds, cfg.Seed)},
+		{"crash follower", chaos.CrashFollower(e9Nodes, cfg.Rounds, seed)},
+		{"crash proposer", chaos.CrashProposer(e9Nodes, cfg.Rounds, seed)},
+		{fmt.Sprintf("loss %.0f%%", e9LossRate*100), chaos.LossSpike(cfg.Rounds, e9LossRate, seed)},
+		{"partition + heal", chaos.PartitionAndHeal(e9Nodes, cfg.Rounds, seed)},
 	}
-	rows := make([]E9Row, 0, len(scenarios))
+	rows := make([]e9Row, 0, len(scenarios))
 	for _, sc := range scenarios {
-		row, err := e9Scenario(cfg, sc.name, sc.sched)
+		row, err := e9Scenario(cfg, seed, sc.name, sc.sched)
 		if err != nil {
 			return nil, err
 		}
@@ -184,23 +148,43 @@ func E9Availability(cfg E9Config) ([]E9Row, error) {
 	return rows, nil
 }
 
-// TableE9 renders the availability table.
-func TableE9(rows []E9Row) string {
-	out := make([][]string, len(rows))
+// verifyE9 holds the availability bar: in every scenario every
+// submitted transaction commits and the cluster converges; the baseline
+// injects no fault and every other scenario injects some.
+func verifyE9(rows []e9Row) error {
+	if len(rows) != 5 {
+		return fmt.Errorf("experiments: e9: %d rows, want 5 scenarios", len(rows))
+	}
 	for i, r := range rows {
-		out[i] = []string{
-			r.Scenario,
-			fmt.Sprint(r.Faults),
-			fmt.Sprintf("%d/%d", r.Committed, r.Submitted),
-			fmt.Sprintf("%.2f", r.Ratio),
-			fmtDur(r.Recovery),
-			fmt.Sprint(r.Consistent),
-			fmt.Sprint(r.Overflow),
+		if r.Ratio < 1.0 {
+			return fmt.Errorf("experiments: e9 %s: committed ratio %.2f (%d/%d)", r.Scenario, r.Ratio, r.Committed, r.Submitted)
+		}
+		if !r.Consistent {
+			return fmt.Errorf("experiments: e9 %s: cluster not consistent after recovery", r.Scenario)
+		}
+		if (i == 0) != (r.Faults == 0) {
+			return fmt.Errorf("experiments: e9 %s: injected %d faults", r.Scenario, r.Faults)
 		}
 	}
-	return Table(
+	return nil
+}
+
+var e9Columns = []column[e9Row]{
+	{"scenario", func(r e9Row) string { return r.Scenario }},
+	{"faults", func(r e9Row) string { return fmt.Sprint(r.Faults) }},
+	{"committed", func(r e9Row) string { return fmt.Sprintf("%d/%d", r.Committed, r.Submitted) }},
+	{"ratio", func(r e9Row) string { return fmt.Sprintf("%.2f", r.Ratio) }},
+	{"recovery", func(r e9Row) string { return fmtDur(r.Recovery) }},
+	{"consistent", func(r e9Row) string { return fmt.Sprint(r.Consistent) }},
+	{"overflow", func(r e9Row) string { return fmt.Sprint(r.Overflow) }},
+}
+
+func runE9(size Size, seed int64) ([]Table, error) {
+	rows, err := e9Availability(e9Sizes[size], seed)
+	if err != nil {
+		return nil, err
+	}
+	return []Table{tabulate(
 		"E9  Availability under faults: crash/partition/loss chaos vs committed-tx ratio and recovery",
-		[]string{"scenario", "faults", "committed", "ratio", "recovery", "consistent", "overflow"},
-		out,
-	)
+		rows, e9Columns)}, verifyE9(rows)
 }

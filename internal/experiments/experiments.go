@@ -1,17 +1,7 @@
-// Package experiments implements the reproduction harness: one function
-// per experiment in DESIGN.md's index (E1–E8 core experiments, A1–A3
-// ablations). Each returns structured rows plus a formatted table so
-// both cmd/benchmed and the root bench suite print identical output.
-//
-// The paper (ICDCS 2018) is a vision paper without measurement tables;
-// these experiments quantify each of its testable claims on the
-// simulated substrate — see DESIGN.md §4 for the claim-to-experiment
-// mapping and EXPERIMENTS.md for recorded results.
 package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"medchain/internal/chain"
@@ -21,53 +11,10 @@ import (
 	"medchain/internal/p2p"
 )
 
-// Table renders rows of cells with a header, padded columns, and a
-// title — the paper-shaped output format.
-func Table(title string, header []string, rows [][]string) string {
-	width := make([]int, len(header))
-	for i, h := range header {
-		width[i] = len(h)
-	}
-	for _, row := range rows {
-		for i, c := range row {
-			if i < len(width) && len(c) > width[i] {
-				width[i] = len(c)
-			}
-		}
-	}
-	var sb strings.Builder
-	sb.WriteString(title)
-	sb.WriteByte('\n')
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			sb.WriteString(c)
-			for p := len(c); p < width[i]; p++ {
-				sb.WriteByte(' ')
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	line(header)
-	for i, w := range width {
-		if i > 0 {
-			sb.WriteString("  ")
-		}
-		sb.WriteString(strings.Repeat("-", w))
-	}
-	sb.WriteByte('\n')
-	for _, row := range rows {
-		line(row)
-	}
-	return sb.String()
-}
-
 // --- E1: broadcast-consensus scalability ---
 
-// E1Row is one cluster size's measurement.
-type E1Row struct {
+// e1Row is one cluster size's measurement.
+type e1Row struct {
 	// Nodes is the cluster size.
 	Nodes int
 	// TxCommitted is the number of committed transactions.
@@ -82,64 +29,39 @@ type E1Row struct {
 	MsgsPerTx float64
 }
 
-// E1Config tunes the scalability sweep.
-type E1Config struct {
+// e1Config is the scalability sweep.
+type e1Config struct {
 	// NodeCounts are the cluster sizes to sweep.
 	NodeCounts []int
 	// TxPerRun is how many transactions each run commits.
 	TxPerRun int
-	// Latency is the simulated one-way link latency.
-	Latency time.Duration
-	// Seed namespaces keys.
-	Seed int64
 }
 
-func (c E1Config) withDefaults() E1Config {
-	if len(c.NodeCounts) == 0 {
-		c.NodeCounts = []int{1, 2, 4, 8, 16}
-	}
-	if c.TxPerRun <= 0 {
-		c.TxPerRun = 8
-	}
-	if c.Latency <= 0 {
-		c.Latency = 2 * time.Millisecond
-	}
-	return c
+var e1Sizes = [...]e1Config{
+	Full:  {NodeCounts: []int{1, 2, 4, 8, 16}, TxPerRun: 8},
+	Quick: {NodeCounts: []int{1, 2, 4, 8}, TxPerRun: 4},
 }
 
-// E1Scalability measures tx throughput and commit latency versus node
+// linkLatency is the simulated one-way link latency of the experiments
+// that put the cluster on a wide-area network (E1, A4).
+const linkLatency = 2 * time.Millisecond
+
+// e1Scalability measures tx throughput and commit latency versus node
 // count under broadcast quorum consensus — the paper's §I claim that
 // "the performance of a single node is better than multiple nodes".
-func E1Scalability(cfg E1Config) ([]E1Row, error) {
-	cfg = cfg.withDefaults()
-	var rows []E1Row
+func e1Scalability(cfg e1Config, seed int64) ([]e1Row, error) {
+	var rows []e1Row
 	for _, n := range cfg.NodeCounts {
 		c, err := chain.NewCluster(chain.ClusterConfig{
 			Nodes:   n,
 			Engine:  chain.EngineQuorum,
-			Network: p2p.Config{BaseLatency: cfg.Latency, Seed: cfg.Seed},
-			KeySeed: fmt.Sprintf("e1/%d/%d", cfg.Seed, n),
+			Network: p2p.Config{BaseLatency: linkLatency, Seed: seed},
+			KeySeed: fmt.Sprintf("e1/%d/%d", seed, n),
 		})
 		if err != nil {
 			return nil, err
 		}
-		user, err := cryptoutil.DeriveKeyPair(fmt.Sprintf("e1-user-%d", n))
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		for i := 0; i < cfg.TxPerRun; i++ {
-			tx, err := registerTx(user, uint64(i), fmt.Sprintf("e1/d-%d", i))
-			if err != nil {
-				c.Close()
-				return nil, err
-			}
-			if err := c.Submit(tx); err != nil {
-				c.Close()
-				return nil, err
-			}
-		}
-		if err := waitGossip(c, cfg.TxPerRun, 10*time.Second); err != nil {
+		if err := submitRegistrations(c, fmt.Sprintf("e1-user-%d", n), "e1", cfg.TxPerRun); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -155,7 +77,7 @@ func E1Scalability(cfg E1Config) ([]E1Row, error) {
 		}
 		elapsed := time.Since(start)
 		stats := c.Network().Stats()
-		row := E1Row{
+		row := e1Row{
 			Nodes:       n,
 			TxCommitted: cfg.TxPerRun,
 			Elapsed:     elapsed,
@@ -171,30 +93,44 @@ func E1Scalability(cfg E1Config) ([]E1Row, error) {
 	return rows, nil
 }
 
-// TableE1 renders the E1 rows.
-func TableE1(rows []E1Row) string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{
-			fmt.Sprint(r.Nodes),
-			fmt.Sprint(r.TxCommitted),
-			fmtDur(r.Elapsed),
-			fmt.Sprintf("%.1f", r.Throughput),
-			fmtDur(r.LatencyPerBlock),
-			fmt.Sprintf("%.1f", r.MsgsPerTx),
-		}
+// verifyE1 holds the §I shape: the single node out-runs the largest
+// cluster, and the broadcast cost of a transaction grows with the cluster.
+func verifyE1(rows []e1Row) error {
+	one, most := rows[0], rows[len(rows)-1]
+	if one.Throughput <= most.Throughput {
+		return fmt.Errorf("experiments: e1: throughput did not fall: %d node(s) %.1f tx/s vs %d nodes %.1f tx/s",
+			one.Nodes, one.Throughput, most.Nodes, most.Throughput)
 	}
-	return Table(
+	if most.MsgsPerTx <= one.MsgsPerTx {
+		return fmt.Errorf("experiments: e1: message overhead did not grow: %.1f msgs/tx at %d node(s) vs %.1f at %d",
+			one.MsgsPerTx, one.Nodes, most.MsgsPerTx, most.Nodes)
+	}
+	return nil
+}
+
+var e1Columns = []column[e1Row]{
+	{"nodes", func(r e1Row) string { return fmt.Sprint(r.Nodes) }},
+	{"txs", func(r e1Row) string { return fmt.Sprint(r.TxCommitted) }},
+	{"elapsed", func(r e1Row) string { return fmtDur(r.Elapsed) }},
+	{"tx/s", func(r e1Row) string { return fmt.Sprintf("%.1f", r.Throughput) }},
+	{"latency/blk", func(r e1Row) string { return fmtDur(r.LatencyPerBlock) }},
+	{"msgs/tx", func(r e1Row) string { return fmt.Sprintf("%.1f", r.MsgsPerTx) }},
+}
+
+func runE1(size Size, seed int64) ([]Table, error) {
+	rows, err := e1Scalability(e1Sizes[size], seed)
+	if err != nil {
+		return nil, err
+	}
+	return []Table{tabulate(
 		"E1  Broadcast-consensus scalability (quorum, 2ms links): throughput falls, latency rises with N",
-		[]string{"nodes", "txs", "elapsed", "tx/s", "latency/blk", "msgs/tx"},
-		out,
-	)
+		rows, e1Columns)}, verifyE1(rows)
 }
 
 // --- E2: duplicated computation (the energy argument) ---
 
-// E2Row is one cluster size's gas accounting.
-type E2Row struct {
+// e2Row is one cluster size's gas accounting.
+type e2Row struct {
 	// Nodes is the replication factor.
 	Nodes int
 	// UsefulGas is one execution of the committed history.
@@ -212,38 +148,28 @@ type E2Row struct {
 	TransformedRatio float64
 }
 
-// E2Config tunes the duplicated-compute sweep.
-type E2Config struct {
+// e2Config is the duplicated-compute sweep.
+type e2Config struct {
 	// NodeCounts are the replication factors to sweep.
 	NodeCounts []int
 	// Contracts is how many compute-heavy contract invocations to run.
 	Contracts int
-	// LoopIters sizes each invocation's VM loop.
-	LoopIters int
-	// Seed namespaces keys.
-	Seed int64
 }
 
-func (c E2Config) withDefaults() E2Config {
-	if len(c.NodeCounts) == 0 {
-		c.NodeCounts = []int{1, 2, 4, 8}
-	}
-	if c.Contracts <= 0 {
-		c.Contracts = 3
-	}
-	if c.LoopIters <= 0 {
-		c.LoopIters = 2000
-	}
-	return c
+var e2Sizes = [...]e2Config{
+	Full:  {NodeCounts: []int{1, 2, 4, 8}, Contracts: 3},
+	Quick: {NodeCounts: []int{1, 2, 4}, Contracts: 2},
 }
 
-// E2DuplicatedCompute quantifies the waste of replicated smart-contract
+// e2LoopIters sizes each invocation's VM loop.
+const e2LoopIters = 2000
+
+// e2DuplicatedCompute quantifies the waste of replicated smart-contract
 // execution: a compute-heavy VM contract is committed on clusters of
 // increasing size; the cluster-wide gas is N× the useful gas. The same
 // workload in the transformed architecture burns only the lightweight
 // authorization gas on chain.
-func E2DuplicatedCompute(cfg E2Config) ([]E2Row, error) {
-	cfg = cfg.withDefaults()
+func e2DuplicatedCompute(cfg e2Config, seed int64) ([]e2Row, error) {
 	src := fmt.Sprintf(`
 		PUSHI %d
 	loop:
@@ -252,21 +178,21 @@ func E2DuplicatedCompute(cfg E2Config) ([]E2Row, error) {
 		DUP
 		JNZ loop
 		HALT
-	`, cfg.LoopIters)
-	var rows []E2Row
+	`, e2LoopIters)
+	var rows []e2Row
 	for _, n := range cfg.NodeCounts {
 		// Duplicated: deploy + invoke the heavy contract on chain.
-		dupGasUseful, dupGasTotal, err := runHeavyContract(n, cfg, src)
+		dupGasUseful, dupGasTotal, err := runHeavyContract(n, cfg.Contracts, seed, src)
 		if err != nil {
 			return nil, err
 		}
 		// Transformed: the same number of on-chain operations are just
 		// request_run policy checks.
-		transGas, err := runPolicyOnly(n, cfg)
+		transGas, err := runPolicyOnly(n, cfg.Contracts, seed)
 		if err != nil {
 			return nil, err
 		}
-		row := E2Row{
+		row := e2Row{
 			Nodes:          n,
 			UsefulGas:      dupGasUseful,
 			TotalGas:       dupGasTotal,
@@ -281,24 +207,38 @@ func E2DuplicatedCompute(cfg E2Config) ([]E2Row, error) {
 	return rows, nil
 }
 
-// TableE2 renders the E2 rows.
-func TableE2(rows []E2Row) string {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{
-			fmt.Sprint(r.Nodes),
-			fmt.Sprint(r.UsefulGas),
-			fmt.Sprint(r.TotalGas),
-			fmt.Sprintf("%.2f", r.WasteRatio),
-			fmt.Sprint(r.TransformedGas),
-			fmt.Sprintf("%.3f", r.TransformedRatio),
+// verifyE2 holds the energy argument: replicated execution wastes
+// exactly N×, and the transformed chain's work stays far below one
+// heavy execution.
+func verifyE2(rows []e2Row) error {
+	for _, r := range rows {
+		if r.WasteRatio < float64(r.Nodes)-0.01 || r.WasteRatio > float64(r.Nodes)+0.01 {
+			return fmt.Errorf("experiments: e2 nodes=%d: waste ratio %.2f, want ≈%d", r.Nodes, r.WasteRatio, r.Nodes)
+		}
+		if r.TransformedRatio > 0.5 {
+			return fmt.Errorf("experiments: e2 nodes=%d: transformed ratio %.3f not ≪ 1", r.Nodes, r.TransformedRatio)
 		}
 	}
-	return Table(
+	return nil
+}
+
+var e2Columns = []column[e2Row]{
+	{"nodes", func(r e2Row) string { return fmt.Sprint(r.Nodes) }},
+	{"useful gas", func(r e2Row) string { return fmt.Sprint(r.UsefulGas) }},
+	{"cluster gas", func(r e2Row) string { return fmt.Sprint(r.TotalGas) }},
+	{"waste ratio", func(r e2Row) string { return fmt.Sprintf("%.2f", r.WasteRatio) }},
+	{"transformed gas", func(r e2Row) string { return fmt.Sprint(r.TransformedGas) }},
+	{"trans ratio", func(r e2Row) string { return fmt.Sprintf("%.3f", r.TransformedRatio) }},
+}
+
+func runE2(size Size, seed int64) ([]Table, error) {
+	rows, err := e2DuplicatedCompute(e2Sizes[size], seed)
+	if err != nil {
+		return nil, err
+	}
+	return []Table{tabulate(
 		"E2  Duplicated smart-contract computation: cluster gas = N x useful gas; transformed burns only policy gas",
-		[]string{"nodes", "useful gas", "cluster gas", "waste ratio", "transformed gas", "trans ratio"},
-		out,
-	)
+		rows, e2Columns)}, verifyE2(rows)
 }
 
 // --- shared helpers ---
@@ -323,8 +263,30 @@ func buildTx(kp *cryptoutil.KeyPair, nonce uint64, typ ledger.TxType, method str
 	return tx, nil
 }
 
-func waitGossip(c *chain.Cluster, want int, timeout time.Duration) error {
-	if !c.WaitPooled(want, timeout) {
+// submitRegistrations signs n register_dataset transactions (datasets
+// idPrefix/d-0 …) with the key derived from userSeed, submits them to c
+// and waits until every node has pooled them.
+func submitRegistrations(c *chain.Cluster, userSeed, idPrefix string, n int) error {
+	user, err := cryptoutil.DeriveKeyPair(userSeed)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		tx, err := registerTx(user, uint64(i), fmt.Sprintf("%s/d-%d", idPrefix, i))
+		if err != nil {
+			return err
+		}
+		if err := c.Submit(tx); err != nil {
+			return err
+		}
+	}
+	return waitGossip(c, n)
+}
+
+// waitGossip waits, for at most ten seconds, until every node of c has
+// pooled want transactions.
+func waitGossip(c *chain.Cluster, want int) error {
+	if !c.WaitPooled(want, 10*time.Second) {
 		return fmt.Errorf("experiments: gossip timeout (%d txs)", want)
 	}
 	return nil

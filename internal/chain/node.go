@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"medchain/internal/consensus"
@@ -147,10 +146,6 @@ type Node struct {
 	pending        *pendingBlock // the preview of the block this node last built
 	strictSchedule bool
 	skipVoteVerify bool // mutation hook for the sim self-test; never set otherwise
-
-	// clonePreviews counts the blocks this node previewed on a state
-	// clone because a footprint in them could not be bounded.
-	clonePreviews atomic.Int64
 
 	// guard scores peer misbehavior and quarantines repeat offenders.
 	// The pointer is fixed for the node's lifetime (retune via
@@ -1370,22 +1365,12 @@ func (n *Node) buildBlock(maxTxs int) (*ledger.Block, error) {
 	}
 	blk.Header.TxRoot = root
 
-	exec := n.executor()
-	if spec, ok := exec.Speculate(n.state, txs, height, ts); ok {
-		blk.Header.StateRoot = spec.Root()
-		n.setPending(&pendingBlock{blk: blk, spec: spec})
-		return blk, nil
-	}
-	// A footprint that cannot be bounded has no write set to snapshot:
-	// preview on a clone, and let acceptBlock execute on live state as a
-	// follower does.
-	n.setPending(nil)
-	n.clonePreviews.Add(1)
-	preview := n.state.Clone()
-	if _, _, err := exec.ExecuteBlock(preview, txs, height, ts); err != nil {
+	spec, err := n.executor().Speculate(n.state, txs, height, ts)
+	if err != nil {
 		return nil, err
 	}
-	blk.Header.StateRoot = preview.Root()
+	blk.Header.StateRoot = spec.Root()
+	n.setPending(&pendingBlock{blk: blk, spec: spec})
 	return blk, nil
 }
 

@@ -1,7 +1,6 @@
 package contract
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"medchain/internal/cryptoutil"
@@ -11,7 +10,8 @@ import (
 // This file implements the read/write-set model the parallel execution
 // engine (internal/parexec) is built on. Each transaction's state
 // footprint is derived statically from its payload — the Solana-style
-// declared-access-list approach — as a sound over-approximation: a
+// declared-access-list approach, one footprint function per entry of
+// the method table (methods.go) — as a sound over-approximation: a
 // derived set may name keys the transaction ends up not touching
 // (e.g. because it fails a policy check), but it never misses a key the
 // transaction could read or write. Speculative execution against a
@@ -114,7 +114,9 @@ var (
 	KeyRouting = StateKey{kind: kindRouting}
 )
 
-// AccessSet is a transaction's declared state footprint.
+// AccessSet is a transaction's declared state footprint. It is always
+// bounded: a transaction that cannot reach a handler declares no writes
+// (see Prepare).
 type AccessSet struct {
 	// Reads are keys the transaction may read without modifying.
 	Reads []StateKey
@@ -122,14 +124,8 @@ type AccessSet struct {
 	// implies a read (all mutations are read-modify-write at key
 	// granularity), so conflict checks use Touched. Writes is also what
 	// State.Root re-hashes after the transaction, under every execution
-	// mode: it must cover everything Apply can mutate.
+	// mode: it must cover everything the handler can mutate.
 	Writes []StateKey
-	// Unknown marks a transaction whose footprint could not be bounded;
-	// the engine executes it (and everything after it in the block)
-	// serially, and the state rebuilds its root tree. It covers nil
-	// transactions, payloads whose arguments fail to decode, and future
-	// transaction types.
-	Unknown bool
 }
 
 // Touched returns reads and writes combined — the conflict-check set.
@@ -142,9 +138,6 @@ func (a AccessSet) Touched() []StateKey {
 
 // String renders the set for logs and tests.
 func (a AccessSet) String() string {
-	if a.Unknown {
-		return "access{unknown}"
-	}
 	return fmt.Sprintf("access{r=%v w=%v}", a.Reads, a.Writes)
 }
 
@@ -152,294 +145,7 @@ func (a *AccessSet) read(keys ...StateKey)  { a.Reads = append(a.Reads, keys...)
 func (a *AccessSet) write(keys ...StateKey) { a.Writes = append(a.Writes, keys...) }
 
 // AccessSetOf derives a transaction's declared access set from its
-// payload alone (no state needed), so derivation can run concurrently
-// for every transaction of a block. Arguments are decoded with exactly
-// the per-method structs Apply uses, so a payload that decodes here
-// decodes identically there; if decoding fails the set is Unknown,
-// which forces serial execution. Returning anything weaker on a decode
-// failure would be unsound: a payload could conceivably fail one
-// decoding but pass another, and a transaction speculated against an
-// empty snapshot would then diverge from serial execution on
-// attacker-submittable input.
-func AccessSetOf(tx *ledger.Transaction) AccessSet {
-	if tx == nil {
-		return AccessSet{Unknown: true}
-	}
-	var a AccessSet
-	switch tx.Type {
-	case ledger.TxData:
-		deriveData(tx, &a)
-	case ledger.TxAnalytics:
-		deriveAnalytics(tx, &a)
-	case ledger.TxTrial:
-		deriveTrial(tx, &a)
-	case ledger.TxAnchor:
-		var args AnchorArgs
-		if json.Unmarshal(tx.Args, &args) != nil {
-			a.Unknown = true
-			break
-		}
-		a.write(KeyAnchor(args.Label))
-	case ledger.TxAudit:
-		var args ReportEvidenceArgs
-		if json.Unmarshal(tx.Args, &args) != nil {
-			a.Unknown = true
-			break
-		}
-		a.write(KeyEvidence(evidenceKey(args.Kind, args.Height, args.Offender)))
-	case ledger.TxCross:
-		deriveCross(tx, &a)
-	case ledger.TxDeploy:
-		a.write(KeyVM(DeployedAddress(tx.From, tx.Nonce)))
-	case ledger.TxInvoke:
-		// The program may call HOST registry.* functions, which read
-		// arbitrary datasets and tools — declare a read of the whole
-		// registry so invocations conflict with registrations.
-		a.read(KeyRegistry)
-		a.write(KeyVM(tx.Contract))
-	}
-	if a.Unknown {
-		// Drop any keys derived before the failure.
-		return AccessSet{Unknown: true}
-	}
-	return a
-}
-
-func deriveData(tx *ledger.Transaction, a *AccessSet) {
-	switch tx.Method {
-	case "register_dataset", "update_dataset":
-		var args RegisterDatasetArgs
-		if json.Unmarshal(tx.Args, &args) != nil {
-			a.Unknown = true
-			return
-		}
-		a.write(KeyDataset(args.ID), KeyPolicy(dataKey(args.ID)), KeyRegistry)
-	case "grant":
-		var args GrantArgs
-		if json.Unmarshal(tx.Args, &args) != nil {
-			a.Unknown = true
-			return
-		}
-		a.write(KeyPolicy(args.Resource))
-	case "revoke":
-		var args RevokeArgs
-		if json.Unmarshal(tx.Args, &args) != nil {
-			a.Unknown = true
-			return
-		}
-		a.write(KeyPolicy(args.Resource))
-	case "register_manifests":
-		var args RegisterManifestsArgs
-		if json.Unmarshal(tx.Args, &args) != nil {
-			a.Unknown = true
-			return
-		}
-		// The dataset is read for the ownership check; only the
-		// accumulator is mutated.
-		a.read(KeyDataset(args.Dataset))
-		a.write(KeyManifestSet(args.Dataset))
-	case "request_access":
-		var args RequestAccessArgs
-		if json.Unmarshal(tx.Args, &args) != nil {
-			a.Unknown = true
-			return
-		}
-		// Check(consume=true) mutates grant use counters, so the policy
-		// is a write; the dataset is read for oracle routing (SiteID).
-		a.read(KeyDataset(trimPrefix(args.Resource, "data:")))
-		a.write(KeyPolicy(args.Resource), KeySeq)
-	}
-}
-
-func deriveAnalytics(tx *ledger.Transaction, a *AccessSet) {
-	switch tx.Method {
-	case "register_tool":
-		var args RegisterToolArgs
-		if json.Unmarshal(tx.Args, &args) != nil {
-			a.Unknown = true
-			return
-		}
-		a.write(KeyTool(args.ID), KeyPolicy(toolKey(args.ID)), KeyRegistry)
-	case "grant", "revoke":
-		// Tool policies share the data-contract handlers.
-		deriveData(&ledger.Transaction{Type: ledger.TxData, Method: tx.Method, Args: tx.Args}, a)
-	case "request_run":
-		var args RequestRunArgs
-		if json.Unmarshal(tx.Args, &args) != nil {
-			a.Unknown = true
-			return
-		}
-		a.read(KeyTool(args.Tool), KeyDataset(args.Dataset))
-		a.write(KeyPolicy(dataKey(args.Dataset)), KeyPolicy(toolKey(args.Tool)), KeySeq)
-	}
-}
-
-// deriveCross bounds a cross-shard transaction's footprint from its
-// payload. The handlers are written so a transaction that fails any
-// check touches only keys declared here — in particular, apply/resolve
-// validate the proof-carried record/resolution against the declared
-// resource before mutating it (see xshard.go).
-func deriveCross(tx *ledger.Transaction, a *AccessSet) {
-	switch tx.Method {
-	case "init":
-		a.write(KeyCrossConfig)
-	case "register_shard":
-		var args RegisterShardArgs
-		if json.Unmarshal(tx.Args, &args) != nil {
-			a.Unknown = true
-			return
-		}
-		a.read(KeyCrossConfig)
-		a.write(KeyShardInfo(args.ID))
-	case "anchor_root":
-		var args AnchorRootArgs
-		if json.Unmarshal(tx.Args, &args) != nil {
-			a.Unknown = true
-			return
-		}
-		// On the coordination chain an accepted anchor renews the
-		// gateway's lease (LastAnchor), so the directory entry is a
-		// write, not just an authorization read.
-		a.read(KeyCrossConfig)
-		a.write(KeyShardRoot(args.Shard, args.Height), KeyShardInfo(args.Shard))
-	case "acquire_lease":
-		var args AcquireLeaseArgs
-		if json.Unmarshal(tx.Args, &args) != nil {
-			a.Unknown = true
-			return
-		}
-		a.read(KeyCrossConfig)
-		a.write(KeyShardInfo(args.Shard))
-	case "begin_epoch":
-		var args BeginEpochArgs
-		if json.Unmarshal(tx.Args, &args) != nil {
-			a.Unknown = true
-			return
-		}
-		a.read(KeyCrossConfig)
-		for _, id := range args.Shards {
-			a.read(KeyShardInfo(id))
-		}
-		a.write(KeyRouting)
-	case "commit_epoch":
-		a.read(KeyCrossConfig)
-		a.write(KeyRouting)
-	case "prepare":
-		var args CrossPrepareArgs
-		if json.Unmarshal(tx.Args, &args) != nil {
-			a.Unknown = true
-			return
-		}
-		a.read(KeyCrossConfig)
-		a.write(KeyCrossOut(args.ID))
-		switch args.Kind {
-		case CrossConsent:
-			var g GrantArgs
-			if json.Unmarshal(args.Payload, &g) != nil {
-				a.Unknown = true
-				return
-			}
-			// Check(consume=false) on the source policy is a pure read.
-			a.read(KeyPolicy(g.Resource))
-		case CrossTransfer:
-			var p CrossTransferPayload
-			if json.Unmarshal(args.Payload, &p) != nil {
-				a.Unknown = true
-				return
-			}
-			a.write(KeyDataset(p.Dataset)) // freeze
-		case CrossFLRound:
-			// Payload is validated but no local state is touched.
-		default:
-			a.Unknown = true
-		}
-	case "apply", "expire":
-		var args CrossApplyArgs
-		if json.Unmarshal(tx.Args, &args) != nil {
-			a.Unknown = true
-			return
-		}
-		rec := args.Record
-		a.read(KeyCrossConfig, KeyShardRoot(rec.SourceShard, rec.SourceHeight))
-		a.write(KeyCrossIn(rec.SourceShard, rec.ID))
-		if tx.Method == "expire" {
-			return
-		}
-		switch rec.Kind {
-		case CrossConsent:
-			var g GrantArgs
-			if json.Unmarshal(rec.Payload, &g) != nil {
-				a.Unknown = true
-				return
-			}
-			a.write(KeyPolicy(g.Resource))
-		case CrossTransfer:
-			var p CrossTransferPayload
-			if json.Unmarshal(rec.Payload, &p) != nil {
-				a.Unknown = true
-				return
-			}
-			a.write(KeyDataset(p.Dataset), KeyPolicy(dataKey(p.Dataset)), KeyRegistry)
-		case CrossFLRound:
-			var p CrossFLPayload
-			if json.Unmarshal(rec.Payload, &p) != nil {
-				a.Unknown = true
-				return
-			}
-			a.write(KeyFLRound(p.Round))
-		default:
-			a.Unknown = true
-		}
-	case "resolve":
-		var args CrossResolveArgs
-		if json.Unmarshal(tx.Args, &args) != nil {
-			a.Unknown = true
-			return
-		}
-		res := args.Resolution
-		a.read(KeyCrossConfig, KeyShardRoot(res.DestShard, res.DestHeight))
-		a.write(KeyCrossOut(res.ID))
-		if res.Kind == CrossTransfer {
-			// settlePrepare thaws/tombstones the dataset named by the
-			// resolution; the handler rejects a resolution whose resource
-			// disagrees with the prepare's payload, so no other dataset
-			// can be touched.
-			a.write(KeyDataset(res.Resource))
-		}
-	default:
-		a.Unknown = true
-	}
-}
-
-func deriveTrial(tx *ledger.Transaction, a *AccessSet) {
-	switch tx.Method {
-	case "register_trial":
-		var args RegisterTrialArgs
-		if json.Unmarshal(tx.Args, &args) != nil {
-			a.Unknown = true
-			return
-		}
-		a.write(KeyTrial(args.ID))
-	case "enroll":
-		var args EnrollArgs
-		if json.Unmarshal(tx.Args, &args) != nil {
-			a.Unknown = true
-			return
-		}
-		a.write(KeyTrial(args.Trial))
-	case "report_outcomes":
-		var args ReportOutcomesArgs
-		if json.Unmarshal(tx.Args, &args) != nil {
-			a.Unknown = true
-			return
-		}
-		a.write(KeyTrial(args.Trial))
-	case "adverse_event":
-		var args AdverseEventArgs
-		if json.Unmarshal(tx.Args, &args) != nil {
-			a.Unknown = true
-			return
-		}
-		a.write(KeyTrial(args.Trial))
-	}
-}
+// payload alone (no state needed). It is Prepare's footprint: whoever
+// goes on to execute the transaction keeps the Call instead, so the
+// arguments are decoded once.
+func AccessSetOf(tx *ledger.Transaction) AccessSet { return Prepare(tx).Access() }

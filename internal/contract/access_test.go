@@ -20,9 +20,6 @@ func keyStrings(keys []StateKey) []string {
 
 func wantSet(t *testing.T, got AccessSet, reads, writes []string) {
 	t.Helper()
-	if got.Unknown {
-		t.Fatalf("set unexpectedly unknown: %s", got)
-	}
 	if r := keyStrings(got.Reads); !reflect.DeepEqual(r, reads) {
 		t.Fatalf("reads = %v, want %v", r, reads)
 	}
@@ -86,12 +83,11 @@ func TestAccessSetOfPerMethod(t *testing.T) {
 		set := AccessSetOf(itx)
 		wantSet(t, set, []string{"reg"}, []string{"vm/" + addr.String()})
 	})
+	// Arguments that do not decode never reach a handler: the footprint
+	// is empty, not unbounded.
 	t.Run("malformed_args_unknown", func(t *testing.T) {
 		bad := &ledger.Transaction{Type: ledger.TxData, Method: "grant", Args: []byte("{oops"), Timestamp: 1}
-		set := AccessSetOf(bad)
-		if !set.Unknown || len(set.Touched()) != 0 {
-			t.Fatalf("malformed args must derive Unknown with no keys, got %s", set)
-		}
+		wantSet(t, AccessSetOf(bad), []string{}, []string{})
 	})
 	// Regression: a payload that a combined/alternative decoding would
 	// reject but the per-method struct accepts (extraneous "id": 42 on
@@ -102,8 +98,8 @@ func TestAccessSetOfPerMethod(t *testing.T) {
 		set := AccessSetOf(&ledger.Transaction{Type: ledger.TxTrial, Method: "enroll", Args: raw, Timestamp: 1})
 		wantSet(t, set, []string{}, []string{"trial/tr1"})
 	})
-	// Any per-method decode failure must force serial execution rather
-	// than speculate against an empty snapshot.
+	// Any per-method decode failure is the one decode failure the
+	// handler will report, so it declares nothing.
 	t.Run("per_method_decode_failure_unknown", func(t *testing.T) {
 		cases := []struct {
 			typ    ledger.TxType
@@ -117,18 +113,54 @@ func TestAccessSetOfPerMethod(t *testing.T) {
 			{ledger.TxData, "revoke", `{"resource":7}`},
 			{ledger.TxAnalytics, "request_run", `{"tool":"t","dataset":{}}`},
 			{ledger.TxAnchor, "anchor", `{"label":1}`},
+			{ledger.TxAudit, "report_evidence", `{"height":"seven"}`},
+			{ledger.TxDeploy, "deploy", `{"name":1}`},
+			{ledger.TxCross, "init", `{"shards":"two"}`},
 		}
 		for _, tc := range cases {
 			set := AccessSetOf(&ledger.Transaction{Type: tc.typ, Method: tc.method, Args: []byte(tc.args), Timestamp: 1})
-			if !set.Unknown || len(set.Touched()) != 0 {
-				t.Fatalf("%v/%s: want Unknown with no keys, got %s", tc.typ, tc.method, set)
+			if len(set.Touched()) != 0 {
+				t.Fatalf("%v/%s: want no keys, got %s", tc.typ, tc.method, set)
 			}
 		}
 	})
-	t.Run("nil_tx_unknown", func(t *testing.T) {
-		if set := AccessSetOf(nil); !set.Unknown {
-			t.Fatalf("nil tx must be unknown, got %s", set)
+	// A method behind a guard declares what the guard reads whatever its
+	// arguments are: the guard speaks before the decode failure does,
+	// and must see the same state on a snapshot as on the live state.
+	t.Run("decode_failure_behind_a_guard", func(t *testing.T) {
+		for _, method := range []string{"register_shard", "acquire_lease", "begin_epoch", "commit_epoch", "anchor_root", "prepare", "apply", "expire", "resolve"} {
+			set := AccessSetOf(&ledger.Transaction{Type: ledger.TxCross, Method: method, Args: []byte(`{"`), Timestamp: 1})
+			wantSet(t, set, []string{"xcfg"}, []string{})
 		}
+		addr := cryptoutil.NamedAddress("acc-contract")
+		set := AccessSetOf(&ledger.Transaction{Type: ledger.TxInvoke, Contract: addr, Args: []byte(`{"`), Timestamp: 1})
+		wantSet(t, set, []string{"reg"}, []string{"vm/" + addr.String()})
+	})
+	// One rule for input the table does not list, whatever the type: no
+	// footprint (and an ErrUnknownMethod receipt, see TestGoldenReceipts).
+	t.Run("unlisted_type_or_method", func(t *testing.T) {
+		for _, typ := range []ledger.TxType{ledger.TxData, ledger.TxAnalytics, ledger.TxTrial, ledger.TxAudit, ledger.TxCross, "bogus"} {
+			for _, args := range []string{`{}`, `{"`, `{"kind":"double-vote","height":3}`} {
+				set := AccessSetOf(&ledger.Transaction{Type: typ, Method: "no_such_method", Args: []byte(args), Timestamp: 1})
+				wantSet(t, set, []string{}, []string{})
+			}
+		}
+	})
+	// A cross payload of a kind nobody handles, or one that does not
+	// decode, adds nothing to its method's own keys.
+	t.Run("cross_payload_unknown_or_undecodable", func(t *testing.T) {
+		for _, payload := range []CrossPrepareArgs{
+			{ID: "x", Kind: "teleport", Payload: []byte(`{}`)},
+			{ID: "x", Kind: CrossTransfer, Payload: []byte(`{"dataset":7}`)},
+		} {
+			wantSet(t, AccessSetOf(tx(t, owner, ledger.TxCross, "prepare", payload)), []string{"xcfg"}, []string{"xout/x"})
+			rec := CrossRecord{ID: "x", Kind: payload.Kind, SourceShard: "s0", SourceHeight: 2, Payload: payload.Payload}
+			wantSet(t, AccessSetOf(tx(t, owner, ledger.TxCross, "apply", CrossApplyArgs{Record: rec})),
+				[]string{"xcfg", "xroot/s0/2"}, []string{"xin/s0/x"})
+		}
+	})
+	t.Run("nil_tx_unknown", func(t *testing.T) {
+		wantSet(t, AccessSetOf(nil), []string{}, []string{})
 	})
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"medchain/internal/consensus"
 	"medchain/internal/cryptoutil"
-	"medchain/internal/ledger"
 )
 
 // The audit contract records consensus accountability data on chain.
@@ -62,56 +61,44 @@ func evidenceKey(kind string, height uint64, offender cryptoutil.Address) string
 	return fmt.Sprintf("%s/%d/%s", kind, height, offender)
 }
 
-func (s *State) applyAudit(tx *ledger.Transaction, now int64, r *Receipt) error {
-	r.GasUsed = gasAudit + int64(len(tx.Args))*gasArgByte
-	switch tx.Method {
-	case "report_evidence":
-		var a ReportEvidenceArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
-		}
-		if len(a.Evidence) == 0 {
-			return fmt.Errorf("%w: empty evidence", ErrBadArgs)
-		}
-		if len(a.Evidence) > maxEvidenceBytes {
-			return fmt.Errorf("%w: evidence %d bytes exceeds cap %d", ErrBadArgs, len(a.Evidence), maxEvidenceBytes)
-		}
-		ev, err := consensus.DecodeEvidence(a.Evidence)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadArgs, err)
-		}
-		if string(ev.Kind) != a.Kind || ev.Height != a.Height || ev.Offender != a.Offender {
-			return fmt.Errorf("%w: evidence disagrees with declared kind/height/offender", ErrBadArgs)
-		}
-		switch ev.Kind {
-		case consensus.EvidenceDoubleProposal:
-			if ev.FirstHeader == nil || ev.SecondHeader == nil {
-				return fmt.Errorf("%w: double-proposal evidence missing headers", ErrBadArgs)
-			}
-		case consensus.EvidenceDoubleVote:
-			if ev.FirstVote == nil || ev.SecondVote == nil {
-				return fmt.Errorf("%w: double-vote evidence missing votes", ErrBadArgs)
-			}
-		default:
-			return fmt.Errorf("%w: evidence kind %q", ErrBadArgs, ev.Kind)
-		}
-		key := evidenceKey(a.Kind, a.Height, a.Offender)
-		if _, dup := s.evidence[key]; dup {
-			return fmt.Errorf("%w: evidence %s", ErrExists, key)
-		}
-		rec := &EvidenceRecord{
-			Kind: a.Kind, Height: a.Height, Offender: a.Offender,
-			Reporter: tx.From, Evidence: append(json.RawMessage(nil), a.Evidence...), At: now,
-		}
-		s.evidence[key] = rec
-		s.emit(r, AuditContractAddr, "EvidenceRecorded", map[string]any{
-			"kind": a.Kind, "height": a.Height, "offender": a.Offender, "reporter": tx.From,
-		})
-		return nil
-
-	default:
-		return fmt.Errorf("%w: audit/%q", ErrUnknownMethod, tx.Method)
+func (s *State) reportEvidence(x *env, a *ReportEvidenceArgs) error {
+	if len(a.Evidence) == 0 {
+		return fmt.Errorf("%w: empty evidence", ErrBadArgs)
 	}
+	if len(a.Evidence) > maxEvidenceBytes {
+		return fmt.Errorf("%w: evidence %d bytes exceeds cap %d", ErrBadArgs, len(a.Evidence), maxEvidenceBytes)
+	}
+	ev, err := consensus.DecodeEvidence(a.Evidence)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadArgs, err)
+	}
+	if string(ev.Kind) != a.Kind || ev.Height != a.Height || ev.Offender != a.Offender {
+		return fmt.Errorf("%w: evidence disagrees with declared kind/height/offender", ErrBadArgs)
+	}
+	switch ev.Kind {
+	case consensus.EvidenceDoubleProposal:
+		if ev.FirstHeader == nil || ev.SecondHeader == nil {
+			return fmt.Errorf("%w: double-proposal evidence missing headers", ErrBadArgs)
+		}
+	case consensus.EvidenceDoubleVote:
+		if ev.FirstVote == nil || ev.SecondVote == nil {
+			return fmt.Errorf("%w: double-vote evidence missing votes", ErrBadArgs)
+		}
+	default:
+		return fmt.Errorf("%w: evidence kind %q", ErrBadArgs, ev.Kind)
+	}
+	key := evidenceKey(a.Kind, a.Height, a.Offender)
+	if _, dup := s.evidence[key]; dup {
+		return fmt.Errorf("%w: evidence %s", ErrExists, key)
+	}
+	s.evidence[key] = &EvidenceRecord{
+		Kind: a.Kind, Height: a.Height, Offender: a.Offender,
+		Reporter: x.tx.From, Evidence: append(json.RawMessage(nil), a.Evidence...), At: x.now,
+	}
+	s.emit(x.r, AuditContractAddr, "EvidenceRecorded", map[string]any{
+		"kind": a.Kind, "height": a.Height, "offender": a.Offender, "reporter": x.tx.From,
+	})
+	return nil
 }
 
 // HasEvidence reports whether evidence for (kind, height, offender) is

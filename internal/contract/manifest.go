@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"medchain/internal/cryptoutil"
-	"medchain/internal/ledger"
 	"medchain/internal/merkle"
 )
 
@@ -89,21 +88,15 @@ func ManifestBatchRoot(entries []ManifestEntry) cryptoutil.Digest {
 	return merkle.RootOf(leaves)
 }
 
-// applyRegisterManifests handles data/"register_manifests": only the
+// registerManifests handles data/"register_manifests": only the
 // dataset owner anchors manifests, the batch must be structurally
-// valid, and the claimed batch root must match the entries. Caller
-// holds the state lock.
-func (s *State) applyRegisterManifests(tx *ledger.Transaction, now int64, r *Receipt) error {
-	r.GasUsed = gasAnchor + int64(len(tx.Args))*gasArgByte
-	var a RegisterManifestsArgs
-	if err := decodeArgs(tx.Args, &a); err != nil {
-		return err
-	}
+// valid, and the claimed batch root must match the entries.
+func (s *State) registerManifests(x *env, a *RegisterManifestsArgs) error {
 	ds, ok := s.datasets[a.Dataset]
 	if !ok {
 		return fmt.Errorf("%w: dataset %q", ErrNotFound, a.Dataset)
 	}
-	if tx.From != ds.Owner {
+	if x.tx.From != ds.Owner {
 		return fmt.Errorf("%w: only the owner anchors manifests for %q", ErrNotOwner, a.Dataset)
 	}
 	if len(a.Entries) == 0 {
@@ -129,8 +122,8 @@ func (s *State) applyRegisterManifests(tx *ledger.Transaction, now int64, r *Rec
 	ms.Count += len(a.Entries)
 	ms.Batches++
 	ms.Root = cryptoutil.SumAll(ms.Root[:], a.BatchRoot[:])
-	ms.UpdatedAt = now
-	s.emit(r, DataContractAddr, "ManifestsAnchored", ManifestsAnchored{
+	ms.UpdatedAt = x.now
+	s.emit(x.r, DataContractAddr, "ManifestsAnchored", ManifestsAnchored{
 		Dataset: a.Dataset, Format: a.Format, BatchRoot: a.BatchRoot,
 		Entries: a.Entries, Batch: ms.Batches, Count: ms.Count, SetRoot: ms.Root,
 	})

@@ -164,7 +164,7 @@ func TestManifestSetCloneExportRoot(t *testing.T) {
 
 // TestManifestAccessSet pins the declared footprint: the dataset is
 // read (ownership check), the accumulator written, and a payload that
-// fails to decode forces serial execution.
+// fails to decode declares nothing.
 func TestManifestAccessSet(t *testing.T) {
 	owner := key(t, "hospital-A")
 	entries := manifestEntries(1)
@@ -172,9 +172,6 @@ func TestManifestAccessSet(t *testing.T) {
 		Dataset: "hospA/emr", BatchRoot: ManifestBatchRoot(entries), Entries: entries,
 	})
 	acc := AccessSetOf(good)
-	if acc.Unknown {
-		t.Fatal("well-formed anchor derived Unknown")
-	}
 	wantR, wantW := KeyDataset("hospA/emr"), KeyManifestSet("hospA/emr")
 	if len(acc.Reads) != 1 || acc.Reads[0] != wantR {
 		t.Fatalf("reads = %v, want [%v]", acc.Reads, wantR)
@@ -185,7 +182,7 @@ func TestManifestAccessSet(t *testing.T) {
 
 	bad := tx(t, owner, ledger.TxData, "register_manifests", nil)
 	bad.Args = []byte("{not json")
-	if !AccessSetOf(bad).Unknown {
-		t.Fatal("undecodable anchor args must derive Unknown")
+	if acc := AccessSetOf(bad); len(acc.Touched()) != 0 {
+		t.Fatalf("undecodable anchor args declared %s", acc)
 	}
 }

@@ -191,20 +191,16 @@ func (t *rootTree) apply(changes []leafChange) {
 
 // markWritten records the keys a transaction may have changed, so the
 // next Root re-hashes only those. The declared write set is therefore
-// consensus-relevant under serial execution too: a key Apply mutates
-// but AccessSetOf does not declare leaves a stale leaf in the root. A
-// footprint that cannot be bounded drops the tree, and the next Root
-// rebuilds it. A state that was never rooted has no tree and records
+// consensus-relevant under serial execution too: a key a handler
+// mutates but its table entry does not declare leaves a stale leaf in
+// the root. A state that was never rooted has no tree and records
 // nothing. The caller holds s.mu.
 func (s *State) markWritten(acc AccessSet) {
-	switch {
-	case s.tree == nil:
-	case acc.Unknown:
-		s.tree, s.dirty = nil, nil
-	default:
-		for _, k := range acc.Writes {
-			s.dirty[k] = struct{}{}
-		}
+	if s.tree == nil {
+		return
+	}
+	for _, k := range acc.Writes {
+		s.dirty[k] = struct{}{}
 	}
 }
 

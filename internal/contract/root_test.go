@@ -2,6 +2,7 @@ package contract
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -57,9 +58,9 @@ func bucketsReplaced(before, after *[rootBuckets][]StateLeaf) int {
 // TestRootCostFollowsWriteSet pins the point of the tree with counts,
 // not timings: after a warm Root, one update_dataset re-hashes the same
 // few buckets and allocates the same whether the state holds 1k or 12k
-// datasets; a Root with nothing applied re-hashes nothing; an unbounded
-// footprint costs one rebuild; a clone taken with marks pending roots
-// like its source.
+// datasets; a Root with nothing applied re-hashes nothing, and neither
+// does one after a transaction whose arguments do not decode; a clone
+// taken with marks pending roots like its source.
 func TestRootCostFollowsWriteSet(t *testing.T) {
 	owner := key(t, "cost-owner")
 	update := tx(t, owner, ledger.TxData, "update_dataset", RegisterDatasetArgs{ID: "hot", Records: 7})
@@ -102,14 +103,21 @@ func TestRootCostFollowsWriteSet(t *testing.T) {
 			s.Root()
 		}))
 
-		// An undecodable payload has an unbounded footprint: the tree is
-		// dropped and the next Root is one rebuild.
-		apply(t, s, &ledger.Transaction{Type: ledger.TxData, From: owner.Address(), Method: "grant", Args: []byte("{not json")})
-		if s.tree != nil {
-			t.Fatalf("%d datasets: an unknown footprint kept the tree", n)
+		// An undecodable payload never reaches its handler and declares
+		// no writes: the next Root re-hashes nothing, whatever the state
+		// holds (it used to drop the tree and cost a full rebuild).
+		s.Root()
+		before = s.tree.buckets
+		bad := apply(t, s, &ledger.Transaction{Type: ledger.TxData, From: owner.Address(), Method: "grant", Args: []byte("{not json")})
+		if bad.OK() || !strings.Contains(bad.Err, ErrBadArgs.Error()) {
+			t.Fatalf("%d datasets: undecodable grant: %+v", n, bad)
 		}
-		if s.Root() != freshRoot(s) {
-			t.Fatalf("%d datasets: root after an unknown footprint differs from a rebuild", n)
+		root = s.Root()
+		if got := bucketsReplaced(&before, &s.tree.buckets); got != 0 {
+			t.Fatalf("%d datasets: the Root after an undecodable grant re-hashed %d buckets", n, got)
+		}
+		if root != freshRoot(s) {
+			t.Fatalf("%d datasets: root after an undecodable grant differs from a rebuild", n)
 		}
 	}
 	if replaced[0] != replaced[1] {

@@ -171,12 +171,10 @@ func (s *State) SetHost(host map[string]vm.HostFunc) {
 	s.host = host
 }
 
-// Clone deep-copies the state machine. A block proposer executes its
-// candidate transactions on a clone to compute the post-state root for
-// the header, then commits the block through the same verify-execute
-// path as every follower — so a proposal that fails consensus leaves
-// the real state untouched (the property proposer failover and commit
-// retry depend on).
+// Clone deep-copies the state machine: the oracles' and experiments'
+// way to run the same block twice from one pre-state. Nothing on a
+// node's per-block path clones (a proposer previews on write snapshots,
+// see Versions).
 func (s *State) Clone() *State {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -227,44 +225,11 @@ func dataKey(id string) string { return "data:" + id }
 func toolKey(id string) string { return "tool:" + id }
 
 // Apply executes one transaction at the given height/timestamp and
-// returns its receipt. The error return is non-nil only for arguments
-// the caller should treat as a programming error (nil tx); domain
-// failures are reported in the receipt.
+// returns its receipt: Prepare, then Run. The error return is non-nil
+// only for arguments the caller should treat as a programming error
+// (nil tx); domain failures are reported in the receipt.
 func (s *State) Apply(tx *ledger.Transaction, height uint64, now int64) (*Receipt, error) {
-	if tx == nil {
-		return nil, fmt.Errorf("contract: nil transaction")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := &Receipt{TxID: tx.ID(), Height: height}
-	var err error
-	switch tx.Type {
-	case ledger.TxData:
-		err = s.applyData(tx, now, r)
-	case ledger.TxAnalytics:
-		err = s.applyAnalytics(tx, now, r)
-	case ledger.TxTrial:
-		err = s.applyTrial(tx, now, r)
-	case ledger.TxAnchor:
-		err = s.applyAnchor(tx, now, r)
-	case ledger.TxAudit:
-		err = s.applyAudit(tx, now, r)
-	case ledger.TxCross:
-		err = s.applyCross(tx, height, now, r)
-	case ledger.TxDeploy:
-		err = s.applyDeploy(tx, r)
-	case ledger.TxInvoke:
-		err = s.applyInvoke(tx, r)
-	default:
-		err = fmt.Errorf("%w: tx type %q", ErrUnknownMethod, tx.Type)
-	}
-	if err != nil {
-		r.Err = err.Error()
-	}
-	if s.tree != nil {
-		s.markWritten(AccessSetOf(tx))
-	}
-	return r, nil
+	return s.Run(Prepare(tx), height, now)
 }
 
 func (s *State) emit(r *Receipt, self cryptoutil.Address, topic string, payload any) {
@@ -332,140 +297,111 @@ type AccessAuthorization struct {
 	SiteID    string             `json:"site_id,omitempty"`
 }
 
-func (s *State) applyData(tx *ledger.Transaction, now int64, r *Receipt) error {
-	switch tx.Method {
-	case "register_dataset":
-		r.GasUsed = gasRegister + int64(len(tx.Args))*gasArgByte
-		var a RegisterDatasetArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
-		}
-		if a.ID == "" {
-			return fmt.Errorf("%w: empty dataset id", ErrBadArgs)
-		}
-		if _, dup := s.datasets[a.ID]; dup {
-			return fmt.Errorf("%w: dataset %q", ErrExists, a.ID)
-		}
-		s.datasets[a.ID] = &Dataset{
-			ID: a.ID, Owner: tx.From, Digest: a.Digest, Schema: a.Schema,
-			Records: a.Records, SiteID: a.SiteID, RegisteredAt: now,
-			Version: 1, UpdatedAt: now,
-		}
-		s.policies[dataKey(a.ID)] = &Policy{Owner: tx.From}
-		s.emit(r, DataContractAddr, "DatasetRegistered", s.datasets[a.ID])
-		return nil
-
-	case "update_dataset":
-		// Live data (wearable feeds, new encounters) changes the
-		// hosted records; the owner re-anchors the new digest so
-		// integrity checks keep working. The old digest stays on chain
-		// in the tx history — updates are auditable, not silent.
-		r.GasUsed = gasRegister + int64(len(tx.Args))*gasArgByte
-		var a RegisterDatasetArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
-		}
-		ds, ok := s.datasets[a.ID]
-		if !ok {
-			return fmt.Errorf("%w: dataset %q", ErrNotFound, a.ID)
-		}
-		if tx.From != ds.Owner {
-			return fmt.Errorf("%w: only the owner updates %q", ErrNotOwner, a.ID)
-		}
-		if ds.Frozen {
-			return fmt.Errorf("%w: dataset %q is frozen by an in-flight cross-shard transfer", ErrDenied, a.ID)
-		}
-		if ds.MovedTo != "" {
-			return fmt.Errorf("%w: dataset %q moved to shard %q", ErrDenied, a.ID, ds.MovedTo)
-		}
-		ds.Digest = a.Digest
-		if a.Records > 0 {
-			ds.Records = a.Records
-		}
-		ds.Version++
-		ds.UpdatedAt = now
-		s.emit(r, DataContractAddr, "DatasetUpdated", ds)
-		return nil
-
-	case "grant":
-		r.GasUsed = gasGrant + int64(len(tx.Args))*gasArgByte
-		var a GrantArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
-		}
-		p, ok := s.policies[a.Resource]
-		if !ok {
-			return fmt.Errorf("%w: resource %q", ErrNotFound, a.Resource)
-		}
-		if d := p.Check(tx.From, ActionAdmin, "", now, false); !d.Allowed {
-			s.emit(r, DataContractAddr, "GrantDenied", map[string]any{"resource": a.Resource, "by": tx.From})
-			return fmt.Errorf("%w: %s cannot administer %q", ErrDenied, tx.From.Short(), a.Resource)
-		}
-		for _, act := range a.Actions {
-			if !ValidAction(act) {
-				return fmt.Errorf("%w: action %q", ErrBadArgs, act)
-			}
-		}
-		p.Grants = append(p.Grants, Grant{
-			Grantee: a.Grantee, Actions: a.Actions, Purpose: a.Purpose,
-			ExpiresAt: a.ExpiresAt, MaxUses: a.MaxUses,
-		})
-		s.emit(r, DataContractAddr, "AccessGranted", a)
-		return nil
-
-	case "revoke":
-		r.GasUsed = gasRevoke + int64(len(tx.Args))*gasArgByte
-		var a RevokeArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
-		}
-		p, ok := s.policies[a.Resource]
-		if !ok {
-			return fmt.Errorf("%w: resource %q", ErrNotFound, a.Resource)
-		}
-		if d := p.Check(tx.From, ActionAdmin, "", now, false); !d.Allowed {
-			return fmt.Errorf("%w: %s cannot administer %q", ErrDenied, tx.From.Short(), a.Resource)
-		}
-		n := p.Revoke(a.Grantee)
-		s.emit(r, DataContractAddr, "AccessRevoked", map[string]any{
-			"resource": a.Resource, "grantee": a.Grantee, "removed": n,
-		})
-		return nil
-
-	case "register_manifests":
-		return s.applyRegisterManifests(tx, now, r)
-
-	case "request_access":
-		r.GasUsed = gasRequest + int64(len(tx.Args))*gasArgByte
-		var a RequestAccessArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
-		}
-		p, ok := s.policies[a.Resource]
-		if !ok {
-			return fmt.Errorf("%w: resource %q", ErrNotFound, a.Resource)
-		}
-		dec := p.Check(tx.From, a.Action, a.Purpose, now, true)
-		s.requestSeq++
-		auth := AccessAuthorization{
-			RequestID: s.requestSeq, Resource: a.Resource, Requester: tx.From,
-			Action: a.Action, Purpose: a.Purpose,
-		}
-		if ds, ok := s.datasets[trimPrefix(a.Resource, "data:")]; ok {
-			auth.SiteID = ds.SiteID
-		}
-		if !dec.Allowed {
-			s.emit(r, DataContractAddr, "AccessDenied", map[string]any{
-				"request": auth, "reason": dec.Reason,
-			})
-			return fmt.Errorf("%w: %s", ErrDenied, dec.Reason)
-		}
-		s.emit(r, DataContractAddr, "AccessAuthorized", auth)
-		return nil
-
-	default:
-		return fmt.Errorf("%w: data/%q", ErrUnknownMethod, tx.Method)
+func (s *State) registerDataset(x *env, a *RegisterDatasetArgs) error {
+	if a.ID == "" {
+		return fmt.Errorf("%w: empty dataset id", ErrBadArgs)
 	}
+	if _, dup := s.datasets[a.ID]; dup {
+		return fmt.Errorf("%w: dataset %q", ErrExists, a.ID)
+	}
+	s.datasets[a.ID] = &Dataset{
+		ID: a.ID, Owner: x.tx.From, Digest: a.Digest, Schema: a.Schema,
+		Records: a.Records, SiteID: a.SiteID, RegisteredAt: x.now,
+		Version: 1, UpdatedAt: x.now,
+	}
+	s.policies[dataKey(a.ID)] = &Policy{Owner: x.tx.From}
+	s.emit(x.r, DataContractAddr, "DatasetRegistered", s.datasets[a.ID])
+	return nil
+}
+
+// updateDataset re-anchors a dataset whose hosted records changed (live
+// data: wearable feeds, new encounters) so integrity checks keep
+// working. The old digest stays on chain in the tx history — updates
+// are auditable, not silent.
+func (s *State) updateDataset(x *env, a *RegisterDatasetArgs) error {
+	ds, ok := s.datasets[a.ID]
+	if !ok {
+		return fmt.Errorf("%w: dataset %q", ErrNotFound, a.ID)
+	}
+	if x.tx.From != ds.Owner {
+		return fmt.Errorf("%w: only the owner updates %q", ErrNotOwner, a.ID)
+	}
+	if ds.Frozen {
+		return fmt.Errorf("%w: dataset %q is frozen by an in-flight cross-shard transfer", ErrDenied, a.ID)
+	}
+	if ds.MovedTo != "" {
+		return fmt.Errorf("%w: dataset %q moved to shard %q", ErrDenied, a.ID, ds.MovedTo)
+	}
+	ds.Digest = a.Digest
+	if a.Records > 0 {
+		ds.Records = a.Records
+	}
+	ds.Version++
+	ds.UpdatedAt = x.now
+	s.emit(x.r, DataContractAddr, "DatasetUpdated", ds)
+	return nil
+}
+
+// grant and revoke administer dataset and tool policies alike.
+func (s *State) grant(x *env, a *GrantArgs) error {
+	p, ok := s.policies[a.Resource]
+	if !ok {
+		return fmt.Errorf("%w: resource %q", ErrNotFound, a.Resource)
+	}
+	if d := p.Check(x.tx.From, ActionAdmin, "", x.now, false); !d.Allowed {
+		s.emit(x.r, DataContractAddr, "GrantDenied", map[string]any{"resource": a.Resource, "by": x.tx.From})
+		return fmt.Errorf("%w: %s cannot administer %q", ErrDenied, x.tx.From.Short(), a.Resource)
+	}
+	for _, act := range a.Actions {
+		if !ValidAction(act) {
+			return fmt.Errorf("%w: action %q", ErrBadArgs, act)
+		}
+	}
+	p.Grants = append(p.Grants, Grant{
+		Grantee: a.Grantee, Actions: a.Actions, Purpose: a.Purpose,
+		ExpiresAt: a.ExpiresAt, MaxUses: a.MaxUses,
+	})
+	s.emit(x.r, DataContractAddr, "AccessGranted", a)
+	return nil
+}
+
+func (s *State) revoke(x *env, a *RevokeArgs) error {
+	p, ok := s.policies[a.Resource]
+	if !ok {
+		return fmt.Errorf("%w: resource %q", ErrNotFound, a.Resource)
+	}
+	if d := p.Check(x.tx.From, ActionAdmin, "", x.now, false); !d.Allowed {
+		return fmt.Errorf("%w: %s cannot administer %q", ErrDenied, x.tx.From.Short(), a.Resource)
+	}
+	n := p.Revoke(a.Grantee)
+	s.emit(x.r, DataContractAddr, "AccessRevoked", map[string]any{
+		"resource": a.Resource, "grantee": a.Grantee, "removed": n,
+	})
+	return nil
+}
+
+func (s *State) requestAccess(x *env, a *RequestAccessArgs) error {
+	p, ok := s.policies[a.Resource]
+	if !ok {
+		return fmt.Errorf("%w: resource %q", ErrNotFound, a.Resource)
+	}
+	dec := p.Check(x.tx.From, a.Action, a.Purpose, x.now, true)
+	s.requestSeq++
+	auth := AccessAuthorization{
+		RequestID: s.requestSeq, Resource: a.Resource, Requester: x.tx.From,
+		Action: a.Action, Purpose: a.Purpose,
+	}
+	if ds, ok := s.datasets[trimPrefix(a.Resource, "data:")]; ok {
+		auth.SiteID = ds.SiteID
+	}
+	if !dec.Allowed {
+		s.emit(x.r, DataContractAddr, "AccessDenied", map[string]any{
+			"request": auth, "reason": dec.Reason,
+		})
+		return fmt.Errorf("%w: %s", ErrDenied, dec.Reason)
+	}
+	s.emit(x.r, DataContractAddr, "AccessAuthorized", auth)
+	return nil
 }
 
 func trimPrefix(s, prefix string) string {
@@ -506,76 +442,55 @@ type RunAuthorization struct {
 	Purpose    string             `json:"purpose,omitempty"`
 }
 
-func (s *State) applyAnalytics(tx *ledger.Transaction, now int64, r *Receipt) error {
-	switch tx.Method {
-	case "register_tool":
-		r.GasUsed = gasRegister + int64(len(tx.Args))*gasArgByte
-		var a RegisterToolArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
-		}
-		if a.ID == "" {
-			return fmt.Errorf("%w: empty tool id", ErrBadArgs)
-		}
-		if _, dup := s.tools[a.ID]; dup {
-			return fmt.Errorf("%w: tool %q", ErrExists, a.ID)
-		}
-		s.tools[a.ID] = &Tool{
-			ID: a.ID, Owner: tx.From, Digest: a.Digest,
-			Description: a.Description, RegisteredAt: now,
-		}
-		s.policies[toolKey(a.ID)] = &Policy{Owner: tx.From}
-		s.emit(r, AnalyticsContractAddr, "ToolRegistered", s.tools[a.ID])
-		return nil
-
-	case "grant", "revoke":
-		// Tool policies share the data-contract grant/revoke handlers.
-		return s.applyData(&ledger.Transaction{
-			Type: ledger.TxData, From: tx.From, Method: tx.Method, Args: tx.Args,
-		}, now, r)
-
-	case "request_run":
-		r.GasUsed = gasRequest + int64(len(tx.Args))*gasArgByte
-		var a RequestRunArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
-		}
-		tool, ok := s.tools[a.Tool]
-		if !ok {
-			return fmt.Errorf("%w: tool %q", ErrNotFound, a.Tool)
-		}
-		ds, ok := s.datasets[a.Dataset]
-		if !ok {
-			return fmt.Errorf("%w: dataset %q", ErrNotFound, a.Dataset)
-		}
-		// The requester needs execute rights on BOTH the data and the
-		// tool (fine-grained policy of §III).
-		dp := s.policies[dataKey(a.Dataset)]
-		if d := dp.Check(tx.From, ActionExecute, a.Purpose, now, true); !d.Allowed {
-			s.emit(r, AnalyticsContractAddr, "RunDenied", map[string]any{
-				"tool": a.Tool, "dataset": a.Dataset, "reason": d.Reason,
-			})
-			return fmt.Errorf("%w: dataset: %s", ErrDenied, d.Reason)
-		}
-		tp := s.policies[toolKey(a.Tool)]
-		if d := tp.Check(tx.From, ActionExecute, a.Purpose, now, true); !d.Allowed {
-			s.emit(r, AnalyticsContractAddr, "RunDenied", map[string]any{
-				"tool": a.Tool, "dataset": a.Dataset, "reason": d.Reason,
-			})
-			return fmt.Errorf("%w: tool: %s", ErrDenied, d.Reason)
-		}
-		s.requestSeq++
-		auth := RunAuthorization{
-			RequestID: s.requestSeq, Tool: tool.ID, ToolDigest: tool.Digest,
-			Dataset: ds.ID, DataDigest: ds.Digest, SiteID: ds.SiteID,
-			Requester: tx.From, Params: a.Params, Purpose: a.Purpose,
-		}
-		s.emit(r, AnalyticsContractAddr, "RunAuthorized", auth)
-		return nil
-
-	default:
-		return fmt.Errorf("%w: analytics/%q", ErrUnknownMethod, tx.Method)
+func (s *State) registerTool(x *env, a *RegisterToolArgs) error {
+	if a.ID == "" {
+		return fmt.Errorf("%w: empty tool id", ErrBadArgs)
 	}
+	if _, dup := s.tools[a.ID]; dup {
+		return fmt.Errorf("%w: tool %q", ErrExists, a.ID)
+	}
+	s.tools[a.ID] = &Tool{
+		ID: a.ID, Owner: x.tx.From, Digest: a.Digest,
+		Description: a.Description, RegisteredAt: x.now,
+	}
+	s.policies[toolKey(a.ID)] = &Policy{Owner: x.tx.From}
+	s.emit(x.r, AnalyticsContractAddr, "ToolRegistered", s.tools[a.ID])
+	return nil
+}
+
+func (s *State) requestRun(x *env, a *RequestRunArgs) error {
+	tool, ok := s.tools[a.Tool]
+	if !ok {
+		return fmt.Errorf("%w: tool %q", ErrNotFound, a.Tool)
+	}
+	ds, ok := s.datasets[a.Dataset]
+	if !ok {
+		return fmt.Errorf("%w: dataset %q", ErrNotFound, a.Dataset)
+	}
+	// The requester needs execute rights on BOTH the data and the
+	// tool (fine-grained policy of §III).
+	dp := s.policies[dataKey(a.Dataset)]
+	if d := dp.Check(x.tx.From, ActionExecute, a.Purpose, x.now, true); !d.Allowed {
+		s.emit(x.r, AnalyticsContractAddr, "RunDenied", map[string]any{
+			"tool": a.Tool, "dataset": a.Dataset, "reason": d.Reason,
+		})
+		return fmt.Errorf("%w: dataset: %s", ErrDenied, d.Reason)
+	}
+	tp := s.policies[toolKey(a.Tool)]
+	if d := tp.Check(x.tx.From, ActionExecute, a.Purpose, x.now, true); !d.Allowed {
+		s.emit(x.r, AnalyticsContractAddr, "RunDenied", map[string]any{
+			"tool": a.Tool, "dataset": a.Dataset, "reason": d.Reason,
+		})
+		return fmt.Errorf("%w: tool: %s", ErrDenied, d.Reason)
+	}
+	s.requestSeq++
+	auth := RunAuthorization{
+		RequestID: s.requestSeq, Tool: tool.ID, ToolDigest: tool.Digest,
+		Dataset: ds.ID, DataDigest: ds.Digest, SiteID: ds.SiteID,
+		Requester: x.tx.From, Params: a.Params, Purpose: a.Purpose,
+	}
+	s.emit(x.r, AnalyticsContractAddr, "RunAuthorized", auth)
+	return nil
 }
 
 // --- clinical-trial contract ---
@@ -610,89 +525,69 @@ type AdverseEventArgs struct {
 	Site        string `json:"site"`
 }
 
-func (s *State) applyTrial(tx *ledger.Transaction, now int64, r *Receipt) error {
-	r.GasUsed = gasTrialOp + int64(len(tx.Args))*gasArgByte
-	switch tx.Method {
-	case "register_trial":
-		var a RegisterTrialArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
-		}
-		if a.ID == "" || len(a.PrimaryOutcomes) == 0 {
-			return fmt.Errorf("%w: trial needs id and pre-registered outcomes", ErrBadArgs)
-		}
-		if _, dup := s.trials[a.ID]; dup {
-			return fmt.Errorf("%w: trial %q", ErrExists, a.ID)
-		}
-		s.trials[a.ID] = &Trial{
-			ID: a.ID, Sponsor: tx.From, ProtocolDigest: a.ProtocolDigest,
-			PrimaryOutcomes: append([]string(nil), a.PrimaryOutcomes...),
-			RegisteredAt:    now,
-		}
-		s.emit(r, TrialContractAddr, "TrialRegistered", s.trials[a.ID])
-		return nil
-
-	case "enroll":
-		var a EnrollArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
-		}
-		tr, ok := s.trials[a.Trial]
-		if !ok {
-			return fmt.Errorf("%w: trial %q", ErrNotFound, a.Trial)
-		}
-		for _, e := range tr.Enrollments {
-			if e.Patient == a.Patient {
-				return fmt.Errorf("%w: patient %q already enrolled", ErrExists, a.Patient)
-			}
-		}
-		tr.Enrollments = append(tr.Enrollments, Enrollment{
-			Patient: a.Patient, Site: a.Site, By: tx.From, At: now,
-		})
-		s.emit(r, TrialContractAddr, "ParticipantEnrolled", a)
-		return nil
-
-	case "report_outcomes":
-		var a ReportOutcomesArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
-		}
-		tr, ok := s.trials[a.Trial]
-		if !ok {
-			return fmt.Errorf("%w: trial %q", ErrNotFound, a.Trial)
-		}
-		if tx.From != tr.Sponsor {
-			return fmt.Errorf("%w: only the sponsor reports outcomes", ErrNotOwner)
-		}
-		tr.Reports = append(tr.Reports, OutcomeReport{
-			Outcomes:      append([]string(nil), a.Outcomes...),
-			ResultsDigest: a.ResultsDigest, By: tx.From, At: now,
-		})
-		s.emit(r, TrialContractAddr, "OutcomesReported", a)
-		return nil
-
-	case "adverse_event":
-		var a AdverseEventArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
-		}
-		tr, ok := s.trials[a.Trial]
-		if !ok {
-			return fmt.Errorf("%w: trial %q", ErrNotFound, a.Trial)
-		}
-		if a.Severity < 1 || a.Severity > 5 {
-			return fmt.Errorf("%w: severity %d outside [1,5]", ErrBadArgs, a.Severity)
-		}
-		tr.AdverseEvents = append(tr.AdverseEvents, AdverseEventRecord{
-			Patient: a.Patient, Description: a.Description,
-			Severity: a.Severity, Site: a.Site, At: now,
-		})
-		s.emit(r, TrialContractAddr, "AdverseEvent", a)
-		return nil
-
-	default:
-		return fmt.Errorf("%w: trial/%q", ErrUnknownMethod, tx.Method)
+func (s *State) registerTrial(x *env, a *RegisterTrialArgs) error {
+	if a.ID == "" || len(a.PrimaryOutcomes) == 0 {
+		return fmt.Errorf("%w: trial needs id and pre-registered outcomes", ErrBadArgs)
 	}
+	if _, dup := s.trials[a.ID]; dup {
+		return fmt.Errorf("%w: trial %q", ErrExists, a.ID)
+	}
+	s.trials[a.ID] = &Trial{
+		ID: a.ID, Sponsor: x.tx.From, ProtocolDigest: a.ProtocolDigest,
+		PrimaryOutcomes: append([]string(nil), a.PrimaryOutcomes...),
+		RegisteredAt:    x.now,
+	}
+	s.emit(x.r, TrialContractAddr, "TrialRegistered", s.trials[a.ID])
+	return nil
+}
+
+func (s *State) enroll(x *env, a *EnrollArgs) error {
+	tr, ok := s.trials[a.Trial]
+	if !ok {
+		return fmt.Errorf("%w: trial %q", ErrNotFound, a.Trial)
+	}
+	for _, e := range tr.Enrollments {
+		if e.Patient == a.Patient {
+			return fmt.Errorf("%w: patient %q already enrolled", ErrExists, a.Patient)
+		}
+	}
+	tr.Enrollments = append(tr.Enrollments, Enrollment{
+		Patient: a.Patient, Site: a.Site, By: x.tx.From, At: x.now,
+	})
+	s.emit(x.r, TrialContractAddr, "ParticipantEnrolled", a)
+	return nil
+}
+
+func (s *State) reportOutcomes(x *env, a *ReportOutcomesArgs) error {
+	tr, ok := s.trials[a.Trial]
+	if !ok {
+		return fmt.Errorf("%w: trial %q", ErrNotFound, a.Trial)
+	}
+	if x.tx.From != tr.Sponsor {
+		return fmt.Errorf("%w: only the sponsor reports outcomes", ErrNotOwner)
+	}
+	tr.Reports = append(tr.Reports, OutcomeReport{
+		Outcomes:      append([]string(nil), a.Outcomes...),
+		ResultsDigest: a.ResultsDigest, By: x.tx.From, At: x.now,
+	})
+	s.emit(x.r, TrialContractAddr, "OutcomesReported", a)
+	return nil
+}
+
+func (s *State) adverseEvent(x *env, a *AdverseEventArgs) error {
+	tr, ok := s.trials[a.Trial]
+	if !ok {
+		return fmt.Errorf("%w: trial %q", ErrNotFound, a.Trial)
+	}
+	if a.Severity < 1 || a.Severity > 5 {
+		return fmt.Errorf("%w: severity %d outside [1,5]", ErrBadArgs, a.Severity)
+	}
+	tr.AdverseEvents = append(tr.AdverseEvents, AdverseEventRecord{
+		Patient: a.Patient, Description: a.Description,
+		Severity: a.Severity, Site: a.Site, At: x.now,
+	})
+	s.emit(x.r, TrialContractAddr, "AdverseEvent", a)
+	return nil
 }
 
 // --- anchor contract ---
@@ -703,20 +598,15 @@ type AnchorArgs struct {
 	Digest cryptoutil.Digest `json:"digest"`
 }
 
-func (s *State) applyAnchor(tx *ledger.Transaction, now int64, r *Receipt) error {
-	r.GasUsed = gasAnchor + int64(len(tx.Args))*gasArgByte
-	var a AnchorArgs
-	if err := decodeArgs(tx.Args, &a); err != nil {
-		return err
-	}
+func (s *State) anchor(x *env, a *AnchorArgs) error {
 	if a.Label == "" {
 		return fmt.Errorf("%w: empty anchor label", ErrBadArgs)
 	}
 	if _, dup := s.anchors[a.Label]; dup {
 		return fmt.Errorf("%w: anchor %q", ErrExists, a.Label)
 	}
-	s.anchors[a.Label] = &Anchor{Label: a.Label, Digest: a.Digest, By: tx.From, At: now}
-	s.emit(r, AnchorContractAddr, "Anchored", s.anchors[a.Label])
+	s.anchors[a.Label] = &Anchor{Label: a.Label, Digest: a.Digest, By: x.tx.From, At: x.now}
+	s.emit(x.r, AnchorContractAddr, "Anchored", s.anchors[a.Label])
 	return nil
 }
 
@@ -742,11 +632,9 @@ func DeployedAddress(from cryptoutil.Address, nonce uint64) cryptoutil.Address {
 	return a
 }
 
-func (s *State) applyDeploy(tx *ledger.Transaction, r *Receipt) error {
-	var a DeployArgs
-	if err := decodeArgs(tx.Args, &a); err != nil {
-		return err
-	}
+// deploy meters by code size, so a deploy that never gets as far as
+// its code charges nothing.
+func (s *State) deploy(x *env, a *DeployArgs) error {
 	code, err := base64.StdEncoding.DecodeString(a.Code)
 	if err != nil {
 		return fmt.Errorf("%w: code is not base64: %v", ErrBadArgs, err)
@@ -754,16 +642,16 @@ func (s *State) applyDeploy(tx *ledger.Transaction, r *Receipt) error {
 	if len(code) == 0 {
 		return fmt.Errorf("%w: empty code", ErrBadArgs)
 	}
-	r.GasUsed = gasDeployBase + int64(len(code))*gasArgByte
-	addr := DeployedAddress(tx.From, tx.Nonce)
+	x.r.GasUsed = gasDeployBase + int64(len(code))*gasArgByte
+	addr := DeployedAddress(x.tx.From, x.tx.Nonce)
 	if _, dup := s.deployed[addr]; dup {
 		return fmt.Errorf("%w: contract %s", ErrExists, addr.Short())
 	}
 	s.deployed[addr] = &Deployed{
-		Address: addr, Owner: tx.From, Name: a.Name, Code: code, Kind: KindVM,
+		Address: addr, Owner: x.tx.From, Name: a.Name, Code: code, Kind: KindVM,
 	}
 	s.vmStorage[addr] = vm.NewMemStorage()
-	s.emit(r, addr, "Deployed", map[string]any{"address": addr, "name": a.Name})
+	s.emit(x.r, addr, "Deployed", map[string]any{"address": addr, "name": a.Name})
 	return nil
 }
 
@@ -776,35 +664,34 @@ type InvokeArgs struct {
 	GasLimit int64 `json:"gas_limit,omitempty"`
 }
 
-func (s *State) applyInvoke(tx *ledger.Transaction, r *Receipt) error {
-	dep, ok := s.deployed[tx.Contract]
-	if !ok {
+// haveContract is the invoke guard: the target must be deployed.
+func (s *State) haveContract(tx *ledger.Transaction) error {
+	if _, ok := s.deployed[tx.Contract]; !ok {
 		return fmt.Errorf("%w: contract %s", ErrNotFound, tx.Contract.Short())
 	}
-	var a InvokeArgs
-	if len(tx.Args) > 0 {
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
-		}
-	}
+	return nil
+}
+
+func (s *State) invoke(x *env, a *InvokeArgs) error {
+	dep := s.deployed[x.tx.Contract]
 	limit := int64(DefaultGasLimit)
 	if a.GasLimit > 0 {
 		limit = a.GasLimit
 	}
-	store := s.vmStorage[tx.Contract]
+	store := s.vmStorage[x.tx.Contract]
 	buffered := newBufferedStorage(store)
-	buffered.Set([]byte("__method"), []byte(tx.Method))
+	buffered.Set([]byte("__method"), []byte(x.tx.Method))
 	buffered.Set([]byte("__input"), a.Input)
 	res, err := vm.Execute(dep.Code, &vm.Context{
-		Caller:   tx.From,
-		Self:     tx.Contract,
+		Caller:   x.tx.From,
+		Self:     x.tx.Contract,
 		Storage:  buffered,
 		Host:     s.host,
 		GasLimit: limit,
 	})
 	if res != nil {
-		r.GasUsed = res.GasUsed
-		r.Events = append(r.Events, res.Events...)
+		x.r.GasUsed = res.GasUsed
+		x.r.Events = append(x.r.Events, res.Events...)
 	}
 	if err != nil {
 		return fmt.Errorf("contract: invoke %s: %w", dep.Name, err)

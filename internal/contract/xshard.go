@@ -107,13 +107,7 @@ const (
 )
 
 // ValidCrossKind reports whether k is a known transfer kind.
-func ValidCrossKind(k CrossKind) bool {
-	switch k {
-	case CrossConsent, CrossTransfer, CrossFLRound:
-		return true
-	}
-	return false
-}
+func ValidCrossKind(k CrossKind) bool { return crossKinds[k] != nil }
 
 // CrossStatus is the source-side lifecycle of a prepare.
 type CrossStatus string
@@ -420,368 +414,328 @@ type CrossResolveArgs struct {
 func rootKey(shard string, height uint64) string { return fmt.Sprintf("%s/%d", shard, height) }
 func crossInKey(src, id string) string           { return src + "/" + id }
 
-func (s *State) applyCross(tx *ledger.Transaction, height uint64, now int64, r *Receipt) error {
-	r.GasUsed = gasCross + int64(len(tx.Args))*gasArgByte
-	switch tx.Method {
-	case "init":
-		var a InitCrossArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
-		}
-		if a.ShardID == "" || a.Shards < 1 {
-			return fmt.Errorf("%w: init needs shard id and shard count", ErrBadArgs)
-		}
-		if s.crossCfg != nil {
-			return fmt.Errorf("%w: cross-shard config", ErrExists)
-		}
-		s.crossCfg = &CrossShardConfig{ShardID: a.ShardID, Shards: a.Shards, Coordinator: a.Coordinator}
-		s.emit(r, CrossContractAddr, "CrossInit", s.crossCfg)
-		return nil
+func (s *State) crossInit(x *env, a *InitCrossArgs) error {
+	if a.ShardID == "" || a.Shards < 1 {
+		return fmt.Errorf("%w: init needs shard id and shard count", ErrBadArgs)
+	}
+	if s.crossCfg != nil {
+		return fmt.Errorf("%w: cross-shard config", ErrExists)
+	}
+	s.crossCfg = &CrossShardConfig{ShardID: a.ShardID, Shards: a.Shards, Coordinator: a.Coordinator}
+	s.emit(x.r, CrossContractAddr, "CrossInit", s.crossCfg)
+	return nil
+}
 
-	case "register_shard":
-		cfg, err := s.crossConfig()
-		if err != nil {
-			return err
-		}
-		var a RegisterShardArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
-		}
-		if cfg.ShardID != CoordShardID {
-			return fmt.Errorf("%w: register_shard is coordination-chain only", ErrBadArgs)
-		}
-		if tx.From != cfg.Coordinator {
-			return fmt.Errorf("%w: %s is not the coordinator", ErrCrossUnauthorized, tx.From.Short())
-		}
-		if a.ID == "" || a.ID == CoordShardID {
-			return fmt.Errorf("%w: shard id %q", ErrBadArgs, a.ID)
-		}
-		if _, dup := s.shardDir[a.ID]; dup {
-			return fmt.Errorf("%w: shard %q", ErrExists, a.ID)
-		}
-		committee := append([]cryptoutil.Address(nil), a.Committee...)
-		if len(committee) == 0 {
-			committee = []cryptoutil.Address{a.Gateway}
-		}
-		seen := map[cryptoutil.Address]bool{}
-		hasGateway := false
-		for _, m := range committee {
-			if seen[m] {
-				return fmt.Errorf("%w: duplicate committee member %s", ErrBadArgs, m.Short())
-			}
-			seen[m] = true
-			if m == a.Gateway {
-				hasGateway = true
-			}
-		}
-		if !hasGateway {
-			return fmt.Errorf("%w: gateway %s not in its committee", ErrBadArgs, a.Gateway.Short())
-		}
-		lease := a.LeaseBlocks
-		if lease == 0 {
-			lease = defaultLeaseBlocks
-		}
-		s.shardDir[a.ID] = &ShardInfo{
-			ID: a.ID, Gateway: a.Gateway, Committee: committee,
-			LeaseBlocks: lease, LeaseHeight: height, At: now,
-		}
-		s.emit(r, CrossContractAddr, "ShardRegistered", s.shardDir[a.ID])
-		return nil
+// Every handler below runs behind the anyChain or memberChain guard, so
+// s.crossCfg is set.
 
-	case "acquire_lease":
-		cfg, err := s.crossConfig()
-		if err != nil {
-			return err
+func (s *State) registerShard(x *env, a *RegisterShardArgs) error {
+	cfg, tx := s.crossCfg, x.tx
+	if cfg.ShardID != CoordShardID {
+		return fmt.Errorf("%w: register_shard is coordination-chain only", ErrBadArgs)
+	}
+	if tx.From != cfg.Coordinator {
+		return fmt.Errorf("%w: %s is not the coordinator", ErrCrossUnauthorized, tx.From.Short())
+	}
+	if a.ID == "" || a.ID == CoordShardID {
+		return fmt.Errorf("%w: shard id %q", ErrBadArgs, a.ID)
+	}
+	if _, dup := s.shardDir[a.ID]; dup {
+		return fmt.Errorf("%w: shard %q", ErrExists, a.ID)
+	}
+	committee := append([]cryptoutil.Address(nil), a.Committee...)
+	if len(committee) == 0 {
+		committee = []cryptoutil.Address{a.Gateway}
+	}
+	seen := map[cryptoutil.Address]bool{}
+	hasGateway := false
+	for _, m := range committee {
+		if seen[m] {
+			return fmt.Errorf("%w: duplicate committee member %s", ErrBadArgs, m.Short())
 		}
-		var a AcquireLeaseArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
+		seen[m] = true
+		if m == a.Gateway {
+			hasGateway = true
 		}
-		if cfg.ShardID != CoordShardID {
-			return fmt.Errorf("%w: acquire_lease is coordination-chain only", ErrBadArgs)
+	}
+	if !hasGateway {
+		return fmt.Errorf("%w: gateway %s not in its committee", ErrBadArgs, a.Gateway.Short())
+	}
+	lease := a.LeaseBlocks
+	if lease == 0 {
+		lease = defaultLeaseBlocks
+	}
+	s.shardDir[a.ID] = &ShardInfo{
+		ID: a.ID, Gateway: a.Gateway, Committee: committee,
+		LeaseBlocks: lease, LeaseHeight: x.height, At: x.now,
+	}
+	s.emit(x.r, CrossContractAddr, "ShardRegistered", s.shardDir[a.ID])
+	return nil
+}
+
+func (s *State) acquireLease(x *env, a *AcquireLeaseArgs) error {
+	tx := x.tx
+	if s.crossCfg.ShardID != CoordShardID {
+		return fmt.Errorf("%w: acquire_lease is coordination-chain only", ErrBadArgs)
+	}
+	info, ok := s.shardDir[a.Shard]
+	if !ok {
+		return fmt.Errorf("%w: shard %q", ErrNotFound, a.Shard)
+	}
+	if !info.InCommittee(tx.From) {
+		return fmt.Errorf("%w: %s is not on the committee of %q", ErrCrossUnauthorized, tx.From.Short(), a.Shard)
+	}
+	if tx.From == info.Gateway {
+		return fmt.Errorf("%w: %s already holds the lease of %q", ErrBadArgs, tx.From.Short(), a.Shard)
+	}
+	if !info.LeaseExpired(x.height) {
+		return fmt.Errorf("%w: %q holder active at height %d, bound %d blocks",
+			ErrCrossLease, a.Shard, info.leaseActivity(), info.LeaseBlocks)
+	}
+	info.Gateway = tx.From
+	info.LeaseHeight = x.height
+	s.emit(x.r, CrossContractAddr, "LeaseAcquired", info)
+	return nil
+}
+
+func (s *State) beginEpoch(x *env, a *BeginEpochArgs) error {
+	cfg, tx := s.crossCfg, x.tx
+	if cfg.ShardID != CoordShardID {
+		return fmt.Errorf("%w: begin_epoch is coordination-chain only", ErrBadArgs)
+	}
+	if tx.From != cfg.Coordinator {
+		return fmt.Errorf("%w: %s is not the coordinator", ErrCrossUnauthorized, tx.From.Short())
+	}
+	if len(a.Shards) == 0 {
+		return fmt.Errorf("%w: epoch needs at least one shard", ErrBadArgs)
+	}
+	seen := map[string]bool{}
+	for _, id := range a.Shards {
+		if seen[id] {
+			return fmt.Errorf("%w: duplicate shard %q in epoch", ErrBadArgs, id)
 		}
+		seen[id] = true
+		if _, ok := s.shardDir[id]; !ok {
+			return fmt.Errorf("%w: epoch shard %q not registered", ErrNotFound, id)
+		}
+	}
+	rt := s.routing
+	if rt == nil {
+		rt = &RoutingTable{}
+		s.routing = rt
+	}
+	if rt.Pending != nil {
+		return fmt.Errorf("%w: epoch %d still pending", ErrCrossEpoch, rt.Pending.Epoch)
+	}
+	var current uint64
+	if rt.Current != nil {
+		current = rt.Current.Epoch
+	}
+	if a.Epoch != current+1 {
+		return fmt.Errorf("%w: begin %d after %d", ErrCrossEpoch, a.Epoch, current)
+	}
+	rt.Pending = &RoutingEpoch{Epoch: a.Epoch, Shards: append([]string(nil), a.Shards...), At: x.now}
+	s.emit(x.r, CrossContractAddr, "EpochBegun", rt.Pending)
+	return nil
+}
+
+func (s *State) commitEpoch(x *env, a *CommitEpochArgs) error {
+	cfg, tx := s.crossCfg, x.tx
+	if cfg.ShardID != CoordShardID {
+		return fmt.Errorf("%w: commit_epoch is coordination-chain only", ErrBadArgs)
+	}
+	if tx.From != cfg.Coordinator {
+		return fmt.Errorf("%w: %s is not the coordinator", ErrCrossUnauthorized, tx.From.Short())
+	}
+	if s.routing == nil || s.routing.Pending == nil {
+		return fmt.Errorf("%w: no pending epoch to commit", ErrCrossEpoch)
+	}
+	if s.routing.Pending.Epoch != a.Epoch {
+		return fmt.Errorf("%w: commit %d, pending is %d", ErrCrossEpoch, a.Epoch, s.routing.Pending.Epoch)
+	}
+	s.routing.Current = s.routing.Pending
+	s.routing.Current.At = x.now
+	s.routing.Pending = nil
+	s.emit(x.r, CrossContractAddr, "EpochCommitted", s.routing.Current)
+	return nil
+}
+
+func (s *State) anchorRoot(x *env, a *AnchorRootArgs) error {
+	cfg, tx := s.crossCfg, x.tx
+	if a.Shard == "" || a.Height == 0 {
+		return fmt.Errorf("%w: anchor needs shard and height", ErrBadArgs)
+	}
+	if a.Root == cryptoutil.ZeroDigest {
+		return fmt.Errorf("%w: zero root anchors nothing", ErrBadArgs)
+	}
+	if a.Shard == cfg.ShardID {
+		return fmt.Errorf("%w: shard cannot anchor its own root", ErrBadArgs)
+	}
+	var leaseInfo *ShardInfo
+	if cfg.ShardID == CoordShardID {
+		// Gateways anchor their shard's roots on the coordination
+		// chain; only the current lease holder may.
 		info, ok := s.shardDir[a.Shard]
 		if !ok {
 			return fmt.Errorf("%w: shard %q", ErrNotFound, a.Shard)
 		}
-		if !info.InCommittee(tx.From) {
-			return fmt.Errorf("%w: %s is not on the committee of %q", ErrCrossUnauthorized, tx.From.Short(), a.Shard)
+		if tx.From != info.Gateway {
+			return fmt.Errorf("%w: %s is not the gateway of %q", ErrCrossUnauthorized, tx.From.Short(), a.Shard)
 		}
-		if tx.From == info.Gateway {
-			return fmt.Errorf("%w: %s already holds the lease of %q", ErrBadArgs, tx.From.Short(), a.Shard)
-		}
-		if !info.LeaseExpired(height) {
-			return fmt.Errorf("%w: %q holder active at height %d, bound %d blocks",
-				ErrCrossLease, a.Shard, info.leaseActivity(), info.LeaseBlocks)
-		}
-		info.Gateway = tx.From
-		info.LeaseHeight = height
-		s.emit(r, CrossContractAddr, "LeaseAcquired", info)
-		return nil
+		leaseInfo = info
+	} else if tx.From != cfg.Coordinator {
+		// Member shards accept relayed roots from the coordinator only.
+		return fmt.Errorf("%w: %s is not the coordinator", ErrCrossUnauthorized, tx.From.Short())
+	}
+	key := rootKey(a.Shard, a.Height)
+	if _, dup := s.shardRoots[key]; dup {
+		// First anchor wins; a later, conflicting root for the same
+		// height is a stale (or equivocating) anchor and is rejected.
+		return fmt.Errorf("%w: root %s", ErrExists, key)
+	}
+	s.shardRoots[key] = &ShardRoot{Shard: a.Shard, Height: a.Height, Root: a.Root, By: tx.From, At: x.now}
+	if leaseInfo != nil {
+		// An accepted anchor renews the gateway's lease: cadence is
+		// measured from the holder's last proof of life.
+		leaseInfo.LastAnchor = x.height
+	}
+	s.emit(x.r, CrossContractAddr, "RootAnchored", s.shardRoots[key])
+	return nil
+}
 
-	case "begin_epoch":
-		cfg, err := s.crossConfig()
-		if err != nil {
-			return err
-		}
-		var a BeginEpochArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
-		}
-		if cfg.ShardID != CoordShardID {
-			return fmt.Errorf("%w: begin_epoch is coordination-chain only", ErrBadArgs)
-		}
-		if tx.From != cfg.Coordinator {
-			return fmt.Errorf("%w: %s is not the coordinator", ErrCrossUnauthorized, tx.From.Short())
-		}
-		if len(a.Shards) == 0 {
-			return fmt.Errorf("%w: epoch needs at least one shard", ErrBadArgs)
-		}
-		seen := map[string]bool{}
-		for _, id := range a.Shards {
-			if seen[id] {
-				return fmt.Errorf("%w: duplicate shard %q in epoch", ErrBadArgs, id)
-			}
-			seen[id] = true
-			if _, ok := s.shardDir[id]; !ok {
-				return fmt.Errorf("%w: epoch shard %q not registered", ErrNotFound, id)
-			}
-		}
-		rt := s.routing
-		if rt == nil {
-			rt = &RoutingTable{}
-			s.routing = rt
-		}
-		if rt.Pending != nil {
-			return fmt.Errorf("%w: epoch %d still pending", ErrCrossEpoch, rt.Pending.Epoch)
-		}
-		var current uint64
-		if rt.Current != nil {
-			current = rt.Current.Epoch
-		}
-		if a.Epoch != current+1 {
-			return fmt.Errorf("%w: begin %d after %d", ErrCrossEpoch, a.Epoch, current)
-		}
-		rt.Pending = &RoutingEpoch{Epoch: a.Epoch, Shards: append([]string(nil), a.Shards...), At: now}
-		s.emit(r, CrossContractAddr, "EpochBegun", rt.Pending)
-		return nil
+func (s *State) crossPrepare(x *env, a *CrossPrepareArgs) error {
+	cfg := s.crossCfg
+	if a.ID == "" || x.payload == nil {
+		return fmt.Errorf("%w: prepare needs id and valid kind", ErrBadArgs)
+	}
+	if a.DestShard == "" || a.DestShard == cfg.ShardID || a.DestShard == CoordShardID {
+		return fmt.Errorf("%w: dest shard %q", ErrBadArgs, a.DestShard)
+	}
+	if a.DestExpiry == 0 {
+		return fmt.Errorf("%w: prepare needs a dest-height expiry", ErrBadArgs)
+	}
+	if _, dup := s.crossOut[a.ID]; dup {
+		return fmt.Errorf("%w: transfer %q", ErrExists, a.ID)
+	}
+	if x.payloadErr != nil {
+		return x.payloadErr
+	}
+	payload, err := x.payload.validate(s, x.tx)
+	if err != nil {
+		return err
+	}
+	rec := CrossRecord{
+		ID: a.ID, Kind: a.Kind, SourceShard: cfg.ShardID, DestShard: a.DestShard,
+		From: x.tx.From, SourceHeight: x.height, DestExpiry: a.DestExpiry, Payload: payload,
+	}
+	s.crossOut[a.ID] = &CrossPrepare{Record: rec, Status: CrossPending}
+	s.emit(x.r, CrossContractAddr, "CrossPrepared", &rec)
+	return nil
+}
 
-	case "commit_epoch":
-		cfg, err := s.crossConfig()
-		if err != nil {
-			return err
-		}
-		var a CommitEpochArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
-		}
-		if cfg.ShardID != CoordShardID {
-			return fmt.Errorf("%w: commit_epoch is coordination-chain only", ErrBadArgs)
-		}
-		if tx.From != cfg.Coordinator {
-			return fmt.Errorf("%w: %s is not the coordinator", ErrCrossUnauthorized, tx.From.Short())
-		}
-		if s.routing == nil || s.routing.Pending == nil {
-			return fmt.Errorf("%w: no pending epoch to commit", ErrCrossEpoch)
-		}
-		if s.routing.Pending.Epoch != a.Epoch {
-			return fmt.Errorf("%w: commit %d, pending is %d", ErrCrossEpoch, a.Epoch, s.routing.Pending.Epoch)
-		}
-		s.routing.Current = s.routing.Pending
-		s.routing.Current.At = now
-		s.routing.Pending = nil
-		s.emit(r, CrossContractAddr, "EpochCommitted", s.routing.Current)
-		return nil
+func (s *State) crossApply(x *env, a *CrossApplyArgs) error  { return s.resolveInbound(x, a, false) }
+func (s *State) crossExpire(x *env, a *CrossApplyArgs) error { return s.resolveInbound(x, a, true) }
 
-	case "anchor_root":
-		cfg, err := s.crossConfig()
-		if err != nil {
-			return err
+// resolveInbound records the destination's one decision for a proven
+// record: its effect applied or refused before the deadline, expired
+// after it.
+func (s *State) resolveInbound(x *env, a *CrossApplyArgs, expire bool) error {
+	rec := a.Record
+	if rec.DestShard != s.crossCfg.ShardID {
+		return fmt.Errorf("%w: record destined for %q, this is %q", ErrBadArgs, rec.DestShard, s.crossCfg.ShardID)
+	}
+	key := crossInKey(rec.SourceShard, rec.ID)
+	if _, dup := s.crossIn[key]; dup {
+		return fmt.Errorf("%w: transfer %s", ErrCrossReplay, key)
+	}
+	if err := s.verifyCrossLeaf(rec.SourceShard, rec.SourceHeight, rec.Leaf(), a.Proof); err != nil {
+		return err
+	}
+	res := CrossResolution{
+		ID: rec.ID, SourceShard: rec.SourceShard, DestShard: rec.DestShard,
+		Kind: rec.Kind, DestHeight: x.height,
+	}
+	if x.payloadOK() {
+		res.Resource = x.payload.resource()
+	}
+	if expire {
+		if x.height <= rec.DestExpiry {
+			return fmt.Errorf("%w: transfer %q not expired until dest height %d", ErrBadArgs, rec.ID, rec.DestExpiry)
 		}
-		var a AnchorRootArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
+		res.Reason = "expired"
+	} else {
+		if x.height > rec.DestExpiry {
+			return fmt.Errorf("%w: transfer %q (deadline %d, height %d)", ErrCrossExpired, rec.ID, rec.DestExpiry, x.height)
 		}
-		if a.Shard == "" || a.Height == 0 {
-			return fmt.Errorf("%w: anchor needs shard and height", ErrBadArgs)
+		// Protocol checks passed: the transfer settles on this chain
+		// regardless of whether the application effect succeeds — a
+		// refused effect is a negative resolution the source will
+		// mirror as an abort, not a retryable failure.
+		var refusal error
+		switch {
+		case x.payload == nil:
+			refusal = fmt.Errorf("%w: kind %q", ErrBadArgs, rec.Kind)
+		case x.payloadErr != nil:
+			refusal = x.payloadErr
+		default:
+			refusal = x.payload.apply(s, &rec, x.now)
 		}
-		if a.Root == cryptoutil.ZeroDigest {
-			return fmt.Errorf("%w: zero root anchors nothing", ErrBadArgs)
-		}
-		if a.Shard == cfg.ShardID {
-			return fmt.Errorf("%w: shard cannot anchor its own root", ErrBadArgs)
-		}
-		var leaseInfo *ShardInfo
-		if cfg.ShardID == CoordShardID {
-			// Gateways anchor their shard's roots on the coordination
-			// chain; only the current lease holder may.
-			info, ok := s.shardDir[a.Shard]
-			if !ok {
-				return fmt.Errorf("%w: shard %q", ErrNotFound, a.Shard)
-			}
-			if tx.From != info.Gateway {
-				return fmt.Errorf("%w: %s is not the gateway of %q", ErrCrossUnauthorized, tx.From.Short(), a.Shard)
-			}
-			leaseInfo = info
-		} else if tx.From != cfg.Coordinator {
-			// Member shards accept relayed roots from the coordinator only.
-			return fmt.Errorf("%w: %s is not the coordinator", ErrCrossUnauthorized, tx.From.Short())
-		}
-		key := rootKey(a.Shard, a.Height)
-		if _, dup := s.shardRoots[key]; dup {
-			// First anchor wins; a later, conflicting root for the same
-			// height is a stale (or equivocating) anchor and is rejected.
-			return fmt.Errorf("%w: root %s", ErrExists, key)
-		}
-		s.shardRoots[key] = &ShardRoot{Shard: a.Shard, Height: a.Height, Root: a.Root, By: tx.From, At: now}
-		if leaseInfo != nil {
-			// An accepted anchor renews the gateway's lease: cadence is
-			// measured from the holder's last proof of life.
-			leaseInfo.LastAnchor = height
-		}
-		s.emit(r, CrossContractAddr, "RootAnchored", s.shardRoots[key])
-		return nil
-
-	case "prepare":
-		cfg, err := s.memberConfig()
-		if err != nil {
-			return err
-		}
-		var a CrossPrepareArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
-		}
-		if a.ID == "" || !ValidCrossKind(a.Kind) {
-			return fmt.Errorf("%w: prepare needs id and valid kind", ErrBadArgs)
-		}
-		if a.DestShard == "" || a.DestShard == cfg.ShardID || a.DestShard == CoordShardID {
-			return fmt.Errorf("%w: dest shard %q", ErrBadArgs, a.DestShard)
-		}
-		if a.DestExpiry == 0 {
-			return fmt.Errorf("%w: prepare needs a dest-height expiry", ErrBadArgs)
-		}
-		if _, dup := s.crossOut[a.ID]; dup {
-			return fmt.Errorf("%w: transfer %q", ErrExists, a.ID)
-		}
-		payload, err := s.validatePrepare(tx, &a)
-		if err != nil {
-			return err
-		}
-		rec := CrossRecord{
-			ID: a.ID, Kind: a.Kind, SourceShard: cfg.ShardID, DestShard: a.DestShard,
-			From: tx.From, SourceHeight: height, DestExpiry: a.DestExpiry, Payload: payload,
-		}
-		s.crossOut[a.ID] = &CrossPrepare{Record: rec, Status: CrossPending}
-		s.emit(r, CrossContractAddr, "CrossPrepared", &rec)
-		return nil
-
-	case "apply", "expire":
-		cfg, err := s.memberConfig()
-		if err != nil {
-			return err
-		}
-		var a CrossApplyArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
-		}
-		rec := a.Record
-		if rec.DestShard != cfg.ShardID {
-			return fmt.Errorf("%w: record destined for %q, this is %q", ErrBadArgs, rec.DestShard, cfg.ShardID)
-		}
-		key := crossInKey(rec.SourceShard, rec.ID)
-		if _, dup := s.crossIn[key]; dup {
-			return fmt.Errorf("%w: transfer %s", ErrCrossReplay, key)
-		}
-		if err := s.verifyCrossLeaf(rec.SourceShard, rec.SourceHeight, rec.Leaf(), a.Proof); err != nil {
-			return err
-		}
-		res := CrossResolution{
-			ID: rec.ID, SourceShard: rec.SourceShard, DestShard: rec.DestShard,
-			Kind: rec.Kind, DestHeight: height,
-		}
-		if tx.Method == "expire" {
-			if height <= rec.DestExpiry {
-				return fmt.Errorf("%w: transfer %q not expired until dest height %d", ErrBadArgs, rec.ID, rec.DestExpiry)
-			}
-			res.Applied, res.Reason = false, "expired"
-			res.Resource = resourceOf(&rec)
+		if refusal != nil {
+			res.Reason = refusal.Error()
 		} else {
-			if height > rec.DestExpiry {
-				return fmt.Errorf("%w: transfer %q (deadline %d, height %d)", ErrCrossExpired, rec.ID, rec.DestExpiry, height)
-			}
-			// Protocol checks passed: the transfer settles on this chain
-			// regardless of whether the application effect succeeds — a
-			// refused effect is a negative resolution the source will
-			// mirror as an abort, not a retryable failure.
-			resource, applyErr := s.applyCrossEffect(&rec, now)
-			res.Resource = resource
-			if applyErr != nil {
-				res.Applied, res.Reason = false, applyErr.Error()
-			} else {
-				res.Applied = true
-			}
+			res.Applied = true
 		}
-		s.crossIn[key] = &res
-		s.emit(r, CrossContractAddr, "CrossResolved", &res)
-		return nil
-
-	case "resolve":
-		cfg, err := s.memberConfig()
-		if err != nil {
-			return err
-		}
-		var a CrossResolveArgs
-		if err := decodeArgs(tx.Args, &a); err != nil {
-			return err
-		}
-		res := a.Resolution
-		if res.SourceShard != cfg.ShardID {
-			return fmt.Errorf("%w: resolution for source %q, this is %q", ErrBadArgs, res.SourceShard, cfg.ShardID)
-		}
-		prep, ok := s.crossOut[res.ID]
-		if !ok {
-			return fmt.Errorf("%w: transfer %q", ErrNotFound, res.ID)
-		}
-		if prep.Status != CrossPending {
-			return fmt.Errorf("%w: transfer %q already %s", ErrCrossReplay, res.ID, prep.Status)
-		}
-		if res.DestShard != prep.Record.DestShard || res.Kind != prep.Record.Kind {
-			return fmt.Errorf("%w: resolution disagrees with prepare record", ErrBadArgs)
-		}
-		if err := s.verifyCrossLeaf(res.DestShard, res.DestHeight, res.Leaf(), a.Proof); err != nil {
-			return err
-		}
-		if err := s.settlePrepare(prep, &res, height); err != nil {
-			return err
-		}
-		s.emit(r, CrossContractAddr, "CrossSettled", prep)
-		return nil
-
-	default:
-		return fmt.Errorf("%w: cross/%q", ErrUnknownMethod, tx.Method)
 	}
+	s.crossIn[key] = &res
+	s.emit(x.r, CrossContractAddr, "CrossResolved", &res)
+	return nil
 }
 
-// crossConfig returns the chain's shard config or a typed error.
-func (s *State) crossConfig() (*CrossShardConfig, error) {
+func (s *State) crossResolve(x *env, a *CrossResolveArgs) error {
+	res := a.Resolution
+	if res.SourceShard != s.crossCfg.ShardID {
+		return fmt.Errorf("%w: resolution for source %q, this is %q", ErrBadArgs, res.SourceShard, s.crossCfg.ShardID)
+	}
+	prep, ok := s.crossOut[res.ID]
+	if !ok {
+		return fmt.Errorf("%w: transfer %q", ErrNotFound, res.ID)
+	}
+	if prep.Status != CrossPending {
+		return fmt.Errorf("%w: transfer %q already %s", ErrCrossReplay, res.ID, prep.Status)
+	}
+	if res.DestShard != prep.Record.DestShard || res.Kind != prep.Record.Kind {
+		return fmt.Errorf("%w: resolution disagrees with prepare record", ErrBadArgs)
+	}
+	if err := s.verifyCrossLeaf(res.DestShard, res.DestHeight, res.Leaf(), a.Proof); err != nil {
+		return err
+	}
+	if err := s.settlePrepare(prep, &res, x.height); err != nil {
+		return err
+	}
+	s.emit(x.r, CrossContractAddr, "CrossSettled", prep)
+	return nil
+}
+
+// haveConfig is the guard of every cross-shard method but init: the
+// chain must have its shard identity.
+func (s *State) haveConfig(*ledger.Transaction) error {
 	if s.crossCfg == nil {
-		return nil, fmt.Errorf("%w: cross-shard config (run cross/init first)", ErrNotFound)
+		return fmt.Errorf("%w: cross-shard config (run cross/init first)", ErrNotFound)
 	}
-	return s.crossCfg, nil
+	return nil
 }
 
-// memberConfig is crossConfig restricted to member shards: the
+// haveMemberConfig is haveConfig restricted to member shards: the
 // coordination chain carries no application state, so transfers never
 // originate or land there.
-func (s *State) memberConfig() (*CrossShardConfig, error) {
-	cfg, err := s.crossConfig()
-	if err != nil {
-		return nil, err
+func (s *State) haveMemberConfig(tx *ledger.Transaction) error {
+	if err := s.haveConfig(tx); err != nil {
+		return err
 	}
-	if cfg.ShardID == CoordShardID {
-		return nil, fmt.Errorf("%w: coordination chain carries no transfers", ErrBadArgs)
+	if s.crossCfg.ShardID == CoordShardID {
+		return fmt.Errorf("%w: coordination chain carries no transfers", ErrBadArgs)
 	}
-	return cfg, nil
+	return nil
 }
 
 // verifyCrossLeaf checks a Merkle inclusion proof of leaf against the
@@ -802,136 +756,126 @@ func (s *State) verifyCrossLeaf(shard string, height uint64, leaf []byte, proof 
 	return nil
 }
 
-// validatePrepare runs kind-specific source-side checks and returns the
-// canonical record payload.
-func (s *State) validatePrepare(tx *ledger.Transaction, a *CrossPrepareArgs) (json.RawMessage, error) {
-	switch a.Kind {
-	case CrossConsent:
-		var g GrantArgs
-		if err := decodeArgs(a.Payload, &g); err != nil {
-			return nil, err
-		}
-		if g.Resource == "" {
-			return nil, fmt.Errorf("%w: consent needs a resource", ErrBadArgs)
-		}
-		for _, act := range g.Actions {
-			if !ValidAction(act) {
-				return nil, fmt.Errorf("%w: action %q", ErrBadArgs, act)
-			}
-		}
-		payload, _ := json.Marshal(&g)
-		return payload, nil
+// The three transfer kinds, as crossPayload (methods.go): what each
+// names, what its two sides touch, the source-side check that returns
+// the canonical record payload, and the destination-side effect whose
+// error is a refusal.
 
-	case CrossTransfer:
-		var p CrossTransferPayload
-		if err := decodeArgs(a.Payload, &p); err != nil {
-			return nil, err
-		}
-		ds, ok := s.datasets[p.Dataset]
-		if !ok {
-			return nil, fmt.Errorf("%w: dataset %q", ErrNotFound, p.Dataset)
-		}
-		if tx.From != ds.Owner {
-			return nil, fmt.Errorf("%w: only the owner transfers %q", ErrNotOwner, p.Dataset)
-		}
-		if ds.Frozen {
-			return nil, fmt.Errorf("%w: dataset %q already in transfer", ErrExists, p.Dataset)
-		}
-		if ds.MovedTo != "" {
-			return nil, fmt.Errorf("%w: dataset %q moved to %q", ErrNotFound, p.Dataset, ds.MovedTo)
-		}
-		// Freeze: no updates while the transfer is in flight, so the
-		// destination registers exactly the anchored version and a
-		// partial application is never visible.
-		ds.Frozen = true
-		canonical := CrossTransferPayload{
-			Dataset: ds.ID, Digest: ds.Digest, Schema: ds.Schema,
-			Records: ds.Records, SiteID: ds.SiteID, Version: ds.Version,
-		}
-		payload, _ := json.Marshal(&canonical)
-		return payload, nil
+func (g *GrantArgs) resource() string { return g.Resource }
 
-	case CrossFLRound:
-		var p CrossFLPayload
-		if err := decodeArgs(a.Payload, &p); err != nil {
-			return nil, err
-		}
-		if p.Round == "" || len(p.Weights) == 0 || len(p.Weights) > maxFLWeights || p.Samples < 1 {
-			return nil, fmt.Errorf("%w: fl payload needs round, 1..%d weights, samples >= 1", ErrBadArgs, maxFLWeights)
-		}
-		payload, _ := json.Marshal(&p)
-		return payload, nil
+// Check(consume=false) on the source policy is a pure read.
+func (g *GrantArgs) prepareAccess(acc *AccessSet) { acc.read(KeyPolicy(g.Resource)) }
+func (g *GrantArgs) applyAccess(acc *AccessSet)   { acc.write(KeyPolicy(g.Resource)) }
+
+func (g *GrantArgs) validate(*State, *ledger.Transaction) (json.RawMessage, error) {
+	if g.Resource == "" {
+		return nil, fmt.Errorf("%w: consent needs a resource", ErrBadArgs)
 	}
-	return nil, fmt.Errorf("%w: kind %q", ErrBadArgs, a.Kind)
+	for _, act := range g.Actions {
+		if !ValidAction(act) {
+			return nil, fmt.Errorf("%w: action %q", ErrBadArgs, act)
+		}
+	}
+	payload, _ := json.Marshal(g)
+	return payload, nil
 }
 
-// applyCrossEffect applies the destination-side effect of a proven
-// record and returns the affected resource name. An error here is an
-// application-level refusal (recorded as a negative resolution), not a
-// protocol failure.
-func (s *State) applyCrossEffect(rec *CrossRecord, now int64) (string, error) {
-	switch rec.Kind {
-	case CrossConsent:
-		var g GrantArgs
-		if err := decodeArgs(rec.Payload, &g); err != nil {
-			return "", err
-		}
-		p, ok := s.policies[g.Resource]
-		if !ok {
-			return g.Resource, fmt.Errorf("%w: resource %q", ErrNotFound, g.Resource)
-		}
-		if d := p.Check(rec.From, ActionAdmin, "", now, false); !d.Allowed {
-			return g.Resource, fmt.Errorf("%w: %s cannot administer %q", ErrDenied, rec.From.Short(), g.Resource)
-		}
-		p.Grants = append(p.Grants, Grant{
-			Grantee: g.Grantee, Actions: append([]Action(nil), g.Actions...),
-			Purpose: g.Purpose, ExpiresAt: g.ExpiresAt, MaxUses: g.MaxUses,
-		})
-		return g.Resource, nil
-
-	case CrossTransfer:
-		var p CrossTransferPayload
-		if err := decodeArgs(rec.Payload, &p); err != nil {
-			return "", err
-		}
-		if prev, dup := s.datasets[p.Dataset]; dup && prev.MovedTo == "" {
-			return p.Dataset, fmt.Errorf("%w: dataset %q", ErrExists, p.Dataset)
-		}
-		// A tombstone (MovedTo set) is overwritten: the dataset once left
-		// this shard and a verified transfer is bringing it back — an
-		// epoch reshard routinely round-trips datasets.
-		s.datasets[p.Dataset] = &Dataset{
-			ID: p.Dataset, Owner: rec.From, Digest: p.Digest, Schema: p.Schema,
-			Records: p.Records, SiteID: p.SiteID, RegisteredAt: now,
-			Version: p.Version, UpdatedAt: now,
-		}
-		s.policies[dataKey(p.Dataset)] = &Policy{Owner: rec.From}
-		return p.Dataset, nil
-
-	case CrossFLRound:
-		var p CrossFLPayload
-		if err := decodeArgs(rec.Payload, &p); err != nil {
-			return "", err
-		}
-		round := s.flRounds[p.Round]
-		if round == nil {
-			round = &FLRound{Round: p.Round}
-			s.flRounds[p.Round] = round
-		}
-		for _, c := range round.Contributions {
-			if c.Shard == rec.SourceShard {
-				return p.Round, fmt.Errorf("%w: shard %q already contributed to round %q", ErrExists, rec.SourceShard, p.Round)
-			}
-		}
-		round.Contributions = append(round.Contributions, FLContribution{
-			Shard: rec.SourceShard, From: rec.From,
-			Weights: append([]float64(nil), p.Weights...), Samples: p.Samples,
-		})
-		round.recomputeAggregate()
-		round.UpdatedAt = now
-		return p.Round, nil
+func (g *GrantArgs) apply(s *State, rec *CrossRecord, now int64) error {
+	p, ok := s.policies[g.Resource]
+	if !ok {
+		return fmt.Errorf("%w: resource %q", ErrNotFound, g.Resource)
 	}
-	return "", fmt.Errorf("%w: kind %q", ErrBadArgs, rec.Kind)
+	if d := p.Check(rec.From, ActionAdmin, "", now, false); !d.Allowed {
+		return fmt.Errorf("%w: %s cannot administer %q", ErrDenied, rec.From.Short(), g.Resource)
+	}
+	p.Grants = append(p.Grants, Grant{
+		Grantee: g.Grantee, Actions: append([]Action(nil), g.Actions...),
+		Purpose: g.Purpose, ExpiresAt: g.ExpiresAt, MaxUses: g.MaxUses,
+	})
+	return nil
+}
+
+func (p *CrossTransferPayload) resource() string { return p.Dataset }
+
+// A prepare freezes the dataset; an apply registers it with its policy.
+func (p *CrossTransferPayload) prepareAccess(acc *AccessSet) { acc.write(KeyDataset(p.Dataset)) }
+func (p *CrossTransferPayload) applyAccess(acc *AccessSet) {
+	acc.write(KeyDataset(p.Dataset), KeyPolicy(dataKey(p.Dataset)), KeyRegistry)
+}
+
+func (p *CrossTransferPayload) validate(s *State, tx *ledger.Transaction) (json.RawMessage, error) {
+	ds, ok := s.datasets[p.Dataset]
+	if !ok {
+		return nil, fmt.Errorf("%w: dataset %q", ErrNotFound, p.Dataset)
+	}
+	if tx.From != ds.Owner {
+		return nil, fmt.Errorf("%w: only the owner transfers %q", ErrNotOwner, p.Dataset)
+	}
+	if ds.Frozen {
+		return nil, fmt.Errorf("%w: dataset %q already in transfer", ErrExists, p.Dataset)
+	}
+	if ds.MovedTo != "" {
+		return nil, fmt.Errorf("%w: dataset %q moved to %q", ErrNotFound, p.Dataset, ds.MovedTo)
+	}
+	// Freeze: no updates while the transfer is in flight, so the
+	// destination registers exactly the anchored version and a
+	// partial application is never visible.
+	ds.Frozen = true
+	payload, _ := json.Marshal(&CrossTransferPayload{
+		Dataset: ds.ID, Digest: ds.Digest, Schema: ds.Schema,
+		Records: ds.Records, SiteID: ds.SiteID, Version: ds.Version,
+	})
+	return payload, nil
+}
+
+func (p *CrossTransferPayload) apply(s *State, rec *CrossRecord, now int64) error {
+	if prev, dup := s.datasets[p.Dataset]; dup && prev.MovedTo == "" {
+		return fmt.Errorf("%w: dataset %q", ErrExists, p.Dataset)
+	}
+	// A tombstone (MovedTo set) is overwritten: the dataset once left
+	// this shard and a verified transfer is bringing it back — an
+	// epoch reshard routinely round-trips datasets.
+	s.datasets[p.Dataset] = &Dataset{
+		ID: p.Dataset, Owner: rec.From, Digest: p.Digest, Schema: p.Schema,
+		Records: p.Records, SiteID: p.SiteID, RegisteredAt: now,
+		Version: p.Version, UpdatedAt: now,
+	}
+	s.policies[dataKey(p.Dataset)] = &Policy{Owner: rec.From}
+	return nil
+}
+
+func (p *CrossFLPayload) resource() string { return p.Round }
+
+// The source validates the payload but touches no state of its own.
+func (p *CrossFLPayload) prepareAccess(*AccessSet)   {}
+func (p *CrossFLPayload) applyAccess(acc *AccessSet) { acc.write(KeyFLRound(p.Round)) }
+
+func (p *CrossFLPayload) validate(*State, *ledger.Transaction) (json.RawMessage, error) {
+	if p.Round == "" || len(p.Weights) == 0 || len(p.Weights) > maxFLWeights || p.Samples < 1 {
+		return nil, fmt.Errorf("%w: fl payload needs round, 1..%d weights, samples >= 1", ErrBadArgs, maxFLWeights)
+	}
+	payload, _ := json.Marshal(p)
+	return payload, nil
+}
+
+func (p *CrossFLPayload) apply(s *State, rec *CrossRecord, now int64) error {
+	round := s.flRounds[p.Round]
+	if round == nil {
+		round = &FLRound{Round: p.Round}
+		s.flRounds[p.Round] = round
+	}
+	for _, c := range round.Contributions {
+		if c.Shard == rec.SourceShard {
+			return fmt.Errorf("%w: shard %q already contributed to round %q", ErrExists, rec.SourceShard, p.Round)
+		}
+	}
+	round.Contributions = append(round.Contributions, FLContribution{
+		Shard: rec.SourceShard, From: rec.From,
+		Weights: append([]float64(nil), p.Weights...), Samples: p.Samples,
+	})
+	round.recomputeAggregate()
+	round.UpdatedAt = now
+	return nil
 }
 
 // recomputeAggregate rebuilds the sample-weighted mean over all
@@ -957,31 +901,10 @@ func (fl *FLRound) recomputeAggregate() {
 	fl.Aggregate = agg
 }
 
-// resourceOf names the object a record affects (dataset ID, policy
-// resource, or FL round) without touching state.
-func resourceOf(rec *CrossRecord) string {
-	switch rec.Kind {
-	case CrossConsent:
-		var g GrantArgs
-		if json.Unmarshal(rec.Payload, &g) == nil {
-			return g.Resource
-		}
-	case CrossTransfer:
-		var p CrossTransferPayload
-		if json.Unmarshal(rec.Payload, &p) == nil {
-			return p.Dataset
-		}
-	case CrossFLRound:
-		var p CrossFLPayload
-		if json.Unmarshal(rec.Payload, &p) == nil {
-			return p.Round
-		}
-	}
-	return ""
-}
-
 // settlePrepare mirrors the destination's resolution onto the source
-// prepare: commit tombstones a transferred dataset, abort thaws it.
+// prepare: commit tombstones a transferred dataset, abort thaws it. The
+// payload it decodes is the stored record's, which validateTransfer
+// wrote — the one decode in this package not made by Prepare.
 func (s *State) settlePrepare(prep *CrossPrepare, res *CrossResolution, height uint64) error {
 	if prep.Record.Kind == CrossTransfer {
 		var p CrossTransferPayload

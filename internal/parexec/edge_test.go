@@ -129,9 +129,11 @@ func TestAllConflictingBlock(t *testing.T) {
 	}
 }
 
-// TestUnknownMidBlockSerialTail: an undecodable payload at position k
-// poisons everything from k on — mvcc-wave must apply the tail in order
-// and still match the serial reference's receipts, root, and gas.
+// TestUnknownMidBlockSerialTail (the name predates the behaviour): an
+// undecodable payload at position k used to push itself and everything
+// after it onto a serial tail. It declares nothing now, so the whole
+// block — the transactions after it included — runs in waves, and still
+// matches the serial reference's receipts, root, and gas.
 func TestUnknownMidBlockSerialTail(t *testing.T) {
 	kp, err := cryptoutil.DeriveKeyPair("px-edge-unknown")
 	if err != nil {
@@ -140,8 +142,8 @@ func TestUnknownMidBlockSerialTail(t *testing.T) {
 	digest := cryptoutil.Sum([]byte("u"))
 	// Pre-register disjoint datasets so the block itself is pure
 	// grants: each grant writes only its own policy key, keeping the
-	// pre-Unknown prefix conflict-free (register_dataset itself always
-	// conflicts via the shared registry key).
+	// block conflict-free (register_dataset itself always conflicts via
+	// the shared registry key).
 	base := contract.NewState()
 	for i, nonce := 0, uint64(0); i < 6; i++ {
 		tx := mustTx(t, kp, nonce, ledger.TxData, "register_dataset",
@@ -156,11 +158,10 @@ func TestUnknownMidBlockSerialTail(t *testing.T) {
 			contract.GrantArgs{Resource: "data:" + id, Grantee: cryptoutil.NamedAddress("px-edge-u-" + id),
 				Actions: []contract.Action{contract.ActionRead}}, cryptoutil.Address{})
 	}
-	const k = 3
+	const k = 3 // where the undecodable transaction sits
 	batch := []*ledger.Transaction{
 		mk(6, "u0"), mk(7, "u1"), mk(8, "u2"),
-		// Position k: args that fail the per-method decode — an
-		// unbounded footprint.
+		// Position k: args that fail the per-method decode.
 		{Type: ledger.TxData, From: kp.Address(), Nonce: 9, Method: "grant", Args: []byte(`{"resource":7}`), Timestamp: 50},
 		mk(10, "u4"), mk(11, "u5"),
 	}
@@ -175,10 +176,10 @@ func TestUnknownMidBlockSerialTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st.Root() != serial.Root() {
-			t.Fatalf("%v: root diverged around the Unknown tx", mode)
+			t.Fatalf("%v: root diverged around the undecodable tx", mode)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: receipts diverged around the Unknown tx", mode)
+			t.Fatalf("%v: receipts diverged around the undecodable tx", mode)
 		}
 		if gasOf(got) != gasOf(want) {
 			t.Fatalf("%v: gas diverged: %d vs %d", mode, gasOf(got), gasOf(want))
@@ -187,13 +188,12 @@ func TestUnknownMidBlockSerialTail(t *testing.T) {
 		if mode == parexec.ModeSerial {
 			continue
 		}
-		if stats.Unknown != 1 {
-			t.Fatalf("%v: undecodable payload not counted Unknown once: %+v", mode, stats)
+		if got[k].OK() {
+			t.Fatalf("%v: undecodable tx succeeded: %+v", mode, got[k])
 		}
-		// The Unknown tx and everything after it execute serially; the
-		// conflict-free prefix before it commits clean in one wave.
-		if stats.Serial != int64(len(batch)-k) || stats.Clean != k || stats.Waves != 1 {
-			t.Fatalf("%v: want clean=%d serial=%d waves=1, got %+v", mode, k, len(batch)-k, stats)
+		// Nothing conflicts and nothing is unbounded: one wave, all clean.
+		if stats.Clean != stats.Txs || stats.Serial != 0 || stats.Waves != 1 {
+			t.Fatalf("%v: want clean=%d serial=0 waves=1, got %+v", mode, len(batch), stats)
 		}
 	}
 }

@@ -29,110 +29,82 @@ import (
 // executeMVCC runs the block under ModeMVCCWave. See
 // Engine.ExecuteBlock for the contract.
 func (e *Engine) executeMVCC(bs *Stats, st *contract.State, txs []*ledger.Transaction, height uint64, now int64) ([]*contract.Receipt, error) {
-	accs := e.accessSets(txs)
-
-	// The MVCC prefix ends at the first unbounded footprint; it and
-	// everything after it apply in order once the prefix materializes.
-	prefix := boundedPrefix(accs)
-
-	receipts := make([]*contract.Receipt, 0, len(txs))
-	if prefix > 0 {
-		writes, recs, ok := e.speculate(bs, st, txs[:prefix], accs[:prefix], height, now)
-		if !ok {
-			// Unreachable today: Apply hard-errors only on nil
-			// transactions, which always derive Unknown footprints and
-			// land in the serial tail. st is still untouched, so apply
-			// the whole block in order for exact serial state and
-			// bookkeeping.
-			*bs = Stats{Blocks: 1, Txs: int64(len(txs))}
-			all, err := applyInOrder(st, txs, height, now)
-			bs.Serial = int64(len(all))
-			return all, err
-		}
-		// Materialize: adopt every transaction's writes into the live
-		// state in canonical order — the newest writer of each key
-		// lands last, so the final objects are exactly serial's.
-		for _, w := range writes {
-			st.MergeSpeculative(w.Snap, w.Acc)
-		}
-		receipts = append(receipts, recs...)
-		bs.Clean = int64(prefix)
+	writes, receipts, err := e.speculate(bs, st, e.prepare(txs), height, now)
+	if err != nil {
+		// A nil transaction, the one hard error there is. st is still
+		// untouched, so apply the whole block in order for exact serial
+		// state and bookkeeping.
+		*bs = Stats{Blocks: 1, Txs: int64(len(txs))}
+		all, err := applyInOrder(st, txs, height, now)
+		bs.Serial = int64(len(all))
+		return all, err
 	}
-
-	tail, err := applyInOrder(st, txs[prefix:], height, now)
-	bs.Serial = int64(len(tail))
-	for _, acc := range accs[prefix : prefix+len(tail)] {
-		if acc.Unknown {
-			bs.Unknown++
-		}
+	// Materialize: adopt every transaction's writes into the live
+	// state in canonical order — the newest writer of each key
+	// lands last, so the final objects are exactly serial's.
+	for _, w := range writes {
+		st.MergeSpeculative(w.Snap, w.Acc)
 	}
-	return append(receipts, tail...), err
+	bs.Clean = int64(len(txs))
+	return receipts, nil
 }
 
-// accessSets derives every transaction's declared footprint: on the
-// engine's pool, or under ModeSerial on the calling goroutine.
-func (e *Engine) accessSets(txs []*ledger.Transaction) []contract.AccessSet {
+// prepare resolves and decodes every transaction of the block, once:
+// on the engine's pool, or under ModeSerial on the calling goroutine.
+// The calls carry the declared footprints the schedule is built from
+// and are what speculate runs.
+func (e *Engine) prepare(txs []*ledger.Transaction) []contract.Call {
 	workers := e.cfg.Workers
 	if e.cfg.Mode == ModeSerial {
 		workers = 1
 	}
-	accs := make([]contract.AccessSet, len(txs))
+	calls := make([]contract.Call, len(txs))
 	par.ForEachN(len(txs), workers, func(i int) {
-		accs[i] = contract.AccessSetOf(txs[i])
+		calls[i] = contract.Prepare(txs[i])
 	})
-	return accs
+	return calls
 }
 
-// boundedPrefix is the number of leading footprints that are bounded.
-func boundedPrefix(accs []contract.AccessSet) int {
-	for i, acc := range accs {
-		if acc.Unknown {
-			return i
-		}
-	}
-	return len(accs)
-}
-
-// speculate is the first half of an MVCC execution: it runs txs, whose
-// footprints accs are all bounded, on write snapshots over st and
-// leaves st untouched. ModeMVCCWave runs each dependency wave on the
-// pool; ModeSerial runs the transactions in order on the calling
-// goroutine, every one a wave of its own. Either way transaction j sees
-// exactly the writes of the transactions before it, so snapshots and
-// receipts are those of serial execution. ok is false on a hard error
-// from Apply.
-func (e *Engine) speculate(bs *Stats, st *contract.State, txs []*ledger.Transaction, accs []contract.AccessSet, height uint64, now int64) (writes []contract.SpecWrite, receipts []*contract.Receipt, ok bool) {
-	writes = make([]contract.SpecWrite, len(txs))
-	receipts = make([]*contract.Receipt, len(txs))
-	errs := make([]error, len(txs))
+// speculate is the first half of an MVCC execution: it runs calls on
+// write snapshots over st and leaves st untouched. ModeMVCCWave runs
+// each dependency wave on the pool; ModeSerial runs the transactions in
+// order on the calling goroutine, every one a wave of its own. Either
+// way transaction j sees exactly the writes of the transactions before
+// it, so snapshots and receipts are those of serial execution. The
+// error is a hard error from State.Run.
+func (e *Engine) speculate(bs *Stats, st *contract.State, calls []contract.Call, height uint64, now int64) ([]contract.SpecWrite, []*contract.Receipt, error) {
+	writes := make([]contract.SpecWrite, len(calls))
+	receipts := make([]*contract.Receipt, len(calls))
+	errs := make([]error, len(calls))
 	ver := contract.NewVersions(st)
 	run := func(j int) {
-		snap := ver.SnapshotAt(j, accs[j])
-		receipts[j], errs[j] = snap.Apply(txs[j], height, now)
-		writes[j] = contract.SpecWrite{Snap: snap, Acc: accs[j]}
+		acc := calls[j].Access()
+		snap := ver.SnapshotAt(j, acc)
+		receipts[j], errs[j] = snap.Run(calls[j], height, now)
+		writes[j] = contract.SpecWrite{Snap: snap, Acc: acc}
 	}
 	if e.cfg.Mode == ModeSerial {
-		for j := range txs {
+		for j := range calls {
 			if run(j); errs[j] != nil {
-				return nil, nil, false
+				return nil, nil, errs[j]
 			}
-			ver.Commit(j, writes[j].Snap, accs[j])
+			ver.Commit(j, writes[j].Snap, writes[j].Acc)
 		}
-		return writes, receipts, true
+		return writes, receipts, nil
 	}
-	for _, wave := range e.buildWaves(accs) {
+	for _, wave := range e.buildWaves(calls) {
 		bs.Waves++
 		par.ForEachN(len(wave), e.cfg.Workers, func(i int) { run(wave[i]) })
 		// Wave barrier: publish this wave's writes to the version
 		// chains in ascending transaction index.
 		for _, j := range wave {
 			if errs[j] != nil {
-				return nil, nil, false
+				return nil, nil, errs[j]
 			}
-			ver.Commit(j, writes[j].Snap, accs[j])
+			ver.Commit(j, writes[j].Snap, writes[j].Acc)
 		}
 	}
-	return writes, receipts, true
+	return writes, receipts, nil
 }
 
 // Speculation is a block executed once on write snapshots over a state
@@ -147,19 +119,14 @@ type Speculation struct {
 	stats    Stats
 }
 
-// Speculate executes txs against st without modifying it. ok is false
-// when a footprint cannot be bounded (or Apply hard-errors): such a
-// block has no write set to snapshot, and the caller previews it some
-// other way. Nothing is counted in Stats until Commit.
-func (e *Engine) Speculate(st *contract.State, txs []*ledger.Transaction, height uint64, now int64) (*Speculation, bool) {
-	accs := e.accessSets(txs)
-	if boundedPrefix(accs) < len(txs) {
-		return nil, false
-	}
+// Speculate executes txs against st without modifying it. The error
+// mirrors State.Apply's: non-nil only for a nil transaction. Nothing is
+// counted in Stats until Commit.
+func (e *Engine) Speculate(st *contract.State, txs []*ledger.Transaction, height uint64, now int64) (*Speculation, error) {
 	sp := &Speculation{st: st, stats: Stats{Blocks: 1, Txs: int64(len(txs))}}
-	var ok bool
-	if sp.writes, sp.receipts, ok = e.speculate(&sp.stats, st, txs, accs, height, now); !ok {
-		return nil, false
+	var err error
+	if sp.writes, sp.receipts, err = e.speculate(&sp.stats, st, e.prepare(txs), height, now); err != nil {
+		return nil, err
 	}
 	if e.cfg.Mode == ModeMVCCWave {
 		sp.stats.Clean = int64(len(txs))
@@ -167,7 +134,7 @@ func (e *Engine) Speculate(st *contract.State, txs []*ledger.Transaction, height
 		sp.stats.Serial = int64(len(txs))
 	}
 	sp.root = st.PreviewRoot(sp.writes)
-	return sp, true
+	return sp, nil
 }
 
 // Root is the state root the block leaves behind.
@@ -187,11 +154,12 @@ func (e *Engine) Commit(sp *Speculation) []*contract.Receipt {
 
 // buildWaves derives the dependency DAG from the declared access sets
 // and groups transactions into execution waves by DAG depth.
-func (e *Engine) buildWaves(accs []contract.AccessSet) [][]int {
-	depth := make([]int, len(accs))
-	lastWriter := make(map[contract.StateKey]int, len(accs))
+func (e *Engine) buildWaves(calls []contract.Call) [][]int {
+	depth := make([]int, len(calls))
+	lastWriter := make(map[contract.StateKey]int, len(calls))
 	maxDepth := 0
-	for j, acc := range accs {
+	for j := range calls {
+		acc := calls[j].Access()
 		deps := make(map[int]struct{}) // dedup: keys may share a writer
 		for _, k := range acc.Touched() {
 			if w, ok := lastWriter[k]; ok {
@@ -223,7 +191,7 @@ func (e *Engine) buildWaves(accs []contract.AccessSet) [][]int {
 		}
 	}
 	waves := make([][]int, maxDepth+1)
-	for j := range accs {
+	for j := range calls {
 		waves[depth[j]] = append(waves[depth[j]], j)
 	}
 	return waves

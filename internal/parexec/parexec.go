@@ -9,7 +9,8 @@
 //   - ModeSerial (the zero value): apply the block's transactions in
 //     order with State.Apply — the reference loop.
 //   - ModeMVCCWave: build a dependency DAG from the declared access
-//     sets (contract.AccessSetOf), group transactions into waves by
+//     sets (contract.Prepare, which decodes each transaction once for
+//     its footprint and its handler), group transactions into waves by
 //     DAG depth, and execute each wave in parallel against a
 //     multi-version state cache (contract.Versions) — a conflicting
 //     transaction reads the committed version written by its
@@ -89,14 +90,10 @@ type Stats struct {
 	// Clean is how many transactions the wave scheduler executed on the
 	// parallel path.
 	Clean int64
-	// Serial is how many transactions were applied in order against
-	// live state: every transaction in ModeSerial, the
-	// unbounded-footprint tail in ModeMVCCWave.
+	// Serial is how many transactions ran in order, one at a time:
+	// every transaction in ModeSerial; in ModeMVCCWave only the applied
+	// prefix of a block that hard-errored.
 	Serial int64
-	// Unknown counts the unbounded footprints the wave scheduler met in
-	// its serial tail (a subset of Serial; ModeSerial derives no access
-	// sets and leaves it 0).
-	Unknown int64
 	// Waves is the total dependency waves dispatched (0 in ModeSerial;
 	// at most Txs).
 	Waves int64
@@ -108,7 +105,6 @@ func (s *Stats) Add(o Stats) {
 	s.Txs += o.Txs
 	s.Clean += o.Clean
 	s.Serial += o.Serial
-	s.Unknown += o.Unknown
 	s.Waves += o.Waves
 }
 

@@ -66,8 +66,8 @@ func mixedBatch(t testing.TB, kp *cryptoutil.KeyPair) (setup, batch []*ledger.Tr
 		&ledger.Transaction{Type: ledger.TxTrial, From: kp.Address(), Nonce: next(), Method: "enroll", Args: []byte(`{"trial":"tr0","patient":"p3","site":"s2","id":42}`), Timestamp: 98},
 		// Malformed args and an unknown method: deterministic error receipts.
 		&ledger.Transaction{Type: ledger.TxData, From: kp.Address(), Nonce: next(), Method: "grant", Args: []byte("{not json"), Timestamp: 99},
-		// Args that fail the per-method decode: Unknown footprint, forced
-		// serial fallback for this tx and everything after it.
+		// Args that fail the per-method decode: an ErrBadArgs receipt and
+		// an empty footprint.
 		&ledger.Transaction{Type: ledger.TxTrial, From: kp.Address(), Nonce: next(), Method: "enroll", Args: []byte(`{"trial":7}`), Timestamp: 100},
 		mustTx(t, kp, next(), ledger.TxTrial, "no_such_method", struct{}{}, cryptoutil.Address{}),
 		// Invoke of a contract that does not exist: ErrNotFound receipt.
@@ -97,18 +97,14 @@ func newEngine(mode parexec.Mode, workers int) *parexec.Engine {
 
 // checkStats asserts the accounting invariant every executed block
 // must satisfy — Clean + Serial == Txs (with Txs trimmed to the applied
-// prefix on the hard-error path), Unknown a subset of Serial — plus
-// the serial mode's zeros.
+// prefix on the hard-error path) — plus the serial mode's zeros.
 func checkStats(t *testing.T, mode parexec.Mode, stats parexec.Stats) {
 	t.Helper()
 	if stats.Clean+stats.Serial != stats.Txs {
 		t.Fatalf("%v: invariant Clean+Serial==Txs violated: %+v", mode, stats)
 	}
-	if stats.Unknown > stats.Serial {
-		t.Fatalf("%v: Unknown (%d) exceeds Serial (%d)", mode, stats.Unknown, stats.Serial)
-	}
-	if mode == parexec.ModeSerial && (stats.Clean != 0 || stats.Unknown != 0 || stats.Waves != 0) {
-		t.Fatalf("serial: Clean, Unknown and Waves must be 0: %+v", stats)
+	if mode == parexec.ModeSerial && (stats.Clean != 0 || stats.Waves != 0) {
+		t.Fatalf("serial: Clean and Waves must be 0: %+v", stats)
 	}
 	if stats.Waves > stats.Txs {
 		t.Fatalf("%v: more waves than transactions: %+v", mode, stats)
@@ -151,14 +147,11 @@ func TestMixedBatchMatchesSerial(t *testing.T) {
 			if stats.Txs != int64(len(batch)) {
 				t.Fatalf("%s: stats do not cover the batch: %+v", name, stats)
 			}
-			if stats.Serial == 0 {
-				t.Fatalf("%s: batch contains an Unknown tail, expected serial executions", name)
-			}
 			if mode == parexec.ModeSerial {
 				continue
 			}
-			if stats.Unknown == 0 {
-				t.Fatalf("%s: batch contains an undecodable payload, expected an Unknown footprint", name)
+			if stats.Clean != stats.Txs {
+				t.Fatalf("%s: undecodable payloads and an unlisted method must run in waves like the rest: %+v", name, stats)
 			}
 			if stats.Waves < 2 {
 				t.Fatalf("%s: batch contains dependent prefix txs, expected >= 2 waves: %+v", name, stats)

@@ -25,9 +25,9 @@ func TestSpeculateThenCommitEqualsExecuteBlock(t *testing.T) {
 
 		st := base.Clone()
 		eng := newEngine(mode, 4)
-		spec, ok := eng.Speculate(st, batch, 2, 2)
-		if !ok {
-			t.Fatalf("%v: bounded block refused", mode)
+		spec, err := eng.Speculate(st, batch, 2, 2)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
 		}
 		if got := eng.Stats(); got != (parexec.Stats{}) {
 			t.Fatalf("%v: Speculate alone counted %+v", mode, got)
@@ -68,23 +68,50 @@ func TestSpeculateThenCommitEqualsExecuteBlock(t *testing.T) {
 	}
 }
 
-// TestSpeculateRefusesUnboundedFootprint: a block holding a payload
-// whose footprint cannot be derived has no write set to snapshot, in
-// either mode, wherever in the block it sits.
+// TestSpeculateRefusesUnboundedFootprint (the name predates the
+// behaviour): Speculate used to refuse a block holding a payload whose
+// arguments do not decode, and the proposer previewed it on a clone.
+// There is no such footprint any more: the block speculates in either
+// mode, wherever the payload sits, and Speculate + Commit ends where
+// ExecuteBlock ends. Only a nil transaction — a programming error — is
+// still refused, with nothing counted.
 func TestSpeculateRefusesUnboundedFootprint(t *testing.T) {
 	base, batch := chainBatch(t)
+	base.Root()
 	bad := &ledger.Transaction{Type: ledger.TxData, Method: "grant", Args: []byte("{not json"), Nonce: 7}
-	if !contract.AccessSetOf(bad).Unknown {
-		t.Fatal("test setup: undecodable args should derive an Unknown footprint")
-	}
 	for _, mode := range allModes {
 		for _, block := range [][]*ledger.Transaction{
 			append([]*ledger.Transaction{bad}, batch...),
 			append(append([]*ledger.Transaction{}, batch...), bad),
 		} {
+			direct := base.Clone()
+			want, _, err := newEngine(mode, 2).ExecuteBlock(direct, block, 2, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := base.Clone()
 			eng := newEngine(mode, 2)
-			if _, ok := eng.Speculate(base, block, 2, 2); ok {
-				t.Fatalf("%v: unbounded block speculated", mode)
+			spec, err := eng.Speculate(st, block, 2, 2)
+			if err != nil {
+				t.Fatalf("%v: a block with an undecodable payload refused: %v", mode, err)
+			}
+			if st.Root() != base.Root() {
+				t.Fatalf("%v: Speculate touched the state", mode)
+			}
+			if spec.Root() != direct.Root() {
+				t.Fatalf("%v: previewed root %s, ExecuteBlock %s", mode, spec.Root().Short(), direct.Root().Short())
+			}
+			if got := eng.Commit(spec); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v: receipts diverged from ExecuteBlock", mode)
+			}
+			if st.Root() != direct.Root() || contract.ImportState(st.Export()).Root() != direct.Root() {
+				t.Fatalf("%v: committed state diverged from ExecuteBlock", mode)
+			}
+			checkStats(t, mode, eng.Stats())
+
+			eng = newEngine(mode, 2)
+			if _, err := eng.Speculate(st, append(block[:1:1], nil), 3, 3); err == nil {
+				t.Fatalf("%v: a nil transaction speculated", mode)
 			}
 			if got := eng.Stats(); got != (parexec.Stats{}) {
 				t.Fatalf("%v: refused speculation counted %+v", mode, got)
@@ -98,9 +125,9 @@ func TestSpeculateRefusesUnboundedFootprint(t *testing.T) {
 func TestSpeculateEmptyBlock(t *testing.T) {
 	base, _ := chainBatch(t)
 	eng := newEngine(parexec.ModeSerial, 1)
-	spec, ok := eng.Speculate(base, nil, 2, 2)
-	if !ok || spec.Root() != base.Root() {
-		t.Fatalf("empty block: ok=%v root=%s want %s", ok, spec.Root().Short(), base.Root().Short())
+	spec, err := eng.Speculate(base, nil, 2, 2)
+	if err != nil || spec.Root() != base.Root() {
+		t.Fatalf("empty block: err=%v root=%s want %s", err, spec.Root().Short(), base.Root().Short())
 	}
 	if recs := eng.Commit(spec); len(recs) != 0 || eng.Stats().Blocks != 1 {
 		t.Fatalf("empty commit: %d receipts, stats %+v", len(recs), eng.Stats())

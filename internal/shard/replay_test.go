@@ -15,7 +15,7 @@ import (
 // count, requiring the header's state root from serial and the serial
 // root and receipt JSON from every wave run. It returns how many
 // TxCross transactions the wave scheduler committed on its parallel
-// path (inside the Clean prefix, not the Unknown tail).
+// path.
 func replayCross(t *testing.T, name string, c *chain.Cluster) int {
 	t.Helper()
 	serial, serialSt := parexec.NewEngine(parexec.Config{}), contract.NewState()

@@ -32,7 +32,7 @@ type actor struct {
 // stream: every contract method (consent grants/revokes, analytics
 // runs, trial enrollment, data-exchange requests, anchors, VM
 // deploy/invoke), plus deliberately malformed variants — undecodable
-// args (Unknown access sets that force serial residue tails), unknown
+// args (an ErrBadArgs receipt and an empty footprint), unknown
 // methods, domain violations (duplicates, non-owners, expired grants,
 // out-of-range severities). All randomness flows from the one *rand.Rand
 // handed in by the harness; timestamps are a logical counter, never the
@@ -289,9 +289,9 @@ func (fz *fuzzer) pickPurpose() string {
 	return []string{"", "research", "care", "billing"}[fz.rng.Intn(4)]
 }
 
-// malformedArgs are payloads that fail the per-method decode, giving
-// the transaction an Unknown access set — the parallel engine must
-// fall back to serial execution for it and everything after it.
+// malformedArgs are payloads that fail the per-method decode: the
+// transaction never reaches its handler, declares no writes, and runs
+// in a wave like any other.
 var malformedArgs = [][]byte{
 	[]byte(`{"id":123}`),
 	[]byte(`[1,2,3]`),

@@ -8,82 +8,66 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
 	"medchain/internal/contract"
-	"medchain/internal/cryptoutil"
-	"medchain/internal/ledger"
+	"medchain/internal/core"
 	"medchain/internal/shard"
 )
 
 func runSharded(shards, nodes, blocks int, dataDir string, committee int) error {
-	cfg := shard.Config{
+	sp, err := core.NewShardedPlatform(shard.Config{
 		Shards:        shards,
 		NodesPerShard: nodes,
 		CoordNodes:    nodes,
 		KeySeed:       "medchaind-sharded",
-		DataDir:       dataDir,
+		DataDir:       dataDir, // empty = memory-only
 		CommitteeSize: committee,
-	}
-	if dataDir == "" {
-		cfg.DataDir = "" // memory-only unless asked
-	}
-	sys, err := shard.NewSystem(cfg)
+	})
 	if err != nil {
 		return err
 	}
-	defer sys.Close()
+	defer sp.Close()
+	sys := sp.System()
 	fmt.Printf("sharded deployment up: %d member shards x %d nodes + coordination chain, routing epoch %d\n",
 		sys.Shards(), nodes, sys.Epoch())
 	if dataDir != "" {
 		fmt.Printf("  durable: each chain under %s/<chain-id>/node-i, gateway committees of %d\n", dataDir, committee)
 	}
 
-	owner, err := cryptoutil.DeriveKeyPair("medchaind-sharded/owner")
+	owner, err := sp.Acquire("owner")
 	if err != nil {
 		return err
 	}
+	// A rerun over the same data dir finds the datasets (and the
+	// transfer below) where the first run left them.
 	var ids []string
 	for b := 0; b < blocks; b++ {
 		for s := 0; s < shards; s++ {
 			id := fmt.Sprintf("hospital/emr-%d-%d", b, s)
-			home := sys.ShardOf(id)
-			args, err := json.Marshal(contract.RegisterDatasetArgs{
-				ID: id, Schema: "fhir.r4", Records: 64, SiteID: shard.ShardID(home),
-			})
-			if err != nil {
-				return err
-			}
-			tx := &ledger.Transaction{Type: ledger.TxData, Method: "register_dataset", Args: args}
-			if err := shard.SubmitSigned(sys.Shard(home), owner, tx); err != nil {
-				return err
-			}
 			ids = append(ids, id)
-		}
-		for s := 0; s < shards; s++ {
-			if _, err := sys.Shard(s).Commit(); err != nil {
+			if _, _, ok := sp.Dataset(id); ok {
+				continue
+			}
+			if _, err := sp.RegisterDataset(owner, contract.RegisterDatasetArgs{
+				ID: id, Schema: "fhir.r4", Records: 64, SiteID: shard.ShardID(sp.HomeShard(id)),
+			}); err != nil {
 				return err
 			}
 		}
-		sys.PumpRound()
 	}
 	fmt.Printf("registered %d datasets across %d shards (routed by stable hashing)\n", len(ids), shards)
 
-	// One cross-shard HIE transfer settled by the 2PC receipt relay.
+	// One cross-shard HIE transfer, off the dataset's home shard,
+	// settled by the 2PC receipt relay.
 	ds := ids[0]
-	src := sys.ShardOf(ds)
+	src := sp.HomeShard(ds)
 	dest := (src + 1) % shards
-	payload, _ := json.Marshal(contract.CrossTransferPayload{Dataset: ds})
-	if err := sys.SubmitPrepare(src, owner, contract.CrossPrepareArgs{
-		ID: "demo-xfer", Kind: contract.CrossTransfer,
-		DestShard: shard.ShardID(dest), Payload: payload,
-	}); err != nil {
-		return err
-	}
-	if _, err := sys.Shard(src).CommitAll(); err != nil {
-		return err
+	if _, at, _ := sp.Dataset(ds); at != dest {
+		if _, err := sp.TransferDataset(owner, ds, dest); err != nil {
+			return err
+		}
 	}
 	rounds := sys.Pump(12)
 	if n := sys.PendingTransfers(); n != 0 {
@@ -105,7 +89,7 @@ func runSharded(shards, nodes, blocks int, dataDir string, committee int) error 
 	}
 
 	if dataDir != "" {
-		return killAndRecoverShard(sys, dest)
+		return killAndRecoverShard(sp, dest)
 	}
 	return nil
 }
@@ -114,7 +98,8 @@ func runSharded(shards, nodes, blocks int, dataDir string, committee int) error 
 // node of one member shard at once, recover the whole shard from its
 // per-node stores, and prove the recovered chain bit-identical to its
 // pre-crash head.
-func killAndRecoverShard(sys *shard.System, victim int) error {
+func killAndRecoverShard(sp *core.ShardedPlatform, victim int) error {
+	sys := sp.System()
 	n := shard.BestNode(sys.Shard(victim))
 	if n == nil {
 		return fmt.Errorf("%s has no running node", shard.ShardID(victim))
@@ -122,9 +107,9 @@ func killAndRecoverShard(sys *shard.System, victim int) error {
 	head := n.Chain().Head()
 	wantHash, wantHeight := head.Hash(), head.Header.Height
 	fmt.Printf("\ndurability demo: power-cutting all of %s and recovering from disk\n", shard.ShardID(victim))
-	sys.StopShard(victim)
+	sp.StopShard(victim)
 	start := time.Now()
-	if err := sys.RecoverShard(victim); err != nil {
+	if err := sp.RecoverShard(victim); err != nil {
 		return fmt.Errorf("shard recovery: %w", err)
 	}
 	n = shard.BestNode(sys.Shard(victim))

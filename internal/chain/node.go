@@ -488,9 +488,18 @@ func (n *Node) OverloadState() guard.OverloadState {
 }
 
 // PendingNonce returns the nonce a client of this node must sign next:
-// the chain's committed expectation plus the sender's pending run.
+// the chain's committed expectation plus the sender's pending run. A
+// block landing between the two reads (the chain advances, then the
+// pool drops what committed) would leave a stale expectation counting
+// over a pruned pool, so the pair is re-read until the chain held still.
 func (n *Node) PendingNonce(addr cryptoutil.Address) uint64 {
-	return n.pool.NextNonce(addr, n.chain.NextNonce(addr))
+	for {
+		committed := n.chain.NextNonce(addr)
+		next := n.pool.NextNonce(addr, committed)
+		if n.chain.NextNonce(addr) == committed {
+			return next
+		}
+	}
 }
 
 // endpoint returns the node's current transport, or nil while stopped.

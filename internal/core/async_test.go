@@ -11,6 +11,7 @@ import (
 	"medchain/internal/ledger"
 	"medchain/internal/offchain"
 	"medchain/internal/oracle"
+	"medchain/internal/shard"
 	"medchain/internal/vm"
 )
 
@@ -46,19 +47,15 @@ func TestAsyncMonitorControllerPipeline(t *testing.T) {
 
 	// Submit one request_run per dataset, straight to the chain (the
 	// requester does NOT talk to sites).
-	var txs []*ledger.Transaction
+	var calls []call
 	for _, ds := range p.Datasets() {
-		tx, err := p.buildTx(researcher, ledger.TxAnalytics, "request_run", contract.RequestRunArgs{
+		calls = append(calls, call{from: researcher, typ: ledger.TxAnalytics, method: "request_run", args: contract.RequestRunArgs{
 			Tool:    "cohort.count",
 			Dataset: ds.ID,
 			Params:  json.RawMessage(`{"condition":"diabetes"}`),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		txs = append(txs, tx)
+		}})
 	}
-	receipts, err := p.SubmitAndCommit(txs...)
+	receipts, err := p.transact(calls...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,17 +108,13 @@ func TestAsyncControllerIgnoresOtherSitesTasks(t *testing.T) {
 	}, nil)
 
 	// Request runs against BOTH datasets.
-	var txs []*ledger.Transaction
+	var calls []call
 	for _, ds := range p.Datasets() {
-		tx, err := p.buildTx(researcher, ledger.TxAnalytics, "request_run", contract.RequestRunArgs{
+		calls = append(calls, call{from: researcher, typ: ledger.TxAnalytics, method: "request_run", args: contract.RequestRunArgs{
 			Tool: "cohort.count", Dataset: ds.ID,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		txs = append(txs, tx)
+		}})
 	}
-	if _, err := p.SubmitAndCommit(txs...); err != nil {
+	if _, err := p.transact(calls...); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)
@@ -174,31 +167,19 @@ func TestVMContractReadsRegistryViaOracle(t *testing.T) {
 		SSTORE
 		HALT
 	`)
-	deploy, err := p.buildTx(dev, ledger.TxDeploy, "deploy", contract.DeployArgs{
+	deployNonce := shard.BestNode(p.Cluster()).PendingNonce(dev.Address())
+	receipts, err := p.transact(call{from: dev, typ: ledger.TxDeploy, method: "deploy", args: contract.DeployArgs{
 		Name: "registry-reader",
 		Code: base64.StdEncoding.EncodeToString(code),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	receipts, err := p.SubmitAndCommit(deploy)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !receipts[0].OK() {
 		t.Fatalf("deploy failed: %s", receipts[0].Err)
 	}
-	addr := contract.DeployedAddress(dev.Address(), deploy.Nonce)
-	invoke, err := p.buildTx(dev, ledger.TxInvoke, "read", contract.InvokeArgs{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	invoke.Contract = addr
-	// buildTx signed before we set Contract; re-sign.
-	if err := invoke.Sign(dev.Key()); err != nil {
-		t.Fatal(err)
-	}
-	receipts, err = p.SubmitAndCommit(invoke)
+	addr := contract.DeployedAddress(dev.Address(), deployNonce)
+	receipts, err = p.transact(call{from: dev, typ: ledger.TxInvoke, method: "read", args: contract.InvokeArgs{}, to: addr})
 	if err != nil {
 		t.Fatal(err)
 	}

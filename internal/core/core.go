@@ -29,7 +29,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"medchain/internal/analytics"
@@ -46,6 +46,7 @@ import (
 	"medchain/internal/offchain"
 	"medchain/internal/p2p"
 	"medchain/internal/query"
+	"medchain/internal/shard"
 )
 
 // Errors.
@@ -64,8 +65,6 @@ type Config struct {
 	PatientsPerSite int
 	// Seed drives all generation.
 	Seed int64
-	// Engine selects chain consensus (default quorum).
-	Engine chain.EngineKind
 	// Network is the simulated link model between chain nodes.
 	Network p2p.Config
 	// KeySeed namespaces deterministic keys (default "platform").
@@ -83,37 +82,10 @@ func (c Config) withDefaults() Config {
 	if c.PatientsPerSite <= 0 {
 		c.PatientsPerSite = 100
 	}
-	if c.Engine == "" {
-		c.Engine = chain.EngineQuorum
-	}
 	if c.KeySeed == "" {
 		c.KeySeed = "platform"
 	}
 	return c
-}
-
-// Account is a transacting identity with a tracked nonce.
-type Account struct {
-	key   *cryptoutil.KeyPair
-	mu    sync.Mutex
-	nonce uint64
-}
-
-// Address returns the account address.
-func (a *Account) Address() cryptoutil.Address { return a.key.Address() }
-
-// PublicBytes returns the account's public key encoding.
-func (a *Account) PublicBytes() []byte { return a.key.PublicBytes() }
-
-// Key exposes the key pair (for decrypting received envelopes).
-func (a *Account) Key() *cryptoutil.KeyPair { return a.key }
-
-func (a *Account) nextNonce() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := a.nonce
-	a.nonce++
-	return n
 }
 
 // Platform is the assembled system.
@@ -125,10 +97,8 @@ type Platform struct {
 	hie     *hie.Service
 	sites   []*offchain.Site
 	fda     *Account
-
-	mu       sync.Mutex
-	accounts map[string]*Account
-	tsSeq    int64
+	accounts
+	tsSeq atomic.Int64 // logical clock: transaction and exchange timestamps
 
 	// Off-chain data plane (nil unless Config.Index).
 	idx        *indexer.Indexer
@@ -143,7 +113,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	cfg = cfg.withDefaults()
 	cluster, err := chain.NewCluster(chain.ClusterConfig{
 		Nodes:   cfg.Sites,
-		Engine:  cfg.Engine,
 		Network: cfg.Network,
 		KeySeed: cfg.KeySeed,
 	})
@@ -154,7 +123,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		cfg:      cfg,
 		cluster:  cluster,
 		reg:      analytics.NewRegistry(),
-		accounts: make(map[string]*Account),
+		accounts: newAccounts(cfg.KeySeed),
 	}
 
 	// One site per chain node, disjoint patient populations.
@@ -206,133 +175,54 @@ func NewPlatform(cfg Config) (*Platform, error) {
 // bootstrap registers each site's dataset and the built-in tools on
 // chain.
 func (p *Platform) bootstrap() error {
-	var txs []*ledger.Transaction
-	for i, site := range p.sites {
-		acct, err := p.Acquire("site-owner-" + site.ID())
+	var calls []call
+	for _, site := range p.sites {
+		owner, err := p.Acquire("site-owner-" + site.ID())
 		if err != nil {
 			return err
 		}
-		tx, err := p.buildTx(acct, ledger.TxData, "register_dataset", contract.RegisterDatasetArgs{
+		calls = append(calls, call{from: owner, typ: ledger.TxData, method: "register_dataset", args: contract.RegisterDatasetArgs{
 			ID:      site.ID() + "/emr",
 			Digest:  site.DatasetDigest(),
 			Schema:  emr.SchemaCDF,
 			Records: site.Records(),
 			SiteID:  site.ID(),
-		})
-		if err != nil {
-			return err
-		}
-		txs = append(txs, tx)
-		_ = i
+		}})
 	}
 	vendor, err := p.Acquire("tool-vendor")
 	if err != nil {
 		return err
 	}
 	for _, toolID := range p.reg.IDs() {
-		tx, err := p.buildTx(vendor, ledger.TxAnalytics, "register_tool", contract.RegisterToolArgs{
+		calls = append(calls, call{from: vendor, typ: ledger.TxAnalytics, method: "register_tool", args: contract.RegisterToolArgs{
 			ID:     toolID,
 			Digest: analytics.Digest(toolID),
-		})
-		if err != nil {
-			return err
-		}
-		txs = append(txs, tx)
+		}})
 	}
-	receipts, err := p.SubmitAndCommit(txs...)
-	if err != nil {
-		return err
-	}
-	for _, r := range receipts {
-		if !r.OK() {
-			return fmt.Errorf("%w: bootstrap: %s", ErrTxFailed, r.Err)
-		}
-	}
-	return nil
-}
-
-// Acquire returns (creating on first use) the named account.
-func (p *Platform) Acquire(name string) (*Account, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if a, ok := p.accounts[name]; ok {
-		return a, nil
-	}
-	key, err := cryptoutil.DeriveKeyPair(p.cfg.KeySeed + "/acct/" + name)
-	if err != nil {
-		return nil, err
-	}
-	a := &Account{key: key}
-	p.accounts[name] = a
-	return a, nil
+	return p.mustTransact("bootstrap", calls...)
 }
 
 // nextTimestamp returns a strictly increasing logical timestamp.
-func (p *Platform) nextTimestamp() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.tsSeq++
-	return p.tsSeq
+func (p *Platform) nextTimestamp() int64 { return p.tsSeq.Add(1) }
+
+// transact and mustTransact run the client layer's transaction
+// lifecycle (client.go) on the platform's chain under its logical clock.
+func (p *Platform) transact(calls ...call) ([]*contract.Receipt, error) {
+	return transact(p.cluster, p.nextTimestamp, calls...)
 }
 
-func (p *Platform) buildTx(acct *Account, typ ledger.TxType, method string, args any) (*ledger.Transaction, error) {
-	raw, err := json.Marshal(args)
-	if err != nil {
-		return nil, fmt.Errorf("core: marshal args: %w", err)
-	}
-	tx := &ledger.Transaction{
-		Type:      typ,
-		Nonce:     acct.nextNonce(),
-		Method:    method,
-		Args:      raw,
-		Timestamp: p.nextTimestamp(),
-	}
-	if err := tx.Sign(acct.key); err != nil {
-		return nil, err
-	}
-	return tx, nil
+func (p *Platform) mustTransact(what string, calls ...call) error {
+	return mustTransact(p.cluster, p.nextTimestamp, what, calls...)
 }
 
-// SubmitAndCommit gossips the transactions, commits until all are on
-// chain, and returns their receipts (node 0's view) in input order.
-func (p *Platform) SubmitAndCommit(txs ...*ledger.Transaction) ([]*contract.Receipt, error) {
-	if len(txs) == 0 {
-		return nil, nil
+// state is the contract state of the best running node (an empty one
+// while the whole cluster is down: nothing is registered as far as
+// anyone can tell).
+func (p *Platform) state() *contract.State {
+	if n := shard.BestNode(p.cluster); n != nil {
+		return n.State()
 	}
-	for _, tx := range txs {
-		if err := p.cluster.Submit(tx); err != nil {
-			return nil, err
-		}
-	}
-	// Wait for gossip so the scheduled proposer holds everything. A
-	// pool that never fills is fine if the transactions are already on
-	// chain (another committer took them).
-	if !p.cluster.WaitPooled(len(txs), 10*time.Second) && !p.allCommitted(txs) {
-		return nil, errors.New("core: transactions did not gossip in time")
-	}
-	if _, err := p.cluster.CommitAll(); err != nil {
-		return nil, err
-	}
-	node := p.cluster.Node(0)
-	out := make([]*contract.Receipt, len(txs))
-	for i, tx := range txs {
-		r, ok := node.Receipt(tx.ID())
-		if !ok {
-			return nil, fmt.Errorf("core: tx %s has no receipt", tx.ID().Short())
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
-func (p *Platform) allCommitted(txs []*ledger.Transaction) bool {
-	node := p.cluster.Node(0)
-	for _, tx := range txs {
-		if _, ok := node.Receipt(tx.ID()); !ok {
-			return false
-		}
-	}
-	return true
+	return contract.NewState()
 }
 
 // Cluster exposes the underlying chain cluster.
@@ -349,7 +239,7 @@ func (p *Platform) Sites() []*offchain.Site { return p.sites }
 
 // Datasets reads the on-chain dataset registry into planner refs.
 func (p *Platform) Datasets() []query.DatasetRef {
-	state := p.cluster.Node(0).State()
+	state := p.state()
 	var out []query.DatasetRef
 	for _, id := range state.Datasets() {
 		ds, ok := state.Dataset(id)
@@ -364,49 +254,25 @@ func (p *Platform) Datasets() []query.DatasetRef {
 // GrantAll gives an account the listed actions on every dataset and on
 // every tool (issued by the respective owners).
 func (p *Platform) GrantAll(acct *Account, actions []contract.Action, purpose string) error {
-	var txs []*ledger.Transaction
+	grant := func(resource string) contract.GrantArgs {
+		return contract.GrantArgs{Resource: resource, Grantee: acct.Address(), Actions: actions, Purpose: purpose}
+	}
+	var calls []call
 	for _, site := range p.sites {
 		owner, err := p.Acquire("site-owner-" + site.ID())
 		if err != nil {
 			return err
 		}
-		tx, err := p.buildTx(owner, ledger.TxData, "grant", contract.GrantArgs{
-			Resource: "data:" + site.ID() + "/emr",
-			Grantee:  acct.Address(),
-			Actions:  actions,
-			Purpose:  purpose,
-		})
-		if err != nil {
-			return err
-		}
-		txs = append(txs, tx)
+		calls = append(calls, call{from: owner, typ: ledger.TxData, method: "grant", args: grant("data:" + site.ID() + "/emr")})
 	}
 	vendor, err := p.Acquire("tool-vendor")
 	if err != nil {
 		return err
 	}
 	for _, toolID := range p.reg.IDs() {
-		tx, err := p.buildTx(vendor, ledger.TxAnalytics, "grant", contract.GrantArgs{
-			Resource: "tool:" + toolID,
-			Grantee:  acct.Address(),
-			Actions:  actions,
-			Purpose:  purpose,
-		})
-		if err != nil {
-			return err
-		}
-		txs = append(txs, tx)
+		calls = append(calls, call{from: vendor, typ: ledger.TxAnalytics, method: "grant", args: grant("tool:" + toolID)})
 	}
-	receipts, err := p.SubmitAndCommit(txs...)
-	if err != nil {
-		return err
-	}
-	for _, r := range receipts {
-		if !r.OK() {
-			return fmt.Errorf("%w: grant: %s", ErrTxFailed, r.Err)
-		}
-	}
-	return nil
+	return p.mustTransact("grant", calls...)
 }
 
 // QueryResult is the outcome of a transformed query.
@@ -463,53 +329,30 @@ func (p *Platform) RunTransformed(requester *Account, v *query.Vector) (*QueryRe
 		return nil, errors.New("core: fetch queries go through FetchRecords")
 	}
 
-	// One request_run transaction per dataset: the on-chain policy
-	// check + authorization event.
-	gasBefore := p.cluster.Node(0).GasUsed()
-	txs := make([]*ledger.Transaction, len(plan.Subs))
+	// One request_run per dataset: the on-chain policy check. Denials
+	// stay on the audit trail and are counted.
+	reqs := make([]contract.RequestRunArgs, len(plan.Subs))
 	for i, sub := range plan.Subs {
-		tx, err := p.buildTx(requester, ledger.TxAnalytics, "request_run", contract.RequestRunArgs{
-			Tool:    sub.Tool,
-			Dataset: sub.Dataset,
-			Params:  sub.Params,
-			Purpose: v.Purpose,
-		})
-		if err != nil {
-			return nil, err
-		}
-		txs[i] = tx
+		reqs[i] = contract.RequestRunArgs{Tool: sub.Tool, Dataset: sub.Dataset, Params: sub.Params, Purpose: v.Purpose}
 	}
-	receipts, err := p.SubmitAndCommit(txs...)
+	grants, _, gas, err := authorize(p, runAuth, requester, reqs)
 	if err != nil {
 		return nil, err
 	}
-
 	res := &QueryResult{
 		Vector:         v,
 		Tool:           plan.Tool,
 		SitesTotal:     len(plan.Subs),
 		RecordsCovered: plan.TotalRecords,
-		GasPerNode:     p.cluster.Node(0).GasUsed() - gasBefore,
+		GasPerNode:     gas,
 	}
-
-	// Collect authorizations from receipts; denials stay on the audit
-	// trail and are counted.
 	var auths []contract.RunAuthorization
-	for _, r := range receipts {
-		if !r.OK() {
+	for _, g := range grants {
+		if g == nil {
 			res.SitesDenied++
 			continue
 		}
-		for _, ev := range r.Events {
-			if ev.Topic != "RunAuthorized" {
-				continue
-			}
-			var auth contract.RunAuthorization
-			if err := json.Unmarshal(ev.Data, &auth); err != nil {
-				return nil, fmt.Errorf("core: decode authorization: %w", err)
-			}
-			auths = append(auths, auth)
-		}
+		auths = append(auths, *g)
 	}
 	if len(auths) == 0 {
 		return nil, fmt.Errorf("%w (%d sites)", ErrDenied, res.SitesDenied)
@@ -638,35 +481,18 @@ func siteRecordsWithSize(site *offchain.Site) ([]*emr.Record, int64, error) {
 // audited encrypted exchange to the requester. Set viaFDA to route
 // through the trusted intermediary.
 func (p *Platform) FetchRecords(requester *Account, datasetID, purpose string, viaFDA bool) ([]*emr.Record, error) {
-	tx, err := p.buildTx(requester, ledger.TxData, "request_access", contract.RequestAccessArgs{
+	grants, denials, _, err := authorize(p, accessAuth, requester, []contract.RequestAccessArgs{{
 		Resource: "data:" + datasetID,
 		Action:   contract.ActionRead,
 		Purpose:  purpose,
-	})
+	}})
 	if err != nil {
 		return nil, err
 	}
-	receipts, err := p.SubmitAndCommit(tx)
-	if err != nil {
-		return nil, err
+	if grants[0] == nil {
+		return nil, fmt.Errorf("%w: %s", ErrDenied, denials[0])
 	}
-	r := receipts[0]
-	if !r.OK() {
-		return nil, fmt.Errorf("%w: %s", ErrDenied, r.Err)
-	}
-	var auth contract.AccessAuthorization
-	found := false
-	for _, ev := range r.Events {
-		if ev.Topic == "AccessAuthorized" {
-			if err := json.Unmarshal(ev.Data, &auth); err != nil {
-				return nil, err
-			}
-			found = true
-		}
-	}
-	if !found {
-		return nil, errors.New("core: no authorization event")
-	}
+	auth := *grants[0]
 	var env *cryptoutil.Envelope
 	at := p.nextTimestamp()
 	if viaFDA {
@@ -830,29 +656,18 @@ func (p *Platform) RefreshDataset(siteID string) error {
 	if err != nil {
 		return err
 	}
-	tx, err := p.buildTx(owner, ledger.TxData, "update_dataset", contract.RegisterDatasetArgs{
+	return p.mustTransact("refresh", call{from: owner, typ: ledger.TxData, method: "update_dataset", args: contract.RegisterDatasetArgs{
 		ID:      siteID + "/emr",
 		Digest:  digest,
 		Records: site.Records(),
 		SiteID:  siteID,
-	})
-	if err != nil {
-		return err
-	}
-	receipts, err := p.SubmitAndCommit(tx)
-	if err != nil {
-		return err
-	}
-	if !receipts[0].OK() {
-		return fmt.Errorf("%w: refresh: %s", ErrTxFailed, receipts[0].Err)
-	}
-	return nil
+	}})
 }
 
 // VerifyAllSites re-checks every site's data against its on-chain
 // anchor, returning the IDs of tampered sites.
 func (p *Platform) VerifyAllSites() []string {
-	state := p.cluster.Node(0).State()
+	state := p.state()
 	var tampered []string
 	for _, site := range p.sites {
 		ds, ok := state.Dataset(site.ID() + "/emr")

@@ -170,21 +170,15 @@ func TestQueryPartialDenial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grantData, err := p.buildTx(owner0, "data", "grant", contract.GrantArgs{
-		Resource: "data:site-0/emr", Grantee: researcher.Address(),
-		Actions: []contract.Action{contract.ActionExecute},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	grantTool, err := p.buildTx(vendor, "analytics", "grant", contract.GrantArgs{
-		Resource: "tool:cohort.count", Grantee: researcher.Address(),
-		Actions: []contract.Action{contract.ActionExecute},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	receipts, err := p.SubmitAndCommit(grantData, grantTool)
+	receipts, err := p.transact(
+		call{from: owner0, typ: "data", method: "grant", args: contract.GrantArgs{
+			Resource: "data:site-0/emr", Grantee: researcher.Address(),
+			Actions: []contract.Action{contract.ActionExecute},
+		}},
+		call{from: vendor, typ: "analytics", method: "grant", args: contract.GrantArgs{
+			Resource: "tool:cohort.count", Grantee: researcher.Address(),
+			Actions: []contract.Action{contract.ActionExecute},
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -587,26 +581,18 @@ func TestUpdateDatasetOnlyOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, err := p.buildTx(mallory, "data", "update_dataset", contract.RegisterDatasetArgs{
+	receipts, err := p.transact(call{from: mallory, typ: "data", method: "update_dataset", args: contract.RegisterDatasetArgs{
 		ID: "site-0/emr", Records: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	receipts, err := p.SubmitAndCommit(tx)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if receipts[0].OK() {
 		t.Fatal("non-owner updated the dataset anchor")
 	}
-	tx2, err := p.buildTx(mallory, "data", "update_dataset", contract.RegisterDatasetArgs{
+	receipts, err = p.transact(call{from: mallory, typ: "data", method: "update_dataset", args: contract.RegisterDatasetArgs{
 		ID: "ghost",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	receipts, err = p.SubmitAndCommit(tx2)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

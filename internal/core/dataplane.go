@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -21,7 +20,7 @@ import (
 var ErrNoIndex = errors.New("core: off-chain index not enabled (Config.Index)")
 
 // anchorTxChunk bounds how many register_manifests transactions one
-// SubmitAndCommit carries, keeping large ingests inside the bounded
+// block carries, keeping large ingests inside the bounded
 // mempool's comfort zone.
 const anchorTxChunk = 128
 
@@ -84,40 +83,22 @@ func (p *Platform) anchorBlobs(siteID string, recs []*emr.Record) error {
 	if err != nil {
 		return err
 	}
-	var txs []*ledger.Transaction
-	flush := func() error {
-		if len(txs) == 0 {
-			return nil
-		}
-		receipts, err := p.SubmitAndCommit(txs...)
-		if err != nil {
-			return err
-		}
-		for _, r := range receipts {
-			if !r.OK() {
-				return fmt.Errorf("%w: anchor manifests: %s", ErrTxFailed, r.Err)
-			}
-		}
-		txs = txs[:0]
-		return nil
-	}
+	var calls []call
 	for start := 0; start < len(entries); start += contract.MaxManifestBatch {
 		batch := entries[start:min(start+contract.MaxManifestBatch, len(entries))]
-		tx, err := p.buildTx(owner, ledger.TxData, "register_manifests", contract.RegisterManifestsArgs{
+		calls = append(calls, call{from: owner, typ: ledger.TxData, method: "register_manifests", args: contract.RegisterManifestsArgs{
 			Dataset: siteID + "/emr", Format: format,
 			BatchRoot: contract.ManifestBatchRoot(batch), Entries: batch,
-		})
-		if err != nil {
+		}})
+	}
+	for len(calls) > 0 {
+		chunk := calls[:min(anchorTxChunk, len(calls))]
+		if err := p.mustTransact("anchor manifests", chunk...); err != nil {
 			return err
 		}
-		txs = append(txs, tx)
-		if len(txs) >= anchorTxChunk {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
+		calls = calls[len(chunk):]
 	}
-	return flush()
+	return nil
 }
 
 // IngestBlobs writes new records into a site's blob store and anchors
@@ -244,17 +225,11 @@ func (p *Platform) fetchCandidates(requester *Account, purpose string, cands []i
 	sort.Strings(datasets)
 
 	// One request_access per participating dataset.
-	txs := make([]*ledger.Transaction, len(datasets))
+	reqs := make([]contract.RequestAccessArgs, len(datasets))
 	for i, ds := range datasets {
-		tx, err := p.buildTx(requester, ledger.TxData, "request_access", contract.RequestAccessArgs{
-			Resource: "data:" + ds, Action: contract.ActionRead, Purpose: purpose,
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		txs[i] = tx
+		reqs[i] = contract.RequestAccessArgs{Resource: "data:" + ds, Action: contract.ActionRead, Purpose: purpose}
 	}
-	receipts, err := p.SubmitAndCommit(txs...)
+	grants, denials, _, err := authorize(p, accessAuth, requester, reqs)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -262,23 +237,10 @@ func (p *Platform) fetchCandidates(requester *Account, purpose string, cands []i
 	var out []*emr.Record
 	fetched := 0
 	for i, ds := range datasets {
-		r := receipts[i]
-		if !r.OK() {
-			return nil, fetched, fmt.Errorf("%w: %s: %s", ErrDenied, ds, r.Err)
+		if grants[i] == nil {
+			return nil, fetched, fmt.Errorf("%w: %s: %s", ErrDenied, ds, denials[i])
 		}
-		var auth contract.AccessAuthorization
-		found := false
-		for _, ev := range r.Events {
-			if ev.Topic == "AccessAuthorized" {
-				if err := json.Unmarshal(ev.Data, &auth); err != nil {
-					return nil, fetched, err
-				}
-				found = true
-			}
-		}
-		if !found {
-			return nil, fetched, fmt.Errorf("%w: %s: no authorization event", ErrDenied, ds)
-		}
+		auth := *grants[i]
 		site, ok := p.runner.Site(auth.SiteID)
 		if !ok {
 			return nil, fetched, fmt.Errorf("core: no site %q for dataset %q", auth.SiteID, ds)

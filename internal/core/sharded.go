@@ -4,216 +4,105 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
+	"strings"
+	"sync/atomic"
 
-	"medchain/internal/chain"
 	"medchain/internal/contract"
 	"medchain/internal/cryptoutil"
 	"medchain/internal/ledger"
 	"medchain/internal/shard"
-	"medchain/internal/store"
 )
 
-// deriveAccountKey derives the deterministic key of a named account
-// under a platform key seed (same scheme as Platform.Acquire).
-func deriveAccountKey(keySeed, name string) (*cryptoutil.KeyPair, error) {
-	return cryptoutil.DeriveKeyPair(keySeed + "/acct/" + name)
-}
-
-// ShardedConfig sizes a sharded platform.
-type ShardedConfig struct {
-	// Shards is the member shard count (≥ 1).
-	Shards int
-	// NodesPerShard / CoordNodes size the clusters (defaults 4 / 4).
-	NodesPerShard int
-	CoordNodes    int
-	// KeySeed namespaces deterministic keys (default "sharded").
-	KeySeed string
-	// Engine selects consensus for every chain (default quorum).
-	Engine chain.EngineKind
-	// DestExpiryBlocks is the destination-height deadline window granted
-	// to cross-shard transfers at prepare time.
-	DestExpiryBlocks uint64
-	// DataDir / FS make every chain disk-backed (per-node WAL +
-	// snapshots); see shard.Config. Leave both zero for in-memory.
-	DataDir string
-	FS      store.FS
-	// CommitteeSize sizes each shard's gateway failover committee;
-	// LeaseBlocks bounds how long a silent gateway keeps the anchoring
-	// lease (defaults 1 and 8).
-	CommitteeSize int
-	LeaseBlocks   uint64
-}
-
 // ShardedPlatform is the core-level facade over the sharded multi-chain
-// deployment: it routes medical records and consent operations to their
-// home shards by stable hashing, mediates cross-shard operations
-// through the coordination chain's receipt relay, and settles them with
-// 2PC semantics.
+// deployment: it routes medical records and consent operations to the
+// shard that holds them, mediates cross-shard operations through the
+// coordination chain's receipt relay, and settles them with 2PC
+// semantics. Accounts and single-shard transactions go through the same
+// client layer as Platform (client.go), against the routed shard's
+// chain and with the chain's own timestamps.
 type ShardedPlatform struct {
 	sys *shard.System
-
-	mu       sync.Mutex
-	accounts map[string]*Account
-	xferSeq  int
+	accounts
+	xferSeq atomic.Int64 // mints cross-shard operation IDs
 }
 
 // NewShardedPlatform boots a sharded deployment behind the facade.
-func NewShardedPlatform(cfg ShardedConfig) (*ShardedPlatform, error) {
+func NewShardedPlatform(cfg shard.Config) (*ShardedPlatform, error) {
 	if cfg.KeySeed == "" {
 		cfg.KeySeed = "sharded"
 	}
-	sys, err := shard.NewSystem(shard.Config{
-		Shards:           cfg.Shards,
-		NodesPerShard:    cfg.NodesPerShard,
-		CoordNodes:       cfg.CoordNodes,
-		KeySeed:          cfg.KeySeed,
-		Engine:           cfg.Engine,
-		DestExpiryBlocks: cfg.DestExpiryBlocks,
-		DataDir:          cfg.DataDir,
-		FS:               cfg.FS,
-		CommitteeSize:    cfg.CommitteeSize,
-		LeaseBlocks:      cfg.LeaseBlocks,
-	})
+	sys, err := shard.NewSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedPlatform{sys: sys, accounts: make(map[string]*Account)}, nil
+	return &ShardedPlatform{sys: sys, accounts: newAccounts(cfg.KeySeed)}, nil
 }
 
 // System exposes the underlying sharded deployment.
 func (sp *ShardedPlatform) System() *shard.System { return sp.sys }
 
-// Acquire returns (creating on first use) the named account. Sharded
-// accounts do not track nonces locally — each submission reads the
-// target chain's pool-aware pending nonce, because one identity may
-// transact on several shards.
-func (sp *ShardedPlatform) Acquire(name string) (*Account, error) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if a, ok := sp.accounts[name]; ok {
-		return a, nil
-	}
-	key, err := deriveAccountKey(sp.sys.Config().KeySeed, name)
-	if err != nil {
-		return nil, err
-	}
-	a := &Account{key: key}
-	sp.accounts[name] = a
-	return a, nil
-}
-
 // HomeShard routes a key (patient ID, dataset ID, site name) to its
 // home shard.
 func (sp *ShardedPlatform) HomeShard(key string) int { return sp.sys.ShardOf(key) }
-
-// nextTransferID mints a platform-unique cross-shard transfer ID.
-func (sp *ShardedPlatform) nextTransferID(prefix string) string {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	sp.xferSeq++
-	return fmt.Sprintf("%s-%04d", prefix, sp.xferSeq)
-}
-
-// submitAndCheck signs, submits, and commits one transaction on a shard
-// and fails on a refused receipt.
-func (sp *ShardedPlatform) submitAndCheck(shardIdx int, acct *Account, tx *ledger.Transaction) error {
-	c := sp.sys.Shard(shardIdx)
-	if err := shard.SubmitSigned(c, acct.key, tx); err != nil {
-		return err
-	}
-	if _, err := c.CommitAll(); err != nil {
-		return err
-	}
-	n := shard.BestNode(c)
-	if n == nil {
-		return errors.New("core: shard has no running node")
-	}
-	r, ok := n.Receipt(tx.ID())
-	if !ok {
-		return fmt.Errorf("core: tx %s has no receipt", tx.ID().Short())
-	}
-	if !r.OK() {
-		return fmt.Errorf("%w: %s", ErrTxFailed, r.Err)
-	}
-	return nil
-}
 
 // RegisterDataset registers a dataset on its home shard (routed by
 // dataset ID) and returns the shard index it landed on.
 func (sp *ShardedPlatform) RegisterDataset(owner *Account, args contract.RegisterDatasetArgs) (int, error) {
 	home := sp.HomeShard(args.ID)
-	raw, err := json.Marshal(args)
-	if err != nil {
-		return 0, err
-	}
-	tx := &ledger.Transaction{Type: ledger.TxData, Method: "register_dataset", Args: raw}
-	if err := sp.submitAndCheck(home, owner, tx); err != nil {
-		return 0, err
-	}
-	return home, nil
+	return home, mustTransact(sp.sys.Shard(home), nil, "register dataset",
+		call{from: owner, typ: ledger.TxData, method: "register_dataset", args: args})
 }
 
-// TransferDataset prepares an HIE record transfer of a dataset from its
-// home shard to destShard and returns the transfer ID. The transfer
-// settles when Settle (or the relay pump) runs.
+// prepare opens a cross-shard operation: it mints a deployment-unique
+// ID, submits the prepare on the source shard and commits it there. The
+// operation settles when Settle (or the relay pump) runs.
+func (sp *ShardedPlatform) prepare(from *Account, src, dest int, prefix string, kind contract.CrossKind, payload any) (string, error) {
+	raw, err := json.Marshal(payload)
+	if err != nil {
+		return "", err
+	}
+	id := fmt.Sprintf("%s-%04d", prefix, sp.xferSeq.Add(1))
+	from.mu.Lock()
+	err = sp.sys.SubmitPrepare(src, from.key, contract.CrossPrepareArgs{
+		ID: id, Kind: kind, DestShard: shard.ShardID(dest), Payload: raw,
+	})
+	from.mu.Unlock()
+	if err != nil {
+		return "", err
+	}
+	_, err = sp.sys.Shard(src).CommitAll()
+	return id, err
+}
+
+// TransferDataset prepares an HIE record transfer of a dataset from the
+// shard it lives on to destShard and returns the transfer ID.
 func (sp *ShardedPlatform) TransferDataset(owner *Account, datasetID string, destShard int) (string, error) {
-	src := sp.HomeShard(datasetID)
+	src, _, ok := sp.sys.FindDataset(datasetID)
+	if !ok {
+		return "", fmt.Errorf("core: dataset %q not found on any shard", datasetID)
+	}
 	if destShard == src {
 		return "", fmt.Errorf("core: dataset %q already lives on shard %d", datasetID, src)
 	}
-	id := sp.nextTransferID("xfer")
-	payload, err := json.Marshal(contract.CrossTransferPayload{Dataset: datasetID})
-	if err != nil {
-		return "", err
-	}
-	err = sp.sys.SubmitPrepare(src, owner.key, contract.CrossPrepareArgs{
-		ID: id, Kind: contract.CrossTransfer,
-		DestShard: shard.ShardID(destShard), Payload: payload,
-	})
-	if err != nil {
-		return "", err
-	}
-	if _, err := sp.sys.Shard(src).CommitAll(); err != nil {
-		return "", err
-	}
-	return id, nil
+	return sp.prepare(owner, src, destShard, "xfer", contract.CrossTransfer, contract.CrossTransferPayload{Dataset: datasetID})
 }
 
-// GrantConsent prepares a cross-shard consent grant: the grant is
-// authored on srcShard (where the consenting authority transacts) and
-// applied on the resource's home shard.
+// GrantConsent grants consent on a resource from srcShard, where the
+// consenting authority transacts. The grant applies on the shard that
+// holds the dataset it names (the resource's hash home when it names
+// none): a plain on-chain grant when that is srcShard — the returned ID
+// is then empty — and a cross-shard consent otherwise.
 func (sp *ShardedPlatform) GrantConsent(admin *Account, srcShard int, grant contract.GrantArgs) (string, error) {
-	resource := grant.Resource
-	if len(resource) > 5 && resource[:5] == "data:" {
-		resource = resource[5:]
-	}
+	resource := strings.TrimPrefix(grant.Resource, "data:")
 	dest := sp.HomeShard(resource)
+	if at, _, ok := sp.sys.FindDataset(resource); ok {
+		dest = at
+	}
 	if dest == srcShard {
-		// Same shard: a plain on-chain grant, no 2PC needed.
-		raw, err := json.Marshal(grant)
-		if err != nil {
-			return "", err
-		}
-		tx := &ledger.Transaction{Type: ledger.TxData, Method: "grant", Args: raw}
-		return "", sp.submitAndCheck(srcShard, admin, tx)
+		return "", mustTransact(sp.sys.Shard(srcShard), nil, "grant",
+			call{from: admin, typ: ledger.TxData, method: "grant", args: grant})
 	}
-	id := sp.nextTransferID("grant")
-	payload, err := json.Marshal(grant)
-	if err != nil {
-		return "", err
-	}
-	err = sp.sys.SubmitPrepare(srcShard, admin.key, contract.CrossPrepareArgs{
-		ID: id, Kind: contract.CrossConsent,
-		DestShard: shard.ShardID(dest), Payload: payload,
-	})
-	if err != nil {
-		return "", err
-	}
-	if _, err := sp.sys.Shard(srcShard).CommitAll(); err != nil {
-		return "", err
-	}
-	return id, nil
+	return sp.prepare(admin, srcShard, dest, "grant", contract.CrossConsent, grant)
 }
 
 // ContributeFL prepares one shard's model update for a federated round
@@ -228,22 +117,8 @@ func (sp *ShardedPlatform) ContributeFL(site *Account, srcShard int, round strin
 			return "", errors.New("core: federated rounds need at least two shards")
 		}
 	}
-	id := sp.nextTransferID("fl")
-	payload, err := json.Marshal(contract.CrossFLPayload{Round: round, Weights: weights, Samples: samples})
-	if err != nil {
-		return "", err
-	}
-	err = sp.sys.SubmitPrepare(srcShard, site.key, contract.CrossPrepareArgs{
-		ID: id, Kind: contract.CrossFLRound,
-		DestShard: shard.ShardID(dest), Payload: payload,
-	})
-	if err != nil {
-		return "", err
-	}
-	if _, err := sp.sys.Shard(srcShard).CommitAll(); err != nil {
-		return "", err
-	}
-	return id, nil
+	return sp.prepare(site, srcShard, dest, "fl", contract.CrossFLRound,
+		contract.CrossFLPayload{Round: round, Weights: weights, Samples: samples})
 }
 
 // Settle runs the relay pump until every in-flight cross-shard
@@ -264,19 +139,11 @@ func (sp *ShardedPlatform) TransferStatus(srcShard int, id string) (contract.Cro
 	return n.State().CrossOutbound(id)
 }
 
-// Dataset finds a dataset anywhere in the deployment, returning the
-// shard it currently lives on (ignoring moved-away tombstones).
+// Dataset finds a dataset's live copy and the shard it currently lives
+// on (System.FindDataset: routing homes, then forwarding tombstones).
 func (sp *ShardedPlatform) Dataset(id string) (*contract.Dataset, int, bool) {
-	for i := 0; i < sp.sys.Shards(); i++ {
-		n := shard.BestNode(sp.sys.Shard(i))
-		if n == nil {
-			continue
-		}
-		if ds, ok := n.State().Dataset(id); ok && ds.MovedTo == "" {
-			return ds, i, true
-		}
-	}
-	return nil, 0, false
+	at, ds, ok := sp.sys.FindDataset(id)
+	return ds, at, ok
 }
 
 // StopShard crash-stops every node of one member shard (disk-backed
@@ -301,14 +168,8 @@ func (sp *ShardedPlatform) Reshard(maxRounds int) (newShard, migrated int, err e
 	if _, err := sp.sys.BeginEpoch(sp.sys.ShardIDs()); err != nil {
 		return ni, 0, err
 	}
-	byAddr := make(map[cryptoutil.Address]*cryptoutil.KeyPair)
-	sp.mu.Lock()
-	for _, a := range sp.accounts {
-		byAddr[a.key.Address()] = a.key
-	}
-	sp.mu.Unlock()
 	moved, err := sp.sys.DrainMigrations(func(m shard.Migration) *cryptoutil.KeyPair {
-		return byAddr[m.Owner]
+		return sp.keyOf(m.Owner)
 	}, maxRounds)
 	if err != nil {
 		return ni, moved, err

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"medchain/internal/contract"
+	"medchain/internal/shard"
 	"medchain/internal/store"
 )
 
@@ -11,7 +12,7 @@ import (
 // registration, a cross-shard HIE transfer settled by 2PC, and a
 // consent grant applied on the resource's home shard.
 func TestShardedPlatformFacade(t *testing.T) {
-	sp, err := NewShardedPlatform(ShardedConfig{Shards: 2, NodesPerShard: 3, CoordNodes: 3})
+	sp, err := NewShardedPlatform(shard.Config{Shards: 2, NodesPerShard: 3, CoordNodes: 3})
 	if err != nil {
 		t.Fatalf("NewShardedPlatform: %v", err)
 	}
@@ -85,7 +86,7 @@ func TestShardedPlatformFacade(t *testing.T) {
 // crash, and Reshard grows it by one shard with every reassigned
 // dataset migrated to its new-epoch home.
 func TestShardedPlatformRecoverAndReshard(t *testing.T) {
-	sp, err := NewShardedPlatform(ShardedConfig{
+	sp, err := NewShardedPlatform(shard.Config{
 		Shards: 2, NodesPerShard: 3, CoordNodes: 3,
 		KeySeed: "sharded-elastic-test", FS: store.NewMemFS(),
 	})

@@ -7,7 +7,6 @@ import (
 
 	"medchain/internal/contract"
 	"medchain/internal/emr"
-	"medchain/internal/ledger"
 	"medchain/internal/query"
 )
 
@@ -40,41 +39,19 @@ func (p *Platform) RunSQL(requester *Account, src string) (*query.SQLResult, *SQ
 		return nil, nil, ErrNoDatasets
 	}
 
-	gasBefore := p.cluster.Node(0).GasUsed()
-	txs := make([]*ledger.Transaction, len(datasets))
+	reqs := make([]contract.RequestAccessArgs, len(datasets))
 	for i, ds := range datasets {
-		tx, err := p.buildTx(requester, ledger.TxData, "request_access", contract.RequestAccessArgs{
-			Resource: "data:" + ds.ID,
-			Action:   contract.ActionExecute,
-			Purpose:  "sql",
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		txs[i] = tx
+		reqs[i] = contract.RequestAccessArgs{Resource: "data:" + ds.ID, Action: contract.ActionExecute, Purpose: "sql"}
 	}
-	receipts, err := p.SubmitAndCommit(txs...)
+	grants, _, gas, err := authorize(p, accessAuth, requester, reqs)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats := &SQLStats{
-		SitesTotal: len(datasets),
-		GasPerNode: p.cluster.Node(0).GasUsed() - gasBefore,
-	}
+	stats := &SQLStats{SitesTotal: len(datasets), GasPerNode: gas}
 
 	var parts []*query.SQLPartial
-	for i, r := range receipts {
-		if !r.OK() {
-			stats.SitesDenied++
-			continue
-		}
-		authorized := false
-		for _, ev := range r.Events {
-			if ev.Topic == "AccessAuthorized" {
-				authorized = true
-			}
-		}
-		if !authorized {
+	for i, g := range grants {
+		if g == nil {
 			stats.SitesDenied++
 			continue
 		}

@@ -115,17 +115,26 @@ func (s *System) LookupShards(key string) []int {
 	return out
 }
 
-// FindDataset locates a live (non-tombstoned) copy of a dataset by
-// dual-epoch routing: its current-epoch home first, then its
-// pending-epoch home. Returns the shard index holding the copy.
+// FindDataset locates the live (non-tombstoned) copy of a dataset: its
+// current-epoch home first, then its pending-epoch home (dual-epoch
+// routing), and from either along the forwarding record a transfer off
+// that shard left behind (Dataset.MovedTo). Returns the shard index
+// holding the copy.
 func (s *System) FindDataset(id string) (int, *contract.Dataset, bool) {
 	for _, i := range s.LookupShards(id) {
-		n := BestNode(s.shards[i])
-		if n == nil {
-			continue
-		}
-		if ds, ok := n.State().Dataset(id); ok && ds.MovedTo == "" {
-			return i, ds, true
+		for hops := 0; i >= 0 && hops < len(s.shards); hops++ {
+			n := BestNode(s.shards[i])
+			if n == nil {
+				break
+			}
+			ds, ok := n.State().Dataset(id)
+			if !ok {
+				break
+			}
+			if ds.MovedTo == "" {
+				return i, ds, true
+			}
+			i = s.shardIndex(ds.MovedTo)
 		}
 	}
 	return -1, nil, false

@@ -402,20 +402,39 @@ func (s *System) SubmitPrepare(src int, key *cryptoutil.KeyPair, args contract.C
 	return s.submitCross(s.shards[src], key, "prepare", args)
 }
 
-// SubmitSigned fills a transaction's nonce and timestamp from the
-// cluster's best node, signs it, and gossips it — the helper workload
-// drivers use so relay and client traffic share one nonce view.
+// SubmitSigned is the one place a transaction gets its nonce, its
+// timestamp (unless the caller set one) and its signature before it is
+// gossiped: the relay, the coordinator and both core facades all come
+// through here, so they share one nonce view. The nonce is the highest
+// pool-aware pending nonce any running node reports, and the
+// transaction enters through the node that reported it: that node holds
+// the sender's whole pending run, counts the new transaction at once,
+// and so answers the next call correctly while gossip to the others —
+// a lagging or just-restarted one included — is still in flight.
+// Nothing is remembered between calls, so a refused submit leaves no
+// gap behind. Callers sharing a key across goroutines serialise their
+// calls (core.Account does).
 func SubmitSigned(c *chain.Cluster, key *cryptoutil.KeyPair, tx *ledger.Transaction) error {
-	n := BestNode(c)
-	if n == nil {
+	best := BestNode(c)
+	if best == nil {
 		return chain.ErrStopped
 	}
-	tx.Nonce = n.PendingNonce(key.Address())
+	via := best
+	for i, n := range c.RunningNodes() {
+		if p := c.Node(n).PendingNonce(key.Address()); i == 0 || p > tx.Nonce {
+			via, tx.Nonce = c.Node(n), p
+		}
+	}
 	if tx.Timestamp == 0 {
-		tx.Timestamp = tsFor(n)
+		tx.Timestamp = tsFor(best)
 	}
 	if err := tx.Sign(key); err != nil {
 		return err
 	}
+	if via.Gossip(tx) == nil {
+		return nil
+	}
+	// The node with the freshest view refused (rate limit, shedding, a
+	// stop in between): any running node that admits it will do.
 	return c.Submit(tx)
 }

@@ -39,8 +39,6 @@ type Config struct {
 	CoordNodes int
 	// KeySeed namespaces all deterministic keys (default "shardsys").
 	KeySeed string
-	// Engine selects consensus for every chain (default quorum).
-	Engine chain.EngineKind
 	// Network is the link model applied to every chain's own network
 	// (each chain runs a fully separate p2p.Network — shards share no
 	// transport, which is what makes Byzantine containment structural).
@@ -105,9 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.KeySeed == "" {
 		c.KeySeed = "shardsys"
-	}
-	if c.Engine == "" {
-		c.Engine = chain.EngineQuorum
 	}
 	if c.DestExpiryBlocks == 0 {
 		c.DestExpiryBlocks = 50
@@ -210,7 +205,7 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s.coord, err = chain.NewCluster(chain.ClusterConfig{
-		Nodes: cfg.CoordNodes, ChainID: "coord", Engine: cfg.Engine,
+		Nodes: cfg.CoordNodes, ChainID: "coord",
 		Network: cfg.Network, MaxBlockTxs: cfg.MaxBlockTxs,
 		CommitTimeout: cfg.CommitTimeout, KeySeed: cfg.KeySeed + "/coord",
 		Exec:  cfg.Exec,
@@ -260,7 +255,7 @@ func (s *System) addShardCluster(i int) error {
 		return err
 	}
 	c, err := chain.NewCluster(chain.ClusterConfig{
-		Nodes: s.cfg.NodesPerShard, ChainID: id, Engine: s.cfg.Engine,
+		Nodes: s.cfg.NodesPerShard, ChainID: id,
 		Network: s.cfg.Network, MaxBlockTxs: s.cfg.MaxBlockTxs,
 		CommitTimeout: s.cfg.CommitTimeout, KeySeed: fmt.Sprintf("%s/%s", s.cfg.KeySeed, id),
 		Exec:  s.cfg.Exec,
@@ -416,29 +411,7 @@ func (s *System) SetUnsafeSkipLeaseExpiry(on bool) { s.unsafeSkipLeaseExpiry = o
 // simulation's epoch probes use this to prove stale transitions are
 // refused on-chain.
 func (s *System) CoordinatorSubmit(method string, args any) (*ledger.Transaction, error) {
-	n := BestNode(s.coord)
-	if n == nil {
-		return nil, chain.ErrStopped
-	}
-	payload, err := encodeArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	tx := &ledger.Transaction{
-		Type:      ledger.TxCross,
-		Nonce:     n.PendingNonce(s.coordKey.Address()),
-		Contract:  contract.CrossContractAddr,
-		Method:    method,
-		Args:      payload,
-		Timestamp: tsFor(n),
-	}
-	if err := tx.Sign(s.coordKey); err != nil {
-		return nil, err
-	}
-	if err := s.coord.Submit(tx); err != nil {
-		return nil, err
-	}
-	return tx, nil
+	return crossTx(s.coord, s.coordKey, method, args)
 }
 
 // Cluster returns the cluster a routing key lives on under the current
@@ -514,44 +487,28 @@ func BestNode(c *chain.Cluster) *chain.Node {
 	return best
 }
 
-// submitCross signs and gossips one cross-shard protocol transaction
-// into a cluster, with the nonce taken from the first running node's
-// pool-aware view.
-func (s *System) submitCross(c *chain.Cluster, key *cryptoutil.KeyPair, method string, args any) error {
-	n := BestNode(c)
-	if n == nil {
-		return chain.ErrStopped
-	}
-	payload, err := encodeArgs(args)
+// crossTx signs and gossips one cross-shard protocol transaction into a
+// cluster through SubmitSigned and returns it.
+func crossTx(c *chain.Cluster, key *cryptoutil.KeyPair, method string, args any) (*ledger.Transaction, error) {
+	payload, err := json.Marshal(args)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("shard: encode args: %w", err)
 	}
 	tx := &ledger.Transaction{
-		Type:      ledger.TxCross,
-		Nonce:     n.PendingNonce(key.Address()),
-		Contract:  contract.CrossContractAddr,
-		Method:    method,
-		Args:      payload,
-		Timestamp: tsFor(n),
+		Type: ledger.TxCross, Contract: contract.CrossContractAddr, Method: method, Args: payload,
 	}
-	if err := tx.Sign(key); err != nil {
-		return err
-	}
-	return c.Submit(tx)
+	return tx, SubmitSigned(c, key, tx)
+}
+
+func (s *System) submitCross(c *chain.Cluster, key *cryptoutil.KeyPair, method string, args any) error {
+	_, err := crossTx(c, key, method, args)
+	return err
 }
 
 // tsFor derives a deterministic per-chain timestamp from chain height,
 // so relay transactions are byte-identical across runs with the same
 // schedule (the same trick node.go's evidence reporting uses).
 func tsFor(n *chain.Node) int64 { return int64(n.Height()) + 1 }
-
-func encodeArgs(args any) ([]byte, error) {
-	b, err := json.Marshal(args)
-	if err != nil {
-		return nil, fmt.Errorf("shard: encode args: %w", err)
-	}
-	return b, nil
-}
 
 // Close shuts every chain down: all member shards, then the
 // coordination chain.

@@ -33,12 +33,13 @@
 // The subsystems (ledger, consensus, VM, contracts, oracle, EMR
 // formats, federated learning, clinical-trial auditing, HIE) live under
 // internal/ and are documented there; this package re-exports the
-// surface a downstream user needs.
+// surface a downstream user needs. How a Platform call becomes
+// transactions, authorisations and receipts is DESIGN.md "Platform
+// facades".
 package medchain
 
 import (
 	"medchain/internal/blob"
-	"medchain/internal/chain"
 	"medchain/internal/contract"
 	"medchain/internal/core"
 	"medchain/internal/emr"
@@ -145,16 +146,6 @@ const (
 
 // LogisticModel is the binary classifier used by risk modelling.
 type LogisticModel = ml.LogisticModel
-
-// EngineKind selects the chain's consensus engine.
-type EngineKind = chain.EngineKind
-
-// Consensus engines.
-const (
-	EnginePoW    = chain.EnginePoW
-	EnginePoA    = chain.EnginePoA
-	EngineQuorum = chain.EngineQuorum
-)
 
 // NetworkConfig models the simulated links between chain nodes.
 type NetworkConfig = p2p.Config

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -206,11 +207,11 @@ func killAndRecover(c *chain.Cluster) error {
 		rec.Height, rec.SnapshotHeight, rec.ReplayedBlocks, rec.TruncatedBytes, rec.Elapsed.Round(time.Microsecond))
 
 	// The recovered height can trail the head by the group-commit
-	// window; the cluster re-syncs the gap from peers.
-	deadline := time.Now().Add(5 * time.Second)
-	for n.Height() < c.Node(0).Height() && time.Now().Before(deadline) {
-		c.SyncLagging()
-		time.Sleep(2 * time.Millisecond)
+	// window; RestartNode asked the best peer for the gap.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := n.WaitHeight(ctx, c.Node(0).Height()); err != nil {
+		return fmt.Errorf("re-sync of %s stuck at height %d: %w", n.ID(), n.Height(), err)
 	}
 	live, recovered := c.Node(0).State().Root(), n.State().Root()
 	if recovered != live {

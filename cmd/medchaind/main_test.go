@@ -19,6 +19,19 @@ func TestGoldenSingleChain(t *testing.T) {
 		"-nodes", "3", "-blocks", "2")
 }
 
+// TestGoldenSingleChainDurable: the one-chain demo on disk, through the
+// kill-and-recover printout (the victim waits on its own height for the
+// re-sync), and rerun over the same directory: every node resumes at
+// its durable height and the chain goes on from the recovered nonce.
+func TestGoldenSingleChainDurable(t *testing.T) {
+	bin := clitest.Build(t)
+	dir := filepath.Join(t.TempDir(), "data")
+	masks := []clitest.Mask{clitest.Literal(dir, "<dir>"), clitest.Digests}
+	args := []string{"-nodes", "3", "-blocks", "2", "-data-dir", dir}
+	clitest.Golden(t, "single-durable", bin, masks, args...)
+	clitest.Golden(t, "single-rerun", bin, masks, args...)
+}
+
 // TestGoldenSharded: the sharded demo memory-only, disk-backed through
 // the whole-shard power cut and recovery, and rerun over the same
 // directory (the chains resume at their durable heights; the datasets

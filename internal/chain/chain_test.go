@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -256,7 +257,16 @@ func TestDuplicateGossipIdempotent(t *testing.T) {
 
 func TestEventsPublishedToSubscribers(t *testing.T) {
 	c := newCluster(t, 2, EngineQuorum)
-	events := c.Node(1).SubscribeEvents(16)
+	events := make(chan EventRecord, 16)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() { // a tailer: wait for the chain to pass the cursor, read above it
+		if c.Node(1).WaitHeight(ctx, 1) == nil {
+			for _, rec := range c.Node(1).EventsSince(0) {
+				events <- rec
+			}
+		}
+	}()
 	user := userKey(t, "frank")
 	submitAndCommit(t, c, datasetTx(t, user, 0, "d"))
 	select {

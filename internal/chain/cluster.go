@@ -62,13 +62,13 @@ type ClusterConfig struct {
 	// is votable and rotation failover routes around faulty proposers.
 	StrictSchedule bool
 	// Guard, when set, retunes every node's peer-misbehavior guard
-	// (weights, quarantine threshold, sync rate limit, clock).
+	// (score decay, sync rate limit, clock).
 	Guard *guard.Config
 	// Mempool, when set, retunes every node's bounded transaction pool
-	// (capacity, byte budget).
+	// (capacity, future-nonce window).
 	Mempool *MempoolConfig
 	// Admission, when set, retunes every node's client admission
-	// controller (per-client rate, global budgets, overload thresholds).
+	// controller (per-client rate, global budgets).
 	Admission *guard.AdmissionConfig
 }
 
@@ -84,11 +84,10 @@ type PersistConfig struct {
 	// — the simulation harness injects one fault-wrapped MemFS per
 	// node here so each node's disk fails independently.
 	FSFor func(node int) store.FS
-	// SyncEvery, SnapshotEvery, SnapshotKeep tune each node's engine;
-	// see PersistOptions.
+	// SyncEvery, SnapshotEvery tune each node's engine; see
+	// PersistOptions.
 	SyncEvery     int
 	SnapshotEvery int
-	SnapshotKeep  int
 }
 
 func (p *PersistConfig) fsFor(i int) store.FS {
@@ -180,7 +179,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			n, _, err = NewNodeFromConfig(NodeConfig{
 				ID: id, Key: keys[i], ChainID: cfg.ChainID, Engine: engine, Network: c.net,
 				DataDir: store.Join(p.Dir, string(id)), FS: p.fsFor(i),
-				SyncEvery: p.SyncEvery, SnapshotEvery: p.SnapshotEvery, SnapshotKeep: p.SnapshotKeep,
+				SyncEvery: p.SyncEvery, SnapshotEvery: p.SnapshotEvery,
 			})
 		} else {
 			n, err = NewNode(id, keys[i], cfg.ChainID, engine, c.net)
@@ -273,8 +272,8 @@ func (c *Cluster) RestartNode(i int) error {
 	if err := c.nodes[i].Restart(); err != nil {
 		return err
 	}
-	if ref := c.maxHeightIndex(); ref != i && c.nodes[ref].Height() > c.nodes[i].Height() {
-		c.nodes[i].requestSync(c.nodes[ref].ID())
+	if ref := c.ref(); ref.Height() > c.nodes[i].Height() {
+		c.nodes[i].requestSync(ref.ID())
 	}
 	return nil
 }
@@ -283,7 +282,7 @@ func (c *Cluster) RestartNode(i int) error {
 // re-sync from it — the catch-up nudge recovery loops use after faults
 // heal.
 func (c *Cluster) SyncLagging() {
-	ref := c.nodes[c.maxHeightIndex()]
+	ref := c.ref()
 	for _, n := range c.nodes {
 		if n.Running() && n.Height() < ref.Height() {
 			n.requestSync(ref.ID())
@@ -302,29 +301,34 @@ func (c *Cluster) RunningNodes() []int {
 	return idx
 }
 
-// maxHeightIndex returns the index of the running node with the
-// highest chain (falling back to node 0 when everything is down).
-func (c *Cluster) maxHeightIndex() int {
-	best := -1
-	for i, n := range c.nodes {
-		if !n.Running() {
-			continue
+// Best returns the running node with the highest chain, nil when the
+// whole cluster is down. Heights are chain-wide, so whatever reads the
+// committed chain by height (receipts, state, a tailer's cursor) reads
+// it here and survives the loss of any one replica.
+func (c *Cluster) Best() *Node {
+	var best *Node
+	for _, n := range c.nodes {
+		if n.Running() && (best == nil || n.Height() > best.Height()) {
+			best = n
 		}
-		if best < 0 || n.Height() > c.nodes[best].Height() {
-			best = i
-		}
-	}
-	if best < 0 {
-		return 0
 	}
 	return best
+}
+
+// ref is Best for callers that need some node to judge from even when
+// every one is down: node 0 then.
+func (c *Cluster) ref() *Node {
+	if n := c.Best(); n != nil {
+		return n
+	}
+	return c.nodes[0]
 }
 
 // proposerIndex returns the node scheduled to propose the next block,
 // judged from the most advanced node's height (a lagging node 0 must
 // not skew the schedule).
 func (c *Cluster) proposerIndex() int {
-	ref := c.nodes[c.maxHeightIndex()]
+	ref := c.ref()
 	next := ref.Height() + 1
 	addr, restricted := ref.engine.ProposerAt(next)
 	if !restricted {
@@ -423,7 +427,7 @@ func (c *Cluster) commitVia(p *Node, timeout time.Duration) (*ledger.Block, erro
 	// Bring a lagging proposer (e.g. freshly healed from a partition or
 	// restarted after a crash) up to date before it builds on a stale
 	// head.
-	ref := c.nodes[c.maxHeightIndex()]
+	ref := c.ref()
 	if p.Height() < ref.Height() {
 		p.requestSync(ref.ID())
 		catchUp := time.NewTimer(timeout)
@@ -560,8 +564,8 @@ func (c *Cluster) TotalGasUsed() int64 {
 }
 
 // UsefulGasUsed is the gas one execution of the committed history
-// costs (E2's denominator): node 0's gas.
-func (c *Cluster) UsefulGasUsed() int64 { return c.nodes[0].GasUsed() }
+// costs (E2's denominator): the best node's gas.
+func (c *Cluster) UsefulGasUsed() int64 { return c.ref().GasUsed() }
 
 // VerifyConsistency checks all nodes share the same head hash and state
 // root.

@@ -1,0 +1,102 @@
+package chain
+
+import (
+	"encoding/json"
+	"sync"
+	"testing"
+	"time"
+
+	"medchain/internal/consensus"
+	"medchain/internal/guard"
+	"medchain/internal/ledger"
+	"medchain/internal/p2p"
+)
+
+// ingressTopics pairs every wire topic with the decoder handle puts its
+// payload through first.
+var ingressTopics = []struct {
+	topic   string
+	decodes func([]byte) bool
+}{
+	{topicTx, func(b []byte) bool { _, err := ledger.DecodeTransaction(b); return err == nil }},
+	{topicProposal, func(b []byte) bool { _, err := consensus.DecodeSignedProposal(b); return err == nil }},
+	{topicVote, func(b []byte) bool { var v consensus.Vote; return json.Unmarshal(b, &v) == nil }},
+	{topicBlock, func(b []byte) bool { _, err := ledger.DecodeBlock(b); return err == nil }},
+	{topicSyncReq, func(b []byte) bool { var h uint64; return json.Unmarshal(b, &h) == nil }},
+	{topicSyncCont, func(b []byte) bool { var h uint64; return json.Unmarshal(b, &h) == nil }},
+}
+
+// FuzzHandle feeds arbitrary payloads under every topic through a
+// running node's ingress. Nothing may panic, and a payload its topic's
+// decoder refuses is scored against the sender as malformed and changes
+// neither the node's height nor its pool. The seeds are one valid
+// encoding per topic: a signed transaction, and the proposal, a vote and
+// the certified block of height 1 as a twin cluster (same keys, same
+// genesis) committed them.
+func FuzzHandle(f *testing.F) {
+	twin := newCluster(f, 3, EngineQuorum)
+	tx := datasetTx(f, userKey(f, "fuzz"), 0, "seed")
+	blk := submitAndCommit(f, twin, tx)
+	var proposer int
+	for i, k := range twin.keys {
+		if k.Address() == blk.Header.Proposer {
+			proposer = i
+		}
+	}
+	sp, err := consensus.SignProposal(blk, twin.keys[proposer])
+	if err != nil {
+		f.Fatal(err)
+	}
+	vote, err := consensus.SignVote(blk.Header.Height, blk.Hash(), twin.keys[(proposer+1)%3])
+	if err != nil {
+		f.Fatal(err)
+	}
+	encode := func(b []byte, err error) []byte {
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	for i, seed := range [][]byte{
+		encode(tx.Encode()), encode(sp.Encode()), encode(json.Marshal(vote)),
+		encode(blk.Encode()), encode(json.Marshal(uint64(0))), encode(json.Marshal(blk.Header.Height + 3)),
+	} {
+		if !ingressTopics[i].decodes(seed) {
+			f.Fatalf("seed for %s does not decode", ingressTopics[i].topic)
+		}
+		f.Add(uint8(i), seed)
+	}
+
+	c := newCluster(f, 3, EngineQuorum)
+	n := c.Node(1)
+	// An hour passes between two messages, so the sender's score has
+	// decayed and it is never quarantined when the next one arrives.
+	var clockMu sync.Mutex
+	now := time.Unix(0, 0)
+	n.SetGuardConfig(guard.Config{Clock: func() time.Time {
+		clockMu.Lock()
+		defer clockMu.Unlock()
+		return now
+	}})
+	const sender = "fuzzer"
+	malformed := func() int { return offensesOf(n.GuardStats(), sender)[guard.OffenseMalformed] }
+
+	f.Fuzz(func(t *testing.T, topic uint8, payload []byte) {
+		in := ingressTopics[int(topic)%len(ingressTopics)]
+		clockMu.Lock()
+		now = now.Add(time.Hour)
+		clockMu.Unlock()
+		height, pooled, scored := n.Height(), n.MempoolSize(), malformed()
+		n.handle(n.endpoint(), p2p.Message{From: sender, To: n.ID(), Topic: in.topic, Payload: payload})
+		if in.decodes(payload) {
+			return
+		}
+		if got := malformed(); got != scored+1 {
+			t.Fatalf("%s: undecodable payload %q scored %d malformed offenses against its sender", in.topic, payload, got-scored)
+		}
+		if n.Height() != height || n.MempoolSize() != pooled {
+			t.Fatalf("%s: undecodable payload %q moved the node: height %d -> %d, pool %d -> %d",
+				in.topic, payload, height, n.Height(), pooled, n.MempoolSize())
+		}
+	})
+}

@@ -38,8 +38,6 @@ var (
 type MempoolConfig struct {
 	// Capacity is the maximum resident transactions (default 8192).
 	Capacity int
-	// MaxBytes bounds the total payload bytes resident (0 = unlimited).
-	MaxBytes int64
 	// MaxFuture bounds how far a nonce may run ahead of the sender's
 	// committed sequence (default 1024). Gapped nonces inside the window
 	// are held — a lagging node must buffer traffic for chain state it
@@ -231,7 +229,7 @@ func (m *Mempool) Add(tx *ledger.Transaction, class guard.Class, committedNext, 
 			ErrStaleNonce, tx.Nonce, run[at].tx.ID().Short())
 	}
 	size := txSize(tx)
-	for len(m.byID) >= m.cfg.Capacity || (m.cfg.MaxBytes > 0 && m.bytes+size > m.cfg.MaxBytes) {
+	for len(m.byID) >= m.cfg.Capacity {
 		if !m.evictOne(class, tx.From) {
 			m.stats.DroppedFull++
 			return fmt.Errorf("%w: %d/%d txs resident", ErrMempoolFull, len(m.byID), m.cfg.Capacity)

@@ -14,6 +14,7 @@
 package chain
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -95,7 +96,8 @@ type Node struct {
 	// events is the node's one notification primitive: it fires when a
 	// vote is buffered, a block is appended, a transaction is pooled, or
 	// the node stops or restarts. Every wait on the commit path sleeps on
-	// it (await, Cluster.waitNodes) instead of polling.
+	// it (await, Cluster.waitNodes) instead of polling, and so does a
+	// reader of the committed chain between two reads (WaitHeight).
 	events signal
 
 	// applyMu serializes block application (execute + root check +
@@ -126,9 +128,6 @@ type Node struct {
 	chainID      string
 	lastRecovery *store.Recovered
 	persistErrs  int64
-
-	subsMu sync.Mutex
-	subs   []chan EventRecord
 
 	// votesMu guards the consensus ingress buffers: verified votes per
 	// proposed block, the node's own one-vote-per-height lock, the
@@ -334,8 +333,33 @@ func (n *Node) GasUsed() int64 {
 	return n.gasUsed
 }
 
-// Height returns the node's chain height.
-func (n *Node) Height() uint64 { return n.chain.Height() }
+// Height returns the node's chain height. It is safe to call from a
+// goroutine that outlives a Stop/Restart cycle (a tailer's): a
+// disk-backed restart swaps the ledger under mu.
+func (n *Node) Height() uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.chain.Height()
+}
+
+// WaitHeight blocks until the node's chain is at least h blocks high or
+// ctx is done, sleeping on the node's events in between — what a
+// tailer does between two reads of Committed.
+func (n *Node) WaitHeight(ctx context.Context, h uint64) error {
+	for {
+		woken := n.events.wait()
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if n.Height() >= h {
+			return nil
+		}
+		select {
+		case <-woken:
+		case <-ctx.Done():
+		}
+	}
+}
 
 // Receipt returns the receipt of a committed transaction.
 func (n *Node) Receipt(txID cryptoutil.Digest) (*contract.Receipt, bool) {
@@ -345,50 +369,54 @@ func (n *Node) Receipt(txID cryptoutil.Digest) (*contract.Receipt, bool) {
 	return r, ok
 }
 
-// SubscribeEvents returns a channel of committed contract events. The
-// channel is buffered; slow consumers lose events (counted by the
-// oracle's own retry logic). Close the node to release it.
-func (n *Node) SubscribeEvents(buf int) <-chan EventRecord {
-	if buf <= 0 {
-		buf = 1024
-	}
-	ch := make(chan EventRecord, buf)
-	n.subsMu.Lock()
-	n.subs = append(n.subs, ch)
-	n.subsMu.Unlock()
-	return ch
-}
-
-func (n *Node) publish(rec EventRecord) {
-	n.subsMu.Lock()
-	defer n.subsMu.Unlock()
-	for _, ch := range n.subs {
-		select {
-		case ch <- rec:
-		default: // drop for slow consumers
+// Committed is the one read path over the committed chain (DESIGN.md
+// "Reading the chain"): it hands fn every block above after, in height
+// order, with that block's receipts aligned to blk.Txs, and returns the
+// height it read through — after itself when nothing is new. It reads
+// only blocks the ledger has appended, one lookup per new block, and
+// calls fn on the caller's goroutine with no node lock held. A reader
+// that keeps the returned height as its cursor therefore sees exactly
+// the committed blocks, once, in order, also across a restart below its
+// cursor: the cursor just waits for the chain to pass it again.
+func (n *Node) Committed(after uint64, fn func(blk *ledger.Block, receipts []*contract.Receipt)) uint64 {
+	for {
+		blk, receipts := n.committedAt(after + 1)
+		if blk == nil {
+			return after
 		}
+		fn(blk, receipts)
+		after++
 	}
 }
 
-// EventsSince reconstructs the committed event stream after a height
-// from stored receipts — the catch-up path for a monitor node that was
-// down (SubscribeEvents only streams events committed while attached).
+// committedAt reads one block with its receipts under mu, the lock
+// adoptRecovered swaps ledger and receipts under, so the pair is always
+// of one ledger. Every appended block has its receipts: execute records
+// them before the append, recovery returns them with the ledger.
+func (n *Node) committedAt(height uint64) (*ledger.Block, []*contract.Receipt) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	blk, err := n.chain.BlockAt(height)
+	if err != nil {
+		return nil, nil
+	}
+	receipts := make([]*contract.Receipt, len(blk.Txs))
+	for i, tx := range blk.Txs {
+		receipts[i] = n.receipts[tx.ID()]
+	}
+	return blk, receipts
+}
+
+// EventsSince flattens Committed into the contract events committed
+// above a height, in commit order.
 func (n *Node) EventsSince(height uint64) []EventRecord {
 	var out []EventRecord
-	n.chain.Walk(func(blk *ledger.Block) bool {
-		if blk.Header.Height <= height {
-			return true
-		}
-		for _, tx := range blk.Txs {
-			r, ok := n.Receipt(tx.ID())
-			if !ok {
-				continue
-			}
+	n.Committed(height, func(blk *ledger.Block, receipts []*contract.Receipt) {
+		for _, r := range receipts {
 			for _, ev := range r.Events {
-				out = append(out, EventRecord{Height: blk.Header.Height, TxID: tx.ID(), Event: ev})
+				out = append(out, EventRecord{Height: blk.Header.Height, TxID: r.TxID, Event: ev})
 			}
 		}
-		return true
 	})
 	return out
 }
@@ -1219,7 +1247,7 @@ func (n *Node) pruneConsensusBuffers(committed uint64) {
 }
 
 // execute applies all transactions of a block to the state machine,
-// recording receipts, gas, and events: by materialising this node's own
+// recording receipts and gas: by materialising this node's own
 // preview of the block if it holds one, through the executor otherwise.
 // The caller holds applyMu and has validated blk against the head, so a
 // preview of this block was made over exactly this state.
@@ -1234,11 +1262,14 @@ func (n *Node) execute(blk *ledger.Block) error {
 		receipts, _, err = n.executor().ExecuteBlock(n.state, blk.Txs, blk.Header.Height, blk.Header.Timestamp)
 	}
 	// On a mid-block error the receipts cover the applied prefix;
-	// record them before failing so the receipts map, gas, and
-	// published events match the state.
-	for i, r := range receipts {
-		n.recordReceipt(blk, blk.Txs[i], r)
+	// record them before failing so the receipts map and gas match the
+	// state.
+	n.mu.Lock()
+	for _, r := range receipts {
+		n.receipts[r.TxID] = r
+		n.gasUsed += r.GasUsed
 	}
+	n.mu.Unlock()
 	return err
 }
 
@@ -1261,17 +1292,6 @@ func (n *Node) setPending(p *pendingBlock) {
 	n.votesMu.Lock()
 	defer n.votesMu.Unlock()
 	n.pending = p
-}
-
-// recordReceipt stores one committed receipt and publishes its events.
-func (n *Node) recordReceipt(blk *ledger.Block, tx *ledger.Transaction, r *contract.Receipt) {
-	n.mu.Lock()
-	n.receipts[tx.ID()] = r
-	n.gasUsed += r.GasUsed
-	n.mu.Unlock()
-	for _, ev := range r.Events {
-		n.publish(EventRecord{Height: blk.Header.Height, TxID: tx.ID(), Event: ev})
-	}
 }
 
 // pruneMempool removes a committed block's transactions from the pool,

@@ -23,14 +23,12 @@ type PersistOptions struct {
 	SyncEvery int
 	// SnapshotEvery writes a state snapshot every N blocks (0 = none).
 	SnapshotEvery int
-	// SnapshotKeep is how many snapshots to retain (<2 = 2).
-	SnapshotKeep int
 }
 
 func (p PersistOptions) storeOptions(chainID string) store.Options {
 	return store.Options{
 		FS: p.FS, Dir: p.Dir, ChainID: chainID,
-		SyncEvery: p.SyncEvery, SnapshotEvery: p.SnapshotEvery, SnapshotKeep: p.SnapshotKeep,
+		SyncEvery: p.SyncEvery, SnapshotEvery: p.SnapshotEvery,
 	}
 }
 
@@ -50,12 +48,11 @@ type NodeConfig struct {
 	// state snapshots live here and the node recovers from it on
 	// construction and on Restart. Empty = memory-only.
 	DataDir string
-	// FS, SyncEvery, SnapshotEvery, SnapshotKeep tune the storage
-	// engine; see PersistOptions. Ignored when DataDir is empty.
+	// FS, SyncEvery, SnapshotEvery tune the storage engine; see
+	// PersistOptions. Ignored when DataDir is empty.
 	FS            store.FS
 	SyncEvery     int
 	SnapshotEvery int
-	SnapshotKeep  int
 }
 
 // NewNodeFromConfig creates a node, recovering ledger, contract state,
@@ -68,7 +65,7 @@ func NewNodeFromConfig(cfg NodeConfig) (*Node, *store.Recovered, error) {
 	if cfg.DataDir != "" {
 		n.popts = &PersistOptions{
 			Dir: cfg.DataDir, FS: cfg.FS,
-			SyncEvery: cfg.SyncEvery, SnapshotEvery: cfg.SnapshotEvery, SnapshotKeep: cfg.SnapshotKeep,
+			SyncEvery: cfg.SyncEvery, SnapshotEvery: cfg.SnapshotEvery,
 		}
 		st, r, err := store.Open(n.popts.storeOptions(cfg.ChainID))
 		if err != nil {
@@ -182,13 +179,8 @@ func (n *Node) notePersistErr() {
 // in chain order — the snapshot payload's receipt log.
 func (n *Node) orderedReceipts() []*contract.Receipt {
 	var out []*contract.Receipt
-	n.chain.Walk(func(blk *ledger.Block) bool {
-		for _, tx := range blk.Txs {
-			if r, ok := n.Receipt(tx.ID()); ok {
-				out = append(out, r)
-			}
-		}
-		return true
+	n.Committed(0, func(_ *ledger.Block, receipts []*contract.Receipt) {
+		out = append(out, receipts...)
 	})
 	return out
 }

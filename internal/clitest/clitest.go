@@ -2,7 +2,8 @@
 // cmd/ and examples/: build the package the test sits in, run it, mask
 // what legitimately differs between two runs (durations, and on request
 // block heights and wall-clock-derived digests), and compare with
-// testdata/<name>.golden. The goldens were recorded at commit 56c8a1c;
+// testdata/<name>.golden. The goldens were recorded at commit 56c8a1c
+// (trialctl's and medchaind's single-durable/-rerun at PR 23);
 // `go test ./cmd/... ./examples/... -update-golden` re-records them for
 // a deliberate change of what a binary prints.
 package clitest

@@ -3,11 +3,15 @@ package core
 import (
 	"encoding/base64"
 	"encoding/json"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"medchain/internal/chain"
 	"medchain/internal/contract"
+	"medchain/internal/emr"
 	"medchain/internal/ledger"
 	"medchain/internal/offchain"
 	"medchain/internal/oracle"
@@ -214,5 +218,44 @@ func TestVMContractReadsRegistryViaOracle(t *testing.T) {
 		if len(tools) != 4 {
 			t.Fatalf("node %d tools %v", i, tools)
 		}
+	}
+}
+
+// TestIndexedPlatformAndMonitorCloseClean: an indexed platform with a
+// monitor tailing one of its nodes shuts down to the goroutine count it
+// started from, whichever of the two is closed first — the monitor
+// sleeps on the node's events, which a closing node fires, and owns the
+// only goroutine of the read side (the indexer has none).
+func TestIndexedPlatformAndMonitorCloseClean(t *testing.T) {
+	for _, order := range []string{"monitor first", "platform first"} {
+		base := runtime.NumGoroutine()
+		p, err := NewPlatform(Config{Sites: 2, PatientsPerSite: 4, Seed: 42, KeySeed: "test/" + t.Name(), Index: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mon := oracle.NewMonitor(p.Cluster().Node(1), oracle.MonitorConfig{})
+		var anchored atomic.Int64
+		mon.On("ManifestsAnchored", func(chain.EventRecord) error {
+			anchored.Add(1)
+			return nil
+		})
+		recs := emr.NewGenerator(emr.GenConfig{Seed: 7, Patients: 3, StartID: 10_000}).Generate()
+		if err := p.IngestBlobs("site-0", recs); err != nil {
+			t.Fatal(err)
+		}
+		p.SyncIndex()
+		for deadline := time.Now().Add(5 * time.Second); anchored.Load() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("monitor never saw the ingest's ManifestsAnchored event")
+			}
+		}
+		if order == "monitor first" {
+			mon.Close()
+			p.Close()
+		} else {
+			p.Close()
+			mon.Close()
+		}
+		settleGoroutines(t, base, "Platform.Close and Monitor.Close, "+order)
 	}
 }

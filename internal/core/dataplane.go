@@ -8,6 +8,7 @@ import (
 
 	"medchain/internal/analytics"
 	"medchain/internal/blob"
+	"medchain/internal/chain"
 	"medchain/internal/contract"
 	"medchain/internal/emr"
 	"medchain/internal/indexer"
@@ -103,9 +104,9 @@ func (p *Platform) anchorBlobs(siteID string, recs []*emr.Record) error {
 
 // IngestBlobs writes new records into a site's blob store and anchors
 // their manifests on chain — the sustained-ingest path (E15). The
-// index does NOT advance until it tails the new blocks (SyncIndex or a
-// running background tailer), which is exactly the freshness lag the
-// data plane's staleness contract exposes.
+// index does NOT advance until it reads the new blocks (SyncIndex),
+// which is exactly the freshness lag the data plane's staleness
+// contract exposes.
 func (p *Platform) IngestBlobs(siteID string, recs []*emr.Record) error {
 	if p.idx == nil {
 		return ErrNoIndex
@@ -116,10 +117,11 @@ func (p *Platform) IngestBlobs(siteID string, recs []*emr.Record) error {
 // Indexer returns the chain-tailing indexer (nil unless Config.Index).
 func (p *Platform) Indexer() *indexer.Indexer { return p.idx }
 
-// SyncIndex catches the index up to node 0's committed tip.
+// SyncIndex catches the index up to the best running node's committed
+// tip; with the whole cluster down it stays where it is.
 func (p *Platform) SyncIndex() {
-	if p.idx != nil {
-		p.idx.CatchUp(p.cluster.Node(0))
+	if n := p.cluster.Best(); p.idx != nil && n != nil {
+		p.idx.CatchUp(n)
 	}
 }
 
@@ -165,7 +167,11 @@ func (p *Platform) QueryIndexed(requester *Account, q string) (*IndexedResult, e
 	}
 	start := time.Now()
 	res := &IndexedResult{Vector: v}
-	res.IndexedHeight, res.ChainHeight = p.idx.Lag(p.cluster.Node(0))
+	tip := p.cluster.Best()
+	if tip == nil {
+		return nil, chain.ErrStopped // no freshness pair to answer against
+	}
+	res.IndexedHeight, res.ChainHeight = p.idx.Lag(tip)
 	if res.ChainHeight > res.IndexedHeight {
 		res.Lag = res.ChainHeight - res.IndexedHeight
 	}

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"medchain/internal/blob"
+	"medchain/internal/chain"
 	"medchain/internal/contract"
 	"medchain/internal/emr"
+	"medchain/internal/indexer"
 	"medchain/internal/store"
 )
 
@@ -182,5 +184,102 @@ func TestQueryIndexedRequiresIndex(t *testing.T) {
 	}
 	if _, err := p.Query(researcher, "how many patients with diabetes"); err != nil {
 		t.Fatalf("un-indexed platform must still answer via RunTransformed: %v", err)
+	}
+}
+
+// rebuiltIndex replays node's committed events from genesis into a fresh
+// index over the platform's blob stores — the reference a live index
+// must equal.
+func rebuiltIndex(p *Platform, node *chain.Node) *indexer.Index {
+	stores := make(map[string]*blob.Store)
+	for _, site := range p.Sites() {
+		stores[site.ID()+"/emr"] = site.BlobStore()
+	}
+	fetch := indexer.StoreFetcher(func(ds string) *blob.Store { return stores[ds] })
+	return indexer.Rebuild(node.EventsSince(0), fetch, node.Height())
+}
+
+// TestIndexFollowsTheCommittedChain holds the index to the chain, not
+// to one replica of it and not to a height read after the events:
+//
+//   - One goroutine commits register_manifests blocks while this one
+//     calls CatchUp in a loop; afterwards the live index is digest-equal
+//     to a rebuild from the committed events. (CatchUp used to mark
+//     node.Height(), read after the events were snapshotted, as indexed:
+//     a block committed in between was never read. 50 of 50 runs failed
+//     at dd72d03.)
+//   - With node 0 stopped and the quorum intact, an ingest is still
+//     indexed and queryable and the freshness pair is the best running
+//     node's (SyncIndex and QueryIndexed read Node(0)).
+func TestIndexFollowsTheCommittedChain(t *testing.T) {
+	p, researcher := indexedPlatform(t, 4, 4)
+	recs := emr.NewGenerator(emr.GenConfig{Seed: 7, Patients: 60, StartID: 10_000}).Generate()
+	node := p.Cluster().Node(0)
+	ingested := make(chan error, 1)
+	go func() {
+		for _, r := range recs[:30] {
+			if err := p.IngestBlobs("site-1", []*emr.Record{r}); err != nil {
+				ingested <- err
+				return
+			}
+		}
+		ingested <- nil
+	}()
+	for committing := true; committing; {
+		select {
+		case err := <-ingested:
+			if err != nil {
+				t.Fatal(err)
+			}
+			committing = false
+		default:
+		}
+		p.Indexer().CatchUp(node)
+	}
+	live := p.Indexer().Index()
+	if want := rebuiltIndex(p, node); live.Digest() != want.Digest() {
+		t.Fatalf("live index (%d docs @%d) differs from a rebuild of the committed events (%d docs @%d)",
+			live.Docs(), live.Height(), want.Docs(), want.Height())
+	}
+
+	p.Cluster().StopNode(0)
+	before, err := p.QueryIndexed(researcher, "how many patients with diabetes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.IngestBlobs("site-2", recs[30:]); err != nil {
+		t.Fatal(err)
+	}
+	tip := p.Cluster().Best().Height()
+	if tip <= node.Height() {
+		t.Fatalf("the ingest did not pass stopped node 0: tip %d, node 0 at %d", tip, node.Height())
+	}
+	stale, err := p.QueryIndexed(researcher, "how many patients with diabetes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stale.ChainHeight != tip || stale.Lag == 0 {
+		t.Fatalf("freshness with node 0 down: %+v, tip %d", stale, tip)
+	}
+	p.SyncIndex()
+	after, err := p.QueryIndexed(researcher, "how many patients with diabetes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	matching := 0
+	for _, r := range recs[30:] {
+		if after.Vector.IndexQuery().MatchRecord(r) {
+			matching++
+		}
+	}
+	if matching == 0 || after.Count != before.Count+matching || after.IndexedHeight != tip || after.Lag != 0 {
+		t.Fatalf("after SyncIndex with node 0 down: count %d -> %d (%d ingested records match), indexed %d of %d",
+			before.Count, after.Count, matching, after.IndexedHeight, tip)
+	}
+	if indexed, chainTip := p.Indexer().Lag(p.Cluster().Best()); indexed != tip || chainTip != tip {
+		t.Fatalf("Lag = %d/%d, tip %d", indexed, chainTip, tip)
+	}
+	if want := rebuiltIndex(p, p.Cluster().Best()); live.Digest() != want.Digest() {
+		t.Fatalf("live index differs from a rebuild on the best node (%d docs vs %d)", live.Docs(), want.Docs())
 	}
 }

@@ -77,8 +77,8 @@ const (
 )
 
 // AdmissionConfig tunes the admission controller. The zero value
-// disables rate limiting (all buckets unlimited) but keeps the
-// overload state machine active at the default thresholds.
+// disables rate limiting (all buckets unlimited); the overload state
+// machine is always active, at fixed thresholds.
 type AdmissionConfig struct {
 	// ClientRate is each submitter's sustained budget in tx/s
 	// (0 = unlimited). ClientBurst is the bucket capacity (default
@@ -93,21 +93,6 @@ type AdmissionConfig struct {
 	// bytes per second (0 = unlimited).
 	GlobalByteRate  float64
 	GlobalByteBurst float64
-	// ShedAt is the mempool fill fraction at which the controller moves
-	// healthy → shedding (default 0.75); it returns to healthy below
-	// ShedReleaseAt (default ShedAt · 2⁄3 — hysteresis keeps the edge
-	// from flapping at the boundary).
-	ShedAt        float64
-	ShedReleaseAt float64
-	// SaturateAt is the fill fraction at which shedding → saturated
-	// (default 0.92); it relaxes back to shedding below
-	// SaturateReleaseAt (default ShedAt).
-	SaturateAt        float64
-	SaturateReleaseAt float64
-	// RetryAfter is the base backpressure hint attached to shed/saturate
-	// rejections (default 50ms). Rate-limit rejections hint the time
-	// until one token refills instead.
-	RetryAfter time.Duration
 	// MaxClients bounds the per-client bucket table; beyond it the
 	// least-recently-seen bucket is recycled (default 4096). An attacker
 	// minting submitter identities must not exhaust the edge's memory.
@@ -115,6 +100,21 @@ type AdmissionConfig struct {
 	// Clock overrides time.Now for deterministic tests.
 	Clock func() time.Time
 }
+
+// The overload thresholds, as mempool fill fractions. The controller
+// moves healthy → shedding at shedAt and back below shedReleaseAt,
+// shedding → saturated at saturateAt and back below saturateReleaseAt;
+// the gaps are hysteresis that keeps the edge from flapping at a
+// boundary. shedRetryAfter is the backpressure hint attached to
+// shed/saturate rejections (rate-limit rejections hint the time until
+// one token refills instead).
+const (
+	shedAt            = 0.75
+	shedReleaseAt     = 0.5
+	saturateAt        = 0.92
+	saturateReleaseAt = shedAt
+	shedRetryAfter    = 50 * time.Millisecond
+)
 
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	if c.ClientRate > 0 && c.ClientBurst <= 0 {
@@ -128,24 +128,6 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	}
 	if c.GlobalByteRate > 0 && c.GlobalByteBurst <= 0 {
 		c.GlobalByteBurst = c.GlobalByteRate
-	}
-	if c.ShedAt <= 0 || c.ShedAt > 1 {
-		c.ShedAt = 0.75
-	}
-	if c.ShedReleaseAt <= 0 || c.ShedReleaseAt >= c.ShedAt {
-		c.ShedReleaseAt = c.ShedAt * 2 / 3
-	}
-	if c.SaturateAt <= c.ShedAt || c.SaturateAt > 1 {
-		c.SaturateAt = 0.92
-		if c.SaturateAt <= c.ShedAt {
-			c.SaturateAt = (c.ShedAt + 1) / 2
-		}
-	}
-	if c.SaturateReleaseAt <= 0 || c.SaturateReleaseAt >= c.SaturateAt {
-		c.SaturateReleaseAt = c.ShedAt
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 50 * time.Millisecond
 	}
 	if c.MaxClients <= 0 {
 		c.MaxClients = 4096
@@ -259,21 +241,21 @@ func (a *Admission) advanceState(fill float64) {
 	prev := a.state
 	switch a.state {
 	case StateHealthy:
-		if fill >= a.cfg.SaturateAt {
+		if fill >= saturateAt {
 			a.state = StateSaturated
-		} else if fill >= a.cfg.ShedAt {
+		} else if fill >= shedAt {
 			a.state = StateShedding
 		}
 	case StateShedding:
-		if fill >= a.cfg.SaturateAt {
+		if fill >= saturateAt {
 			a.state = StateSaturated
-		} else if fill < a.cfg.ShedReleaseAt {
+		} else if fill < shedReleaseAt {
 			a.state = StateHealthy
 		}
 	case StateSaturated:
-		if fill < a.cfg.SaturateReleaseAt {
+		if fill < saturateReleaseAt {
 			a.state = StateShedding
-			if fill < a.cfg.ShedReleaseAt {
+			if fill < shedReleaseAt {
 				a.state = StateHealthy
 			}
 		}
@@ -319,7 +301,7 @@ func (a *Admission) Decide(client string, class Class, size int64, fill float64)
 
 	reject := func(reason RejectReason, wait time.Duration) Decision {
 		if wait <= 0 {
-			wait = a.cfg.RetryAfter
+			wait = shedRetryAfter
 		}
 		d.Reason, d.RetryAfter = reason, wait
 		a.rejected[reason]++
@@ -336,10 +318,10 @@ func (a *Admission) Decide(client string, class Class, size int64, fill float64)
 	}
 	switch a.state {
 	case StateSaturated:
-		return reject(RejectSaturated, a.cfg.RetryAfter)
+		return reject(RejectSaturated, shedRetryAfter)
 	case StateShedding:
 		if class == ClassBulk {
-			return reject(RejectShedding, a.cfg.RetryAfter)
+			return reject(RejectShedding, shedRetryAfter)
 		}
 	}
 	if a.cfg.ClientRate > 0 {

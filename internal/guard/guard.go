@@ -41,21 +41,28 @@ const (
 	// OffenseSyncFlood is a sync request beyond the token-bucket rate.
 	OffenseSyncFlood Offense = "sync-flood"
 	// OffenseEquivocation is provable double-signing (double proposal or
-	// double vote). Its default weight quarantines instantly.
+	// double vote). Its weight quarantines instantly.
 	OffenseEquivocation Offense = "equivocation"
 )
+
+// weights is each offense's score increment.
+var weights = map[Offense]float64{
+	OffenseMalformed:    10,
+	OffenseInvalidVote:  15,
+	OffenseBadProposal:  20,
+	OffenseInvalidSeal:  20,
+	OffenseSyncFlood:    10,
+	OffenseEquivocation: quarantineScore,
+}
+
+// quarantineScore is the score at or above which a peer is
+// quarantined; release happens when decay brings the score under half
+// of it.
+const quarantineScore = 100
 
 // Config tunes the guard. The zero value gets usable defaults from
 // withDefaults.
 type Config struct {
-	// Weights maps each offense to its score increment. Defaults:
-	// malformed 10, invalid-vote 15, bad-proposal 20, invalid-seal 20,
-	// sync-flood 10, equivocation 100 (instant quarantine).
-	Weights map[Offense]float64
-	// QuarantineScore is the score at or above which a peer is
-	// quarantined (default 100). Release happens when decay brings the
-	// score under QuarantineScore/2.
-	QuarantineScore float64
 	// DecayHalfLife is the score half-life (default 30s).
 	DecayHalfLife time.Duration
 	// SyncBurst is the sync-request token bucket capacity (default 8).
@@ -68,12 +75,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Weights == nil {
-		c.Weights = DefaultWeights()
-	}
-	if c.QuarantineScore <= 0 {
-		c.QuarantineScore = 100
-	}
 	if c.DecayHalfLife <= 0 {
 		c.DecayHalfLife = 30 * time.Second
 	}
@@ -87,18 +88,6 @@ func (c Config) withDefaults() Config {
 		c.Clock = time.Now
 	}
 	return c
-}
-
-// DefaultWeights returns the default offense weights.
-func DefaultWeights() map[Offense]float64 {
-	return map[Offense]float64{
-		OffenseMalformed:    10,
-		OffenseInvalidVote:  15,
-		OffenseBadProposal:  20,
-		OffenseInvalidSeal:  20,
-		OffenseSyncFlood:    10,
-		OffenseEquivocation: 100,
-	}
 }
 
 // peerState is one peer's ledger of sins.
@@ -164,7 +153,7 @@ func (g *Guard) decay(p *peerState, now time.Time) {
 		}
 		p.scoredAt = now
 	}
-	if p.quarantined && p.score < g.cfg.QuarantineScore/2 {
+	if p.quarantined && p.score < quarantineScore/2 {
 		p.quarantined = false
 	}
 }
@@ -177,8 +166,8 @@ func (g *Guard) Record(peerID string, off Offense) (quarantinedNow bool) {
 	p := g.peer(peerID)
 	g.decay(p, g.cfg.Clock())
 	p.offenses[off]++
-	p.score += g.cfg.Weights[off]
-	if !p.quarantined && p.score >= g.cfg.QuarantineScore {
+	p.score += weights[off]
+	if !p.quarantined && p.score >= quarantineScore {
 		p.quarantined = true
 		g.quarantines++
 		return true

@@ -1,6 +1,7 @@
 // Package indexer implements the chain-tailing EMR indexer of the
-// off-chain data plane: a crawler that subscribes to committed blocks,
-// fetches the record blobs each ManifestsAnchored event names from the
+// off-chain data plane: a crawler that reads committed blocks by height
+// (Indexer.CatchUp; DESIGN.md "Reading the chain"), fetches the record
+// blobs each ManifestsAnchored event names from the
 // content-addressed blob stores, extracts typed fields from any of the
 // three legacy encodings (HL7v2-lite, CSV extract, FHIR-lite), and
 // maintains a searchable inverted index the query service uses for

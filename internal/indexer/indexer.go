@@ -11,6 +11,7 @@ import (
 	"medchain/internal/contract"
 	"medchain/internal/cryptoutil"
 	"medchain/internal/emr"
+	"medchain/internal/ledger"
 )
 
 // Errors.
@@ -93,22 +94,19 @@ func DocFrom(dataset, record, format string, root cryptoutil.Digest, height uint
 }
 
 // Indexer is the crawler/extractor pipeline: events in, docs (or
-// counted skips) out. It is idempotent per transaction — re-delivered
-// ManifestsAnchored events (subscribe/catch-up overlap) are processed
-// once — and safe for one background tailer plus synchronous callers.
+// counted skips) out. It expects each committed event once — what
+// CatchUp's cursor, Rebuild's single pass and any other reader of
+// Node.Committed deliver — and is safe for concurrent callers.
 type Indexer struct {
 	ix    *Index
 	fetch FetchFunc
 
-	mu   sync.Mutex
-	seen map[cryptoutil.Digest]struct{}
-	stop chan struct{}
-	done chan struct{}
+	mu sync.Mutex
 }
 
 // New builds an indexer writing into ix.
 func New(ix *Index, fetch FetchFunc) *Indexer {
-	return &Indexer{ix: ix, fetch: fetch, seen: make(map[cryptoutil.Digest]struct{})}
+	return &Indexer{ix: ix, fetch: fetch}
 }
 
 // Index returns the underlying index.
@@ -128,10 +126,6 @@ func (x *Indexer) handleLocked(rec chain.EventRecord) {
 	if rec.Event.Topic != "ManifestsAnchored" {
 		return
 	}
-	if _, dup := x.seen[rec.TxID]; dup {
-		return
-	}
-	x.seen[rec.TxID] = struct{}{}
 	var ev contract.ManifestsAnchored
 	if err := json.Unmarshal(rec.Event.Data, &ev); err != nil {
 		x.ix.Skip(SkipBadEvent)
@@ -167,51 +161,21 @@ func (x *Indexer) indexEntry(dataset, evFormat string, e contract.ManifestEntry,
 	x.ix.Add(doc)
 }
 
-// CatchUp replays committed events above the indexed height from the
-// node's chain — the recovery path for a tailer that was down or whose
-// subscription dropped events — then marks the node's tip as indexed.
+// CatchUp absorbs the blocks committed above the indexed height from the
+// node's chain (DESIGN.md "Reading the chain") and marks as indexed the
+// height that read went through — never a tip read afterwards, which a
+// block committed in between would make a claim about unread events.
 func (x *Indexer) CatchUp(node *chain.Node) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	for _, rec := range node.EventsSince(x.ix.Height()) {
-		x.handleLocked(rec)
-	}
-	x.ix.ObserveHeight(node.Height())
-}
-
-// Start catches up and then tails the node's committed-event stream in
-// a background goroutine until Stop. The subscription may drop events
-// under load; Stop runs a final CatchUp so the index converges.
-func (x *Indexer) Start(node *chain.Node) {
-	ch := node.SubscribeEvents(4096)
-	x.stop = make(chan struct{})
-	x.done = make(chan struct{})
-	go func() {
-		defer close(x.done)
-		x.CatchUp(node)
-		for {
-			select {
-			case rec, ok := <-ch:
-				if !ok {
-					return
-				}
-				x.HandleEvent(rec)
-			case <-x.stop:
-				x.CatchUp(node)
-				return
+	through := node.Committed(x.ix.Height(), func(blk *ledger.Block, receipts []*contract.Receipt) {
+		for _, r := range receipts {
+			for _, ev := range r.Events {
+				x.handleLocked(chain.EventRecord{Height: blk.Header.Height, TxID: r.TxID, Event: ev})
 			}
 		}
-	}()
-}
-
-// Stop halts the background tailer (no-op if Start was never called).
-func (x *Indexer) Stop() {
-	if x.stop == nil {
-		return
-	}
-	close(x.stop)
-	<-x.done
-	x.stop = nil
+	})
+	x.ix.ObserveHeight(through)
 }
 
 // Lag returns the freshness pair: the indexed height and the node's

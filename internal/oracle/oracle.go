@@ -4,10 +4,10 @@
 //
 // Two pieces:
 //
-//   - Monitor: subscribes to a chain node's committed contract events
-//     and dispatches them to registered handlers, with bounded retries
-//     and optional batching (ablation A2 compares per-event vs batched
-//     dispatch).
+//   - Monitor: tails a chain node's committed blocks by height (DESIGN.md
+//     "Reading the chain") and dispatches their contract events to
+//     registered handlers, with bounded retries and optional batching
+//     (ablation A2 compares per-event vs batched dispatch).
 //   - Bridge: a named-service RPC registry whose responses are
 //     canonicalized JSON — the deterministic "standard format" that
 //     lets replicated smart-contract executions agree on host-call
@@ -17,6 +17,7 @@ package oracle
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,6 +25,8 @@ import (
 	"sync"
 
 	"medchain/internal/chain"
+	"medchain/internal/contract"
+	"medchain/internal/ledger"
 )
 
 // Errors.
@@ -46,8 +49,6 @@ type MonitorConfig struct {
 	// BatchSize > 1 groups events per topic and delivers them to batch
 	// handlers in groups (flushed when full or on Flush/Close).
 	BatchSize int
-	// Buffer is the subscription buffer size.
-	Buffer int
 }
 
 // MonitorStats are cumulative dispatch counters.
@@ -62,50 +63,51 @@ type MonitorStats struct {
 	Batches int64
 }
 
-// Monitor is the monitor node: it watches one chain node's event feed.
+// Monitor is the monitor node: it tails one chain node's committed
+// blocks.
 type Monitor struct {
 	cfg MonitorConfig
+	// attached is the node's height when the monitor attached: the loop
+	// delivers every block above it, Replay only blocks up to it.
+	attached uint64
 
 	mu            sync.Mutex
 	handlers      map[string][]Handler
 	batchHandlers map[string][]BatchHandler
 	pending       map[string][]chain.EventRecord
 	stats         MonitorStats
-	closed        bool
 
-	events <-chan chain.EventRecord
+	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	stop   chan struct{}
 }
 
 // NewMonitor attaches a monitor to a chain node. Call Close to stop.
 func NewMonitor(node *chain.Node, cfg MonitorConfig) *Monitor {
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 1024
-	}
+	ctx, cancel := context.WithCancel(context.Background())
 	m := &Monitor{
 		cfg:           cfg,
+		attached:      node.Height(),
 		handlers:      make(map[string][]Handler),
 		batchHandlers: make(map[string][]BatchHandler),
 		pending:       make(map[string][]chain.EventRecord),
-		events:        node.SubscribeEvents(cfg.Buffer),
-		stop:          make(chan struct{}),
+		cancel:        cancel,
 	}
 	m.wg.Add(1)
-	go m.loop()
+	go m.loop(ctx, node)
 	return m
 }
 
-// Replay dispatches the node's committed events after fromHeight
-// through the monitor's handlers — the catch-up path when a monitor
-// (re)attaches after downtime. Register handlers first; live events
-// keep flowing concurrently, so an event committed during the replay
-// window may be delivered twice — handlers must be idempotent (keyed by
-// TxID + topic).
+// Replay dispatches the events committed above fromHeight and up to the
+// height the monitor attached at — the catch-up path when a monitor
+// (re)attaches after downtime; the live loop delivers everything above
+// that height, so no event reaches a handler twice. Register handlers
+// first.
 func (m *Monitor) Replay(node *chain.Node, fromHeight uint64) {
-	for _, rec := range node.EventsSince(fromHeight) {
-		m.dispatch(rec)
-	}
+	node.Committed(fromHeight, func(blk *ledger.Block, receipts []*contract.Receipt) {
+		if blk.Header.Height <= m.attached {
+			m.dispatchBlock(blk, receipts)
+		}
+	})
 }
 
 // On registers a per-event handler for a topic.
@@ -129,17 +131,25 @@ func (m *Monitor) Stats() MonitorStats {
 	return m.stats
 }
 
-func (m *Monitor) loop() {
+// loop holds the monitor's cursor: sleep until the chain passes it,
+// dispatch what was committed, advance. Nothing is buffered, so a slow
+// handler makes the monitor lag, never lose an event.
+func (m *Monitor) loop(ctx context.Context, node *chain.Node) {
 	defer m.wg.Done()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case rec, ok := <-m.events:
-			if !ok {
-				return
+	next := m.attached
+	for node.WaitHeight(ctx, next+1) == nil {
+		next = node.Committed(next, func(blk *ledger.Block, receipts []*contract.Receipt) {
+			if ctx.Err() == nil { // Close does not wait out a backlog
+				m.dispatchBlock(blk, receipts)
 			}
-			m.dispatch(rec)
+		})
+	}
+}
+
+func (m *Monitor) dispatchBlock(blk *ledger.Block, receipts []*contract.Receipt) {
+	for _, r := range receipts {
+		for _, ev := range r.Events {
+			m.dispatch(chain.EventRecord{Height: blk.Header.Height, TxID: r.TxID, Event: ev})
 		}
 	}
 }
@@ -222,16 +232,9 @@ func (m *Monitor) Flush() {
 	}
 }
 
-// Close stops the monitor, flushing pending batches.
+// Close stops the monitor, flushing pending batches. It is idempotent.
 func (m *Monitor) Close() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.closed = true
-	m.mu.Unlock()
-	close(m.stop)
+	m.cancel()
 	m.wg.Wait()
 	m.Flush()
 }

@@ -34,29 +34,18 @@ const (
 // records and resolutions, in transaction order) whose inclusion
 // proofs the protocol later needs.
 func (s *System) scanShard(i int) {
-	c := s.shards[i]
 	id := s.shardIDs[i]
-	n := BestNode(c)
+	n := BestNode(s.shards[i])
 	if n == nil {
 		return
 	}
-	top := n.Height()
-	for h := s.scanned[id] + 1; h <= top; h++ {
-		blk, err := n.Chain().BlockAt(h)
-		if err != nil {
-			// Gap (pruned or mid-sync): stop here, retry next round.
-			return
-		}
+	s.scanned[id] = n.Committed(s.scanned[id], func(blk *ledger.Block, receipts []*contract.Receipt) {
 		var leaves [][]byte
-		for _, tx := range blk.Txs {
-			if tx.Type != ledger.TxCross {
+		for j, tx := range blk.Txs {
+			if tx.Type != ledger.TxCross || !receipts[j].OK() {
 				continue
 			}
-			r, ok := n.Receipt(tx.ID())
-			if !ok || !r.OK() {
-				continue
-			}
-			for _, ev := range r.Events {
+			for _, ev := range receipts[j].Events {
 				switch ev.Topic {
 				case topicCrossPrepared:
 					var rec contract.CrossRecord
@@ -75,10 +64,9 @@ func (s *System) scanShard(i int) {
 			if s.leaves[id] == nil {
 				s.leaves[id] = make(map[uint64][][]byte)
 			}
-			s.leaves[id][h] = leaves
+			s.leaves[id][blk.Header.Height] = leaves
 		}
-		s.scanned[id] = h
-	}
+	})
 }
 
 // proveLeaf builds the inclusion proof of leaf in shard's block at

@@ -25,7 +25,6 @@ import (
 	"medchain/internal/guard"
 	"medchain/internal/ledger"
 	"medchain/internal/p2p"
-	"medchain/internal/parexec"
 	"medchain/internal/store"
 )
 
@@ -43,13 +42,8 @@ type Config struct {
 	// (each chain runs a fully separate p2p.Network — shards share no
 	// transport, which is what makes Byzantine containment structural).
 	Network p2p.Config
-	// MaxBlockTxs caps transactions per block on every chain.
-	MaxBlockTxs int
 	// CommitTimeout bounds one commit round on every chain.
 	CommitTimeout time.Duration
-	// Exec configures every node's block executor on every chain (zero
-	// value = serial).
-	Exec parexec.Config
 	// DestExpiryBlocks is the destination-height deadline granted to a
 	// transfer at prepare time: dest height at submission + this
 	// (default 50). Small values force aborts — experiments use that.
@@ -76,9 +70,8 @@ type Config struct {
 	// committed block on disk, and group commit would trade that
 	// durability window for throughput.
 	SyncEvery int
-	// SnapshotEvery / SnapshotKeep tune state snapshots (0 = none).
+	// SnapshotEvery is the state snapshot cadence in blocks (0 = none).
 	SnapshotEvery int
-	SnapshotKeep  int
 
 	// CommitteeSize is the gateway failover committee per shard: member
 	// 0 is the initial anchoring gateway, the rest are standbys that
@@ -137,7 +130,7 @@ func (c Config) persistFor(chainID string) *chain.PersistConfig {
 	}
 	p := &chain.PersistConfig{
 		Dir: store.Join(c.DataDir, chainID), FS: c.FS,
-		SyncEvery: c.SyncEvery, SnapshotEvery: c.SnapshotEvery, SnapshotKeep: c.SnapshotKeep,
+		SyncEvery: c.SyncEvery, SnapshotEvery: c.SnapshotEvery,
 	}
 	if c.FSFor != nil {
 		p.FSFor = func(node int) store.FS { return c.FSFor(chainID, node) }
@@ -206,9 +199,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s.coord, err = chain.NewCluster(chain.ClusterConfig{
 		Nodes: cfg.CoordNodes, ChainID: "coord",
-		Network: cfg.Network, MaxBlockTxs: cfg.MaxBlockTxs,
-		CommitTimeout: cfg.CommitTimeout, KeySeed: cfg.KeySeed + "/coord",
-		Exec:  cfg.Exec,
+		Network: cfg.Network, CommitTimeout: cfg.CommitTimeout, KeySeed: cfg.KeySeed + "/coord",
 		Guard: cfg.Guard, Persist: cfg.persistFor("coord"),
 	})
 	if err != nil {
@@ -256,9 +247,7 @@ func (s *System) addShardCluster(i int) error {
 	}
 	c, err := chain.NewCluster(chain.ClusterConfig{
 		Nodes: s.cfg.NodesPerShard, ChainID: id,
-		Network: s.cfg.Network, MaxBlockTxs: s.cfg.MaxBlockTxs,
-		CommitTimeout: s.cfg.CommitTimeout, KeySeed: fmt.Sprintf("%s/%s", s.cfg.KeySeed, id),
-		Exec:  s.cfg.Exec,
+		Network: s.cfg.Network, CommitTimeout: s.cfg.CommitTimeout, KeySeed: fmt.Sprintf("%s/%s", s.cfg.KeySeed, id),
 		Guard: s.cfg.Guard, Persist: s.cfg.persistFor(id),
 	})
 	if err != nil {
@@ -472,20 +461,8 @@ func (s *System) anomaly(format string, args ...any) {
 	s.anomalies = append(s.anomalies, fmt.Sprintf(format, args...))
 }
 
-// BestNode returns the running node with the highest chain on c, nil if
-// the whole cluster is down.
-func BestNode(c *chain.Cluster) *chain.Node {
-	var best *chain.Node
-	for _, n := range c.Nodes() {
-		if !n.Running() {
-			continue
-		}
-		if best == nil || n.Height() > best.Height() {
-			best = n
-		}
-	}
-	return best
-}
+// BestNode is c.Best(); bench/ names it.
+func BestNode(c *chain.Cluster) *chain.Node { return c.Best() }
 
 // crossTx signs and gossips one cross-shard protocol transaction into a
 // cluster through SubmitSigned and returns it.

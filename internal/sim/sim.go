@@ -37,7 +37,6 @@
 package sim
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -49,7 +48,6 @@ import (
 	"medchain/internal/ledger"
 	"medchain/internal/p2p"
 	"medchain/internal/parexec"
-	"medchain/internal/resilience"
 )
 
 // subSeed derives an independent, stable sub-seed from the master seed
@@ -401,16 +399,7 @@ func Run(cfg Config) (*Result, error) {
 		if len(pending) == 0 {
 			return
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), settleBudget)
-		defer cancel()
-		resilience.PollCtx(ctx, &resilience.Backoff{Base: 50 * time.Microsecond, Max: time.Millisecond}, func() bool {
-			for _, i := range cluster.RunningNodes() {
-				if cluster.Node(i).MempoolSize() < len(pending) {
-					return false
-				}
-			}
-			return true
-		})
+		cluster.WaitPooled(len(pending), settleBudget)
 	}
 
 	// process walks every newly committed block — from the most

@@ -129,13 +129,13 @@ func LoadLatestSnapshot(fs FS, dir string) (height uint64, payload []byte, err e
 	return 0, nil, nil
 }
 
-// PruneSnapshots removes all but the newest keep snapshots (and any
-// stale tmp files). Keep at least 2 so a torn newest snapshot still
-// has a fallback.
-func PruneSnapshots(fs FS, dir string, keep int) {
-	if keep < 1 {
-		keep = 1
-	}
+// snapshotKeep is how many snapshots are retained: two, so a torn
+// newest snapshot always has a fallback.
+const snapshotKeep = 2
+
+// PruneSnapshots removes all but the newest snapshotKeep snapshots (and
+// any stale tmp files).
+func PruneSnapshots(fs FS, dir string) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
 		return
@@ -146,10 +146,10 @@ func PruneSnapshots(fs FS, dir string, keep int) {
 		}
 	}
 	heights, err := snapshotHeights(fs, dir)
-	if err != nil || len(heights) <= keep {
+	if err != nil || len(heights) <= snapshotKeep {
 		return
 	}
-	for _, h := range heights[:len(heights)-keep] {
+	for _, h := range heights[:len(heights)-snapshotKeep] {
 		fs.Remove(Join(dir, snapName(h)))
 	}
 }

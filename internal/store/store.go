@@ -111,9 +111,6 @@ type Options struct {
 	// (0 = no automatic snapshots; MaybeSnapshot then only acts when
 	// forced).
 	SnapshotEvery int
-	// SnapshotKeep is how many snapshots to retain (<2 = 2, so a torn
-	// newest snapshot always has a fallback).
-	SnapshotKeep int
 }
 
 func (o Options) withDefaults() Options {
@@ -122,9 +119,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = 1
-	}
-	if o.SnapshotKeep < 2 {
-		o.SnapshotKeep = 2
 	}
 	return o
 }
@@ -471,7 +465,7 @@ func (s *Store) MaybeSnapshot(chain *ledger.Chain, state *contract.State, receip
 	}
 	s.sinceSnap = 0
 	s.lastSnapAt = height
-	PruneSnapshots(s.fs, s.dir, s.opts.SnapshotKeep)
+	PruneSnapshots(s.fs, s.dir)
 	return true, nil
 }
 

@@ -258,7 +258,7 @@ func TestSnapshotFastPathMatchesFullReplay(t *testing.T) {
 func TestSnapshotCadenceAndPruning(t *testing.T) {
 	blocks, _ := buildBlocks(t, testChainID, 10)
 	fs := NewMemFS()
-	seedStore(t, fs, "n0", blocks, Options{SnapshotEvery: 3, SnapshotKeep: 2})
+	seedStore(t, fs, "n0", blocks, Options{SnapshotEvery: 3})
 	heights, err := snapshotHeights(fs, "n0")
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"medchain/internal/consensus"
 	"medchain/internal/contract"
 	"medchain/internal/cryptoutil"
+	"medchain/internal/guard"
 	"medchain/internal/ledger"
 	"medchain/internal/p2p"
 )
@@ -592,28 +593,26 @@ func TestLaggingProposerSyncsBeforeProposing(t *testing.T) {
 }
 
 // TestByzantineProposerForgedStateRootRejected plays a malicious
-// proposer: it builds a structurally valid block whose state root is
-// forged, gathers a legitimate 2f+1 vote certificate (voters check
-// structure, not execution), and broadcasts it. Honest nodes re-execute
-// the transactions, detect the root divergence, and refuse the block.
+// proposer holding one validator's key: it signs a structurally valid
+// proposal whose state root is forged. Every honest node executes the
+// proposal before signing for it, so the proposal draws no vote, is
+// scored against its sender and leaves no vote lock behind; a
+// conflicting second proposal is evidenced as equivocation. Even with a
+// certificate no honest quorum would issue (every validator key
+// colluding), the block changes no node: each executes it, fails to
+// reproduce the root and refuses it with its state as it was. The honest
+// proposer's block for the same height then commits everywhere.
 func TestByzantineProposerForgedStateRootRejected(t *testing.T) {
 	c := newCluster(t, 4, EngineQuorum)
 	user := userKey(t, "byz-user")
 
-	// The byzantine actor controls node 0's validator key (an insider)
-	// but speaks through its own network endpoint.
-	insiderKey, err := cryptoutil.DeriveKeyPair("test-quorum-4/node-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if insiderKey.Address() != c.Node(0).Address() {
-		t.Fatal("test setup: key derivation out of sync with cluster")
-	}
-	ep, err := c.Network().Join("byzantine")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Close()
+	// The byzantine actor controls a validator key (an insider) — not
+	// the scheduled proposer's, whose honest block at this height would
+	// otherwise read as the insider equivocating — but speaks through
+	// its own network endpoint.
+	insider := (c.proposerIndex() + 1) % 4
+	insiderKey := c.keys[insider]
+	ep := joinEvil(t, c, "byzantine")
 
 	tx := datasetTx(t, user, 0, "byz-d")
 	root, err := ledger.ComputeTxRoot([]*ledger.Transaction{tx})
@@ -621,124 +620,104 @@ func TestByzantineProposerForgedStateRootRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	head := c.Node(0).Chain().Head()
-	forged := &ledger.Block{
-		Header: ledger.Header{
-			Height:    head.Header.Height + 1,
-			Parent:    head.Hash(),
-			TxRoot:    root,
-			StateRoot: cryptoutil.Sum([]byte("i promise this is fine")),
-			Timestamp: head.Header.Timestamp + 1,
-			Proposer:  insiderKey.Address(),
-		},
-		Txs: []*ledger.Transaction{tx},
-	}
-
-	// Gather real votes: honest nodes vote because the proposal is
-	// authentically signed by a validator and the block is structurally
-	// valid (they cannot know the root is wrong without executing).
-	sp, err := consensus.SignProposal(forged, insiderKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := sp.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ep.BroadcastMsg("chain/proposal", body); err != nil {
-		t.Fatal(err)
-	}
-	votes := []consensus.Vote{}
-	own, err := consensus.SignVote(forged.Header.Height, forged.Hash(), insiderKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	votes = append(votes, own)
-	deadline := time.Now().Add(3 * time.Second)
-	for len(votes) < 3 {
-		select {
-		case msg, ok := <-ep.Inbox():
-			if !ok {
-				t.Fatal("byzantine endpoint closed")
-			}
-			if msg.Topic != "chain/vote" {
-				continue
-			}
-			var v consensus.Vote
-			if err := json.Unmarshal(msg.Payload, &v); err != nil {
-				t.Fatal(err)
-			}
-			if v.Block == forged.Hash() {
-				votes = append(votes, v)
-			}
-		case <-time.After(time.Until(deadline)):
-			t.Fatalf("collected only %d votes", len(votes))
+	forge := func(lie string) *ledger.Block {
+		return &ledger.Block{
+			Header: ledger.Header{
+				Height:    head.Header.Height + 1,
+				Parent:    head.Hash(),
+				TxRoot:    root,
+				StateRoot: cryptoutil.Sum([]byte(lie)),
+				Timestamp: head.Header.Timestamp + 1,
+				Proposer:  insiderKey.Address(),
+			},
+			Txs: []*ledger.Transaction{tx},
 		}
 	}
+	propose := func(blk *ledger.Block) {
+		t.Helper()
+		sp, err := consensus.SignProposal(blk, insiderKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := sp.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ep.BroadcastMsg(topicProposal, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	forged := forge("i promise this is fine")
+	propose(forged)
+
+	// The proposal is authentically signed by a validator and valid in
+	// every ledger rule; only executing it shows the root is a lie. The
+	// offense is the last thing a node records for it, so once all four
+	// have, no vote can still be on its way.
+	for i, n := range c.Nodes() {
+		waitGuard(t, n, "bad-proposal offense", func(s guard.Stats) bool {
+			return offensesOf(s, "byzantine")[guard.OffenseBadProposal] >= 1
+		})
+		n.votesMu.Lock()
+		locked := len(n.votedAt[forged.Header.Height])
+		n.votesMu.Unlock()
+		if locked != 0 || hasPending(n) {
+			t.Fatalf("node %d: a refused proposal left a vote lock (%d) or its execution behind", i, locked)
+		}
+	}
+	for drained := false; !drained; {
+		select {
+		case msg := <-ep.Inbox():
+			if msg.Topic == topicVote {
+				t.Fatalf("%s voted for a proposal whose root it cannot reproduce", msg.From)
+			}
+		default:
+			drained = true
+		}
+	}
+
 	// Equivocate: sign and broadcast a second, conflicting proposal at
 	// the same height with the stolen key. Honest nodes must detect the
 	// double-proposal, refuse to vote for it, and report on-chain
 	// evidence against the compromised validator.
-	second := &ledger.Block{
-		Header: ledger.Header{
-			Height:    forged.Header.Height,
-			Parent:    forged.Header.Parent,
-			TxRoot:    forged.Header.TxRoot,
-			StateRoot: cryptoutil.Sum([]byte("a different lie")),
-			Timestamp: forged.Header.Timestamp,
-			Proposer:  insiderKey.Address(),
-		},
-		Txs: []*ledger.Transaction{tx},
-	}
-	sp2, err := consensus.SignProposal(second, insiderKey)
+	propose(forge("a different lie"))
+
+	certifyWithEveryKey(t, c, forged)
+	body, err := forged.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	body2, err := sp2.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ep.BroadcastMsg("chain/proposal", body2); err != nil {
+	genesisRoot := contract.NewState().Root()
+	if err := ep.BroadcastMsg(topicBlock, body); err != nil {
 		t.Fatal(err)
 	}
 
-	qc := &consensus.QuorumCert{Block: forged.Hash(), Votes: votes}
-	seal, err := qc.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	forged.Seal = seal
-
-	// Broadcast the certified-but-lying block.
-	body, err = forged.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ep.BroadcastMsg("chain/block", body); err != nil {
-		t.Fatal(err)
-	}
-
-	// No honest node accepts it.
+	// No honest node accepts it, and none is changed by refusing it.
 	time.Sleep(50 * time.Millisecond)
 	for i, n := range c.Nodes() {
 		if n.Height() != 0 {
 			t.Fatalf("node %d accepted the forged block (height %d)", i, n.Height())
 		}
+		if _, ok := n.Receipt(tx.ID()); ok || n.GasUsed() != 0 || n.ExecStats().Blocks != 0 || n.State().Root() != genesisRoot {
+			t.Fatalf("node %d: the refused block left a receipt, %d gas, %d executed blocks or a changed root",
+				i, n.GasUsed(), n.ExecStats().Blocks)
+		}
 	}
 
-	// The cluster still works: an honest commit of the same tx lands.
-	// The first pass may fail if the schedule lands on the compromised
-	// validator — honest nodes are locked to the forged proposal under
-	// that proposer's key and will not vote its legitimate block — so
-	// allow one retry for failover to route around it.
+	// The cluster still works: the scheduled proposer's block with the
+	// same tx gets every honest vote it needs at that height.
 	if err := c.Submit(tx); err != nil {
 		t.Fatal(err)
 	}
 	waitMempools(t, c, 1)
-	if _, err := c.Commit(); err != nil {
-		if _, err := c.Commit(); err != nil {
-			t.Fatal(err)
-		}
+	blk, err := c.Commit()
+	if err != nil {
+		t.Fatal(err)
 	}
+	if blk.Header.Height != forged.Header.Height || blk.Header.Proposer == insiderKey.Address() {
+		t.Fatalf("honest block %d by %s", blk.Header.Height, blk.Header.Proposer.Short())
+	}
+	checkExecutedOnce(t, c, "after the honest block")
 	if err := c.VerifyConsistency(); err != nil {
 		t.Fatal(err)
 	}
@@ -748,14 +727,15 @@ func TestByzantineProposerForgedStateRootRejected(t *testing.T) {
 	// audit contract now holds the self-verifying evidence record.
 	evidenced := false
 	for _, n := range c.Nodes() {
-		for _, p := range n.GuardStats().Peers {
-			if p.Peer == "byzantine" && p.Offenses["equivocation"] > 0 {
-				evidenced = true
-			}
+		if offensesOf(n.GuardStats(), "byzantine")[guard.OffenseEquivocation] > 0 {
+			evidenced = true
 		}
 	}
 	if !evidenced {
 		t.Fatal("no honest node scored the double-proposal equivocation")
+	}
+	if _, err := c.CommitAll(); err != nil {
+		t.Fatal(err)
 	}
 	for i, n := range c.Nodes() {
 		if !n.State().HasEvidence("double-proposal", 1, insiderKey.Address()) {

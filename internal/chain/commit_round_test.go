@@ -36,10 +36,24 @@ func freshRootOf(st *contract.State) cryptoutil.Digest {
 	return contract.ImportState(st.Export()).Root()
 }
 
-func hasPending(n *Node) bool {
+func hasPending(n *Node) bool { return pendingOf(n) != nil }
+
+func pendingOf(n *Node) *pendingBlock {
 	n.votesMu.Lock()
 	defer n.votesMu.Unlock()
-	return n.pending != nil
+	return n.pending
+}
+
+// checkExecutedOnce: every node has materialised exactly the blocks of
+// its chain — one execution counted per block, whichever way the block
+// reached it.
+func checkExecutedOnce(t *testing.T, c *Cluster, when string) {
+	t.Helper()
+	for i, n := range c.Nodes() {
+		if got, want := n.ExecStats().Blocks, int64(n.Height()); got != want {
+			t.Fatalf("%s: node %d executed %d blocks, its chain holds %d", when, i, got, want)
+		}
+	}
 }
 
 // isolate cuts the named node off from the other three of a 4-node
@@ -52,13 +66,11 @@ func isolate(c *Cluster, id p2p.NodeID) {
 	c.Network().SetPartitions(map[p2p.NodeID]int{id: 1})
 }
 
-// TestProposerExecutesEachBlockOnce: the proposer's executed-transaction
-// count equals the block's transactions, exactly like a follower's, over
-// gossiped blocks proposed by every node in turn and over a round that
-// failed and was retried from the cached proposal. Before PR 18 the
-// proposer previewed on a clone
-// and executed again in acceptBlock, so each node's count was higher
-// than the chain's by the transactions of the blocks it proposed.
+// TestProposerExecutesEachBlockOnce: every node's executed-block and
+// executed-transaction counts equal the chain's — proposer, voter and a
+// node that missed the round alike — over gossiped blocks proposed by
+// every node in turn, a round that failed and was retried from the
+// cached proposal, and a block a partitioned node takes over sync.
 func TestProposerExecutesEachBlockOnce(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Nodes: 4, Engine: EngineQuorum, KeySeed: "exec-once", CommitTimeout: 2 * time.Second,
@@ -94,6 +106,7 @@ func TestProposerExecutesEachBlockOnce(t *testing.T) {
 		blk := submitAndCommit(t, c, batch(1+b%3)...)
 		total, blocks = total+int64(len(blk.Txs)), blocks+1
 		check(fmt.Sprintf("block %d", blk.Header.Height))
+		checkExecutedOnce(t, c, fmt.Sprintf("block %d", blk.Header.Height))
 	}
 	if len(proposers) != 4 {
 		t.Fatalf("only %d of 4 nodes proposed", len(proposers))
@@ -128,22 +141,49 @@ func TestProposerExecutesEachBlockOnce(t *testing.T) {
 	}
 	total, blocks = total+int64(len(blk.Txs)), blocks+1
 	check("after the retried round")
-	if hasPending(pn) {
-		t.Fatal("a committed preview is still held")
+	checkExecutedOnce(t, c, "after the retried round")
+	for i, n := range c.Nodes() {
+		if hasPending(n) {
+			t.Fatalf("node %d still holds a committed execution", i)
+		}
 	}
+
+	// A follower that is cut off through a whole round neither sees the
+	// proposal nor the block; it executes the block when sync delivers it.
+	p = c.proposerIndex()
+	missed := c.Node((p + 1) % 4)
+	txs = batch(2)
+	for _, tx := range txs {
+		if err := c.Submit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitMempools(t, c, len(txs))
+	isolate(c, missed.ID())
+	if blk, err = c.Node(p).produceBlock(0, 0, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if missed.Height() != blk.Header.Height-1 || missed.ExecStats().Blocks != blocks {
+		t.Fatalf("the isolated node is at height %d with %d blocks executed", missed.Height(), missed.ExecStats().Blocks)
+	}
+	isolate(c, "")
+	missed.requestSync(c.Node(p).ID())
+	if !c.waitNodes(3*time.Second, nil, func(n *Node) bool { return n.Height() >= blk.Header.Height }) {
+		t.Fatal("the isolated node never caught up")
+	}
+	total, blocks = total+int64(len(blk.Txs)), blocks+1
+	check("after the sync catch-up")
+	checkExecutedOnce(t, c, "after the sync catch-up")
 	if err := c.VerifyConsistency(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestUnboundedFootprintTakesTheCloneFallback (the name predates the
-// behaviour): a block holding a transaction whose arguments do not
-// decode used to send its proposer down a second path — preview on a
-// state clone, then execute again on the live state. No footprint is
-// unbounded any more, so there is no such path: the block commits
-// consistently, the undecodable transaction with a failure receipt, and
-// its proposer has executed it once, like every follower.
-func TestUnboundedFootprintTakesTheCloneFallback(t *testing.T) {
+// TestUndecodableArgsBlockExecutesOnceEverywhere: a block holding a
+// transaction whose arguments do not decode commits consistently, the
+// undecodable transaction with a failure receipt, and every node —
+// proposer and voters — has executed it once.
+func TestUndecodableArgsBlockExecutesOnceEverywhere(t *testing.T) {
 	c := newCluster(t, 4, EngineQuorum)
 	user := userKey(t, "fallback-user")
 	submitAndCommit(t, c, datasetTx(t, user, 0, "fb-0"))
@@ -172,6 +212,7 @@ func TestUnboundedFootprintTakesTheCloneFallback(t *testing.T) {
 			t.Fatalf("node %d: root differs from one rebuilt from its export", i)
 		}
 	}
+	checkExecutedOnce(t, c, "after three blocks")
 	if err := c.VerifyConsistency(); err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +221,9 @@ func TestUnboundedFootprintTakesTheCloneFallback(t *testing.T) {
 // TestCompetingBlockSupersedesFailedRoundsPreview: node 1's round at
 // height 1 fails (isolated), leaving it a preview of its own block;
 // node 2 then commits a different block at that height. When node 1
-// catches up it must drop the preview and execute node 2's block as any
-// follower does: its root, receipts, mempool and execution count end
-// equal to the followers'.
+// catches up it must drop the preview and execute node 2's block as
+// every node executes a block it holds no execution of: its root,
+// receipts, mempool and execution count end equal to the followers'.
 func TestCompetingBlockSupersedesFailedRoundsPreview(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Nodes: 4, Engine: EngineQuorum, KeySeed: "superseded", CommitTimeout: 2 * time.Second,
@@ -257,6 +298,7 @@ func TestCompetingBlockSupersedesFailedRoundsPreview(t *testing.T) {
 	if got, want := loser.MempoolSize(), ref.MempoolSize(); got != want || got != 0 {
 		t.Fatalf("mempools: failed proposer %d, follower %d, want 0", got, want)
 	}
+	checkExecutedOnce(t, c, "after the competing block")
 	if err := c.VerifyConsistency(); err != nil {
 		t.Fatal(err)
 	}
@@ -313,12 +355,108 @@ func TestCachedProposalRetryWithGrownMempool(t *testing.T) {
 			t.Fatalf("node %d executed %d txs, want 1", i, got)
 		}
 	}
+	checkExecutedOnce(t, c, "after the cached-proposal retry")
 	next, err := c.Commit()
 	if err != nil || len(next.Txs) != 1 || next.Txs[0].ID() != late.ID() {
 		t.Fatalf("next block: %v %+v", err, next)
 	}
 	if err := c.VerifyConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResentProposalIsNotExecutedAgain: a voter keeps its execution of
+// the proposal it voted for, so the same proposal arriving again (the
+// proposer's cached-proposal retry) is answered from it, and so is the
+// certified block when it commits.
+func TestResentProposalIsNotExecutedAgain(t *testing.T) {
+	c := newCluster(t, 4, EngineQuorum)
+	if err := c.Submit(datasetTx(t, userKey(t, "resent-user"), 0, "resent")); err != nil {
+		t.Fatal(err)
+	}
+	waitMempools(t, c, 1)
+	p := c.proposerIndex()
+	proposer, voter := c.Node(p), c.Node((p+1)%4)
+	blk, err := proposer.buildBlock(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := consensus.SignProposal(blk, proposer.key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := sp.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := p2p.Message{From: proposer.ID(), To: voter.ID(), Topic: topicProposal, Payload: body}
+	voter.handle(voter.endpoint(), msg)
+	first := pendingOf(voter)
+	if first == nil || first.hash != blk.Hash() {
+		t.Fatalf("the voter holds %+v after voting for %s", first, blk.Hash().Short())
+	}
+	voter.handle(voter.endpoint(), msg)
+	if pendingOf(voter) != first {
+		t.Fatal("the re-sent proposal was executed again")
+	}
+	// The round proper proposes the same block (same head, same pool).
+	committed, err := c.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if committed.Hash() != blk.Hash() {
+		t.Fatal("test setup: the committed block is not the one proposed by hand")
+	}
+	checkExecutedOnce(t, c, "after the round")
+	if hasPending(voter) {
+		t.Fatal("a committed execution is still held")
+	}
+	if err := c.VerifyConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSealedBlockKeepsItsExecution: PoW seals into the header, so a
+// block's hash changes between build and accept; the execution made at
+// build time is the one the sealed block commits, as under PoA, whose
+// seal leaves the hash alone.
+func TestSealedBlockKeepsItsExecution(t *testing.T) {
+	for _, engine := range []EngineKind{EnginePoW, EnginePoA} {
+		c, err := NewCluster(ClusterConfig{Nodes: 3, Engine: engine, PowDifficulty: 6, KeySeed: "sealed"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Submit(datasetTx(t, userKey(t, "sealed-user"), 0, "sealed")); err != nil {
+			t.Fatal(err)
+		}
+		waitMempools(t, c, 1)
+		p := c.Node(c.proposerIndex())
+		blk, err := p.buildBlock(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, kept := blk.Hash(), pendingOf(p).spec
+		if err := p.engine.Seal(blk, p.key); err != nil {
+			t.Fatal(err)
+		}
+		if sealed := blk.Hash(); (sealed != built) != (engine == EnginePoW) {
+			t.Fatalf("%s: test setup: sealing changed the hash: %v", engine, sealed != built)
+		}
+		p.rekeyPending(built, blk.Hash())
+		p.applyMu.Lock()
+		_, got, err := p.speculate(blk)
+		p.applyMu.Unlock()
+		if err != nil || got != kept {
+			t.Fatalf("%s: the sealed block was executed again (err %v)", engine, err)
+		}
+		if _, err := c.Commit(); err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		checkExecutedOnce(t, c, string(engine))
+		if err := c.VerifyConsistency(); err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
 	}
 }
 
@@ -463,13 +601,13 @@ func TestProposerVerifiesEachVoteOnce(t *testing.T) {
 }
 
 // TestSkippedVoteVerifyIsNeverMemoised: a vote admitted under the
-// mutation knob is buffered but not marked, so the certificate check
+// mutation seam is buffered but not marked, so the certificate check
 // still verifies — and refuses — it.
 func TestSkippedVoteVerifyIsNeverMemoised(t *testing.T) {
+	t.Cleanup(SetSkipVoteVerify()) // registered first: restored after the cluster has closed
 	c := newCluster(t, 4, EngineQuorum)
 	n := c.Node(0)
 	eng := n.engine.(*consensus.Quorum)
-	n.SetUnsafeSkipVoteVerify(true)
 	forged, err := consensus.SignVote(1, c.Node(0).Chain().Head().Hash(), c.keys[1])
 	if err != nil {
 		t.Fatal(err)

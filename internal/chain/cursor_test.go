@@ -12,17 +12,30 @@ import (
 	"medchain/internal/ledger"
 )
 
-// wrongRootBlock is what a Byzantine proposer can get certified today:
-// the next block over the proposer's pool, valid in every ledger rule,
-// carrying a quorum certificate — followers vote after chain.Validate,
-// which does not execute — and a state root no execution produces.
-func wrongRootBlock(t *testing.T, c *Cluster, proposer *Node) *ledger.Block {
+// wrongRootBlock is the next block over the proposer's pool, valid in
+// every ledger rule and sealed as its engine seals — under Quorum with a
+// certificate signed by every validator key, which no honest quorum
+// issues since voters execute — carrying a state root no execution
+// produces.
+func wrongRootBlock(t testing.TB, c *Cluster, proposer *Node) *ledger.Block {
 	t.Helper()
 	blk, err := proposer.buildBlock(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	blk.Header.StateRoot = cryptoutil.Sum([]byte("not the post-state root"))
+	if _, ok := proposer.engine.(*consensus.Quorum); ok {
+		certifyWithEveryKey(t, c, blk)
+	} else if err := proposer.engine.Seal(blk, proposer.key); err != nil {
+		t.Fatal(err)
+	}
+	return blk
+}
+
+// certifyWithEveryKey seals blk with a certificate of votes from all of
+// the cluster's validator keys.
+func certifyWithEveryKey(t testing.TB, c *Cluster, blk *ledger.Block) {
+	t.Helper()
 	qc := &consensus.QuorumCert{Block: blk.Hash()}
 	for _, k := range c.keys {
 		v, err := consensus.SignVote(blk.Header.Height, blk.Hash(), k)
@@ -31,48 +44,74 @@ func wrongRootBlock(t *testing.T, c *Cluster, proposer *Node) *ledger.Block {
 		}
 		qc.Votes = append(qc.Votes, v)
 	}
-	if err := proposer.engine.(*consensus.Quorum).AttachCert(blk, qc); err != nil {
+	var err error
+	if blk.Seal, err = qc.Encode(); err != nil {
 		t.Fatal(err)
 	}
-	return blk
 }
 
-// TestRejectedBlockDeliversNoEvents: a certified block whose state root
-// no honest execution reproduces is rejected with ErrRootDiverged, and
-// no reader of the committed chain sees its events. (The push feed
-// published them from execute, before the root check: at dd72d03 a
-// subscriber received DatasetRegistered@1 here.)
-//
-// The same block is the reproducer of the defect recorded under ROADMAP
-// item 7: acceptBlock executed it on the live state before rejecting
-// it, so state, receipts and gas of the honest follower stay mutated.
+// TestRejectedBlockDeliversNoEvents: a sealed block whose state root no
+// honest execution reproduces is rejected with ErrRootDiverged under
+// either engine, no reader of the committed chain sees its events, and
+// it leaves nothing behind on the node that rejected it — state,
+// receipts, gas and execution count are what they were, so the honest
+// block for the same height still commits there.
 func TestRejectedBlockDeliversNoEvents(t *testing.T) {
-	c := newCluster(t, 3, EngineQuorum)
-	tx := datasetTx(t, userKey(t, "mallory"), 0, "d")
-	if err := c.Submit(tx); err != nil {
-		t.Fatal(err)
-	}
-	waitMempools(t, c, 1)
-	follower := c.Node(1)
-	blk := wrongRootBlock(t, c, c.Node(0))
+	for _, engine := range []EngineKind{EngineQuorum, EnginePoA} {
+		t.Run(string(engine), func(t *testing.T) {
+			c := newCluster(t, 3, engine)
+			tx := datasetTx(t, userKey(t, "mallory"), 0, "d")
+			if err := c.Submit(tx); err != nil {
+				t.Fatal(err)
+			}
+			waitMempools(t, c, 1)
+			p := c.proposerIndex()
+			follower := c.Node((p + 1) % 3)
+			blk := wrongRootBlock(t, c, c.Node(p))
+			root, executed := follower.State().Root(), follower.ExecStats().Blocks
 
-	if err := follower.acceptBlock(blk); !errors.Is(err, ErrRootDiverged) {
-		t.Fatalf("acceptBlock = %v, want ErrRootDiverged", err)
-	}
-	if h := follower.Height(); h != 0 {
-		t.Fatalf("rejected block advanced the chain to %d", h)
-	}
-	through := follower.Committed(0, func(blk *ledger.Block, _ []*contract.Receipt) {
-		t.Errorf("Committed hands out block %d, which never committed", blk.Header.Height)
-	})
-	if through != 0 {
-		t.Fatalf("Committed read through %d on an empty chain", through)
-	}
-	if recs := follower.EventsSince(0); len(recs) != 0 {
-		t.Fatalf("EventsSince sees %d events of a block that never committed", len(recs))
-	}
-	if _, left := follower.Receipt(tx.ID()); left {
-		t.Logf("known defect (ROADMAP item 7): the rejected block left its receipt and %d gas on the honest follower", follower.GasUsed())
+			if err := follower.acceptBlock(blk); !errors.Is(err, ErrRootDiverged) {
+				t.Fatalf("acceptBlock = %v, want ErrRootDiverged", err)
+			}
+			if h := follower.Height(); h != 0 {
+				t.Fatalf("rejected block advanced the chain to %d", h)
+			}
+			through := follower.Committed(0, func(blk *ledger.Block, _ []*contract.Receipt) {
+				t.Errorf("Committed hands out block %d, which never committed", blk.Header.Height)
+			})
+			if through != 0 {
+				t.Fatalf("Committed read through %d on an empty chain", through)
+			}
+			if recs := follower.EventsSince(0); len(recs) != 0 {
+				t.Fatalf("EventsSince sees %d events of a block that never committed", len(recs))
+			}
+			if _, left := follower.Receipt(tx.ID()); left {
+				t.Error("the rejected block left its receipt behind")
+			}
+			if gas := follower.GasUsed(); gas != 0 {
+				t.Errorf("the rejected block left %d gas behind", gas)
+			}
+			if follower.State().Root() != root {
+				t.Error("the rejected block changed the state root")
+			}
+			if got := follower.ExecStats().Blocks; got != executed {
+				t.Errorf("the rejected block is counted as executed: %d blocks, was %d", got, executed)
+			}
+
+			honest, err := c.Commit()
+			if err != nil {
+				t.Fatalf("the honest block at the same height: %v", err)
+			}
+			if honest.Header.Height != 1 || len(honest.Txs) != 1 {
+				t.Fatalf("honest block %d holds %d txs", honest.Header.Height, len(honest.Txs))
+			}
+			if r, ok := follower.Receipt(tx.ID()); !ok || !r.OK() {
+				t.Fatalf("follower's receipt after the honest block: %+v", r)
+			}
+			if err := c.VerifyConsistency(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -32,10 +32,20 @@ var ingressTopics = []struct {
 // neither the node's height nor its pool. The seeds are one valid
 // encoding per topic: a signed transaction, and the proposal, a vote and
 // the certified block of height 1 as a twin cluster (same keys, same
-// genesis) committed them.
+// genesis) committed them — after a signed proposal and a certified
+// block for that height whose state root no execution reproduces.
 func FuzzHandle(f *testing.F) {
 	twin := newCluster(f, 3, EngineQuorum)
 	tx := datasetTx(f, userKey(f, "fuzz"), 0, "seed")
+	if err := twin.Submit(tx); err != nil {
+		f.Fatal(err)
+	}
+	waitMempools(f, twin, 1)
+	wrong := wrongRootBlock(f, twin, twin.Node(0))
+	wrongSp, err := consensus.SignProposal(wrong, twin.keys[0])
+	if err != nil {
+		f.Fatal(err)
+	}
 	blk := submitAndCommit(f, twin, tx)
 	var proposer int
 	for i, k := range twin.keys {
@@ -57,6 +67,8 @@ func FuzzHandle(f *testing.F) {
 		}
 		return b
 	}
+	f.Add(uint8(1), encode(wrongSp.Encode()))
+	f.Add(uint8(3), encode(wrong.Encode()))
 	for i, seed := range [][]byte{
 		encode(tx.Encode()), encode(sp.Encode()), encode(json.Marshal(vote)),
 		encode(blk.Encode()), encode(json.Marshal(uint64(0))), encode(json.Marshal(blk.Header.Height + 3)),

@@ -100,10 +100,10 @@ type Node struct {
 	// reader of the committed chain between two reads (WaitHeight).
 	events signal
 
-	// applyMu serializes block application (execute + root check +
-	// append + persist): the proposer thread and the message loop can
-	// both reach acceptBlock, and the durable WAL must receive blocks
-	// in exactly commit order.
+	// applyMu serializes block application (speculate + root check +
+	// commit + append + persist): the proposer thread and the message
+	// loop can both reach acceptBlock, and the durable WAL must receive
+	// blocks in exactly commit order.
 	applyMu sync.Mutex
 
 	mu       sync.Mutex
@@ -142,9 +142,8 @@ type Node struct {
 	voteSeen       map[uint64]map[cryptoutil.Address]consensus.Vote
 	evidenceSeen   map[string]bool
 	lastProposal   *consensus.SignedProposal
-	pending        *pendingBlock // the preview of the block this node last built
+	pending        *pendingBlock // this node's execution of the block it last built or was proposed
 	strictSchedule bool
-	skipVoteVerify bool // mutation hook for the sim self-test; never set otherwise
 
 	// guard scores peer misbehavior and quarantines repeat offenders.
 	// The pointer is fixed for the node's lifetime (retune via
@@ -168,15 +167,24 @@ type Node struct {
 	lastSyncTime   time.Time
 }
 
-// pendingBlock is the proposer's one execution of the block it last
-// built: run on write snapshots over the untouched live state, kept
-// while the block is voted on, and materialised by acceptBlock if that
-// very block — the object produceBlock built, or took back from the
-// cached proposal — is what commits at its height.
+// pendingBlock is a node's one execution of a candidate for the next
+// height — the block it built, or the proposal it was asked to vote on:
+// run on write snapshots over the untouched live state, kept while the
+// block is voted on, and materialised by acceptBlock if the block with
+// that hash is what commits.
 type pendingBlock struct {
-	blk  *ledger.Block
-	spec *parexec.Speculation
+	hash   cryptoutil.Digest
+	height uint64
+	spec   *parexec.Speculation
 }
+
+// Mutation seams (export_test.go sets them, nothing else does): accept
+// any vote signature at ingress; accept any state root where a block's
+// execution is compared with its header.
+var (
+	skipVoteVerify bool
+	skipRootCheck  bool
+)
 
 // signal is a generation channel: wait returns the current generation's
 // channel and fire closes it, waking everyone who holds it. A waiter
@@ -301,8 +309,8 @@ func (n *Node) State() *contract.State { return n.state }
 // SetHost installs oracle host functions on the node's state machine.
 func (n *Node) SetHost(host map[string]vm.HostFunc) { n.state.SetHost(host) }
 
-// SetExec replaces the node's block executor (live apply and proposer
-// preview); the default parexec.Config{} is the serial loop. Every
+// SetExec replaces the node's block executor; the default
+// parexec.Config{} runs a block's transactions one after another. Every
 // mode is bit-identical to serial execution, so a cluster may freely
 // mix modes across nodes — consensus itself then acts as a
 // cross-engine differential oracle. Under ModeMVCCWave, HOST functions
@@ -391,8 +399,8 @@ func (n *Node) Committed(after uint64, fn func(blk *ledger.Block, receipts []*co
 
 // committedAt reads one block with its receipts under mu, the lock
 // adoptRecovered swaps ledger and receipts under, so the pair is always
-// of one ledger. Every appended block has its receipts: execute records
-// them before the append, recovery returns them with the ledger.
+// of one ledger. Every appended block has its receipts: acceptBlock
+// records them before the append, recovery returns them with the ledger.
 func (n *Node) committedAt(height uint64) (*ledger.Block, []*contract.Receipt) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -711,7 +719,8 @@ func isSealError(err error) bool {
 // a current validator and the proposal signature must verify before
 // the block body is even validated. Conflicting proposals at one
 // height are packaged as on-chain equivocation evidence instead of a
-// vote; valid proposals are answered with a height-locked vote.
+// vote; a valid proposal is executed, and answered with a height-locked
+// vote only if this node reproduced its state root.
 func (n *Node) handleProposal(ep p2p.Endpoint, msg p2p.Message) {
 	eng, ok := n.engine.(*consensus.Quorum)
 	if !ok {
@@ -753,8 +762,14 @@ func (n *Node) handleProposal(ep p2p.Endpoint, msg p2p.Message) {
 		n.reportEvidence(eng, ev)
 		return // never vote for an equivocating proposer's block
 	}
-	if err := n.chain.Validate(blk); err != nil {
-		return // likely honest head divergence; the sync path reconciles
+	if err := n.previewProposal(blk); err != nil {
+		// No vote, and the one-vote-per-height lock stays free. A root
+		// this node cannot reproduce is the proposer's offense; anything
+		// else is likely honest head divergence the sync path reconciles.
+		if errors.Is(err, ErrRootDiverged) {
+			n.guard.Record(from, guard.OffenseBadProposal)
+		}
+		return
 	}
 	vote, ok := n.lockAndSignVote(height, blk.Hash(), proposer, consensus.SignVote)
 	if !ok {
@@ -782,7 +797,7 @@ func (n *Node) handleVote(msg p2p.Message) {
 		n.guard.Record(from, guard.OffenseMalformed)
 		return
 	}
-	if !n.skipVoteVerifyOn() {
+	if !skipVoteVerify {
 		if err := eng.VerifyVote(v); err != nil {
 			n.guard.Record(from, guard.OffenseInvalidVote)
 			return
@@ -1080,22 +1095,6 @@ func (n *Node) SetStrictSchedule(on bool) {
 	n.strictSchedule = on
 }
 
-func (n *Node) skipVoteVerifyOn() bool {
-	n.votesMu.Lock()
-	defer n.votesMu.Unlock()
-	return n.skipVoteVerify
-}
-
-// SetUnsafeSkipVoteVerify disables vote verification at ingest. It
-// exists solely as a mutation hook: the adversarial simulator's
-// self-test enables it and must observe its oracle trip (forged votes
-// accepted, forger never quarantined). Never enable it otherwise.
-func (n *Node) SetUnsafeSkipVoteVerify(on bool) {
-	n.votesMu.Lock()
-	defer n.votesMu.Unlock()
-	n.skipVoteVerify = on
-}
-
 // SetGuardConfig retunes the node's peer guard (tests inject fake
 // clocks; the simulator tightens budgets).
 func (n *Node) SetGuardConfig(cfg guard.Config) { n.guard.SetConfig(cfg) }
@@ -1158,17 +1157,16 @@ func (n *Node) requestSyncPaced(peer p2p.NodeID) {
 	n.requestSync(peer)
 }
 
-// acceptBlock verifies consensus + ledger rules, executes every
-// transaction (replicated execution), checks the state root, and
-// appends. Proposer and followers commit through this same path, so a
-// block that fails consensus never touches live state. The one
-// difference is that the proposer has already executed the block it
-// built (produceBlock's preview, on snapshots): when that very block
-// arrives with the head still its parent, the preview is materialised
-// instead of executing again. It is idempotent for already-known
-// heights. applyMu keeps application single-file: the proposer thread
-// and the message loop both land here, and the durable WAL must see
-// blocks in commit order.
+// acceptBlock is the one way a block changes this node, whoever built
+// it and however it arrived (own proposal, broadcast, sync): verify the
+// seal and the ledger rules, execute the block on write snapshots over
+// the untouched live state — or take the execution this node already
+// made of it when it built or voted on it — compare the root that
+// leaves with the header's, and only on a match materialise it and
+// append. A block that fails any check has touched nothing. It is
+// idempotent for already-known heights. applyMu keeps application
+// single-file: the proposer thread and the message loop both land here,
+// and the durable WAL must see blocks in commit order.
 func (n *Node) acceptBlock(blk *ledger.Block) error {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
@@ -1178,18 +1176,17 @@ func (n *Node) acceptBlock(blk *ledger.Block) error {
 	if err := n.engine.VerifySeal(blk); err != nil {
 		return err
 	}
-	valid, err := n.chain.ValidateForAppend(blk)
+	valid, spec, err := n.speculate(blk)
 	if err != nil {
 		return err
 	}
-	if err := n.execute(blk); err != nil {
-		return err
+	receipts := n.executor().Commit(spec)
+	n.mu.Lock()
+	for _, r := range receipts {
+		n.receipts[r.TxID] = r
+		n.gasUsed += r.GasUsed
 	}
-	// Every honest node must reproduce the proposer's state root —
-	// this is the consistency check of replicated execution.
-	if root := n.state.Root(); root != blk.Header.StateRoot {
-		return fmt.Errorf("%w: computed %s, header %s", ErrRootDiverged, root.Short(), blk.Header.StateRoot.Short())
-	}
+	n.mu.Unlock()
 	if err := n.chain.AppendValidated(valid); err != nil {
 		return err
 	}
@@ -1202,6 +1199,47 @@ func (n *Node) acceptBlock(blk *ledger.Block) error {
 	// counted and the WAL regains consistency on the next recovery.
 	n.persistBlock(blk)
 	return nil
+}
+
+// speculate validates blk against the head and returns this node's
+// execution of it; the caller holds applyMu. Validation ties the body
+// to the header and the header to the head, and a pending execution is
+// dropped whenever the head or the state object changes, so one kept
+// under blk's hash was made of exactly this block over exactly this
+// state; otherwise the block is executed now and that kept. Every
+// honest node must reproduce the proposer's state root — the consistency
+// check of replicated execution, and the one place it is made: before a
+// vote and before a commit alike.
+func (n *Node) speculate(blk *ledger.Block) (*ledger.Validated, *parexec.Speculation, error) {
+	valid, err := n.chain.ValidateForAppend(blk)
+	if err != nil {
+		return nil, nil, err
+	}
+	hash := blk.Hash()
+	n.votesMu.Lock()
+	p := n.pending
+	n.votesMu.Unlock()
+	if p != nil && p.hash == hash {
+		return valid, p.spec, nil
+	}
+	spec, err := n.executor().Speculate(n.state, blk.Txs, blk.Header.Height, blk.Header.Timestamp)
+	if err != nil {
+		return nil, nil, err
+	}
+	if root := spec.Root(); root != blk.Header.StateRoot && !skipRootCheck {
+		return nil, nil, fmt.Errorf("%w: computed %s, header %s", ErrRootDiverged, root.Short(), blk.Header.StateRoot.Short())
+	}
+	n.setPending(&pendingBlock{hash: hash, height: blk.Header.Height, spec: spec})
+	return valid, spec, nil
+}
+
+// previewProposal executes a proposed block before this node signs for
+// it, under applyMu as buildBlock and acceptBlock do.
+func (n *Node) previewProposal(blk *ledger.Block) error {
+	n.applyMu.Lock()
+	defer n.applyMu.Unlock()
+	_, _, err := n.speculate(blk)
+	return err
 }
 
 // pruneConsensusBuffers drops buffered votes, proposal records, vote
@@ -1241,57 +1279,27 @@ func (n *Node) pruneConsensusBuffers(committed uint64) {
 	if n.lastProposal != nil && n.lastProposal.Block.Header.Height <= committed {
 		n.lastProposal = nil
 	}
-	if n.pending != nil && n.pending.blk.Header.Height <= committed {
+	if n.pending != nil && n.pending.height <= committed {
 		n.pending = nil
 	}
 }
 
-// execute applies all transactions of a block to the state machine,
-// recording receipts and gas: by materialising this node's own
-// preview of the block if it holds one, through the executor otherwise.
-// The caller holds applyMu and has validated blk against the head, so a
-// preview of this block was made over exactly this state.
-func (n *Node) execute(blk *ledger.Block) error {
-	var (
-		receipts []*contract.Receipt
-		err      error
-	)
-	if spec := n.takePending(blk); spec != nil {
-		receipts = n.executor().Commit(spec)
-	} else {
-		receipts, _, err = n.executor().ExecuteBlock(n.state, blk.Txs, blk.Header.Height, blk.Header.Timestamp)
-	}
-	// On a mid-block error the receipts cover the applied prefix;
-	// record them before failing so the receipts map and gas match the
-	// state.
-	n.mu.Lock()
-	for _, r := range receipts {
-		n.receipts[r.TxID] = r
-		n.gasUsed += r.GasUsed
-	}
-	n.mu.Unlock()
-	return err
-}
-
-// takePending hands over the preview of blk if the node holds it; a
-// preview commits at most once.
-func (n *Node) takePending(blk *ledger.Block) *parexec.Speculation {
-	n.votesMu.Lock()
-	defer n.votesMu.Unlock()
-	p := n.pending
-	if p == nil || p.blk != blk {
-		return nil
-	}
-	n.pending = nil
-	return p.spec
-}
-
-// setPending keeps the preview of the block this node is about to put
-// to consensus; nil forgets the one it held.
+// setPending keeps the execution of the one candidate for the next
+// height this node holds; nil forgets it.
 func (n *Node) setPending(p *pendingBlock) {
 	n.votesMu.Lock()
 	defer n.votesMu.Unlock()
 	n.pending = p
+}
+
+// rekeyPending moves the kept execution of the block hashed from to the
+// hash sealing gave that block.
+func (n *Node) rekeyPending(from, to cryptoutil.Digest) {
+	n.votesMu.Lock()
+	defer n.votesMu.Unlock()
+	if p := n.pending; p != nil && p.hash == from {
+		n.pending = &pendingBlock{hash: to, height: p.height, spec: p.spec}
+	}
 }
 
 // pruneMempool removes a committed block's transactions from the pool,
@@ -1316,8 +1324,8 @@ func (n *Node) takeMempool(max int) []*ledger.Transaction {
 // (no quorum, timeout) leaves the live state, mempool, and chain
 // untouched, the invariant commit retry and proposer failover rely on.
 // On success the proposer commits through the same acceptBlock path as
-// every follower, which materialises the kept preview instead of
-// executing the block a second time. Returns the committed block.
+// every follower, which materialises the kept execution. Returns the
+// committed block.
 func (n *Node) produceBlock(maxTxs int, votesNeeded int, voteTimeout time.Duration) (*ledger.Block, error) {
 	ep := n.endpoint()
 	if ep == nil {
@@ -1334,9 +1342,13 @@ func (n *Node) produceBlock(maxTxs int, votesNeeded int, voteTimeout time.Durati
 			return nil, err
 		}
 	default:
+		built := blk.Hash()
 		if err := n.engine.Seal(blk, n.key); err != nil {
 			return nil, err
 		}
+		// PoW seals into the header: the sealed block has another hash
+		// than the one buildBlock kept its execution under.
+		n.rekeyPending(built, blk.Hash())
 	}
 
 	if err := n.acceptBlock(blk); err != nil {
@@ -1399,7 +1411,7 @@ func (n *Node) buildBlock(maxTxs int) (*ledger.Block, error) {
 		return nil, err
 	}
 	blk.Header.StateRoot = spec.Root()
-	n.setPending(&pendingBlock{blk: blk, spec: spec})
+	n.setPending(&pendingBlock{hash: blk.Hash(), height: height, spec: spec})
 	return blk, nil
 }
 

@@ -183,6 +183,12 @@ func TestVerifiedSetDoesNotLaunderForgedSignature(t *testing.T) {
 			},
 			Txs: []*ledger.Transaction{tx},
 		}
+		// Voters execute a proposal: it needs the root its execution leaves.
+		post := c.Node(0).State().Clone()
+		if _, err := post.Apply(tx, blk.Header.Height, blk.Header.Timestamp); err != nil {
+			t.Fatal(err)
+		}
+		blk.Header.StateRoot = post.Root()
 		sp, err := consensus.SignProposal(blk, c.keys[validator])
 		if err != nil {
 			t.Fatal(err)

@@ -166,7 +166,7 @@ func TestAccessSetOfPerMethod(t *testing.T) {
 
 // TestSnapshotExecuteMergeMatchesDirectApply runs each transaction kind
 // the speculative way — SnapshotAt, Apply on the snapshot,
-// MergeSpeculative back — and checks the root and receipt match a
+// AdoptSpeculative back — and checks the root and receipt match a
 // direct Apply on a clone. This is the single-transaction soundness
 // property the parallel engine composes.
 func TestSnapshotExecuteMergeMatchesDirectApply(t *testing.T) {
@@ -221,7 +221,7 @@ func TestSnapshotExecuteMergeMatchesDirectApply(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec.MergeSpeculative(snap, acc)
+			spec.AdoptSpeculative([]SpecWrite{{Snap: snap, Acc: acc}}, nil)
 
 			if !reflect.DeepEqual(gotReceipt, wantReceipt) {
 				t.Fatalf("receipt mismatch:\n got %+v\nwant %+v", gotReceipt, wantReceipt)
@@ -242,7 +242,7 @@ func TestSnapshotExecuteMergeMatchesDirectApply(t *testing.T) {
 }
 
 // TestSnapshotIsolation: mutations inside a speculative snapshot must
-// never leak into the base state before MergeSpeculative.
+// never leak into the base state before AdoptSpeculative.
 func TestSnapshotIsolation(t *testing.T) {
 	owner := key(t, "iso-owner")
 	grantee := key(t, "iso-grantee")
@@ -270,7 +270,7 @@ func TestSnapshotIsolation(t *testing.T) {
 			t.Fatal("grant visible in base before merge")
 		}
 	}
-	base.MergeSpeculative(snap, acc)
+	base.AdoptSpeculative([]SpecWrite{{Snap: snap, Acc: acc}}, nil)
 	if base.Root() == rootBefore {
 		t.Fatal("merge had no effect")
 	}

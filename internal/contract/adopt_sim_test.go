@@ -2,6 +2,7 @@ package contract_test
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"medchain/internal/contract"
@@ -9,24 +10,23 @@ import (
 )
 
 // TestSimCatchesDroppedMaterialisedWrite runs the live simulator with
-// the proposer's materialise step mutated to skip every dataset write:
-// the header root (read off the previewed tree) is still the one every
-// follower computes, so consensus itself notices nothing, and the sim's
+// every node's materialise step mutated to skip every dataset write:
+// the header root (read off the previewed patch) is still the one every
+// node computes, so consensus itself notices nothing, and the sim's
 // Root() == ImportState(Export()).Root() check on live nodes is what
-// must fail. At the parent commit no preview was ever materialised, so
-// neither the seam nor the live check existed.
+// must fail.
 func TestSimCatchesDroppedMaterialisedWrite(t *testing.T) {
-	dropped := 0
+	var dropped atomic.Int64 // every node's message loop materialises
 	defer contract.SetDropAdoptedWrite(func(k contract.StateKey) bool {
 		if strings.HasPrefix(k.String(), "ds/") {
-			dropped++
+			dropped.Add(1)
 			return true
 		}
 		return false
 	})()
 	res, err := sim.Run(sim.Config{Seed: 11, Rounds: 30, NoFaults: true})
-	if dropped == 0 {
-		t.Fatal("the seam never fired: no proposer materialised a dataset write")
+	if dropped.Load() == 0 {
+		t.Fatal("the seam never fired: no node materialised a dataset write")
 	}
 	if err == nil {
 		t.Fatalf("a dropped materialised write went unnoticed over %d blocks", res.Blocks)

@@ -78,7 +78,7 @@ func TestAuditReportEvidence(t *testing.T) {
 
 // TestSnapshotMergeCarriesEvidence is the regression test for the
 // parallel-execution path: an audit transaction speculated against a
-// SnapshotAt snapshot and committed via MergeSpeculative must land its
+// SnapshotAt snapshot and committed via AdoptSpeculative must land its
 // evidence record in the base state and reach the same root as serial
 // application — the divergence the sim's differential oracle caught.
 func TestSnapshotMergeCarriesEvidence(t *testing.T) {
@@ -96,7 +96,7 @@ func TestSnapshotMergeCarriesEvidence(t *testing.T) {
 	}
 	snap := NewVersions(base).SnapshotAt(0, acc)
 	mustOK(t, apply(t, snap, transaction))
-	base.MergeSpeculative(snap, acc)
+	base.AdoptSpeculative([]SpecWrite{{Snap: snap, Acc: acc}}, nil)
 
 	if !base.HasEvidence("double-vote", 3, offender.Address()) {
 		t.Fatal("merge dropped the evidence record")

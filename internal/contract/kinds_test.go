@@ -119,7 +119,7 @@ func poke(s *State, write func(*State)) {
 // keyKind has a descriptor, and one object of that kind survives Clone,
 // Export → JSON → ImportState and a read snapshot root-equal, is
 // isolated from mutation of the copy, travels through a write
-// snapshot → mutate → MergeSpeculative back into the base, and proves
+// snapshot → mutate → AdoptSpeculative back into the base, and proves
 // against the root. A kind added to the const block without a
 // descriptor, or without a row here, fails. Leak checks read freshRoot:
 // the kept tree would not show a write that reached s behind its back.
@@ -186,7 +186,7 @@ func TestEveryKindWired(t *testing.T) {
 				if snap.Root() != empty {
 					t.Fatal("a write of the virtual key copied objects")
 				}
-				s.MergeSpeculative(snap, acc)
+				s.AdoptSpeculative([]SpecWrite{{Snap: snap, Acc: acc}}, nil)
 				if s.Root() != root {
 					t.Fatal("merging the virtual key changed the base")
 				}
@@ -199,9 +199,9 @@ func TestEveryKindWired(t *testing.T) {
 			if freshRoot(s) != root {
 				t.Fatal("mutating the write snapshot leaked into the base")
 			}
-			s.MergeSpeculative(snap, acc)
+			s.AdoptSpeculative([]SpecWrite{{Snap: snap, Acc: acc}}, nil)
 			if s.Root() != want {
-				t.Fatal("MergeSpeculative did not adopt the written object, or did not mark it")
+				t.Fatal("AdoptSpeculative did not adopt the written object, or did not mark it")
 			}
 		})
 	}

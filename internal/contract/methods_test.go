@@ -122,7 +122,7 @@ func TestEveryMethodWired(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			merged.MergeSpeculative(snap, acc)
+			merged.AdoptSpeculative([]contract.SpecWrite{{Snap: snap, Acc: acc}}, nil)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("receipt on a snapshot of %s:\n got %+v\nwant %+v", acc, got, want)
 			}

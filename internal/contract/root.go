@@ -132,6 +132,21 @@ type rootTree struct {
 	// buckets[b] holds bucket b's entries, ascending by key hash. A
 	// bucket is replaced, never modified in place, so Clone shares them.
 	buckets [rootBuckets][]StateLeaf
+	// gen counts the patches installed: a patch fits the tree it was
+	// derived from only while this has not moved.
+	gen uint64
+}
+
+// PendingRoot is what a set of leaf changes does to a rootTree — the
+// buckets replaced and the nodes re-hashed, by index — computed without
+// touching the tree, so its size follows the changes, not the tree:
+// the step of every incremental Root, and the root of a block not yet
+// committed (State.PreviewRoot).
+type PendingRoot struct {
+	base    *rootTree // the tree it was derived from,
+	gen     uint64    // and that tree's gen then
+	buckets map[int][]StateLeaf
+	nodes   map[int]cryptoutil.Digest
 }
 
 // update re-hashes the leaves of keys — objects written, created or
@@ -144,7 +159,7 @@ func (t *rootTree) update(s *State, keys []StateKey) {
 	for i, k := range keys {
 		changes[i] = leafChangeOf(s, k, &enc)
 	}
-	t.apply(changes)
+	t.install(t.diff(changes))
 }
 
 // leafChangeOf hashes k's object as s holds it (or notes its absence),
@@ -158,10 +173,12 @@ func leafChangeOf(s *State, k StateKey, enc *leafEnc) leafChange {
 	return c
 }
 
-// apply installs re-hashed leaves (at most one per key) and re-hashes
-// the buckets and node paths above them.
-func (t *rootTree) apply(changes []leafChange) {
+// diff derives the patch changes make to t: the changed buckets merged
+// and re-hashed, then the node paths above them, reading t where the
+// patch holds nothing yet. t is not modified.
+func (t *rootTree) diff(changes []leafChange) *PendingRoot {
 	slices.SortFunc(changes, func(a, b leafChange) int { return bytes.Compare(a.Key[:], b.Key[:]) })
+	p := &PendingRoot{base: t, gen: t.gen, buckets: make(map[int][]StateLeaf), nodes: make(map[int]cryptoutil.Digest)}
 
 	var stale []int // nodes whose children changed, ascending
 	for len(changes) > 0 {
@@ -170,23 +187,44 @@ func (t *rootTree) apply(changes []leafChange) {
 		for n < len(changes) && bucketOf(changes[n].Key) == b {
 			n++
 		}
-		t.buckets[b] = mergeBucket(t.buckets[b], changes[:n])
-		t.nodes[rootBuckets+b] = hashBucket(t.buckets[b])
-		if p := (rootBuckets + b) / 2; len(stale) == 0 || stale[len(stale)-1] != p {
-			stale = append(stale, p)
+		p.buckets[b] = mergeBucket(t.buckets[b], changes[:n])
+		p.nodes[rootBuckets+b] = hashBucket(p.buckets[b])
+		if up := (rootBuckets + b) / 2; len(stale) == 0 || stale[len(stale)-1] != up {
+			stale = append(stale, up)
 		}
 		changes = changes[n:]
 	}
 	for len(stale) > 0 && stale[0] > 0 {
 		parents := stale[:0]
 		for _, i := range stale {
-			t.nodes[i] = hashNode(t.nodes[2*i], t.nodes[2*i+1])
-			if p := i / 2; len(parents) == 0 || parents[len(parents)-1] != p {
-				parents = append(parents, p)
+			p.nodes[i] = hashNode(p.node(2*i), p.node(2*i+1))
+			if up := i / 2; len(parents) == 0 || parents[len(parents)-1] != up {
+				parents = append(parents, up)
 			}
 		}
 		stale = parents
 	}
+	return p
+}
+
+// node is node i of the base tree as patched by p.
+func (p *PendingRoot) node(i int) cryptoutil.Digest {
+	if d, ok := p.nodes[i]; ok {
+		return d
+	}
+	return p.base.nodes[i]
+}
+
+// install writes a patch derived from t, and nothing installed since,
+// into t.
+func (t *rootTree) install(p *PendingRoot) {
+	for b, entries := range p.buckets {
+		t.buckets[b] = entries
+	}
+	for i, d := range p.nodes {
+		t.nodes[i] = d
+	}
+	t.gen++
 }
 
 // markWritten records the keys a transaction may have changed, so the

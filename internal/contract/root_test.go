@@ -12,7 +12,7 @@ import (
 )
 
 // invalidateRoot drops s's root tree, as if s had never been rooted.
-// Only Apply and MergeSpeculative mark what they write, so a test that
+// Only Apply and AdoptSpeculative mark what they write, so a test that
 // pokes a table directly calls this before it reads the root. It lives
 // in a test file on purpose: nothing shipped can reach it.
 func (s *State) invalidateRoot() { s.tree, s.dirty = nil, nil }
@@ -139,7 +139,7 @@ func TestNeverRootedStateCarriesNoTree(t *testing.T) {
 	update := tx(t, owner, ledger.TxData, "update_dataset", RegisterDatasetArgs{ID: "d", Records: 2})
 	snap := NewVersions(s).SnapshotAt(0, AccessSetOf(update))
 	mustOK(t, apply(t, snap, update))
-	s.MergeSpeculative(snap, AccessSetOf(update))
+	s.AdoptSpeculative([]SpecWrite{{Snap: snap, Acc: AccessSetOf(update)}}, nil)
 	for name, st := range map[string]*State{"state": s, "snapshot": snap, "clone": s.Clone()} {
 		if st.tree != nil || st.dirty != nil {
 			t.Errorf("%s: a tree or marks exist before the first Root", name)

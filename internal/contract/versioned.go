@@ -98,21 +98,6 @@ func (v *Versions) SnapshotAt(idx int, acc AccessSet) *State {
 	return c
 }
 
-// MergeSpeculative adopts the objects named by the access set's write
-// keys from a finished speculative snapshot into s — the materialize
-// step of the MVCC engine, called in canonical transaction order so the
-// newest writer of each key lands last. The snapshot is consumed: its
-// written objects were private deep copies, so adopting the pointers is
-// safe and allocation-free.
-func (s *State) MergeSpeculative(from *State, acc AccessSet) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, k := range acc.Writes {
-		kinds[k.kind].share(s, from, k)
-	}
-	s.markWritten(acc)
-}
-
 // dropAdoptedWrite is a mutation seam (export_test.go sets it): a write
 // key it claims is left out when AdoptSpeculative materialises a block.
 // Nil outside tests.
@@ -125,22 +110,13 @@ type SpecWrite struct {
 	Acc  AccessSet
 }
 
-// PendingRoot is a base state's root tree as it will be once a block's
-// speculative writes are merged: the block proposer's header root,
-// computed without touching the base state (DESIGN.md "State root").
-type PendingRoot struct {
-	// base is the tree this one was derived from; AdoptSpeculative
-	// installs tree only while the state still holds base unmarked.
-	base, tree *rootTree
-}
-
 // Root is the state root after the block.
-func (p *PendingRoot) Root() cryptoutil.Digest { return rootDigest(p.tree.nodes[1]) }
+func (p *PendingRoot) Root() cryptoutil.Digest { return rootDigest(p.node(1)) }
 
 // PreviewRoot derives the root s will have after writes are merged in
-// order, leaving s as it is: a copy of s's tree (a fixed ~360 KB,
-// buckets shared) re-hashed at the written keys only, each leaf taken
-// from its last writer's snapshot.
+// order, leaving s as it is: the patch those writes make to s's tree,
+// re-hashed at the written keys only, each leaf taken from its last
+// writer's snapshot. Its cost follows the writes, not the state.
 func (s *State) PreviewRoot(writes []SpecWrite) *PendingRoot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -158,22 +134,20 @@ func (s *State) PreviewRoot(writes []SpecWrite) *PendingRoot {
 			}
 		}
 	}
-	p := &PendingRoot{base: s.tree, tree: s.tree}
-	if len(changes) > 0 {
-		tree := *s.tree
-		tree.apply(changes)
-		p.tree = &tree
-	}
-	return p
+	return s.tree.diff(changes)
 }
 
-// AdoptSpeculative materialises a block executed on snapshots over s:
-// MergeSpeculative for every write in canonical order, then p — the
-// tree PreviewRoot derived from the same writes — becomes s's tree, so
-// the block is hashed once. s must not have been written since the
-// snapshots were taken (they would be stale, tree or no tree); as a
-// guard, a state that was marked or given another tree since
-// PreviewRoot keeps its own and marks the writes instead.
+// AdoptSpeculative materialises transactions executed on snapshots over
+// s — the one merge step of the MVCC engine: for every write in
+// canonical order, so the newest writer of each key lands last, the
+// objects named by its footprint's write keys are adopted from its
+// snapshot (they were private deep copies, so adopting the pointers is
+// safe and allocation-free). Then p — the patch PreviewRoot derived from
+// the same writes — is installed in s's tree, so the block is hashed
+// once. s must not have been written since the snapshots were taken
+// (they would be stale, patch or no patch); as a guard, a state that was
+// marked, re-rooted or given another tree since PreviewRoot, or a caller
+// with no p, marks the writes instead.
 func (s *State) AdoptSpeculative(writes []SpecWrite, p *PendingRoot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -184,8 +158,8 @@ func (s *State) AdoptSpeculative(writes []SpecWrite, p *PendingRoot) {
 			}
 		}
 	}
-	if p != nil && s.tree == p.base && len(s.dirty) == 0 {
-		s.tree = p.tree
+	if p != nil && s.tree == p.base && s.tree.gen == p.gen && len(s.dirty) == 0 {
+		s.tree.install(p)
 		return
 	}
 	for _, w := range writes {

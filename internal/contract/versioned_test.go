@@ -240,9 +240,7 @@ func TestPreviewRootThenAdopt(t *testing.T) {
 	writes := specPair(t, base, kp, "sp0")
 
 	serial := base.Clone()
-	for _, w := range writes {
-		serial.MergeSpeculative(w.Snap, w.Acc)
-	}
+	serial.AdoptSpeculative(writes, nil)
 	p := base.PreviewRoot(writes)
 	if base.Root() != before || freshRoot(base) != before {
 		t.Fatal("PreviewRoot changed the base state")
@@ -251,8 +249,8 @@ func TestPreviewRootThenAdopt(t *testing.T) {
 		t.Fatalf("previewed root %s, merged root %s", p.Root().Short(), serial.Root().Short())
 	}
 	base.AdoptSpeculative(writes, p)
-	if len(base.dirty) != 0 || base.tree != p.tree {
-		t.Fatalf("adopted state still has %d marks / its own tree", len(base.dirty))
+	if len(base.dirty) != 0 || rootDigest(base.tree.nodes[1]) != p.Root() {
+		t.Fatalf("adopted state still has %d marks / a tree without the patch", len(base.dirty))
 	}
 	if base.Root() != serial.Root() || freshRoot(base) != serial.Root() {
 		t.Fatal("adopted state diverged from the merged one")
@@ -260,28 +258,34 @@ func TestPreviewRootThenAdopt(t *testing.T) {
 }
 
 // TestAdoptSpeculativeKeepsItsOwnTreeWhenMarkedSince: a preview made
-// before the state was written again must not install its tree — the
+// before the state was written again must not install its patch — also
+// when the state was rooted in between, which clears the marks — the
 // writes are marked and re-hashed instead, so the root stays pure.
 func TestAdoptSpeculativeKeepsItsOwnTreeWhenMarkedSince(t *testing.T) {
-	kp := key(t, "spec-owner-2")
-	base := versionedBase(t, kp, "sq0")
-	base.Root()
-	writes := specPair(t, base, kp, "sq0")
-	p := base.PreviewRoot(writes)
+	for _, rerooted := range []bool{false, true} {
+		kp := key(t, "spec-owner-2")
+		base := versionedBase(t, kp, "sq0")
+		base.Root()
+		writes := specPair(t, base, kp, "sq0")
+		p := base.PreviewRoot(writes)
 
-	other := tx(t, kp, ledger.TxAnchor, "anchor", AnchorArgs{Label: "between", Digest: cryptoutil.Sum([]byte("b"))})
-	if _, err := base.Apply(other, 2, 2); err != nil {
-		t.Fatal(err)
-	}
-	base.AdoptSpeculative(writes, p)
-	if base.tree == p.tree {
-		t.Fatal("a stale preview's tree was installed")
-	}
-	if base.Root() != freshRoot(base) {
-		t.Fatal("root impure after adopting past a stale preview")
-	}
-	if base.Root() == p.Root() {
-		t.Fatal("the anchor written in between is missing from the root")
+		other := tx(t, kp, ledger.TxAnchor, "anchor", AnchorArgs{Label: "between", Digest: cryptoutil.Sum([]byte("b"))})
+		if _, err := base.Apply(other, 2, 2); err != nil {
+			t.Fatal(err)
+		}
+		if rerooted {
+			base.Root()
+		}
+		base.AdoptSpeculative(writes, p)
+		if len(base.dirty) == 0 {
+			t.Fatalf("rerooted=%v: a stale preview's patch was installed", rerooted)
+		}
+		if base.Root() != freshRoot(base) {
+			t.Fatalf("rerooted=%v: root impure after adopting past a stale preview", rerooted)
+		}
+		if base.Root() == p.Root() {
+			t.Fatalf("rerooted=%v: the anchor written in between is missing from the root", rerooted)
+		}
 	}
 }
 

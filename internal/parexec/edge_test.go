@@ -199,9 +199,10 @@ func TestUnknownMidBlockSerialTail(t *testing.T) {
 }
 
 // TestMidBlockHardErrorGasMatchesSerial: a nil transaction mid-block
-// aborts the block in every mode; the applied prefix's receipts AND
-// gas must equal the serial prefix, and the recorded stats must cover
-// exactly that prefix.
+// aborts the block in every mode. Under ModeSerial the applied prefix's
+// receipts AND gas must equal the serial prefix, and the recorded stats
+// must cover exactly that prefix; under ModeMVCCWave nothing was
+// applied, so there is no receipt, no gas and no stat.
 func TestMidBlockHardErrorGasMatchesSerial(t *testing.T) {
 	kp, err := cryptoutil.DeriveKeyPair("px-edge-err")
 	if err != nil {
@@ -230,6 +231,12 @@ func TestMidBlockHardErrorGasMatchesSerial(t *testing.T) {
 		got, stats, gotErr := newEngine(mode, 4).ExecuteBlock(st, batch, 2, 2)
 		if wantErr == nil || gotErr == nil {
 			t.Fatalf("%v: expected hard errors, got serial=%v parallel=%v", mode, wantErr, gotErr)
+		}
+		if mode == parexec.ModeMVCCWave {
+			if st.Root() != contract.NewState().Root() || len(got) != 0 || stats != (parexec.Stats{}) {
+				t.Fatalf("%v: a refused block left %d receipts, stats %+v, or touched the state", mode, len(got), stats)
+			}
+			continue
 		}
 		if st.Root() != serial.Root() {
 			t.Fatalf("%v: post-error root diverged", mode)

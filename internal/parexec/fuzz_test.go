@@ -113,10 +113,11 @@ func FuzzAccessSetDifferential(f *testing.F) {
 				tx.Type, method, args, acc, got[0], want[0])
 		}
 
-		// The proposer's path: the block speculated on snapshots, its
-		// root read off the previewed tree, then materialised. It must
-		// accept every block, leave the state alone until Commit, and
-		// end where ExecuteBlock ends — adopted tree included.
+		// A node's path, the two halves apart: the block speculated on
+		// snapshots, its root read off the previewed tree, then
+		// materialised. It must accept every block, leave the state
+		// alone until Commit, and end where the serial reference ends —
+		// adopted tree included.
 		for _, cfg := range []parexec.Config{{}, {Workers: 2, Mode: parexec.ModeMVCCWave}} {
 			eng := parexec.NewEngine(cfg)
 			st := base.Clone()

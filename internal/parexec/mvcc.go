@@ -26,29 +26,6 @@ import (
 	"medchain/internal/par"
 )
 
-// executeMVCC runs the block under ModeMVCCWave. See
-// Engine.ExecuteBlock for the contract.
-func (e *Engine) executeMVCC(bs *Stats, st *contract.State, txs []*ledger.Transaction, height uint64, now int64) ([]*contract.Receipt, error) {
-	writes, receipts, err := e.speculate(bs, st, e.prepare(txs), height, now)
-	if err != nil {
-		// A nil transaction, the one hard error there is. st is still
-		// untouched, so apply the whole block in order for exact serial
-		// state and bookkeeping.
-		*bs = Stats{Blocks: 1, Txs: int64(len(txs))}
-		all, err := applyInOrder(st, txs, height, now)
-		bs.Serial = int64(len(all))
-		return all, err
-	}
-	// Materialize: adopt every transaction's writes into the live
-	// state in canonical order — the newest writer of each key
-	// lands last, so the final objects are exactly serial's.
-	for _, w := range writes {
-		st.MergeSpeculative(w.Snap, w.Acc)
-	}
-	bs.Clean = int64(len(txs))
-	return receipts, nil
-}
-
 // prepare resolves and decodes every transaction of the block, once:
 // on the engine's pool, or under ModeSerial on the calling goroutine.
 // The calls carry the declared footprints the schedule is built from
@@ -143,18 +120,28 @@ func (sp *Speculation) Root() cryptoutil.Digest { return sp.root.Root() }
 // Commit materialises a speculation into the state it was made over,
 // which must not have changed since, and returns the receipts
 // (index-aligned with the block's transactions). State and receipts are
-// those ExecuteBlock would have produced; the state's root tree is the
-// one Root was read from, so nothing is hashed twice. A speculation
-// commits at most once.
+// those of applying the block in order; the tree patch Root was read
+// from is installed in the state's tree, so nothing is hashed twice. A
+// speculation commits at most once.
 func (e *Engine) Commit(sp *Speculation) []*contract.Receipt {
 	sp.st.AdoptSpeculative(sp.writes, sp.root)
 	e.record(sp.stats)
 	return sp.receipts
 }
 
+// dropDAGEdge is a mutation seam (export_test.go sets it): buildWaves
+// drops each transaction's highest-indexed dependency edge before
+// computing wave depths, letting dependents run alongside (or before)
+// their predecessors, so the sim's differential oracle can prove the
+// DAG is load-bearing. False outside tests.
+var dropDAGEdge bool
+
 // buildWaves derives the dependency DAG from the declared access sets
 // and groups transactions into execution waves by DAG depth.
 func (e *Engine) buildWaves(calls []contract.Call) [][]int {
+	if len(calls) == 0 {
+		return nil
+	}
 	depth := make([]int, len(calls))
 	lastWriter := make(map[contract.StateKey]int, len(calls))
 	maxDepth := 0
@@ -166,8 +153,8 @@ func (e *Engine) buildWaves(calls []contract.Call) [][]int {
 				deps[w] = struct{}{}
 			}
 		}
-		if e.cfg.UnsafeDropDAGEdge && len(deps) > 0 {
-			// Mutation knob: sever the highest-indexed dependency.
+		if dropDAGEdge && len(deps) > 0 {
+			// Sever the highest-indexed dependency.
 			hi := -1
 			for w := range deps {
 				if w > hi {

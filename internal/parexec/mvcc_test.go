@@ -68,16 +68,17 @@ func TestMVCCSchedulerAccounting(t *testing.T) {
 	}
 }
 
-// TestMVCCDropDAGEdgeDiverges proves the unsafe knob is load-bearing at
-// the engine level: on a conflicting workload, the mutated engine must
-// produce a state root or receipts that differ from serial, while the
-// unmutated configuration matches exactly. (The sim differential
-// oracle proves the same end to end in internal/sim.)
+// TestMVCCDropDAGEdgeDiverges proves the dropped-edge seam is
+// load-bearing at the engine level: on a conflicting workload, the
+// mutated engine must produce a state root or receipts that differ from
+// serial, while the unmutated configuration matches exactly.
+// (TestSimCatchesDroppedDAGEdge proves the same end to end.)
 func TestMVCCDropDAGEdgeDiverges(t *testing.T) {
+	defer parexec.SetDropDAGEdge()()
 	base, batch := chainBatch(t)
 	serial := base.Clone()
 	want := applyAll(t, serial, batch)
-	cfg := parexec.Config{Workers: 4, Mode: parexec.ModeMVCCWave, UnsafeDropDAGEdge: true}
+	cfg := parexec.Config{Workers: 4, Mode: parexec.ModeMVCCWave}
 
 	mutated := base.Clone()
 	got, _, err := parexec.NewEngine(cfg).ExecuteBlock(mutated, batch, 2, 2)

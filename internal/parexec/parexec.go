@@ -65,34 +65,26 @@ type Config struct {
 	Workers int
 	// Mode selects the execution strategy (default ModeSerial).
 	Mode Mode
-
-	// UnsafeDropDAGEdge drops each transaction's highest-indexed
-	// dependency edge before computing wave depths, letting dependents
-	// run alongside (or before) their predecessors. It exists ONLY so
-	// the sim differential oracle can prove the DAG is load-bearing
-	// (mutation testing) — never enable it outside that test.
-	UnsafeDropDAGEdge bool
 }
 
 // Stats counts engine activity. Invariant (asserted in tests):
 //
 //	Clean + Serial == Txs
 //
-// On the mid-block hard-error path (nil transaction), Txs is trimmed
-// to the applied prefix so the invariant holds for the stats actually
+// On ModeSerial's mid-block hard-error path (nil transaction), Txs is
+// the applied prefix so the invariant holds for the stats actually
 // recorded.
 type Stats struct {
-	// Blocks is the number of ExecuteBlock calls.
+	// Blocks is the number of blocks applied (ExecuteBlock, or Commit).
 	Blocks int64
-	// Txs is the total transactions applied (trimmed to the applied
-	// prefix when a block aborts on a hard error).
+	// Txs is the total transactions applied (the applied prefix when
+	// ModeSerial aborts a block on a hard error).
 	Txs int64
 	// Clean is how many transactions the wave scheduler executed on the
-	// parallel path.
+	// parallel path: every transaction in ModeMVCCWave.
 	Clean int64
 	// Serial is how many transactions ran in order, one at a time:
-	// every transaction in ModeSerial; in ModeMVCCWave only the applied
-	// prefix of a block that hard-errored.
+	// every transaction in ModeSerial.
 	Serial int64
 	// Waves is the total dependency waves dispatched (0 in ModeSerial;
 	// at most Txs).
@@ -145,28 +137,20 @@ func (e *Engine) Stats() Stats {
 // plus this block's stats. The final state and receipts are
 // bit-identical to serially applying txs in order. The error return
 // mirrors State.Apply: non-nil only for programming errors (nil
-// transaction), in which case st holds a prefix of the block and the
-// returned receipts and stats cover exactly that applied prefix — the
-// same state and bookkeeping the serial loop would have left behind.
+// transaction). ModeMVCCWave is Speculate then Commit, so an error
+// leaves st untouched and nothing counted; ModeSerial is the reference
+// loop on live state, so st then holds a prefix of the block and the
+// returned receipts and stats cover exactly that applied prefix.
 func (e *Engine) ExecuteBlock(st *contract.State, txs []*ledger.Transaction, height uint64, now int64) ([]*contract.Receipt, Stats, error) {
-	bs := Stats{Blocks: 1, Txs: int64(len(txs))}
-	if len(txs) == 0 {
-		e.record(bs)
-		return nil, bs, nil
-	}
-	var (
-		receipts []*contract.Receipt
-		err      error
-	)
 	if e.cfg.Mode == ModeMVCCWave {
-		receipts, err = e.executeMVCC(&bs, st, txs, height, now)
-	} else {
-		receipts, err = applyInOrder(st, txs, height, now)
-		bs.Serial = int64(len(receipts))
+		sp, err := e.Speculate(st, txs, height, now)
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		return e.Commit(sp), sp.stats, nil
 	}
-	if err != nil {
-		bs.Txs = int64(len(receipts)) // stats cover the applied prefix only
-	}
+	receipts, err := applyInOrder(st, txs, height, now)
+	bs := Stats{Blocks: 1, Txs: int64(len(receipts)), Serial: int64(len(receipts))}
 	e.record(bs)
 	return receipts, bs, err
 }

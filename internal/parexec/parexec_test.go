@@ -96,8 +96,8 @@ func newEngine(mode parexec.Mode, workers int) *parexec.Engine {
 }
 
 // checkStats asserts the accounting invariant every executed block
-// must satisfy — Clean + Serial == Txs (with Txs trimmed to the applied
-// prefix on the hard-error path) — plus the serial mode's zeros.
+// must satisfy — Clean + Serial == Txs (with Txs the applied prefix on
+// ModeSerial's hard-error path) — plus the serial mode's zeros.
 func checkStats(t *testing.T, mode parexec.Mode, stats parexec.Stats) {
 	t.Helper()
 	if stats.Clean+stats.Serial != stats.Txs {
@@ -209,8 +209,10 @@ func TestDeterminismProperty(t *testing.T) {
 }
 
 // TestNilTxMatchesSerialError checks the hard-error path in every
-// mode: a nil transaction aborts exactly like the serial loop, leaving
-// the same prefix applied — and the stats cover exactly that prefix.
+// mode: a nil transaction aborts ModeSerial exactly like the serial
+// loop, leaving the same prefix applied — and the stats cover exactly
+// that prefix — while ModeMVCCWave, which runs on snapshots, refuses the
+// block with the state untouched and nothing counted.
 func TestNilTxMatchesSerialError(t *testing.T) {
 	kp, err := cryptoutil.DeriveKeyPair("px-owner-2")
 	if err != nil {
@@ -234,9 +236,19 @@ func TestNilTxMatchesSerialError(t *testing.T) {
 	}
 	for _, mode := range allModes {
 		par := contract.NewState()
-		parReceipts, stats, parErr := newEngine(mode, 4).ExecuteBlock(par, batch, 2, 2)
+		eng := newEngine(mode, 4)
+		parReceipts, stats, parErr := eng.ExecuteBlock(par, batch, 2, 2)
 		if serialErr == nil || parErr == nil {
 			t.Fatalf("%v: expected hard errors, got serial=%v parallel=%v", mode, serialErr, parErr)
+		}
+		if mode == parexec.ModeMVCCWave {
+			if par.Root() != contract.NewState().Root() || len(parReceipts) != 0 {
+				t.Fatalf("%v: a refused block left %d receipts or touched the state", mode, len(parReceipts))
+			}
+			if stats != (parexec.Stats{}) || eng.Stats() != (parexec.Stats{}) {
+				t.Fatalf("%v: a refused block is counted: %+v / %+v", mode, stats, eng.Stats())
+			}
+			continue
 		}
 		if serial.Root() != par.Root() {
 			t.Fatalf("%v: post-error state diverged from serial", mode)

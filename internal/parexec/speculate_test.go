@@ -10,12 +10,13 @@ import (
 	"medchain/internal/parexec"
 )
 
-// TestSpeculateThenCommitEqualsExecuteBlock pins the proposer's path in
-// both modes over a block with a three-deep conflict chain: Speculate
-// leaves the state exactly as it was (root and export), names the root
-// ExecuteBlock ends on before anything is merged, and Commit lands on
-// that state, those receipts and a tree that equals a rebuild — with
-// the block counted once, at Commit.
+// TestSpeculateThenCommitEqualsExecuteBlock pins the one way a node
+// applies a block, in both modes, against the serial reference loop
+// over a block with a three-deep conflict chain: Speculate leaves the
+// state exactly as it was (root and export), names the root the
+// reference ends on before anything is merged, and Commit lands on that
+// state, those receipts and a tree that equals a rebuild — with the
+// block counted once, at Commit.
 func TestSpeculateThenCommitEqualsExecuteBlock(t *testing.T) {
 	for _, mode := range allModes {
 		base, batch := chainBatch(t)
@@ -68,14 +69,12 @@ func TestSpeculateThenCommitEqualsExecuteBlock(t *testing.T) {
 	}
 }
 
-// TestSpeculateRefusesUnboundedFootprint (the name predates the
-// behaviour): Speculate used to refuse a block holding a payload whose
-// arguments do not decode, and the proposer previewed it on a clone.
-// There is no such footprint any more: the block speculates in either
-// mode, wherever the payload sits, and Speculate + Commit ends where
-// ExecuteBlock ends. Only a nil transaction — a programming error — is
-// still refused, with nothing counted.
-func TestSpeculateRefusesUnboundedFootprint(t *testing.T) {
+// TestSpeculateUndecodableArgsAndNilTx: a block holding a payload whose
+// arguments do not decode speculates in either mode, wherever the
+// payload sits, and Speculate + Commit ends where the serial reference
+// ends. Only a nil transaction — a programming error — is refused, with
+// nothing counted.
+func TestSpeculateUndecodableArgsAndNilTx(t *testing.T) {
 	base, batch := chainBatch(t)
 	base.Root()
 	bad := &ledger.Transaction{Type: ledger.TxData, Method: "grant", Args: []byte("{not json"), Nonce: 7}
@@ -85,10 +84,7 @@ func TestSpeculateRefusesUnboundedFootprint(t *testing.T) {
 			append(append([]*ledger.Transaction{}, batch...), bad),
 		} {
 			direct := base.Clone()
-			want, _, err := newEngine(mode, 2).ExecuteBlock(direct, block, 2, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := applyAll(t, direct, block)
 			st := base.Clone()
 			eng := newEngine(mode, 2)
 			spec, err := eng.Speculate(st, block, 2, 2)
@@ -99,13 +95,13 @@ func TestSpeculateRefusesUnboundedFootprint(t *testing.T) {
 				t.Fatalf("%v: Speculate touched the state", mode)
 			}
 			if spec.Root() != direct.Root() {
-				t.Fatalf("%v: previewed root %s, ExecuteBlock %s", mode, spec.Root().Short(), direct.Root().Short())
+				t.Fatalf("%v: previewed root %s, serial %s", mode, spec.Root().Short(), direct.Root().Short())
 			}
 			if got := eng.Commit(spec); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v: receipts diverged from ExecuteBlock", mode)
+				t.Fatalf("%v: receipts diverged from serial", mode)
 			}
 			if st.Root() != direct.Root() || contract.ImportState(st.Export()).Root() != direct.Root() {
-				t.Fatalf("%v: committed state diverged from ExecuteBlock", mode)
+				t.Fatalf("%v: committed state diverged from serial", mode)
 			}
 			checkStats(t, mode, eng.Stats())
 

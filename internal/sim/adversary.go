@@ -34,11 +34,16 @@ const (
 	// BehaviorSyncFlood hammers honest nodes with sync requests far
 	// beyond the token-bucket rate.
 	BehaviorSyncFlood Behavior = "sync-flood"
+	// BehaviorWrongRoot proposes, validly signed with the stolen key, the
+	// next block on the canonical head with a state root no execution
+	// reproduces. Honest nodes execute a proposal before signing for it,
+	// so none may vote.
+	BehaviorWrongRoot Behavior = "wrong-root"
 )
 
 // AllBehaviors returns every adversary behavior.
 func AllBehaviors() []Behavior {
-	return []Behavior{BehaviorEquivocate, BehaviorForgeVotes, BehaviorGarbage, BehaviorSyncFlood}
+	return []Behavior{BehaviorEquivocate, BehaviorForgeVotes, BehaviorGarbage, BehaviorSyncFlood, BehaviorWrongRoot}
 }
 
 // AdversaryConfig arms one Byzantine node in the simulation: the last
@@ -48,11 +53,6 @@ func AllBehaviors() []Behavior {
 type AdversaryConfig struct {
 	// Behaviors is the enabled strategy set (default: all).
 	Behaviors []Behavior
-	// UnsafeSkipVoteVerify disables vote-signature verification at
-	// ingest on every honest node — the mutation knob: with it set, a
-	// vote-forging adversary is never scored, so the run must fail the
-	// quarantine invariant (and typically liveness too).
-	UnsafeSkipVoteVerify bool
 	// Minimize shrinks the adversary schedule (behavior set, then
 	// rounds) on a violation by re-running the simulation; see
 	// MinimizeAdversary. Off by default — each probe is a full run.
@@ -128,6 +128,7 @@ type adversary struct {
 	actions            int
 	offensesByBehavior map[Behavior]int
 	expected           map[string]expectedEvidence // strict-mode evidence ledger
+	wrongRoots         map[cryptoutil.Digest]bool  // hashes of the wrong-root blocks proposed
 	firstOffenseBlock  int                         // ck.blocks at first offense (-1: none yet)
 	quarantineBlocks   int                         // blocks to all-honest quarantine (-1: never)
 	laidLow            int                         // rounds spent muted by quarantine
@@ -180,6 +181,7 @@ func newAdversaryAt(c *chain.Cluster, p adversaryParams) (*adversary, error) {
 		strict:             p.Strict,
 		offensesByBehavior: make(map[Behavior]int),
 		expected:           make(map[string]expectedEvidence),
+		wrongRoots:         make(map[cryptoutil.Digest]bool),
 		firstOffenseBlock:  -1,
 		quarantineBlocks:   -1,
 	}
@@ -225,6 +227,7 @@ func (a *adversary) refNode(c *chain.Cluster) *chain.Node {
 // quarantined — fire one seeded behavior.
 func (a *adversary) advance(ck advSink, c *chain.Cluster, round int) {
 	a.checkHonest(ck, c)
+	a.checkInbox(ck)
 	if ck.failed() {
 		return
 	}
@@ -274,6 +277,8 @@ func (a *adversary) advance(ck advSink, c *chain.Cluster, round int) {
 		a.garbage(ck)
 	case BehaviorSyncFlood:
 		a.syncFlood(ck, c, running)
+	case BehaviorWrongRoot:
+		a.wrongRoot(ck, ref)
 	}
 }
 
@@ -295,26 +300,9 @@ func (a *adversary) equivocate(ck advSink, ref *chain.Node) {
 	head := ref.Chain().Head()
 	height := head.Header.Height + 1
 	if a.rng.Intn(2) == 0 {
-		txRoot, err := ledger.ComputeTxRoot(nil)
-		if err != nil {
-			return
-		}
 		for _, salt := range []string{"a", "b"} {
-			blk := &ledger.Block{Header: ledger.Header{
-				Height: height, Parent: head.Hash(), TxRoot: txRoot,
-				StateRoot: cryptoutil.Sum([]byte(fmt.Sprintf("fork-%s-%d", salt, height))),
-				Timestamp: head.Header.Timestamp + 1,
-				Proposer:  a.key.Address(),
-			}}
-			sp, err := consensus.SignProposal(blk, a.key)
-			if err != nil {
-				return
-			}
-			body, err := sp.Encode()
-			if err != nil {
-				return
-			}
-			if a.ep.BroadcastMsg("chain/proposal", body) != nil {
+			body, _, ok := a.proposal(head, fmt.Sprintf("fork-%s-%d", salt, height))
+			if !ok || a.ep.BroadcastMsg("chain/proposal", body) != nil {
 				return
 			}
 		}
@@ -341,6 +329,28 @@ func (a *adversary) equivocate(ck advSink, ref *chain.Node) {
 	if a.strict {
 		a.expectEvidence(consensus.EvidenceDoubleVote, height)
 	}
+}
+
+// proposal signs, with the stolen key, an empty block on head whose
+// state root is the digest of rootSeed — nobody's post-state — and
+// returns its wire encoding and hash.
+func (a *adversary) proposal(head *ledger.Block, rootSeed string) ([]byte, cryptoutil.Digest, bool) {
+	txRoot, err := ledger.ComputeTxRoot(nil)
+	if err != nil {
+		return nil, cryptoutil.Digest{}, false
+	}
+	blk := &ledger.Block{Header: ledger.Header{
+		Height: head.Header.Height + 1, Parent: head.Hash(), TxRoot: txRoot,
+		StateRoot: cryptoutil.Sum([]byte(rootSeed)),
+		Timestamp: head.Header.Timestamp + 1,
+		Proposer:  a.key.Address(),
+	}}
+	sp, err := consensus.SignProposal(blk, a.key)
+	if err != nil {
+		return nil, cryptoutil.Digest{}, false
+	}
+	body, err := sp.Encode()
+	return body, blk.Hash(), err == nil
 }
 
 func (a *adversary) expectEvidence(kind consensus.EvidenceKind, height uint64) {
@@ -416,6 +426,47 @@ func (a *adversary) syncFlood(ck advSink, c *chain.Cluster, running []int) {
 	a.noteOffense(ck, BehaviorSyncFlood)
 }
 
+// wrongRoot proposes, three times over, an empty block at the next
+// height whose state root derives from the height alone (so a repeat is
+// the same block, not an equivocation). A burst, because every copy
+// costs each honest node an execution and is scored, so quarantine does
+// not hinge on rounds outrunning the guard's wall-clock decay.
+func (a *adversary) wrongRoot(ck advSink, ref *chain.Node) {
+	head := ref.Chain().Head()
+	body, hash, ok := a.proposal(head, fmt.Sprintf("wrong-root-%d", head.Header.Height+1))
+	if !ok {
+		return
+	}
+	a.wrongRoots[hash] = true
+	for i := 0; i < 3; i++ {
+		if a.ep.BroadcastMsg("chain/proposal", body) != nil {
+			return
+		}
+	}
+	a.noteOffense(ck, BehaviorWrongRoot)
+}
+
+// checkInbox empties the adversary's inbox — it sits on the broadcast
+// path of every honest message — and fails the run on a vote for one of
+// its wrong-root proposals: whoever signed it did not execute the block.
+func (a *adversary) checkInbox(ck advSink) {
+	for {
+		select {
+		case msg, ok := <-a.ep.Inbox():
+			if !ok {
+				return
+			}
+			var v consensus.Vote
+			if msg.Topic == "chain/vote" && json.Unmarshal(msg.Payload, &v) == nil && a.wrongRoots[v.Block] {
+				ck.violationf("wrong-root: %s voted for block %s at height %d, whose state root no execution reproduces",
+					msg.From, v.Block.Short(), v.Height)
+			}
+		default:
+			return
+		}
+	}
+}
+
 // checkHonest polices the honest-side invariants every round: no
 // honest node may quarantine another honest node, and every honest
 // node's consensus buffers stay bounded regardless of spam volume.
@@ -450,6 +501,7 @@ func (a *adversary) retire(ck advSink, c *chain.Cluster) {
 		return
 	}
 	a.retired = true
+	a.checkInbox(ck)
 	_ = a.ep.Close()
 	if err := c.RestartNode(a.idx); err != nil {
 		ck.violationf("adversary: honest node-%d failed to rejoin after the Byzantine phase: %v", a.idx, err)

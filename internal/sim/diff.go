@@ -44,33 +44,21 @@ func (SerialExecutor) Execute(st *contract.State, txs []*ledger.Transaction, hei
 }
 
 // MVCCExecutor replays blocks through the MVCC dependency-wave
-// scheduler (internal/parexec). The Unsafe knob passes through to the
-// engine so a mutation test can prove the dependency DAG is
-// load-bearing.
+// scheduler (internal/parexec): Speculate then Commit, the code a node
+// applies a block with.
 type MVCCExecutor struct {
 	// Workers is the engine pool size (<= 0 means GOMAXPROCS).
 	Workers int
-	// UnsafeDropDAGEdge drops one dependency edge per transaction (sim
-	// self-test only).
-	UnsafeDropDAGEdge bool
 }
 
 // Name implements Executor.
 func (e MVCCExecutor) Name() string {
-	name := fmt.Sprintf("%s-w%d", parexec.ModeMVCCWave, e.Workers)
-	if e.UnsafeDropDAGEdge {
-		name += "-dropdagedge"
-	}
-	return name
+	return fmt.Sprintf("%s-w%d", parexec.ModeMVCCWave, e.Workers)
 }
 
 // Execute implements Executor.
 func (e MVCCExecutor) Execute(st *contract.State, txs []*ledger.Transaction, height uint64, now int64) ([]*contract.Receipt, error) {
-	eng := parexec.NewEngine(parexec.Config{
-		Workers:           e.Workers,
-		Mode:              parexec.ModeMVCCWave,
-		UnsafeDropDAGEdge: e.UnsafeDropDAGEdge,
-	})
+	eng := parexec.NewEngine(parexec.Config{Workers: e.Workers, Mode: parexec.ModeMVCCWave})
 	receipts, _, err := eng.ExecuteBlock(st, txs, height, now)
 	return receipts, err
 }

@@ -264,11 +264,11 @@ func (ck *checker) checkRound(c *chain.Cluster) {
 			return
 		}
 	}
-	// Live root purity: a proposer adopts the tree its preview hashed
-	// instead of re-hashing what it merged, so header agreement alone
-	// would not notice a write that reached the tree and not the tables.
-	// The node that proposed its own head is the one holding an adopted
-	// tree: it must equal a rebuild from the node's own export.
+	// Live root purity: a node installs the tree patch its execution of
+	// a block hashed instead of re-hashing what it merged, so header
+	// agreement alone would not notice a write that reached the tree and
+	// not the tables. One node a round — the head's proposer, which
+	// rotates — must root equal to a rebuild from its own export.
 	for _, ni := range c.RunningNodes() {
 		n := c.Node(ni)
 		if n.Chain().Head().Header.Proposer != n.Address() {

@@ -321,11 +321,6 @@ func Run(cfg Config) (*Result, error) {
 		if adv, err = newAdversary(cfg, cluster); err != nil {
 			return res, err
 		}
-		if cfg.Adversary.UnsafeSkipVoteVerify {
-			for _, i := range cluster.RunningNodes() {
-				cluster.Node(i).SetUnsafeSkipVoteVerify(true)
-			}
-		}
 	}
 
 	fz, err := newFuzzer(cfg, rand.New(rand.NewSource(subSeed(cfg.Seed, "fuzz"))))

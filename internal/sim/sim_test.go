@@ -2,7 +2,6 @@ package sim
 
 import (
 	"flag"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -164,15 +163,6 @@ func mutationCase(t *testing.T, suspect Executor) {
 // same seed is replayed.
 func TestSimCatchesConflictBug(t *testing.T) {
 	mutationCase(t, brokenExecutor{})
-}
-
-// TestSimCatchesDroppedDAGEdge: severing one dependency edge per
-// transaction before wave scheduling must be fatal under the
-// differential oracle — proof that the DAG (not some hidden
-// revalidation) is the mechanism keeping the wave scheduler
-// serial-equivalent.
-func TestSimCatchesDroppedDAGEdge(t *testing.T) {
-	mutationCase(t, MVCCExecutor{Workers: 4, UnsafeDropDAGEdge: true})
 }
 
 // TestSimDifferentialOracle is the MVCC acceptance gate: a NoFaults run
@@ -471,71 +461,6 @@ func TestSimAdversaryUnderChaos(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("adversary never acted")
-	}
-}
-
-// TestSimAdversaryCatchesDisabledVoteVerify is the acceptance mutation
-// check: with vote-signature verification disabled at ingest on every
-// honest node, the vote-forging adversary poisons the equivocation
-// trackers with votes "from" honest validators — and the oracle must
-// fail the run (honest nodes framing and quarantining each other,
-// and/or the unscored adversary escaping quarantine).
-func TestSimAdversaryCatchesDisabledVoteVerify(t *testing.T) {
-	res, err := Run(Config{Seed: *flagSeed, Rounds: 25, NoFaults: true,
-		Adversary: &AdversaryConfig{
-			Behaviors:            []Behavior{BehaviorForgeVotes},
-			UnsafeSkipVoteVerify: true,
-		}})
-	logAdversary(t, res)
-	if err == nil {
-		t.Fatal("disabling vote-signature verification at ingest was not caught")
-	}
-	if len(res.Violations) == 0 {
-		t.Fatalf("failed without a recorded violation: %v", err)
-	}
-	v := res.Violations[0]
-	if !strings.Contains(v, "quarantined honest") && !strings.Contains(v, "never quarantined") {
-		t.Fatalf("violation does not name the quarantine failure: %q", v)
-	}
-}
-
-// TestSimAdversaryMinimizer checks the shrinker: a failing adversarial
-// run with Minimize set must come back with a reduced schedule that
-// still fails and a replayable repro command.
-func TestSimAdversaryMinimizer(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	res, err := Run(Config{Seed: *flagSeed, Rounds: 25, NoFaults: true,
-		Adversary: &AdversaryConfig{
-			// Only forge-votes trips the oracle under the mutation;
-			// garbage rides along as the reducible part of the schedule.
-			Behaviors:            []Behavior{BehaviorForgeVotes, BehaviorGarbage},
-			UnsafeSkipVoteVerify: true,
-			Minimize:             true,
-		}})
-	if err == nil {
-		t.Fatal("mutated run passed")
-	}
-	cex := res.AdversaryRepro
-	if cex == nil {
-		t.Fatal("no adversary counterexample produced")
-	}
-	t.Logf("counterexample:\n%s", cex)
-	if len(cex.Behaviors) != 1 || cex.Behaviors[0] != BehaviorForgeVotes {
-		t.Fatalf("minimized behaviors %v, want [forge-votes]", cex.Behaviors)
-	}
-	if cex.Rounds > 25 {
-		t.Fatalf("minimizer grew the schedule to %d rounds", cex.Rounds)
-	}
-	if cex.Violation == "" {
-		t.Fatal("counterexample lacks the violation")
-	}
-	repro := cex.Repro()
-	for _, want := range []string{fmt.Sprintf("-sim.seed=%d", *flagSeed), "-sim.adversary=forge-votes", "TestSimAdversary"} {
-		if !strings.Contains(repro, want) {
-			t.Fatalf("repro %q does not pin %q", repro, want)
-		}
 	}
 }
 

@@ -80,11 +80,11 @@ func runSharded(shards, nodes, blocks int, dataDir string, committee int) error 
 		if err := sys.Shard(i).VerifyConsistency(); err != nil {
 			return fmt.Errorf("%s inconsistent: %w", shard.ShardID(i), err)
 		}
-		if n := shard.BestNode(sys.Shard(i)); n != nil {
+		if n := sys.Shard(i).Best(); n != nil {
 			fmt.Printf("  %-8s height=%d\n", shard.ShardID(i), n.Height())
 		}
 	}
-	if n := shard.BestNode(sys.Coord()); n != nil {
+	if n := sys.Coord().Best(); n != nil {
 		fmt.Printf("  %-8s height=%d (anchored receipt roots)\n", "coord", n.Height())
 	}
 
@@ -100,7 +100,7 @@ func runSharded(shards, nodes, blocks int, dataDir string, committee int) error 
 // pre-crash head.
 func killAndRecoverShard(sp *core.ShardedPlatform, victim int) error {
 	sys := sp.System()
-	n := shard.BestNode(sys.Shard(victim))
+	n := sys.Shard(victim).Best()
 	if n == nil {
 		return fmt.Errorf("%s has no running node", shard.ShardID(victim))
 	}
@@ -112,7 +112,7 @@ func killAndRecoverShard(sp *core.ShardedPlatform, victim int) error {
 	if err := sp.RecoverShard(victim); err != nil {
 		return fmt.Errorf("shard recovery: %w", err)
 	}
-	n = shard.BestNode(sys.Shard(victim))
+	n = sys.Shard(victim).Best()
 	got := n.Chain().Head()
 	if got.Hash() != wantHash || got.Header.Height != wantHeight {
 		return fmt.Errorf("recovered head %s@%d != pre-crash %s@%d",

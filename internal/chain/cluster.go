@@ -10,7 +10,6 @@ import (
 	"medchain/internal/guard"
 	"medchain/internal/ledger"
 	"medchain/internal/p2p"
-	"medchain/internal/parexec"
 	"medchain/internal/resilience"
 	"medchain/internal/store"
 )
@@ -47,10 +46,6 @@ type ClusterConfig struct {
 	CommitTimeout time.Duration
 	// KeySeed prefixes the deterministic node key seeds.
 	KeySeed string
-	// Exec configures every node's block executor (zero value =
-	// serial). Modes are bit-identical, so clusters may mix them across
-	// nodes via Node.SetExec.
-	Exec parexec.Config
 	// Persist makes every node disk-backed (nil = memory-only).
 	Persist *PersistConfig
 	// StrictSchedule makes every node reject proposals whose sealer is
@@ -67,9 +62,6 @@ type ClusterConfig struct {
 	// Mempool, when set, retunes every node's bounded transaction pool
 	// (capacity, future-nonce window).
 	Mempool *MempoolConfig
-	// Admission, when set, retunes every node's client admission
-	// controller (per-client rate, global budgets).
-	Admission *guard.AdmissionConfig
 }
 
 // PersistConfig gives every cluster node a durable storage engine.
@@ -188,7 +180,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			c.Close()
 			return nil, err
 		}
-		n.SetExec(cfg.Exec)
 		if cfg.StrictSchedule {
 			n.SetStrictSchedule(true)
 		}
@@ -197,9 +188,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		if cfg.Mempool != nil {
 			n.SetMempoolConfig(*cfg.Mempool)
-		}
-		if cfg.Admission != nil {
-			n.SetAdmissionConfig(*cfg.Admission)
 		}
 		c.nodes = append(c.nodes, n)
 	}

@@ -295,14 +295,14 @@ func TestClusterSubmitJoinsPerNodeReasons(t *testing.T) {
 }
 
 func TestClusterSubmitViaNamesTheNode(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{
-		Nodes: 3, KeySeed: "submit-via",
-		Admission: &guard.AdmissionConfig{ClientRate: 0.001, ClientBurst: 1},
-	})
+	c, err := NewCluster(ClusterConfig{Nodes: 3, KeySeed: "submit-via"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	for _, n := range c.Nodes() {
+		n.SetAdmissionConfig(guard.AdmissionConfig{ClientRate: 0.001, ClientBurst: 1})
+	}
 	kp := poolKey(t, "via")
 	if err := c.SubmitVia(2, datasetTx(t, kp, 0, "via-0")); err != nil {
 		t.Fatal(err)

@@ -64,11 +64,14 @@ func TestParallelClusterMatchesSerial(t *testing.T) {
 	user := userKey(t, "par-user")
 
 	commit := func(seed string, exec parexec.Config) (*Cluster, *ledger.Block) {
-		c, err := NewCluster(ClusterConfig{Nodes: 3, Engine: EngineQuorum, KeySeed: seed, Exec: exec})
+		c, err := NewCluster(ClusterConfig{Nodes: 3, Engine: EngineQuorum, KeySeed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(c.Close)
+		for _, n := range c.Nodes() {
+			n.SetExec(exec)
+		}
 		blk := submitAndCommit(t, c, parallelBatch(t, user)...)
 		if err := c.VerifyConsistency(); err != nil {
 			t.Fatal(err)

@@ -15,7 +15,6 @@ import (
 	"medchain/internal/ledger"
 	"medchain/internal/offchain"
 	"medchain/internal/oracle"
-	"medchain/internal/shard"
 	"medchain/internal/vm"
 )
 
@@ -171,7 +170,7 @@ func TestVMContractReadsRegistryViaOracle(t *testing.T) {
 		SSTORE
 		HALT
 	`)
-	deployNonce := shard.BestNode(p.Cluster()).PendingNonce(dev.Address())
+	deployNonce := p.Cluster().Best().PendingNonce(dev.Address())
 	receipts, err := p.transact(call{from: dev, typ: ledger.TxDeploy, method: "deploy", args: contract.DeployArgs{
 		Name: "registry-reader",
 		Code: base64.StdEncoding.EncodeToString(code),

@@ -123,7 +123,7 @@ func commit(c *chain.Cluster, txs []*ledger.Transaction) ([]*contract.Receipt, e
 			return nil, err
 		}
 	}
-	n := shard.BestNode(c)
+	n := c.Best()
 	if n == nil {
 		return nil, chain.ErrStopped
 	}

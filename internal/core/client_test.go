@@ -100,7 +100,7 @@ func shardedTestPlatform(t *testing.T) *ShardedPlatform {
 // dataset, reading every shard (not the router).
 func liveCopies(sp *ShardedPlatform, id string) (copies, at int) {
 	for i := 0; i < sp.System().Shards(); i++ {
-		n := shard.BestNode(sp.System().Shard(i))
+		n := sp.System().Shard(i).Best()
 		if ds, ok := n.State().Dataset(id); ok && ds.MovedTo == "" {
 			copies++
 			at = i
@@ -180,7 +180,7 @@ func TestShardedRoutesByWhereTheDatasetLives(t *testing.T) {
 			t.Fatalf("%d grants unsettled; anomalies=%v", pending, sp.System().Anomalies())
 		}
 		for i := 0; i < 3; i++ {
-			pol, ok := shard.BestNode(sp.System().Shard(i)).State().PolicyOf("data:" + dsID)
+			pol, ok := sp.System().Shard(i).Best().State().PolicyOf("data:" + dsID)
 			granted := ok && pol.Check(grantee.Address(), contract.ActionRead, "study", 0, false).Allowed
 			if granted != (i == c) {
 				t.Fatalf("shard %d: grant present=%v, dataset lives on shard %d", i, granted, c)
@@ -199,7 +199,7 @@ func TestShardedRoutesByWhereTheDatasetLives(t *testing.T) {
 func txSequence(t *testing.T, name string, c *chain.Cluster, exact bool) string {
 	t.Helper()
 	var lines []string
-	n := shard.BestNode(c)
+	n := c.Best()
 	for h := uint64(1); h <= n.Height(); h++ {
 		blk, err := n.Chain().BlockAt(h)
 		if err != nil {
@@ -324,7 +324,7 @@ func settleGoroutines(t *testing.T, base int, what string) {
 // skipped.
 func checkNonceRun(t *testing.T, c *chain.Cluster, first uint64, txs []*ledger.Transaction) {
 	t.Helper()
-	n := shard.BestNode(c)
+	n := c.Best()
 	seen := make(map[uint64]bool, len(txs))
 	for _, tx := range txs {
 		if r, ok := n.Receipt(tx.ID()); !ok || !r.OK() {
@@ -397,7 +397,7 @@ func TestSharedAccountConcurrentSubmit(t *testing.T) {
 	if !t.Failed() {
 		checkNonceRun(t, p.Cluster(), 0, txs)
 	}
-	t.Logf("%d transactions in %d blocks", len(txs), shard.BestNode(p.Cluster()).Height()-1)
+	t.Logf("%d transactions in %d blocks", len(txs), p.Cluster().Best().Height()-1)
 	p.Close()
 	settleGoroutines(t, base, "Platform.Close")
 }
@@ -441,7 +441,7 @@ func TestSharedAccountAcrossShards(t *testing.T) {
 	wg.Wait()
 	for w := 0; w < 2 && !t.Failed(); w++ {
 		c := sp.System().Shard(w)
-		if got := shard.BestNode(c).Chain().NextNonce(shared.Address()); got != each {
+		if got := c.Best().Chain().NextNonce(shared.Address()); got != each {
 			t.Errorf("shard %d: account's committed nonce %d, want %d", w, got, each)
 		}
 		for _, id := range ids[w] {

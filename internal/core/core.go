@@ -46,7 +46,6 @@ import (
 	"medchain/internal/offchain"
 	"medchain/internal/p2p"
 	"medchain/internal/query"
-	"medchain/internal/shard"
 )
 
 // Errors.
@@ -219,7 +218,7 @@ func (p *Platform) mustTransact(what string, calls ...call) error {
 // while the whole cluster is down: nothing is registered as far as
 // anyone can tell).
 func (p *Platform) state() *contract.State {
-	if n := shard.BestNode(p.cluster); n != nil {
+	if n := p.cluster.Best(); n != nil {
 		return n.State()
 	}
 	return contract.NewState()

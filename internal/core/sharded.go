@@ -132,7 +132,7 @@ func (sp *ShardedPlatform) Settle(maxRounds int) int {
 
 // TransferStatus reports a transfer's source-side 2PC status.
 func (sp *ShardedPlatform) TransferStatus(srcShard int, id string) (contract.CrossPrepare, bool) {
-	n := shard.BestNode(sp.sys.Shard(srcShard))
+	n := sp.sys.Shard(srcShard).Best()
 	if n == nil {
 		return contract.CrossPrepare{}, false
 	}

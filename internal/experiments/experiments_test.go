@@ -86,8 +86,10 @@ func TestRunReportsFailedVerify(t *testing.T) {
 }
 
 // TestDocsCoverRegistry holds the two documents that index the suite to
-// the registry: every entry has its section in EXPERIMENTS.md and its
-// row in DESIGN.md §4's table, and ids are unique.
+// the registry, both ways: every entry has its section in EXPERIMENTS.md
+// and its row in DESIGN.md §4's table, ids are unique, and every
+// experiment section or row in those documents names a registry entry —
+// except E11, the `benchmed -run sim` soak that lives in internal/sim.
 func TestDocsCoverRegistry(t *testing.T) {
 	recorded, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
@@ -97,7 +99,12 @@ func TestDocsCoverRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]bool{}
+	start, end := bytes.Index(design, []byte("\n## 4. ")), bytes.Index(design, []byte("\n## 5. "))
+	if start < 0 || end < start {
+		t.Fatal("DESIGN.md has no §4 followed by §5")
+	}
+	index := design[start:end]
+	seen := map[string]bool{"E11": true}
 	for _, e := range All() {
 		if seen[e.ID] {
 			t.Errorf("%s is in the registry twice", e.ID)
@@ -109,8 +116,15 @@ func TestDocsCoverRegistry(t *testing.T) {
 		if !regexp.MustCompile(`(?m)^## ` + e.ID + ` — `).Match(recorded) {
 			t.Errorf("EXPERIMENTS.md has no `## %s — ` section", e.ID)
 		}
-		if !regexp.MustCompile(`(?m)^\| ` + e.ID + ` \|`).Match(design) {
+		if !regexp.MustCompile(`(?m)^\| ` + e.ID + ` \|`).Match(index) {
 			t.Errorf("DESIGN.md §4 has no `| %s |` row", e.ID)
+		}
+	}
+	for doc, text := range map[string][]byte{"EXPERIMENTS.md": recorded, "DESIGN.md §4": index} {
+		for _, m := range regexp.MustCompile(`(?m)^(?:## ([EA]\d+) — |\| ([EA]\d+) \|)`).FindAllSubmatch(text, -1) {
+			if id := string(m[1]) + string(m[2]); !seen[id] {
+				t.Errorf("%s has %q for %s, which is not in the registry", doc, m[0], id)
+			}
 		}
 	}
 }
@@ -231,23 +245,6 @@ func TestE9AvailabilityUnderFaults(t *testing.T) {
 	)
 }
 
-func TestE12Durability(t *testing.T) {
-	recovery := []e12RecoveryRow{
-		{Blocks: 16, WALBytes: 50_000, Cold: time.Millisecond, Snap: time.Millisecond, Replayed: 16, Match: true},
-		{Blocks: 64, WALBytes: 200_000, Cold: time.Millisecond, Snap: time.Millisecond, SnapHeight: 64, Match: true},
-	}
-	sync := []e12SyncRow{{SyncEvery: 1, Syncs: 70, WriteAmp: 5.9}, {SyncEvery: 64, Syncs: 5, WriteAmp: 5.9}}
-	checkBar(t, func(r []e12RecoveryRow) error { return verifyE12(r, sync) }, recovery,
-		func(r []e12RecoveryRow) { r[0].Match = false },
-		func(r []e12RecoveryRow) { r[0].WALBytes = 0 },
-		func(r []e12RecoveryRow) { r[1].SnapHeight, r[1].Replayed = 0, 64 },
-	)
-	checkBar(t, func(r []e12SyncRow) error { return verifyE12(recovery, r) }, sync,
-		func(r []e12SyncRow) { r[1].Syncs = 70 },
-		func(r []e12SyncRow) { r[0].WriteAmp = 1 },
-	)
-}
-
 func TestE14OverloadSweep(t *testing.T) {
 	checkBar(t, verifyE14,
 		[]e14Row{
@@ -276,61 +273,6 @@ func TestE15DataPlane(t *testing.T) {
 		func(r []e15QueryRow) { r[0].Mismatches = 1 },
 		func(r []e15QueryRow) { r[1].Docs = 3999 },
 		func(r []e15QueryRow) { r[1].Speedup = 9 },
-	)
-}
-
-func TestE16Sharding(t *testing.T) {
-	cfg := e16Config{ShardCounts: []int{1, 2}, Rounds: 2, TxsPerShard: 4, CrossTransfers: 8}
-	type legs struct {
-		scale   []e16ScaleRow
-		cross   e16CrossRow
-		contain e16ContainRow
-	}
-	checkBar(t, func(l []legs) error { return verifyE16(cfg, l[0].scale, &l[0].cross, &l[0].contain) },
-		[]legs{{
-			scale:   []e16ScaleRow{{Shards: 1, Txs: 8}, {Shards: 2, Txs: 16}},
-			cross:   e16CrossRow{Transfers: 8, Committed: 6, Aborted: 2},
-			contain: e16ContainRow{Offenses: 3},
-		}},
-		func(l []legs) { l[0].scale = []e16ScaleRow{{Shards: 1, Txs: 8}, {Shards: 2, Txs: 15}} },
-		func(l []legs) { l[0].cross.Pending = 1 },
-		func(l []legs) { l[0].cross.Committed, l[0].cross.Aborted = 8, 0 },
-		func(l []legs) { l[0].cross.Committed, l[0].cross.Aborted = 5, 3 },
-		func(l []legs) { l[0].contain.Violations = []string{"shard-1 stalled"} },
-		func(l []legs) { l[0].contain.Offenses = 0 },
-		func(l []legs) { l[0].contain.Pending = 2 },
-	)
-}
-
-func TestE17Elasticity(t *testing.T) {
-	cfg := e17Config{ChainLengths: []int{8}, DatasetCounts: []int{16}}
-	type legs struct {
-		recov            e17RecoverRow
-		reshard          e17ReshardRow
-		control, standby e17FailoverRow
-	}
-	checkBar(t, func(l []legs) error {
-		return verifyE17(cfg, []e17RecoverRow{l[0].recov}, []e17ReshardRow{l[0].reshard}, []e17FailoverRow{l[0].control, l[0].standby})
-	},
-		[]legs{{
-			recov:   e17RecoverRow{Blocks: 8, Height: 14, SnapshotHeight: 12, ReplayedBlocks: 2, HeadMatch: true},
-			reshard: e17ReshardRow{Datasets: 16, Migrated: 11, FinalEpoch: 2},
-			control: e17FailoverRow{Committee: 1, LeaseBlocks: 4, DowntimeBlocks: -1, Pending: 32},
-			standby: e17FailoverRow{Committee: 3, LeaseBlocks: 4, DowntimeBlocks: 7, Recovered: true, TakeoverInCommittee: true},
-		}},
-		func(l []legs) { l[0].recov.HeadMatch = false },
-		func(l []legs) { l[0].recov.ReplayedBlocks = 14 },
-		func(l []legs) { l[0].recov.SnapshotHeight, l[0].recov.ReplayedBlocks = 0, 14 },
-		func(l []legs) { l[0].reshard.FinalEpoch = 1 },
-		func(l []legs) { l[0].reshard.Lost = 1 },
-		func(l []legs) { l[0].reshard.Migrated = 0 },
-		func(l []legs) { l[0].control.Recovered = true },
-		func(l []legs) { l[0].control.Pending = 0 },
-		func(l []legs) { l[0].control.Committee = 2 }, // no control run in the sweep
-		func(l []legs) { l[0].standby.Recovered = false },
-		func(l []legs) { l[0].standby.TakeoverInCommittee = false },
-		func(l []legs) { l[0].standby.DowntimeBlocks = 3 },
-		func(l []legs) { l[0].standby.Pending = 9 },
 	)
 }
 

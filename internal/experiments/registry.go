@@ -1,7 +1,9 @@
 // Package experiments is the reproduction harness: one registry entry
-// per experiment in DESIGN.md §4 — E1–E10 and E12–E17, and the
+// per experiment in DESIGN.md §4 — E1–E10 and E13–E15, and the
 // ablations A1–A4 (E11 is the `benchmed -run sim` soak and lives in
-// internal/sim). cmd/benchmed, the root BenchmarkExperiments, the
+// internal/sim). Storage and shard mechanics are not entries: bench/
+// measures them and the internal/store, internal/shard and sharded-sim
+// tests hold their bars. cmd/benchmed, the root BenchmarkExperiments, the
 // package tests and the CI smoke step all iterate All(), so they run
 // the same sweeps, print the same tables and enforce the same bars.
 //
@@ -127,12 +129,9 @@ func All() []Experiment {
 		{"E8", "Fig. 2, §III.B: the blockchain HIE audits and policy-gates every exchange; legacy e-mail does neither", runE8},
 		{"E9", "Fig. 2: under crash, loss and partition every submitted transaction commits and the cluster converges", runE9},
 		{"E10", "§I, §III: blocks apply in parallel with state root and receipts bit-identical to serial, the whole batch on the parallel path", runE10},
-		{"E12", "durable storage: cold and snapshot recovery reproduce the committed root; group commit cuts fsyncs", runE12},
 		{"E13", "Byzantine resilience: a compromised validator is quarantined within the bound, its traffic discarded, equivocation on chain as evidence", runE13},
 		{"E14", "overload: excess load is shed with typed errors, the pool bound holds, goodput does not collapse", runE14},
 		{"E15", "§IV, Fig. 5: the chain-tailing index agrees exactly with a full blob scan and answers >= 10x faster", runE15},
-		{"E16", "Fig. 2/5, §I sharding survey: shards commit their workload in parallel, every 2PC transfer terminates, a Byzantine shard is contained", runE16},
-		{"E17", "elastic shards: bit-identical whole-shard recovery, loss-free resharding, lease takeover iff a standby exists", runE17},
 		{"A1", "ablation: PoW burns hash work the permissioned engines (PoA, PoS, quorum) do not", runA1},
 		{"A2", "ablation: batched monitor-node dispatch makes fewer handler calls and finishes sooner", runA2},
 		{"A3", "ablation: pairwise-masked aggregation equals plain weighted averaging", runA3},

@@ -58,8 +58,10 @@ func TestOpenLoopFloodIsShedWithTypedErrors(t *testing.T) {
 		KeySeed:     "lg-flood",
 		MaxBlockTxs: 8,
 		Mempool:     &chain.MempoolConfig{Capacity: capacity},
-		Admission:   &guard.AdmissionConfig{ClientRate: 50, ClientBurst: 10},
 	})
+	for _, n := range c.Nodes() {
+		n.SetAdmissionConfig(guard.AdmissionConfig{ClientRate: 50, ClientBurst: 10})
+	}
 	res, err := Run(c, Config{
 		Clients:  2,
 		Rate:     2000,

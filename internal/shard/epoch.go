@@ -34,7 +34,7 @@ type Migration struct {
 // unreadable (or predates the routing table) falls back to the full
 // local shard list as the current epoch.
 func (s *System) routingLists() (current, pending []string) {
-	if n := BestNode(s.coord); n != nil {
+	if n := s.coord.Best(); n != nil {
 		if rt, ok := n.State().Routing(); ok && rt.Current != nil {
 			if rt.Pending != nil {
 				pending = rt.Pending.Shards
@@ -48,7 +48,7 @@ func (s *System) routingLists() (current, pending []string) {
 // Epoch returns the committed routing epoch number (0 before the first
 // commit_epoch).
 func (s *System) Epoch() uint64 {
-	if n := BestNode(s.coord); n != nil {
+	if n := s.coord.Best(); n != nil {
 		if rt, ok := n.State().Routing(); ok && rt.Current != nil {
 			return rt.Current.Epoch
 		}
@@ -123,7 +123,7 @@ func (s *System) LookupShards(key string) []int {
 func (s *System) FindDataset(id string) (int, *contract.Dataset, bool) {
 	for _, i := range s.LookupShards(id) {
 		for hops := 0; i >= 0 && hops < len(s.shards); hops++ {
-			n := BestNode(s.shards[i])
+			n := s.shards[i].Best()
 			if n == nil {
 				break
 			}
@@ -181,7 +181,7 @@ func (s *System) BeginEpoch(shardIDs []string) (uint64, error) {
 	if _, err := s.coord.CommitAll(); err != nil {
 		return 0, fmt.Errorf("shard: commit begin_epoch: %w", err)
 	}
-	if n := BestNode(s.coord); n != nil {
+	if n := s.coord.Best(); n != nil {
 		if rt, ok := n.State().Routing(); !ok || rt.Pending == nil || rt.Pending.Epoch != next {
 			return 0, fmt.Errorf("shard: begin_epoch %d did not take effect", next)
 		}
@@ -195,7 +195,7 @@ func (s *System) BeginEpoch(shardIDs []string) (uint64, error) {
 // transfers still settle exactly-once) but unmigrated keys stop
 // routing to their old home.
 func (s *System) CommitEpoch() error {
-	n := BestNode(s.coord)
+	n := s.coord.Best()
 	if n == nil {
 		return chain.ErrStopped
 	}
@@ -210,7 +210,7 @@ func (s *System) CommitEpoch() error {
 	if _, err := s.coord.CommitAll(); err != nil {
 		return fmt.Errorf("shard: commit commit_epoch: %w", err)
 	}
-	if rt, ok := BestNode(s.coord).State().Routing(); !ok || rt.Current == nil || rt.Current.Epoch != epoch {
+	if rt, ok := s.coord.Best().State().Routing(); !ok || rt.Current == nil || rt.Current.Epoch != epoch {
 		return fmt.Errorf("shard: commit_epoch %d did not take effect", epoch)
 	}
 	return nil
@@ -229,7 +229,7 @@ func (s *System) MigrationPlan() ([]Migration, error) {
 	}
 	var plan []Migration
 	for i := range s.shards {
-		n := BestNode(s.shards[i])
+		n := s.shards[i].Best()
 		if n == nil {
 			continue
 		}

@@ -13,7 +13,7 @@ import (
 func liveCopies(s *System, id string) (count, home int) {
 	home = -1
 	for i := 0; i < s.Shards(); i++ {
-		n := BestNode(s.Shard(i))
+		n := s.Shard(i).Best()
 		if n == nil {
 			continue
 		}
@@ -84,7 +84,7 @@ func TestAddShardReshardMigration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DrainMigrations: %v (moved %d)", err, moved)
 	}
-	if moved < len(plan) {
+	if moved != len(plan) {
 		t.Fatalf("moved %d datasets, plan had %d", moved, len(plan))
 	}
 	if err := s.CommitEpoch(); err != nil {
@@ -169,7 +169,7 @@ func TestStaleEpochTransitionsRefused(t *testing.T) {
 		if _, err := s.Coord().CommitAll(); err != nil {
 			t.Fatalf("commit %s probe: %v", method, err)
 		}
-		r, ok := BestNode(s.Coord()).Receipt(tx.ID())
+		r, ok := s.Coord().Best().Receipt(tx.ID())
 		if !ok {
 			t.Fatalf("%s probe receipt missing", method)
 		}

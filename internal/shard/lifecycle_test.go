@@ -14,7 +14,9 @@ import (
 // down the multi-cluster shutdown contract: Close must not deadlock,
 // leak timers into closed networks, or race block commits against
 // endpoint teardown — the exact hazards a sharded deployment (many
-// clusters per process) hits that single-cluster tests never did.
+// clusters per process) hits that single-cluster tests never did. Each
+// shard's own workload must land whole on that shard while every shard
+// commits at once: the parallelism sharding exists for.
 func TestSystemLifecycleRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lifecycle soak")
@@ -31,15 +33,24 @@ func TestSystemLifecycleRace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: NewSystem: %v", iter, err)
 		}
+		ids := make([][]string, s.Shards())
+		for i := range ids {
+			for k := 0; k < 4; k++ {
+				id := fmt.Sprintf("ds-life-%d-%d-%d", iter, i, k)
+				submitDataset(t, s, i, mustKey(t, "owner/"+id), id)
+				ids[i] = append(ids[i], id)
+			}
+		}
 		// Drive commits on every shard concurrently, then Close while
 		// the last round's gossip may still be in flight.
+		errs := make([]error, s.Shards())
 		var wg sync.WaitGroup
 		for i := 0; i < s.Shards(); i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				for r := 0; r < 3; r++ {
-					_, _ = s.Shard(i).CommitAll()
+				for r := 0; r < 3 && errs[i] == nil; r++ {
+					_, errs[i] = s.Shard(i).CommitAll()
 				}
 			}(i)
 		}
@@ -49,6 +60,17 @@ func TestSystemLifecycleRace(t *testing.T) {
 			_, _ = s.Coord().CommitAll()
 		}()
 		wg.Wait()
+		for i, shardIDs := range ids {
+			if errs[i] != nil {
+				t.Fatalf("iter %d shard %d: CommitAll: %v", iter, i, errs[i])
+			}
+			st := s.Shard(i).Best().State()
+			for _, id := range shardIDs {
+				if _, ok := st.Dataset(id); !ok {
+					t.Fatalf("iter %d: %s never committed on shard %d", iter, id, i)
+				}
+			}
+		}
 		s.PumpRound()
 		s.Close()
 	}

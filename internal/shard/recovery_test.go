@@ -36,7 +36,7 @@ func newPersistentSystem(t *testing.T, cfg Config) *System {
 // headOf captures a cluster's best head hash and height.
 func headOf(t *testing.T, s *System, i int) (string, uint64) {
 	t.Helper()
-	n := BestNode(s.Shard(i))
+	n := s.Shard(i).Best()
 	if n == nil {
 		t.Fatalf("shard %d has no running node", i)
 	}
@@ -47,10 +47,11 @@ func headOf(t *testing.T, s *System, i int) (string, uint64) {
 // TestSystemStopRecoverMid2PC kills the destination shard after the
 // transfer's prepare committed but before apply, recovers it from
 // disk, and requires the relay to finish the 2PC exactly once: the
-// recovered chain is bit-identical to its pre-crash head, the source
-// tombstones, the destination owns the dataset.
+// recovered chain is bit-identical to its pre-crash head, every node
+// resumed from a snapshot and re-executed only the blocks past it, the
+// source tombstones, the destination owns the dataset.
 func TestSystemStopRecoverMid2PC(t *testing.T) {
-	s := newPersistentSystem(t, Config{Shards: 2})
+	s := newPersistentSystem(t, Config{Shards: 2, SnapshotEvery: 2})
 	owner := mustKey(t, "owner/recover-dest")
 	registerDataset(t, s, 0, owner, "ds-crash")
 
@@ -87,13 +88,17 @@ func TestSystemStopRecoverMid2PC(t *testing.T) {
 		if rec == nil {
 			t.Fatal("disk-backed node recovered without a recovery report")
 		}
+		if rec.SnapshotHeight == 0 || rec.ReplayedBlocks != int(rec.Height-rec.SnapshotHeight) {
+			t.Fatalf("%s recovered height %d from snapshot %d replaying %d blocks; want a snapshot and only the blocks past it",
+				n.ID(), rec.Height, rec.SnapshotHeight, rec.ReplayedBlocks)
+		}
 	}
 
 	rounds := s.Pump(20)
 	if n := s.PendingTransfers(); n != 0 {
 		t.Fatalf("still %d pending after %d rounds post-recovery; anomalies=%v", n, rounds, s.Anomalies())
 	}
-	src := BestNode(s.Shard(0)).State()
+	src := s.Shard(0).Best().State()
 	prep, ok := src.CrossOutbound("xfer-crash")
 	if !ok || prep.Status != contract.CrossCommitted {
 		t.Fatalf("source prepare = %+v, want committed", prep)
@@ -101,7 +106,7 @@ func TestSystemStopRecoverMid2PC(t *testing.T) {
 	if ds, _ := src.Dataset("ds-crash"); ds == nil || ds.MovedTo != ShardID(1) {
 		t.Fatalf("source dataset = %+v, want tombstone to %s", ds, ShardID(1))
 	}
-	dst := BestNode(s.Shard(1)).State()
+	dst := s.Shard(1).Best().State()
 	if ds, ok := dst.Dataset("ds-crash"); !ok || ds.Owner != owner.Address() {
 		t.Fatalf("dest dataset = %+v, ok=%v", ds, ok)
 	}
@@ -134,8 +139,8 @@ func TestCoordStopRecoverMid2PC(t *testing.T) {
 	}
 	s.PumpRound() // gateway anchors on coord
 	anchored := false
-	if n := BestNode(s.Coord()); n != nil {
-		_, anchored = n.State().ShardRootAt(ShardID(0), BestNode(s.Shard(0)).Height())
+	if n := s.Coord().Best(); n != nil {
+		_, anchored = n.State().ShardRootAt(ShardID(0), s.Shard(0).Best().Height())
 	}
 
 	s.StopCoord()
@@ -144,7 +149,7 @@ func TestCoordStopRecoverMid2PC(t *testing.T) {
 		t.Fatalf("RecoverCoord: %v", err)
 	}
 	if anchored {
-		if _, ok := BestNode(s.Coord()).State().ShardRootAt(ShardID(0), BestNode(s.Shard(0)).Height()); !ok {
+		if _, ok := s.Coord().Best().State().ShardRootAt(ShardID(0), s.Shard(0).Best().Height()); !ok {
 			t.Fatal("anchored root lost across coordination-chain recovery")
 		}
 	}
@@ -153,7 +158,7 @@ func TestCoordStopRecoverMid2PC(t *testing.T) {
 	if n := s.PendingTransfers(); n != 0 {
 		t.Fatalf("still %d pending after %d rounds; anomalies=%v", n, rounds, s.Anomalies())
 	}
-	src := BestNode(s.Shard(0)).State()
+	src := s.Shard(0).Best().State()
 	if prep, ok := src.CrossOutbound("xfer-coord"); !ok || prep.Status != contract.CrossCommitted {
 		t.Fatalf("source prepare = %+v, want committed", prep)
 	}
@@ -174,7 +179,7 @@ func TestRelayExpireAfterDestPartition(t *testing.T) {
 	filler := mustKey(t, "filler/expire-partition")
 	registerDataset(t, s, 0, owner, "ds-expire")
 
-	destHeight := BestNode(s.Shard(1)).Height()
+	destHeight := s.Shard(1).Best().Height()
 	payload, _ := json.Marshal(contract.CrossTransferPayload{Dataset: "ds-expire"})
 	if err := s.SubmitPrepare(0, owner, contract.CrossPrepareArgs{
 		ID: "xfer-part", Kind: contract.CrossTransfer, DestShard: ShardID(1),
@@ -197,14 +202,14 @@ func TestRelayExpireAfterDestPartition(t *testing.T) {
 	}
 	// Drive the recovered destination past the deadline with unrelated
 	// traffic.
-	for i := 0; BestNode(s.Shard(1)).Height() <= destHeight+2 && i < 6; i++ {
+	for i := 0; s.Shard(1).Best().Height() <= destHeight+2 && i < 6; i++ {
 		registerDataset(t, s, 1, filler, "ds-filler-"+string(rune('a'+i)))
 	}
 
 	// One pump round relays the source root onto the destination; then
 	// a direct apply must be refused on-chain with ErrCrossExpired.
 	s.PumpRound()
-	srcState := BestNode(s.Shard(0)).State()
+	srcState := s.Shard(0).Best().State()
 	prep, ok := srcState.CrossOutbound("xfer-part")
 	if !ok {
 		t.Fatal("prepare record missing on source")
@@ -219,7 +224,7 @@ func TestRelayExpireAfterDestPartition(t *testing.T) {
 			}
 			if err := SubmitSigned(s.Shard(1), mustKey(t, "relayer/expire-partition"), tx); err == nil {
 				_, _ = s.Shard(1).CommitAll()
-				if r, ok := BestNode(s.Shard(1)).Receipt(tx.ID()); ok {
+				if r, ok := s.Shard(1).Best().Receipt(tx.ID()); ok {
 					if r.OK() || !strings.Contains(r.Err, contract.ErrCrossExpired.Error()) {
 						t.Fatalf("late apply receipt = ok=%v err=%q, want ErrCrossExpired", r.OK(), r.Err)
 					}
@@ -240,11 +245,11 @@ func TestRelayExpireAfterDestPartition(t *testing.T) {
 	if !ok || ds.Frozen || ds.MovedTo != "" {
 		t.Fatalf("source dataset = %+v, want thawed with no tombstone", ds)
 	}
-	res, ok := BestNode(s.Shard(1)).State().CrossInbound(ShardID(0), "xfer-part")
+	res, ok := s.Shard(1).Best().State().CrossInbound(ShardID(0), "xfer-part")
 	if !ok || res.Applied || res.Reason != "expired" {
 		t.Fatalf("dest resolution = %+v, ok=%v, want expired refusal", res, ok)
 	}
-	if _, leaked := BestNode(s.Shard(1)).State().Dataset("ds-expire"); leaked {
+	if _, leaked := s.Shard(1).Best().State().Dataset("ds-expire"); leaked {
 		t.Fatal("expired transfer leaked the dataset onto the destination")
 	}
 	if err := s.VerifyConsistency(); err != nil {

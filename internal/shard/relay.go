@@ -35,7 +35,7 @@ const (
 // proofs the protocol later needs.
 func (s *System) scanShard(i int) {
 	id := s.shardIDs[i]
-	n := BestNode(s.shards[i])
+	n := s.shards[i].Best()
 	if n == nil {
 		return
 	}
@@ -121,7 +121,7 @@ func (s *System) PumpRound() bool {
 	// committee member holds the shard's lease on the coordination
 	// chain; a dead holder leaves its shard silent until the lease
 	// expires and a live standby takes it over.
-	coordNode := BestNode(s.coord)
+	coordNode := s.coord.Best()
 	if coordNode != nil {
 		coordState := coordNode.State()
 		for i, id := range s.shardIDs {
@@ -159,7 +159,7 @@ func (s *System) PumpRound() bool {
 	// → resolve, strictly state-driven.
 	for i := range s.shards {
 		srcCluster := s.shards[i]
-		srcNode := BestNode(srcCluster)
+		srcNode := srcCluster.Best()
 		if srcNode == nil {
 			continue
 		}
@@ -174,7 +174,7 @@ func (s *System) PumpRound() bool {
 				continue
 			}
 			destCluster := s.shards[di]
-			destNode := BestNode(destCluster)
+			destNode := destCluster.Best()
 			if destNode == nil {
 				continue
 			}
@@ -298,7 +298,7 @@ func (s *System) relayRoot(shardID string, height uint64, target *chain.Cluster,
 	if _, ok := targetNode.State().ShardRootAt(shardID, height); ok {
 		return false
 	}
-	coordNode := BestNode(s.coord)
+	coordNode := s.coord.Best()
 	if coordNode == nil {
 		return true
 	}
@@ -326,7 +326,7 @@ func (s *System) relayRoot(shardID string, height uint64, target *chain.Cluster,
 // chain is unreachable (or the root not yet anchored there): not a
 // protocol violation, just a round to retry.
 func (s *System) relayVerify(shardID string, height uint64, computed cryptoutil.Digest) (verified, decided bool) {
-	coordNode := BestNode(s.coord)
+	coordNode := s.coord.Best()
 	if coordNode == nil {
 		return false, false
 	}
@@ -342,7 +342,7 @@ func (s *System) relayVerify(shardID string, height uint64, computed cryptoutil.
 func (s *System) PendingTransfers() int {
 	pending := 0
 	for _, c := range s.shards {
-		n := BestNode(c)
+		n := c.Best()
 		if n == nil {
 			continue
 		}
@@ -381,7 +381,7 @@ func (s *System) SubmitPrepare(src int, key *cryptoutil.KeyPair, args contract.C
 		if di < 0 {
 			return fmt.Errorf("shard: unknown dest shard %q", args.DestShard)
 		}
-		if n := BestNode(s.shards[di]); n != nil {
+		if n := s.shards[di].Best(); n != nil {
 			args.DestExpiry = n.Height() + s.cfg.DestExpiryBlocks
 		} else {
 			args.DestExpiry = s.cfg.DestExpiryBlocks
@@ -403,7 +403,7 @@ func (s *System) SubmitPrepare(src int, key *cryptoutil.KeyPair, args contract.C
 // gap behind. Callers sharing a key across goroutines serialise their
 // calls (core.Account does).
 func SubmitSigned(c *chain.Cluster, key *cryptoutil.KeyPair, tx *ledger.Transaction) error {
-	best := BestNode(c)
+	best := c.Best()
 	if best == nil {
 		return chain.ErrStopped
 	}

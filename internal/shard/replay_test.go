@@ -27,7 +27,7 @@ func replayCross(t *testing.T, name string, c *chain.Cluster) int {
 		waveSts[i] = contract.NewState()
 	}
 	crossClean := 0
-	BestNode(c).Chain().Walk(func(b *ledger.Block) bool {
+	c.Best().Chain().Walk(func(b *ledger.Block) bool {
 		h, ts := b.Header.Height, b.Header.Timestamp
 		if len(b.Txs) == 0 {
 			return true
@@ -104,7 +104,7 @@ func TestCrossFamilyReplayMatchesSerial(t *testing.T) {
 	if n := s.PendingTransfers(); n != 0 {
 		t.Fatalf("still %d pending; anomalies=%v", n, s.Anomalies())
 	}
-	src := BestNode(s.Shard(0)).State()
+	src := s.Shard(0).Best().State()
 	for id, want := range map[string]contract.CrossStatus{
 		"x-move": contract.CrossCommitted, "x-stale": contract.CrossAborted,
 		"x-grant": contract.CrossCommitted, "x-fl": contract.CrossCommitted,

@@ -358,7 +358,7 @@ func (s *System) CommitteeAddresses(i int) []cryptoutil.Address {
 // recorded on the coordination chain (falls back to committee member 0
 // when the coordination chain is unreadable).
 func (s *System) ActiveGateway(i int) cryptoutil.Address {
-	if n := BestNode(s.coord); n != nil {
+	if n := s.coord.Best(); n != nil {
 		if info, ok := n.State().ShardInfoOf(s.shardIDs[i]); ok {
 			return info.Gateway
 		}

@@ -32,7 +32,8 @@ func mustKey(t *testing.T, seed string) *cryptoutil.KeyPair {
 	return k
 }
 
-func registerDataset(t *testing.T, s *System, shard int, key *cryptoutil.KeyPair, id string) {
+// submitDataset signs and gossips one register_dataset onto a shard.
+func submitDataset(t *testing.T, s *System, shard int, key *cryptoutil.KeyPair, id string) {
 	t.Helper()
 	args, _ := json.Marshal(contract.RegisterDatasetArgs{
 		ID: id, Schema: "fhir.r4", Records: 10, SiteID: "site-a",
@@ -41,6 +42,11 @@ func registerDataset(t *testing.T, s *System, shard int, key *cryptoutil.KeyPair
 	if err := SubmitSigned(s.Shard(shard), key, tx); err != nil {
 		t.Fatalf("submit register_dataset: %v", err)
 	}
+}
+
+func registerDataset(t *testing.T, s *System, shard int, key *cryptoutil.KeyPair, id string) {
+	t.Helper()
+	submitDataset(t, s, shard, key, id)
 	if _, err := s.Shard(shard).CommitAll(); err != nil {
 		t.Fatalf("commit register_dataset: %v", err)
 	}
@@ -75,7 +81,7 @@ func TestRouteStable(t *testing.T) {
 
 func TestBootstrapRoutingTable(t *testing.T) {
 	s := newTestSystem(t, 2)
-	st := BestNode(s.Coord()).State()
+	st := s.Coord().Best().State()
 	cfg, ok := st.CrossConfig()
 	if !ok || cfg.ShardID != contract.CoordShardID || cfg.Shards != 2 {
 		t.Fatalf("coord cross config = %+v, ok=%v", cfg, ok)
@@ -90,7 +96,7 @@ func TestBootstrapRoutingTable(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2; i++ {
-		cfg, ok := BestNode(s.Shard(i)).State().CrossConfig()
+		cfg, ok := s.Shard(i).Best().State().CrossConfig()
 		if !ok || cfg.ShardID != ShardID(i) {
 			t.Fatalf("shard %d config = %+v, ok=%v", i, cfg, ok)
 		}
@@ -121,7 +127,7 @@ func TestTransferCommit(t *testing.T) {
 		t.Fatalf("still %d pending after %d rounds; anomalies=%v", n, rounds, s.Anomalies())
 	}
 
-	src := BestNode(s.Shard(0)).State()
+	src := s.Shard(0).Best().State()
 	prep, ok := src.CrossOutbound("xfer-1")
 	if !ok || prep.Status != contract.CrossCommitted {
 		t.Fatalf("source prepare = %+v, ok=%v", prep, ok)
@@ -131,7 +137,7 @@ func TestTransferCommit(t *testing.T) {
 		t.Fatalf("source dataset after commit = %+v", ds)
 	}
 
-	dst := BestNode(s.Shard(1)).State()
+	dst := s.Shard(1).Best().State()
 	res, ok := dst.CrossInbound(ShardID(0), "xfer-1")
 	if !ok || !res.Applied || res.Resource != "ds-ehr" {
 		t.Fatalf("dest resolution = %+v, ok=%v", res, ok)
@@ -174,7 +180,7 @@ func TestTransferExpiryAborts(t *testing.T) {
 		t.Fatalf("still %d pending; anomalies=%v", n, s.Anomalies())
 	}
 
-	src := BestNode(s.Shard(0)).State()
+	src := s.Shard(0).Best().State()
 	prep, _ := src.CrossOutbound("xfer-exp")
 	if prep.Status != contract.CrossAborted {
 		t.Fatalf("source prepare = %+v, want aborted", prep)
@@ -183,7 +189,7 @@ func TestTransferExpiryAborts(t *testing.T) {
 	if !ok || ds.Frozen || ds.MovedTo != "" {
 		t.Fatalf("source dataset not thawed: %+v", ds)
 	}
-	dst := BestNode(s.Shard(1)).State()
+	dst := s.Shard(1).Best().State()
 	res, ok := dst.CrossInbound(ShardID(0), "xfer-exp")
 	if !ok || res.Applied {
 		t.Fatalf("dest resolution = %+v, ok=%v, want refused", res, ok)
@@ -222,7 +228,7 @@ func TestConsentGrantCrossShard(t *testing.T) {
 		t.Fatalf("still %d pending; anomalies=%v", n, s.Anomalies())
 	}
 
-	dst := BestNode(s.Shard(1)).State()
+	dst := s.Shard(1).Best().State()
 	pol, ok := dst.PolicyOf("data:ds-consent")
 	if !ok {
 		t.Fatal("destination policy missing")
@@ -236,7 +242,7 @@ func TestConsentGrantCrossShard(t *testing.T) {
 	if !found {
 		t.Fatalf("grant not applied on destination: %+v", pol.Grants)
 	}
-	prep, _ := BestNode(s.Shard(0)).State().CrossOutbound("grant-1")
+	prep, _ := s.Shard(0).Best().State().CrossOutbound("grant-1")
 	if prep.Status != contract.CrossCommitted {
 		t.Fatalf("source prepare = %+v, want committed", prep)
 	}
@@ -274,7 +280,7 @@ func TestFLRoundAggregation(t *testing.T) {
 		t.Fatalf("still %d pending; anomalies=%v", n, s.Anomalies())
 	}
 
-	round, ok := BestNode(s.Shard(2)).State().FLRoundOf("round-1")
+	round, ok := s.Shard(2).Best().State().FLRoundOf("round-1")
 	if !ok || len(round.Contributions) != 2 {
 		t.Fatalf("round = %+v, ok=%v", round, ok)
 	}
@@ -314,7 +320,7 @@ func TestFrozenDatasetRejectsWrites(t *testing.T) {
 	if _, err := s.Shard(0).CommitAll(); err != nil {
 		t.Fatalf("commit update: %v", err)
 	}
-	n := BestNode(s.Shard(0))
+	n := s.Shard(0).Best()
 	r, ok := n.Receipt(tx.ID())
 	if !ok {
 		t.Fatal("update receipt missing")

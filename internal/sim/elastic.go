@@ -105,7 +105,7 @@ func (es *elastic) crash() {
 	if es.victim >= 0 {
 		c = es.sys.Shard(es.victim)
 	}
-	bn := shard.BestNode(c)
+	bn := c.Best()
 	if bn == nil {
 		es.victim = -2
 		return
@@ -143,7 +143,7 @@ func (es *elastic) recoverVictim() {
 	if victim >= 0 {
 		cl = es.sys.Shard(victim)
 	}
-	bn := shard.BestNode(cl)
+	bn := cl.Best()
 	if bn == nil {
 		es.ck.violationf("durability: %s has no running node after recovery", label)
 		return
@@ -259,7 +259,7 @@ func (es *elastic) stepReshard(datasets []*dsInfo, limit int) {
 // — and would land it off-home after commit.
 func (es *elastic) transfersSettled() bool {
 	for i := 0; i < es.sys.Shards(); i++ {
-		n := shard.BestNode(es.sys.Shard(i))
+		n := es.sys.Shard(i).Best()
 		if n == nil {
 			return false
 		}
@@ -310,7 +310,7 @@ func (es *elastic) auditPlacement(datasets []*dsInfo) {
 	for _, d := range datasets {
 		live, any, home := 0, false, -1
 		for i := 0; i < es.sys.Shards(); i++ {
-			n := shard.BestNode(es.sys.Shard(i))
+			n := es.sys.Shard(i).Best()
 			if n == nil {
 				continue
 			}
@@ -345,7 +345,7 @@ func (es *elastic) auditPlacement(datasets []*dsInfo) {
 // are recomputed here straight from the coordination chain's routing
 // table — independent of the (possibly knob-broken) router under test.
 func (es *elastic) queryLiveness(round int, datasets []*dsInfo) {
-	n := shard.BestNode(es.sys.Coord())
+	n := es.sys.Coord().Best()
 	if n == nil {
 		return
 	}
@@ -370,7 +370,7 @@ func (es *elastic) queryLiveness(round int, datasets []*dsInfo) {
 				skip = true // home unreachable or Byzantine: liveness not owed
 				break
 			}
-			hn := shard.BestNode(es.sys.Shard(hi))
+			hn := es.sys.Shard(hi).Best()
 			if hn == nil {
 				skip = true
 				break
@@ -433,7 +433,7 @@ func fireEpochProbes(sys *shard.System, ck *shardedChecker, res *ShardedResult) 
 		if _, err := sys.Coord().CommitAll(); err != nil {
 			return
 		}
-		n := shard.BestNode(sys.Coord())
+		n := sys.Coord().Best()
 		if n == nil {
 			return
 		}

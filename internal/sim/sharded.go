@@ -255,7 +255,7 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 	// baseline heights, for the containment liveness check.
 	base := make([]uint64, cfg.Shards)
 	for i := range base {
-		if n := shard.BestNode(sys.Shard(i)); n != nil {
+		if n := sys.Shard(i).Best(); n != nil {
 			base[i] = n.Height()
 		}
 	}
@@ -398,7 +398,7 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 			orch.Advance(round)
 		}
 		if adv != nil {
-			if n := shard.BestNode(sys.Shard(byz)); n != nil {
+			if n := sys.Shard(byz).Best(); n != nil {
 				ck.blocks = int(n.Height())
 			}
 			adv.advance(ck, sys.Shard(byz), round)
@@ -433,7 +433,7 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 		// where they run. A clone freezes one node's tree and pending marks
 		// while its followers keep applying.
 		rootIsPure := func(id string, c *chain.Cluster) {
-			if n := shard.BestNode(c); n != nil {
+			if n := c.Best(); n != nil {
 				if st := n.State().Clone(); st.Root() != contract.ImportState(st.Export()).Root() {
 					ck.violationf("state-root: %s round %d incremental root != root rebuilt from the export", id, round)
 				}
@@ -504,13 +504,13 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 	}
 
 	for i := 0; i < sys.Shards(); i++ {
-		if n := shard.BestNode(sys.Shard(i)); n != nil {
+		if n := sys.Shard(i).Best(); n != nil {
 			res.ShardHeights = append(res.ShardHeights, n.Height())
 		} else {
 			res.ShardHeights = append(res.ShardHeights, 0)
 		}
 	}
-	if n := shard.BestNode(sys.Coord()); n != nil {
+	if n := sys.Coord().Best(); n != nil {
 		res.CoordHeight = n.Height()
 	}
 	res.Crashes = es.crashes
@@ -542,7 +542,7 @@ func fireProofProbes(sys *shard.System, ck *shardedChecker, res *ShardedResult) 
 	var height uint64
 	var targetIdx int
 	for i := 0; i < sys.Shards() && target == ""; i++ {
-		n := shard.BestNode(sys.Shard(i))
+		n := sys.Shard(i).Best()
 		if n == nil {
 			continue
 		}
@@ -554,7 +554,7 @@ func fireProofProbes(sys *shard.System, ck *shardedChecker, res *ShardedResult) 
 	probe := func(label string, shardIdx int, method string, args contract.CrossApplyArgs) {
 		raw, _ := json.Marshal(args)
 		c := sys.Shard(shardIdx)
-		n := shard.BestNode(c)
+		n := c.Best()
 		if n == nil {
 			return
 		}
@@ -568,7 +568,7 @@ func fireProofProbes(sys *shard.System, ck *shardedChecker, res *ShardedResult) 
 		if _, err := c.CommitAll(); err != nil {
 			return
 		}
-		n = shard.BestNode(c)
+		n = c.Best()
 		r, ok := n.Receipt(tx.ID())
 		if !ok {
 			ck.violationf("probe %s: no receipt", label)
@@ -603,7 +603,7 @@ func fireProofProbes(sys *shard.System, ck *shardedChecker, res *ShardedResult) 
 
 	// Replay: re-apply a transfer the destination already resolved.
 	for i := 0; i < sys.Shards(); i++ {
-		n := shard.BestNode(sys.Shard(i))
+		n := sys.Shard(i).Best()
 		if n == nil {
 			continue
 		}
@@ -640,7 +640,7 @@ func auditSharded(sys *shard.System, ck *shardedChecker, res *ShardedResult, byz
 	ids := sys.ShardIDs()
 	states := make([]*contract.State, len(ids))
 	for i := range ids {
-		n := shard.BestNode(sys.Shard(i))
+		n := sys.Shard(i).Best()
 		if n == nil {
 			ck.violationf("drain: %s has no running node", ids[i])
 			return
@@ -675,7 +675,7 @@ func auditSharded(sys *shard.System, ck *shardedChecker, res *ShardedResult, byz
 			}
 		}
 	}
-	if n := shard.BestNode(sys.Coord()); n != nil {
+	if n := sys.Coord().Best(); n != nil {
 		checkRoots("coord", n.State().Export().ShardRoots)
 	}
 	for i := range ids {
@@ -806,7 +806,7 @@ func auditSharded(sys *shard.System, ck *shardedChecker, res *ShardedResult, byz
 func shadowScan(c *chain.Cluster) (map[uint64][][]byte, map[uint64]cryptoutil.Digest) {
 	leaves := make(map[uint64][][]byte)
 	roots := make(map[uint64]cryptoutil.Digest)
-	n := shard.BestNode(c)
+	n := c.Best()
 	if n == nil {
 		return leaves, roots
 	}
@@ -854,7 +854,7 @@ func checkContainment(sys *shard.System, ck *shardedChecker, base []uint64, byz 
 		if err := sys.Shard(i).VerifyConsistency(); err != nil {
 			ck.violationf("containment: %s inconsistent after drain: %v", shard.ShardID(i), err)
 		}
-		n := shard.BestNode(sys.Shard(i))
+		n := sys.Shard(i).Best()
 		if n == nil {
 			ck.violationf("containment: %s has no running node after drain", shard.ShardID(i))
 			continue

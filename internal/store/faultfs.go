@@ -42,8 +42,8 @@ type FaultConfig struct {
 
 // FaultFS wraps any FS with seeded fault injection and byte-accurate
 // write metering. The meter (BytesWritten, Syncs) also makes FaultFS —
-// with a zero FaultConfig — the write-amplification probe of
-// experiment E12.
+// with a zero FaultConfig — the write and fsync probe behind bench/'s
+// `store.*` layers and TestWALGroupCommitDurabilityWindow.
 type FaultFS struct {
 	base FS
 

@@ -491,9 +491,6 @@ func (s *Store) Height() uint64 {
 	return s.next - 1
 }
 
-// WALSize returns the current WAL byte length.
-func (s *Store) WALSize() int64 { return s.wal.Size() }
-
 // Sync forces any group-commit-pending WAL frames to disk.
 func (s *Store) Sync() error { return s.wal.Sync() }
 

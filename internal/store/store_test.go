@@ -233,8 +233,12 @@ func TestSnapshotFastPathMatchesFullReplay(t *testing.T) {
 	if recSnap.SnapshotHeight == 0 {
 		t.Fatal("snapshot store recovered without using a snapshot")
 	}
-	if recSnap.ReplayedBlocks >= len(blocks) {
-		t.Fatalf("snapshot recovery replayed everything (%d blocks)", recSnap.ReplayedBlocks)
+	if recSnap.ReplayedBlocks >= len(blocks) || recSnap.ReplayedBlocks != int(recSnap.Height-recSnap.SnapshotHeight) {
+		t.Fatalf("snapshot recovery from %d replayed %d blocks", recSnap.SnapshotHeight, recSnap.ReplayedBlocks)
+	}
+	if recFull.ReplayedBlocks != len(blocks) || recFull.Height != uint64(len(blocks)) || recSnap.Height != uint64(len(blocks)) {
+		t.Fatalf("full replay %d blocks to height %d, snapshot path to height %d; want %d",
+			recFull.ReplayedBlocks, recFull.Height, recSnap.Height, len(blocks))
 	}
 	if recFull.State.Root() != want.Root() || recSnap.State.Root() != want.Root() {
 		t.Fatalf("recovered roots diverge: full %s snap %s want %s",

@@ -37,8 +37,9 @@ func writeFrameHeader(buf []byte, payload []byte) {
 
 // WAL is an append-only checksummed frame log with batched
 // group-commit fsync: SyncEvery appends share one fsync, trading a
-// bounded durability window for throughput (experiment E12 measures
-// the trade). It is safe for concurrent use.
+// bounded durability window for throughput (bench/'s `recover_s` and
+// `store.*` layers measure the cost; TestWALGroupCommitDurabilityWindow
+// holds the window). It is safe for concurrent use.
 type WAL struct {
 	mu        sync.Mutex
 	f         File

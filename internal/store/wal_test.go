@@ -54,16 +54,34 @@ func TestWALRoundTrip(t *testing.T) {
 // with syncEvery=4, a power loss after 6 appends must recover exactly
 // the 4 synced frames — and exactly 0 if the window never filled.
 func TestWALGroupCommitDurabilityWindow(t *testing.T) {
-	mem := NewMemFS()
-	fault := NewFaultFS(mem, FaultConfig{}) // zero faults: sync meter only
-	w, _, _ := openTestWAL(t, fault, 4)
-	for i := 0; i < 6; i++ {
-		if _, err := w.Append([]byte(fmt.Sprintf("frame-%d", i))); err != nil {
-			t.Fatal(err)
+	appendSix := func(w *WAL) (payload int64) {
+		for i := 0; i < 6; i++ {
+			p := []byte(fmt.Sprintf("frame-%d", i))
+			if _, err := w.Append(p); err != nil {
+				t.Fatal(err)
+			}
+			payload += int64(len(p))
 		}
+		return payload
 	}
+	// The control: syncEvery=1 pays one fsync per frame.
+	every := NewFaultFS(NewMemFS(), FaultConfig{})
+	w1, _, _ := openTestWAL(t, every, 1)
+	appendSix(w1)
+	w1.Close()
+	if got := every.Syncs(); got != 6 {
+		t.Fatalf("6 appends at syncEvery=1 fsynced %d times, want 6", got)
+	}
+
+	mem := NewMemFS()
+	fault := NewFaultFS(mem, FaultConfig{}) // zero faults: write and sync meter only
+	w, _, _ := openTestWAL(t, fault, 4)
+	payload := appendSix(w)
 	if got := fault.Syncs(); got != 1 {
 		t.Fatalf("6 appends at syncEvery=4 fsynced %d times, want 1", got)
+	}
+	if got := fault.BytesWritten(); got <= payload {
+		t.Fatalf("%d bytes reached the disk for %d bytes of payload: frames carry no header", got, payload)
 	}
 	w.Close() // no implicit sync: this is the crash model
 	mem.Crash()

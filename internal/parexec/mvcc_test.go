@@ -1,12 +1,16 @@
 package parexec_test
 
 import (
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"medchain/internal/contract"
+	"medchain/internal/contract/fixtures"
 	"medchain/internal/cryptoutil"
 	"medchain/internal/ledger"
+	"medchain/internal/merkle"
 	"medchain/internal/parexec"
 )
 
@@ -98,4 +102,77 @@ func TestMVCCDropDAGEdgeDiverges(t *testing.T) {
 	if again.Root() != mutated.Root() || !reflect.DeepEqual(got, got2) {
 		t.Fatal("mutated divergence is nondeterministic")
 	}
+
+	// The relay's blocks: without the anchor_root → dependent edge the
+	// dependent transaction runs in the root's wave and finds no root.
+	relayBase, relay := relayBlocks(t)
+	for i, batch := range relay {
+		got, _, err := parexec.NewEngine(cfg).ExecuteBlock(relayBase.Clone(), batch, 2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := got[1]; r.OK() || !strings.Contains(r.Err, contract.ErrCrossUnanchored.Error()) {
+			t.Fatalf("relay block %d: %s receipt ok=%v err=%q, want ErrCrossUnanchored", i, batch[1].Method, r.OK(), r.Err)
+		}
+	}
+}
+
+// relayBlocks builds, over the fixtures' member shard "shard-1", the two
+// blocks the cross-shard relay makes, each a relayed shard-0 root
+// followed by the coordinator's transaction whose proof needs it (the
+// coordinator signs both, so nonce order fixes that order): the
+// destination side [anchor_root(shard-0, 20), apply(record@20)] and the
+// source side [anchor_root(shard-0, 21), resolve(resolution@21)] of the
+// fixtures' pending transfer out-1. Every receipt of both is OK under
+// the serial reference.
+func relayBlocks(t *testing.T) (*contract.State, [][]*ledger.Transaction) {
+	t.Helper()
+	base := fixtures.New(t).Member
+	cfg, ok := base.CrossConfig()
+	if !ok {
+		t.Fatal("fixtures member shard has no cross config")
+	}
+	nonce := uint64(0)
+	tx := func(method string, args any) *ledger.Transaction {
+		raw, err := json.Marshal(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nonce++
+		return &ledger.Transaction{Type: ledger.TxCross, From: cfg.Coordinator, Nonce: nonce, Method: method, Args: raw, Timestamp: 1}
+	}
+	relayed := func(height uint64, leaf []byte) (contract.AnchorRootArgs, *merkle.Proof) {
+		tree := merkle.New([][]byte{leaf})
+		proof, err := tree.Prove(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return contract.AnchorRootArgs{Shard: "shard-0", Height: height, Root: tree.Root()}, proof
+	}
+
+	payload, _ := json.Marshal(contract.CrossTransferPayload{
+		Dataset: "ds-same-block", Digest: cryptoutil.Sum([]byte("sb")), Schema: "cdf/v1", Records: 4, SiteID: "site-0",
+	})
+	rec := contract.CrossRecord{
+		ID: "in-same-block", Kind: contract.CrossTransfer, SourceShard: "shard-0", DestShard: "shard-1",
+		From: cryptoutil.NamedAddress("px-same-block"), SourceHeight: 20, DestExpiry: 100, Payload: payload,
+	}
+	recRoot, recProof := relayed(rec.SourceHeight, rec.Leaf())
+	res := contract.CrossResolution{
+		ID: "out-1", SourceShard: "shard-1", DestShard: "shard-0", Kind: contract.CrossTransfer,
+		Resource: "ds-moving", Applied: true, DestHeight: 21,
+	}
+	resRoot, resProof := relayed(res.DestHeight, res.Leaf())
+	blocks := [][]*ledger.Transaction{
+		{tx("anchor_root", recRoot), tx("apply", contract.CrossApplyArgs{Record: rec, Proof: recProof})},
+		{tx("anchor_root", resRoot), tx("resolve", contract.CrossResolveArgs{Resolution: res, Proof: resProof})},
+	}
+	for i, batch := range blocks {
+		for j, r := range applyAll(t, base.Clone(), batch) {
+			if !r.OK() {
+				t.Fatalf("relay block %d: serial %s receipt failed: %s", i, batch[j].Method, r.Err)
+			}
+		}
+	}
+	return base, blocks
 }

@@ -111,8 +111,9 @@ func checkStats(t *testing.T, mode parexec.Mode, stats parexec.Stats) {
 	}
 }
 
-// TestMixedBatchMatchesSerial covers every transaction family against
-// the serial reference at several worker counts.
+// TestMixedBatchMatchesSerial covers every transaction family, and the
+// cross-shard relay's root-then-dependent blocks, against the serial
+// reference at several worker counts.
 func TestMixedBatchMatchesSerial(t *testing.T) {
 	kp, err := cryptoutil.DeriveKeyPair("px-owner")
 	if err != nil {
@@ -125,13 +126,25 @@ func TestMixedBatchMatchesSerial(t *testing.T) {
 			t.Fatalf("setup: %v %v", err, r)
 		}
 	}
+	matchesSerial(t, "mixed", base, batch)
+	relayBase, relay := relayBlocks(t)
+	for i, b := range relay {
+		matchesSerial(t, fmt.Sprintf("relay-%d", i), relayBase, b)
+	}
+}
+
+// matchesSerial runs batch on clones of base under every mode and
+// worker count and requires the serial reference's root and receipts,
+// with every transaction on the wave path and at least two waves.
+func matchesSerial(t *testing.T, input string, base *contract.State, batch []*ledger.Transaction) {
+	t.Helper()
 	serial := base.Clone()
 	wantReceipts := applyAll(t, serial, batch)
 	wantRoot := serial.Root()
 
 	for _, mode := range allModes {
 		for _, workers := range []int{1, 2, 4, 8} {
-			name := fmt.Sprintf("%v workers=%d", mode, workers)
+			name := fmt.Sprintf("%s: %v workers=%d", input, mode, workers)
 			st := base.Clone()
 			got, stats, err := newEngine(mode, workers).ExecuteBlock(st, batch, 2, 2)
 			if err != nil {

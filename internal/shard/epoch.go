@@ -284,9 +284,7 @@ func (s *System) DrainMigrations(keyFor func(Migration) *cryptoutil.KeyPair, max
 				touched[m.Src] = true
 			}
 		}
-		for i := range touched {
-			_, _ = s.shards[i].CommitAll()
-		}
+		_ = s.commitShards(func(i int) bool { return touched[i] })
 		s.Pump(4)
 	}
 	return moved, fmt.Errorf("shard: migrations did not drain in %d rounds", maxRounds)

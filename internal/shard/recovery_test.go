@@ -44,79 +44,106 @@ func headOf(t *testing.T, s *System, i int) (string, uint64) {
 	return head.Hash().String(), head.Header.Height
 }
 
-// TestSystemStopRecoverMid2PC kills the destination shard after the
-// transfer's prepare committed but before apply, recovers it from
-// disk, and requires the relay to finish the 2PC exactly once: the
-// recovered chain is bit-identical to its pre-crash head, every node
-// resumed from a snapshot and re-executed only the blocks past it, the
-// source tombstones, the destination owns the dataset.
+// TestSystemStopRecoverMid2PC kills the destination shard mid-protocol
+// — once with the prepare committed and no pump round run, once after
+// the one round that applies the transfer but before the one that
+// resolves it — recovers it from disk, and requires the relay to finish
+// the 2PC exactly once: the recovered chain is bit-identical to its
+// pre-crash head, every node resumed from a snapshot and re-executed
+// only the blocks past it, the source tombstones, the destination owns
+// the dataset.
 func TestSystemStopRecoverMid2PC(t *testing.T) {
-	s := newPersistentSystem(t, Config{Shards: 2, SnapshotEvery: 2})
-	owner := mustKey(t, "owner/recover-dest")
-	registerDataset(t, s, 0, owner, "ds-crash")
+	for _, tc := range []struct {
+		name   string
+		rounds int // pump rounds before the crash
+	}{
+		{"after-prepare", 0},
+		{"applied-unresolved", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newPersistentSystem(t, Config{Shards: 2, SnapshotEvery: 2})
+			owner := mustKey(t, "owner/recover-dest")
+			registerDataset(t, s, 0, owner, "ds-crash")
+			// Past the first snapshot on the destination in either case.
+			registerDataset(t, s, 1, mustKey(t, "filler/recover-dest"), "ds-dest-filler")
 
-	payload, _ := json.Marshal(contract.CrossTransferPayload{Dataset: "ds-crash"})
-	if err := s.SubmitPrepare(0, owner, contract.CrossPrepareArgs{
-		ID: "xfer-crash", Kind: contract.CrossTransfer, DestShard: ShardID(1), Payload: payload,
-	}); err != nil {
-		t.Fatalf("SubmitPrepare: %v", err)
-	}
-	if _, err := s.Shard(0).CommitAll(); err != nil {
-		t.Fatalf("commit prepare: %v", err)
-	}
-	// One pump round: anchors land on coord, but the transfer is still
-	// pending — the crash lands mid-protocol.
-	s.PumpRound()
-	if s.PendingTransfers() == 0 {
-		t.Fatal("transfer settled before the crash could interrupt it")
-	}
+			payload, _ := json.Marshal(contract.CrossTransferPayload{Dataset: "ds-crash"})
+			if err := s.SubmitPrepare(0, owner, contract.CrossPrepareArgs{
+				ID: "xfer-crash", Kind: contract.CrossTransfer, DestShard: ShardID(1), Payload: payload,
+			}); err != nil {
+				t.Fatalf("SubmitPrepare: %v", err)
+			}
+			if _, err := s.Shard(0).CommitAll(); err != nil {
+				t.Fatalf("commit prepare: %v", err)
+			}
+			for r := 0; r < tc.rounds; r++ {
+				s.PumpRound()
+			}
+			_, applied := s.Shard(1).Best().State().CrossInbound(ShardID(0), "xfer-crash")
+			if applied != (tc.rounds > 0) || s.PendingTransfers() != 1 {
+				t.Fatalf("before the crash: applied=%v pending=%d, want applied=%v and the transfer pending",
+					applied, s.PendingTransfers(), tc.rounds > 0)
+			}
 
-	wantHash, wantHeight := headOf(t, s, 1)
-	s.StopShard(1)
-	// The relay must tolerate the dark shard: rounds make no unsafe
-	// progress and record no anomalies.
-	s.Pump(3)
-	if err := s.RecoverShard(1); err != nil {
-		t.Fatalf("RecoverShard: %v", err)
-	}
-	gotHash, gotHeight := headOf(t, s, 1)
-	if gotHash != wantHash || gotHeight != wantHeight {
-		t.Fatalf("recovered head = %s@%d, want pre-crash %s@%d", gotHash, gotHeight, wantHash, wantHeight)
-	}
-	for _, n := range s.Shard(1).Nodes() {
-		rec := n.LastRecovery()
-		if rec == nil {
-			t.Fatal("disk-backed node recovered without a recovery report")
-		}
-		if rec.SnapshotHeight == 0 || rec.ReplayedBlocks != int(rec.Height-rec.SnapshotHeight) {
-			t.Fatalf("%s recovered height %d from snapshot %d replaying %d blocks; want a snapshot and only the blocks past it",
-				n.ID(), rec.Height, rec.SnapshotHeight, rec.ReplayedBlocks)
-		}
-	}
+			wantHash, wantHeight := headOf(t, s, 1)
+			s.StopShard(1)
+			// The relay must tolerate the dark shard: rounds make no unsafe
+			// progress and record no anomalies.
+			s.Pump(3)
+			if err := s.RecoverShard(1); err != nil {
+				t.Fatalf("RecoverShard: %v", err)
+			}
+			gotHash, gotHeight := headOf(t, s, 1)
+			if gotHash != wantHash || gotHeight != wantHeight {
+				t.Fatalf("recovered head = %s@%d, want pre-crash %s@%d", gotHash, gotHeight, wantHash, wantHeight)
+			}
+			for _, n := range s.Shard(1).Nodes() {
+				rec := n.LastRecovery()
+				if rec == nil {
+					t.Fatal("disk-backed node recovered without a recovery report")
+				}
+				if rec.SnapshotHeight == 0 || rec.ReplayedBlocks != int(rec.Height-rec.SnapshotHeight) {
+					t.Fatalf("%s recovered height %d from snapshot %d replaying %d blocks; want a snapshot and only the blocks past it",
+						n.ID(), rec.Height, rec.SnapshotHeight, rec.ReplayedBlocks)
+				}
+			}
 
-	rounds := s.Pump(20)
-	if n := s.PendingTransfers(); n != 0 {
-		t.Fatalf("still %d pending after %d rounds post-recovery; anomalies=%v", n, rounds, s.Anomalies())
-	}
-	src := s.Shard(0).Best().State()
-	prep, ok := src.CrossOutbound("xfer-crash")
-	if !ok || prep.Status != contract.CrossCommitted {
-		t.Fatalf("source prepare = %+v, want committed", prep)
-	}
-	if ds, _ := src.Dataset("ds-crash"); ds == nil || ds.MovedTo != ShardID(1) {
-		t.Fatalf("source dataset = %+v, want tombstone to %s", ds, ShardID(1))
-	}
-	dst := s.Shard(1).Best().State()
-	if ds, ok := dst.Dataset("ds-crash"); !ok || ds.Owner != owner.Address() {
-		t.Fatalf("dest dataset = %+v, ok=%v", ds, ok)
-	}
-	res, ok := dst.CrossInbound(ShardID(0), "xfer-crash")
-	if !ok || !res.Applied {
-		t.Fatalf("dest resolution = %+v, ok=%v — transfer must apply exactly once", res, ok)
-	}
-	noAnomalies(t, s)
-	if err := s.VerifyConsistency(); err != nil {
-		t.Fatalf("consistency: %v", err)
+			rounds := s.Pump(20)
+			if n := s.PendingTransfers(); n != 0 {
+				t.Fatalf("still %d pending after %d rounds post-recovery; anomalies=%v", n, rounds, s.Anomalies())
+			}
+			src := s.Shard(0).Best().State()
+			prep, ok := src.CrossOutbound("xfer-crash")
+			if !ok || prep.Status != contract.CrossCommitted {
+				t.Fatalf("source prepare = %+v, want committed", prep)
+			}
+			if ds, _ := src.Dataset("ds-crash"); ds == nil || ds.MovedTo != ShardID(1) {
+				t.Fatalf("source dataset = %+v, want tombstone to %s", ds, ShardID(1))
+			}
+			dst := s.Shard(1).Best().State()
+			if ds, ok := dst.Dataset("ds-crash"); !ok || ds.Owner != owner.Address() {
+				t.Fatalf("dest dataset = %+v, ok=%v", ds, ok)
+			}
+			res, ok := dst.CrossInbound(ShardID(0), "xfer-crash")
+			if !ok || !res.Applied {
+				t.Fatalf("dest resolution = %+v, ok=%v — transfer must apply exactly once", res, ok)
+			}
+			applies := 0
+			s.Shard(1).Best().Committed(0, func(blk *ledger.Block, receipts []*contract.Receipt) {
+				for j, tx := range blk.Txs {
+					if tx.Method == "apply" && receipts[j].OK() {
+						applies++
+					}
+				}
+			})
+			if applies != 1 {
+				t.Fatalf("destination committed %d successful applies, want exactly 1", applies)
+			}
+			noAnomalies(t, s)
+			if err := s.VerifyConsistency(); err != nil {
+				t.Fatalf("consistency: %v", err)
+			}
+		})
 	}
 }
 
@@ -170,9 +197,12 @@ func TestCoordStopRecoverMid2PC(t *testing.T) {
 
 // TestRelayExpireAfterDestPartition is the abort path under chaos: the
 // destination shard goes dark before the apply, comes back past the
-// transfer's dest-height expiry, and the relay must abort cleanly —
-// apply refused with ErrCrossExpired, expire recorded, and the source
-// dataset thawed with no tombstone.
+// transfer's dest-height expiry, and the relay must abort cleanly — the
+// expire recorded in the round that relays the source root, behind it,
+// a late apply refused as a replay, and the source dataset thawed with
+// no tombstone. (An apply past the deadline on a destination that has
+// not decided is refused with ErrCrossExpired:
+// contract.TestCrossApplyExpiredRejected.)
 func TestRelayExpireAfterDestPartition(t *testing.T) {
 	s := newPersistentSystem(t, Config{Shards: 2, DestExpiryBlocks: 2})
 	owner := mustKey(t, "owner/expire-partition")
@@ -206,31 +236,59 @@ func TestRelayExpireAfterDestPartition(t *testing.T) {
 		registerDataset(t, s, 1, filler, "ds-filler-"+string(rune('a'+i)))
 	}
 
-	// One pump round relays the source root onto the destination; then
-	// a direct apply must be refused on-chain with ErrCrossExpired.
+	// One pump round relays the source root onto the destination and
+	// records the expiry behind it: in an earlier block, or first in the
+	// same one.
 	s.PumpRound()
 	srcState := s.Shard(0).Best().State()
 	prep, ok := srcState.CrossOutbound("xfer-part")
 	if !ok {
 		t.Fatal("prepare record missing on source")
 	}
-	if prep.Status == contract.CrossPending {
-		rec := prep.Record
-		if proof, _, ok := s.proveLeaf(rec.SourceShard, rec.SourceHeight, rec.Leaf()); ok {
-			args, _ := json.Marshal(contract.CrossApplyArgs{Record: rec, Proof: proof})
-			tx := &ledger.Transaction{
-				Type: ledger.TxCross, Contract: contract.CrossContractAddr,
-				Method: "apply", Args: args,
-			}
-			if err := SubmitSigned(s.Shard(1), mustKey(t, "relayer/expire-partition"), tx); err == nil {
-				_, _ = s.Shard(1).CommitAll()
-				if r, ok := s.Shard(1).Best().Receipt(tx.ID()); ok {
-					if r.OK() || !strings.Contains(r.Err, contract.ErrCrossExpired.Error()) {
-						t.Fatalf("late apply receipt = ok=%v err=%q, want ErrCrossExpired", r.OK(), r.Err)
-					}
-				}
+	rec := prep.Record
+	dest := s.Shard(1).Best()
+	res, ok := dest.State().CrossInbound(ShardID(0), "xfer-part")
+	if !ok || res.Applied || res.Reason != "expired" {
+		t.Fatalf("dest resolution after one round = %+v, ok=%v, want expired", res, ok)
+	}
+	var rootHeight uint64
+	rootAt, expireAt := -1, -1
+	dest.Committed(0, func(blk *ledger.Block, receipts []*contract.Receipt) {
+		for j, tx := range blk.Txs {
+			var a contract.AnchorRootArgs
+			switch {
+			case rootAt < 0 && tx.Method == "anchor_root" && receipts[j].OK() &&
+				json.Unmarshal(tx.Args, &a) == nil && a.Shard == rec.SourceShard && a.Height == rec.SourceHeight:
+				rootHeight, rootAt = blk.Header.Height, j
+			case tx.Method == "expire" && blk.Header.Height == res.DestHeight && receipts[j].OK():
+				expireAt = j
 			}
 		}
+	})
+	if rootAt < 0 || expireAt < 0 || rootHeight > res.DestHeight || (rootHeight == res.DestHeight && rootAt > expireAt) {
+		t.Fatalf("relayed root at block %d index %d, expire at block %d index %d: want the root committed first",
+			rootHeight, rootAt, res.DestHeight, expireAt)
+	}
+
+	// The destination has decided: a late apply is refused as a replay.
+	proof, _, ok := s.proveLeaf(rec.SourceShard, rec.SourceHeight, rec.Leaf())
+	if !ok {
+		t.Fatal("prepare proof unavailable")
+	}
+	args, _ := json.Marshal(contract.CrossApplyArgs{Record: rec, Proof: proof})
+	tx := &ledger.Transaction{
+		Type: ledger.TxCross, Contract: contract.CrossContractAddr,
+		Method: "apply", Args: args,
+	}
+	if err := SubmitSigned(s.Shard(1), mustKey(t, "relayer/expire-partition"), tx); err != nil {
+		t.Fatalf("submit late apply: %v", err)
+	}
+	if _, err := s.Shard(1).CommitAll(); err != nil {
+		t.Fatalf("commit late apply: %v", err)
+	}
+	r, ok := s.Shard(1).Best().Receipt(tx.ID())
+	if !ok || r.OK() || !strings.Contains(r.Err, contract.ErrCrossReplay.Error()) {
+		t.Fatalf("late apply receipt = %+v, ok=%v, want ErrCrossReplay", r, ok)
 	}
 
 	rounds := s.Pump(20)
@@ -245,7 +303,7 @@ func TestRelayExpireAfterDestPartition(t *testing.T) {
 	if !ok || ds.Frozen || ds.MovedTo != "" {
 		t.Fatalf("source dataset = %+v, want thawed with no tombstone", ds)
 	}
-	res, ok := s.Shard(1).Best().State().CrossInbound(ShardID(0), "xfer-part")
+	res, ok = s.Shard(1).Best().State().CrossInbound(ShardID(0), "xfer-part")
 	if !ok || res.Applied || res.Reason != "expired" {
 		t.Fatalf("dest resolution = %+v, ok=%v, want expired refusal", res, ok)
 	}

@@ -3,8 +3,10 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"medchain/internal/chain"
 	"medchain/internal/contract"
@@ -102,17 +104,22 @@ func (s *System) shardIndex(id string) int {
 }
 
 // PumpRound advances every in-flight cross-shard transfer by one
-// protocol stage: scan shard blocks, gateway-anchor new roots on the
-// coordination chain, relay anchored roots to counterpart shards, and
-// submit proof-carrying apply / expire / resolve transactions. It
-// returns whether any transaction was submitted. Errors are soft — a
-// chain that cannot commit this round (faults, partitions) is simply
-// retried on the next call.
+// direction of the protocol: scan shard blocks, gateway-anchor new
+// roots on the coordination chain and commit it, then relay each
+// anchored root to the counterpart shard just ahead of the
+// proof-carrying apply / expire (destination) or resolve (source) that
+// depends on it — normally in the same block (see relayRoot) — and
+// commit the member shards that got a transaction, concurrently. A
+// transfer whose prepare has committed therefore settles in two rounds:
+// one applies it, the next resolves it. It returns whether any
+// transaction was submitted or a transfer waits on a root not anchored
+// yet. Errors are soft — a chain that cannot commit this round (faults,
+// partitions) is simply retried on the next call.
 func (s *System) PumpRound() bool {
 	for i := range s.shards {
 		s.scanShard(i)
 	}
-	progress := false
+	waiting := false
 	submitted := make(map[*chain.Cluster]bool)
 	sentAnchor := make(map[string]bool) // chainID+shard/height within this round
 
@@ -128,7 +135,6 @@ func (s *System) PumpRound() bool {
 			gw := s.liveGatewayKey(i, coordState)
 			if gw == nil {
 				if s.maybeAcquireLease(i, coordNode) {
-					progress = true
 					submitted[s.coord] = true
 				}
 				continue
@@ -145,7 +151,6 @@ func (s *System) PumpRound() bool {
 				root := merkle.RootOf(s.leaves[id][h])
 				args := contract.AnchorRootArgs{Shard: id, Height: h, Root: root}
 				if err := s.submitCross(s.coord, gw, "anchor_root", args); err == nil {
-					progress = true
 					submitted[s.coord] = true
 				}
 			}
@@ -155,8 +160,8 @@ func (s *System) PumpRound() bool {
 		}
 	}
 
-	// Stage 2: drive every pending transfer through relay → apply/expire
-	// → resolve, strictly state-driven.
+	// Stage 2: drive every pending transfer through relay + apply/expire
+	// → relay + resolve, strictly state-driven.
 	for i := range s.shards {
 		srcCluster := s.shards[i]
 		srcNode := srcCluster.Best()
@@ -179,10 +184,11 @@ func (s *System) PumpRound() bool {
 				continue
 			}
 			if res, ok := destNode.State().CrossInbound(rec.SourceShard, rec.ID); ok {
-				// Destination decided: mirror the resolution back.
-				if s.relayRoot(rec.DestShard, res.DestHeight, srcCluster, srcNode, sentAnchor, submitted) {
-					progress = true
-					continue // resolve next round, once the root is committed
+				// Destination decided: mirror the resolution back, right
+				// behind the relayed destination root.
+				if !s.relayRoot(rec.DestShard, res.DestHeight, srcCluster, srcNode, sentAnchor, submitted) {
+					waiting = true
+					continue
 				}
 				proof, root, ok := s.proveLeaf(rec.DestShard, res.DestHeight, res.Leaf())
 				if !ok {
@@ -199,15 +205,14 @@ func (s *System) PumpRound() bool {
 				}
 				args := contract.CrossResolveArgs{Resolution: res, Proof: proof}
 				if err := s.submitCross(srcCluster, s.coordKey, "resolve", args); err == nil {
-					progress = true
 					submitted[srcCluster] = true
 				}
 				continue
 			}
-			// Destination undecided: relay the source root, then apply
-			// (or expire past the deadline).
-			if s.relayRoot(rec.SourceShard, rec.SourceHeight, destCluster, destNode, sentAnchor, submitted) {
-				progress = true
+			// Destination undecided: relay the source root and, right
+			// behind it, apply (or expire past the deadline).
+			if !s.relayRoot(rec.SourceShard, rec.SourceHeight, destCluster, destNode, sentAnchor, submitted) {
+				waiting = true
 				continue
 			}
 			proof, root, ok := s.proveLeaf(rec.SourceShard, rec.SourceHeight, rec.Leaf())
@@ -229,18 +234,36 @@ func (s *System) PumpRound() bool {
 			}
 			args := contract.CrossApplyArgs{Record: rec, Proof: proof}
 			if err := s.submitCross(destCluster, s.coordKey, method, args); err == nil {
-				progress = true
 				submitted[destCluster] = true
 			}
 		}
 	}
 
-	for _, c := range s.shards {
-		if submitted[c] {
-			_, _ = c.CommitAll()
+	_ = s.commitShards(func(i int) bool { return submitted[s.shards[i]] })
+	return waiting || len(submitted) > 0
+}
+
+// commitShards commits every member shard i with want(i), concurrently —
+// shards share no state or transport, so this costs the slowest shard's
+// CommitAll, not the sum — and returns once all of them have, joining
+// their errors, each naming its shard.
+func (s *System) commitShards(want func(i int) bool) error {
+	errs := make([]error, len(s.shards))
+	var wg sync.WaitGroup
+	for i, c := range s.shards {
+		if !want(i) {
+			continue
 		}
+		wg.Add(1)
+		go func(i int, c *chain.Cluster) {
+			defer wg.Done()
+			if _, err := c.CommitAll(); err != nil {
+				errs[i] = fmt.Errorf("%s: %w", s.shardIDs[i], err)
+			}
+		}(i, c)
 	}
-	return progress
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // liveGatewayKey returns the committee key currently entitled to
@@ -288,33 +311,43 @@ func (s *System) maybeAcquireLease(i int, coordNode *chain.Node) bool {
 	return false
 }
 
-// relayRoot ensures target has shard's root at height: if it is already
-// in the target's state it returns false (nothing to wait for); if the
-// coordinator can relay it now it submits the anchor and returns true
-// (caller should retry the dependent step next round); if the root is
-// not even anchored on the coordination chain yet it returns true to
-// wait for the gateway.
+// relayRoot makes shard's root at height available to a transaction
+// the coordinator submits to target next, and reports whether it is:
+// true when the root is already in the target's state, or when the
+// coordinator relayed it this round (now, or for an earlier transfer
+// from the same block). A relayed anchor_root and the dependent
+// apply / expire / resolve are both signed by the coordinator through
+// SubmitSigned, so nonce order puts the root first: in the same block
+// once the proposer has pooled both, one block ahead if it had pooled
+// only the root, never behind — a block holding the dependent
+// transaction without it breaks the nonce sequence. The method table's
+// footprints (anchor_root writes the root key, the dependent
+// transaction reads it) order the two under mvcc-wave too. False means
+// wait for a later round: the root is not anchored on the coordination
+// chain yet, the coordination chain is unreachable, or the target
+// refused the relay.
 func (s *System) relayRoot(shardID string, height uint64, target *chain.Cluster, targetNode *chain.Node, sentAnchor map[string]bool, submitted map[*chain.Cluster]bool) bool {
 	if _, ok := targetNode.State().ShardRootAt(shardID, height); ok {
-		return false
-	}
-	coordNode := s.coord.Best()
-	if coordNode == nil {
 		return true
-	}
-	anchored, ok := coordNode.State().ShardRootAt(shardID, height)
-	if !ok {
-		return true // gateway has not anchored yet
 	}
 	key := target.Node(0).Chain().ChainID() + "|" + shardID + "|" + fmt.Sprint(height)
 	if sentAnchor[key] {
 		return true
 	}
-	sentAnchor[key] = true
-	args := contract.AnchorRootArgs{Shard: shardID, Height: height, Root: anchored.Root}
-	if err := s.submitCross(target, s.coordKey, "anchor_root", args); err == nil {
-		submitted[target] = true
+	coordNode := s.coord.Best()
+	if coordNode == nil {
+		return false
 	}
+	anchored, ok := coordNode.State().ShardRootAt(shardID, height)
+	if !ok {
+		return false // gateway has not anchored yet
+	}
+	args := contract.AnchorRootArgs{Shard: shardID, Height: height, Root: anchored.Root}
+	if err := s.submitCross(target, s.coordKey, "anchor_root", args); err != nil {
+		return false
+	}
+	sentAnchor[key] = true
+	submitted[target] = true
 	return true
 }
 

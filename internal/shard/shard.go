@@ -294,10 +294,8 @@ func (s *System) bootstrap() error {
 	if _, err := s.coord.CommitAll(); err != nil {
 		return fmt.Errorf("shard: commit coord bootstrap: %w", err)
 	}
-	for i, c := range s.shards {
-		if _, err := c.CommitAll(); err != nil {
-			return fmt.Errorf("shard: commit %s bootstrap: %w", s.shardIDs[i], err)
-		}
+	if err := s.commitShards(func(int) bool { return true }); err != nil {
+		return fmt.Errorf("shard: commit bootstrap: %w", err)
 	}
 	return nil
 }

@@ -105,7 +105,9 @@ func TestBootstrapRoutingTable(t *testing.T) {
 
 // TestTransferCommit walks one HIE record transfer through the full
 // 2PC relay: prepare on the source, gateway anchor, coordinator relay,
-// proof-carrying apply on the destination, proof-carrying resolve back.
+// proof-carrying apply on the destination, proof-carrying resolve back
+// — in two pump rounds, each relayed root riding in the block of the
+// transaction that needs it.
 func TestTransferCommit(t *testing.T) {
 	s := newTestSystem(t, 2)
 	owner := mustKey(t, "owner/transfer-commit")
@@ -125,6 +127,9 @@ func TestTransferCommit(t *testing.T) {
 	rounds := s.Pump(20)
 	if n := s.PendingTransfers(); n != 0 {
 		t.Fatalf("still %d pending after %d rounds; anomalies=%v", n, rounds, s.Anomalies())
+	}
+	if rounds != 2 {
+		t.Fatalf("settled in %d pump rounds, want 2 (apply, then resolve)", rounds)
 	}
 
 	src := s.Shard(0).Best().State()
@@ -156,7 +161,8 @@ func TestTransferCommit(t *testing.T) {
 // TestTransferExpiryAborts sets an already-passed destination deadline:
 // the relay must submit expire, the destination must record a negative
 // resolution, and the resolve must thaw the source dataset — exactly
-// one abort, no partial application.
+// one abort, no partial application, in the same two rounds a commit
+// takes.
 func TestTransferExpiryAborts(t *testing.T) {
 	s := newTestSystem(t, 2)
 	owner := mustKey(t, "owner/transfer-expire")
@@ -175,9 +181,12 @@ func TestTransferExpiryAborts(t *testing.T) {
 		t.Fatalf("commit prepare: %v", err)
 	}
 
-	s.Pump(20)
+	rounds := s.Pump(20)
 	if n := s.PendingTransfers(); n != 0 {
 		t.Fatalf("still %d pending; anomalies=%v", n, s.Anomalies())
+	}
+	if rounds != 2 {
+		t.Fatalf("aborted in %d pump rounds, want 2 (expire, then resolve)", rounds)
 	}
 
 	src := s.Shard(0).Best().State()

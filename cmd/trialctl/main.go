@@ -74,8 +74,6 @@ func run(trials int, correct, unreported float64, seed int64, verbose bool) erro
 			ts++
 		}
 	}
-	// Wait for gossip, then drain the mempool into blocks.
-	cluster.WaitPooled(submitted, 10*time.Second)
 	blocks, err := cluster.CommitAll()
 	if err != nil {
 		return err

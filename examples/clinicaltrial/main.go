@@ -145,9 +145,6 @@ func mustCommit(cluster *chain.Cluster, txs ...*ledger.Transaction) {
 			log.Fatal(err)
 		}
 	}
-	if !cluster.WaitPooled(len(txs), 10*time.Second) {
-		log.Fatal("gossip timeout")
-	}
 	if _, err := cluster.CommitAll(); err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"medchain/internal/ledger"
 	"medchain/internal/p2p"
 	"medchain/internal/resilience"
 )
@@ -299,5 +300,55 @@ func TestCommitAllRetriesThenReportsPartialProgress(t *testing.T) {
 	}
 	if err := c.VerifyConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Under 30 % message loss — gossip, proposals, votes and blocks alike —
+// a long run of CommitAll calls appends no empty block on any node:
+// each call drains the pools or gives up with ErrRetriesExhausted, and
+// once the loss stops everything submitted commits.
+func TestCommitAllNeverBuildsAnEmptyBlock(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{
+		Nodes: 4, KeySeed: "lossy-commitall", CommitTimeout: 200 * time.Millisecond,
+		Network: p2p.Config{LossRate: 0.3, Seed: 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	user := userKey(t, "lossy-user")
+	var nonce uint64
+	for round := 0; round < 12; round++ {
+		for k := 0; k < 3; k++ {
+			if err := c.Submit(datasetTx(t, user, nonce, fmt.Sprintf("lossy-%d", nonce))); err != nil {
+				t.Fatal(err)
+			}
+			nonce++
+		}
+		switch _, err := c.CommitAll(); {
+		case err == nil:
+			if n := c.fullestPool(); n != 0 {
+				t.Fatalf("round %d: CommitAll returned with %d txs pooled", round, n)
+			}
+		case !errors.Is(err, resilience.ErrRetriesExhausted):
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+
+	c.Network().SetLossRate(0)
+	c.SyncLagging()
+	if _, err := c.CommitAll(); err != nil {
+		t.Fatalf("loss-free CommitAll: %v", err)
+	}
+	if got := c.Best().Chain().NextNonce(user.Address()); got != nonce {
+		t.Fatalf("%d of %d submitted txs committed", got, nonce)
+	}
+	for _, n := range c.Nodes() {
+		n.Chain().Walk(func(b *ledger.Block) bool {
+			if b.Header.Height > 0 && len(b.Txs) == 0 {
+				t.Fatalf("%s holds empty block %d", n.ID(), b.Header.Height)
+			}
+			return true
+		})
 	}
 }

@@ -231,6 +231,36 @@ func TestCommitAllDrainsMempool(t *testing.T) {
 	}
 }
 
+// CommitAll starts a round once the scheduled proposer holds the work:
+// a batch that entered through another node, with nobody waiting for
+// its gossip, still commits as one block, proposed on schedule.
+func TestCommitAllWaitsForTheProposer(t *testing.T) {
+	c := newCluster(t, 4, EngineQuorum)
+	user := userKey(t, "erin")
+	proposer := c.Proposer()
+	entry := 0
+	if c.Node(entry) == proposer {
+		entry = 1
+	}
+	const batch = 6
+	for i := 0; i < batch; i++ {
+		if err := c.SubmitVia(entry, datasetTx(t, user, uint64(i), fmt.Sprintf("w-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocks, err := c.CommitAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := c.Node(entry).Chain().Head()
+	if blocks != 1 || head.Header.Height != 1 || len(head.Txs) != batch {
+		t.Fatalf("CommitAll made %d blocks, head %d holds %d txs; want 1 block of %d", blocks, head.Header.Height, len(head.Txs), batch)
+	}
+	if head.Header.Proposer != proposer.Address() {
+		t.Fatal("block proposed out of schedule")
+	}
+}
+
 func TestInvalidTxRejectedByMempool(t *testing.T) {
 	c := newCluster(t, 2, EngineQuorum)
 	tx := &ledger.Transaction{Type: ledger.TxData, Method: "register_dataset", Timestamp: 1}

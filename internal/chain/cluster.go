@@ -330,6 +330,12 @@ func (c *Cluster) proposerIndex() int {
 	return 0
 }
 
+// Proposer returns the node the next Commit asks first: the scheduled
+// proposer, or — when that one is down and the engine allows failover —
+// the next running node in rotation. A transaction that enters here is
+// in the next block's proposer pool before gossip reaches anyone else.
+func (c *Cluster) Proposer() *Node { return c.nodes[c.proposerCandidates()[0]] }
+
 // proposerCandidates returns proposer indices to try this round:
 // the scheduled node first, then — for engines whose seal check does
 // not pin the schedule (Quorum certifies any validator, PoW anyone) —
@@ -404,6 +410,14 @@ func (c *Cluster) WaitPooled(n int, timeout time.Duration) bool {
 	return c.waitNodes(timeout, nil, func(node *Node) bool { return node.MempoolSize() >= n })
 }
 
+// Commit attempts that built no block but may succeed on a retry: the
+// proposer could not catch up with the best node in time, or (when
+// CommitAll asks) it holds no transaction it could propose.
+var (
+	errBehind = errors.New("chain: proposer stuck behind")
+	errNoWork = errors.New("chain: proposer has nothing to propose")
+)
+
 // commitVia runs one commit attempt through proposer p within timeout:
 // sync p if it lags, produce the block, then wait until every running
 // node applied it, nudging laggards with sync requests every timeout/4
@@ -411,7 +425,9 @@ func (c *Cluster) WaitPooled(n int, timeout time.Duration) bool {
 // way). No stage polls: each sleeps on node events under a timer.
 // Mirrors Commit's contract: (nil, err) when no block was produced,
 // (blk, wrapped ErrNoQuorum) when produced but not fully replicated.
-func (c *Cluster) commitVia(p *Node, timeout time.Duration) (*ledger.Block, error) {
+// With needWork set, a caught-up p that holds nothing proposable builds
+// no block and the attempt fails with errNoWork.
+func (c *Cluster) commitVia(p *Node, timeout time.Duration, needWork bool) (*ledger.Block, error) {
 	// Bring a lagging proposer (e.g. freshly healed from a partition or
 	// restarted after a crash) up to date before it builds on a stale
 	// head.
@@ -422,8 +438,11 @@ func (c *Cluster) commitVia(p *Node, timeout time.Duration) (*ledger.Block, erro
 		p.await(catchUp.C, func() bool { return p.Height() >= ref.Height() || !p.Running() })
 		catchUp.Stop()
 		if p.Height() < ref.Height() {
-			return nil, fmt.Errorf("chain: proposer %s stuck behind at height %d", p.ID(), p.Height())
+			return nil, fmt.Errorf("%w: %s at height %d", errBehind, p.ID(), p.Height())
 		}
+	}
+	if needWork && len(p.takeMempool(1)) == 0 {
+		return nil, errNoWork
 	}
 	blk, err := p.produceBlock(c.cfg.MaxBlockTxs, 0, timeout)
 	if err != nil {
@@ -446,12 +465,16 @@ func (c *Cluster) commitVia(p *Node, timeout time.Duration) (*ledger.Block, erro
 // it everywhere returns the block alongside the error: the chain
 // advanced on the quorum side and a substitute proposer must not fork
 // it.
-func (c *Cluster) Commit() (*ledger.Block, error) {
+func (c *Cluster) Commit() (*ledger.Block, error) { return c.commit(false) }
+
+// commit is Commit; with needWork set, a candidate holding nothing it
+// could propose is passed over instead of asked for an empty block.
+func (c *Cluster) commit(needWork bool) (*ledger.Block, error) {
 	cands := c.proposerCandidates()
 	budget := c.cfg.CommitTimeout / time.Duration(len(cands))
 	var lastErr error
 	for _, i := range cands {
-		blk, err := c.commitVia(c.nodes[i], budget)
+		blk, err := c.commitVia(c.nodes[i], budget, needWork)
 		if blk != nil || err == nil {
 			return blk, err
 		}
@@ -460,63 +483,93 @@ func (c *Cluster) Commit() (*ledger.Block, error) {
 	return nil, fmt.Errorf("chain: all %d proposer candidates failed: %w", len(cands), lastErr)
 }
 
-// commitAllRetries bounds how often CommitAll retries a transiently
-// failing round before giving up.
+// fullestPool returns the largest mempool among running nodes.
+func (c *Cluster) fullestPool() int {
+	most := 0
+	for _, n := range c.nodes {
+		if n.Running() {
+			most = max(most, n.MempoolSize())
+		}
+	}
+	return most
+}
+
+// awaitWork sleeps on p's events until p holds as many transactions as
+// the fullest running pool: as it was when the wait began, or as it is
+// now if it has shrunk since. The timer is a backoff step, started over
+// each time p's pool grows, so a proposer still receiving gossip —
+// however slowly a loaded host runs it — is never cut short. A step
+// that passes with nothing reaching p re-gossips every pool and moves
+// to the next, longer step; after commitAllRetries such steps, or once
+// p stops, the wait gives up and p proposes whatever it holds.
+func (c *Cluster) awaitWork(p *Node, backoff *resilience.Backoff) {
+	target := c.fullestPool()
+	var step time.Duration
+	for quiet := 0; quiet < commitAllRetries && p.Running(); {
+		// The target never grows: a client still submitting through
+		// another node must not keep p waiting. It shrinks when a
+		// follower prunes the last block's transactions only after the
+		// replication wait saw its height.
+		held := p.MempoolSize()
+		if held >= min(target, c.fullestPool()) {
+			return
+		}
+		if step == 0 {
+			step = backoff.Next()
+		}
+		timer := time.NewTimer(step)
+		if !p.await(timer.C, func() bool { return p.MempoolSize() > held || !p.Running() }) {
+			c.ResubmitPending()
+			quiet, step = quiet+1, 0
+		}
+		timer.Stop()
+	}
+}
+
+// commitAllRetries bounds the quiet steps CommitAll waits for a
+// proposer's pool, and the consecutive failed rounds it rides out.
 const commitAllRetries = 3
 
-// CommitAll repeatedly commits blocks until every running node's
-// mempool is empty, returning the number of blocks produced. A round
-// that fails with a transient ErrNoQuorum is retried with bounded
-// backoff; only after commitAllRetries consecutive failures does
-// CommitAll give up, returning the blocks committed so far alongside
-// an error wrapping resilience.ErrRetriesExhausted.
+// CommitAll commits blocks until every running node's mempool is empty,
+// returning the number of blocks produced. A round starts when the
+// proposer the next Commit asks first (Proposer) holds the work:
+// CommitAll sleeps on that node's events until it holds as many
+// transactions as the fullest running pool, under a backoff step (1 ms,
+// doubling to 50 ms) that starts over while its pool grows. A step that
+// passes with nothing arriving — gossip lost, or a transaction the
+// proposer refused — re-gossips; after commitAllRetries of them the
+// proposer commits whatever it holds. No candidate is asked to build an
+// empty block: one with nothing to propose is passed over, and a round
+// in which none has anything fails like a round without quorum or one
+// whose proposer could not catch up. Failed rounds are retried with the
+// same backoff; after commitAllRetries consecutive ones CommitAll gives
+// up, returning the blocks committed so far alongside an error wrapping
+// resilience.ErrRetriesExhausted and each failed round's error.
 func (c *Cluster) CommitAll() (int, error) {
 	blocks := 0
-	failures := 0
+	var failed []error
 	backoff := &resilience.Backoff{Base: time.Millisecond, Max: 50 * time.Millisecond}
-	for {
-		pending := 0
-		for _, n := range c.nodes {
-			if !n.Running() {
-				continue
-			}
-			pending += n.MempoolSize()
-		}
-		if pending == 0 {
-			return blocks, nil
-		}
-		blk, err := c.Commit()
+	for c.fullestPool() > 0 {
+		c.awaitWork(c.Proposer(), backoff)
+		blk, err := c.commit(true)
 		if blk != nil {
 			blocks++
 		}
 		if err == nil {
-			if len(blk.Txs) == 0 {
-				// Pending txs exist but the proposer's mempool missed
-				// them (lossy gossip): re-gossip and count the empty
-				// round as a soft failure so this cannot spin forever.
-				c.regossip()
-				failures++
-				if failures >= commitAllRetries {
-					return blocks, fmt.Errorf("chain: %w: %d empty rounds with %d txs pending",
-						resilience.ErrRetriesExhausted, failures, pending)
-				}
-				backoff.Sleep()
-				continue
-			}
-			failures = 0
+			failed = nil
 			backoff.Reset()
 			continue
 		}
-		if !errors.Is(err, ErrNoQuorum) {
+		if !errors.Is(err, ErrNoQuorum) && !errors.Is(err, errBehind) && !errors.Is(err, errNoWork) {
 			return blocks, err
 		}
-		failures++
-		if failures >= commitAllRetries {
-			return blocks, fmt.Errorf("chain: %w: round failed %d times: %w",
-				resilience.ErrRetriesExhausted, failures, err)
+		if failed = append(failed, err); len(failed) >= commitAllRetries {
+			return blocks, fmt.Errorf("chain: %w: %d rounds failed: %w",
+				resilience.ErrRetriesExhausted, len(failed), errors.Join(failed...))
 		}
 		backoff.Sleep()
 	}
+	return blocks, nil
 }
 
 // ResubmitPending has every running node re-broadcast its pending
@@ -537,9 +590,6 @@ func (c *Cluster) ResubmitPending() {
 		}
 	}
 }
-
-// regossip is the internal alias CommitAll's recovery path uses.
-func (c *Cluster) regossip() { c.ResubmitPending() }
 
 // TotalGasUsed sums executed gas across all nodes — the cluster-wide
 // cost of duplicated computing (E2's numerator).

@@ -53,8 +53,9 @@ func persistTx(t testing.TB, kp *cryptoutil.KeyPair, nonce uint64, id string) *l
 }
 
 // commitRounds submits one tx per round and drains the mempools fully
-// each time (gossip is asynchronous, so a bare Commit can package an
-// empty block and strand the tx — CommitAll's regossip handles that).
+// each time. Submit enters through node 0 and gossip is asynchronous, so
+// a bare Commit could find the proposer's pool empty; CommitAll waits
+// until the proposer holds the tx and re-gossips if it never arrives.
 func commitRounds(t testing.TB, c *Cluster, kp *cryptoutil.KeyPair, fromNonce uint64, rounds int, label string) {
 	t.Helper()
 	for r := 0; r < rounds; r++ {

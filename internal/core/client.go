@@ -2,10 +2,8 @@ package core
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"medchain/internal/chain"
 	"medchain/internal/contract"
@@ -112,16 +110,13 @@ func submit(c *chain.Cluster, clock func() int64, cl call) (*ledger.Transaction,
 }
 
 // commit drives submitted transactions onto the chain and returns their
-// receipts in input order, read from the best running node.
+// receipts in input order, read from the best running node. CommitAll
+// starts each round once the proposer holds the work, so there is no
+// gossip to wait for here; transactions another committer already took
+// simply have their receipts.
 func commit(c *chain.Cluster, txs []*ledger.Transaction) ([]*contract.Receipt, error) {
-	// Wait for gossip so the scheduled proposer holds everything. A pool
-	// that never fills is fine if the transactions are already on chain
-	// (another committer took them).
-	pooled := c.WaitPooled(len(txs), 10*time.Second)
-	if pooled {
-		if _, err := c.CommitAll(); err != nil {
-			return nil, err
-		}
+	if _, err := c.CommitAll(); err != nil {
+		return nil, err
 	}
 	n := c.Best()
 	if n == nil {
@@ -131,9 +126,6 @@ func commit(c *chain.Cluster, txs []*ledger.Transaction) ([]*contract.Receipt, e
 	for i, tx := range txs {
 		r, ok := n.Receipt(tx.ID())
 		if !ok {
-			if !pooled {
-				return nil, errors.New("core: transactions did not gossip in time")
-			}
 			return nil, fmt.Errorf("core: tx %s has no receipt", tx.ID().Short())
 		}
 		out[i] = r

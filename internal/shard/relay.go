@@ -317,15 +317,15 @@ func (s *System) maybeAcquireLease(i int, coordNode *chain.Node) bool {
 // coordinator relayed it this round (now, or for an earlier transfer
 // from the same block). A relayed anchor_root and the dependent
 // apply / expire / resolve are both signed by the coordinator through
-// SubmitSigned, so nonce order puts the root first: in the same block
-// once the proposer has pooled both, one block ahead if it had pooled
-// only the root, never behind — a block holding the dependent
-// transaction without it breaks the nonce sequence. The method table's
-// footprints (anchor_root writes the root key, the dependent
-// transaction reads it) order the two under mvcc-wave too. False means
-// wait for a later round: the root is not anchored on the coordination
-// chain yet, the coordination chain is unreachable, or the target
-// refused the relay.
+// SubmitSigned, which enters both through the target's proposer, so
+// they ride one block with nonce order putting the root first. A block
+// can never hold the dependent transaction without the root (that breaks
+// the nonce sequence), so at worst the root commits one block ahead.
+// The method table's footprints (anchor_root writes the root key, the
+// dependent transaction reads it) order the two under mvcc-wave too.
+// False means wait for a later round: the root is not anchored on the
+// coordination chain yet, the coordination chain is unreachable, or the
+// target refused the relay.
 func (s *System) relayRoot(shardID string, height uint64, target *chain.Cluster, targetNode *chain.Node, sentAnchor map[string]bool, submitted map[*chain.Cluster]bool) bool {
 	if _, ok := targetNode.State().ShardRootAt(shardID, height); ok {
 		return true
@@ -431,19 +431,25 @@ func (s *System) SubmitPrepare(src int, key *cryptoutil.KeyPair, args contract.C
 // transaction enters through the node that reported it: that node holds
 // the sender's whole pending run, counts the new transaction at once,
 // and so answers the next call correctly while gossip to the others —
-// a lagging or just-restarted one included — is still in flight.
-// Nothing is remembered between calls, so a refused submit leaves no
-// gap behind. Callers sharing a key across goroutines serialise their
-// calls (core.Account does).
+// a lagging or just-restarted one included — is still in flight. Among
+// nodes reporting the same nonce it enters through c.Proposer(), so the
+// next round's proposer holds it without waiting on gossip. Nothing is
+// remembered between calls, so a refused submit leaves no gap behind.
+// Callers sharing a key across goroutines serialise their calls
+// (core.Account does).
 func SubmitSigned(c *chain.Cluster, key *cryptoutil.KeyPair, tx *ledger.Transaction) error {
 	best := c.Best()
 	if best == nil {
 		return chain.ErrStopped
 	}
-	via := best
-	for i, n := range c.RunningNodes() {
-		if p := c.Node(n).PendingNonce(key.Address()); i == 0 || p > tx.Nonce {
-			via, tx.Nonce = c.Node(n), p
+	via := c.Proposer()
+	if !via.Running() {
+		via = best
+	}
+	tx.Nonce = via.PendingNonce(key.Address())
+	for _, i := range c.RunningNodes() {
+		if p := c.Node(i).PendingNonce(key.Address()); p > tx.Nonce {
+			via, tx.Nonce = c.Node(i), p
 		}
 	}
 	if tx.Timestamp == 0 {

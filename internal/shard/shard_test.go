@@ -2,9 +2,12 @@ package shard
 
 import (
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"medchain/internal/chain"
 	"medchain/internal/contract"
 	"medchain/internal/cryptoutil"
 	"medchain/internal/ledger"
@@ -155,6 +158,123 @@ func TestTransferCommit(t *testing.T) {
 	noAnomalies(t, s)
 	if err := s.VerifyConsistency(); err != nil {
 		t.Fatalf("consistency: %v", err)
+	}
+}
+
+// heights reads the height of every node of the coordination chain and
+// of each member shard, in that order.
+func heights(s *System) []uint64 {
+	clusters := []*chain.Cluster{s.Coord()}
+	for i := 0; i < s.Shards(); i++ {
+		clusters = append(clusters, s.Shard(i))
+	}
+	var hs []uint64
+	for _, c := range clusters {
+		for _, n := range c.Nodes() {
+			hs = append(hs, n.Height())
+		}
+	}
+	return hs
+}
+
+// TestTransferPumpRoundsCommitOneBlockPerChain: each of a transfer's two
+// pump rounds commits exactly one block on the coordination chain (the
+// gateway's anchor) and one on the member shard that got relay work
+// (root and apply, then root and resolve), and none anywhere else. The
+// relay's transactions enter through each chain's proposer, so no round
+// starts before that proposer holds them and none pays an empty block.
+func TestTransferPumpRoundsCommitOneBlockPerChain(t *testing.T) {
+	s := newTestSystem(t, 3)
+	owner := mustKey(t, "owner/transfer-blocks")
+	registerDataset(t, s, 0, owner, "ds-blocks")
+	payload, _ := json.Marshal(contract.CrossTransferPayload{Dataset: "ds-blocks"})
+	if err := s.SubmitPrepare(0, owner, contract.CrossPrepareArgs{
+		ID: "xfer-blocks", Kind: contract.CrossTransfer, DestShard: ShardID(1), Payload: payload,
+	}); err != nil {
+		t.Fatalf("SubmitPrepare: %v", err)
+	}
+	if _, err := s.Shard(0).CommitAll(); err != nil {
+		t.Fatalf("commit prepare: %v", err)
+	}
+
+	// Blocks per round on the coordination chain, the source (shard 0),
+	// the destination (shard 1) and a bystander (shard 2).
+	for round, grow := range [][]uint64{{1, 0, 1, 0}, {1, 1, 0, 0}} {
+		before := heights(s)
+		s.PumpRound()
+		after := heights(s)
+		nodes := len(after) / len(grow)
+		for i := range after {
+			if got, want := after[i]-before[i], grow[i/nodes]; got != want {
+				t.Fatalf("pump round %d: chain %d node %d grew by %d blocks, want %d",
+					round+1, i/nodes, i%nodes, got, want)
+			}
+		}
+	}
+	if n := s.PendingTransfers(); n != 0 {
+		t.Fatalf("still %d pending after two rounds; anomalies=%v", n, s.Anomalies())
+	}
+	noAnomalies(t, s)
+}
+
+// TestQuietPumpRoundCommitsNothing: with no transfer in flight and every
+// root anchored, a pump round submits nothing and appends no block to
+// any chain — before any transfer and after one settled.
+func TestQuietPumpRoundCommitsNothing(t *testing.T) {
+	s := newTestSystem(t, 2)
+	quiet := func(when string) {
+		t.Helper()
+		before := heights(s)
+		if s.PumpRound() {
+			t.Fatalf("%s: quiet pump round reported progress", when)
+		}
+		if after := heights(s); !slices.Equal(after, before) {
+			t.Fatalf("%s: quiet pump round moved heights %v -> %v", when, before, after)
+		}
+	}
+	quiet("fresh system")
+
+	owner := mustKey(t, "owner/quiet-pump")
+	registerDataset(t, s, 0, owner, "ds-quiet")
+	payload, _ := json.Marshal(contract.CrossTransferPayload{Dataset: "ds-quiet"})
+	if err := s.SubmitPrepare(0, owner, contract.CrossPrepareArgs{
+		ID: "xfer-quiet", Kind: contract.CrossTransfer, DestShard: ShardID(1), Payload: payload,
+	}); err != nil {
+		t.Fatalf("SubmitPrepare: %v", err)
+	}
+	if _, err := s.Shard(0).CommitAll(); err != nil {
+		t.Fatalf("commit prepare: %v", err)
+	}
+	for rounds := 0; s.PumpRound(); rounds++ {
+		if rounds == 10 {
+			t.Fatalf("relay still busy after %d rounds; anomalies=%v", rounds, s.Anomalies())
+		}
+	}
+	quiet("after a settled transfer")
+}
+
+// TestSubmitSignedEntersThroughTheProposer: when every node reports the
+// same pending nonce, SubmitSigned hands the transaction to the node the
+// next Commit asks first, so that node holds it the moment SubmitSigned
+// returns — whichever node the schedule names at this height.
+func TestSubmitSignedEntersThroughTheProposer(t *testing.T) {
+	s := newTestSystem(t, 2)
+	c := s.Shard(0)
+	owner := mustKey(t, "owner/enter-via-proposer")
+	named := make(map[*chain.Node]bool)
+	for i := 0; i < c.Size(); i++ {
+		p := c.Proposer()
+		named[p] = true
+		submitDataset(t, s, 0, owner, fmt.Sprintf("ds-entry-%d", i))
+		if n := p.MempoolSize(); n != 1 {
+			t.Fatalf("proposer %s holds %d txs as SubmitSigned returns, want 1", p.ID(), n)
+		}
+		if _, err := c.CommitAll(); err != nil {
+			t.Fatalf("commit: %v", err)
+		}
+	}
+	if len(named) != c.Size() {
+		t.Fatalf("%d heights named %d distinct proposers, want %d", c.Size(), len(named), c.Size())
 	}
 }
 

@@ -1,12 +1,11 @@
 // Command medchaind runs a local medical-blockchain cluster and
-// exercises it: it boots N nodes under the chosen consensus engine,
-// registers a dataset per node, anchors off-chain blob manifests
+// exercises it: it boots N nodes under quorum consensus, registers a dataset per node, anchors off-chain blob manifests
 // under each dataset (the data plane's entire on-chain footprint),
 // commits blocks, and prints the chain state, the per-dataset
 // manifest-set roots, and per-node gas accounting. It is the smallest
 // way to watch the duplicated-computing architecture at work.
 //
-//	medchaind -nodes 4 -engine quorum -blocks 3
+//	medchaind -nodes 4 -blocks 3
 //
 // With -data-dir the cluster is disk-backed: every node writes its
 // block WAL and state snapshots under <data-dir>/node-i, the demo ends
@@ -35,8 +34,6 @@ import (
 
 func main() {
 	nodes := flag.Int("nodes", 4, "cluster size")
-	engine := flag.String("engine", "quorum", "consensus engine: pow | poa | quorum")
-	difficulty := flag.Uint("difficulty", 12, "PoW difficulty (leading zero bits)")
 	blocks := flag.Int("blocks", 3, "blocks to produce")
 	txPerBlock := flag.Int("tx", 2, "transactions per block")
 	dataDir := flag.String("data-dir", "", "durable storage root: each node keeps its WAL and snapshots under <data-dir>/node-i (empty = memory-only)")
@@ -50,7 +47,7 @@ func main() {
 	if *shards >= 2 {
 		err = runSharded(*shards, *nodes, *blocks, *dataDir, *committee)
 	} else {
-		err = run(*nodes, chain.EngineKind(*engine), uint8(*difficulty), *blocks, *txPerBlock, *dataDir, *syncEvery, *snapshotEvery)
+		err = run(*nodes, *blocks, *txPerBlock, *dataDir, *syncEvery, *snapshotEvery)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "medchaind: %v\n", err)
@@ -58,13 +55,8 @@ func main() {
 	}
 }
 
-func run(nodes int, engine chain.EngineKind, difficulty uint8, blocks, txPerBlock int, dataDir string, syncEvery, snapshotEvery int) error {
-	cfg := chain.ClusterConfig{
-		Nodes:         nodes,
-		Engine:        engine,
-		PowDifficulty: difficulty,
-		KeySeed:       "medchaind",
-	}
+func run(nodes, blocks, txPerBlock int, dataDir string, syncEvery, snapshotEvery int) error {
+	cfg := chain.ClusterConfig{Nodes: nodes, KeySeed: "medchaind"}
 	if dataDir != "" {
 		cfg.Persist = &chain.PersistConfig{
 			Dir: dataDir, SyncEvery: syncEvery, SnapshotEvery: snapshotEvery,
@@ -75,8 +67,8 @@ func run(nodes int, engine chain.EngineKind, difficulty uint8, blocks, txPerBloc
 		return err
 	}
 	defer c.Close()
-	fmt.Printf("cluster up: %d nodes, %s consensus, chain %q\n",
-		c.Size(), engine, c.Node(0).Chain().ChainID())
+	fmt.Printf("cluster up: %d nodes, quorum consensus, chain %q\n",
+		c.Size(), c.Node(0).Chain().ChainID())
 	if dataDir != "" {
 		for _, n := range c.Nodes() {
 			rec := n.LastRecovery()
@@ -179,9 +171,6 @@ func run(nodes int, engine chain.EngineKind, difficulty uint8, blocks, txPerBloc
 	fmt.Printf("cluster total gas: %d (useful: %d, waste ratio %.1fx)\n",
 		c.TotalGasUsed(), c.UsefulGasUsed(),
 		float64(c.TotalGasUsed())/float64(max64(c.UsefulGasUsed(), 1)))
-	if engine == chain.EnginePoW {
-		fmt.Printf("PoW mining work: %d hashes\n", c.PoWWork())
-	}
 
 	if dataDir != "" {
 		if err := killAndRecover(c); err != nil {

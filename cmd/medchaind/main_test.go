@@ -51,13 +51,13 @@ func TestGoldenSharded(t *testing.T) {
 	clitest.Golden(t, "sharded-rerun", bin, masks, args...)
 }
 
-// TestExitCodes: an engine name the chain does not know exits 1 with
-// the typed error, a flag value that does not parse exits 2.
+// TestExitCodes: a cluster the chain cannot build exits 1 with the
+// chain's error, a flag value that does not parse exits 2.
 func TestExitCodes(t *testing.T) {
 	bin := clitest.Build(t)
-	out, code := clitest.Run(t, bin, "-engine", "bogus")
-	if code != 1 || !strings.Contains(out, `medchaind: chain: unknown engine "bogus"`) {
-		t.Fatalf("unknown engine: exit %d\n%s", code, out)
+	out, code := clitest.Run(t, bin, "-nodes", "0")
+	if code != 1 || !strings.Contains(out, "medchaind: chain: cluster needs at least 1 node") {
+		t.Fatalf("empty cluster: exit %d\n%s", code, out)
 	}
 	out, code = clitest.Run(t, bin, "-shards", "three")
 	if code != 2 || strings.Contains(out, "deployment up") {

@@ -33,7 +33,7 @@ func main() {
 
 func run(trials int, correct, unreported float64, seed int64, verbose bool) error {
 	cluster, err := chain.NewCluster(chain.ClusterConfig{
-		Nodes: 2, Engine: chain.EngineQuorum, KeySeed: "trialctl",
+		Nodes: 2, KeySeed: "trialctl",
 	})
 	if err != nil {
 		return err

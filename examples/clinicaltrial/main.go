@@ -22,7 +22,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	cluster, err := chain.NewCluster(chain.ClusterConfig{
-		Nodes: 3, Engine: chain.EngineQuorum, KeySeed: "trial-example",
+		Nodes: 3, KeySeed: "trial-example",
 	})
 	if err != nil {
 		log.Fatal(err)

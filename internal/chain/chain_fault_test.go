@@ -38,7 +38,7 @@ func waitRunningMempools(t testing.TB, c *Cluster, want int) {
 // the crashed node must replay everything it missed after Restart.
 func TestCrashedFollowerRestartsAndResyncs(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
-		Nodes: 4, Engine: EngineQuorum, KeySeed: "crash-follower",
+		Nodes: 4, KeySeed: "crash-follower",
 		CommitTimeout: 2 * time.Second,
 	})
 	if err != nil {
@@ -92,7 +92,7 @@ func TestCrashedFollowerRestartsAndResyncs(t *testing.T) {
 // next running candidate and still complete within CommitTimeout.
 func TestProposerCrashFailsOver(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
-		Nodes: 4, Engine: EngineQuorum, KeySeed: "crash-proposer",
+		Nodes: 4, KeySeed: "crash-proposer",
 		CommitTimeout: 4 * time.Second,
 	})
 	if err != nil {
@@ -137,7 +137,7 @@ func TestProposerCrashFailsOver(t *testing.T) {
 // same transactions exactly once.
 func TestFailedRoundLeavesStateCleanForRetry(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
-		Nodes: 4, Engine: EngineQuorum, KeySeed: "clean-retry",
+		Nodes: 4, KeySeed: "clean-retry",
 		CommitTimeout: 400 * time.Millisecond,
 	})
 	if err != nil {
@@ -180,13 +180,13 @@ func TestFailedRoundLeavesStateCleanForRetry(t *testing.T) {
 	}
 }
 
-// Satellite: a PoA cluster split 2/1 keeps committing on the majority
-// side and re-converges — equal heights and state roots — after the
-// partition heals and the minority node restarts.
+// A 4-node cluster split 3/1 keeps committing on the majority side and
+// re-converges — equal heights and state roots — after the partition
+// heals and the minority node restarts.
 func TestPartitionHealMinorityRestartReconverges(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
-		Nodes: 3, Engine: EnginePoA, KeySeed: "split-heal",
-		CommitTimeout: 400 * time.Millisecond,
+		Nodes: 4, KeySeed: "split-heal",
+		CommitTimeout: 800 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,9 +194,10 @@ func TestPartitionHealMinorityRestartReconverges(t *testing.T) {
 	defer c.Close()
 	user := userKey(t, "split-user")
 
-	// Isolate node-0: heights 1 and 2 are proposed by nodes 1 and 2
-	// (PoA round-robin), both on the majority side.
-	c.Network().SetPartitions(map[p2p.NodeID]int{"node-0": 1})
+	// Isolate node-3: heights 1 and 2 are scheduled on nodes 1 and 2
+	// (round robin), both on the majority side, whose three votes are a
+	// quorum.
+	c.Network().SetPartitions(map[p2p.NodeID]int{"node-3": 1})
 	for i := 0; i < 2; i++ {
 		tx := datasetTx(t, user, uint64(i), fmt.Sprintf("split-d-%d", i))
 		if err := c.SubmitVia(1, tx); err != nil {
@@ -208,7 +209,7 @@ func TestPartitionHealMinorityRestartReconverges(t *testing.T) {
 		if !ok {
 			t.Fatal("gossip timeout on majority side")
 		}
-		// The majority commits; full replication fails (node-0 cut off).
+		// The majority commits; full replication fails (node-3 cut off).
 		blk, err := c.Commit()
 		if err == nil {
 			t.Fatal("commit reported full replication during split")
@@ -220,29 +221,29 @@ func TestPartitionHealMinorityRestartReconverges(t *testing.T) {
 	if h := c.Node(1).Height(); h != 2 {
 		t.Fatalf("majority height %d, want 2", h)
 	}
-	if h := c.Node(0).Height(); h != 0 {
+	if h := c.Node(3).Height(); h != 0 {
 		t.Fatalf("minority node advanced to %d", h)
 	}
 
 	// Crash the minority node, heal the split, restart: RestartNode's
 	// sync replays the missed blocks.
-	c.StopNode(0)
+	c.StopNode(3)
 	c.Network().SetPartitions(nil)
-	if err := c.RestartNode(0); err != nil {
+	if err := c.RestartNode(3); err != nil {
 		t.Fatal(err)
 	}
 	ok := resilience.Poll(time.Now().Add(5*time.Second), nil, func() bool {
-		return c.Node(0).Height() >= 2
+		return c.Node(3).Height() >= 2
 	})
 	if !ok {
-		t.Fatalf("minority node stuck at height %d after heal", c.Node(0).Height())
+		t.Fatalf("minority node stuck at height %d after heal", c.Node(3).Height())
 	}
 	if err := c.VerifyConsistency(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Height 3's PoA proposer is the restarted node-0 itself: the
-	// healed cluster keeps producing with it back in rotation.
+	// Height 3 is scheduled on the restarted node-3 itself: the healed
+	// cluster keeps producing with it back in rotation.
 	if err := c.Submit(datasetTx(t, user, 2, "split-d-2")); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestPartitionHealMinorityRestartReconverges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-heal commit: %v", err)
 	}
-	if blk.Header.Proposer != c.Node(0).Address() {
+	if blk.Header.Proposer != c.Node(3).Address() {
 		t.Fatal("restarted minority node did not resume proposing")
 	}
 	if err := c.VerifyConsistency(); err != nil {
@@ -263,7 +264,7 @@ func TestPartitionHealMinorityRestartReconverges(t *testing.T) {
 // report the blocks it did commit alongside a wrapped error.
 func TestCommitAllRetriesThenReportsPartialProgress(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
-		Nodes: 4, Engine: EngineQuorum, KeySeed: "commitall-retry",
+		Nodes: 4, KeySeed: "commitall-retry",
 		CommitTimeout: 300 * time.Millisecond, MaxBlockTxs: 1,
 	})
 	if err != nil {

@@ -15,12 +15,11 @@ import (
 	"medchain/internal/p2p"
 )
 
-func newCluster(t testing.TB, n int, engine EngineKind) *Cluster {
+func newCluster(t testing.TB, n int) *Cluster {
 	t.Helper()
 	c, err := NewCluster(ClusterConfig{
 		Nodes:   n,
-		Engine:  engine,
-		KeySeed: fmt.Sprintf("test-%s-%d", engine, n),
+		KeySeed: fmt.Sprintf("test-quorum-%d", n),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +93,7 @@ func waitMempools(t testing.TB, c *Cluster, want int) {
 }
 
 func TestClusterCommitQuorum(t *testing.T) {
-	c := newCluster(t, 4, EngineQuorum)
+	c := newCluster(t, 4)
 	user := userKey(t, "alice")
 	tx := datasetTx(t, user, 0, "hospA/emr")
 	blk := submitAndCommit(t, c, tx)
@@ -116,49 +115,10 @@ func TestClusterCommitQuorum(t *testing.T) {
 	}
 }
 
-func TestClusterCommitPoA(t *testing.T) {
-	c := newCluster(t, 3, EnginePoA)
-	user := userKey(t, "alice")
-	submitAndCommit(t, c, datasetTx(t, user, 0, "d1"))
-	submitAndCommit(t, c, datasetTx(t, user, 1, "d2"))
-	submitAndCommit(t, c, datasetTx(t, user, 2, "d3"))
-	if err := c.VerifyConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	if h := c.Node(0).Height(); h != 3 {
-		t.Fatalf("height %d, want 3", h)
-	}
-}
-
-func TestClusterCommitPoW(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{
-		Nodes: 3, Engine: EnginePoW, PowDifficulty: 6, KeySeed: "pow-test",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	user := userKey(t, "alice")
-	tx := datasetTx(t, user, 0, "d1")
-	if err := c.Submit(tx); err != nil {
-		t.Fatal(err)
-	}
-	waitMempools(t, c, 1)
-	if _, err := c.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.VerifyConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	if c.PoWWork() == 0 {
-		t.Fatal("PoW mining did no accounted work")
-	}
-}
-
 func TestDuplicatedExecutionMultipliesGas(t *testing.T) {
 	// The E2 claim in miniature: total cluster gas = N × useful gas.
 	for _, n := range []int{1, 2, 4} {
-		c := newCluster(t, n, EngineQuorum)
+		c := newCluster(t, n)
 		user := userKey(t, "bob")
 		submitAndCommit(t, c, datasetTx(t, user, 0, "d"))
 		useful := c.UsefulGasUsed()
@@ -173,7 +133,7 @@ func TestDuplicatedExecutionMultipliesGas(t *testing.T) {
 }
 
 func TestSingleNodeCluster(t *testing.T) {
-	c := newCluster(t, 1, EngineQuorum)
+	c := newCluster(t, 1)
 	user := userKey(t, "solo")
 	submitAndCommit(t, c, datasetTx(t, user, 0, "d"))
 	if err := c.VerifyConsistency(); err != nil {
@@ -182,7 +142,7 @@ func TestSingleNodeCluster(t *testing.T) {
 }
 
 func TestMultipleTxsOneBlockDeterministicOrder(t *testing.T) {
-	c := newCluster(t, 4, EngineQuorum)
+	c := newCluster(t, 4)
 	user := userKey(t, "carol")
 	var txs []*ledger.Transaction
 	for i := 0; i < 5; i++ {
@@ -204,7 +164,7 @@ func TestMultipleTxsOneBlockDeterministicOrder(t *testing.T) {
 
 func TestCommitAllDrainsMempool(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
-		Nodes: 3, Engine: EngineQuorum, MaxBlockTxs: 2, KeySeed: "drain",
+		Nodes: 3, MaxBlockTxs: 2, KeySeed: "drain",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +195,7 @@ func TestCommitAllDrainsMempool(t *testing.T) {
 // a batch that entered through another node, with nobody waiting for
 // its gossip, still commits as one block, proposed on schedule.
 func TestCommitAllWaitsForTheProposer(t *testing.T) {
-	c := newCluster(t, 4, EngineQuorum)
+	c := newCluster(t, 4)
 	user := userKey(t, "erin")
 	proposer := c.Proposer()
 	entry := 0
@@ -262,7 +222,7 @@ func TestCommitAllWaitsForTheProposer(t *testing.T) {
 }
 
 func TestInvalidTxRejectedByMempool(t *testing.T) {
-	c := newCluster(t, 2, EngineQuorum)
+	c := newCluster(t, 2)
 	tx := &ledger.Transaction{Type: ledger.TxData, Method: "register_dataset", Timestamp: 1}
 	// Unsigned.
 	if err := c.Submit(tx); err == nil {
@@ -271,7 +231,7 @@ func TestInvalidTxRejectedByMempool(t *testing.T) {
 }
 
 func TestDuplicateGossipIdempotent(t *testing.T) {
-	c := newCluster(t, 2, EngineQuorum)
+	c := newCluster(t, 2)
 	user := userKey(t, "eve")
 	tx := datasetTx(t, user, 0, "d")
 	if err := c.Submit(tx); err != nil {
@@ -287,7 +247,7 @@ func TestDuplicateGossipIdempotent(t *testing.T) {
 }
 
 func TestEventsPublishedToSubscribers(t *testing.T) {
-	c := newCluster(t, 2, EngineQuorum)
+	c := newCluster(t, 2)
 	events := make(chan EventRecord, 16)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -311,7 +271,7 @@ func TestEventsPublishedToSubscribers(t *testing.T) {
 }
 
 func TestFailedTxStillCommitsWithFailureReceipt(t *testing.T) {
-	c := newCluster(t, 2, EngineQuorum)
+	c := newCluster(t, 2)
 	user := userKey(t, "grace")
 	// request_access on unknown resource fails at execution, but the tx
 	// is still committed (the denial is on the audit trail).
@@ -338,8 +298,7 @@ func TestFailedTxStillCommitsWithFailureReceipt(t *testing.T) {
 
 func TestClusterWithNetworkLatency(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
-		Nodes:  3,
-		Engine: EngineQuorum,
+		Nodes: 3,
 		Network: p2p.Config{
 			BaseLatency: 2 * time.Millisecond,
 			Jitter:      time.Millisecond,
@@ -368,13 +327,10 @@ func TestClusterConfigValidation(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{Nodes: 0}); err == nil {
 		t.Fatal("0-node cluster accepted")
 	}
-	if _, err := NewCluster(ClusterConfig{Nodes: 1, Engine: "raft"}); err == nil {
-		t.Fatal("unknown engine accepted")
-	}
 }
 
 func TestCommitEmptyBlock(t *testing.T) {
-	c := newCluster(t, 3, EngineQuorum)
+	c := newCluster(t, 3)
 	blk, err := c.Commit()
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +344,7 @@ func TestCommitEmptyBlock(t *testing.T) {
 }
 
 func TestNodeCloseIdempotent(t *testing.T) {
-	c := newCluster(t, 2, EngineQuorum)
+	c := newCluster(t, 2)
 	c.Node(0).Close()
 	c.Node(0).Close() // must not panic
 }
@@ -402,8 +358,7 @@ func TestThroughputDegradesWithClusterSize(t *testing.T) {
 	// per-message latency, commit time grows with the cluster.
 	elapsed := func(n int) time.Duration {
 		c, err := NewCluster(ClusterConfig{
-			Nodes:  n,
-			Engine: EngineQuorum,
+			Nodes: n,
 			Network: p2p.Config{
 				BaseLatency: 3 * time.Millisecond,
 				Seed:        7,
@@ -435,7 +390,7 @@ func TestThroughputDegradesWithClusterSize(t *testing.T) {
 }
 
 func BenchmarkClusterCommit4Nodes(b *testing.B) {
-	c, err := NewCluster(ClusterConfig{Nodes: 4, Engine: EngineQuorum, KeySeed: "bench"})
+	c, err := NewCluster(ClusterConfig{Nodes: 4, KeySeed: "bench"})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -454,47 +409,9 @@ func BenchmarkClusterCommit4Nodes(b *testing.B) {
 	}
 }
 
-func TestClusterCommitPoS(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{
-		Nodes:   3,
-		Engine:  EnginePoS,
-		Stakes:  []uint64{500, 250, 250},
-		KeySeed: "pos-cluster",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	user := userKey(t, "pos-user")
-	for i := 0; i < 4; i++ {
-		if err := c.Submit(datasetTx(t, user, uint64(i), fmt.Sprintf("pos-d-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitMempools(t, c, 4)
-	if _, err := c.CommitAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.VerifyConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestClusterPoSBadStakes(t *testing.T) {
-	if _, err := NewCluster(ClusterConfig{
-		Nodes:   2,
-		Engine:  EnginePoS,
-		Stakes:  []uint64{1}, // wrong length
-		KeySeed: "pos-bad",
-	}); err == nil {
-		t.Fatal("mismatched stakes accepted")
-	}
-}
-
 func TestPartitionedNodeCatchesUpAfterHeal(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Nodes:         4,
-		Engine:        EngineQuorum,
 		KeySeed:       "partition",
 		CommitTimeout: 500 * time.Millisecond,
 	})
@@ -574,7 +491,6 @@ func TestPartitionedNodeCatchesUpAfterHeal(t *testing.T) {
 func TestLaggingProposerSyncsBeforeProposing(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Nodes:         4,
-		Engine:        EngineQuorum,
 		KeySeed:       "lagprop",
 		CommitTimeout: 500 * time.Millisecond,
 	})
@@ -633,7 +549,7 @@ func TestLaggingProposerSyncsBeforeProposing(t *testing.T) {
 // reproduce the root and refuses it with its state as it was. The honest
 // proposer's block for the same height then commits everywhere.
 func TestByzantineProposerForgedStateRootRejected(t *testing.T) {
-	c := newCluster(t, 4, EngineQuorum)
+	c := newCluster(t, 4)
 	user := userKey(t, "byz-user")
 
 	// The byzantine actor controls a validator key (an insider) — not
@@ -776,8 +692,8 @@ func TestByzantineProposerForgedStateRootRejected(t *testing.T) {
 
 // TestChainOverRealTCP runs the full node stack over actual TCP
 // sockets (p2p.TCPNetwork) instead of the simulated network: gossip,
-// PoA block production, replication, and replicated execution all work
-// across real connections.
+// the proposal and vote round, replication, and replicated execution
+// all work across real connections.
 func TestChainOverRealTCP(t *testing.T) {
 	hub, err := p2p.NewTCPNetwork("127.0.0.1:0")
 	if err != nil {
@@ -801,7 +717,7 @@ func TestChainOverRealTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		nodes[i] = NewNodeWithEndpoint(p2p.NodeID(fmt.Sprintf("tcp-node-%d", i)),
-			keys[i], "tcp-chain", consensus.NewPoA(vals), ep)
+			keys[i], "tcp-chain", vals, ep)
 	}
 	defer func() {
 		for _, nd := range nodes {
@@ -833,7 +749,7 @@ func TestChainOverRealTCP(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Height 1's PoA proposer is validator 1.
+	// Height 1's scheduled proposer is validator 1.
 	blk, err := nodes[1].produceBlock(0, 0, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)

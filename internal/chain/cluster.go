@@ -14,30 +14,13 @@ import (
 	"medchain/internal/store"
 )
 
-// EngineKind selects the consensus engine of a cluster.
-type EngineKind string
-
-// Engine kinds.
-const (
-	EnginePoW    EngineKind = "pow"
-	EnginePoA    EngineKind = "poa"
-	EngineQuorum EngineKind = "quorum"
-	EnginePoS    EngineKind = "pos"
-)
-
-// ClusterConfig configures a simulated cluster.
+// ClusterConfig configures a simulated cluster. Every node is a
+// validator of one Quorum validator set.
 type ClusterConfig struct {
 	// Nodes is the cluster size (≥1).
 	Nodes int
 	// ChainID isolates ledgers; defaults to "medchain".
 	ChainID string
-	// Engine selects consensus; defaults to EngineQuorum.
-	Engine EngineKind
-	// PowDifficulty is the PoW leading-zero-bit target (EnginePoW).
-	PowDifficulty uint8
-	// Stakes assigns per-node stake for EnginePoS (defaults to equal
-	// stakes of 100). Length must match Nodes when set.
-	Stakes []uint64
 	// Network is the link model for the underlying p2p.Network.
 	Network p2p.Config
 	// MaxBlockTxs caps transactions per block (0 = unlimited).
@@ -48,14 +31,6 @@ type ClusterConfig struct {
 	KeySeed string
 	// Persist makes every node disk-backed (nil = memory-only).
 	Persist *PersistConfig
-	// StrictSchedule makes every node reject proposals whose sealer is
-	// not the engine's scheduled proposer for that height (scored as
-	// bad-proposal offenses). The trade-off is liveness: with the
-	// schedule pinned there is no out-of-schedule proposer failover, so
-	// a crashed or quarantined scheduled proposer stalls its heights
-	// until it returns. Default off: any validator's authentic proposal
-	// is votable and rotation failover routes around faulty proposers.
-	StrictSchedule bool
 	// Guard, when set, retunes every node's peer-misbehavior guard
 	// (score decay, sync rate limit, clock).
 	Guard *guard.Config
@@ -93,9 +68,6 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.ChainID == "" {
 		c.ChainID = "medchain"
 	}
-	if c.Engine == "" {
-		c.Engine = EngineQuorum
-	}
 	if c.CommitTimeout <= 0 {
 		c.CommitTimeout = 10 * time.Second
 	}
@@ -112,7 +84,7 @@ type Cluster struct {
 	net   *p2p.Network
 	nodes []*Node
 	keys  []*cryptoutil.KeyPair
-	pow   *consensus.PoW // shared work counter when Engine == EnginePoW
+	vals  *consensus.ValidatorSet
 }
 
 // NewCluster builds and starts a cluster.
@@ -134,54 +106,22 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 
-	c := &Cluster{cfg: cfg, net: p2p.NewNetwork(cfg.Network), keys: keys}
+	c := &Cluster{cfg: cfg, net: p2p.NewNetwork(cfg.Network), keys: keys, vals: vals}
 	for i := 0; i < cfg.Nodes; i++ {
-		var engine consensus.Engine
-		switch cfg.Engine {
-		case EnginePoW:
-			if c.pow == nil {
-				c.pow = &consensus.PoW{Difficulty: cfg.PowDifficulty}
-			}
-			engine = c.pow
-		case EnginePoA:
-			engine = consensus.NewPoA(vals)
-		case EngineQuorum:
-			engine = consensus.NewQuorum(vals)
-		case EnginePoS:
-			stakes := cfg.Stakes
-			if stakes == nil {
-				stakes = make([]uint64, cfg.Nodes)
-				for j := range stakes {
-					stakes[j] = 100
-				}
-			}
-			var err error
-			engine, err = consensus.NewPoS(vals, stakes, cfg.ChainID)
-			if err != nil {
-				c.net.Close()
-				return nil, err
-			}
-		default:
-			c.net.Close()
-			return nil, fmt.Errorf("chain: unknown engine %q", cfg.Engine)
-		}
 		id := p2p.NodeID(fmt.Sprintf("node-%d", i))
 		var n *Node
 		if p := cfg.Persist; p != nil {
 			n, _, err = NewNodeFromConfig(NodeConfig{
-				ID: id, Key: keys[i], ChainID: cfg.ChainID, Engine: engine, Network: c.net,
+				ID: id, Key: keys[i], ChainID: cfg.ChainID, Validators: vals, Network: c.net,
 				DataDir: store.Join(p.Dir, string(id)), FS: p.fsFor(i),
 				SyncEvery: p.SyncEvery, SnapshotEvery: p.SnapshotEvery,
 			})
 		} else {
-			n, err = NewNode(id, keys[i], cfg.ChainID, engine, c.net)
+			n, err = NewNode(id, keys[i], cfg.ChainID, vals, c.net)
 		}
 		if err != nil {
 			c.Close()
 			return nil, err
-		}
-		if cfg.StrictSchedule {
-			n.SetStrictSchedule(true)
 		}
 		if cfg.Guard != nil {
 			n.SetGuardConfig(*cfg.Guard)
@@ -205,14 +145,6 @@ func (c *Cluster) Size() int { return len(c.nodes) }
 
 // Network exposes the underlying simulated network (stats, partitions).
 func (c *Cluster) Network() *p2p.Network { return c.net }
-
-// PoWWork returns total mining hash attempts (EnginePoW only).
-func (c *Cluster) PoWWork() int64 {
-	if c.pow == nil {
-		return 0
-	}
-	return c.pow.HashAttempts()
-}
 
 // Submit gossips a transaction into every mempool via the first
 // running node that accepts it. A node's typed rejection (rate limit,
@@ -316,12 +248,7 @@ func (c *Cluster) ref() *Node {
 // judged from the most advanced node's height (a lagging node 0 must
 // not skew the schedule).
 func (c *Cluster) proposerIndex() int {
-	ref := c.ref()
-	next := ref.Height() + 1
-	addr, restricted := ref.engine.ProposerAt(next)
-	if !restricted {
-		return int(next) % len(c.nodes) // PoW: rotate for fairness
-	}
+	addr := c.vals.ProposerFor(c.ref().Height() + 1).Addr
 	for i, k := range c.keys {
 		if k.Address() == addr {
 			return i
@@ -331,23 +258,17 @@ func (c *Cluster) proposerIndex() int {
 }
 
 // Proposer returns the node the next Commit asks first: the scheduled
-// proposer, or — when that one is down and the engine allows failover —
-// the next running node in rotation. A transaction that enters here is
-// in the next block's proposer pool before gossip reaches anyone else.
+// proposer, or — when that one is down — the next running node in
+// rotation. A transaction that enters here is in the next block's
+// proposer pool before gossip reaches anyone else.
 func (c *Cluster) Proposer() *Node { return c.nodes[c.proposerCandidates()[0]] }
 
-// proposerCandidates returns proposer indices to try this round:
-// the scheduled node first, then — for engines whose seal check does
-// not pin the schedule (Quorum certifies any validator, PoW anyone) —
-// the remaining running nodes in rotation order as failover targets.
-// PoA and PoS enforce the schedule in VerifySeal, so a substitute's
-// block would be rejected by every honest node: the scheduled proposer
-// is their only candidate.
+// proposerCandidates returns proposer indices to try this round: the
+// scheduled node first, then the remaining running nodes in rotation
+// order as failover targets — a certificate is valid whichever
+// validator proposed the block it certifies.
 func (c *Cluster) proposerCandidates() []int {
 	sched := c.proposerIndex()
-	if c.cfg.Engine == EnginePoA || c.cfg.Engine == EnginePoS || c.cfg.StrictSchedule {
-		return []int{sched}
-	}
 	cands := make([]int, 0, len(c.nodes))
 	for k := 0; k < len(c.nodes); k++ {
 		i := (sched + k) % len(c.nodes)
@@ -460,8 +381,7 @@ func (c *Cluster) commitVia(p *Node, timeout time.Duration, needWork bool) (*led
 // Commit produces one block and waits until every running node has
 // applied it. The scheduled proposer goes first; if it is down or its
 // round fails outright, Commit fails over to the next running candidate
-// (engines permitting — see proposerCandidates) within the same
-// CommitTimeout. A round that produced a block but could not replicate
+// (see proposerCandidates) within the same CommitTimeout. A round that produced a block but could not replicate
 // it everywhere returns the block alongside the error: the chain
 // advanced on the quorum side and a substitute proposer must not fork
 // it.

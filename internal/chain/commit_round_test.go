@@ -73,7 +73,7 @@ func isolate(c *Cluster, id p2p.NodeID) {
 // cached proposal, and a block a partitioned node takes over sync.
 func TestProposerExecutesEachBlockOnce(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
-		Nodes: 4, Engine: EngineQuorum, KeySeed: "exec-once", CommitTimeout: 2 * time.Second,
+		Nodes: 4, KeySeed: "exec-once", CommitTimeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestProposerExecutesEachBlockOnce(t *testing.T) {
 // undecodable transaction with a failure receipt, and every node —
 // proposer and voters — has executed it once.
 func TestUndecodableArgsBlockExecutesOnceEverywhere(t *testing.T) {
-	c := newCluster(t, 4, EngineQuorum)
+	c := newCluster(t, 4)
 	user := userKey(t, "fallback-user")
 	submitAndCommit(t, c, datasetTx(t, user, 0, "fb-0"))
 
@@ -226,7 +226,7 @@ func TestUndecodableArgsBlockExecutesOnceEverywhere(t *testing.T) {
 // receipts, mempool and execution count end equal to the followers'.
 func TestCompetingBlockSupersedesFailedRoundsPreview(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
-		Nodes: 4, Engine: EngineQuorum, KeySeed: "superseded", CommitTimeout: 2 * time.Second,
+		Nodes: 4, KeySeed: "superseded", CommitTimeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +310,7 @@ func TestCompetingBlockSupersedesFailedRoundsPreview(t *testing.T) {
 // leave the newcomer pooled for the next block.
 func TestCachedProposalRetryWithGrownMempool(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
-		Nodes: 4, Engine: EngineQuorum, KeySeed: "cached-retry", CommitTimeout: 2 * time.Second,
+		Nodes: 4, KeySeed: "cached-retry", CommitTimeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +370,7 @@ func TestCachedProposalRetryWithGrownMempool(t *testing.T) {
 // proposer's cached-proposal retry) is answered from it, and so is the
 // certified block when it commits.
 func TestResentProposalIsNotExecutedAgain(t *testing.T) {
-	c := newCluster(t, 4, EngineQuorum)
+	c := newCluster(t, 4)
 	if err := c.Submit(datasetTx(t, userKey(t, "resent-user"), 0, "resent")); err != nil {
 		t.Fatal(err)
 	}
@@ -416,50 +416,6 @@ func TestResentProposalIsNotExecutedAgain(t *testing.T) {
 	}
 }
 
-// TestSealedBlockKeepsItsExecution: PoW seals into the header, so a
-// block's hash changes between build and accept; the execution made at
-// build time is the one the sealed block commits, as under PoA, whose
-// seal leaves the hash alone.
-func TestSealedBlockKeepsItsExecution(t *testing.T) {
-	for _, engine := range []EngineKind{EnginePoW, EnginePoA} {
-		c, err := NewCluster(ClusterConfig{Nodes: 3, Engine: engine, PowDifficulty: 6, KeySeed: "sealed"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if err := c.Submit(datasetTx(t, userKey(t, "sealed-user"), 0, "sealed")); err != nil {
-			t.Fatal(err)
-		}
-		waitMempools(t, c, 1)
-		p := c.Node(c.proposerIndex())
-		blk, err := p.buildBlock(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		built, kept := blk.Hash(), pendingOf(p).spec
-		if err := p.engine.Seal(blk, p.key); err != nil {
-			t.Fatal(err)
-		}
-		if sealed := blk.Hash(); (sealed != built) != (engine == EnginePoW) {
-			t.Fatalf("%s: test setup: sealing changed the hash: %v", engine, sealed != built)
-		}
-		p.rekeyPending(built, blk.Hash())
-		p.applyMu.Lock()
-		_, got, err := p.speculate(blk)
-		p.applyMu.Unlock()
-		if err != nil || got != kept {
-			t.Fatalf("%s: the sealed block was executed again (err %v)", engine, err)
-		}
-		if _, err := c.Commit(); err != nil {
-			t.Fatalf("%s: %v", engine, err)
-		}
-		checkExecutedOnce(t, c, string(engine))
-		if err := c.VerifyConsistency(); err != nil {
-			t.Fatalf("%s: %v", engine, err)
-		}
-	}
-}
-
 // TestProduceBlockCostIndependentOfStateSize: what one produceBlock
 // (build, preview, accept) of a one-transaction block allocates must
 // not grow with the number of datasets in state. Stated margin: at
@@ -470,7 +426,7 @@ func TestProduceBlockCostIndependentOfStateSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("registers 12 000 datasets")
 	}
-	c, err := NewCluster(ClusterConfig{Nodes: 1, Engine: EngineQuorum, KeySeed: "cost-vs-state"})
+	c, err := NewCluster(ClusterConfig{Nodes: 1, KeySeed: "cost-vs-state"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,10 +489,10 @@ func TestProduceBlockCostIndependentOfStateSize(t *testing.T) {
 // it did not collect. At the parent commit the proposer ran
 // votes received + 2·|certificate| verifications per block.
 func TestProposerVerifiesEachVoteOnce(t *testing.T) {
-	c := newCluster(t, 4, EngineQuorum)
+	c := newCluster(t, 4)
 	user := userKey(t, "vote-once")
 	counts := func(n *Node) uint64 {
-		v, _ := n.engine.(*consensus.Quorum).VoteVerifyCounts()
+		v, _ := n.quorum.VoteVerifyCounts()
 		return v
 	}
 	for b := 0; b < 4; b++ {
@@ -591,10 +547,10 @@ func TestProposerVerifiesEachVoteOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, n := range c.Nodes() {
-		if err := n.engine.VerifySeal(&trimmed); err != nil {
+		if err := n.quorum.VerifySeal(&trimmed); err != nil {
 			t.Fatalf("node %d refuses the genuine trimmed certificate: %v", i, err)
 		}
-		if err := n.engine.VerifySeal(&forged); !errors.Is(err, consensus.ErrQuorumTooSmall) {
+		if err := n.quorum.VerifySeal(&forged); !errors.Is(err, consensus.ErrQuorumTooSmall) {
 			t.Fatalf("node %d on a certificate with a flipped signature bit: %v", i, err)
 		}
 	}
@@ -605,9 +561,9 @@ func TestProposerVerifiesEachVoteOnce(t *testing.T) {
 // still verifies — and refuses — it.
 func TestSkippedVoteVerifyIsNeverMemoised(t *testing.T) {
 	t.Cleanup(SetSkipVoteVerify()) // registered first: restored after the cluster has closed
-	c := newCluster(t, 4, EngineQuorum)
+	c := newCluster(t, 4)
 	n := c.Node(0)
-	eng := n.engine.(*consensus.Quorum)
+	eng := n.quorum
 	forged, err := consensus.SignVote(1, c.Node(0).Chain().Head().Hash(), c.keys[1])
 	if err != nil {
 		t.Fatal(err)

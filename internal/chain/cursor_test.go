@@ -13,10 +13,9 @@ import (
 )
 
 // wrongRootBlock is the next block over the proposer's pool, valid in
-// every ledger rule and sealed as its engine seals — under Quorum with a
-// certificate signed by every validator key, which no honest quorum
-// issues since voters execute — carrying a state root no execution
-// produces.
+// every ledger rule and certified by every validator key — which no
+// honest quorum does, since voters execute — carrying a state root no
+// execution produces.
 func wrongRootBlock(t testing.TB, c *Cluster, proposer *Node) *ledger.Block {
 	t.Helper()
 	blk, err := proposer.buildBlock(0)
@@ -24,11 +23,7 @@ func wrongRootBlock(t testing.TB, c *Cluster, proposer *Node) *ledger.Block {
 		t.Fatal(err)
 	}
 	blk.Header.StateRoot = cryptoutil.Sum([]byte("not the post-state root"))
-	if _, ok := proposer.engine.(*consensus.Quorum); ok {
-		certifyWithEveryKey(t, c, blk)
-	} else if err := proposer.engine.Seal(blk, proposer.key); err != nil {
-		t.Fatal(err)
-	}
+	certifyWithEveryKey(t, c, blk)
 	return blk
 }
 
@@ -50,76 +45,74 @@ func certifyWithEveryKey(t testing.TB, c *Cluster, blk *ledger.Block) {
 	}
 }
 
-// TestRejectedBlockDeliversNoEvents: a sealed block whose state root no
-// honest execution reproduces is rejected with ErrRootDiverged under
-// either engine, no reader of the committed chain sees its events, and
-// it leaves nothing behind on the node that rejected it — state,
-// receipts, gas and execution count are what they were, so the honest
-// block for the same height still commits there.
+// TestRejectedBlockDeliversNoEvents: a certified block whose state root
+// no honest execution reproduces is rejected with ErrRootDiverged, no
+// reader of the committed chain sees its events, and it leaves nothing
+// behind on the node that rejected it — state, receipts, gas and
+// execution count are what they were, so the honest block for the same
+// height still commits there.
 func TestRejectedBlockDeliversNoEvents(t *testing.T) {
-	for _, engine := range []EngineKind{EngineQuorum, EnginePoA} {
-		t.Run(string(engine), func(t *testing.T) {
-			c := newCluster(t, 3, engine)
-			tx := datasetTx(t, userKey(t, "mallory"), 0, "d")
-			if err := c.Submit(tx); err != nil {
-				t.Fatal(err)
-			}
-			waitMempools(t, c, 1)
-			p := c.proposerIndex()
-			follower := c.Node((p + 1) % 3)
-			blk := wrongRootBlock(t, c, c.Node(p))
-			root, executed := follower.State().Root(), follower.ExecStats().Blocks
+	t.Run("quorum", func(t *testing.T) {
+		c := newCluster(t, 3)
+		tx := datasetTx(t, userKey(t, "mallory"), 0, "d")
+		if err := c.Submit(tx); err != nil {
+			t.Fatal(err)
+		}
+		waitMempools(t, c, 1)
+		p := c.proposerIndex()
+		follower := c.Node((p + 1) % 3)
+		blk := wrongRootBlock(t, c, c.Node(p))
+		root, executed := follower.State().Root(), follower.ExecStats().Blocks
 
-			if err := follower.acceptBlock(blk); !errors.Is(err, ErrRootDiverged) {
-				t.Fatalf("acceptBlock = %v, want ErrRootDiverged", err)
-			}
-			if h := follower.Height(); h != 0 {
-				t.Fatalf("rejected block advanced the chain to %d", h)
-			}
-			through := follower.Committed(0, func(blk *ledger.Block, _ []*contract.Receipt) {
-				t.Errorf("Committed hands out block %d, which never committed", blk.Header.Height)
-			})
-			if through != 0 {
-				t.Fatalf("Committed read through %d on an empty chain", through)
-			}
-			if recs := follower.EventsSince(0); len(recs) != 0 {
-				t.Fatalf("EventsSince sees %d events of a block that never committed", len(recs))
-			}
-			if _, left := follower.Receipt(tx.ID()); left {
-				t.Error("the rejected block left its receipt behind")
-			}
-			if gas := follower.GasUsed(); gas != 0 {
-				t.Errorf("the rejected block left %d gas behind", gas)
-			}
-			if follower.State().Root() != root {
-				t.Error("the rejected block changed the state root")
-			}
-			if got := follower.ExecStats().Blocks; got != executed {
-				t.Errorf("the rejected block is counted as executed: %d blocks, was %d", got, executed)
-			}
-
-			honest, err := c.Commit()
-			if err != nil {
-				t.Fatalf("the honest block at the same height: %v", err)
-			}
-			if honest.Header.Height != 1 || len(honest.Txs) != 1 {
-				t.Fatalf("honest block %d holds %d txs", honest.Header.Height, len(honest.Txs))
-			}
-			if r, ok := follower.Receipt(tx.ID()); !ok || !r.OK() {
-				t.Fatalf("follower's receipt after the honest block: %+v", r)
-			}
-			if err := c.VerifyConsistency(); err != nil {
-				t.Fatal(err)
-			}
+		if err := follower.acceptBlock(blk); !errors.Is(err, ErrRootDiverged) {
+			t.Fatalf("acceptBlock = %v, want ErrRootDiverged", err)
+		}
+		if h := follower.Height(); h != 0 {
+			t.Fatalf("rejected block advanced the chain to %d", h)
+		}
+		through := follower.Committed(0, func(blk *ledger.Block, _ []*contract.Receipt) {
+			t.Errorf("Committed hands out block %d, which never committed", blk.Header.Height)
 		})
-	}
+		if through != 0 {
+			t.Fatalf("Committed read through %d on an empty chain", through)
+		}
+		if recs := follower.EventsSince(0); len(recs) != 0 {
+			t.Fatalf("EventsSince sees %d events of a block that never committed", len(recs))
+		}
+		if _, left := follower.Receipt(tx.ID()); left {
+			t.Error("the rejected block left its receipt behind")
+		}
+		if gas := follower.GasUsed(); gas != 0 {
+			t.Errorf("the rejected block left %d gas behind", gas)
+		}
+		if follower.State().Root() != root {
+			t.Error("the rejected block changed the state root")
+		}
+		if got := follower.ExecStats().Blocks; got != executed {
+			t.Errorf("the rejected block is counted as executed: %d blocks, was %d", got, executed)
+		}
+
+		honest, err := c.Commit()
+		if err != nil {
+			t.Fatalf("the honest block at the same height: %v", err)
+		}
+		if honest.Header.Height != 1 || len(honest.Txs) != 1 {
+			t.Fatalf("honest block %d holds %d txs", honest.Header.Height, len(honest.Txs))
+		}
+		if r, ok := follower.Receipt(tx.ID()); !ok || !r.OK() {
+			t.Fatalf("follower's receipt after the honest block: %+v", r)
+		}
+		if err := c.VerifyConsistency(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestCommittedCursor: blocks come in height order with receipts
 // aligned to their transactions, the returned height is what was read,
 // and a read from that height costs nothing until the chain grows.
 func TestCommittedCursor(t *testing.T) {
-	c := newCluster(t, 2, EngineQuorum)
+	c := newCluster(t, 2)
 	user := userKey(t, "cursor")
 	for i := uint64(0); i < 3; i++ {
 		submitAndCommit(t, c, datasetTx(t, user, 2*i, "a"+string(rune('0'+i))), datasetTx(t, user, 2*i+1, "b"+string(rune('0'+i))))
@@ -154,7 +147,7 @@ func TestCommittedCursor(t *testing.T) {
 // there, wakes on the append that gets it there, and gives ctx's error
 // when that comes first — also when the height would have sufficed.
 func TestWaitHeight(t *testing.T) {
-	c := newCluster(t, 2, EngineQuorum)
+	c := newCluster(t, 2)
 	n := c.Node(1)
 	if err := n.WaitHeight(context.Background(), 0); err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ var ingressTopics = []struct {
 // genesis) committed them — after a signed proposal and a certified
 // block for that height whose state root no execution reproduces.
 func FuzzHandle(f *testing.F) {
-	twin := newCluster(f, 3, EngineQuorum)
+	twin := newCluster(f, 3)
 	tx := datasetTx(f, userKey(f, "fuzz"), 0, "seed")
 	if err := twin.Submit(tx); err != nil {
 		f.Fatal(err)
@@ -79,7 +79,7 @@ func FuzzHandle(f *testing.F) {
 		f.Add(uint8(i), seed)
 	}
 
-	c := newCluster(f, 3, EngineQuorum)
+	c := newCluster(f, 3)
 	n := c.Node(1)
 	// An hour passes between two messages, so the sender's score has
 	// decayed and it is never quarantined when the next one arrives.

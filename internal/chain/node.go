@@ -8,9 +8,9 @@
 //
 // Block production is explicitly driven (Cluster.Commit) so experiments
 // are deterministic: the scheduled proposer packages its mempool,
-// reaches consensus (mines, signs, or gathers a 2f+1 vote certificate
-// over the network), broadcasts the block, and every node validates,
-// applies, and checks the state root.
+// gathers a 2f+1 vote certificate over the network (consensus.Quorum,
+// the chain's one engine), broadcasts the block, and every node
+// validates, applies, and checks the state root.
 package chain
 
 import (
@@ -78,9 +78,11 @@ type EventRecord struct {
 
 // Node is one blockchain participant.
 type Node struct {
-	id     p2p.NodeID
-	key    *cryptoutil.KeyPair
-	engine consensus.Engine
+	id  p2p.NodeID
+	key *cryptoutil.KeyPair
+	// quorum verifies votes and certificates against the validator set;
+	// each node builds its own, so its verified-vote memo is never shared.
+	quorum *consensus.Quorum
 
 	// lifeMu guards the lifecycle: the current endpoint (nil while
 	// stopped), the running flag, and the per-incarnation stop channel.
@@ -134,16 +136,15 @@ type Node struct {
 	// first proposal/vote seen per validator per height (equivocation
 	// detection), locally reported evidence, the cached signed proposal
 	// (an honest proposer must never sign two blocks at one height),
-	// and the ingress policy flags.
-	votesMu        sync.Mutex
-	votes          map[cryptoutil.Digest]*voteSet
-	votedAt        map[uint64]map[cryptoutil.Address]cryptoutil.Digest
-	proposalSeen   map[uint64]map[cryptoutil.Address]consensus.SignedHeader
-	voteSeen       map[uint64]map[cryptoutil.Address]consensus.Vote
-	evidenceSeen   map[string]bool
-	lastProposal   *consensus.SignedProposal
-	pending        *pendingBlock // this node's execution of the block it last built or was proposed
-	strictSchedule bool
+	// and the pending execution.
+	votesMu      sync.Mutex
+	votes        map[cryptoutil.Digest]*voteSet
+	votedAt      map[uint64]map[cryptoutil.Address]cryptoutil.Digest
+	proposalSeen map[uint64]map[cryptoutil.Address]consensus.SignedHeader
+	voteSeen     map[uint64]map[cryptoutil.Address]consensus.Vote
+	evidenceSeen map[string]bool
+	lastProposal *consensus.SignedProposal
+	pending      *pendingBlock // this node's execution of the block it last built or was proposed
 
 	// guard scores peer misbehavior and quarantines repeat offenders.
 	// The pointer is fixed for the node's lifetime (retune via
@@ -237,22 +238,22 @@ type voteSet struct {
 	byVoter map[cryptoutil.Address]bool
 }
 
-// NewNode creates a node attached to a simulated network. chainID must
-// match across the cluster.
-func NewNode(id p2p.NodeID, key *cryptoutil.KeyPair, chainID string, engine consensus.Engine, net *p2p.Network) (*Node, error) {
+// NewNode creates a node attached to a simulated network. chainID and
+// the validator set must match across the cluster.
+func NewNode(id p2p.NodeID, key *cryptoutil.KeyPair, chainID string, vals *consensus.ValidatorSet, net *p2p.Network) (*Node, error) {
 	ep, err := net.Join(id)
 	if err != nil {
 		return nil, fmt.Errorf("chain: join network: %w", err)
 	}
-	n := NewNodeWithEndpoint(id, key, chainID, engine, ep)
+	n := NewNodeWithEndpoint(id, key, chainID, vals, ep)
 	n.net = net
 	return n, nil
 }
 
 // NewNodeWithEndpoint creates a node over any transport implementing
 // p2p.Endpoint (e.g. a TCP endpoint for multi-process deployments).
-func NewNodeWithEndpoint(id p2p.NodeID, key *cryptoutil.KeyPair, chainID string, engine consensus.Engine, ep p2p.Endpoint) *Node {
-	n := newNode(id, key, chainID, engine)
+func NewNodeWithEndpoint(id p2p.NodeID, key *cryptoutil.KeyPair, chainID string, vals *consensus.ValidatorSet, ep p2p.Endpoint) *Node {
+	n := newNode(id, key, chainID, vals)
 	n.start(ep)
 	return n
 }
@@ -260,11 +261,11 @@ func NewNodeWithEndpoint(id p2p.NodeID, key *cryptoutil.KeyPair, chainID string,
 // newNode builds a node without attaching it to a transport; start
 // brings the message loop up. The split lets the persistent
 // constructor recover state from disk before any message can arrive.
-func newNode(id p2p.NodeID, key *cryptoutil.KeyPair, chainID string, engine consensus.Engine) *Node {
+func newNode(id p2p.NodeID, key *cryptoutil.KeyPair, chainID string, vals *consensus.ValidatorSet) *Node {
 	return &Node{
 		id:           id,
 		key:          key,
-		engine:       engine,
+		quorum:       consensus.NewQuorum(vals),
 		chainID:      chainID,
 		chain:        ledger.NewChain(chainID),
 		state:        contract.NewState(),
@@ -646,8 +647,8 @@ func (n *Node) loop(ep p2p.Endpoint, stopped chan struct{}) {
 }
 
 // handle is the validated ingress pipeline: every message is checked
-// at the protocol boundary — signatures, membership, schedule, height
-// windows — before it can touch consensus or state, and each rejection
+// at the protocol boundary — signatures, membership, height windows —
+// before it can touch consensus or state, and each rejection
 // is scored against the sending peer. A peer whose score crosses the
 // quarantine threshold is silenced entirely for gossip; only committed
 // blocks are still accepted from it, because a block carries its own
@@ -706,13 +707,14 @@ func (n *Node) handle(ep p2p.Endpoint, msg p2p.Message) {
 	}
 }
 
-// isSealError reports whether a block rejection is a consensus-seal
-// failure (attributable misbehavior) rather than a chain-state
-// mismatch.
+// isSealError reports whether a block rejection is a certificate
+// failure (attributable misbehavior: an undecodable or mismatched
+// certificate, a non-validator proposer, fewer than 2f+1 valid votes)
+// rather than a chain-state mismatch.
 func isSealError(err error) bool {
 	return errors.Is(err, consensus.ErrBadSeal) ||
-		errors.Is(err, consensus.ErrWrongProposer) ||
-		errors.Is(err, consensus.ErrNotValidator)
+		errors.Is(err, consensus.ErrNotValidator) ||
+		errors.Is(err, consensus.ErrQuorumTooSmall)
 }
 
 // handleProposal ingests a signed block proposal: the proposer must be
@@ -722,11 +724,7 @@ func isSealError(err error) bool {
 // vote; a valid proposal is executed, and answered with a height-locked
 // vote only if this node reproduced its state root.
 func (n *Node) handleProposal(ep p2p.Endpoint, msg p2p.Message) {
-	eng, ok := n.engine.(*consensus.Quorum)
-	if !ok {
-		return // proposals only exist under vote-certificate consensus
-	}
-	vals := eng.Validators()
+	vals := n.quorum.Validators()
 	from := string(msg.From)
 	sp, err := consensus.DecodeSignedProposal(msg.Payload)
 	if err != nil {
@@ -751,15 +749,9 @@ func (n *Node) handleProposal(ep p2p.Endpoint, msg p2p.Message) {
 	if height <= committed || height > committed+voteWindow {
 		return // outside the live window: not votable, not an offense
 	}
-	if n.strictScheduleOn() {
-		if want, scheduled := n.engine.ProposerAt(height); scheduled && want != proposer {
-			n.guard.Record(from, guard.OffenseBadProposal)
-			return
-		}
-	}
 	if ev := n.noteProposal(height, sp.Header()); ev != nil {
 		n.guard.Record(from, guard.OffenseEquivocation)
-		n.reportEvidence(eng, ev)
+		n.reportEvidence(ev)
 		return // never vote for an equivocating proposer's block
 	}
 	if err := n.previewProposal(blk); err != nil {
@@ -787,10 +779,6 @@ func (n *Node) handleProposal(ep p2p.Endpoint, msg p2p.Message) {
 // the live height window before it is buffered; per-voter dedupe and
 // double-vote evidence come from the first-vote record.
 func (n *Node) handleVote(msg p2p.Message) {
-	eng, ok := n.engine.(*consensus.Quorum)
-	if !ok {
-		return
-	}
 	from := string(msg.From)
 	var v consensus.Vote
 	if err := json.Unmarshal(msg.Payload, &v); err != nil {
@@ -798,7 +786,7 @@ func (n *Node) handleVote(msg p2p.Message) {
 		return
 	}
 	if !skipVoteVerify {
-		if err := eng.VerifyVote(v); err != nil {
+		if err := n.quorum.VerifyVote(v); err != nil {
 			n.guard.Record(from, guard.OffenseInvalidVote)
 			return
 		}
@@ -810,7 +798,7 @@ func (n *Node) handleVote(msg p2p.Message) {
 	ev, fresh := n.noteVote(v)
 	if ev != nil {
 		n.guard.Record(from, guard.OffenseEquivocation)
-		n.reportEvidence(eng, ev)
+		n.reportEvidence(ev)
 		return
 	}
 	if !fresh {
@@ -898,7 +886,7 @@ func (n *Node) addVote(v consensus.Vote) {
 // proposer failover — a different validator re-proposing the height —
 // stays live. (Locking across proposers would need a full view-change
 // protocol to stay live under faults; see DESIGN.md.) sign is
-// consensus.SignVote, or the engine's own when the vote is the
+// consensus.SignVote, or the node's Quorum's own when the vote is the
 // proposer's and will come back in the certificate it assembles.
 func (n *Node) lockAndSignVote(height uint64, hash cryptoutil.Digest, proposer cryptoutil.Address,
 	sign func(uint64, cryptoutil.Digest, *cryptoutil.KeyPair) (consensus.Vote, error)) (consensus.Vote, bool) {
@@ -932,8 +920,8 @@ func evidenceRef(kind consensus.EvidenceKind, height uint64, offender cryptoutil
 // validator key; its timestamp derives from the offense height so
 // replicas that detect the same equivocation produce byte-identical
 // reports.
-func (n *Node) reportEvidence(eng *consensus.Quorum, ev *consensus.Evidence) {
-	if err := ev.Verify(eng.Validators()); err != nil {
+func (n *Node) reportEvidence(ev *consensus.Evidence) {
+	if err := ev.Verify(n.quorum.Validators()); err != nil {
 		return // never forward evidence we cannot verify ourselves
 	}
 	ref := evidenceRef(ev.Kind, ev.Height, ev.Offender)
@@ -1077,24 +1065,6 @@ func (n *Node) noteQuarantinedDrop() {
 	}
 }
 
-// strictScheduleOn reads the schedule-enforcement flag.
-func (n *Node) strictScheduleOn() bool {
-	n.votesMu.Lock()
-	defer n.votesMu.Unlock()
-	return n.strictSchedule
-}
-
-// SetStrictSchedule toggles proposer-schedule enforcement at ingress:
-// when on, a proposal whose sealer is not the engine's scheduled
-// proposer for that height is rejected and scored, which also disables
-// out-of-schedule proposer failover — see ClusterConfig.StrictSchedule
-// for the trade-off.
-func (n *Node) SetStrictSchedule(on bool) {
-	n.votesMu.Lock()
-	defer n.votesMu.Unlock()
-	n.strictSchedule = on
-}
-
 // SetGuardConfig retunes the node's peer guard (tests inject fake
 // clocks; the simulator tightens budgets).
 func (n *Node) SetGuardConfig(cfg guard.Config) { n.guard.SetConfig(cfg) }
@@ -1173,7 +1143,7 @@ func (n *Node) acceptBlock(blk *ledger.Block) error {
 	if blk.Header.Height <= n.chain.Height() {
 		return nil // already have it
 	}
-	if err := n.engine.VerifySeal(blk); err != nil {
+	if err := n.quorum.VerifySeal(blk); err != nil {
 		return err
 	}
 	valid, spec, err := n.speculate(blk)
@@ -1292,16 +1262,6 @@ func (n *Node) setPending(p *pendingBlock) {
 	n.pending = p
 }
 
-// rekeyPending moves the kept execution of the block hashed from to the
-// hash sealing gave that block.
-func (n *Node) rekeyPending(from, to cryptoutil.Digest) {
-	n.votesMu.Lock()
-	defer n.votesMu.Unlock()
-	if p := n.pending; p != nil && p.hash == from {
-		n.pending = &pendingBlock{hash: to, height: p.height, spec: p.spec}
-	}
-}
-
 // pruneMempool removes a committed block's transactions from the pool,
 // drops residents whose nonce the block consumed, and re-checks
 // deadlines against the new height. Called after chain.Append, so the
@@ -1317,7 +1277,7 @@ func (n *Node) takeMempool(max int) []*ledger.Transaction {
 	return n.pool.Take(max, n.chain.Height(), n.chain.NextNonce)
 }
 
-// produceBlock builds, seals, commits, and broadcasts the next block
+// produceBlock builds, certifies, commits, and broadcasts the next block
 // from this node's mempool. The candidate is executed once, on write
 // snapshots over the live state, which yields the header's post-state
 // root without touching that state — so a round that fails consensus
@@ -1335,22 +1295,9 @@ func (n *Node) produceBlock(maxTxs int, votesNeeded int, voteTimeout time.Durati
 	if err != nil {
 		return nil, err
 	}
-
-	switch eng := n.engine.(type) {
-	case *consensus.Quorum:
-		if err := n.gatherQuorum(eng, ep, blk, votesNeeded, voteTimeout); err != nil {
-			return nil, err
-		}
-	default:
-		built := blk.Hash()
-		if err := n.engine.Seal(blk, n.key); err != nil {
-			return nil, err
-		}
-		// PoW seals into the header: the sealed block has another hash
-		// than the one buildBlock kept its execution under.
-		n.rekeyPending(built, blk.Hash())
+	if err := n.gatherQuorum(ep, blk, votesNeeded, voteTimeout); err != nil {
+		return nil, err
 	}
-
 	if err := n.acceptBlock(blk); err != nil {
 		return nil, err
 	}
@@ -1421,7 +1368,7 @@ func (n *Node) buildBlock(maxTxs int) (*ledger.Block, error) {
 // vote fires one) under a timer for the round timeout; it ends early if
 // the node stops. On timeout the partial vote set is kept so an
 // immediate re-proposal of the same block can reuse it.
-func (n *Node) gatherQuorum(eng *consensus.Quorum, ep p2p.Endpoint, blk *ledger.Block, votesNeeded int, timeout time.Duration) error {
+func (n *Node) gatherQuorum(ep p2p.Endpoint, blk *ledger.Block, votesNeeded int, timeout time.Duration) error {
 	hash := blk.Hash()
 	height := blk.Header.Height
 	sp, err := consensus.SignProposal(blk, n.key)
@@ -1434,7 +1381,7 @@ func (n *Node) gatherQuorum(eng *consensus.Quorum, ep p2p.Endpoint, blk *ledger.
 	// The proposer's own vote obeys the same one-per-height lock as
 	// everyone else's; a proposer locked to another block this height
 	// must gather the full quorum from its peers.
-	if own, ok := n.lockAndSignVote(height, hash, blk.Header.Proposer, eng.SignVote); ok {
+	if own, ok := n.lockAndSignVote(height, hash, blk.Header.Proposer, n.quorum.SignVote); ok {
 		n.addVote(own)
 	}
 
@@ -1447,7 +1394,7 @@ func (n *Node) gatherQuorum(eng *consensus.Quorum, ep p2p.Endpoint, blk *ledger.
 	}
 
 	if votesNeeded <= 0 {
-		votesNeeded = eng.Validators().QuorumThreshold()
+		votesNeeded = n.quorum.Validators().QuorumThreshold()
 	}
 	count := func() int {
 		n.votesMu.Lock()
@@ -1468,5 +1415,5 @@ func (n *Node) gatherQuorum(eng *consensus.Quorum, ep p2p.Endpoint, blk *ledger.
 	qc := &consensus.QuorumCert{Block: hash, Votes: append([]consensus.Vote(nil), vs.votes...)}
 	delete(n.votes, hash)
 	n.votesMu.Unlock()
-	return eng.AttachCert(blk, qc)
+	return n.quorum.AttachCert(blk, qc)
 }

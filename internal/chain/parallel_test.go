@@ -64,7 +64,7 @@ func TestParallelClusterMatchesSerial(t *testing.T) {
 	user := userKey(t, "par-user")
 
 	commit := func(seed string, exec parexec.Config) (*Cluster, *ledger.Block) {
-		c, err := NewCluster(ClusterConfig{Nodes: 3, Engine: EngineQuorum, KeySeed: seed})
+		c, err := NewCluster(ClusterConfig{Nodes: 3, KeySeed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestParallelClusterMatchesSerial(t *testing.T) {
 // root must be agreed by all four.
 func TestMixedModeClusterAgrees(t *testing.T) {
 	user := userKey(t, "mix-user")
-	c, err := NewCluster(ClusterConfig{Nodes: 4, Engine: EngineQuorum, KeySeed: "par-mix"})
+	c, err := NewCluster(ClusterConfig{Nodes: 4, KeySeed: "par-mix"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestMixedModeClusterAgrees(t *testing.T) {
 
 // TestSetExecToggle flips a node between modes mid-chain.
 func TestSetExecToggle(t *testing.T) {
-	c := newCluster(t, 1, EnginePoA)
+	c := newCluster(t, 1)
 	user := userKey(t, "toggle-user")
 
 	n := c.Node(0)

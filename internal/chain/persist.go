@@ -40,8 +40,8 @@ type NodeConfig struct {
 	Key *cryptoutil.KeyPair
 	// ChainID must match across the cluster.
 	ChainID string
-	// Engine is the consensus engine.
-	Engine consensus.Engine
+	// Validators is the set the node's Quorum certifies blocks against.
+	Validators *consensus.ValidatorSet
 	// Network is the transport to join.
 	Network *p2p.Network
 	// DataDir enables the durable storage engine: the block WAL and
@@ -60,7 +60,7 @@ type NodeConfig struct {
 // process restart resumes at its durable height instead of genesis.
 // The recovery report is non-nil exactly when DataDir is set.
 func NewNodeFromConfig(cfg NodeConfig) (*Node, *store.Recovered, error) {
-	n := newNode(cfg.ID, cfg.Key, cfg.ChainID, cfg.Engine)
+	n := newNode(cfg.ID, cfg.Key, cfg.ChainID, cfg.Validators)
 	var rec *store.Recovered
 	if cfg.DataDir != "" {
 		n.popts = &PersistOptions{

@@ -21,7 +21,7 @@ func persistentCluster(t testing.TB, nodes int, seed string, syncEvery, snapEver
 		disks[i] = store.NewMemFS()
 	}
 	c, err := NewCluster(ClusterConfig{
-		Nodes: nodes, Engine: EngineQuorum, KeySeed: seed,
+		Nodes: nodes, KeySeed: seed,
 		CommitTimeout: 5 * time.Second,
 		Persist: &PersistConfig{
 			Dir:           "data",
@@ -147,7 +147,7 @@ func TestPersistentClusterReopenResumes(t *testing.T) {
 	disks := []*store.MemFS{store.NewMemFS(), store.NewMemFS(), store.NewMemFS()}
 	mk := func() *Cluster {
 		c, err := NewCluster(ClusterConfig{
-			Nodes: 3, Engine: EngineQuorum, KeySeed: "persist-reopen",
+			Nodes: 3, KeySeed: "persist-reopen",
 			CommitTimeout: 5 * time.Second,
 			Persist: &PersistConfig{
 				Dir:   "data",
@@ -213,7 +213,7 @@ func TestDiskFaultDoesNotHaltConsensus(t *testing.T) {
 		}
 	}
 	c, err := NewCluster(ClusterConfig{
-		Nodes: 3, Engine: EngineQuorum, KeySeed: "persist-fault",
+		Nodes: 3, KeySeed: "persist-fault",
 		CommitTimeout: 5 * time.Second,
 		Persist: &PersistConfig{
 			Dir:   "data",

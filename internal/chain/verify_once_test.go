@@ -17,7 +17,7 @@ import (
 // once: gossip ingress, the proposal, the committed block and the
 // append all reach the same chain-level check.
 func TestEachNodeVerifiesEachTxOnce(t *testing.T) {
-	c := newCluster(t, 4, EngineQuorum)
+	c := newCluster(t, 4)
 	user := userKey(t, "verify-once")
 	const perBlock, blocks = 5, 3
 	nonce := uint64(0)
@@ -114,7 +114,7 @@ func TestRestartedNodeStartsWithColdVerifiedSet(t *testing.T) {
 // scored against the relay that gossips them, and earn a proposal that
 // carries them no vote.
 func TestVerifiedSetDoesNotLaunderForgedSignature(t *testing.T) {
-	c := newCluster(t, 4, EngineQuorum)
+	c := newCluster(t, 4)
 	user := userKey(t, "launder-user")
 	genuine := datasetTx(t, user, 0, "launder-d")
 	if err := c.Submit(genuine); err != nil {

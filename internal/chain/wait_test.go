@@ -57,7 +57,7 @@ func TestAwaitDoesNotLoseAWakeUpBetweenCheckAndWait(t *testing.T) {
 // The same on the cluster wait, where the event comes from whichever
 // node is still short.
 func TestWaitNodesDoesNotLoseAWakeUpBetweenCheckAndWait(t *testing.T) {
-	c := newCluster(t, 3, EngineQuorum)
+	c := newCluster(t, 3)
 	var ready atomic.Bool
 	var checks atomic.Int32
 	last := c.Node(2)
@@ -112,7 +112,7 @@ func TestSignalWakesEveryWaiter(t *testing.T) {
 // proposer gives up after the vote timeout — not before, not long
 // after — with ErrNoQuorum.
 func TestRoundTimeoutHonoured(t *testing.T) {
-	c := newCluster(t, 4, EngineQuorum)
+	c := newCluster(t, 4)
 	user := userKey(t, "round-timeout")
 	p := c.Node(c.proposerIndex())
 	if err := p.SubmitLocal(datasetTx(t, user, 0, "rt")); err != nil {
@@ -137,7 +137,7 @@ func TestPartitionedFollowerIsNudgedThenReportedWithTheBlock(t *testing.T) {
 	// Commit splits CommitTimeout between its four proposer candidates;
 	// the first one's budget bounds both the round and the replication wait.
 	const timeout = 200 * time.Millisecond
-	c, err := NewCluster(ClusterConfig{Nodes: 4, Engine: EngineQuorum, KeySeed: "nudge", CommitTimeout: 4 * timeout})
+	c, err := NewCluster(ClusterConfig{Nodes: 4, KeySeed: "nudge", CommitTimeout: 4 * timeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestPartitionedFollowerIsNudgedThenReportedWithTheBlock(t *testing.T) {
 
 // Stop during the vote wait returns the proposer's round promptly.
 func TestStopDuringVoteWaitReturnsPromptly(t *testing.T) {
-	c := newCluster(t, 4, EngineQuorum)
+	c := newCluster(t, 4)
 	user := userKey(t, "stop-vote")
 	p := c.Node(c.proposerIndex())
 	if err := p.SubmitLocal(datasetTx(t, user, 0, "sv")); err != nil {
@@ -217,7 +217,7 @@ func TestStopDuringVoteWaitReturnsPromptly(t *testing.T) {
 // Stop of the one follower the replication wait is sleeping on lets
 // Commit return at once: a stopped node is not waited for.
 func TestStopDuringReplicationWaitReturnsPromptly(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{Nodes: 4, Engine: EngineQuorum, KeySeed: "stop-repl", CommitTimeout: time.Minute})
+	c, err := NewCluster(ClusterConfig{Nodes: 4, KeySeed: "stop-repl", CommitTimeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestStopDuringReplicationWaitReturnsPromptly(t *testing.T) {
 
 // Close during a cluster wait: every node stops, the wait returns.
 func TestCloseDuringWaitPooledReturnsPromptly(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{Nodes: 3, Engine: EngineQuorum, KeySeed: "close-wait"})
+	c, err := NewCluster(ClusterConfig{Nodes: 3, KeySeed: "close-wait"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestCloseDuringWaitPooledReturnsPromptly(t *testing.T) {
 // WaitPooled returns as soon as gossip has reached every running node,
 // and reports a timeout when it cannot.
 func TestWaitPooled(t *testing.T) {
-	c := newCluster(t, 4, EngineQuorum)
+	c := newCluster(t, 4)
 	user := userKey(t, "wait-pooled")
 	if c.WaitPooled(1, 20*time.Millisecond) {
 		t.Fatal("WaitPooled held on empty pools")
@@ -300,7 +300,7 @@ func TestNoGoroutineLeftAfterClusterClose(t *testing.T) {
 	}
 	base := runtime.NumGoroutine() // whatever the test binary itself keeps
 	c, err := NewCluster(ClusterConfig{
-		Nodes: 4, Engine: EngineQuorum, KeySeed: "leak", CommitTimeout: 200 * time.Millisecond,
+		Nodes: 4, KeySeed: "leak", CommitTimeout: 200 * time.Millisecond,
 		Network: p2p.Config{BaseLatency: 200 * time.Microsecond},
 	})
 	if err != nil {

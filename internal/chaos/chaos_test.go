@@ -16,7 +16,7 @@ import (
 func newCluster(t testing.TB, seed string) *chain.Cluster {
 	t.Helper()
 	c, err := chain.NewCluster(chain.ClusterConfig{
-		Nodes: 4, Engine: chain.EngineQuorum, KeySeed: seed,
+		Nodes: 4, KeySeed: seed,
 		CommitTimeout: 2 * time.Second,
 	})
 	if err != nil {

@@ -1,19 +1,21 @@
-// Package consensus provides the pluggable block-sealing engines of the
-// medical blockchain:
+// Package consensus provides the block-sealing engines of the medical
+// blockchain:
 //
-//   - PoW: a hash-puzzle proof-of-work engine. It exists as the
-//     public-chain baseline; its hash-attempt counter quantifies the
-//     "wasted electricity" argument of the paper's introduction
-//     (Digiconomist: duplicated validation burns a country's worth of
-//     power).
-//   - PoA: proof-of-authority round-robin over a validator set, the
-//     permissioned-chain engine (Hyperledger-style).
-//   - Quorum: 2f+1 vote certificates over a validator set; the engine
-//     validates certificates, and package chain runs the vote-gathering
-//     protocol over p2p.
+//   - Quorum: 2f+1 vote certificates over a validator set — the one
+//     engine package chain runs. It validates votes and certificates;
+//     chain runs the vote-gathering protocol over p2p.
+//   - PoW: a hash-puzzle proof-of-work engine, the public-chain baseline;
+//     its hash-attempt counter quantifies the "wasted electricity"
+//     argument of the paper's introduction (Digiconomist: duplicated
+//     validation burns a country's worth of power).
+//   - PoA: proof-of-authority round-robin over a validator set
+//     (Hyperledger-style), and PoS (pos.go): a stake-weighted proposer
+//     draw, the intro's "virtual mining".
 //
-// Engines seal and verify blocks; they do not move messages. All
-// engines are deterministic given their inputs.
+// PoW, PoA and PoS are seal-level baselines: experiment A1 seals and
+// verifies one block sequence through every Engine, and no chain node
+// runs them. Engines seal and verify blocks; they do not move messages.
+// All engines are deterministic given their inputs.
 package consensus
 
 import (

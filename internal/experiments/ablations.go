@@ -6,82 +6,159 @@ import (
 	"time"
 
 	"medchain/internal/chain"
+	"medchain/internal/consensus"
 	"medchain/internal/cryptoutil"
 	"medchain/internal/fl"
+	"medchain/internal/ledger"
 	"medchain/internal/linalg"
 	"medchain/internal/oracle"
 )
 
 // --- A1: consensus-engine ablation ---
 
-// a1Row is one engine's measurement on the same workload.
+// a1Row is one engine's seal cost over the same block sequence.
 type a1Row struct {
-	// Engine names the consensus engine.
-	Engine chain.EngineKind
-	// Elapsed is the time to commit the workload.
-	Elapsed time.Duration
-	// Throughput is tx/s.
-	Throughput float64
-	// PoWHashes is mining work (PoW only).
+	// Engine is the engine's Name().
+	Engine string
+	// SealUs and VerifyUs are the mean µs per block to seal and to
+	// verify the seal.
+	SealUs, VerifyUs float64
+	// PoWHashes is mining work over the whole sequence (PoW only).
 	PoWHashes int64
 }
 
 // The consensus ablation has one size.
 const (
-	// a1Nodes is the fixed cluster size.
-	a1Nodes = 4
-	// a1Txs is the workload size.
-	a1Txs = 8
+	// a1Validators is the validator set's size.
+	a1Validators = 4
+	// a1Blocks is the length of the block sequence.
+	a1Blocks = 16
 	// a1PowDifficulty is the PoW target.
 	a1PowDifficulty = 10
 )
 
-// a1Consensus commits the same workload under PoW, PoA, PoS and quorum
-// consensus on equally-sized clusters.
+// a1Consensus seals one fixed block sequence over one validator set
+// through PoW, PoA, PoS and Quorum, then verifies every seal, and
+// reports the cost of each. No cluster runs: the claim is about what
+// the seal costs, and every engine seals the same blocks.
 func a1Consensus(seed int64) ([]a1Row, error) {
-	var rows []a1Row
-	for _, engine := range []chain.EngineKind{chain.EnginePoW, chain.EnginePoA, chain.EnginePoS, chain.EngineQuorum} {
-		c, err := chain.NewCluster(chain.ClusterConfig{
-			Nodes:         a1Nodes,
-			Engine:        engine,
-			PowDifficulty: a1PowDifficulty,
-			KeySeed:       fmt.Sprintf("a1/%s/%d", engine, seed),
-		})
+	keys := make([]*cryptoutil.KeyPair, a1Validators)
+	stakes := make([]uint64, a1Validators)
+	for i := range keys {
+		kp, err := cryptoutil.DeriveKeyPair(fmt.Sprintf("a1/%d/val-%d", seed, i))
 		if err != nil {
 			return nil, err
 		}
-		if err := submitRegistrations(c, fmt.Sprintf("a1-user-%s", engine), fmt.Sprintf("a1/%s", engine), a1Txs); err != nil {
-			c.Close()
-			return nil, err
-		}
+		keys[i], stakes[i] = kp, 100
+	}
+	vals, err := consensus.NewValidatorSet(keys)
+	if err != nil {
+		return nil, err
+	}
+	pos, err := consensus.NewPoS(vals, stakes, "a1")
+	if err != nil {
+		return nil, err
+	}
+	blocks := a1Sequence(seed)
+	var rows []a1Row
+	for _, eng := range []consensus.Engine{
+		&consensus.PoW{Difficulty: a1PowDifficulty}, consensus.NewPoA(vals), pos, consensus.NewQuorum(vals),
+	} {
+		sealed := make([]*ledger.Block, len(blocks))
 		start := time.Now()
-		if _, err := c.CommitAll(); err != nil {
-			c.Close()
-			return nil, err
+		for i, b := range blocks {
+			blk := *b
+			if err := a1Seal(eng, &blk, keys); err != nil {
+				return nil, fmt.Errorf("a1: %s seals block %d: %w", eng.Name(), b.Header.Height, err)
+			}
+			sealed[i] = &blk
 		}
-		elapsed := time.Since(start)
-		rows = append(rows, a1Row{
-			Engine:     engine,
-			Elapsed:    elapsed,
-			Throughput: float64(a1Txs) / elapsed.Seconds(),
-			PoWHashes:  c.PoWWork(),
-		})
-		c.Close()
+		sealTime := time.Since(start)
+		// A follower verifies votes it never saw: a Quorum that has not
+		// memoised the certificate's votes while attaching it.
+		verifier := eng
+		if _, ok := eng.(*consensus.Quorum); ok {
+			verifier = consensus.NewQuorum(vals)
+		}
+		start = time.Now()
+		for _, b := range sealed {
+			if err := verifier.VerifySeal(b); err != nil {
+				return nil, fmt.Errorf("a1: %s verifies block %d: %w", eng.Name(), b.Header.Height, err)
+			}
+		}
+		verifyTime := time.Since(start)
+		row := a1Row{
+			Engine:   eng.Name(),
+			SealUs:   float64(sealTime.Microseconds()) / float64(len(blocks)),
+			VerifyUs: float64(verifyTime.Microseconds()) / float64(len(blocks)),
+		}
+		if pow, ok := eng.(*consensus.PoW); ok {
+			row.PoWHashes = pow.HashAttempts()
+		}
+		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// a1Sequence builds the unsealed chain of a1Blocks headers every engine
+// seals. A seal covers the header alone, so the blocks carry no body:
+// the roots stand in for one, and the sequence, PoW's work included, is
+// a function of the seed.
+func a1Sequence(seed int64) []*ledger.Block {
+	var parent cryptoutil.Digest
+	blocks := make([]*ledger.Block, a1Blocks)
+	for i := range blocks {
+		h := uint64(i + 1)
+		blk := &ledger.Block{Header: ledger.Header{
+			Height: h, Parent: parent, Timestamp: int64(h),
+			TxRoot:    cryptoutil.Sum([]byte(fmt.Sprintf("a1/%d/txs-%d", seed, h))),
+			StateRoot: cryptoutil.Sum([]byte(fmt.Sprintf("a1/%d/state-%d", seed, h))),
+		}}
+		parent = blk.Hash()
+		blocks[i] = blk
+	}
+	return blocks
+}
+
+// a1Seal seals b the way its engine's proposer does: PoA and PoS sign
+// with the key the schedule names, PoW mines (any key may), and Quorum
+// attaches a certificate of 2f+1 signed votes.
+func a1Seal(eng consensus.Engine, b *ledger.Block, keys []*cryptoutil.KeyPair) error {
+	key := keys[0]
+	if addr, scheduled := eng.ProposerAt(b.Header.Height); scheduled {
+		for _, k := range keys {
+			if k.Address() == addr {
+				key = k
+			}
+		}
+	}
+	q, ok := eng.(*consensus.Quorum)
+	if !ok {
+		return eng.Seal(b, key)
+	}
+	b.Header.Proposer = key.Address()
+	qc := &consensus.QuorumCert{Block: b.Hash()}
+	for _, k := range keys[:q.Validators().QuorumThreshold()] {
+		v, err := consensus.SignVote(b.Header.Height, qc.Block, k)
+		if err != nil {
+			return err
+		}
+		qc.Votes = append(qc.Votes, v)
+	}
+	return q.AttachCert(b, qc)
 }
 
 // verifyA1 holds the ablation's point: only PoW pays hash work, and
 // every engine — PoS included — is in the comparison.
 func verifyA1(rows []a1Row) error {
-	hashes := map[chain.EngineKind]int64{}
+	hashes := map[string]int64{}
 	for _, r := range rows {
 		hashes[r.Engine] = r.PoWHashes
 	}
-	if hashes[chain.EnginePoW] == 0 {
+	if hashes["pow"] == 0 {
 		return fmt.Errorf("experiments: a1: PoW did no work")
 	}
-	for _, engine := range []chain.EngineKind{chain.EnginePoA, chain.EnginePoS, chain.EngineQuorum} {
+	for _, engine := range []string{"poa", "pos", "quorum"} {
 		if n, ok := hashes[engine]; !ok {
 			return fmt.Errorf("experiments: a1: %s engine missing", engine)
 		} else if n != 0 {
@@ -92,9 +169,9 @@ func verifyA1(rows []a1Row) error {
 }
 
 var a1Columns = []column[a1Row]{
-	{"engine", func(r a1Row) string { return string(r.Engine) }},
-	{"elapsed", func(r a1Row) string { return fmtDur(r.Elapsed) }},
-	{"tx/s", func(r a1Row) string { return fmt.Sprintf("%.1f", r.Throughput) }},
+	{"engine", func(r a1Row) string { return r.Engine }},
+	{"seal µs/block", func(r a1Row) string { return fmt.Sprintf("%.1f", r.SealUs) }},
+	{"verify µs/block", func(r a1Row) string { return fmt.Sprintf("%.1f", r.VerifyUs) }},
 	{"pow hashes", func(r a1Row) string { return fmt.Sprint(r.PoWHashes) }},
 }
 
@@ -104,7 +181,7 @@ func runA1(_ Size, seed int64) ([]Table, error) {
 		return nil, err
 	}
 	return []Table{tabulate(
-		"A1  Consensus ablation (same workload, same cluster size): PoW burns hash work for nothing the medical chain needs",
+		"A1  Consensus ablation (same blocks, same 4-key validator set): PoW burns hash work for nothing the medical chain needs",
 		rows, a1Columns)}, verifyA1(rows)
 }
 
@@ -141,7 +218,7 @@ const (
 func a2OracleBatch(events int, seed int64) ([]a2Row, error) {
 	run := func(batch bool) (a2Row, error) {
 		c, err := chain.NewCluster(chain.ClusterConfig{
-			Nodes: 1, Engine: chain.EngineQuorum,
+			Nodes:   1,
 			KeySeed: fmt.Sprintf("a2/%v/%d", batch, seed),
 		})
 		if err != nil {

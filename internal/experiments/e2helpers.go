@@ -26,7 +26,6 @@ func jsonMarshal(v any) ([]byte, error) {
 func runHeavyContract(n, contracts int, seed int64, src string) (useful, total int64, err error) {
 	c, err := chain.NewCluster(chain.ClusterConfig{
 		Nodes:   n,
-		Engine:  chain.EngineQuorum,
 		KeySeed: fmt.Sprintf("e2/%d/%d", seed, n),
 	})
 	if err != nil {
@@ -83,7 +82,6 @@ func runHeavyContract(n, contracts int, seed int64, src string) (useful, total i
 func runPolicyOnly(n, contracts int, seed int64) (int64, error) {
 	c, err := chain.NewCluster(chain.ClusterConfig{
 		Nodes:   n,
-		Engine:  chain.EngineQuorum,
 		KeySeed: fmt.Sprintf("e2t/%d/%d", seed, n),
 	})
 	if err != nil {

@@ -71,7 +71,6 @@ func e9Scenario(cfg e9Config, seed int64, name string, sched chaos.Schedule) (e9
 	row := e9Row{Scenario: name}
 	c, err := chain.NewCluster(chain.ClusterConfig{
 		Nodes:         e9Nodes,
-		Engine:        chain.EngineQuorum,
 		KeySeed:       fmt.Sprintf("e9-%s-%d", name, seed),
 		CommitTimeout: cfg.CommitTimeout,
 	})

@@ -54,7 +54,6 @@ func e1Scalability(cfg e1Config, seed int64) ([]e1Row, error) {
 	for _, n := range cfg.NodeCounts {
 		c, err := chain.NewCluster(chain.ClusterConfig{
 			Nodes:   n,
-			Engine:  chain.EngineQuorum,
 			Network: p2p.Config{BaseLatency: linkLatency, Seed: seed},
 			KeySeed: fmt.Sprintf("e1/%d/%d", seed, n),
 		})

@@ -67,7 +67,6 @@ func a4Sharding(seed int64) ([]a4Row, error) {
 		for s := range clusters {
 			c, err := chain.NewCluster(chain.ClusterConfig{
 				Nodes:   nodesPer,
-				Engine:  chain.EngineQuorum,
 				Network: p2p.Config{BaseLatency: linkLatency, Seed: seed},
 				ChainID: fmt.Sprintf("shard-%d", s),
 				KeySeed: fmt.Sprintf("a4/%d/%d/%d", seed, shards, s),

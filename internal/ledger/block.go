@@ -24,10 +24,12 @@ type Header struct {
 	Timestamp int64 `json:"timestamp"`
 	// Proposer is the address of the node that produced the block.
 	Proposer cryptoutil.Address `json:"proposer"`
-	// Difficulty is the PoW target bit count (0 when not PoW).
-	Difficulty uint8 `json:"difficulty,omitempty"`
-	// PowNonce is the PoW solution nonce (0 when not PoW).
-	PowNonce uint64 `json:"pow_nonce,omitempty"`
+	// Difficulty is the PoW target bit count and PowNonce its solution.
+	// Only consensus.PoW, A1's seal-level baseline, sets them; they are
+	// zero on every chain block (whose engine is consensus.Quorum) and
+	// kept so the header hash and the disk format do not change.
+	Difficulty uint8  `json:"difficulty,omitempty"`
+	PowNonce   uint64 `json:"pow_nonce,omitempty"`
 }
 
 // Hash returns the header hash, the block's identity.
@@ -57,9 +59,9 @@ type Block struct {
 	Header Header `json:"header"`
 	// Txs are the block's transactions in execution order.
 	Txs []*Transaction `json:"txs,omitempty"`
-	// Seal is consensus-engine data: the proposer signature for PoA,
-	// the quorum certificate for vote-based consensus, empty for PoW
-	// (the nonce lives in the header).
+	// Seal is the encoded consensus.QuorumCert on every chain block.
+	// A1's baselines put the proposer signature here (PoA, PoS) or
+	// leave it empty (PoW, whose nonce lives in the header).
 	Seal []byte `json:"seal,omitempty"`
 }
 

@@ -21,7 +21,7 @@ import (
 // commits a dataset registration (which emits DatasetRegistered).
 func testChain(t *testing.T) (*chain.Cluster, func(id string)) {
 	t.Helper()
-	c, err := chain.NewCluster(chain.ClusterConfig{Nodes: 2, Engine: chain.EngineQuorum, KeySeed: t.Name()})
+	c, err := chain.NewCluster(chain.ClusterConfig{Nodes: 2, KeySeed: t.Name()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,7 +625,7 @@ func TestMonitorExactlyOnceAcrossRestartAndResync(t *testing.T) {
 		disks[i] = store.NewMemFS()
 	}
 	c, err := chain.NewCluster(chain.ClusterConfig{
-		Nodes: nodes, Engine: chain.EngineQuorum, KeySeed: t.Name(),
+		Nodes: nodes, KeySeed: t.Name(),
 		Persist: &chain.PersistConfig{Dir: "data", FSFor: func(i int) store.FS { return disks[i] }, SyncEvery: 4},
 	})
 	if err != nil {

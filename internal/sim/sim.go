@@ -284,7 +284,6 @@ func Run(cfg Config) (*Result, error) {
 	ccfg := chain.ClusterConfig{
 		Nodes:         cfg.Nodes,
 		ChainID:       chainID,
-		Engine:        chain.EngineQuorum,
 		CommitTimeout: cfg.CommitTimeout,
 		KeySeed:       fmt.Sprintf("sim-%d", cfg.Seed),
 		Network:       p2p.Config{Seed: subSeed(cfg.Seed, "p2p")},

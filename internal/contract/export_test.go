@@ -10,6 +10,15 @@ func SetDropAdoptedWrite(fn func(StateKey) bool) (restore func()) {
 	return func() { dropAdoptedWrite = nil }
 }
 
+// SetSkipCrossProofVerify installs the cross-shard proof mutation seam
+// for a test: every state, recovered ones included, accepts an
+// apply/expire/resolve whatever its Merkle proof. It returns the
+// function that removes it.
+func SetSkipCrossProofVerify() (restore func()) {
+	skipCrossProofVerify = true
+	return func() { skipCrossProofVerify = false }
+}
+
 // MethodNames lists the method table's entries as "<type>/<method>"
 // ("<type>/" for the types whose entry matches any method), sorted.
 func MethodNames() []string {

@@ -140,10 +140,6 @@ type State struct {
 	host map[string]vm.HostFunc
 	// requestSeq numbers access/run requests for event correlation.
 	requestSeq uint64
-	// unsafeSkipCrossProof disables cross-shard proof verification; a
-	// mutation-testing knob, never set in production (see
-	// SetUnsafeSkipCrossProofVerify).
-	unsafeSkipCrossProof bool
 	// tree is the state root's hash tree and dirty the keys written
 	// since it was last current (see root.go). Both are nil until the
 	// first Root: a state that is never rooted — a speculative snapshot —
@@ -192,13 +188,11 @@ func (s *State) Clone() *State {
 }
 
 // child creates an empty state carrying everything of s that no
-// StateKey addresses: the request sequence, the mutation knob and the
-// host table. Clone and Versions.SnapshotAt fill it per kind. The
-// caller holds s.mu.
+// StateKey addresses: the request sequence and the host table. Clone
+// and Versions.SnapshotAt fill it per kind. The caller holds s.mu.
 func (s *State) child() *State {
 	c := NewState()
 	c.requestSeq = s.requestSeq
-	c.unsafeSkipCrossProof = s.unsafeSkipCrossProof
 	c.bindHost(s.host)
 	return c
 }

@@ -173,15 +173,12 @@ func TestVersionsFallbackToBase(t *testing.T) {
 
 // TestSnapshotAtCarriesUnkeyedFields: SnapshotAt is the only snapshot
 // builder, so every State field that no StateKey addresses — the
-// request sequence, the host table, the cross-proof mutation knob —
-// must reach the snapshot exactly as Clone carries it. The knob was
-// once dropped, which made it silently inert for any TxCross executed
-// on the MVCC path.
+// request sequence and the host table — must reach the snapshot exactly
+// as Clone carries it.
 func TestSnapshotAtCarriesUnkeyedFields(t *testing.T) {
 	kp := key(t, "ver-unkeyed-owner")
 	base := versionedBase(t, kp, "vuk")
 	base.SetHost(base.RegistryHostFuncs())
-	base.SetUnsafeSkipCrossProofVerify(true)
 	req := tx(t, kp, ledger.TxData, "request_access",
 		RequestAccessArgs{Resource: "data:vuk", Action: ActionRead})
 	if _, err := base.Apply(req, 2, 2); err != nil {
@@ -190,15 +187,11 @@ func TestSnapshotAtCarriesUnkeyedFields(t *testing.T) {
 
 	clone := base.Clone()
 	snap := NewVersions(base).SnapshotAt(0, AccessSet{})
-	if clone.requestSeq == 0 || !clone.unsafeSkipCrossProof || len(clone.host) == 0 {
-		t.Fatalf("test vacuous: clone carries seq=%d skipProof=%v host=%d",
-			clone.requestSeq, clone.unsafeSkipCrossProof, len(clone.host))
+	if clone.requestSeq == 0 || len(clone.host) == 0 {
+		t.Fatalf("test vacuous: clone carries seq=%d host=%d", clone.requestSeq, len(clone.host))
 	}
 	if snap.requestSeq != clone.requestSeq {
 		t.Errorf("requestSeq = %d, Clone carries %d", snap.requestSeq, clone.requestSeq)
-	}
-	if snap.unsafeSkipCrossProof != clone.unsafeSkipCrossProof {
-		t.Errorf("unsafeSkipCrossProof = %v, Clone carries %v", snap.unsafeSkipCrossProof, clone.unsafeSkipCrossProof)
 	}
 	if len(snap.host) != len(clone.host) {
 		t.Errorf("host table has %d entries, Clone carries %d", len(snap.host), len(clone.host))

@@ -738,16 +738,21 @@ func (s *State) haveMemberConfig(tx *ledger.Transaction) error {
 	return nil
 }
 
+// skipCrossProofVerify is a mutation seam (export_test.go sets it):
+// verifyCrossLeaf accepts any proof of a leaf under an anchored root, so
+// TestShardedSimCatchesSkippedProofVerification can show the sharded
+// sim's shadow verifier catches a chain that stops checking proofs.
+// False outside tests.
+var skipCrossProofVerify bool
+
 // verifyCrossLeaf checks a Merkle inclusion proof of leaf against the
-// anchored root of (shard, height), returning typed errors. The
-// unsafe-skip knob exists for mutation testing only: the sharded sim's
-// shadow verifier must catch a chain that stops checking proofs.
+// anchored root of (shard, height), returning typed errors.
 func (s *State) verifyCrossLeaf(shard string, height uint64, leaf []byte, proof *merkle.Proof) error {
 	anchored, ok := s.shardRoots[rootKey(shard, height)]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrCrossUnanchored, rootKey(shard, height))
 	}
-	if s.unsafeSkipCrossProof {
+	if skipCrossProofVerify {
 		return nil
 	}
 	if !merkle.Verify(anchored.Root, leaf, proof) {
@@ -937,17 +942,6 @@ func (s *State) settlePrepare(prep *CrossPrepare, res *CrossResolution, height u
 	}
 	prep.ResolvedAt = height
 	return nil
-}
-
-// SetUnsafeSkipCrossProofVerify disables Merkle proof verification on
-// cross-shard apply/expire/resolve. FOR MUTATION TESTING ONLY: the
-// sharded sim re-verifies every resolution's proof independently, and
-// this knob is how the suite proves that check catches a chain that
-// skips verification.
-func (s *State) SetUnsafeSkipCrossProofVerify(skip bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.unsafeSkipCrossProof = skip
 }
 
 // --- read API ---

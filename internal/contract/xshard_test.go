@@ -68,6 +68,23 @@ func prepareTransfer(t testing.TB, src *State, owner *cryptoutil.KeyPair, dsID, 
 	return rec, merkle.New([][]byte{rec.Leaf()})
 }
 
+// resolutionOf returns the resolution an apply or expire receipt
+// emitted.
+func resolutionOf(t testing.TB, r *Receipt) CrossResolution {
+	t.Helper()
+	for _, ev := range r.Events {
+		if ev.Topic == "CrossResolved" {
+			var res CrossResolution
+			if err := json.Unmarshal(ev.Data, &res); err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+	}
+	t.Fatal("receipt emitted no CrossResolved event")
+	return CrossResolution{}
+}
+
 // anchor relays a source root onto a member shard as the coordinator.
 func anchor(t testing.TB, s *State, coord *cryptoutil.KeyPair, shard string, height uint64, root cryptoutil.Digest) {
 	t.Helper()
@@ -211,14 +228,7 @@ func TestCrossResolveReplayRejected(t *testing.T) {
 	proof, _ := tree.Prove(0)
 	r := mustOK(t, applyAt(t, dst, tx(t, owner, ledger.TxCross, "apply", CrossApplyArgs{Record: rec, Proof: proof}), 3))
 
-	var res CrossResolution
-	for _, ev := range r.Events {
-		if ev.Topic == "CrossResolved" {
-			if err := json.Unmarshal(ev.Data, &res); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	res := resolutionOf(t, r)
 	resTree := merkle.New([][]byte{res.Leaf()})
 	anchor(t, src, coord, "shard-1", 3, resTree.Root())
 	resProof, _ := resTree.Prove(0)
@@ -234,10 +244,11 @@ func TestCrossResolveReplayRejected(t *testing.T) {
 }
 
 // TestCrossApplySkippedVerificationAcceptsForgery pins down what the
-// mutation knob does: with proof verification disabled a forged record
-// IS accepted on chain. This is the exact unsoundness the sharded
-// simulation's probes and shadow audit exist to catch (see
-// sim.TestShardedSimCatchesSkippedProofVerification).
+// mutation seam does: with proof verification disabled a forged record
+// IS accepted on chain — by the live state and by one rebuilt from its
+// export, the way a node recovers from disk. This is the exact
+// unsoundness the sharded simulation's probes and shadow audit exist to
+// catch (see TestShardedSimCatchesSkippedProofVerification).
 func TestCrossApplySkippedVerificationAcceptsForgery(t *testing.T) {
 	coord := key(t, "xshard-coord")
 	owner := key(t, "xshard-owner")
@@ -246,19 +257,26 @@ func TestCrossApplySkippedVerificationAcceptsForgery(t *testing.T) {
 
 	rec, tree := prepareTransfer(t, src, owner, "ds-mu", "shard-1", 2, 100)
 	anchor(t, dst, coord, "shard-0", 2, tree.Root())
+	recovered := ImportState(dst.Export())
 
-	forged := rec
-	forged.ID = "xfer-forged-mu"
-	fakeProof, _ := merkle.New([][]byte{forged.Leaf()}).Prove(0)
-
-	dst.SetUnsafeSkipCrossProofVerify(true)
-	r := apply(t, dst, tx(t, owner, ledger.TxCross, "apply", CrossApplyArgs{Record: forged, Proof: fakeProof}))
-	if !r.OK() {
-		t.Fatalf("knob on: forged apply rejected (%s) — the mutation under test no longer exists", r.Err)
+	defer SetSkipCrossProofVerify()()
+	for _, c := range []struct {
+		name string
+		s    *State
+	}{{"live", dst}, {"recovered", recovered}} {
+		t.Run(c.name, func(t *testing.T) {
+			forged := rec
+			forged.ID = "xfer-forged-mu"
+			fakeProof, _ := merkle.New([][]byte{forged.Leaf()}).Prove(0)
+			r := apply(t, c.s, tx(t, owner, ledger.TxCross, "apply", CrossApplyArgs{Record: forged, Proof: fakeProof}))
+			if !r.OK() {
+				t.Fatalf("seam on: forged apply rejected (%s) — the mutation under test no longer exists", r.Err)
+			}
+			// The anchor lookup is NOT covered by the seam: an unanchored
+			// height still fails, which is why the sim probes both.
+			forged.ID, forged.SourceHeight = "xfer-forged-mu2", 99
+			r = apply(t, c.s, tx(t, owner, ledger.TxCross, "apply", CrossApplyArgs{Record: forged, Proof: fakeProof}))
+			wantErrIs(t, r, ErrCrossUnanchored)
+		})
 	}
-	// The anchor lookup is NOT covered by the knob: an unanchored
-	// height still fails, which is why the sim probes both.
-	forged.ID, forged.SourceHeight = "xfer-forged-mu2", 99
-	r = apply(t, dst, tx(t, owner, ledger.TxCross, "apply", CrossApplyArgs{Record: forged, Proof: fakeProof}))
-	wantErrIs(t, r, ErrCrossUnanchored)
 }

@@ -310,11 +310,9 @@ func TestA3MaskedAggExact(t *testing.T) {
 
 func TestA4ShardingShape(t *testing.T) {
 	checkBar(t, verifyA4,
-		[]a4Row{{Shards: 1, NodesPerShard: 8, Throughput: 240, WasteRatio: 8}, {Shards: 4, NodesPerShard: 2, Throughput: 380, WasteRatio: 2, CrossShardUnsafe: true}},
+		[]a4Row{{Shards: 1, NodesPerShard: 8, Throughput: 240, WasteRatio: 8}, {Shards: 4, NodesPerShard: 2, Throughput: 380, WasteRatio: 2}},
 		func(r []a4Row) { r[1].Throughput = 200 },
 		func(r []a4Row) { r[1].WasteRatio = 1 },
-		func(r []a4Row) { r[1].CrossShardUnsafe = false },
-		func(r []a4Row) { r[0].CrossShardUnsafe = true },
 	)
 }
 

@@ -135,7 +135,7 @@ func All() []Experiment {
 		{"A1", "ablation: PoW burns hash work the permissioned engines (PoA, PoS, quorum) do not", runA1},
 		{"A2", "ablation: batched monitor-node dispatch makes fewer handler calls and finishes sooner", runA2},
 		{"A3", "ablation: pairwise-masked aggregation equals plain weighted averaging", runA3},
-		{"A4", "§I related work: sharded validation raises throughput, keeps committee-size execution waste, loses cross-shard atomicity", runA4},
+		{"A4", "§I related work: sharded validation raises throughput but keeps committee-size execution waste", runA4},
 	}
 }
 

@@ -37,10 +37,6 @@ type a4Row struct {
 	// WasteRatio is cluster gas over useful gas — unchanged by
 	// sharding within a committee.
 	WasteRatio float64
-	// CrossShardUnsafe reports that the configuration gives up atomic
-	// cross-shard transactions (true whenever Shards > 1): the
-	// double-spend risk the paper warns about.
-	CrossShardUnsafe bool
 }
 
 // The sharding ablation has one size: with fewer nodes or transactions
@@ -115,11 +111,10 @@ func a4Sharding(seed int64) ([]a4Row, error) {
 		closeAll()
 
 		row := a4Row{
-			Shards:           shards,
-			NodesPerShard:    nodesPer,
-			Txs:              a4Txs,
-			Elapsed:          slowest,
-			CrossShardUnsafe: shards > 1,
+			Shards:        shards,
+			NodesPerShard: nodesPer,
+			Txs:           a4Txs,
+			Elapsed:       slowest,
 		}
 		if slowest > 0 {
 			row.Throughput = float64(a4Txs) / slowest.Seconds()
@@ -135,8 +130,7 @@ func a4Sharding(seed int64) ([]a4Row, error) {
 // verifyA4 holds both halves of the paper's sentence on sharding: the
 // most-sharded configuration out-runs the monolithic chain on the same
 // node budget, yet each committee still replicates its shard's execution
-// (waste ratio = committee size) and atomic cross-shard transactions are
-// given up.
+// (waste ratio = committee size).
 func verifyA4(rows []a4Row) error {
 	mono, sharded := rows[0], rows[len(rows)-1]
 	if sharded.Throughput <= mono.Throughput {
@@ -145,9 +139,6 @@ func verifyA4(rows []a4Row) error {
 	}
 	if sharded.WasteRatio < float64(sharded.NodesPerShard)-0.01 {
 		return fmt.Errorf("experiments: a4: waste ratio %.2f below committee size %d", sharded.WasteRatio, sharded.NodesPerShard)
-	}
-	if !sharded.CrossShardUnsafe || mono.CrossShardUnsafe {
-		return fmt.Errorf("experiments: a4: cross-shard risk flags wrong")
 	}
 	return nil
 }
@@ -158,7 +149,6 @@ var a4Columns = []column[a4Row]{
 	{"elapsed", func(r a4Row) string { return fmtDur(r.Elapsed) }},
 	{"tx/s", func(r a4Row) string { return fmt.Sprintf("%.1f", r.Throughput) }},
 	{"waste ratio", func(r a4Row) string { return fmt.Sprintf("%.1f", r.WasteRatio) }},
-	{"cross-shard risk", func(r a4Row) string { return fmt.Sprint(r.CrossShardUnsafe) }},
 }
 
 func runA4(_ Size, seed int64) ([]Table, error) {
@@ -167,6 +157,6 @@ func runA4(_ Size, seed int64) ([]Table, error) {
 		return nil, err
 	}
 	return []Table{tabulate(
-		"A4  Sharded validation (fixed 8-node budget): throughput improves but execution waste stays at committee size and cross-shard atomicity is lost",
+		"A4  Sharded validation (fixed 8-node budget): throughput improves but execution waste stays at committee size",
 		rows, a4Columns)}, verifyA4(rows)
 }

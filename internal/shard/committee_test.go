@@ -113,7 +113,7 @@ func TestGatewayFailoverCommittee(t *testing.T) {
 }
 
 // TestSkipLeaseExpiryKnobStallsAnchoring proves the failover mutation
-// knob: with standby takeovers suppressed, a dead gateway stalls its
+// seam: with standby takeovers suppressed, a dead gateway stalls its
 // shard's anchoring indefinitely and the shard's transfers never
 // settle — the exact signal the sim's liveness invariant trips on.
 func TestSkipLeaseExpiryKnobStallsAnchoring(t *testing.T) {
@@ -125,7 +125,8 @@ func TestSkipLeaseExpiryKnobStallsAnchoring(t *testing.T) {
 		t.Fatalf("NewSystem: %v", err)
 	}
 	t.Cleanup(s.Close)
-	s.SetUnsafeSkipLeaseExpiry(true)
+	restore := SetSkipLeaseExpiry()
+	defer restore()
 
 	s.KillGateway(0)
 	crossTraffic(t, s, 0, 1, 0)
@@ -134,15 +135,15 @@ func TestSkipLeaseExpiryKnobStallsAnchoring(t *testing.T) {
 		s.PumpRound()
 	}
 	if s.PendingTransfers() == 0 {
-		t.Fatal("transfers settled despite the skip-lease-expiry knob — takeover was not suppressed")
+		t.Fatal("transfers settled despite the skip-lease-expiry seam — takeover was not suppressed")
 	}
 	if got := s.ActiveGateway(0); got != s.GatewayAddress(0) {
 		t.Fatalf("lease moved to %s with takeovers suppressed", got.Short())
 	}
 
-	// Turning the knob off (the fix) lets the standby take over and the
+	// Removing the seam (the fix) lets the standby take over and the
 	// backlog drain.
-	s.SetUnsafeSkipLeaseExpiry(false)
+	restore()
 	rounds := s.Pump(30)
 	if n := s.PendingTransfers(); n != 0 {
 		t.Fatalf("backlog did not drain after re-enabling takeover; pending=%d after %d rounds, anomalies=%v",

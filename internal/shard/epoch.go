@@ -73,15 +73,18 @@ func (s *System) homeIn(key string, shards []string) int {
 	return s.shardIndex(id)
 }
 
+// skipEpochCheck is a mutation seam (export_test.go sets it): during an
+// epoch transition the dataset router consults only the pending epoch,
+// so datasets not yet migrated 404 and the sharded sim's query-liveness
+// invariant must fail. False outside tests.
+var skipEpochCheck bool
+
 // ShardOf routes a key (patient ID, dataset ID, site name) to its home
 // shard under the committed routing epoch — every router holding the
 // same epoch derives the same assignment with no coordination.
 func (s *System) ShardOf(key string) int {
 	current, pending := s.routingLists()
-	if s.unsafeSkipEpochCheck && pending != nil {
-		// Mutation knob: jump to the pending epoch before migration
-		// finishes. Datasets not yet moved 404 — the sharded sim's
-		// query-liveness invariant must catch this.
+	if skipEpochCheck && pending != nil {
 		if h := s.homeIn(key, pending); h >= 0 {
 			return h
 		}
@@ -98,7 +101,7 @@ func (s *System) ShardOf(key string) int {
 // migration is in flight).
 func (s *System) LookupShards(key string) []int {
 	current, pending := s.routingLists()
-	if s.unsafeSkipEpochCheck && pending != nil {
+	if skipEpochCheck && pending != nil {
 		if h := s.homeIn(key, pending); h >= 0 {
 			return []int{h}
 		}

@@ -113,7 +113,7 @@ func TestAddShardReshardMigration(t *testing.T) {
 	}
 }
 
-// TestSkipEpochCheckKnobBreaksLookup proves the mutation knob does
+// TestSkipEpochCheckKnobBreaksLookup proves the mutation seam does
 // what the sharded sim relies on: with the router consulting only the
 // pending epoch mid-transition, an unmigrated dataset 404s.
 func TestSkipEpochCheckKnobBreaksLookup(t *testing.T) {
@@ -137,7 +137,8 @@ func TestSkipEpochCheckKnobBreaksLookup(t *testing.T) {
 		t.Fatalf("plan = %v, err = %v; need at least one reassignment", plan, err)
 	}
 
-	s.SetUnsafeSkipEpochCheck(true)
+	restore := SetSkipEpochCheck()
+	defer restore()
 	broken := 0
 	for _, m := range plan {
 		if _, _, ok := s.FindDataset(m.Dataset); !ok {
@@ -145,9 +146,9 @@ func TestSkipEpochCheckKnobBreaksLookup(t *testing.T) {
 		}
 	}
 	if broken == 0 {
-		t.Fatal("skip-epoch-check knob caused no lookup failures — the sim invariant would never fire")
+		t.Fatal("skip-epoch-check seam caused no lookup failures — the sim invariant would never fire")
 	}
-	s.SetUnsafeSkipEpochCheck(false)
+	restore()
 	for _, id := range ids {
 		if _, _, ok := s.FindDataset(id); !ok {
 			t.Fatalf("dataset %s unreachable with dual-epoch routing restored", id)

@@ -285,14 +285,18 @@ func (s *System) liveGatewayKey(i int, coordState *contract.State) *cryptoutil.K
 	return nil
 }
 
+// skipLeaseExpiry is a mutation seam (export_test.go sets it): standby
+// committee members never bid for an expired lease, so a dead gateway
+// stalls its shard's anchoring and the sharded sim's failover checks
+// must fail. False outside tests.
+var skipLeaseExpiry bool
+
 // maybeAcquireLease lets the first live standby of shard i's committee
 // bid for the anchoring lease once the on-chain holder has been silent
 // past the lease bound. The contract re-checks expiry at execution
-// height, so a racing or premature bid fails harmlessly on-chain. The
-// skip-lease-expiry mutation knob suppresses the bid entirely — the
-// sim's anchoring-liveness invariant must notice the stall.
+// height, so a racing or premature bid fails harmlessly on-chain.
 func (s *System) maybeAcquireLease(i int, coordNode *chain.Node) bool {
-	if s.unsafeSkipLeaseExpiry {
+	if skipLeaseExpiry {
 		return false
 	}
 	info, ok := coordNode.State().ShardInfoOf(s.shardIDs[i])

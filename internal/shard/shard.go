@@ -161,15 +161,6 @@ type System struct {
 	// starve a lease. Keyed by address so on-chain lookups map back.
 	deadGW map[cryptoutil.Address]bool
 
-	// unsafeSkipEpochCheck makes the dataset router consult only the
-	// pending epoch during a transition (mutation knob — the sharded
-	// sim's query-liveness invariant must catch the 404s this causes).
-	unsafeSkipEpochCheck bool
-	// unsafeSkipLeaseExpiry stops standby committee members from ever
-	// acquiring an expired lease (mutation knob — the sim's
-	// anchoring-liveness invariant must catch the stalled anchors).
-	unsafeSkipLeaseExpiry bool
-
 	// leaves caches each member shard's per-block cross-record leaves
 	// (in block order), rebuilt by scanning committed blocks; proofs are
 	// generated from it. scanned tracks the highest scanned height.
@@ -365,32 +356,11 @@ func (s *System) ActiveGateway(i int) cryptoutil.Address {
 }
 
 // KillGateway marks shard i's current lease holder dead: the relay
-// stops signing anchors with its key, and (unless the skip-lease-expiry
-// knob is on) a standby committee member acquires the lease once it
-// expires.
+// stops signing anchors with its key, and a standby committee member
+// acquires the lease once it expires.
 func (s *System) KillGateway(i int) {
 	s.deadGW[s.ActiveGateway(i)] = true
 }
-
-// ReviveGateways clears the dead flag of every member of shard i's
-// committee.
-func (s *System) ReviveGateways(i int) {
-	for _, kp := range s.committees[i] {
-		delete(s.deadGW, kp.Address())
-	}
-}
-
-// SetUnsafeSkipEpochCheck toggles the router mutation knob: during an
-// epoch transition the dataset router consults only the pending epoch,
-// so unmigrated datasets 404. Exists to prove the sharded simulation's
-// query-liveness invariant catches the bug.
-func (s *System) SetUnsafeSkipEpochCheck(on bool) { s.unsafeSkipEpochCheck = on }
-
-// SetUnsafeSkipLeaseExpiry toggles the failover mutation knob: standby
-// committee members never acquire an expired lease, so a dead gateway
-// stalls its shard's anchoring forever. Exists to prove the sharded
-// simulation's anchoring-liveness invariant catches the bug.
-func (s *System) SetUnsafeSkipLeaseExpiry(on bool) { s.unsafeSkipLeaseExpiry = on }
 
 // CoordinatorSubmit signs one cross-contract transaction as the
 // coordinator and gossips it into the coordination chain, returning

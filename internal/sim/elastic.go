@@ -343,7 +343,7 @@ func (es *elastic) auditPlacement(datasets []*dsInfo) {
 // round: a dataset with a live copy sitting at either of its legitimate
 // epoch homes must be resolvable through the router. The truth homes
 // are recomputed here straight from the coordination chain's routing
-// table — independent of the (possibly knob-broken) router under test.
+// table — independent of the (possibly seam-broken) router under test.
 func (es *elastic) queryLiveness(round int, datasets []*dsInfo) {
 	n := es.sys.Coord().Best()
 	if n == nil {
@@ -392,7 +392,7 @@ func (es *elastic) queryLiveness(round int, datasets []*dsInfo) {
 // checkGateway runs post-drain: if the active gateway was killed, the
 // anchoring lease must have moved to a standby committee member — the
 // failover-liveness invariant. (With takeover suppressed by the
-// mutation knob, this fires alongside the stuck-pending atomicity
+// shard.skipLeaseExpiry seam, this fires alongside the stuck-pending atomicity
 // violations.)
 func (es *elastic) checkGateway() {
 	if !es.gwKilled {

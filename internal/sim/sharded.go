@@ -54,11 +54,6 @@ type ShardedConfig struct {
 	ShortExpiryEvery int
 	// DestExpiryBlocks is the normal deadline window (default 50).
 	DestExpiryBlocks uint64
-	// UnsafeSkipCrossProofVerify disables on-chain Merkle verification of
-	// cross-shard proofs on every node — the mutation knob. A run with it
-	// set must FAIL: the harness's proof probes and independent shadow
-	// audit are required to catch a chain that skips verification.
-	UnsafeSkipCrossProofVerify bool
 
 	// Persist makes every chain disk-backed (MemFS-backed WAL +
 	// snapshots, SyncEvery=1). Required by CrashEvery.
@@ -83,14 +78,6 @@ type ShardedConfig struct {
 	// and the backlog must drain; the post-run check asserts the
 	// takeover happened.
 	GatewayKillRound int
-	// UnsafeSkipEpochCheck makes the router consult only the pending
-	// epoch during a transition — the resharding mutation knob. A
-	// Reshard run with it set must FAIL the query-liveness invariant.
-	UnsafeSkipEpochCheck bool
-	// UnsafeSkipLeaseExpiry suppresses standby lease takeover — the
-	// failover mutation knob. A GatewayKillRound run with it set must
-	// FAIL (anchoring stalls, transfers never settle).
-	UnsafeSkipLeaseExpiry bool
 }
 
 func (c ShardedConfig) withDefaults() ShardedConfig {
@@ -209,15 +196,6 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 		return res, err
 	}
 	defer sys.Close()
-	if cfg.UnsafeSkipCrossProofVerify {
-		for i := 0; i < sys.Shards(); i++ {
-			for _, n := range sys.Shard(i).Nodes() {
-				n.State().SetUnsafeSkipCrossProofVerify(true)
-			}
-		}
-	}
-	sys.SetUnsafeSkipEpochCheck(cfg.UnsafeSkipEpochCheck)
-	sys.SetUnsafeSkipLeaseExpiry(cfg.UnsafeSkipLeaseExpiry)
 
 	ck := &shardedChecker{}
 	rng := rand.New(rand.NewSource(subSeed(cfg.Seed, "sharded-workload")))
@@ -529,7 +507,7 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 // fireProofProbes submits deliberately invalid cross-shard transactions
 // — forged proof, unanchored root, replayed apply — and requires the
 // chain to refuse each one. A node that skips proof verification (the
-// mutation knob) accepts the forged probe, failing the run here and in
+// contract.skipCrossProofVerify seam) accepts the forged probe, failing the run here and in
 // the shadow audit.
 func fireProofProbes(sys *shard.System, ck *shardedChecker, res *ShardedResult) {
 	probeKey, err := cryptoutil.DeriveKeyPair("shardsim/probe")

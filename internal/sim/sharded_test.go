@@ -2,7 +2,6 @@ package sim
 
 import (
 	"flag"
-	"strings"
 	"testing"
 )
 
@@ -181,79 +180,4 @@ func TestShardedSimGatewayFailover(t *testing.T) {
 	}
 	t.Logf("transfers=%d committed=%d aborted=%d heights=%v coord=%d",
 		res.Transfers, res.Committed, res.Aborted, res.ShardHeights, res.CoordHeight)
-}
-
-// TestShardedSimCatchesSkippedProofVerification is the mutation test
-// for the receipt relay's soundness: with on-chain Merkle verification
-// disabled (the bug a broken refactor would introduce), the harness's
-// forged-proof probe and shadow audit MUST fail the run. If this test
-// fails, the sharded sim cannot catch a chain that stops verifying
-// cross-shard proofs.
-func TestShardedSimCatchesSkippedProofVerification(t *testing.T) {
-	res, err := RunSharded(ShardedConfig{
-		Seed: 11, Shards: 2, NodesPerShard: 3, Rounds: 12,
-		UnsafeSkipCrossProofVerify: true,
-	})
-	if err == nil {
-		t.Fatal("run with proof verification disabled passed — the harness is blind to unsound applies")
-	}
-	found := false
-	for _, v := range res.Violations {
-		if strings.Contains(v, "proof") || strings.Contains(v, "shadow") {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("no proof/shadow violation recorded; got %v", res.Violations)
-	}
-}
-
-// TestShardedSimCatchesSkippedEpochCheck is the resharding mutation
-// test: with the router consulting only the pending epoch during the
-// transition (skipping the dual-epoch check), unmigrated datasets 404
-// and the sim's query-liveness invariant MUST fail the run.
-func TestShardedSimCatchesSkippedEpochCheck(t *testing.T) {
-	res, err := RunSharded(ShardedConfig{
-		Seed: 41, Shards: 2, NodesPerShard: 3, Rounds: 16, Reshard: true,
-		UnsafeSkipEpochCheck: true,
-	})
-	if err == nil {
-		t.Fatal("run with the epoch check skipped passed — the harness is blind to a broken router")
-	}
-	found := false
-	for _, v := range res.Violations {
-		if strings.Contains(v, "query-liveness") {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("no query-liveness violation recorded; got %v", res.Violations)
-	}
-}
-
-// TestShardedSimCatchesSkippedLeaseExpiry is the failover mutation
-// test: with standby takeover suppressed, a killed gateway stalls its
-// shard's anchoring forever and the sim MUST fail — either on the lease
-// that never moved or on the transfers that never settled.
-func TestShardedSimCatchesSkippedLeaseExpiry(t *testing.T) {
-	res, err := RunSharded(ShardedConfig{
-		Seed: 53, Shards: 2, NodesPerShard: 3, Rounds: 16,
-		CommitteeSize: 3, GatewayKillRound: 5,
-		UnsafeSkipLeaseExpiry: true,
-	})
-	if err == nil {
-		t.Fatal("run with lease expiry skipped passed — the harness is blind to a dead gateway")
-	}
-	found := false
-	for _, v := range res.Violations {
-		if strings.Contains(v, "failover") || strings.Contains(v, "pending") {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("no failover/pending violation recorded; got %v", res.Violations)
-	}
 }

@@ -11,9 +11,11 @@
 // The index is deterministic: rebuilding it from a full chain replay
 // (Rebuild) yields a state bit-identical to one maintained by
 // incremental tailing over the same event stream — the invariant the
-// sim oracle checks. Freshness is measurable: the index tracks the
-// highest chain height it has fully processed, and the lag against the
-// node's tip is the staleness bound a reader must tolerate.
+// sim oracle checks — and blobs decode on every core but install in
+// event order, so the parallelism never shows in it. Freshness is
+// measurable: the index tracks the highest chain height it has fully
+// processed, and the lag against the node's tip is the staleness bound
+// a reader must tolerate.
 package indexer
 
 import (

@@ -12,6 +12,7 @@ import (
 	"medchain/internal/cryptoutil"
 	"medchain/internal/emr"
 	"medchain/internal/ledger"
+	"medchain/internal/par"
 )
 
 // Errors.
@@ -37,13 +38,15 @@ const (
 // FetchFunc resolves an anchored record to its blob bytes and their
 // encoding. Implementations must verify the bytes against the anchored
 // root (return ErrRootMismatch when they differ) and surface typed
-// blob errors for missing chunks/manifests.
+// blob errors for missing chunks/manifests. The indexer calls it from
+// GOMAXPROCS goroutines at once, so it must be safe for concurrent use.
 type FetchFunc func(dataset, record string, root cryptoutil.Digest) (data []byte, format string, err error)
 
 // StoreFetcher builds a FetchFunc over per-dataset blob stores. The
 // blob layer verifies chunk content-addresses and the manifest root on
 // every read; the fetcher additionally pins the local manifest root to
-// the root anchored on chain.
+// the root anchored on chain. It is safe for concurrent use when lookup
+// is: blob.Store reads under its read lock.
 func StoreFetcher(lookup func(dataset string) *blob.Store) FetchFunc {
 	return func(dataset, record string, root cryptoutil.Digest) ([]byte, string, error) {
 		bs := lookup(dataset)
@@ -118,64 +121,95 @@ func (x *Indexer) Index() *Index { return x.ix }
 func (x *Indexer) HandleEvent(rec chain.EventRecord) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	x.handleLocked(rec)
+	x.absorbLocked(jobsOf(nil, rec), rec.Height)
 }
 
-func (x *Indexer) handleLocked(rec chain.EventRecord) {
-	defer x.ix.ObserveHeight(rec.Height)
+// job is one anchored entry to fetch, verify and decode, or a bad event
+// whose skip is already known (skip != "").
+type job struct {
+	dataset, format string
+	entry           contract.ManifestEntry
+	height          uint64
+	skip            string
+}
+
+// jobsOf appends the work one committed event carries.
+func jobsOf(jobs []job, rec chain.EventRecord) []job {
 	if rec.Event.Topic != "ManifestsAnchored" {
-		return
+		return jobs
 	}
 	var ev contract.ManifestsAnchored
 	if err := json.Unmarshal(rec.Event.Data, &ev); err != nil {
-		x.ix.Skip(SkipBadEvent)
-		return
+		return append(jobs, job{skip: SkipBadEvent})
 	}
 	for _, e := range ev.Entries {
-		x.indexEntry(ev.Dataset, ev.Format, e, rec.Height)
+		jobs = append(jobs, job{dataset: ev.Dataset, format: ev.Format, entry: e, height: rec.Height})
 	}
+	return jobs
 }
 
-func (x *Indexer) indexEntry(dataset, evFormat string, e contract.ManifestEntry, height uint64) {
-	data, format, err := x.fetch(dataset, e.Record, e.Root)
+// absorbLocked runs the jobs on GOMAXPROCS workers, then installs every
+// doc or skip in job (= event) order and only then marks height as
+// indexed. The result is the serial fold's: the last anchor of a
+// re-anchored record wins, and no reader sees a height before the docs
+// it covers. Caller holds x.mu.
+func (x *Indexer) absorbLocked(jobs []job, height uint64) {
+	docs := make([]*Doc, len(jobs))
+	par.ForEachN(len(jobs), 0, func(i int) {
+		if jobs[i].skip == "" {
+			docs[i], jobs[i].skip = x.run(jobs[i])
+		}
+	})
+	for i, d := range docs {
+		if d != nil {
+			x.ix.Add(d)
+		} else {
+			x.ix.Skip(jobs[i].skip)
+		}
+	}
+	x.ix.ObserveHeight(height)
+}
+
+// run fetches, verifies and decodes one anchored entry: the doc, or the
+// reason it is skipped. It touches no index state.
+func (x *Indexer) run(j job) (*Doc, string) {
+	data, format, err := x.fetch(j.dataset, j.entry.Record, j.entry.Root)
 	if err != nil {
 		if errors.Is(err, ErrRootMismatch) || errors.Is(err, blob.ErrManifestMismatch) {
-			x.ix.Skip(SkipRootMismatch)
-		} else {
-			x.ix.Skip(SkipMissingBlob)
+			return nil, SkipRootMismatch
 		}
-		return
+		return nil, SkipMissingBlob
 	}
 	if format == "" {
-		format = evFormat
+		format = j.format
 	}
-	doc, err := DocFrom(dataset, e.Record, format, e.Root, height, data)
+	doc, err := DocFrom(j.dataset, j.entry.Record, format, j.entry.Root, j.height, data)
 	if err != nil {
 		if errors.Is(err, errEmptyBlob) {
-			x.ix.Skip(SkipEmptyBlob)
-		} else {
-			x.ix.Skip("decode:" + emr.ReasonOf(err))
+			return nil, SkipEmptyBlob
 		}
-		return
+		return nil, "decode:" + emr.ReasonOf(err)
 	}
-	x.ix.Add(doc)
+	return doc, ""
 }
 
 // CatchUp absorbs the blocks committed above the indexed height from the
 // node's chain (DESIGN.md "Reading the chain") and marks as indexed the
 // height that read went through — never a tip read afterwards, which a
 // block committed in between would make a claim about unread events.
+// The read only collects jobs; they run once it is done.
 func (x *Indexer) CatchUp(node *chain.Node) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	var jobs []job
 	through := node.Committed(x.ix.Height(), func(blk *ledger.Block, receipts []*contract.Receipt) {
 		for _, r := range receipts {
 			for _, ev := range r.Events {
-				x.handleLocked(chain.EventRecord{Height: blk.Header.Height, TxID: r.TxID, Event: ev})
+				jobs = jobsOf(jobs, chain.EventRecord{Height: blk.Header.Height, TxID: r.TxID, Event: ev})
 			}
 		}
 	})
-	x.ix.ObserveHeight(through)
+	x.absorbLocked(jobs, through)
 }
 
 // Lag returns the freshness pair: the indexed height and the node's
@@ -190,11 +224,12 @@ func (x *Indexer) Lag(node *chain.Node) (indexed, tip uint64) {
 // (and final height) that an incrementally-tailed index absorbed must
 // produce a bit-identical Export/Digest.
 func Rebuild(events []chain.EventRecord, fetch FetchFunc, height uint64) *Index {
-	ix := NewIndex()
-	x := New(ix, fetch)
+	var jobs []job
 	for _, rec := range events {
-		x.HandleEvent(rec)
+		jobs = jobsOf(jobs, rec)
+		height = max(height, rec.Height)
 	}
-	ix.ObserveHeight(height)
+	ix := NewIndex()
+	New(ix, fetch).absorbLocked(jobs, height)
 	return ix
 }

@@ -1,6 +1,7 @@
 // Package par holds the one bounded fan-out every layer shares: block
-// execution (parexec), off-chain task dispatch (offchain) and recovery's
-// decode and signature pre-pass (ledger, store). It imports nothing of
+// execution (parexec), off-chain task dispatch (offchain), recovery's
+// decode and signature pre-pass (ledger, store) and the index's blob
+// decode (indexer). It imports nothing of
 // the repository, so any package may use it.
 package par
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"medchain/internal/canonjson/canontest"
 	"medchain/internal/consensus"
 	"medchain/internal/guard"
 	"medchain/internal/ledger"
@@ -20,33 +21,37 @@ var ingressTopics = []struct {
 }{
 	{topicTx, func(b []byte) bool { _, err := ledger.DecodeTransaction(b); return err == nil }},
 	{topicProposal, func(b []byte) bool { _, err := consensus.DecodeSignedProposal(b); return err == nil }},
-	{topicVote, func(b []byte) bool { var v consensus.Vote; return json.Unmarshal(b, &v) == nil }},
+	{topicVote, func(b []byte) bool { _, err := consensus.DecodeVote(b); return err == nil }},
 	{topicBlock, func(b []byte) bool { _, err := ledger.DecodeBlock(b); return err == nil }},
 	{topicSyncReq, func(b []byte) bool { var h uint64; return json.Unmarshal(b, &h) == nil }},
 	{topicSyncCont, func(b []byte) bool { var h uint64; return json.Unmarshal(b, &h) == nil }},
 }
 
-// FuzzHandle feeds arbitrary payloads under every topic through a
-// running node's ingress. Nothing may panic, and a payload its topic's
-// decoder refuses is scored against the sender as malformed and changes
-// neither the node's height nor its pool. The seeds are one valid
-// encoding per topic: a signed transaction, and the proposal, a vote and
-// the certified block of height 1 as a twin cluster (same keys, same
-// genesis) committed them — after a signed proposal and a certified
-// block for that height whose state root no execution reproduces.
-func FuzzHandle(f *testing.F) {
-	twin := newCluster(f, 3)
-	tx := datasetTx(f, userKey(f, "fuzz"), 0, "seed")
+// heightOne is the traffic of a twin cluster (same keys, same genesis)
+// committing one transaction at height 1: the transaction, the signed
+// proposal, a vote and the certified block — and, first, a signed
+// proposal for that height whose state root no execution reproduces.
+type heightOne struct {
+	tx      *ledger.Transaction
+	sp      *consensus.SignedProposal
+	vote    consensus.Vote
+	blk     *ledger.Block
+	wrongSp *consensus.SignedProposal
+}
+
+func newHeightOne(t testing.TB) heightOne {
+	twin := newCluster(t, 3)
+	tx := datasetTx(t, userKey(t, "fuzz"), 0, "seed")
 	if err := twin.Submit(tx); err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	waitMempools(f, twin, 1)
-	wrong := wrongRootBlock(f, twin, twin.Node(0))
+	waitMempools(t, twin, 1)
+	wrong := wrongRootBlock(t, twin, twin.Node(0))
 	wrongSp, err := consensus.SignProposal(wrong, twin.keys[0])
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	blk := submitAndCommit(f, twin, tx)
+	blk := submitAndCommit(t, twin, tx)
 	var proposer int
 	for i, k := range twin.keys {
 		if k.Address() == blk.Header.Proposer {
@@ -55,28 +60,41 @@ func FuzzHandle(f *testing.F) {
 	}
 	sp, err := consensus.SignProposal(blk, twin.keys[proposer])
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
 	vote, err := consensus.SignVote(blk.Header.Height, blk.Hash(), twin.keys[(proposer+1)%3])
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
+	return heightOne{tx: tx, sp: sp, vote: vote, blk: blk, wrongSp: wrongSp}
+}
+
+// FuzzHandle feeds arbitrary payloads under every topic through a
+// running node's ingress. Nothing may panic, and a payload its topic's
+// decoder refuses is scored against the sender as malformed and changes
+// neither the node's height nor its pool. The seeds are one valid
+// encoding per topic — heightOne's traffic — plus its indented and
+// reordered twins, which encoding/json reads as the same values.
+func FuzzHandle(f *testing.F) {
+	h := newHeightOne(f)
 	encode := func(b []byte, err error) []byte {
 		if err != nil {
 			f.Fatal(err)
 		}
 		return b
 	}
-	f.Add(uint8(1), encode(wrongSp.Encode()))
-	f.Add(uint8(3), encode(wrong.Encode()))
+	f.Add(uint8(1), encode(h.wrongSp.Encode()))
+	f.Add(uint8(3), encode(h.wrongSp.Block.Encode()))
 	for i, seed := range [][]byte{
-		encode(tx.Encode()), encode(sp.Encode()), encode(json.Marshal(vote)),
-		encode(blk.Encode()), encode(json.Marshal(uint64(0))), encode(json.Marshal(blk.Header.Height + 3)),
+		encode(h.tx.Encode()), encode(h.sp.Encode()), h.vote.Encode(),
+		encode(h.blk.Encode()), encode(json.Marshal(uint64(0))), encode(json.Marshal(h.blk.Header.Height + 3)),
 	} {
 		if !ingressTopics[i].decodes(seed) {
 			f.Fatalf("seed for %s does not decode", ingressTopics[i].topic)
 		}
 		f.Add(uint8(i), seed)
+		f.Add(uint8(i), canontest.Indented(seed))
+		f.Add(uint8(i), canontest.Reordered(seed))
 	}
 
 	c := newCluster(f, 3)

@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"medchain/internal/canonjson/canontest"
 	"medchain/internal/consensus"
 	"medchain/internal/cryptoutil"
 	"medchain/internal/guard"
@@ -269,6 +271,89 @@ func TestForgedCertificateBlockIsScored(t *testing.T) {
 		})
 		if h := n.Height(); h != 0 {
 			t.Fatalf("node %d accepted the forged-certificate block (height %d)", i, h)
+		}
+	}
+}
+
+// ingressOutcome is what two nodes did with heightOne's traffic.
+type ingressOutcome struct {
+	Pooled, Buffered int
+	VotedFor         cryptoutil.Digest
+	Height           uint64
+	Offenses         map[guard.Offense]int
+}
+
+// ingestHeightOne sends h's traffic, each payload respelled by spell, to
+// two nodes of a fresh cluster: to node 1 the transaction, the proposal
+// (whose vote comes back to the sender), a vote and the certified
+// block; to node 2 the transaction with a broken signature, the vote
+// with a forged signature and the wrong-root proposal.
+func ingestHeightOne(t *testing.T, h heightOne, spell func([]byte) []byte) ingressOutcome {
+	c := newCluster(t, 3)
+	peer := joinEvil(t, c, "peer")
+	good, bad := c.Node(1), c.Node(2)
+	send := func(n *Node, topic string, payload []byte) {
+		n.handle(n.endpoint(), p2p.Message{From: "peer", To: n.ID(), Topic: topic, Payload: spell(payload)})
+	}
+	must := func(b []byte, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var out ingressOutcome
+
+	send(good, topicTx, must(h.tx.Encode()))
+	out.Pooled = good.MempoolSize()
+	send(good, topicProposal, must(h.sp.Encode()))
+	select {
+	case msg := <-peer.Inbox():
+		if v, err := consensus.DecodeVote(msg.Payload); msg.Topic == topicVote && err == nil {
+			out.VotedFor = v.Block
+		}
+	case <-time.After(2 * time.Second):
+	}
+	buffered := good.VoteBufferSize()
+	send(good, topicVote, h.vote.Encode())
+	out.Buffered = good.VoteBufferSize() - buffered
+	send(good, topicBlock, must(h.blk.Encode()))
+	out.Height = good.Height()
+
+	forged := *h.tx
+	forged.Sig[0] ^= 1
+	send(bad, topicTx, must(forged.Encode()))
+	badVote := h.vote
+	badVote.Sig[0] ^= 1
+	send(bad, topicVote, badVote.Encode())
+	send(bad, topicProposal, must(h.wrongSp.Encode()))
+	out.Offenses = offensesOf(bad.GuardStats(), "peer")
+	if n := len(offensesOf(good.GuardStats(), "peer")); n != 0 {
+		t.Fatalf("valid traffic scored %d offense kinds", n)
+	}
+	return out
+}
+
+// TestNonCanonicalTwinsIngressAlike sends heightOne's traffic to live
+// nodes three times — canonical, indented and reordered — and asserts
+// each twin is pooled, voted on, buffered and applied exactly like its
+// canonical form, and scored the same way when invalid.
+func TestNonCanonicalTwinsIngressAlike(t *testing.T) {
+	h := newHeightOne(t)
+	want := ingressOutcome{
+		Pooled: 1, Buffered: 2, VotedFor: h.blk.Hash(), Height: 1, // Buffered: the vote and its first-vote record
+		Offenses: map[guard.Offense]int{guard.OffenseMalformed: 1, guard.OffenseInvalidVote: 1, guard.OffenseBadProposal: 1},
+	}
+	for _, spelling := range []struct {
+		name  string
+		spell func([]byte) []byte
+	}{
+		{"canonical", func(b []byte) []byte { return b }},
+		{"indented", canontest.Indented},
+		{"reordered", canontest.Reordered},
+	} {
+		if got := ingestHeightOne(t, h, spelling.spell); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %+v, want %+v", spelling.name, got, want)
 		}
 	}
 }

@@ -767,11 +767,7 @@ func (n *Node) handleProposal(ep p2p.Endpoint, msg p2p.Message) {
 	if !ok {
 		return
 	}
-	body, err := json.Marshal(vote)
-	if err != nil {
-		return
-	}
-	_ = ep.Send(msg.From, topicVote, body)
+	_ = ep.Send(msg.From, topicVote, vote.Encode())
 }
 
 // handleVote ingests a vote: it must decode, verify against the
@@ -780,8 +776,8 @@ func (n *Node) handleProposal(ep p2p.Endpoint, msg p2p.Message) {
 // double-vote evidence come from the first-vote record.
 func (n *Node) handleVote(msg p2p.Message) {
 	from := string(msg.From)
-	var v consensus.Vote
-	if err := json.Unmarshal(msg.Payload, &v); err != nil {
+	v, err := consensus.DecodeVote(msg.Payload)
+	if err != nil {
 		n.guard.Record(from, guard.OffenseMalformed)
 		return
 	}

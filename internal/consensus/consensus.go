@@ -19,7 +19,6 @@
 package consensus
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -329,24 +328,6 @@ type QuorumCert struct {
 	Block cryptoutil.Digest `json:"block"`
 	// Votes are distinct validator votes over Block.
 	Votes []Vote `json:"votes"`
-}
-
-// Encode serializes the certificate for use as a block seal.
-func (qc *QuorumCert) Encode() ([]byte, error) {
-	b, err := json.Marshal(qc)
-	if err != nil {
-		return nil, fmt.Errorf("consensus: encode cert: %w", err)
-	}
-	return b, nil
-}
-
-// DecodeQuorumCert parses a certificate.
-func DecodeQuorumCert(b []byte) (*QuorumCert, error) {
-	var qc QuorumCert
-	if err := json.Unmarshal(b, &qc); err != nil {
-		return nil, fmt.Errorf("consensus: decode cert: %w", err)
-	}
-	return &qc, nil
 }
 
 // Quorum validates 2f+1 vote certificates carried in block seals. The

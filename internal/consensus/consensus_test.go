@@ -242,7 +242,7 @@ func TestPoAProposerAt(t *testing.T) {
 	}
 }
 
-func gatherCert(t *testing.T, height uint64, block cryptoutil.Digest, keys []*cryptoutil.KeyPair, n int) *QuorumCert {
+func gatherCert(t testing.TB, height uint64, block cryptoutil.Digest, keys []*cryptoutil.KeyPair, n int) *QuorumCert {
 	t.Helper()
 	qc := &QuorumCert{Block: block}
 	for i := 0; i < n; i++ {

@@ -74,27 +74,6 @@ func (sp *SignedProposal) Header() SignedHeader {
 	return SignedHeader{Header: sp.Block.Header, Sig: sp.Sig}
 }
 
-// Encode serializes the proposal for gossip.
-func (sp *SignedProposal) Encode() ([]byte, error) {
-	b, err := json.Marshal(sp)
-	if err != nil {
-		return nil, fmt.Errorf("consensus: encode proposal: %w", err)
-	}
-	return b, nil
-}
-
-// DecodeSignedProposal parses a gossiped proposal.
-func DecodeSignedProposal(b []byte) (*SignedProposal, error) {
-	var sp SignedProposal
-	if err := json.Unmarshal(b, &sp); err != nil {
-		return nil, fmt.Errorf("consensus: decode proposal: %w", err)
-	}
-	if sp.Block == nil {
-		return nil, fmt.Errorf("%w: proposal carries no block", ErrBadProposal)
-	}
-	return &sp, nil
-}
-
 // SignedHeader is a block header plus its proposal signature — the
 // minimal artifact proving "this proposer signed this block". The block
 // hash is the header hash, so the header alone reproduces the signed

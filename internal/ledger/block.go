@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"medchain/internal/canonjson"
 	"medchain/internal/cryptoutil"
 	"medchain/internal/merkle"
 )
@@ -82,17 +83,19 @@ func ComputeTxRoot(txs []*Transaction) (cryptoutil.Digest, error) {
 // Hash returns the block's identity (its header hash).
 func (b *Block) Hash() cryptoutil.Digest { return b.Header.Hash() }
 
-// Encode serializes the block to JSON.
+// Encode serializes the block to JSON: the bytes json.Marshal writes
+// for it.
 func (b *Block) Encode() ([]byte, error) {
-	out, err := json.Marshal(b)
-	if err != nil {
-		return nil, fmt.Errorf("ledger: encode block: %w", err)
-	}
-	return out, nil
+	return AppendBlockJSON(nil, b), nil
 }
 
-// DecodeBlock parses a JSON block.
+// DecodeBlock parses a JSON block: the canonical bytes Encode writes in
+// one pass, any other spelling through encoding/json.
 func DecodeBlock(data []byte) (*Block, error) {
+	r := canonjson.NewReader(data)
+	if b := ReadBlockJSON(&r); b != nil && r.Done() {
+		return b, nil
+	}
 	var b Block
 	if err := json.Unmarshal(data, &b); err != nil {
 		return nil, fmt.Errorf("ledger: decode block: %w", err)

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 
+	"medchain/internal/canonjson"
 	"medchain/internal/cryptoutil"
 )
 
@@ -150,17 +151,19 @@ func (tx *Transaction) ExpiredAt(height uint64) bool {
 	return tx.Expiry != 0 && height > tx.Expiry
 }
 
-// Encode serializes the transaction to JSON.
+// Encode serializes the transaction to JSON: the bytes json.Marshal
+// writes for it.
 func (tx *Transaction) Encode() ([]byte, error) {
-	b, err := json.Marshal(tx)
-	if err != nil {
-		return nil, fmt.Errorf("ledger: encode tx: %w", err)
-	}
-	return b, nil
+	return appendTx(nil, tx), nil
 }
 
-// DecodeTransaction parses a JSON transaction.
+// DecodeTransaction parses a JSON transaction: the canonical bytes
+// Encode writes in one pass, any other spelling through encoding/json.
 func DecodeTransaction(b []byte) (*Transaction, error) {
+	r := canonjson.NewReader(b)
+	if tx := readTx(&r); tx != nil && r.Done() {
+		return tx, nil
+	}
 	var tx Transaction
 	if err := json.Unmarshal(b, &tx); err != nil {
 		return nil, fmt.Errorf("ledger: decode tx: %w", err)

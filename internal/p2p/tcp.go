@@ -256,9 +256,14 @@ func readFrame(r io.Reader) (Message, error) {
 	if n > maxFrame {
 		return Message{}, fmt.Errorf("p2p: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	// The body grows as its bytes arrive: a header alone cannot make the
+	// reader allocate the frame limit.
+	body, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
 		return Message{}, err
+	}
+	if len(body) < int(n) {
+		return Message{}, io.ErrUnexpectedEOF
 	}
 	var msg Message
 	if err := json.Unmarshal(body, &msg); err != nil {

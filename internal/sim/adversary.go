@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"time"
@@ -317,11 +316,7 @@ func (a *adversary) equivocate(ck advSink, ref *chain.Node) {
 		if err != nil {
 			return
 		}
-		body, err := json.Marshal(v)
-		if err != nil {
-			return
-		}
-		if a.ep.BroadcastMsg("chain/vote", body) != nil {
+		if a.ep.BroadcastMsg("chain/vote", v.Encode()) != nil {
 			return
 		}
 	}
@@ -374,18 +369,14 @@ func (a *adversary) forgeVotes(ck advSink, ref *chain.Node) {
 			Voter:  a.honestAddr(i),
 			Sig:    sig,
 		}
-		if body, err := json.Marshal(v); err == nil {
-			_ = a.ep.BroadcastMsg("chain/vote", body)
-		}
+		_ = a.ep.BroadcastMsg("chain/vote", v.Encode())
 	}
 	for h := committed + 1; h <= committed+adversaryVoteWindow; h++ {
 		v, err := consensus.SignVote(h, cryptoutil.Sum([]byte(fmt.Sprintf("spam-%d", h))), a.key)
 		if err != nil {
 			continue
 		}
-		if body, err := json.Marshal(v); err == nil {
-			_ = a.ep.BroadcastMsg("chain/vote", body)
-		}
+		_ = a.ep.BroadcastMsg("chain/vote", v.Encode())
 	}
 	a.noteOffense(ck, BehaviorForgeVotes)
 }
@@ -456,8 +447,10 @@ func (a *adversary) checkInbox(ck advSink) {
 			if !ok {
 				return
 			}
-			var v consensus.Vote
-			if msg.Topic == "chain/vote" && json.Unmarshal(msg.Payload, &v) == nil && a.wrongRoots[v.Block] {
+			if msg.Topic != "chain/vote" {
+				continue
+			}
+			if v, err := consensus.DecodeVote(msg.Payload); err == nil && a.wrongRoots[v.Block] {
 				ck.violationf("wrong-root: %s voted for block %s at height %d, whose state root no execution reproduces",
 					msg.From, v.Block.Short(), v.Height)
 			}

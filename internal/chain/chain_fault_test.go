@@ -153,7 +153,7 @@ func TestFailedRoundLeavesStateCleanForRetry(t *testing.T) {
 	if err := c.SubmitVia(1, datasetTx(t, user, 0, "retry-d")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Node(1).produceBlock(0, 0, 100*time.Millisecond); !errors.Is(err, ErrNoQuorum) {
+	if _, err := c.Node(1).produceBlock(0, 100*time.Millisecond); !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("expected ErrNoQuorum, got %v", err)
 	}
 	if h := c.Node(1).Height(); h != 0 {

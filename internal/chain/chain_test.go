@@ -430,9 +430,10 @@ func TestPartitionedNodeCatchesUpAfterHeal(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Gossip reaches only the majority side (each round's tx is
-		// pruned by its commit, so wait for exactly this one).
+		// pruned by its commit, so wait for exactly this one) — every
+		// node of it, since each height has its own proposer.
 		deadline := time.Now().Add(3 * time.Second)
-		for c.Node(1).MempoolSize() == 0 {
+		for c.Node(0).MempoolSize() == 0 || c.Node(1).MempoolSize() == 0 || c.Node(2).MempoolSize() == 0 {
 			if time.Now().After(deadline) {
 				t.Fatal("gossip timeout on majority side")
 			}
@@ -750,7 +751,7 @@ func TestChainOverRealTCP(t *testing.T) {
 	}
 
 	// Height 1's scheduled proposer is validator 1.
-	blk, err := nodes[1].produceBlock(0, 0, 5*time.Second)
+	blk, err := nodes[1].produceBlock(0, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

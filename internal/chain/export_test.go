@@ -15,3 +15,11 @@ func SetSkipRootCheck() (restore func()) {
 	skipRootCheck = true
 	return func() { skipRootCheck = false }
 }
+
+// SetSkipCertQuorum installs the certificate mutation seam for a test:
+// every node commits the block it executed on one vote short of 2f+1
+// and accepts any seal. It returns the function that removes it.
+func SetSkipCertQuorum() (restore func()) {
+	skipCertQuorum = true
+	return func() { skipCertQuorum = false }
+}

@@ -8,6 +8,7 @@ import (
 
 	"medchain/internal/canonjson/canontest"
 	"medchain/internal/consensus"
+	"medchain/internal/cryptoutil"
 	"medchain/internal/guard"
 	"medchain/internal/ledger"
 	"medchain/internal/p2p"
@@ -31,12 +32,20 @@ var ingressTopics = []struct {
 // committing one transaction at height 1: the transaction, the signed
 // proposal, a vote and the certified block — and, first, a signed
 // proposal for that height whose state root no execution reproduces.
+// Around it: the same block proposed by another validator (failover), a
+// third validator's votes for both blocks, a vote for the committed
+// genesis and one for a block nobody proposed.
 type heightOne struct {
 	tx      *ledger.Transaction
 	sp      *consensus.SignedProposal
 	vote    consensus.Vote
 	blk     *ledger.Block
 	wrongSp *consensus.SignedProposal
+
+	failoverSp  *consensus.SignedProposal
+	failover    [2]consensus.Vote
+	staleVote   consensus.Vote
+	unknownVote consensus.Vote
 }
 
 func newHeightOne(t testing.TB) heightOne {
@@ -62,11 +71,27 @@ func newHeightOne(t testing.TB) heightOne {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vote, err := consensus.SignVote(blk.Header.Height, blk.Hash(), twin.keys[(proposer+1)%3])
+	sign := func(height uint64, hash cryptoutil.Digest, key *cryptoutil.KeyPair) consensus.Vote {
+		v, err := consensus.SignVote(height, hash, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	other, voter := twin.keys[(proposer+1)%3], twin.keys[(proposer+2)%3]
+	failBlk := &ledger.Block{Header: blk.Header, Txs: blk.Txs}
+	failBlk.Header.Proposer = other.Address()
+	failoverSp, err := consensus.SignProposal(failBlk, other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return heightOne{tx: tx, sp: sp, vote: vote, blk: blk, wrongSp: wrongSp}
+	return heightOne{
+		tx: tx, sp: sp, vote: sign(blk.Header.Height, blk.Hash(), other), blk: blk, wrongSp: wrongSp,
+		failoverSp:  failoverSp,
+		failover:    [2]consensus.Vote{sign(1, blk.Hash(), voter), sign(1, failBlk.Hash(), voter)},
+		staleVote:   sign(0, twin.Node(0).Chain().Genesis().Hash(), voter),
+		unknownVote: sign(1, cryptoutil.Sum([]byte("no such proposal")), voter),
+	}
 }
 
 // FuzzHandle feeds arbitrary payloads under every topic through a
@@ -74,7 +99,9 @@ func newHeightOne(t testing.TB) heightOne {
 // decoder refuses is scored against the sender as malformed and changes
 // neither the node's height nor its pool. The seeds are one valid
 // encoding per topic — heightOne's traffic — plus its indented and
-// reordered twins, which encoding/json reads as the same values.
+// reordered twins, which encoding/json reads as the same values; first,
+// while height 1 is open, both proposals of the failover and the votes
+// around them.
 func FuzzHandle(f *testing.F) {
 	h := newHeightOne(f)
 	encode := func(b []byte, err error) []byte {
@@ -85,6 +112,11 @@ func FuzzHandle(f *testing.F) {
 	}
 	f.Add(uint8(1), encode(h.wrongSp.Encode()))
 	f.Add(uint8(3), encode(h.wrongSp.Block.Encode()))
+	f.Add(uint8(1), encode(h.failoverSp.Encode()))
+	f.Add(uint8(1), encode(h.sp.Encode()))
+	for _, v := range []consensus.Vote{h.staleVote, h.unknownVote, h.failover[0], h.failover[1]} {
+		f.Add(uint8(2), v.Encode())
+	}
 	for i, seed := range [][]byte{
 		encode(h.tx.Encode()), encode(h.sp.Encode()), h.vote.Encode(),
 		encode(h.blk.Encode()), encode(json.Marshal(uint64(0))), encode(json.Marshal(h.blk.Header.Height + 3)),

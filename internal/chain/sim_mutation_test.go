@@ -100,3 +100,23 @@ func TestSimCatchesSkippedRootCheck(t *testing.T) {
 		t.Fatalf("no replayable counterexample: %+v", cex)
 	}
 }
+
+// TestSimCatchesShortCertificate: with every node committing the block
+// it executed one vote short of 2f+1 — and taking any seal — a loss-free
+// run commits blocks whose certificate does not certify them, and the
+// sim must fail on the committed seal.
+func TestSimCatchesShortCertificate(t *testing.T) {
+	defer chain.SetSkipCertQuorum()()
+	res, err := sim.Run(sim.Config{Seed: mutationSeed, Rounds: 10, NoFaults: true})
+	if err == nil {
+		t.Fatal("committing on a short certificate was not caught")
+	}
+	if len(res.Violations) == 0 {
+		t.Fatalf("failed without a recorded violation: %v", err)
+	}
+	v := res.Violations[0]
+	if !strings.Contains(v, "certificate: block") {
+		t.Fatalf("caught by another invariant: %q", v)
+	}
+	t.Logf("caught: %s", v)
+}

@@ -121,7 +121,7 @@ func TestRoundTimeoutHonoured(t *testing.T) {
 	isolate(c, p.ID())
 	const timeout = 150 * time.Millisecond
 	var err error
-	took := within(t, 5*time.Second, "produceBlock", func() { _, err = p.produceBlock(0, 0, timeout) })
+	took := within(t, 5*time.Second, "produceBlock", func() { _, err = p.produceBlock(0, timeout) })
 	if !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("isolated round: %v, want ErrNoQuorum", err)
 	}
@@ -203,7 +203,7 @@ func TestStopDuringVoteWaitReturnsPromptly(t *testing.T) {
 	var err error
 	took := within(t, 5*time.Second, "produceBlock", func() {
 		go func() { time.Sleep(30 * time.Millisecond); p.Stop() }()
-		_, err = p.produceBlock(0, 0, time.Minute)
+		_, err = p.produceBlock(0, time.Minute)
 	})
 	if err == nil {
 		t.Fatal("a stopped proposer committed a block")
@@ -314,7 +314,7 @@ func TestNoGoroutineLeftAfterClusterClose(t *testing.T) {
 	}
 	waitMempools(t, c, 1)
 	isolate(c, p.ID())
-	if _, err := p.produceBlock(0, 0, 30*time.Millisecond); !errors.Is(err, ErrNoQuorum) {
+	if _, err := p.produceBlock(0, 30*time.Millisecond); !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("isolated round: %v", err)
 	}
 	isolate(c, c.Node((c.proposerIndex()+1)%4).ID())

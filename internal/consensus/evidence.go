@@ -13,10 +13,12 @@ import (
 // This file implements the accountability layer of the quorum protocol:
 // proposals are signed so they are attributable to their proposer, and
 // two conflicting signed artifacts at one height (two proposals by the
-// same proposer, or two votes by the same validator) form self-verifying
-// Evidence a third party — the trusted FDA/audit node of the paper's
-// Fig. 2 — can check against the validator set without trusting the
-// reporter.
+// same proposer, or two votes by the same validator for two blocks of
+// the same proposer) form self-verifying Evidence a third party — the
+// trusted FDA/audit node of the paper's Fig. 2 — can check against the
+// validator set without trusting the reporter. Votes for two blocks of
+// two proposers at one height are proposer failover, not equivocation:
+// a validator's vote lock is per (height, proposer).
 
 // Evidence errors.
 var (
@@ -107,7 +109,7 @@ const (
 	// blocks at the same height.
 	EvidenceDoubleProposal EvidenceKind = "double-proposal"
 	// EvidenceDoubleVote proves a validator voted for two distinct
-	// blocks at the same height.
+	// blocks of the same proposer at the same height.
 	EvidenceDoubleVote EvidenceKind = "double-vote"
 )
 
@@ -124,7 +126,9 @@ type Evidence struct {
 	Offender cryptoutil.Address `json:"offender"`
 	// FirstHeader/SecondHeader carry a double-proposal's two signed
 	// headers, ordered by block hash so the same pair always encodes
-	// identically regardless of observation order.
+	// identically regardless of observation order. A double vote
+	// carries the signed headers of its two voted blocks, in its votes'
+	// order: they show both blocks name one proposer.
 	FirstHeader  *SignedHeader `json:"first_header,omitempty"`
 	SecondHeader *SignedHeader `json:"second_header,omitempty"`
 	// FirstVote/SecondVote carry a double-vote's two votes, ordered by
@@ -153,8 +157,10 @@ func NewDoubleProposalEvidence(a, b SignedHeader) (*Evidence, error) {
 }
 
 // NewDoubleVoteEvidence builds evidence from two votes by the same
-// validator at the same height for distinct blocks.
-func NewDoubleVoteEvidence(a, b Vote) (*Evidence, error) {
+// validator at the same height for distinct blocks, and the signed
+// headers of those blocks (ha of a's, hb of b's), which must name the
+// same proposer.
+func NewDoubleVoteEvidence(a, b Vote, ha, hb SignedHeader) (*Evidence, error) {
 	if a.Height != b.Height || a.Voter != b.Voter {
 		return nil, fmt.Errorf("%w: votes disagree on height or voter", ErrBadEvidence)
 	}
@@ -162,17 +168,43 @@ func NewDoubleVoteEvidence(a, b Vote) (*Evidence, error) {
 		return nil, fmt.Errorf("%w: votes name the same block", ErrBadEvidence)
 	}
 	if bytes.Compare(a.Block[:], b.Block[:]) > 0 {
-		a, b = b, a
+		a, b, ha, hb = b, a, hb, ha
 	}
-	return &Evidence{
+	ev := &Evidence{
 		Kind: EvidenceDoubleVote, Height: a.Height, Offender: a.Voter,
-		FirstVote: &a, SecondVote: &b,
-	}, nil
+		FirstHeader: &ha, SecondHeader: &hb, FirstVote: &a, SecondVote: &b,
+	}
+	if err := ev.checkVotedHeaders(); err != nil {
+		return nil, err
+	}
+	return ev, nil
+}
+
+// checkVotedHeaders ties a double vote's two headers to its two votes:
+// each hashes to its vote's block at the evidence height, and both name
+// one proposer. The vote signatures cover the header hashes, so the
+// headers need no signature check of their own.
+func (e *Evidence) checkVotedHeaders() error {
+	ha, hb := e.FirstHeader, e.SecondHeader
+	if ha == nil || hb == nil {
+		return fmt.Errorf("%w: double-vote needs the two voted headers", ErrBadEvidence)
+	}
+	if ha.Header.Hash() != e.FirstVote.Block || hb.Header.Hash() != e.SecondVote.Block {
+		return fmt.Errorf("%w: headers do not hash to the voted blocks", ErrBadEvidence)
+	}
+	if ha.Header.Height != e.Height || hb.Header.Height != e.Height {
+		return fmt.Errorf("%w: header heights do not match evidence height %d", ErrBadEvidence, e.Height)
+	}
+	if ha.Header.Proposer != hb.Header.Proposer {
+		return fmt.Errorf("%w: voted blocks of two proposers (failover, not equivocation)", ErrBadEvidence)
+	}
+	return nil
 }
 
 // Verify re-checks the evidence against a validator set: both artifacts
 // must be signed by Offender (a member of the set), name Height, and
-// name two distinct blocks.
+// name two distinct blocks — for a double vote, two blocks of one
+// proposer.
 func (e *Evidence) Verify(vals *ValidatorSet) error {
 	if e == nil {
 		return fmt.Errorf("%w: nil evidence", ErrBadEvidence)
@@ -209,6 +241,9 @@ func (e *Evidence) Verify(vals *ValidatorSet) error {
 		}
 		if a.Block == b.Block {
 			return fmt.Errorf("%w: votes name the same block", ErrBadEvidence)
+		}
+		if err := e.checkVotedHeaders(); err != nil {
+			return err
 		}
 		if err := VerifyVote(*a, vals); err != nil {
 			return err

@@ -170,17 +170,20 @@ func TestDoubleVoteEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	voter := keys[3]
-	va, err := SignVote(7, cryptoutil.Sum([]byte("block-a")), voter)
-	if err != nil {
-		t.Fatal(err)
+	voter, proposer := keys[3], keys[1]
+	ha := signHeader(t, testHeader(7, proposer.Address(), "a"), proposer)
+	hb := signHeader(t, testHeader(7, proposer.Address(), "b"), proposer)
+	vote := func(h SignedHeader, key *cryptoutil.KeyPair) Vote {
+		t.Helper()
+		v, err := SignVote(h.Header.Height, h.Header.Hash(), key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
-	vb, err := SignVote(7, cryptoutil.Sum([]byte("block-b")), voter)
-	if err != nil {
-		t.Fatal(err)
-	}
+	va, vb := vote(ha, voter), vote(hb, voter)
 
-	ev, err := NewDoubleVoteEvidence(va, vb)
+	ev, err := NewDoubleVoteEvidence(va, vb, ha, hb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,27 +193,45 @@ func TestDoubleVoteEvidence(t *testing.T) {
 	if err := ev.Verify(vals); err != nil {
 		t.Fatalf("valid evidence failed verify: %v", err)
 	}
+	if ev.FirstHeader.Header.Hash() != ev.FirstVote.Block || ev.SecondHeader.Header.Hash() != ev.SecondVote.Block {
+		t.Fatal("the headers are not ordered with their votes")
+	}
 
 	// Same block or different heights: not equivocation.
-	if _, err := NewDoubleVoteEvidence(va, va); !errors.Is(err, ErrBadEvidence) {
+	if _, err := NewDoubleVoteEvidence(va, va, ha, ha); !errors.Is(err, ErrBadEvidence) {
 		t.Fatalf("same-block votes: got %v, want ErrBadEvidence", err)
 	}
-	vc, err := SignVote(8, cryptoutil.Sum([]byte("block-a")), voter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewDoubleVoteEvidence(va, vc); !errors.Is(err, ErrBadEvidence) {
+	hc := signHeader(t, testHeader(8, proposer.Address(), "a"), proposer)
+	if _, err := NewDoubleVoteEvidence(va, vote(hc, voter), ha, hc); !errors.Is(err, ErrBadEvidence) {
 		t.Fatalf("cross-height votes: got %v, want ErrBadEvidence", err)
 	}
 
 	// Two different honest voters at one height are not an equivocation
 	// pair either.
-	other, err := SignVote(7, cryptoutil.Sum([]byte("block-b")), keys[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewDoubleVoteEvidence(va, other); !errors.Is(err, ErrBadEvidence) {
+	if _, err := NewDoubleVoteEvidence(va, vote(hb, keys[0]), ha, hb); !errors.Is(err, ErrBadEvidence) {
 		t.Fatalf("cross-voter votes: got %v, want ErrBadEvidence", err)
+	}
+
+	// Failover: one vote for each of two proposers' blocks at one height
+	// is what an honest validator casts when the round moves on.
+	hq := signHeader(t, testHeader(7, keys[2].Address(), "b"), keys[2])
+	vq := vote(hq, voter)
+	if _, err := NewDoubleVoteEvidence(va, vq, ha, hq); !errors.Is(err, ErrBadEvidence) {
+		t.Fatalf("failover votes: got %v, want ErrBadEvidence", err)
+	}
+	failover := &Evidence{Kind: EvidenceDoubleVote, Height: 7, Offender: voter.Address(),
+		FirstVote: &va, SecondVote: &vq, FirstHeader: &ha, SecondHeader: &hq}
+	if err := failover.Verify(vals); !errors.Is(err, ErrBadEvidence) {
+		t.Fatalf("failover pair verified: %v", err)
+	}
+	// Without headers, or with headers of other blocks, the votes prove
+	// nothing about the proposer.
+	bare := &Evidence{Kind: EvidenceDoubleVote, Height: 7, Offender: voter.Address(), FirstVote: &va, SecondVote: &vb}
+	if err := bare.Verify(vals); !errors.Is(err, ErrBadEvidence) {
+		t.Fatalf("headerless double vote verified: %v", err)
+	}
+	if _, err := NewDoubleVoteEvidence(va, vb, hb, ha); !errors.Is(err, ErrBadEvidence) {
+		t.Fatalf("swapped headers: got %v, want ErrBadEvidence", err)
 	}
 
 	// Round trip, then tamper: a vote signature swap must fail.

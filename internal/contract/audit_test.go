@@ -13,15 +13,18 @@ import (
 // double-vote evidence from the offender's key.
 func evidenceArgs(t testing.TB, offender *cryptoutil.KeyPair, height uint64) ReportEvidenceArgs {
 	t.Helper()
-	va, err := consensus.SignVote(height, cryptoutil.Sum([]byte("fork-a")), offender)
-	if err != nil {
-		t.Fatal(err)
+	fork := func(salt string) (consensus.Vote, consensus.SignedHeader) {
+		t.Helper()
+		h := ledger.Header{Height: height, StateRoot: cryptoutil.Sum([]byte(salt)), Proposer: offender.Address()}
+		v, err := consensus.SignVote(height, h.Hash(), offender)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, consensus.SignedHeader{Header: h}
 	}
-	vb, err := consensus.SignVote(height, cryptoutil.Sum([]byte("fork-b")), offender)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := consensus.NewDoubleVoteEvidence(va, vb)
+	va, ha := fork("fork-a")
+	vb, hb := fork("fork-b")
+	ev, err := consensus.NewDoubleVoteEvidence(va, vb, ha, hb)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"medchain/internal/chain"
+	"medchain/internal/consensus"
 	"medchain/internal/contract"
 	"medchain/internal/cryptoutil"
 	"medchain/internal/emr"
@@ -19,6 +20,8 @@ import (
 //
 //   - ledger integrity: parent linkage, height contiguity, tx-root
 //     recomputation, and append-only stability of recorded hashes;
+//   - certificates: every committed block's seal holds 2f+1 valid
+//     votes for it, whichever node assembled it;
 //   - differential oracles: every block replayed through each suspect
 //     executor must match the serial reference bit-for-bit (state
 //     root, receipts, hard errors), with diverging blocks minimized
@@ -39,6 +42,8 @@ type checker struct {
 	executors []Executor
 
 	shadow *contract.State
+	// certs verifies committed seals; its own vote memo, never a node's.
+	certs  *consensus.Quorum
 	height uint64
 	gas    int64
 	hashes []cryptoutil.Digest // block hash by height; [0] is genesis
@@ -112,6 +117,17 @@ func (ck *checker) checkBlock(c *chain.Cluster, blk *ledger.Block) {
 	}
 	if root, err := ledger.ComputeTxRoot(blk.Txs); err != nil || root != blk.Header.TxRoot {
 		ck.violationf("ledger: block %d tx root mismatch (err=%v)", h, err)
+		return
+	}
+
+	// Certificate: a node commits on the certificate it assembles, so
+	// the seal is checked as the node that committed it first left it.
+	ck.checks++
+	if ck.certs == nil {
+		ck.certs = consensus.NewQuorum(c.Validators())
+	}
+	if err := ck.certs.VerifySeal(blk); err != nil {
+		ck.violationf("certificate: block %d committed on a seal that does not certify it: %v", h, err)
 		return
 	}
 

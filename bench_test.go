@@ -7,7 +7,7 @@
 //	go test -run '^$' -bench Experiments -benchtime 1x -v .
 //
 // is the CI smoke over the whole registry and
-// `-bench 'Experiments/E13$'` regenerates one experiment. Use
+// `-bench 'Experiments/E15$'` regenerates one experiment. Use
 // cmd/benchmed for the full-size sweeps EXPERIMENTS.md records.
 package medchain_test
 

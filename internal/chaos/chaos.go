@@ -5,13 +5,14 @@
 // advances and keeps an event log of every injected fault and every
 // observed recovery. The injected-fault portion of the log is a pure
 // function of the schedule, so the same seed always yields the same
-// fault log (the reproducibility contract experiment E9 relies on);
-// observations (recovery times, inbox-overflow counts) are recorded
-// alongside but excluded from the determinism signature.
+// fault log; observations (recovery times) are recorded alongside but
+// excluded from the determinism signature.
 //
-// This is the measurement side of the paper's global deployment story
-// (Fig. 2): hospital sites will crash, partition, and lag, and the
-// chain's availability under those faults is what E9 quantifies.
+// This is the paper's global deployment story (Fig. 2) under test:
+// hospital sites will crash, partition, and lag, and the chain must
+// commit every submitted transaction and converge anyway. The package
+// tests drive each scenario on a 4-node cluster, and internal/sim
+// draws its fault schedules from Fuzz.
 package chaos
 
 import (
@@ -229,25 +230,6 @@ func (o *Orchestrator) AwaitRecovery(timeout time.Duration) error {
 	o.events = append(o.events, Event{Detail: fmt.Sprintf("recovered: %d nodes consistent at height %d in %v",
 		o.cluster.Size(), o.cluster.Node(0).Height(), elapsed.Round(time.Millisecond))})
 	return nil
-}
-
-// ObserveOverflow snapshots per-endpoint inbox-overflow drops from the
-// network stats into the event log (as observations) and returns the
-// total. Overflow is back-pressure loss — distinct from injected
-// loss/partition drops — so the chaos log accounts for it separately.
-func (o *Orchestrator) ObserveOverflow() int64 {
-	stats := o.cluster.Network().Stats()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	ids := make([]string, 0, len(stats.OverflowByNode))
-	for id := range stats.OverflowByNode {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		o.events = append(o.events, Event{Detail: fmt.Sprintf("inbox overflow at %s: %d messages", id, stats.OverflowByNode[p2p.NodeID(id)])})
-	}
-	return stats.MessagesOverflowed
 }
 
 // Events returns the full log: injected faults interleaved with

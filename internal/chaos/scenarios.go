@@ -162,7 +162,7 @@ func SlowNode(nodes, rounds int, delay time.Duration, seed int64) Schedule {
 
 // PartitionAndHeal scripts one clean split-and-heal cycle: the seeded
 // victim is isolated at an early round and the partition heals before
-// the final round — the E9 partition scenario.
+// the final round.
 func PartitionAndHeal(nodes, rounds int, seed int64) Schedule {
 	rng := rand.New(rand.NewSource(seed))
 	if rounds < 3 {

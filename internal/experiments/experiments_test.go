@@ -232,34 +232,6 @@ func TestE8AuditCoverage(t *testing.T) {
 	)
 }
 
-func TestE9AvailabilityUnderFaults(t *testing.T) {
-	fits := []e9Row{{Scenario: "baseline (no faults)", Submitted: 5, Committed: 5, Ratio: 1, Consistent: true}}
-	for _, name := range []string{"crash follower", "crash proposer", "loss 30%", "partition + heal"} {
-		fits = append(fits, e9Row{Scenario: name, Faults: 2, Submitted: 5, Committed: 5, Ratio: 1, Consistent: true})
-	}
-	checkBar(t, verifyE9, fits,
-		func(r []e9Row) { r[2].Committed, r[2].Ratio = 4, 0.8 },
-		func(r []e9Row) { r[4].Consistent = false },
-		func(r []e9Row) { r[0].Faults = 1 },
-		func(r []e9Row) { r[3].Faults = 0 },
-	)
-}
-
-func TestE14OverloadSweep(t *testing.T) {
-	checkBar(t, verifyE14,
-		[]e14Row{
-			{Multiplier: 1, Offered: 120, Committed: 120, Fairness: 1, PeakPool: 8},
-			{Multiplier: 10, Offered: 900, Committed: 400, Shed: 450, Fairness: 0.96, PeakPool: 48},
-		},
-		func(r []e14Row) { r[0].Committed = 0 },
-		func(r []e14Row) { r[1].Untyped = 3 },
-		func(r []e14Row) { r[1].PeakPool = e14PoolCapacity + 1 },
-		func(r []e14Row) { r[1].Fairness = 0 },
-		func(r []e14Row) { r[1].Shed = 0 },
-		func(r []e14Row) { r[1].Offered = 400 },
-	)
-}
-
 func TestE15DataPlane(t *testing.T) {
 	cfg := e15Config{IngestRounds: 2, IngestBatch: 40}
 	docs := e15Sites*e15PatientsPerSite + 2*40

@@ -103,12 +103,9 @@ type Stats struct {
 	MessagesDropped int64
 	// MessagesOverflowed counts the subset of MessagesDropped lost to a
 	// full inbox — a slow or stalled consumer, not the link. Separating
-	// it from loss/partition drops is what lets the chaos harness tell a
-	// struggling node from a lossy network.
+	// it from loss/partition drops tells a struggling node from a lossy
+	// network.
 	MessagesOverflowed int64
-	// OverflowByNode breaks MessagesOverflowed down per receiving
-	// endpoint.
-	OverflowByNode map[NodeID]int64
 	// BytesSent is the accounted wire bytes of all send attempts,
 	// counting one copy per recipient for broadcasts.
 	BytesSent int64
@@ -226,10 +223,6 @@ func (n *Network) Stats() Stats {
 	out.BytesByTopic = make(map[string]int64, len(n.stats.BytesByTopic))
 	for k, v := range n.stats.BytesByTopic {
 		out.BytesByTopic[k] = v
-	}
-	out.OverflowByNode = make(map[NodeID]int64, len(n.stats.OverflowByNode))
-	for k, v := range n.stats.OverflowByNode {
-		out.OverflowByNode[k] = v
 	}
 	out.QuarantinedByNode = make(map[NodeID]int64, len(n.stats.QuarantinedByNode))
 	for k, v := range n.stats.QuarantinedByNode {
@@ -387,10 +380,6 @@ func (n *Network) deliver(ep *simEndpoint, msg Message) {
 		n.mu.Lock()
 		n.stats.MessagesDropped++
 		n.stats.MessagesOverflowed++
-		if n.stats.OverflowByNode == nil {
-			n.stats.OverflowByNode = make(map[NodeID]int64)
-		}
-		n.stats.OverflowByNode[ep.id]++
 		n.mu.Unlock()
 	}
 }

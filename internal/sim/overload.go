@@ -101,9 +101,8 @@ type overload struct {
 	greedy *actor
 	probes []*probeClient
 
-	offered      int64 // flood + greedy txs pushed at the cluster
-	shed         int64 // typed backpressure rejections at submit
-	otherRejects int64 // non-backpressure rejections (unexpected; surfaced, not fatal)
+	offered int64 // flood + greedy txs pushed at the cluster
+	shed    int64 // typed backpressure rejections at submit
 }
 
 func newOverload(cfg Config) (*overload, error) {
@@ -133,6 +132,12 @@ func newOverload(cfg Config) (*overload, error) {
 func backpressure(err error) bool {
 	return errors.Is(err, chain.ErrMempoolFull) || errors.Is(err, chain.ErrRateLimited)
 }
+
+// typedRejects are the refusals an expendable flood or greedy client
+// may meet besides backpressure: its TTL ran out, its nonce fell
+// behind or ran ahead of a pool that shed its predecessors, or it hit
+// a crashed node.
+var typedRejects = []error{chain.ErrExpired, chain.ErrNonceGap, chain.ErrStaleNonce, chain.ErrStopped}
 
 // tx builds and signs one driver transaction. Args carry a unique
 // sequence so every transaction has a distinct ID; Timestamp is a
@@ -179,9 +184,9 @@ func (ov *overload) advance(ck *checker, c *chain.Cluster, round int) {
 
 	h := maxHeight(c)
 	ov.probeRound(ck, c, h)
-	ov.greedyRound(c, h)
+	ov.greedyRound(ck, c, h)
 	if round%ov.ocfg.FloodEvery == 0 {
-		ov.flood(c, h)
+		ov.flood(ck, c, h)
 	}
 }
 
@@ -219,7 +224,7 @@ func (ov *overload) probeRound(ck *checker, c *chain.Cluster, h uint64) {
 // transactions pinned to node 0, nonce re-anchored against node 0's
 // pool so shed and expired predecessors are re-issued rather than
 // leaving a permanent gap.
-func (ov *overload) greedyRound(c *chain.Cluster, h uint64) {
+func (ov *overload) greedyRound(ck *checker, c *chain.Cluster, h uint64) {
 	ov.greedy.nonce = c.Node(0).PendingNonce(ov.greedy.kp.Address())
 	for k := 0; k < ov.ocfg.GreedyRate; k++ {
 		tx, err := ov.tx(ov.greedy, ledger.TxData, "overload_greedy", h+ov.ocfg.TTLBlocks)
@@ -227,8 +232,8 @@ func (ov *overload) greedyRound(c *chain.Cluster, h uint64) {
 			return
 		}
 		ov.offered++
-		if err := c.SubmitVia(0, tx); err != nil {
-			ov.reject(err)
+		if err := c.SubmitVia(0, tx); err != nil && !ov.reject(ck, "greedy", err) {
+			return
 		}
 	}
 }
@@ -237,7 +242,7 @@ func (ov *overload) greedyRound(c *chain.Cluster, h uint64) {
 // fresh identities, spread across the running nodes. Burst identities
 // are never reused, so shed transactions are simply abandoned — the
 // model of a client that does not retry.
-func (ov *overload) flood(c *chain.Cluster, h uint64) {
+func (ov *overload) flood(ck *checker, c *chain.Cluster, h uint64) {
 	ov.burst++
 	running := c.RunningNodes()
 	const senders = 4
@@ -256,7 +261,9 @@ func (ov *overload) flood(c *chain.Cluster, h uint64) {
 			}
 			ov.offered++
 			if err := c.SubmitVia(via, tx); err != nil {
-				ov.reject(err)
+				if !ov.reject(ck, "flood", err) {
+					return
+				}
 				if backpressure(err) && k > perSender/2 {
 					break // sender's tail is doomed once shedding engages
 				}
@@ -265,12 +272,21 @@ func (ov *overload) flood(c *chain.Cluster, h uint64) {
 	}
 }
 
-func (ov *overload) reject(err error) {
+// reject accounts one refused flood or greedy transaction: backpressure
+// counts as shed, and an error that is none of the chain's typed
+// refusals is a violation. It reports whether the run may go on.
+func (ov *overload) reject(ck *checker, client string, err error) bool {
 	if backpressure(err) {
 		ov.shed++
-	} else {
-		ov.otherRejects++
+		return true
 	}
+	for _, typed := range typedRejects {
+		if errors.Is(err, typed) {
+			return true
+		}
+	}
+	ck.violationf("overload: %s tx rejected with untyped error: %v", client, err)
+	return false
 }
 
 // observe resolves probe transactions against a committed block.

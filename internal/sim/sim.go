@@ -227,18 +227,16 @@ type Result struct {
 	// Adversary metrics (set only when Config.Adversary is): offense
 	// bursts fired per behavior, rounds the adversary spent muted by
 	// quarantine, committed blocks from first offense until every
-	// honest node had it quarantined (-1: never), equivocations the
-	// strict-mode ledger expected on chain, and evidence records the
-	// audit contract finished with.
+	// honest node had it quarantined (-1: never), and equivocations
+	// the strict-mode ledger expected on chain.
 	AdversaryOffenses    map[Behavior]int
 	AdversaryMutedRounds int
 	QuarantineBlocks     int
 	EvidenceExpected     int
-	EvidenceRecords      int
-	// MessagesDelivered / MessagesQuarantined are the network totals:
-	// messages placed in inboxes and messages discarded at ingress
-	// because the sender was quarantined.
-	MessagesDelivered   int64
+	// EvidenceRecords is the evidence the audit contract finished
+	// with, and MessagesQuarantined the messages ingress discarded
+	// because the sender was quarantined; an honest run has neither.
+	EvidenceRecords     int
 	MessagesQuarantined int64
 	// Overload metrics (set only when Config.Overload is): flood and
 	// greedy transactions offered, typed backpressure rejections
@@ -552,16 +550,14 @@ func Run(cfg Config) (*Result, error) {
 		res.DiskTornBytes = disks.torn
 	}
 	res.FaultLog = orch.FaultLog()
-	netStats := cluster.Network().Stats()
-	res.MessagesDelivered = netStats.MessagesDelivered
-	res.MessagesQuarantined = netStats.MessagesQuarantined
+	res.MessagesQuarantined = cluster.Network().Stats().MessagesQuarantined
+	res.EvidenceRecords = len(ck.shadow.EvidenceRecords())
 	res.QuarantineBlocks = -1
 	if adv != nil {
 		res.AdversaryOffenses = adv.offensesByBehavior
 		res.AdversaryMutedRounds = adv.laidLow
 		res.QuarantineBlocks = adv.quarantineBlocks
 		res.EvidenceExpected = len(adv.expected)
-		res.EvidenceRecords = len(ck.shadow.EvidenceRecords())
 	}
 	if ov != nil {
 		res.OverloadOffered = ov.offered

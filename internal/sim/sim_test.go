@@ -196,7 +196,9 @@ func TestSimDifferentialOracle(t *testing.T) {
 
 // TestSimNoFaultsDeterministic pins the strongest replay guarantee the
 // harness offers: with faults disabled, two runs of the same seed
-// commit byte-identical chains (same gas, same block/tx counts).
+// commit byte-identical chains (same gas, same block/tx counts). The
+// honest cluster also frames nobody: no evidence, no quarantined
+// traffic.
 func TestSimNoFaultsDeterministic(t *testing.T) {
 	cfg := Config{Seed: 3, Rounds: 50, NoFaults: true}
 	a, errA := Run(cfg)
@@ -207,6 +209,11 @@ func TestSimNoFaultsDeterministic(t *testing.T) {
 	if a.Blocks != b.Blocks || a.Txs != b.Txs || a.FailedTxs != b.FailedTxs || a.GasUsed != b.GasUsed {
 		t.Fatalf("replay drifted: blocks %d/%d txs %d/%d failed %d/%d gas %d/%d",
 			a.Blocks, b.Blocks, a.Txs, b.Txs, a.FailedTxs, b.FailedTxs, a.GasUsed, b.GasUsed)
+	}
+	for _, r := range []*Result{a, b} {
+		if r.EvidenceRecords != 0 || r.MessagesQuarantined != 0 {
+			t.Fatalf("honest cluster framed a member: evidence=%d quarantined=%d", r.EvidenceRecords, r.MessagesQuarantined)
+		}
 	}
 }
 
@@ -242,7 +249,8 @@ func TestSimPersist(t *testing.T) {
 // edge, with slow-drain chaos windows. The run itself enforces the
 // invariants — pools within capacity at every observation, no
 // committed tx past its TTL, shed honest traffic retried to commit,
-// probe latency within the fairness bound; the assertions below make
+// probe latency within the fairness bound, every flood and greedy
+// rejection one of the chain's typed errors; the assertions below make
 // sure the flood was substantive rather than vacuously green.
 func TestSimOverload(t *testing.T) {
 	// Scales with -sim.rounds (the nightly soak passes 10k), floored at
@@ -343,22 +351,22 @@ func logAdversary(t *testing.T, res *Result) {
 	if res == nil {
 		return
 	}
-	t.Logf("adversary sim seed=%d rounds=%d: blocks=%d offenses=%v muted=%d quarantineBlocks=%d evidence=%d/%d expected",
+	t.Logf("adversary sim seed=%d rounds=%d: blocks=%d offenses=%v muted=%d quarantineBlocks=%d dropped=%d evidence=%d/%d expected",
 		res.Seed, res.Rounds, res.Blocks, res.AdversaryOffenses, res.AdversaryMutedRounds,
-		res.QuarantineBlocks, res.EvidenceRecords, res.EvidenceExpected)
+		res.QuarantineBlocks, res.MessagesQuarantined, res.EvidenceRecords, res.EvidenceExpected)
 }
 
 // TestSimAdversary is the Byzantine gate: the last node's validator key
 // is handed to an adversarial endpoint and the cluster must keep
-// committing, quarantine it within the latency bound, land verified
-// evidence for every equivocation, and never turn on its own honest
-// members. Each behavior soaks alone for 250 loss-free rounds, then
-// all behaviors interleave for 300; -sim.rounds above 250 raises both
-// (x and 1.2x), and the nightly sim-soak adversary leg keeps the depth
-// at 10 000 rounds. Every assertion below was checked non-vacuous at
-// 250/300 on seeds 1-3. With -sim.adversary=<b1,b2,...> the test instead
-// replays exactly the flagged schedule (the mode
-// AdversaryCounterexample.Repro pins).
+// committing, quarantine it within the latency bound, discard its
+// traffic at ingress, land verified evidence for every equivocation,
+// and never turn on its own honest members. Each behavior soaks alone
+// for 250 loss-free rounds, then all behaviors interleave for 300;
+// -sim.rounds above 250 raises both (x and 1.2x), and the nightly
+// sim-soak adversary leg keeps the depth at 10 000 rounds. Every
+// assertion below was checked non-vacuous at 250/300 on seeds 1-3.
+// With -sim.adversary=<b1,b2,...> the test instead replays exactly the
+// flagged schedule (the mode AdversaryCounterexample.Repro pins).
 func TestSimAdversary(t *testing.T) {
 	if bs := parseBehaviors(*flagAdversary); len(bs) > 0 {
 		res, err := Run(Config{Seed: *flagSeed, Rounds: *flagRounds, NoFaults: true,
@@ -396,6 +404,9 @@ func TestSimAdversary(t *testing.T) {
 			}
 			if res.QuarantineBlocks < 0 || res.QuarantineBlocks > AdversaryQuarantineBound {
 				t.Fatalf("quarantine latency %d blocks, want [0, %d]", res.QuarantineBlocks, AdversaryQuarantineBound)
+			}
+			if res.MessagesQuarantined == 0 {
+				t.Fatal("ingress never discarded the quarantined peer's traffic")
 			}
 			// The short decay half-life must produce release/re-offense
 			// cycles, not a single one-shot quarantine.

@@ -717,8 +717,12 @@ func TestChainOverRealTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[i] = NewNodeWithEndpoint(p2p.NodeID(fmt.Sprintf("tcp-node-%d", i)),
-			keys[i], "tcp-chain", vals, ep)
+		nodes[i], _, err = NewNode(NodeConfig{
+			ID: ep.ID(), Key: keys[i], ChainID: "tcp-chain", Validators: vals, Endpoint: ep,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	defer func() {
 		for _, nd := range nodes {

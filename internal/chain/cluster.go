@@ -31,11 +31,10 @@ type ClusterConfig struct {
 	KeySeed string
 	// Persist makes every node disk-backed (nil = memory-only).
 	Persist *PersistConfig
-	// Guard, when set, retunes every node's peer-misbehavior guard
-	// (score decay, sync rate limit, clock).
+	// Guard, when set, tunes every node's peer-misbehavior guard (score
+	// decay, clock).
 	Guard *guard.Config
-	// Mempool, when set, retunes every node's bounded transaction pool
-	// (capacity, future-nonce window).
+	// Mempool, when set, bounds every node's transaction pool.
 	Mempool *MempoolConfig
 }
 
@@ -44,24 +43,24 @@ type ClusterConfig struct {
 type PersistConfig struct {
 	// Dir is the base data directory.
 	Dir string
-	// FS is the filesystem all nodes share (nil = the real disk,
-	// unless FSFor is set).
-	FS store.FS
-	// FSFor, when set, supplies a per-node filesystem and overrides FS
-	// — the simulation harness injects one fault-wrapped MemFS per
-	// node here so each node's disk fails independently.
+	// FSFor, when set, supplies node i's filesystem (nil = the real
+	// disk). Tests share one store.MemFS; the simulation harness
+	// injects one fault-wrapped MemFS per node so each node's disk
+	// fails independently.
 	FSFor func(node int) store.FS
 	// SyncEvery, SnapshotEvery tune each node's engine; see
-	// PersistOptions.
+	// store.Options.
 	SyncEvery     int
 	SnapshotEvery int
 }
 
-func (p *PersistConfig) fsFor(i int) store.FS {
+// options returns node i's storage engine configuration.
+func (p *PersistConfig) options(i int, id p2p.NodeID) *store.Options {
+	o := &store.Options{Dir: store.Join(p.Dir, string(id)), SyncEvery: p.SyncEvery, SnapshotEvery: p.SnapshotEvery}
 	if p.FSFor != nil {
-		return p.FSFor(i)
+		o.FS = p.FSFor(i)
 	}
-	return p.FS
+	return o
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
@@ -112,26 +111,20 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	round := &liveRound{}
 	for i := 0; i < cfg.Nodes; i++ {
 		id := p2p.NodeID(fmt.Sprintf("node-%d", i))
-		var n *Node
-		if p := cfg.Persist; p != nil {
-			n, _, err = NewNodeFromConfig(NodeConfig{
-				ID: id, Key: keys[i], ChainID: cfg.ChainID, Validators: vals, Network: c.net,
-				DataDir: store.Join(p.Dir, string(id)), FS: p.fsFor(i),
-				SyncEvery: p.SyncEvery, SnapshotEvery: p.SnapshotEvery,
-			})
-		} else {
-			n, err = NewNode(id, keys[i], cfg.ChainID, vals, c.net)
+		nc := NodeConfig{ID: id, Key: keys[i], ChainID: cfg.ChainID, Validators: vals, Network: c.net, round: round}
+		if cfg.Persist != nil {
+			nc.Store = cfg.Persist.options(i, id)
 		}
+		if cfg.Guard != nil {
+			nc.Guard = *cfg.Guard
+		}
+		if cfg.Mempool != nil {
+			nc.Mempool = *cfg.Mempool
+		}
+		n, _, err := NewNode(nc)
 		if err != nil {
 			c.Close()
 			return nil, err
-		}
-		n.round = round
-		if cfg.Guard != nil {
-			n.SetGuardConfig(*cfg.Guard)
-		}
-		if cfg.Mempool != nil {
-			n.SetMempoolConfig(*cfg.Mempool)
 		}
 		c.nodes = append(c.nodes, n)
 	}
@@ -154,13 +147,13 @@ func (c *Cluster) Validators() *consensus.ValidatorSet { return c.vals }
 func (c *Cluster) Network() *p2p.Network { return c.net }
 
 // Submit gossips a transaction into every mempool via the first
-// running node that accepts it. A node's typed rejection (rate limit,
-// shedding, full pool) no longer ends the attempt: the next running
-// node is tried, and only when every one rejects does Submit fail —
-// with each node's reason preserved in the joined error, so a caller
-// can distinguish "cluster down" (ErrStopped) from "cluster saturated"
-// (every branch wraps ErrMempoolFull / ErrRateLimited) and honor the
-// longest retry-after hint via resilience.RetryAfterHint.
+// running node that accepts it. A node's typed rejection (shedding, a
+// full pool) does not end the attempt: the next running node is tried,
+// and only when every one rejects does Submit fail — with each node's
+// reason preserved in the joined error, so a caller can distinguish
+// "cluster down" (ErrStopped) from "cluster saturated" (every branch
+// wraps ErrMempoolFull) and honor the longest retry-after hint via
+// resilience.RetryAfterHint.
 func (c *Cluster) Submit(tx *ledger.Transaction) error {
 	var errs []error
 	for i, n := range c.nodes {

@@ -129,17 +129,20 @@ func FuzzHandle(f *testing.F) {
 		f.Add(uint8(i), canontest.Reordered(seed))
 	}
 
-	c := newCluster(f, 3)
-	n := c.Node(1)
 	// An hour passes between two messages, so the sender's score has
 	// decayed and it is never quarantined when the next one arrives.
 	var clockMu sync.Mutex
 	now := time.Unix(0, 0)
-	n.SetGuardConfig(guard.Config{Clock: func() time.Time {
+	c, err := NewCluster(ClusterConfig{Nodes: 3, KeySeed: "test-quorum-3", Guard: &guard.Config{Clock: func() time.Time {
 		clockMu.Lock()
 		defer clockMu.Unlock()
 		return now
-	}})
+	}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(c.Close)
+	n := c.Node(1)
 	const sender = "fuzzer"
 	malformed := func() int { return offensesOf(n.GuardStats(), sender)[guard.OffenseMalformed] }
 

@@ -12,17 +12,16 @@ import (
 )
 
 // Backpressure and admission errors surfaced to submitters. They are
-// typed so a client (or internal/resilience retry loops) can tell
-// transient overload — back off and resubmit — from permanent
-// rejection. ErrMempoolFull and ErrRateLimited carry retry-after hints
-// via resilience.WithRetryAfter.
+// typed so a client can tell transient overload — back off and
+// resubmit — from permanent rejection. ErrMempoolFull is the one
+// backpressure error; it carries a retry-after hint via
+// resilience.WithRetryAfter.
 var (
 	// ErrMempoolFull means the bounded pool is at capacity and the
-	// transaction's priority did not justify evicting anything.
+	// transaction's priority did not justify evicting anything, or the
+	// admission controller is shedding its class because the pool is
+	// filling up.
 	ErrMempoolFull = errors.New("chain: mempool full")
-	// ErrRateLimited means admission control rejected the transaction
-	// (per-client bucket, global budget, or overload shedding).
-	ErrRateLimited = errors.New("chain: rate limited")
 	// ErrExpired means the transaction's deadline height has already
 	// passed — resubmit with a fresh deadline, never the same bytes.
 	ErrExpired = errors.New("chain: transaction expired")
@@ -38,23 +37,21 @@ var (
 type MempoolConfig struct {
 	// Capacity is the maximum resident transactions (default 8192).
 	Capacity int
-	// MaxFuture bounds how far a nonce may run ahead of the sender's
-	// committed sequence (default 1024). Gapped nonces inside the window
-	// are held — a lagging node must buffer traffic for chain state it
-	// has not synced yet — but never proposed until the gap fills; the
-	// window keeps a far-future nonce flood from squatting the pool.
-	MaxFuture uint64
 }
 
 func (c MempoolConfig) withDefaults() MempoolConfig {
 	if c.Capacity <= 0 {
 		c.Capacity = 8192
 	}
-	if c.MaxFuture == 0 {
-		c.MaxFuture = 1024
-	}
 	return c
 }
+
+// maxFuture bounds how far a nonce may run ahead of the sender's
+// committed sequence. Gapped nonces inside the window are held — a
+// lagging node must buffer traffic for chain state it has not synced
+// yet — but never proposed until the gap fills; the window keeps a
+// far-future nonce flood from squatting the pool.
+const maxFuture = 1024
 
 // MempoolStats counts every admission outcome and drop, by typed
 // reason — nothing leaves the pool silently.
@@ -120,22 +117,6 @@ func NewMempool(cfg MempoolConfig) *Mempool {
 		byID:     make(map[cryptoutil.Digest]*poolTx),
 		bySender: make(map[cryptoutil.Address][]*poolTx),
 	}
-}
-
-// SetConfig replaces the bounds in place. Shrinking below the current
-// occupancy does not drop residents; admission simply refuses new ones
-// until the pool drains under the new capacity.
-func (m *Mempool) SetConfig(cfg MempoolConfig) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cfg = cfg.withDefaults()
-}
-
-// Capacity returns the configured transaction bound.
-func (m *Mempool) Capacity() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cfg.Capacity
 }
 
 // Size returns current occupancy.
@@ -216,10 +197,10 @@ func (m *Mempool) Add(tx *ledger.Transaction, class guard.Class, committedNext, 
 		m.stats.DroppedStale++
 		return fmt.Errorf("%w: nonce %d, committed next %d", ErrStaleNonce, tx.Nonce, committedNext)
 	}
-	if tx.Nonce >= committedNext+m.cfg.MaxFuture {
+	if tx.Nonce >= committedNext+maxFuture {
 		m.stats.DroppedGap++
 		return fmt.Errorf("%w: nonce %d, committed next %d, window %d",
-			ErrNonceGap, tx.Nonce, committedNext, m.cfg.MaxFuture)
+			ErrNonceGap, tx.Nonce, committedNext, maxFuture)
 	}
 	run := m.bySender[tx.From]
 	at := sort.Search(len(run), func(i int) bool { return run[i].tx.Nonce >= tx.Nonce })

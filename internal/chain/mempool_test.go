@@ -67,7 +67,7 @@ func TestMempoolRejectsDuplicatesAndOccupiedNonces(t *testing.T) {
 }
 
 func TestMempoolBuffersGapsWithinWindowOnly(t *testing.T) {
-	m := NewMempool(MempoolConfig{Capacity: 16, MaxFuture: 4})
+	m := NewMempool(MempoolConfig{Capacity: 16})
 	kp := poolKey(t, "gap")
 	// Nonce 3 with nothing committed: a gapped future arrival —
 	// buffered (a lagging node may simply not have synced 0..2 yet)…
@@ -81,11 +81,16 @@ func TestMempoolBuffersGapsWithinWindowOnly(t *testing.T) {
 	if got := m.NextNonce(kp.Address(), 0); got != 0 {
 		t.Fatalf("NextNonce through a gap = %d, want 0", got)
 	}
-	// Beyond the window the pool refuses to squat capacity.
-	if err := m.Add(poolTxFrom(t, kp, 4, 0), guard.ClassNormal, 0, 0); !errors.Is(err, ErrNonceGap) {
+	// The window's last nonce is held too; one beyond it is refused, so
+	// a far-future flood cannot squat capacity.
+	if err := m.Add(poolTxFrom(t, kp, maxFuture-1, 0), guard.ClassNormal, 0, 0); err != nil {
+		t.Fatalf("last in-window future rejected: %v", err)
+	}
+	if err := m.Add(poolTxFrom(t, kp, maxFuture, 0), guard.ClassNormal, 0, 0); !errors.Is(err, ErrNonceGap) {
 		t.Fatalf("out-of-window future: %v", err)
 	}
-	// Filling the hole makes the whole prefix proposable in order.
+	// Filling the hole makes the contiguous prefix proposable in order;
+	// the far future stays gapped.
 	for n := uint64(0); n < 3; n++ {
 		if err := m.Add(poolTxFrom(t, kp, n, 0), guard.ClassNormal, 0, 0); err != nil {
 			t.Fatal(err)
@@ -295,26 +300,29 @@ func TestClusterSubmitJoinsPerNodeReasons(t *testing.T) {
 }
 
 func TestClusterSubmitViaNamesTheNode(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{Nodes: 3, KeySeed: "submit-via"})
+	c, err := NewCluster(ClusterConfig{
+		Nodes: 3, KeySeed: "submit-via",
+		Mempool: &MempoolConfig{Capacity: 2},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for _, n := range c.Nodes() {
-		n.SetAdmissionConfig(guard.AdmissionConfig{ClientRate: 0.001, ClientBurst: 1})
-	}
 	kp := poolKey(t, "via")
-	if err := c.SubmitVia(2, datasetTx(t, kp, 0, "via-0")); err != nil {
-		t.Fatal(err)
+	// Two bulk transactions fill node 2's pool; the third is refused.
+	for n := uint64(0); n < 2; n++ {
+		if err := c.SubmitVia(2, datasetTx(t, kp, n, fmt.Sprintf("via-%d", n))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	err = c.SubmitVia(2, datasetTx(t, kp, 1, "via-1"))
-	if !errors.Is(err, ErrRateLimited) {
-		t.Fatalf("bucket exhaustion not typed as rate-limited: %v", err)
+	err = c.SubmitVia(2, datasetTx(t, kp, 2, "via-2"))
+	if !errors.Is(err, ErrMempoolFull) {
+		t.Fatalf("full pool not typed as mempool-full: %v", err)
 	}
 	if !strings.Contains(err.Error(), "node 2:") {
 		t.Fatalf("rejection does not name the node: %v", err)
 	}
 	if hint, ok := resilience.RetryAfterHint(err); !ok || hint <= 0 {
-		t.Fatalf("rate-limit rejection carries no pacing hint: %v", err)
+		t.Fatalf("full-pool rejection carries no pacing hint: %v", err)
 	}
 }

@@ -66,7 +66,7 @@ var (
 	ErrStopped = errors.New("chain: node stopped")
 	// ErrMempool means the transaction itself is invalid (it failed
 	// ledger verification; the cause is wrapped). Load-dependent
-	// rejections are ErrMempoolFull and ErrRateLimited, never this —
+	// rejections are ErrMempoolFull, never this —
 	// gossip ingress scores the relay on exactly this distinction.
 	ErrMempool      = errors.New("chain: mempool rejected transaction")
 	ErrNoQuorum     = errors.New("chain: vote collection failed")
@@ -125,17 +125,18 @@ type Node struct {
 
 	// pool is the bounded priority mempool; admission is the
 	// client-facing overload controller in front of it. Both have their
-	// own locks and are fixed for the node's lifetime (retune via
-	// SetMempoolConfig / SetAdmissionConfig).
+	// own locks and are fixed for the node's lifetime.
 	pool      *Mempool
 	admission *guard.Admission
+
+	// storeOpts is the disk-backed node's storage engine configuration
+	// (nil for memory-only nodes), fixed at construction.
+	storeOpts *store.Options
 
 	// persistMu guards the durable storage engine handle. st is nil for
 	// memory-only nodes and while a disk-backed node is crashed.
 	persistMu    sync.Mutex
 	st           *store.Store
-	popts        *PersistOptions
-	chainID      string
 	lastRecovery *store.Recovered
 	persistErrs  int64
 
@@ -159,12 +160,11 @@ type Node struct {
 	pending      *pendingBlock // this node's execution of the block it last built or was proposed
 
 	// round is the live round this node may commit on its own
-	// certificate in: its own until a Cluster shares the driver's.
+	// certificate in: its own, or the one a Cluster's nodes share.
 	round *liveRound
 
 	// guard scores peer misbehavior and quarantines repeat offenders.
-	// The pointer is fixed for the node's lifetime (retune via
-	// SetGuardConfig).
+	// It is fixed for the node's lifetime.
 	guard *guard.Guard
 
 	// auditMu guards the nonce sequence for self-submitted audit
@@ -305,39 +305,54 @@ type voteSet struct {
 	byVoter map[cryptoutil.Address]bool
 }
 
-// NewNode creates a node attached to a simulated network. chainID and
-// the validator set must match across the cluster.
-func NewNode(id p2p.NodeID, key *cryptoutil.KeyPair, chainID string, vals *consensus.ValidatorSet, net *p2p.Network) (*Node, error) {
-	ep, err := net.Join(id)
-	if err != nil {
-		return nil, fmt.Errorf("chain: join network: %w", err)
+// NodeConfig is everything a node is built from; NewNode fixes it for
+// the node's lifetime.
+type NodeConfig struct {
+	// ID is the network identity.
+	ID p2p.NodeID
+	// Key signs votes, seals, and identifies the node on chain.
+	Key *cryptoutil.KeyPair
+	// ChainID must match across the validators.
+	ChainID string
+	// Validators is the set the node's Quorum certifies blocks against.
+	Validators *consensus.ValidatorSet
+	// The node's transport is exactly one of Network, the simulated
+	// network it joins (and rejoins on Restart), and Endpoint, one it is
+	// handed already attached (e.g. a p2p.DialTCP endpoint for
+	// multi-process deployments; such a node cannot Restart).
+	Network  *p2p.Network
+	Endpoint p2p.Endpoint
+	// Store makes the node disk-backed: it recovers ledger, contract
+	// state, receipts and nonces from Store.Dir on construction and on
+	// Restart, so a process restart resumes at its durable height
+	// instead of genesis. Store.ChainID is taken from ChainID. nil =
+	// memory-only.
+	Store *store.Options
+	// Guard tunes the peer-misbehavior guard and Mempool bounds the
+	// transaction pool; their zero values are the defaults.
+	Guard   guard.Config
+	Mempool MempoolConfig
+
+	// round is the live round shared by a Cluster's nodes (nil = the
+	// node's own).
+	round *liveRound
+}
+
+// NewNode builds a node from cfg, recovers it from disk when cfg.Store
+// is set, attaches it to its transport and starts its message loop.
+// The recovery report is non-nil exactly when cfg.Store is set.
+func NewNode(cfg NodeConfig) (*Node, *store.Recovered, error) {
+	if (cfg.Network == nil) == (cfg.Endpoint == nil) {
+		return nil, nil, fmt.Errorf("chain: node %s needs exactly one transport, a Network or an Endpoint", cfg.ID)
 	}
-	n := NewNodeWithEndpoint(id, key, chainID, vals, ep)
-	n.net = net
-	return n, nil
-}
-
-// NewNodeWithEndpoint creates a node over any transport implementing
-// p2p.Endpoint (e.g. a TCP endpoint for multi-process deployments).
-func NewNodeWithEndpoint(id p2p.NodeID, key *cryptoutil.KeyPair, chainID string, vals *consensus.ValidatorSet, ep p2p.Endpoint) *Node {
-	n := newNode(id, key, chainID, vals)
-	n.start(ep)
-	return n
-}
-
-// newNode builds a node without attaching it to a transport; start
-// brings the message loop up. The split lets the persistent
-// constructor recover state from disk before any message can arrive.
-func newNode(id p2p.NodeID, key *cryptoutil.KeyPair, chainID string, vals *consensus.ValidatorSet) *Node {
-	return &Node{
-		id:           id,
-		key:          key,
-		quorum:       consensus.NewQuorum(vals),
-		chainID:      chainID,
-		chain:        ledger.NewChain(chainID),
+	n := &Node{
+		id:           cfg.ID,
+		key:          cfg.Key,
+		quorum:       consensus.NewQuorum(cfg.Validators),
+		chain:        ledger.NewChain(cfg.ChainID),
 		state:        contract.NewState(),
 		exec:         parexec.NewEngine(parexec.Config{}),
-		pool:         NewMempool(MempoolConfig{}),
+		pool:         NewMempool(cfg.Mempool),
 		admission:    guard.NewAdmission(guard.AdmissionConfig{}),
 		receipts:     make(map[cryptoutil.Digest]*contract.Receipt),
 		votes:        make(map[cryptoutil.Digest]*voteSet),
@@ -345,22 +360,46 @@ func newNode(id p2p.NodeID, key *cryptoutil.KeyPair, chainID string, vals *conse
 		proposalSeen: make(map[uint64]map[cryptoutil.Digest]consensus.SignedHeader),
 		voteSeen:     make(map[uint64]map[voteSlot]consensus.Vote),
 		evidenceSeen: make(map[string]bool),
-		guard:        guard.New(guard.Config{}),
+		guard:        guard.New(cfg.Guard),
 		syncInflight: make(map[p2p.NodeID]bool),
 		syncProg:     make(map[p2p.NodeID]uint64),
-		round:        &liveRound{},
+		round:        cfg.round,
+		net:          cfg.Network,
 	}
+	if n.round == nil {
+		n.round = &liveRound{}
+	}
+	if cfg.Store != nil {
+		opts := *cfg.Store
+		opts.ChainID = cfg.ChainID
+		n.storeOpts = &opts
+		// Recover before the node can hear anything.
+		if err := n.reopenStore(); err != nil {
+			return nil, nil, err
+		}
+	}
+	ep := cfg.Endpoint
+	if n.net != nil {
+		var err error
+		if ep, err = n.net.Join(cfg.ID); err != nil {
+			n.closeStore()
+			return nil, nil, fmt.Errorf("chain: join network: %w", err)
+		}
+	}
+	n.lifeMu.Lock()
+	n.start(ep)
+	n.lifeMu.Unlock()
+	return n, n.LastRecovery(), nil
 }
 
-// start attaches the node to a transport and runs the message loop.
+// start attaches the node to a transport and runs the message loop;
+// the caller holds lifeMu.
 func (n *Node) start(ep p2p.Endpoint) {
-	n.lifeMu.Lock()
 	n.ep = ep
 	n.running = true
 	n.stopped = make(chan struct{})
 	n.wg.Add(1)
 	go n.loop(ep, n.stopped)
-	n.lifeMu.Unlock()
 }
 
 // ID returns the node's network identity.
@@ -504,16 +543,16 @@ func (n *Node) EventsSince(height uint64) []EventRecord {
 const mempoolFullRetryAfter = 50 * time.Millisecond
 
 // SubmitLocal validates a transaction into the local mempool (no
-// gossip): signature verification, committed/pending dedupe, admission
-// control (per-client rate, global budgets, overload shedding), then
-// bounded-pool admission (nonce contiguity, deadline, capacity).
-// Rejections are typed — a transaction that fails verification returns
-// ErrMempool wrapping the ledger's reason, ErrRateLimited and
-// ErrMempoolFull carry retry-after hints via resilience.RetryAfterHint
-// — and duplicates are silently idempotent, which gossip re-delivery
-// depends on. The signature check goes through the chain's verified
-// set, so the proposal and block that later carry the transaction do
-// not repeat the ECDSA work on this node.
+// gossip): signature verification, committed/pending dedupe, overload
+// shedding by the admission controller, then bounded-pool admission
+// (nonce contiguity, deadline, capacity). Rejections are typed — a
+// transaction that fails verification returns ErrMempool wrapping the
+// ledger's reason, and a shed or pool-full one ErrMempoolFull with a
+// retry-after hint (resilience.RetryAfterHint reads it) — and
+// duplicates are silently idempotent, which gossip re-delivery depends
+// on. The signature check goes through the chain's verified set, so the
+// proposal and block that later carry the transaction do not repeat the
+// ECDSA work on this node.
 func (n *Node) SubmitLocal(tx *ledger.Transaction) error {
 	id, err := n.chain.VerifyTx(tx)
 	if err != nil {
@@ -523,18 +562,11 @@ func (n *Node) SubmitLocal(tx *ledger.Transaction) error {
 		return nil // idempotent
 	}
 	class := ClassOf(tx.Type)
-	d := n.admission.Decide(tx.From.String(), class, txSize(tx), n.pool.Fill())
-	if !d.Admit {
-		var base error
-		switch d.Reason {
-		case guard.RejectShedding, guard.RejectSaturated:
-			// Overload shedding is fill-driven: to the client it is the
-			// pool being effectively full for its priority class.
-			base = fmt.Errorf("%w: %s (admission state %s)", ErrMempoolFull, d.Reason, d.State)
-		default:
-			base = fmt.Errorf("%w: %s", ErrRateLimited, d.Reason)
-		}
-		return resilience.WithRetryAfter(base, d.RetryAfter)
+	if d := n.admission.Decide(tx.From.String(), class, txSize(tx), n.pool.Fill()); !d.Admit {
+		// Overload shedding is fill-driven: to the client it is the pool
+		// being effectively full for its priority class.
+		return resilience.WithRetryAfter(
+			fmt.Errorf("%w: %s (admission state %s)", ErrMempoolFull, d.Reason, d.State), d.RetryAfter)
 	}
 	err = n.pool.Add(tx, class, n.chain.NextNonce(tx.From), n.chain.Height())
 	switch {
@@ -574,12 +606,6 @@ func (n *Node) MempoolSize() int { return n.pool.Size() }
 // MempoolStats snapshots the bounded pool's occupancy and typed drop
 // counters.
 func (n *Node) MempoolStats() MempoolStats { return n.pool.Stats() }
-
-// SetMempoolConfig retunes the pool bounds in place.
-func (n *Node) SetMempoolConfig(cfg MempoolConfig) { n.pool.SetConfig(cfg) }
-
-// SetAdmissionConfig retunes the client admission controller.
-func (n *Node) SetAdmissionConfig(cfg guard.AdmissionConfig) { n.admission.SetConfig(cfg) }
 
 // AdmissionStats snapshots the admission controller (overload state,
 // admit/reject counters per reason).
@@ -644,12 +670,17 @@ func (n *Node) Stop() {
 		ep.Close()
 	}
 	n.wg.Wait()
+	n.closeStore()
+}
+
+// closeStore closes a disk-backed node's storage engine, if open.
+func (n *Node) closeStore() {
 	n.persistMu.Lock()
+	defer n.persistMu.Unlock()
 	if n.st != nil {
 		n.st.Close()
 		n.st = nil
 	}
-	n.persistMu.Unlock()
 }
 
 // Restart rejoins the network after Stop and resumes the message loop.
@@ -674,13 +705,10 @@ func (n *Node) Restart() error {
 	}
 	ep, err := n.net.Join(n.id)
 	if err != nil {
+		n.closeStore()
 		return fmt.Errorf("chain: rejoin network: %w", err)
 	}
-	n.ep = ep
-	n.stopped = make(chan struct{})
-	n.running = true
-	n.wg.Add(1)
-	go n.loop(ep, n.stopped)
+	n.start(ep)
 	n.events.fire()
 	return nil
 }
@@ -1161,10 +1189,6 @@ func (n *Node) noteQuarantinedDrop() {
 		n.net.NoteQuarantined(n.id)
 	}
 }
-
-// SetGuardConfig retunes the node's peer guard (tests inject fake
-// clocks; the simulator tightens budgets).
-func (n *Node) SetGuardConfig(cfg guard.Config) { n.guard.SetConfig(cfg) }
 
 // Guard exposes the node's peer guard for stats and invariant checks.
 func (n *Node) Guard() *guard.Guard { return n.guard }

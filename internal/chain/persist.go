@@ -3,106 +3,26 @@ package chain
 import (
 	"fmt"
 
-	"medchain/internal/consensus"
 	"medchain/internal/contract"
 	"medchain/internal/cryptoutil"
 	"medchain/internal/ledger"
-	"medchain/internal/p2p"
 	"medchain/internal/store"
 )
 
-// PersistOptions configures a node's durable storage engine.
-type PersistOptions struct {
-	// Dir is the node's data directory.
-	Dir string
-	// FS overrides the filesystem (nil = the real disk). Tests and the
-	// simulation harness inject store.MemFS / store.FaultFS here.
-	FS store.FS
-	// SyncEvery batches WAL fsyncs: one fsync per SyncEvery blocks
-	// (<=1 = every block).
-	SyncEvery int
-	// SnapshotEvery writes a state snapshot every N blocks (0 = none).
-	SnapshotEvery int
-}
-
-func (p PersistOptions) storeOptions(chainID string) store.Options {
-	return store.Options{
-		FS: p.FS, Dir: p.Dir, ChainID: chainID,
-		SyncEvery: p.SyncEvery, SnapshotEvery: p.SnapshotEvery,
-	}
-}
-
-// NodeConfig configures a node, optionally disk-backed.
-type NodeConfig struct {
-	// ID is the network identity.
-	ID p2p.NodeID
-	// Key signs votes, seals, and identifies the node on chain.
-	Key *cryptoutil.KeyPair
-	// ChainID must match across the cluster.
-	ChainID string
-	// Validators is the set the node's Quorum certifies blocks against.
-	Validators *consensus.ValidatorSet
-	// Network is the transport to join.
-	Network *p2p.Network
-	// DataDir enables the durable storage engine: the block WAL and
-	// state snapshots live here and the node recovers from it on
-	// construction and on Restart. Empty = memory-only.
-	DataDir string
-	// FS, SyncEvery, SnapshotEvery tune the storage engine; see
-	// PersistOptions. Ignored when DataDir is empty.
-	FS            store.FS
-	SyncEvery     int
-	SnapshotEvery int
-}
-
-// NewNodeFromConfig creates a node, recovering ledger, contract state,
-// receipts, and nonces from DataDir first when one is configured — a
-// process restart resumes at its durable height instead of genesis.
-// The recovery report is non-nil exactly when DataDir is set.
-func NewNodeFromConfig(cfg NodeConfig) (*Node, *store.Recovered, error) {
-	n := newNode(cfg.ID, cfg.Key, cfg.ChainID, cfg.Validators)
-	var rec *store.Recovered
-	if cfg.DataDir != "" {
-		n.popts = &PersistOptions{
-			Dir: cfg.DataDir, FS: cfg.FS,
-			SyncEvery: cfg.SyncEvery, SnapshotEvery: cfg.SnapshotEvery,
-		}
-		st, r, err := store.Open(n.popts.storeOptions(cfg.ChainID))
-		if err != nil {
-			return nil, nil, fmt.Errorf("chain: open store for %s: %w", cfg.ID, err)
-		}
-		n.st = st
-		n.adoptRecovered(r)
-		n.lastRecovery = r
-		rec = r
-	}
-	ep, err := cfg.Network.Join(cfg.ID)
-	if err != nil {
-		if n.st != nil {
-			n.st.Close()
-		}
-		return nil, nil, fmt.Errorf("chain: join network: %w", err)
-	}
-	n.net = cfg.Network
-	n.start(ep)
-	return n, rec, nil
-}
-
 // reopenStore recovers a disk-backed node's state from its data
-// directory; memory-only nodes are a no-op. Called under lifeMu while
-// the node is stopped (no loop, no appends in flight). persistMu is
-// never held across adoptRecovered — acceptBlock acquires applyMu
-// before persistMu, and holding them in the opposite order here would
-// deadlock.
+// directory; memory-only nodes are a no-op. Called while the node is
+// not running (no loop, no appends in flight): by NewNode, and by
+// Restart under lifeMu. persistMu is never held across adoptRecovered —
+// acceptBlock acquires applyMu before persistMu, and holding them in
+// the opposite order here would deadlock.
 func (n *Node) reopenStore() error {
 	n.persistMu.Lock()
-	popts := n.popts
 	open := n.st != nil
 	n.persistMu.Unlock()
-	if popts == nil || open {
+	if n.storeOpts == nil || open {
 		return nil
 	}
-	st, rec, err := store.Open(popts.storeOptions(n.chainID))
+	st, rec, err := store.Open(*n.storeOpts)
 	if err != nil {
 		return fmt.Errorf("chain: recover node %s: %w", n.id, err)
 	}
@@ -203,20 +123,14 @@ func (n *Node) PersistErrors() int64 {
 }
 
 // Persistent reports whether the node is disk-backed.
-func (n *Node) Persistent() bool {
-	n.persistMu.Lock()
-	defer n.persistMu.Unlock()
-	return n.popts != nil
-}
+func (n *Node) Persistent() bool { return n.storeOpts != nil }
 
 // DataDir returns the node's data directory ("" for memory-only).
 func (n *Node) DataDir() string {
-	n.persistMu.Lock()
-	defer n.persistMu.Unlock()
-	if n.popts == nil {
+	if n.storeOpts == nil {
 		return ""
 	}
-	return n.popts.Dir
+	return n.storeOpts.Dir
 }
 
 // SyncStore forces pending group-commit WAL frames to disk — the

@@ -6,11 +6,70 @@ import (
 	"testing"
 	"time"
 
+	"medchain/internal/consensus"
 	"medchain/internal/contract"
 	"medchain/internal/cryptoutil"
 	"medchain/internal/ledger"
+	"medchain/internal/p2p"
 	"medchain/internal/store"
 )
+
+// NewNode refuses a config without exactly one transport before it
+// opens the store, so a refused config leaves the disk untouched and
+// nothing open; a disk-backed config recovers, reports it and joins.
+func TestNewNodeNeedsExactlyOneTransport(t *testing.T) {
+	key := userKey(t, "new-node")
+	vals, err := consensus.NewValidatorSet([]*cryptoutil.KeyPair{key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := p2p.NewNetwork(p2p.Config{})
+	defer net.Close()
+	bare, err := net.Join("bare")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		network  *p2p.Network
+		endpoint p2p.Endpoint
+		ok       bool
+	}{
+		{"no transport", nil, nil, false},
+		{"both transports", net, bare, false},
+		{"network, disk-backed", net, nil, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			disk := store.NewMemFS()
+			n, rec, err := NewNode(NodeConfig{
+				ID: "node-0", Key: key, ChainID: "medchain", Validators: vals,
+				Network: tc.network, Endpoint: tc.endpoint,
+				Store: &store.Options{FS: disk, Dir: "data"},
+			})
+			written, _ := disk.ReadDir("data")
+			if !tc.ok {
+				if err == nil {
+					n.Close()
+					t.Fatal("config accepted")
+				}
+				if len(written) != 0 {
+					t.Fatalf("refused config wrote %v", written)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			if rec == nil || rec.Chain.Height() != 0 {
+				t.Fatalf("recovery report %+v, want a fresh chain's", rec)
+			}
+			if !n.Running() || !n.Persistent() || n.DataDir() != "data" || len(written) == 0 {
+				t.Fatalf("running %v, persistent %v, dir %q, wrote %v", n.Running(), n.Persistent(), n.DataDir(), written)
+			}
+		})
+	}
+}
 
 // persistentCluster builds a quorum cluster whose nodes each live on
 // their own MemFS (so each node's disk can crash independently).

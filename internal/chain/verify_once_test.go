@@ -237,9 +237,10 @@ func TestVerifiedSetDoesNotLaunderForgedSignature(t *testing.T) {
 // work persistBlock does past the WAL append is independent of chain
 // length.
 func TestPersistBlockCostIndependentOfHeight(t *testing.T) {
+	disk := store.NewMemFS()
 	c, err := NewCluster(ClusterConfig{
 		Nodes: 1, KeySeed: "persist-cost",
-		Persist: &PersistConfig{Dir: "data", FS: store.NewMemFS(), SnapshotEvery: 1 << 20},
+		Persist: &PersistConfig{Dir: "data", FSFor: func(int) store.FS { return disk }, SnapshotEvery: 1 << 20},
 	})
 	if err != nil {
 		t.Fatal(err)

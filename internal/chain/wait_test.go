@@ -33,7 +33,7 @@ func within(t *testing.T, limit time.Duration, what string, fn func()) time.Dura
 // fires after the waiter checked and before it sleeps. A waiter that
 // took the channel after checking would sleep out the whole timeout.
 func TestAwaitDoesNotLoseAWakeUpBetweenCheckAndWait(t *testing.T) {
-	n := newNode("lone", userKey(t, "lone"), "medchain", nil)
+	n := &Node{}
 	var ready atomic.Bool
 	calls := 0
 	timeout := time.NewTimer(30 * time.Second)
@@ -83,7 +83,7 @@ func TestWaitNodesDoesNotLoseAWakeUpBetweenCheckAndWait(t *testing.T) {
 // target although fires and waits interleave freely (the race detector
 // watches the signal itself).
 func TestSignalWakesEveryWaiter(t *testing.T) {
-	n := newNode("lone", userKey(t, "lone"), "medchain", nil)
+	n := &Node{}
 	var counter atomic.Int64
 	const waiters, target = 8, 200
 	var wg sync.WaitGroup

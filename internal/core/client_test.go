@@ -15,34 +15,62 @@ import (
 
 	"medchain/internal/chain"
 	"medchain/internal/contract"
-	"medchain/internal/guard"
+	"medchain/internal/cryptoutil"
 	"medchain/internal/ledger"
 	"medchain/internal/shard"
 )
 
-// TestRefusedSubmitDoesNotStrandAccount: every node's admission edge
-// refuses a query's request transactions; once the refusal is lifted
-// the same account's next query commits. (With a nonce counted at build
-// time the refused batch left the counter ahead of the chain, every
-// later transaction was gap-held, and CommitAll ran out of retries.)
+// TestRefusedSubmitDoesNotStrandAccount: every node's pool is full, so
+// the edge refuses a normal call everywhere; once the pools drain the
+// same account's next call commits. (With a nonce counted at build time
+// the refused call left the counter ahead of the chain, every later
+// transaction was gap-held, and CommitAll ran out of retries.)
 func TestRefusedSubmitDoesNotStrandAccount(t *testing.T) {
-	p, researcher := testPlatform(t, 3, 10)
-	for _, n := range p.Cluster().Nodes() {
-		// A bucket smaller than one transaction never admits.
-		n.SetAdmissionConfig(guard.AdmissionConfig{GlobalTxRate: 1e-9, GlobalTxBurst: 0.5})
-	}
-	if _, err := p.Query(researcher, "count patients with diabetes"); !errors.Is(err, chain.ErrRateLimited) {
-		t.Fatalf("query under a closed admission edge: err=%v, want ErrRateLimited", err)
-	}
-	for _, n := range p.Cluster().Nodes() {
-		n.SetAdmissionConfig(guard.AdmissionConfig{})
-	}
-	res, err := p.Query(researcher, "count patients with diabetes")
+	// A pool of 3 admits bulk traffic until it is full: at 2/3 it is
+	// still under the shed threshold, and a full pool is saturated.
+	const capacity = 3
+	c, err := chain.NewCluster(chain.ClusterConfig{
+		Nodes: 3, KeySeed: "test/" + t.Name(),
+		Mempool: &chain.MempoolConfig{Capacity: capacity},
+	})
 	if err != nil {
-		t.Fatalf("query after the refusal was lifted: %v", err)
+		t.Fatal(err)
 	}
-	if res.SitesSucceeded != 3 || res.SitesDenied != 0 {
-		t.Fatalf("participation %+v", res)
+	defer c.Close()
+	accts := newAccounts("test/" + t.Name())
+	filler, err := accts.Acquire("filler")
+	if err != nil {
+		t.Fatal(err)
+	}
+	researcher, err := accts.Acquire("researcher")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < capacity; i++ {
+		if _, err := submit(c, nil, call{from: filler, typ: ledger.TxData, method: "register_dataset",
+			args: contract.RegisterDatasetArgs{ID: fmt.Sprintf("fill-%d", i), SiteID: "site-0"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !c.WaitPooled(capacity, 10*time.Second) {
+		t.Fatal("gossip never filled every pool")
+	}
+	tool := func(id string) call {
+		return call{from: researcher, typ: ledger.TxAnalytics, method: "register_tool",
+			args: contract.RegisterToolArgs{ID: id, Digest: cryptoutil.Sum([]byte(id))}}
+	}
+	if _, err := transact(c, nil, tool("refused")); !errors.Is(err, chain.ErrMempoolFull) {
+		t.Fatalf("call into full pools: err=%v, want ErrMempoolFull", err)
+	}
+	if _, err := c.CommitAll(); err != nil {
+		t.Fatal(err)
+	}
+	receipts, err := transact(c, nil, tool("after"))
+	if err != nil {
+		t.Fatalf("call after the pools drained: %v", err)
+	}
+	if !receipts[0].OK() {
+		t.Fatalf("call after the pools drained failed: %s", receipts[0].Err)
 	}
 }
 

@@ -86,9 +86,10 @@ func TestShardedPlatformFacade(t *testing.T) {
 // crash, and Reshard grows it by one shard with every reassigned
 // dataset migrated to its new-epoch home.
 func TestShardedPlatformRecoverAndReshard(t *testing.T) {
+	disk := store.NewMemFS()
 	sp, err := NewShardedPlatform(shard.Config{
 		Shards: 2, NodesPerShard: 3, CoordNodes: 3,
-		KeySeed: "sharded-elastic-test", FS: store.NewMemFS(),
+		KeySeed: "sharded-elastic-test", FSFor: func(string, int) store.FS { return disk },
 	})
 	if err != nil {
 		t.Fatalf("NewShardedPlatform: %v", err)

@@ -60,16 +60,18 @@ var weights = map[Offense]float64{
 // of it.
 const quarantineScore = 100
 
+// Each peer's sync-request token bucket holds syncBurst tokens and
+// refills one every syncRefillEvery.
+const (
+	syncBurst       = 8
+	syncRefillEvery = 250 * time.Millisecond
+)
+
 // Config tunes the guard. The zero value gets usable defaults from
 // withDefaults.
 type Config struct {
 	// DecayHalfLife is the score half-life (default 30s).
 	DecayHalfLife time.Duration
-	// SyncBurst is the sync-request token bucket capacity (default 8).
-	SyncBurst int
-	// SyncRefillEvery is the interval at which one sync token refills
-	// (default 250ms).
-	SyncRefillEvery time.Duration
 	// Clock overrides time.Now for deterministic tests and simulation.
 	Clock func() time.Time
 }
@@ -77,12 +79,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.DecayHalfLife <= 0 {
 		c.DecayHalfLife = 30 * time.Second
-	}
-	if c.SyncBurst <= 0 {
-		c.SyncBurst = 8
-	}
-	if c.SyncRefillEvery <= 0 {
-		c.SyncRefillEvery = 250 * time.Millisecond
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -116,23 +112,13 @@ func New(cfg Config) *Guard {
 	return &Guard{cfg: cfg.withDefaults(), peers: make(map[string]*peerState)}
 }
 
-// SetConfig replaces the guard's tuning in place (tests inject fake
-// clocks, the simulator tightens budgets). Peers already tracked keep
-// their accumulated scores; their timestamps are interpreted by the
-// new clock from here on.
-func (g *Guard) SetConfig(cfg Config) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.cfg = cfg.withDefaults()
-}
-
 func (g *Guard) peer(id string) *peerState {
 	p, ok := g.peers[id]
 	if !ok {
 		now := g.cfg.Clock()
 		p = &peerState{
 			scoredAt: now, offenses: make(map[Offense]int),
-			syncTokens: float64(g.cfg.SyncBurst), syncFilledAt: now,
+			syncTokens: syncBurst, syncFilledAt: now,
 		}
 		g.peers[id] = p
 	}
@@ -197,10 +183,7 @@ func (g *Guard) AllowSync(peerID string) bool {
 	p := g.peer(peerID)
 	now := g.cfg.Clock()
 	if dt := now.Sub(p.syncFilledAt); dt > 0 {
-		p.syncTokens += float64(dt) / float64(g.cfg.SyncRefillEvery)
-		if max := float64(g.cfg.SyncBurst); p.syncTokens > max {
-			p.syncTokens = max
-		}
+		p.syncTokens = min(p.syncTokens+float64(dt)/float64(syncRefillEvery), syncBurst)
 		p.syncFilledAt = now
 	}
 	if p.syncTokens < 1 {

@@ -68,8 +68,8 @@ func TestDecayReleasesQuarantine(t *testing.T) {
 
 func TestSyncTokenBucket(t *testing.T) {
 	clk := newFakeClock()
-	g := newTestGuard(clk, Config{SyncBurst: 3, SyncRefillEvery: time.Second})
-	for i := 0; i < 3; i++ {
+	g := newTestGuard(clk, Config{})
+	for i := 0; i < syncBurst; i++ {
 		if !g.AllowSync("peer") {
 			t.Fatalf("request %d denied within burst", i+1)
 		}
@@ -77,12 +77,22 @@ func TestSyncTokenBucket(t *testing.T) {
 	if g.AllowSync("peer") {
 		t.Fatal("burst exceeded but allowed")
 	}
-	clk.advance(2 * time.Second) // refills 2 tokens
+	clk.advance(2 * syncRefillEvery) // refills 2 tokens
 	if !g.AllowSync("peer") || !g.AllowSync("peer") {
 		t.Fatal("refilled tokens denied")
 	}
 	if g.AllowSync("peer") {
 		t.Fatal("over-refilled")
+	}
+	// A long quiet spell refills the bucket to its burst, no further.
+	clk.advance(time.Hour)
+	for i := 0; i < syncBurst; i++ {
+		if !g.AllowSync("peer") {
+			t.Fatalf("request %d after refill denied", i+1)
+		}
+	}
+	if g.AllowSync("peer") {
+		t.Fatal("bucket refilled past its burst")
 	}
 	// Buckets are per-peer.
 	if !g.AllowSync("other") {

@@ -77,21 +77,15 @@ type Config struct {
 	Jitter time.Duration
 	// LossRate is the probability in [0,1) that a message is dropped.
 	LossRate float64
-	// BandwidthBps, when > 0, adds size/bandwidth serialization delay.
-	BandwidthBps int64
-	// InboxSize is the per-endpoint buffer; messages beyond it are
-	// dropped and counted. Defaults to 4096.
-	InboxSize int
 	// Seed seeds the loss/jitter RNG for reproducibility.
 	Seed int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.InboxSize <= 0 {
-		c.InboxSize = 4096
-	}
-	return c
-}
+// inboxSize is every endpoint's buffer, simulated and TCP alike: room
+// for a burst of gossip while the node applies a block, so a message
+// beyond it means a stalled consumer and is dropped rather than
+// blocking its sender (the simulated network counts it as overflow).
+const inboxSize = 4096
 
 // Stats are cumulative network counters.
 type Stats struct {
@@ -137,7 +131,6 @@ type Network struct {
 
 // NewNetwork creates a simulated network with the given link model.
 func NewNetwork(cfg Config) *Network {
-	cfg = cfg.withDefaults()
 	return &Network{
 		cfg:        cfg,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
@@ -161,7 +154,7 @@ func (n *Network) Join(id NodeID) (Endpoint, error) {
 	ep := &simEndpoint{
 		id:    id,
 		net:   n,
-		inbox: make(chan Message, n.cfg.InboxSize),
+		inbox: make(chan Message, inboxSize),
 	}
 	n.nodes[id] = ep
 	n.order = append(n.order, id)
@@ -329,9 +322,6 @@ func (n *Network) send(msg Message) error {
 		delay := n.cfg.BaseLatency
 		if n.cfg.Jitter > 0 {
 			delay += time.Duration(n.rng.Int63n(int64(n.cfg.Jitter)))
-		}
-		if n.cfg.BandwidthBps > 0 {
-			delay += time.Duration(size * int64(time.Second) / n.cfg.BandwidthBps)
 		}
 		delay += n.nodeDelay[msg.From] + n.nodeDelay[ep.id]
 		deliveries = append(deliveries, delivery{ep: ep, delay: delay})

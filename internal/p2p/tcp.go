@@ -154,7 +154,7 @@ func DialTCP(addr string, id NodeID) (*TCPEndpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("p2p: dial: %w", err)
 	}
-	ep := &TCPEndpoint{id: id, conn: conn, inbox: make(chan Message, 4096)}
+	ep := &TCPEndpoint{id: id, conn: conn, inbox: make(chan Message, inboxSize)}
 	if err := writeFrame(conn, Message{From: id, Topic: "hello"}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("p2p: hello: %w", err)

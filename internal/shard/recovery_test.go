@@ -24,7 +24,8 @@ func newPersistentSystem(t *testing.T, cfg Config) *System {
 	if cfg.KeySeed == "" {
 		cfg.KeySeed = "shardtest/" + t.Name()
 	}
-	cfg.FS = store.NewMemFS()
+	disk := store.NewMemFS()
+	cfg.FSFor = func(string, int) store.FS { return disk }
 	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)

@@ -465,7 +465,7 @@ func SubmitSigned(c *chain.Cluster, key *cryptoutil.KeyPair, tx *ledger.Transact
 	if via.Gossip(tx) == nil {
 		return nil
 	}
-	// The node with the freshest view refused (rate limit, shedding, a
+	// The node with the freshest view refused (shedding, a full pool, a
 	// stop in between): any running node that admits it will do.
 	return c.Submit(tx)
 }

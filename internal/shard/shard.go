@@ -55,15 +55,13 @@ type Config struct {
 	// DataDir makes every chain disk-backed: each chain stores under
 	// DataDir/<chainID>/node-<i> (per-node WAL + snapshots via
 	// internal/store), and a killed shard recovers from disk. Setting
-	// FS or FSFor also enables persistence (DataDir then defaults to
-	// "data" inside the injected filesystem).
+	// FSFor also enables persistence (DataDir then defaults to "data"
+	// inside the injected filesystem).
 	DataDir string
-	// FS is the filesystem all nodes share (nil = the real disk when
-	// DataDir is set). Tests inject store.MemFS here.
-	FS store.FS
-	// FSFor, when set, supplies a per-chain per-node filesystem and
-	// overrides FS — the simulation harness injects fault-wrapped MemFS
-	// instances here so each node's disk fails independently.
+	// FSFor, when set, supplies a per-chain per-node filesystem (nil =
+	// the real disk). Tests return one shared store.MemFS; the
+	// simulation harness injects fault-wrapped MemFS instances so each
+	// node's disk fails independently.
 	FSFor func(chainID string, node int) store.FS
 	// SyncEvery batches WAL fsyncs (<=1 = every block). Sharded
 	// deployments default to 1: whole-shard crash recovery needs every
@@ -119,7 +117,7 @@ func (c Config) withDefaults() Config {
 
 // persistent reports whether the deployment is disk-backed.
 func (c Config) persistent() bool {
-	return c.DataDir != "" || c.FS != nil || c.FSFor != nil
+	return c.DataDir != "" || c.FSFor != nil
 }
 
 // persistFor builds chain i's durable-storage config, nil when the
@@ -129,7 +127,7 @@ func (c Config) persistFor(chainID string) *chain.PersistConfig {
 		return nil
 	}
 	p := &chain.PersistConfig{
-		Dir: store.Join(c.DataDir, chainID), FS: c.FS,
+		Dir:       store.Join(c.DataDir, chainID),
 		SyncEvery: c.SyncEvery, SnapshotEvery: c.SnapshotEvery,
 	}
 	if c.FSFor != nil {

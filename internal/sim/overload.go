@@ -126,12 +126,10 @@ func newOverload(cfg Config) (*overload, error) {
 	return ov, nil
 }
 
-// backpressure reports whether err is a typed shed/limit rejection a
-// well-behaved client retries — anything else coming back from a
-// submit is a bug in the serving edge, not load shedding.
-func backpressure(err error) bool {
-	return errors.Is(err, chain.ErrMempoolFull) || errors.Is(err, chain.ErrRateLimited)
-}
+// backpressure reports whether err is the typed shed/pool-full
+// rejection a well-behaved client retries — anything else coming back
+// from a submit is a bug in the serving edge, not load shedding.
+func backpressure(err error) bool { return errors.Is(err, chain.ErrMempoolFull) }
 
 // typedRejects are the refusals an expendable flood or greedy client
 // may meet besides backpressure: its TTL ran out, its nonce fell

@@ -186,7 +186,9 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 		CommitteeSize:    cfg.CommitteeSize,
 	}
 	if cfg.Persist {
-		scfg.FS = store.NewMemFS() // disk-backed: every node runs WAL + snapshots
+		// Disk-backed: every node runs WAL + snapshots on one MemFS.
+		fs := store.NewMemFS()
+		scfg.FSFor = func(string, int) store.FS { return fs }
 	}
 	if cfg.Adversary != nil {
 		scfg.Guard = adversaryGuardConfig()

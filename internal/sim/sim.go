@@ -293,8 +293,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Overload != nil {
 		// Constrain the serving edge so the flood is a large multiple
 		// of drain capacity: small bounded pools, small blocks. The
-		// nodes' default admission controller (state machine on, no
-		// rate buckets) does the class-based shedding.
+		// nodes' admission controller does the class-based shedding.
 		ccfg.MaxBlockTxs = cfg.Overload.MaxBlockTxs
 		ccfg.Mempool = &chain.MempoolConfig{Capacity: cfg.Overload.PoolCapacity}
 	}

@@ -7,13 +7,15 @@
 // for any string that needs escaping, so its HTML-escaping and UTF-8
 // rules stay its own. A Reader accepts only that form — fields in
 // declaration order, no whitespace, no escapes or non-ASCII bytes in a
-// string, lower-case hex, shortest numbers, canonical base64 — and fails
-// on anything else; its callers then decode the same input with
+// String (a Text takes exactly the escapes json.Marshal writes),
+// lower-case hex, shortest numbers, canonical base64 — and fails on
+// anything else; its callers then decode the same input with
 // encoding/json, so every accepted value and every error stay those of
 // encoding/json.
 package canonjson
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/hex"
@@ -181,6 +183,74 @@ func (r *Reader) quoted() []byte {
 // String reads a quoted string.
 func (r *Reader) String() string {
 	return string(r.quoted())
+}
+
+// Text reads a quoted string as AppendString writes it: plain bytes in
+// one pass, and any string with escapes or non-ASCII bytes through
+// encoding/json, accepted only when AppendString writes the value it
+// decodes to back as the same bytes.
+func (r *Reader) Text() string {
+	if r.bad || r.i >= len(r.b) || r.b[r.i] != '"' {
+		r.bad = true
+		return ""
+	}
+	j := r.i + 1
+	for j < len(r.b) && plain[r.b[j]] {
+		j++
+	}
+	if j < len(r.b) && r.b[j] == '"' {
+		s := string(r.b[r.i+1 : j])
+		r.i = j + 1
+		return s
+	}
+	for ; j < len(r.b) && r.b[j] != '"'; j++ {
+		if r.b[j] == '\\' {
+			j++
+		}
+	}
+	if j >= len(r.b) {
+		r.bad = true
+		return ""
+	}
+	quoted := r.b[r.i : j+1]
+	var s string
+	if json.Unmarshal(quoted, &s) != nil || !bytes.Equal(AppendString(nil, s), quoted) {
+		r.bad = true
+		return ""
+	}
+	r.i = j + 1
+	return s
+}
+
+// Raw reads one JSON array or object and returns its bytes. It only
+// matches brackets outside strings: the caller decodes the bytes with
+// encoding/json and holds them to the encoding of what it decoded.
+func (r *Reader) Raw() []byte {
+	if r.bad || r.i >= len(r.b) || (r.b[r.i] != '[' && r.b[r.i] != '{') {
+		r.bad = true
+		return nil
+	}
+	depth := 0
+	for j := r.i; j < len(r.b); j++ {
+		switch r.b[j] {
+		case '"':
+			for j++; j < len(r.b) && r.b[j] != '"'; j++ {
+				if r.b[j] == '\\' {
+					j++
+				}
+			}
+		case '[', '{':
+			depth++
+		case ']', '}':
+			if depth--; depth == 0 {
+				v := r.b[r.i : j+1]
+				r.i = j + 1
+				return v
+			}
+		}
+	}
+	r.bad = true
+	return nil
 }
 
 // Hex reads quoted lower-case hex of exactly len(dst) bytes into dst.

@@ -115,6 +115,9 @@ type Node struct {
 	// loop can both reach acceptBlock, and the durable WAL must receive
 	// blocks in exactly commit order.
 	applyMu sync.Mutex
+	// receiptLog holds every committed receipt in chain order, the
+	// snapshot's receipt log; guarded by applyMu, not mu.
+	receiptLog []*contract.Receipt
 
 	mu       sync.Mutex
 	chain    *ledger.Chain
@@ -1283,6 +1286,7 @@ func (n *Node) acceptBlock(blk *ledger.Block) error {
 	if err := n.chain.AppendValidated(valid); err != nil {
 		return err
 	}
+	n.receiptLog = append(n.receiptLog, receipts...)
 	n.pruneMempool(blk)
 	n.pruneConsensusBuffers(blk.Header.Height)
 	n.events.fire()

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"fmt"
+	"slices"
 
 	"medchain/internal/contract"
 	"medchain/internal/cryptoutil"
@@ -60,14 +61,16 @@ func (n *Node) adoptRecovered(rec *store.Recovered) {
 	for _, r := range rec.Receipts {
 		n.receipts[r.TxID] = r
 	}
+	n.receiptLog = slices.Clip(rec.Receipts) // appends must not write into rec's array
 	n.gasUsed = rec.GasUsed
 	n.events.fire() // the height may have changed
 }
 
 // persistBlock appends a committed block to the WAL and snapshots when
-// due. Persistence failures (injected disk faults, a crashed disk) are
-// counted, not fatal: the block is already committed by quorum, and the
-// next recovery re-fetches whatever the disk missed from peers.
+// due; the caller, acceptBlock, holds applyMu. Persistence failures
+// (injected disk faults, a crashed disk) are counted, not fatal: the
+// block is already committed by quorum, and the next recovery re-fetches
+// whatever the disk missed from peers.
 func (n *Node) persistBlock(blk *ledger.Block) {
 	n.persistMu.Lock()
 	st := n.st
@@ -79,12 +82,7 @@ func (n *Node) persistBlock(blk *ledger.Block) {
 		n.notePersistErr()
 		return
 	}
-	// orderedReceipts walks the whole chain: only pay for it on the
-	// blocks that snapshot.
-	if !st.SnapshotDue() {
-		return
-	}
-	if _, err := st.MaybeSnapshot(n.chain, n.state, n.orderedReceipts(), false); err != nil {
+	if _, err := st.MaybeSnapshot(n.chain, n.state, n.receiptLog, false); err != nil {
 		n.notePersistErr()
 	}
 }
@@ -93,16 +91,6 @@ func (n *Node) notePersistErr() {
 	n.persistMu.Lock()
 	n.persistErrs++
 	n.persistMu.Unlock()
-}
-
-// orderedReceipts returns the receipts of every committed transaction
-// in chain order — the snapshot payload's receipt log.
-func (n *Node) orderedReceipts() []*contract.Receipt {
-	var out []*contract.Receipt
-	n.Committed(0, func(_ *ledger.Block, receipts []*contract.Receipt) {
-		out = append(out, receipts...)
-	})
-	return out
 }
 
 // LastRecovery returns the report of the node's most recent recovery
@@ -145,14 +133,18 @@ func (n *Node) SyncStore() error {
 }
 
 // Snapshot forces a snapshot at the current height regardless of the
-// SnapshotEvery schedule.
+// SnapshotEvery schedule. It holds applyMu, as persistBlock's caller
+// does, so chain, state and receipt log are of one height: acceptBlock
+// adopts a block's state before it appends the block.
 func (n *Node) Snapshot() error {
+	n.applyMu.Lock()
+	defer n.applyMu.Unlock()
 	n.persistMu.Lock()
 	st := n.st
 	n.persistMu.Unlock()
 	if st == nil {
 		return nil
 	}
-	_, err := st.MaybeSnapshot(n.chain, n.state, n.orderedReceipts(), true)
+	_, err := st.MaybeSnapshot(n.chain, n.state, n.receiptLog, true)
 	return err
 }

@@ -3,6 +3,8 @@ package chain
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -298,5 +300,167 @@ func TestDiskFaultDoesNotHaltConsensus(t *testing.T) {
 	}
 	if got := c.Node(0).PersistErrors(); got != 0 {
 		t.Fatalf("healthy disk counted %d persist errors", got)
+	}
+}
+
+// receiptWalk is the receipt log read the long way: every committed
+// block's receipts, in chain order.
+func receiptWalk(n *Node) []*contract.Receipt {
+	var out []*contract.Receipt
+	n.Committed(0, func(_ *ledger.Block, receipts []*contract.Receipt) {
+		out = append(out, receipts...)
+	})
+	return out
+}
+
+// checkReceiptLog fails t unless node i's receipt log holds exactly the
+// receipts the chain walk finds, pointer for pointer. The node must be
+// idle.
+func checkReceiptLog(t *testing.T, c *Cluster, i int, when string) {
+	t.Helper()
+	n := c.Node(i)
+	walk := receiptWalk(n)
+	n.applyMu.Lock()
+	log := n.receiptLog
+	n.applyMu.Unlock()
+	if len(walk) == 0 || !slices.Equal(log, walk) {
+		t.Fatalf("%s: node %d receipt log holds %d receipts, the chain walk %d, or they differ", when, i, len(log), len(walk))
+	}
+}
+
+// The receipt log a node snapshots equals the chain walk it replaced:
+// after commits, after a restart from disk, and after the sync catch-up
+// that follows.
+func TestReceiptLogFollowsTheChain(t *testing.T) {
+	c, disks := persistentCluster(t, 4, "receipt-log", 1, 3)
+	kp, err := cryptoutil.DeriveKeyPair("persist-user")
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitRounds(t, c, kp, 0, 5, "pre")
+	waitConverged(t, c)
+	for i := range c.Nodes() {
+		checkReceiptLog(t, c, i, "after commits")
+	}
+
+	victim := 2
+	c.StopNode(victim)
+	disks[victim].Crash()
+	commitRounds(t, c, kp, 5, 4, "down")
+	if err := c.Node(victim).Restart(); err != nil { // no re-sync yet
+		t.Fatalf("restart: %v", err)
+	}
+	if rec := c.Node(victim).LastRecovery(); rec.SnapshotHeight == 0 {
+		t.Fatal("the restart recovered without a snapshot")
+	}
+	checkReceiptLog(t, c, victim, "after a restart from disk")
+	c.SyncLagging()
+	waitConverged(t, c)
+	checkReceiptLog(t, c, victim, "after the sync catch-up")
+}
+
+// waitConverged waits until every node holds the best node's head.
+func waitConverged(t *testing.T, c *Cluster) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.VerifyConsistency() != nil || !allAt(c, c.Best().Height()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("cluster did not converge: %v", c.VerifyConsistency())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+func allAt(c *Cluster, h uint64) bool {
+	for _, n := range c.Nodes() {
+		if n.Height() != h {
+			return false
+		}
+	}
+	return true
+}
+
+// A snapshot forced on a node while it commits is of one height: chain,
+// state and receipt log together. Before Snapshot took applyMu it could
+// record height h with h+1's state, and the node's next Open refused the
+// directory ("snapshot state root … != committed header root").
+func TestForcedSnapshotDuringCommitsRecovers(t *testing.T) {
+	disks := make([]*store.MemFS, 4)
+	for i := range disks {
+		disks[i] = store.NewMemFS()
+	}
+	mk := func() (*Cluster, error) {
+		return NewCluster(ClusterConfig{
+			Nodes: len(disks), KeySeed: "forced-snapshot",
+			CommitTimeout: 5 * time.Second,
+			Persist: &PersistConfig{
+				Dir:   "data",
+				FSFor: func(i int) store.FS { return disks[i] },
+			},
+		})
+	}
+	c, err := mk()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	kp, err := cryptoutil.DeriveKeyPair("persist-user")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Nodes 1-3 snapshot in a loop; each snapshot must record the state
+	// root its height committed.
+	stop, done := make(chan struct{}), make(chan struct{})
+	snapshots := 0
+	go func(nodes []*Node) {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i, node := range nodes {
+				if err := node.Snapshot(); err != nil {
+					t.Errorf("snapshot %s: %v", node.ID(), err)
+				}
+				h, body, err := store.LoadLatestSnapshot(disks[i+1], node.DataDir())
+				var snap struct {
+					StateRoot cryptoutil.Digest `json:"state_root"`
+				}
+				if err != nil || body == nil || json.Unmarshal(body, &snap) != nil {
+					continue
+				}
+				if blk, err := node.Chain().BlockAt(h); err == nil && blk.Header.StateRoot != snap.StateRoot {
+					t.Errorf("%s wrote a torn snapshot at height %d", node.ID(), h)
+				}
+				snapshots++
+			}
+		}
+	}(c.Nodes()[1:])
+	halt := sync.OnceFunc(func() { close(stop); <-done })
+	t.Cleanup(halt)
+	commitRounds(t, c, kp, 0, 400, "race")
+	halt()
+	if snapshots == 0 {
+		t.Fatal("no snapshot was forced")
+	}
+	waitConverged(t, c)
+	height, root := c.Node(0).Height(), c.Node(0).State().Root()
+	c.Close()
+
+	c, err = mk()
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	t.Cleanup(c.Close)
+	for i, n := range c.Nodes() {
+		rec := n.LastRecovery()
+		if rec.Height != height || n.State().Root() != root {
+			t.Fatalf("node %d reopened at %d with root %s, want %d and %s", i, rec.Height, n.State().Root().Short(), height, root.Short())
+		}
+		if i > 0 && rec.SnapshotHeight == 0 {
+			t.Fatalf("node %d reopened without a snapshot", i)
+		}
 	}
 }

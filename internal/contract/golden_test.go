@@ -1,9 +1,12 @@
 package contract
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"flag"
+	"os"
 	"testing"
 
 	"medchain/internal/consensus"
@@ -196,5 +199,51 @@ func TestGoldenRootAndExport(t *testing.T) {
 	sum := sha256.Sum256(body)
 	if got := hex.EncodeToString(sum[:]); got != goldenExportSum {
 		t.Errorf("sha256(json(Export())) = %s, want %s", got, goldenExportSum)
+	}
+}
+
+var updateExports = flag.Bool("update-exports", false, "rewrite testdata/exports.golden from this build's exports")
+
+// TestGoldenExports records the exports the storage engine's snapshot
+// codec is held to json.Marshal on (internal/store
+// TestSnapshotCodecMatchesEncodingJSON): the all-kinds state above,
+// whose line is the JSON goldenExportSum hashes, and the one-object
+// state of every kind of TestEveryKindWired, one "<name>\t<json>" line
+// each. A deliberate change re-records it with -update-exports.
+func TestGoldenExports(t *testing.T) {
+	const path = "testdata/exports.golden"
+	var got bytes.Buffer
+	add := func(name string, ex *StateExport) []byte {
+		body, err := json.Marshal(ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.WriteString(name + "\t")
+		got.Write(body)
+		got.WriteByte('\n')
+		return body
+	}
+	sum := sha256.Sum256(add("all-kinds", ImportState(allKindsExport(t)).Export()))
+	if hex.EncodeToString(sum[:]) != goldenExportSum {
+		t.Fatal("the all-kinds line is not the export goldenExportSum hashes")
+	}
+	cases := kindCases()
+	for k := keyKind(1); k < numKinds; k++ {
+		s := NewState()
+		poke(s, cases[k].put)
+		add(k.String(), s.Export())
+	}
+	if *updateExports {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("exports differ from %s; re-record with -update-exports if the change is deliberate", path)
 	}
 }

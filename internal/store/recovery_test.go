@@ -230,7 +230,7 @@ func FuzzOpen(f *testing.F) {
 			}
 		}
 		if len(snap) > 0 {
-			if err := WriteSnapshot(fs, "n0", uint64(snapAt), snap); err != nil {
+			if err := writeSnapshot(fs, "n0", uint64(snapAt), make([]byte, snapHeaderLen), snap); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -40,32 +40,43 @@ func snapHeight(name string) (uint64, bool) {
 	return h, true
 }
 
-// WriteSnapshot durably publishes a height-tagged snapshot payload in
-// dir.
-func WriteSnapshot(fs FS, dir string, height uint64, payload []byte) error {
-	buf := make([]byte, 8+len(payload))
-	copy(buf[0:4], snapMagic)
-	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
-	copy(buf[8:], payload)
-	return writeFileAtomic(fs, Join(dir, snapName(height)), buf)
+// snapHeaderLen is the size of the magic and checksum before a
+// snapshot's payload.
+const snapHeaderLen = 8
+
+// writeSnapshot durably publishes a height-tagged snapshot in dir. Its
+// payload is the parts joined, after the snapHeaderLen bytes parts[0]
+// reserves for the magic and checksum, which it fills in place.
+func writeSnapshot(fs FS, dir string, height uint64, parts ...[]byte) error {
+	sum := crc32.Checksum(parts[0][snapHeaderLen:], crcTable)
+	for _, p := range parts[1:] {
+		sum = crc32.Update(sum, crcTable, p)
+	}
+	copy(parts[0][0:4], snapMagic)
+	binary.BigEndian.PutUint32(parts[0][4:8], sum)
+	return writeFileAtomic(fs, Join(dir, snapName(height)), parts...)
 }
 
-// writeFileAtomic durably publishes buf as the file final via temp-file
-// + fsync + atomic rename: final either holds all of buf or is not
-// there.
-func writeFileAtomic(fs FS, final string, buf []byte) error {
+// writeFileAtomic durably publishes the parts, joined, as the file final
+// via temp-file + fsync + atomic rename: final either holds all of them
+// or is not there.
+func writeFileAtomic(fs FS, final string, parts ...[]byte) error {
 	tmp := final + tmpSuffix
 	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: create %s: %w", tmp, err)
 	}
-	if n, err := f.WriteAt(buf, 0); err != nil || n < len(buf) {
-		f.Close()
-		fs.Remove(tmp)
-		if err == nil {
-			err = fmt.Errorf("short write (%d/%d)", n, len(buf))
+	var off int64
+	for _, buf := range parts {
+		if n, err := f.WriteAt(buf, off); err != nil || n < len(buf) {
+			f.Close()
+			fs.Remove(tmp)
+			if err == nil {
+				err = fmt.Errorf("short write (%d/%d at %d)", n, len(buf), off)
+			}
+			return fmt.Errorf("store: write %s: %w", tmp, err)
 		}
-		return fmt.Errorf("store: write %s: %w", tmp, err)
+		off += int64(len(buf))
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -117,10 +128,10 @@ func LoadLatestSnapshot(fs FS, dir string) (height uint64, payload []byte, err e
 		if err != nil {
 			continue
 		}
-		if len(buf) < 8 || string(buf[0:4]) != snapMagic {
+		if len(buf) < snapHeaderLen || string(buf[0:4]) != snapMagic {
 			continue
 		}
-		body := buf[8:]
+		body := buf[snapHeaderLen:]
 		if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(buf[4:8]) {
 			continue
 		}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -193,6 +192,8 @@ type Store struct {
 	next       uint64
 	sinceSnap  int
 	lastSnapAt uint64
+	// receipts carries the receipts one snapshot encoded to the next.
+	receipts receiptCache
 }
 
 // prepass is recovery's signature stage. One goroutine walks the decoded
@@ -318,9 +319,8 @@ func Open(opts Options) (*Store, *Recovered, error) {
 		if snapH > uint64(len(blocks)) {
 			rec.SnapshotIgnored = true
 		} else {
-			var p snapshotPayload
-			if err := json.Unmarshal(snapBody, &p); err == nil && p.usable(opts.ChainID, snapH) {
-				snap = &p
+			if p, err := decodeSnapshot(snapBody); err == nil && p.usable(opts.ChainID, snapH) {
+				snap = p
 			} else {
 				rec.SnapshotIgnored = true
 			}
@@ -432,11 +432,13 @@ func (s *Store) AppendBlock(blk *ledger.Block) error {
 // SnapshotEvery blocks have accumulated since the last one, or always
 // when force is set. The WAL is synced first so the snapshot never
 // claims blocks the WAL does not durably hold. Returns true when a
-// snapshot was written.
+// snapshot was written. receipts is only read: the store keeps its own
+// copy of the pointers, and encodes only the receipts past the prefix
+// its previous snapshot encoded — a committed receipt must never change.
 func (s *Store) MaybeSnapshot(chain *ledger.Chain, state *contract.State, receipts []*contract.Receipt, force bool) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !force && !s.snapshotDue() {
+	if due := s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery; !force && !due {
 		return false, nil
 	}
 	height := chain.Height()
@@ -449,38 +451,24 @@ func (s *Store) MaybeSnapshot(chain *ledger.Chain, state *contract.State, receip
 	if err := s.wal.Sync(); err != nil {
 		return false, err
 	}
-	payload, err := json.Marshal(&snapshotPayload{
+	parts, err := snapshotParts(make([]byte, snapHeaderLen), &snapshotPayload{
 		ChainID:   s.opts.ChainID,
 		Height:    height,
 		BlockHash: chain.Head().Hash(),
 		StateRoot: state.Root(),
 		State:     state.Export(),
 		Receipts:  receipts,
-	})
+	}, &s.receipts)
 	if err != nil {
 		return false, fmt.Errorf("store: encode snapshot: %w", err)
 	}
-	if err := WriteSnapshot(s.fs, s.dir, height, payload); err != nil {
+	if err := writeSnapshot(s.fs, s.dir, height, parts...); err != nil {
 		return false, err
 	}
 	s.sinceSnap = 0
 	s.lastSnapAt = height
 	PruneSnapshots(s.fs, s.dir)
 	return true, nil
-}
-
-// SnapshotDue reports whether an unforced MaybeSnapshot would write a
-// snapshot now, so a caller can skip assembling the receipt log (which
-// grows with the chain) on the blocks where it would be discarded.
-func (s *Store) SnapshotDue() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapshotDue()
-}
-
-// snapshotDue is the SnapshotEvery schedule. Caller holds s.mu.
-func (s *Store) snapshotDue() bool {
-	return s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery
 }
 
 // Height returns the highest block height durably appended (synced or

@@ -38,10 +38,22 @@ func freshRootOf(st *contract.State) cryptoutil.Digest {
 
 func hasPending(n *Node) bool { return pendingOf(n) != nil }
 
-func pendingOf(n *Node) *pendingBlock {
-	n.votesMu.Lock()
-	defer n.votesMu.Unlock()
-	return n.pending
+// pendingOf reads n's pending execution on its loop.
+func pendingOf(n *Node) (p *pendingBlock) {
+	n.do(func(r *replica) { p = r.pending })
+	return p
+}
+
+// ingest hands msg to n's ingress on its loop, as the network would.
+func ingest(n *Node, msg p2p.Message) {
+	ep := n.endpoint()
+	n.do(func(*replica) { n.handle(ep, msg) })
+}
+
+// buildOn builds n's next block from its whole pool on its loop.
+func buildOn(n *Node) (blk *ledger.Block, err error) {
+	n.do(func(r *replica) { blk, err = r.buildBlock(0) })
+	return blk, err
 }
 
 // checkExecutedOnce: every node has materialised exactly the blocks of
@@ -168,7 +180,7 @@ func TestProposerExecutesEachBlockOnce(t *testing.T) {
 	}
 	isolate(c, "")
 	missed.requestSync(c.Node(p).ID())
-	if !c.waitNodes(3*time.Second, nil, func(n *Node) bool { return n.Height() >= blk.Header.Height }) {
+	if !waitNodes(c.nodes, 3*time.Second, nil, func(n *Node) bool { return n.Height() >= blk.Header.Height }) {
 		t.Fatal("the isolated node never caught up")
 	}
 	total, blocks = total+int64(len(blk.Txs)), blocks+1
@@ -270,7 +282,7 @@ func TestCompetingBlockSupersedesFailedRoundsPreview(t *testing.T) {
 
 	isolate(c, "")
 	loser.requestSync(winner.ID())
-	caughtUp := c.waitNodes(3*time.Second, nil, func(n *Node) bool { return n.Height() >= 1 })
+	caughtUp := waitNodes(c.nodes, 3*time.Second, nil, func(n *Node) bool { return n.Height() >= 1 })
 	if !caughtUp {
 		t.Fatal("the failed proposer never caught up")
 	}
@@ -377,7 +389,7 @@ func TestResentProposalIsNotExecutedAgain(t *testing.T) {
 	waitMempools(t, c, 1)
 	p := c.proposerIndex()
 	proposer, voter := c.Node(p), c.Node((p+1)%4)
-	blk, err := proposer.buildBlock(0)
+	blk, err := buildOn(proposer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,12 +402,12 @@ func TestResentProposalIsNotExecutedAgain(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := p2p.Message{From: proposer.ID(), To: voter.ID(), Topic: topicProposal, Payload: body}
-	voter.handle(voter.endpoint(), msg)
+	ingest(voter, msg)
 	first := pendingOf(voter)
 	if first == nil || first.hash != blk.Hash() {
 		t.Fatalf("the voter holds %+v after voting for %s", first, blk.Hash().Short())
 	}
-	voter.handle(voter.endpoint(), msg)
+	ingest(voter, msg)
 	if pendingOf(voter) != first {
 		t.Fatal("the re-sent proposal was executed again")
 	}
@@ -570,7 +582,7 @@ func TestSkippedVoteVerifyIsNeverMemoised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.handleVote(p2p.Message{From: c.Node(1).ID(), Topic: topicVote, Payload: body})
+	ingest(n, p2p.Message{From: c.Node(1).ID(), To: n.ID(), Topic: topicVote, Payload: body})
 	if n.VoteBufferSize() == 0 {
 		t.Fatal("test setup: the unverified vote was not buffered")
 	}

@@ -18,7 +18,7 @@ import (
 // execution produces.
 func wrongRootBlock(t testing.TB, c *Cluster, proposer *Node) *ledger.Block {
 	t.Helper()
-	blk, err := proposer.buildBlock(0)
+	blk, err := buildOn(proposer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,9 @@ func TestRejectedBlockDeliversNoEvents(t *testing.T) {
 		blk := wrongRootBlock(t, c, c.Node(p))
 		root, executed := follower.State().Root(), follower.ExecStats().Blocks
 
-		if err := follower.acceptBlock(blk); !errors.Is(err, ErrRootDiverged) {
+		var err error
+		follower.do(func(r *replica) { err = r.acceptBlock(blk) })
+		if !errors.Is(err, ErrRootDiverged) {
 			t.Fatalf("acceptBlock = %v, want ErrRootDiverged", err)
 		}
 		if h := follower.Height(); h != 0 {

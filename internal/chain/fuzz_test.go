@@ -152,7 +152,7 @@ func FuzzHandle(f *testing.F) {
 		now = now.Add(time.Hour)
 		clockMu.Unlock()
 		height, pooled, scored := n.Height(), n.MempoolSize(), malformed()
-		n.handle(n.endpoint(), p2p.Message{From: sender, To: n.ID(), Topic: in.topic, Payload: payload})
+		ingest(n, p2p.Message{From: sender, To: n.ID(), Topic: in.topic, Payload: payload})
 		if in.decodes(payload) {
 			return
 		}

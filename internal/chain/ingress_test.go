@@ -293,7 +293,7 @@ func ingestHeightOne(t *testing.T, h heightOne, spell func([]byte) []byte) ingre
 	peer := joinEvil(t, c, "peer")
 	good, bad := c.Node(1), c.Node(2)
 	send := func(n *Node, topic string, payload []byte) {
-		n.handle(n.endpoint(), p2p.Message{From: "peer", To: n.ID(), Topic: topic, Payload: spell(payload)})
+		ingest(n, p2p.Message{From: "peer", To: n.ID(), Topic: topic, Payload: spell(payload)})
 	}
 	must := func(b []byte, err error) []byte {
 		t.Helper()

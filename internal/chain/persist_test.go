@@ -320,9 +320,8 @@ func checkReceiptLog(t *testing.T, c *Cluster, i int, when string) {
 	t.Helper()
 	n := c.Node(i)
 	walk := receiptWalk(n)
-	n.applyMu.Lock()
-	log := n.receiptLog
-	n.applyMu.Unlock()
+	var log []*contract.Receipt
+	n.do(func(r *replica) { log = r.receiptLog })
 	if len(walk) == 0 || !slices.Equal(log, walk) {
 		t.Fatalf("%s: node %d receipt log holds %d receipts, the chain walk %d, or they differ", when, i, len(log), len(walk))
 	}
@@ -381,9 +380,10 @@ func allAt(c *Cluster, h uint64) bool {
 }
 
 // A snapshot forced on a node while it commits is of one height: chain,
-// state and receipt log together. Before Snapshot took applyMu it could
-// record height h with h+1's state, and the node's next Open refused the
-// directory ("snapshot state root … != committed header root").
+// state and receipt log together. A snapshot taken beside the commits
+// could record height h with h+1's state, and the node's next Open
+// refused the directory ("snapshot state root … != committed header
+// root"); Snapshot now runs on the node's loop, between two commits.
 func TestForcedSnapshotDuringCommitsRecovers(t *testing.T) {
 	disks := make([]*store.MemFS, 4)
 	for i := range disks {
@@ -462,5 +462,58 @@ func TestForcedSnapshotDuringCommitsRecovers(t *testing.T) {
 		if i > 0 && rec.SnapshotHeight == 0 {
 			t.Fatalf("node %d reopened without a snapshot", i)
 		}
+	}
+}
+
+// TestRestartRacesNoReader: one goroutine reads a disk-backed node's
+// Chain, State, PendingNonce, Receipt and Height while the node goes
+// through Stop and Restart five times, and the race detector watches.
+// Each read loads one published view; a recovery publishes a new view
+// instead of swapping the fields those readers use.
+func TestRestartRacesNoReader(t *testing.T) {
+	c, _ := persistentCluster(t, 4, "restart-race", 1, 2)
+	kp, err := cryptoutil.DeriveKeyPair("persist-user")
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitRounds(t, c, kp, 0, 3, "pre")
+	const victim = 1
+	n := c.Node(victim)
+	committed := persistTx(t, kp, 0, "pre-0").ID()
+	if _, ok := n.Receipt(committed); !ok {
+		t.Fatal("test setup: no receipt for the first transaction")
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	reads := 0
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = n.Chain().Height()
+			_ = n.State().Root()
+			_ = n.PendingNonce(kp.Address())
+			_, _ = n.Receipt(committed)
+			_ = n.Height()
+			reads++
+		}
+	}()
+	for i := 0; i < 5; i++ {
+		c.StopNode(victim)
+		if err := c.RestartNode(victim); err != nil {
+			t.Fatalf("restart %d: %v", i, err)
+		}
+	}
+	close(stop)
+	<-done
+	if reads == 0 {
+		t.Fatal("the reader never ran")
+	}
+	waitConverged(t, c)
+	if _, ok := n.Receipt(committed); !ok {
+		t.Fatal("the restarted node lost a committed receipt")
 	}
 }

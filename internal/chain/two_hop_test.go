@@ -42,8 +42,13 @@ func (d blockDropper) Send(to p2p.NodeID, topic string, body []byte) error {
 func TestFollowersCommitOnTheirOwnCertificate(t *testing.T) {
 	c := newCluster(t, 4)
 	for _, n := range c.Nodes() {
+		n.Stop()
+		ep, err := c.Network().Join(n.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
 		n.lifeMu.Lock()
-		n.ep = blockDropper{n.ep}
+		n.start(blockDropper{ep})
 		n.lifeMu.Unlock()
 	}
 	user := userKey(t, "own-cert")
@@ -151,11 +156,12 @@ func TestFailoverVotesAreNotEquivocation(t *testing.T) {
 		}
 		return v
 	}
-	buffered := func(n *Node, v consensus.Vote) bool {
-		n.votesMu.Lock()
-		defer n.votesMu.Unlock()
-		vs := n.votes[v.Block]
-		return vs != nil && vs.byVoter[v.Voter]
+	buffered := func(n *Node, v consensus.Vote) (ok bool) {
+		n.do(func(r *replica) {
+			vs := r.votes[v.Block]
+			ok = vs != nil && vs.byVoter[v.Voter]
+		})
+		return ok
 	}
 	waitJudges := func(what string, cond func(*Node) bool) {
 		t.Helper()
@@ -229,7 +235,7 @@ func TestStaleVotesCostNoVerification(t *testing.T) {
 	verifies, _ := n.quorum.VoteVerifyCounts()
 	held := n.VoteBufferSize()
 	for _, v := range []consensus.Vote{valid, forged} {
-		n.handleVote(p2p.Message{From: "relay", To: n.ID(), Topic: topicVote, Payload: v.Encode()})
+		ingest(n, p2p.Message{From: "relay", To: n.ID(), Topic: topicVote, Payload: v.Encode()})
 	}
 	if got, _ := n.quorum.VoteVerifyCounts(); got != verifies {
 		t.Fatalf("stale votes cost %d verifications", got-verifies)
@@ -240,6 +246,12 @@ func TestStaleVotesCostNoVerification(t *testing.T) {
 	if offs := offensesOf(n.GuardStats(), "relay"); len(offs) != 0 {
 		t.Fatalf("stale votes scored: %v", offs)
 	}
+}
+
+// voteCountOf reads the number of votes n holds for a block on its loop.
+func voteCountOf(n *Node, hash cryptoutil.Digest) (count int) {
+	n.do(func(r *replica) { count = r.voteCount(hash) })
+	return count
 }
 
 // BenchmarkCommitOneTx times Commit of a one-transaction block on four
@@ -428,7 +440,7 @@ func TestLateProposalAfterFailoverCommitsNowhere(t *testing.T) {
 
 	g.open()
 	for _, n := range []*Node{y, z} {
-		for deadline := time.Now().Add(3 * time.Second); n.Height() < height && n.voteCount(late) < c.vals.QuorumThreshold(); {
+		for deadline := time.Now().Add(3 * time.Second); n.Height() < height && voteCountOf(n, late) < c.vals.QuorumThreshold(); {
 			if time.Now().After(deadline) {
 				t.Fatalf("%s never held a certificate's votes for the late block", n.ID())
 			}
@@ -436,7 +448,7 @@ func TestLateProposalAfterFailoverCommitsNowhere(t *testing.T) {
 		}
 	}
 	c.SyncLagging()
-	if !c.waitNodes(5*time.Second, func(n *Node) { n.requestSync(x.ID()) },
+	if !waitNodes(c.nodes, 5*time.Second, func(n *Node) { n.requestSync(x.ID()) },
 		func(n *Node) bool { return n.Height() >= height }) {
 		t.Fatal("the cluster did not converge on the failover block")
 	}

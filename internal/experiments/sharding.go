@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"medchain/internal/chain"
@@ -28,9 +29,10 @@ type a4Row struct {
 	NodesPerShard int
 	// Txs is the committed workload.
 	Txs int
-	// Elapsed is the end-to-end commit time (shards run one after
-	// another on this host; the reported figure divides by Shards to
-	// model committees on disjoint hardware, like E3).
+	// Elapsed is the modeled wall time: the slowest committee's commit
+	// time, each committee's the minimum over a4Repeats (committees run
+	// one after another on this host and are modeled on disjoint
+	// hardware, like E3).
 	Elapsed time.Duration
 	// Throughput is Txs/Elapsed.
 	Throughput float64
@@ -53,66 +55,38 @@ const (
 // a4TotalNodes).
 var a4ShardCounts = []int{1, 2, 4}
 
+// a4Repeats is how many times each configuration is built and timed.
+// Each committee's commit time is the minimum over repeats, the way E3
+// and E10 aggregate: on a shared host background load only ever
+// inflates a timing, and one preempted committee must not decide the
+// comparison.
+const a4Repeats = 3
+
 // a4Sharding runs the same workload on one N-node chain versus K
 // committees of N/K nodes each (transactions routed by sender).
 func a4Sharding(seed int64) ([]a4Row, error) {
 	var rows []a4Row
 	for _, shards := range a4ShardCounts {
-		nodesPer := a4TotalNodes / shards
-		clusters := make([]*chain.Cluster, shards)
-		for s := range clusters {
-			c, err := chain.NewCluster(chain.ClusterConfig{
-				Nodes:   nodesPer,
-				Network: p2p.Config{BaseLatency: linkLatency, Seed: seed},
-				ChainID: fmt.Sprintf("shard-%d", s),
-				KeySeed: fmt.Sprintf("a4/%d/%d/%d", seed, shards, s),
-			})
-			if err != nil {
-				return nil, err
-			}
-			clusters[s] = c
-		}
-		closeAll := func() {
-			for _, c := range clusters {
-				c.Close()
-			}
-		}
-
-		// Route transactions to shards by a per-shard sender (shard =
-		// committee owning that sender's account space): each committee
-		// gets an equal share of the workload.
-		for s, c := range clusters {
-			err := submitRegistrations(c, fmt.Sprintf("a4-user-%d-%d", shards, s), fmt.Sprintf("a4/%d/%d", shards, s), a4Txs/shards)
-			if err != nil {
-				closeAll()
-				return nil, err
-			}
-		}
-
-		// Commit each shard; committees are disjoint hardware, so the
-		// modeled wall time is the per-shard max (measured
-		// sequentially on this host).
-		var slowest time.Duration
-		for _, c := range clusters {
-			start := time.Now()
-			if _, err := c.CommitAll(); err != nil {
-				closeAll()
-				return nil, err
-			}
-			if el := time.Since(start); el > slowest {
-				slowest = el
-			}
-		}
+		best := make([]time.Duration, shards)
 		var useful, total int64
-		for _, c := range clusters {
-			useful += c.UsefulGasUsed()
-			total += c.TotalGasUsed()
+		for rep := 0; rep < a4Repeats; rep++ {
+			elapsed, u, t, err := a4Commit(seed, shards)
+			if err != nil {
+				return nil, err
+			}
+			for s, el := range elapsed {
+				if rep == 0 || el < best[s] {
+					best[s] = el
+				}
+			}
+			useful, total = u, t
 		}
-		closeAll()
-
+		// Committees are disjoint hardware, so the modeled wall time is
+		// the slowest committee's.
+		slowest := slices.Max(best)
 		row := a4Row{
 			Shards:        shards,
-			NodesPerShard: nodesPer,
+			NodesPerShard: a4TotalNodes / shards,
 			Txs:           a4Txs,
 			Elapsed:       slowest,
 		}
@@ -125,6 +99,52 @@ func a4Sharding(seed int64) ([]a4Row, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// a4Commit builds the committees of one configuration, gives each its
+// share of the workload, and commits them one after another on this
+// host: it returns each committee's commit time, and the useful and the
+// total gas of all of them.
+func a4Commit(seed int64, shards int) (elapsed []time.Duration, useful, total int64, err error) {
+	clusters := make([]*chain.Cluster, shards)
+	defer func() {
+		for _, c := range clusters {
+			if c != nil {
+				c.Close()
+			}
+		}
+	}()
+	for s := range clusters {
+		clusters[s], err = chain.NewCluster(chain.ClusterConfig{
+			Nodes:   a4TotalNodes / shards,
+			Network: p2p.Config{BaseLatency: linkLatency, Seed: seed},
+			ChainID: fmt.Sprintf("shard-%d", s),
+			KeySeed: fmt.Sprintf("a4/%d/%d/%d", seed, shards, s),
+		})
+		if err != nil {
+			return nil, 0, 0, err
+		}
+	}
+	// Route transactions to shards by a per-shard sender (shard =
+	// committee owning that sender's account space): each committee
+	// gets an equal share of the workload.
+	for s, c := range clusters {
+		if err := submitRegistrations(c, fmt.Sprintf("a4-user-%d-%d", shards, s), fmt.Sprintf("a4/%d/%d", shards, s), a4Txs/shards); err != nil {
+			return nil, 0, 0, err
+		}
+	}
+	for _, c := range clusters {
+		start := time.Now()
+		if _, err := c.CommitAll(); err != nil {
+			return nil, 0, 0, err
+		}
+		elapsed = append(elapsed, time.Since(start))
+	}
+	for _, c := range clusters {
+		useful += c.UsefulGasUsed()
+		total += c.TotalGasUsed()
+	}
+	return elapsed, useful, total, nil
 }
 
 // verifyA4 holds both halves of the paper's sentence on sharding: the

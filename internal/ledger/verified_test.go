@@ -198,8 +198,8 @@ func TestValidateThenAppendVerifiesOnce(t *testing.T) {
 	}
 }
 
-// The message loop's Validate, the proposer thread's Validate+Append
-// and mempool admission reach the set at once; run under -race.
+// A node's loop (Validate, Append) and client submission (mempool
+// admission) reach the set at once; run under -race.
 func TestVerifiedSetConcurrentUse(t *testing.T) {
 	c := NewChain("test")
 	kp := testKey(t, "alice")

@@ -6,12 +6,11 @@
 // The append functions write what json.Marshal writes, and defer to it
 // for any string that needs escaping, so its HTML-escaping and UTF-8
 // rules stay its own. A Reader accepts only that form — fields in
-// declaration order, no whitespace, no escapes or non-ASCII bytes in a
-// String (a Text takes exactly the escapes json.Marshal writes),
-// lower-case hex, shortest numbers, canonical base64 — and fails on
-// anything else; its callers then decode the same input with
-// encoding/json, so every accepted value and every error stay those of
-// encoding/json.
+// declaration order, no whitespace, strings with exactly the escapes
+// json.Marshal writes, lower-case hex, shortest numbers, canonical
+// base64 — and refuses anything else with ErrNonCanonical. A decoder
+// built on it has no second path: every value it accepts is one whose
+// encoding is its input, byte for byte.
 package canonjson
 
 import (
@@ -20,6 +19,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"strconv"
@@ -126,7 +127,7 @@ func AppendByteArray(dst, b []byte) []byte {
 
 // Reader consumes canonical bytes left to right. The first mismatch
 // fails it for good: every later call is a no-op that returns a zero
-// value, so a decoder reads its whole shape and asks Done once.
+// value, so a decoder reads its whole shape and asks Err once.
 type Reader struct {
 	b   []byte
 	i   int
@@ -139,9 +140,19 @@ func NewReader(b []byte) Reader { return Reader{b: b} }
 // Fail marks the input as not canonical.
 func (r *Reader) Fail() { r.bad = true }
 
-// Done reports whether the reader consumed its whole input without
-// failing.
-func (r *Reader) Done() bool { return !r.bad && r.i == len(r.b) }
+// ErrNonCanonical is the error of every decoder built on a Reader for
+// bytes its encoder does not write.
+var ErrNonCanonical = errors.New("canonjson: not the canonical encoding")
+
+// Err returns nil if the reader consumed its whole input without
+// failing, and otherwise ErrNonCanonical with the offset at which it
+// stopped.
+func (r *Reader) Err() error {
+	if !r.bad && r.i == len(r.b) {
+		return nil
+	}
+	return fmt.Errorf("%w (byte %d of %d)", ErrNonCanonical, r.i, len(r.b))
+}
 
 // Skip consumes s if the input continues with it and reports whether it
 // did: an optional field's key, a separator, a null.
@@ -160,29 +171,29 @@ func (r *Reader) Lit(s string) {
 	}
 }
 
-// quoted consumes a quoted string of plain bytes and returns what is
-// between the quotes.
-func (r *Reader) quoted() []byte {
+// quoted consumes a quoted string and returns what is between the
+// quotes, and whether that is plain bytes only.
+func (r *Reader) quoted() (s []byte, plainOnly bool) {
 	if r.bad || r.i >= len(r.b) || r.b[r.i] != '"' {
 		r.bad = true
-		return nil
+		return nil, false
 	}
-	j := r.i + 1
-	for j < len(r.b) && plain[r.b[j]] {
-		j++
+	j, plainOnly := r.i+1, true
+	for ; j < len(r.b) && r.b[j] != '"'; j++ {
+		if !plain[r.b[j]] {
+			plainOnly = false
+			if r.b[j] == '\\' {
+				j++
+			}
+		}
 	}
-	if j >= len(r.b) || r.b[j] != '"' {
+	if j >= len(r.b) {
 		r.bad = true
-		return nil
+		return nil, false
 	}
-	s := r.b[r.i+1 : j]
+	s = r.b[r.i+1 : j]
 	r.i = j + 1
-	return s
-}
-
-// String reads a quoted string.
-func (r *Reader) String() string {
-	return string(r.quoted())
+	return s, plainOnly
 }
 
 // Text reads a quoted string as AppendString writes it: plain bytes in
@@ -190,36 +201,17 @@ func (r *Reader) String() string {
 // encoding/json, accepted only when AppendString writes the value it
 // decodes to back as the same bytes.
 func (r *Reader) Text() string {
-	if r.bad || r.i >= len(r.b) || r.b[r.i] != '"' {
+	start := r.i
+	s, plainOnly := r.quoted()
+	if r.bad || plainOnly {
+		return string(s)
+	}
+	quoted, text := r.b[start:r.i], ""
+	if json.Unmarshal(quoted, &text) != nil || !bytes.Equal(AppendString(nil, text), quoted) {
 		r.bad = true
 		return ""
 	}
-	j := r.i + 1
-	for j < len(r.b) && plain[r.b[j]] {
-		j++
-	}
-	if j < len(r.b) && r.b[j] == '"' {
-		s := string(r.b[r.i+1 : j])
-		r.i = j + 1
-		return s
-	}
-	for ; j < len(r.b) && r.b[j] != '"'; j++ {
-		if r.b[j] == '\\' {
-			j++
-		}
-	}
-	if j >= len(r.b) {
-		r.bad = true
-		return ""
-	}
-	quoted := r.b[r.i : j+1]
-	var s string
-	if json.Unmarshal(quoted, &s) != nil || !bytes.Equal(AppendString(nil, s), quoted) {
-		r.bad = true
-		return ""
-	}
-	r.i = j + 1
-	return s
+	return text
 }
 
 // Raw reads one JSON array or object and returns its bytes. It only
@@ -255,7 +247,7 @@ func (r *Reader) Raw() []byte {
 
 // Hex reads quoted lower-case hex of exactly len(dst) bytes into dst.
 func (r *Reader) Hex(dst []byte) {
-	s := r.quoted()
+	s, _ := r.quoted() // nibble refuses all but lower-case hex
 	if r.bad || len(s) != 2*len(dst) {
 		r.bad = true
 		return
@@ -284,8 +276,8 @@ func nibble(c byte) (byte, bool) {
 // Bytes reads a non-empty quoted base64 string, the form an omitempty
 // []byte field takes when it is present.
 func (r *Reader) Bytes() []byte {
-	s := r.quoted()
-	if r.bad || len(s) == 0 {
+	s, plainOnly := r.quoted() // base64 decoding skips raw newlines
+	if r.bad || !plainOnly || len(s) == 0 {
 		r.bad = true
 		return nil
 	}

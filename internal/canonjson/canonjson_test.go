@@ -3,6 +3,7 @@ package canonjson
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -32,13 +33,13 @@ func TestTextTakesOnlyWhatAppendStringWrites(t *testing.T) {
 	for _, s := range []string{"", "plain", "a<b>&c", `q"uote\`, "tab\tnl\n\x00", "µ-é", " ", "�"} {
 		enc := AppendString(nil, s)
 		r := NewReader(enc)
-		if got := r.Text(); !r.Done() || got != s {
-			t.Fatalf("%q: Text read %q, done %v", enc, got, r.Done())
+		if got := r.Text(); r.Err() != nil || got != s {
+			t.Fatalf("%q: Text read %q, %v", enc, got, r.Err())
 		}
 	}
 	for _, enc := range []string{`"\u0041"`, `"<"`, `"\/"`, `"\ufffd"`, `"\u00b5"`, `"a`, `"a\"`, "\"\x01\"", `x`} {
 		r := NewReader([]byte(enc))
-		if got := r.Text(); r.Done() {
+		if got := r.Text(); !errors.Is(r.Err(), ErrNonCanonical) {
 			t.Fatalf("%s: Text took a non-canonical spelling as %q", enc, got)
 		}
 	}
@@ -59,7 +60,7 @@ func TestRawSpansOneValue(t *testing.T) {
 	}
 	for _, in := range []string{`1`, `"s"`, `[1`, `{"a":"}`, ``} {
 		r := NewReader([]byte(in))
-		if got := r.Raw(); got != nil || r.Done() {
+		if got := r.Raw(); got != nil || !errors.Is(r.Err(), ErrNonCanonical) {
 			t.Fatalf("%s: Raw took %q", in, got)
 		}
 	}

@@ -1,16 +1,19 @@
 // Package canontest holds the test side of package canonjson: twins of
 // a canonical JSON object for fuzz seeds and ingress tests (the same
 // value spelled another way, or a null where a value was), and the
-// differential checks against encoding/json.
+// checks that hold a decoder to its encoder and to encoding/json.
 package canontest
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"medchain/internal/canonjson"
 )
 
 // members returns the top-level keys of a JSON object and their raw
@@ -57,9 +60,12 @@ func Reordered(obj []byte) []byte {
 }
 
 // Variants returns twins of the canonical object obj that encoding/json
-// reads as the same value or as nulls in its place: indented, padded,
+// reads as the same value or as nulls in its place — indented, padded,
 // reordered, with a duplicated, an upper-cased or an unknown key, null
-// itself, and null in place of each top-level member's value.
+// itself, and null in place of each top-level member's value — and obj
+// cut short by one byte. Each is a spelling a decoder must refuse
+// (CheckRefused), unless json.Marshal writes it for the value it reads
+// as: a member that may be null.
 func Variants(obj []byte) [][]byte {
 	keys, m := members(obj)
 	if len(keys) == 0 || len(obj) < 2 || obj[0] != '{' {
@@ -75,6 +81,7 @@ func Variants(obj []byte) [][]byte {
 		append([]byte(`{"unknown":1,`), obj[1:]...),
 		append(append(append([]byte{'{'}, first...), m[firstKey]...), append([]byte{','}, obj[1:]...)...),
 		append([]byte{'{'}, append(bytes.ToUpper(first), obj[1+len(first):]...)...),
+		obj[:len(obj)-1],
 	}
 	for _, k := range keys {
 		member := append([]byte(`"`+k+`":`), m[k]...)
@@ -83,18 +90,43 @@ func Variants(obj []byte) [][]byte {
 	return out
 }
 
-// CheckDecode fails t unless a decode and encoding/json's reference
-// decode of data agree: both fail, with err reading prefix + refErr, or
-// both succeed with deeply equal values.
-func CheckDecode[T any](t testing.TB, what string, data []byte, got, ref *T, err, refErr error, prefix string) {
+// CheckDecode fails t unless a decoder either refused data with
+// canonjson.ErrNonCanonical, or decoded it to got, a value that
+// deep-equals encoding/json's decode of data and that encode writes back
+// as data, byte for byte — the encoding json.Marshal writes for it.
+func CheckDecode[T any](t testing.TB, what string, data []byte, got *T, err error, encode func() ([]byte, error)) {
 	t.Helper()
-	switch {
-	case (err == nil) != (refErr == nil):
-		t.Fatalf("%s %q: decode error %v, encoding/json %v", what, data, err, refErr)
-	case err != nil && err.Error() != prefix+refErr.Error():
-		t.Fatalf("%s %q: decode error %q, encoding/json %q", what, data, err, refErr)
-	case err == nil && !reflect.DeepEqual(got, ref):
-		t.Fatalf("%s %q: decoded %+v, encoding/json %+v", what, data, got, ref)
+	if err != nil {
+		if !errors.Is(err, canonjson.ErrNonCanonical) {
+			t.Fatalf("%s %q: decode error %v is not canonjson.ErrNonCanonical", what, data, err)
+		}
+		return
+	}
+	var ref T
+	if refErr := json.Unmarshal(data, &ref); refErr != nil || !reflect.DeepEqual(got, &ref) {
+		t.Fatalf("%s %q: decoded %+v, encoding/json %+v, %v", what, data, got, &ref, refErr)
+	}
+	CheckEncode(t, data, encode, &ref)
+	if enc, _ := encode(); !bytes.Equal(enc, data) {
+		t.Fatalf("%s %q: accepted, but its value encodes as %q", what, data, enc)
+	}
+}
+
+// CheckRefused fails t unless a decoder refused data, a twin from
+// Variants or another non-canonical spelling of a T, with
+// canonjson.ErrNonCanonical. Bytes json.Marshal writes for the T they
+// read as are some value's canonical form, not a twin: CheckDecode
+// holds them instead.
+func CheckRefused[T any](t testing.TB, what string, data []byte, err error) {
+	t.Helper()
+	var ref T
+	if json.Unmarshal(data, &ref) == nil {
+		if enc, e := json.Marshal(&ref); e == nil && bytes.Equal(enc, data) {
+			return
+		}
+	}
+	if !errors.Is(err, canonjson.ErrNonCanonical) {
+		t.Fatalf("%s %q: decode error %v, want canonjson.ErrNonCanonical", what, data, err)
 	}
 }
 

@@ -24,8 +24,8 @@ var ingressTopics = []struct {
 	{topicProposal, func(b []byte) bool { _, err := consensus.DecodeSignedProposal(b); return err == nil }},
 	{topicVote, func(b []byte) bool { _, err := consensus.DecodeVote(b); return err == nil }},
 	{topicBlock, func(b []byte) bool { _, err := ledger.DecodeBlock(b); return err == nil }},
-	{topicSyncReq, func(b []byte) bool { var h uint64; return json.Unmarshal(b, &h) == nil }},
-	{topicSyncCont, func(b []byte) bool { var h uint64; return json.Unmarshal(b, &h) == nil }},
+	{topicSyncReq, func(b []byte) bool { _, err := decodeHeight(b); return err == nil }},
+	{topicSyncCont, func(b []byte) bool { _, err := decodeHeight(b); return err == nil }},
 }
 
 // heightOne is the traffic of a twin cluster (same keys, same genesis)
@@ -96,12 +96,12 @@ func newHeightOne(t testing.TB) heightOne {
 
 // FuzzHandle feeds arbitrary payloads under every topic through a
 // running node's ingress. Nothing may panic, and a payload its topic's
-// decoder refuses is scored against the sender as malformed and changes
-// neither the node's height nor its pool. The seeds are one valid
-// encoding per topic — heightOne's traffic — plus its indented and
-// reordered twins, which encoding/json reads as the same values; first,
-// while height 1 is open, both proposals of the failover and the votes
-// around them.
+// decoder refuses — any spelling but the canonical one — is scored
+// against the sender as malformed, once, and changes neither the node's
+// height nor its pool. The seeds are one valid encoding per topic —
+// heightOne's traffic — plus its indented and reordered twins, which
+// encoding/json reads as the same values; first, while height 1 is
+// open, both proposals of the failover and the votes around them.
 func FuzzHandle(f *testing.F) {
 	h := newHeightOne(f)
 	encode := func(b []byte, err error) []byte {

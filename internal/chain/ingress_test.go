@@ -70,13 +70,14 @@ func quarantinedIn(s guard.Stats, peer string) bool {
 func TestMalformedPayloadsScoredPerTopic(t *testing.T) {
 	c := newCluster(t, 4)
 	evil := joinEvil(t, c, "evil")
+	unsigned, _ := (&ledger.Transaction{Type: ledger.TxData, Method: "m"}).Encode()
 
 	topics := []struct {
 		topic   string
 		payload []byte
 	}{
 		{topicTx, []byte("{not json")},
-		{topicTx, []byte(`{"type":"data","sig":"AAAA"}`)}, // decodes, fails Verify
+		{topicTx, unsigned}, // decodes, fails Verify
 		{topicProposal, []byte("\x00\x01garbage")},
 		{topicVote, []byte("[]")},
 		{topicBlock, []byte("}{")},
@@ -280,7 +281,9 @@ type ingressOutcome struct {
 	Pooled, Buffered int
 	VotedFor         cryptoutil.Digest
 	Height           uint64
-	Offenses         map[guard.Offense]int
+	// Offenses are those the node sent the invalid traffic scored,
+	// Scored those the node sent the valid traffic scored.
+	Offenses, Scored map[guard.Offense]int
 }
 
 // ingestHeightOne sends h's traffic, each payload respelled by spell, to
@@ -328,32 +331,87 @@ func ingestHeightOne(t *testing.T, h heightOne, spell func([]byte) []byte) ingre
 	send(bad, topicVote, badVote.Encode())
 	send(bad, topicProposal, must(h.wrongSp.Encode()))
 	out.Offenses = offensesOf(bad.GuardStats(), "peer")
-	if n := len(offensesOf(good.GuardStats(), "peer")); n != 0 {
-		t.Fatalf("valid traffic scored %d offense kinds", n)
+	if scored := offensesOf(good.GuardStats(), "peer"); len(scored) > 0 {
+		out.Scored = scored
 	}
 	return out
 }
 
 // TestNonCanonicalTwinsIngressAlike sends heightOne's traffic to live
-// nodes three times — canonical, indented and reordered — and asserts
-// each twin is pooled, voted on, buffered and applied exactly like its
-// canonical form, and scored the same way when invalid.
+// nodes three times — canonical, indented and reordered. The canonical
+// spelling is pooled, voted on, buffered and applied, and its invalid
+// messages are scored by what is wrong with them; a twin of any message
+// is pooled, buffered, voted for and applied nowhere, and scored as
+// malformed, once per message, whether or not the value it spells is
+// valid.
 func TestNonCanonicalTwinsIngressAlike(t *testing.T) {
 	h := newHeightOne(t)
-	want := ingressOutcome{
+	canonical := ingressOutcome{
 		Pooled: 1, Buffered: 2, VotedFor: h.blk.Hash(), Height: 1, // Buffered: the vote and its first-vote record
 		Offenses: map[guard.Offense]int{guard.OffenseMalformed: 1, guard.OffenseInvalidVote: 1, guard.OffenseBadProposal: 1},
+	}
+	twin := ingressOutcome{
+		Offenses: map[guard.Offense]int{guard.OffenseMalformed: 3},
+		Scored:   map[guard.Offense]int{guard.OffenseMalformed: 4},
 	}
 	for _, spelling := range []struct {
 		name  string
 		spell func([]byte) []byte
+		want  ingressOutcome
 	}{
-		{"canonical", func(b []byte) []byte { return b }},
-		{"indented", canontest.Indented},
-		{"reordered", canontest.Reordered},
+		{"canonical", func(b []byte) []byte { return b }, canonical},
+		{"indented", canontest.Indented, twin},
+		{"reordered", canontest.Reordered, twin},
 	} {
-		if got := ingestHeightOne(t, h, spelling.spell); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: %+v, want %+v", spelling.name, got, want)
+		if got := ingestHeightOne(t, h, spelling.spell); !reflect.DeepEqual(got, spelling.want) {
+			t.Errorf("%s: %+v, want %+v", spelling.name, got, spelling.want)
+		}
+	}
+}
+
+// TestNullScoredOnEveryTopic sends null, which encoding/json reads as a
+// zero value of any type, on each chain topic: each message is one
+// malformed offense and changes nothing. The zero vote and the zero
+// block used to fall outside the height window unscored, and a zero
+// sync height was served.
+func TestNullScoredOnEveryTopic(t *testing.T) {
+	c := newCluster(t, 3)
+	n := c.Node(1)
+	for i, in := range ingressTopics {
+		ingest(n, p2p.Message{From: "null", To: n.ID(), Topic: in.topic, Payload: []byte("null")})
+		if got := offensesOf(n.GuardStats(), "null"); !reflect.DeepEqual(got, map[guard.Offense]int{guard.OffenseMalformed: i + 1}) {
+			t.Fatalf("after null on %s: offenses %v, want %d malformed", in.topic, got, i+1)
+		}
+	}
+	if n.Height() != 0 || n.MempoolSize() != 0 || n.VoteBufferSize() != 0 {
+		t.Fatalf("null moved the node: height %d, pool %d, votes %d", n.Height(), n.MempoolSize(), n.VoteBufferSize())
+	}
+}
+
+// TestEscapedStringsCommit: a transaction whose method holds the bytes
+// encoding/json escapes and non-ASCII runes is pooled by every node and
+// committed — its peers read the escapes its encoder writes. (A type
+// other than a TxType constant is refused at admission.)
+func TestEscapedStringsCommit(t *testing.T) {
+	c := newCluster(t, 3)
+	tx := datasetTx(t, userKey(t, "escaped"), 0, "escaped")
+	tx.Method = `register<&">µ-é`
+	if err := tx.Sign(userKey(t, "escaped")); err != nil {
+		t.Fatal(err)
+	}
+	blk := submitAndCommit(t, c, tx)
+	if len(blk.Txs) != 1 || blk.Txs[0].ID() != tx.ID() {
+		t.Fatalf("committed %d transactions, want the escaped one", len(blk.Txs))
+	}
+	waitConverged(t, c)
+	for i, n := range c.Nodes() {
+		if _, _, err := n.Chain().FindTx(tx.ID()); err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		for _, p := range n.GuardStats().Peers {
+			if len(p.Offenses) > 0 {
+				t.Fatalf("node %d scored %s: %v", i, p.Peer, p.Offenses)
+			}
 		}
 	}
 }

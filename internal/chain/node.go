@@ -27,13 +27,14 @@ package chain
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"medchain/internal/canonjson"
 	"medchain/internal/consensus"
 	"medchain/internal/contract"
 	"medchain/internal/cryptoutil"
@@ -764,8 +765,8 @@ func (n *Node) handle(ep p2p.Endpoint, msg p2p.Message) {
 // a deep catch-up — or a sync flood — cannot stall ingress.
 func (n *Node) handleSyncReq(ep p2p.Endpoint, msg p2p.Message) {
 	from := string(msg.From)
-	var have uint64
-	if err := json.Unmarshal(msg.Payload, &have); err != nil {
+	have, err := decodeHeight(msg.Payload)
+	if err != nil {
 		n.guard.Record(from, guard.OffenseMalformed)
 		return
 	}
@@ -808,10 +809,16 @@ func (n *Node) serveSync(ep p2p.Endpoint, peer p2p.NodeID, have uint64, serving 
 		}
 	}
 	if end < v.height {
-		if body, err := json.Marshal(v.height); err == nil {
-			_ = ep.Send(peer, topicSyncCont, body)
-		}
+		_ = ep.Send(peer, topicSyncCont, strconv.AppendUint(nil, v.height, 10))
 	}
+}
+
+// decodeHeight reads a sync_req or sync_cont payload: one height, in
+// the decimal json.Marshal writes for a uint64.
+func decodeHeight(b []byte) (uint64, error) {
+	r := canonjson.NewReader(b)
+	h := r.Uint()
+	return h, r.Err()
 }
 
 // Guard exposes the node's peer guard for stats and invariant checks.

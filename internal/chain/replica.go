@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"medchain/internal/consensus"
@@ -417,8 +418,8 @@ func (r *replica) nextAuditNonce() uint64 {
 // continuation, so a malicious stream of continuations cannot make us
 // amplify sync traffic.
 func (r *replica) onSyncCont(msg p2p.Message) {
-	var peerHead uint64
-	if err := json.Unmarshal(msg.Payload, &peerHead); err != nil {
+	peerHead, err := decodeHeight(msg.Payload)
+	if err != nil {
 		r.guard.Record(string(msg.From), guard.OffenseMalformed)
 		return
 	}
@@ -439,9 +440,7 @@ func (r *replica) requestSync(peer p2p.NodeID) {
 	if r.send == nil {
 		return
 	}
-	if body, err := json.Marshal(r.chain.Height()); err == nil {
-		r.send(peer, topicSyncReq, body)
-	}
+	r.send(peer, topicSyncReq, strconv.AppendUint(nil, r.chain.Height(), 10))
 }
 
 // requestSyncPaced is the gap-triggered variant used by block ingress:

@@ -1,7 +1,6 @@
 package consensus
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 
@@ -11,9 +10,9 @@ import (
 
 // Votes, certificates and proposals travel as the JSON encoding/json
 // writes for them. The functions below write those bytes without
-// reflection and read them back in one pass; any other spelling goes to
-// encoding/json, into the types themselves, which carry no JSON methods
-// — so every accepted value and every error is encoding/json's.
+// reflection and read them back in one pass; any other spelling is
+// refused with canonjson.ErrNonCanonical. The types carry no JSON
+// methods, so json.Marshal of them stays the tests' reference encoding.
 
 // voteSize is about the encoded size of a vote: two hex digests and a
 // 64-number signature.
@@ -53,11 +52,7 @@ func DecodeVote(b []byte) (Vote, error) {
 	var v Vote
 	r := canonjson.NewReader(b)
 	readVote(&r, &v)
-	if r.Done() {
-		return v, nil
-	}
-	v = Vote{}
-	if err := json.Unmarshal(b, &v); err != nil {
+	if err := r.Err(); err != nil {
 		return Vote{}, fmt.Errorf("consensus: decode vote: %w", err)
 	}
 	return v, nil
@@ -110,11 +105,7 @@ func DecodeQuorumCert(b []byte) (*QuorumCert, error) {
 		}
 	}
 	r.Lit(`}`)
-	if r.Done() {
-		return qc, nil
-	}
-	qc = new(QuorumCert)
-	if err := json.Unmarshal(b, qc); err != nil {
+	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("consensus: decode cert: %w", err)
 	}
 	return qc, nil
@@ -132,7 +123,8 @@ func (sp *SignedProposal) Encode() ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// DecodeSignedProposal parses a gossiped proposal.
+// DecodeSignedProposal parses a gossiped proposal. A proposal without a
+// block is refused like any other non-canonical bytes.
 func DecodeSignedProposal(b []byte) (*SignedProposal, error) {
 	sp := new(SignedProposal)
 	r := canonjson.NewReader(b)
@@ -141,14 +133,8 @@ func DecodeSignedProposal(b []byte) (*SignedProposal, error) {
 	r.Lit(`,"sig":`)
 	r.ByteArray(sp.Sig[:])
 	r.Lit(`}`)
-	if !r.Done() {
-		sp = new(SignedProposal)
-		if err := json.Unmarshal(b, sp); err != nil {
-			return nil, fmt.Errorf("consensus: decode proposal: %w", err)
-		}
-	}
-	if sp.Block == nil {
-		return nil, fmt.Errorf("%w: proposal carries no block", ErrBadProposal)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("consensus: decode proposal: %w", err)
 	}
 	return sp, nil
 }

@@ -44,7 +44,7 @@ func TestConsensusCodecMatchesEncodingJSON(t *testing.T) {
 			t.Fatalf("%T has a MarshalJSON: the reflective reference would no longer be encoding/json's", v)
 		}
 		if _, ok := v.(json.Unmarshaler); ok {
-			t.Fatalf("%T has an UnmarshalJSON: the fallback would no longer be encoding/json's", v)
+			t.Fatalf("%T has an UnmarshalJSON: the reference decode would no longer be encoding/json's", v)
 		}
 	}
 	sp, keys := codecProposal(t)
@@ -78,31 +78,27 @@ func TestConsensusCodecMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// FuzzConsensusCodec is FuzzLedgerCodec for proposals, votes and
-// certificates: any bytes decode as json.Unmarshal into the type decodes
-// them (the same value, or an error with the same text), and every value
-// decoded encodes as json.Marshal writes it.
-func FuzzConsensusCodec(f *testing.F) {
-	sp, keys := codecProposal(f)
+// consensusSeeds returns, by decoder kind (0 proposal, 1 vote, 2
+// certificate), the canonical encodings of codecProposal's traffic and
+// their twins: each message's own, a block's inside its proposal, a
+// vote's inside its certificate, a vote's numbers and signature
+// respelled, and a partial object.
+func consensusSeeds(t testing.TB) (canon, twins [3][][]byte) {
+	sp, keys := codecProposal(t)
 	canonSP, _ := sp.Encode()
-	qc := gatherCert(f, 3, sp.Block.Hash(), keys, 2)
+	qc := gatherCert(t, 3, sp.Block.Hash(), keys, 2)
 	canonQC, _ := qc.Encode()
 	canonVote := qc.Votes[0].Encode()
 	canonBlk, _ := sp.Block.Encode()
-	add := func(kind uint8, canon []byte) {
-		f.Add(kind, canon)
-		for _, seed := range canontest.Variants(canon) {
-			f.Add(kind, seed)
-		}
+	for kind, c := range [][]byte{canonSP, canonVote, canonQC} {
+		canon[kind] = append(canon[kind], c)
+		twins[kind] = append(twins[kind], canontest.Variants(c)...)
 	}
-	add(0, canonSP)
-	add(1, canonVote)
-	add(2, canonQC)
 	for _, seed := range canontest.Variants(canonBlk) {
-		f.Add(uint8(0), bytes.Replace(canonSP, canonBlk, seed, 1))
+		twins[0] = append(twins[0], bytes.Replace(canonSP, canonBlk, seed, 1))
 	}
 	for _, seed := range canontest.Variants(canonVote) {
-		f.Add(uint8(2), bytes.Replace(canonQC, canonVote, seed, 1))
+		twins[2] = append(twins[2], bytes.Replace(canonQC, canonVote, seed, 1))
 	}
 	s := string(canonVote)
 	sig := s[strings.Index(s, `"sig":`)+len(`"sig":`) : len(s)-1]
@@ -114,45 +110,67 @@ func FuzzConsensusCodec(f *testing.F) {
 		{sig, strings.TrimSuffix(sig, "]") + ",1]"},
 		{sig, "[" + strings.Repeat("256,", 63) + "256]"},
 	} {
-		f.Add(uint8(1), []byte(strings.Replace(s, r[0], r[1], 1)))
+		twins[1] = append(twins[1], []byte(strings.Replace(s, r[0], r[1], 1)))
 	}
-	f.Add(uint8(2), []byte(`{"block":"`+qc.Block.String()+`","votes":[]}`))
-	f.Add(uint8(2), []byte(`{"block":"`+qc.Block.String()+`","votes":null}`))
-	f.Add(uint8(0), []byte(`{"block":null,"sig":`+sig+`}`))
+	twins[0] = append(twins[0], []byte(`{"sig":`+sig+`}`))
+	twins[1] = append(twins[1], []byte(`{"height":3}`))
+	twins[2] = append(twins[2], []byte(`{"block":"`+qc.Block.String()+`"}`))
+	canon[2] = append(canon[2],
+		[]byte(`{"block":"`+qc.Block.String()+`","votes":[]}`),
+		[]byte(`{"block":"`+qc.Block.String()+`","votes":null}`))
+	return canon, twins
+}
 
-	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
-		switch kind % 3 {
-		case 0:
-			got, err := DecodeSignedProposal(data)
-			var ref SignedProposal
-			refErr := json.Unmarshal(data, &ref)
-			if refErr == nil && ref.Block == nil {
-				if err == nil || !strings.Contains(err.Error(), "proposal carries no block") {
-					t.Fatalf("proposal %q without a block: %v", data, err)
-				}
-				return
-			}
-			canontest.CheckDecode(t, "proposal", data, got, &ref, err, refErr, "consensus: decode proposal: ")
-			if err == nil {
-				canontest.CheckEncode(t, data, got.Encode, &ref)
-			}
-		case 1:
-			got, err := DecodeVote(data)
-			var ref Vote
-			refErr := json.Unmarshal(data, &ref)
-			canontest.CheckDecode(t, "vote", data, &got, &ref, err, refErr, "consensus: decode vote: ")
-			if err == nil {
-				canontest.CheckEncode(t, data, func() ([]byte, error) { return got.Encode(), nil }, &ref)
-			}
-		default:
-			got, err := DecodeQuorumCert(data)
-			var ref QuorumCert
-			refErr := json.Unmarshal(data, &ref)
-			canontest.CheckDecode(t, "cert", data, got, &ref, err, refErr, "consensus: decode cert: ")
-			if err == nil {
-				canontest.CheckEncode(t, data, got.Encode, &ref)
-			}
+// decodeConsensus decodes data as a proposal, a vote or a certificate
+// and holds the result with canontest.CheckDecode; it returns the
+// decoder's error.
+func decodeConsensus(t testing.TB, kind int, data []byte) error {
+	switch kind {
+	case 0:
+		got, err := DecodeSignedProposal(data)
+		canontest.CheckDecode(t, "proposal", data, got, err, got.Encode)
+		return err
+	case 1:
+		got, err := DecodeVote(data)
+		canontest.CheckDecode(t, "vote", data, &got, err, func() ([]byte, error) { return got.Encode(), nil })
+		return err
+	default:
+		got, err := DecodeQuorumCert(data)
+		canontest.CheckDecode(t, "cert", data, got, err, got.Encode)
+		return err
+	}
+}
+
+// TestConsensusTwinsRefused: every twin of a proposal, a vote and a
+// certificate, and a partial object of each, is refused with
+// canonjson.ErrNonCanonical. encoding/json reads null and the partial
+// objects as zero values.
+func TestConsensusTwinsRefused(t *testing.T) {
+	_, twins := consensusSeeds(t)
+	for _, b := range twins[0] {
+		canontest.CheckRefused[SignedProposal](t, "proposal", b, decodeConsensus(t, 0, b))
+	}
+	for _, b := range twins[1] {
+		canontest.CheckRefused[Vote](t, "vote", b, decodeConsensus(t, 1, b))
+	}
+	for _, b := range twins[2] {
+		canontest.CheckRefused[QuorumCert](t, "cert", b, decodeConsensus(t, 2, b))
+	}
+}
+
+// FuzzConsensusCodec is FuzzLedgerCodec for proposals, votes and
+// certificates: any bytes are refused with canonjson.ErrNonCanonical,
+// or decode to the value json.Unmarshal reads, which Encode writes back
+// as the same bytes — json.Marshal's.
+func FuzzConsensusCodec(f *testing.F) {
+	canon, twins := consensusSeeds(f)
+	for kind := range canon {
+		for _, b := range append(canon[kind], twins[kind]...) {
+			f.Add(uint8(kind), b)
 		}
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		decodeConsensus(t, int(kind%3), data)
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"medchain/internal/canonjson"
 	"medchain/internal/cryptoutil"
 	"medchain/internal/ledger"
 )
@@ -100,8 +101,11 @@ func TestSignedProposalRejections(t *testing.T) {
 	if _, err := DecodeSignedProposal([]byte("{")); err == nil {
 		t.Fatal("garbage decoded as a proposal")
 	}
-	if _, err := DecodeSignedProposal([]byte(`{}`)); !errors.Is(err, ErrBadProposal) {
-		t.Fatalf("block-less proposal: got %v, want ErrBadProposal", err)
+	blockless, _ := (&SignedProposal{}).Encode()
+	for _, b := range [][]byte{[]byte(`{}`), blockless} {
+		if _, err := DecodeSignedProposal(b); !errors.Is(err, canonjson.ErrNonCanonical) {
+			t.Fatalf("block-less proposal %s: got %v, want canonjson.ErrNonCanonical", b, err)
+		}
 	}
 }
 

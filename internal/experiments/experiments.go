@@ -46,50 +46,69 @@ var e1Sizes = [...]e1Config{
 // that put the cluster on a wide-area network (E1, A4).
 const linkLatency = 2 * time.Millisecond
 
+// e1Repeats is how many times each cluster size is built and timed.
+// The run with the least elapsed time is kept, its msgs/tx with it, the
+// way A4 and E3 aggregate: on a shared host background load only ever
+// inflates a timing.
+const e1Repeats = 3
+
 // e1Scalability measures tx throughput and commit latency versus node
 // count under broadcast quorum consensus — the paper's §I claim that
 // "the performance of a single node is better than multiple nodes".
 func e1Scalability(cfg e1Config, seed int64) ([]e1Row, error) {
 	var rows []e1Row
 	for _, n := range cfg.NodeCounts {
-		c, err := chain.NewCluster(chain.ClusterConfig{
-			Nodes:   n,
-			Network: p2p.Config{BaseLatency: linkLatency, Seed: seed},
-			KeySeed: fmt.Sprintf("e1/%d/%d", seed, n),
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := submitRegistrations(c, fmt.Sprintf("e1-user-%d", n), "e1", cfg.TxPerRun); err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.Network().ResetStats()
-		start := time.Now()
-		blocks := 0
-		for c.Node(0).MempoolSize() > 0 {
-			if _, err := c.Commit(); err != nil {
-				c.Close()
+		var best e1Row
+		for rep := 0; rep < e1Repeats; rep++ {
+			row, err := e1Run(cfg, seed, n)
+			if err != nil {
 				return nil, err
 			}
-			blocks++
+			if rep == 0 || row.Elapsed < best.Elapsed {
+				best = row
+			}
 		}
-		elapsed := time.Since(start)
-		stats := c.Network().Stats()
-		row := e1Row{
-			Nodes:       n,
-			TxCommitted: cfg.TxPerRun,
-			Elapsed:     elapsed,
-			Throughput:  float64(cfg.TxPerRun) / elapsed.Seconds(),
-		}
-		if blocks > 0 {
-			row.LatencyPerBlock = elapsed / time.Duration(blocks)
-		}
-		row.MsgsPerTx = float64(stats.MessagesSent) / float64(cfg.TxPerRun)
-		rows = append(rows, row)
-		c.Close()
+		rows = append(rows, best)
 	}
 	return rows, nil
+}
+
+// e1Run builds an n-node cluster and times it committing
+// cfg.TxPerRun registrations.
+func e1Run(cfg e1Config, seed int64, n int) (e1Row, error) {
+	c, err := chain.NewCluster(chain.ClusterConfig{
+		Nodes:   n,
+		Network: p2p.Config{BaseLatency: linkLatency, Seed: seed},
+		KeySeed: fmt.Sprintf("e1/%d/%d", seed, n),
+	})
+	if err != nil {
+		return e1Row{}, err
+	}
+	defer c.Close()
+	if err := submitRegistrations(c, fmt.Sprintf("e1-user-%d", n), "e1", cfg.TxPerRun); err != nil {
+		return e1Row{}, err
+	}
+	c.Network().ResetStats()
+	start := time.Now()
+	blocks := 0
+	for c.Node(0).MempoolSize() > 0 {
+		if _, err := c.Commit(); err != nil {
+			return e1Row{}, err
+		}
+		blocks++
+	}
+	elapsed := time.Since(start)
+	row := e1Row{
+		Nodes:       n,
+		TxCommitted: cfg.TxPerRun,
+		Elapsed:     elapsed,
+		Throughput:  float64(cfg.TxPerRun) / elapsed.Seconds(),
+		MsgsPerTx:   float64(c.Network().Stats().MessagesSent) / float64(cfg.TxPerRun),
+	}
+	if blocks > 0 {
+		row.LatencyPerBlock = elapsed / time.Duration(blocks)
+	}
+	return row, nil
 }
 
 // verifyE1 holds the §I shape: the single node out-runs the largest

@@ -1,7 +1,6 @@
 package ledger
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"medchain/internal/canonjson"
@@ -89,18 +88,16 @@ func (b *Block) Encode() ([]byte, error) {
 	return AppendBlockJSON(nil, b), nil
 }
 
-// DecodeBlock parses a JSON block: the canonical bytes Encode writes in
-// one pass, any other spelling through encoding/json.
+// DecodeBlock parses a block in the canonical bytes Encode writes; any
+// other spelling, null included, is refused with
+// canonjson.ErrNonCanonical.
 func DecodeBlock(data []byte) (*Block, error) {
 	r := canonjson.NewReader(data)
-	if b := ReadBlockJSON(&r); b != nil && r.Done() {
-		return b, nil
-	}
-	var b Block
-	if err := json.Unmarshal(data, &b); err != nil {
+	b := ReadBlockJSON(&r)
+	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("ledger: decode block: %w", err)
 	}
-	return &b, nil
+	return b, nil
 }
 
 // NewGenesis builds the genesis block for a chain identified by

@@ -26,7 +26,6 @@ var (
 type Chain struct {
 	mu      sync.RWMutex
 	blocks  []*Block
-	byHash  map[cryptoutil.Digest]*Block
 	txIndex map[cryptoutil.Digest]uint64 // tx ID -> block height
 	nonces  map[cryptoutil.Address]uint64
 	chainID string
@@ -41,13 +40,11 @@ type Chain struct {
 func NewChain(chainID string) *Chain {
 	g := NewGenesis(chainID)
 	c := &Chain{
-		byHash:  make(map[cryptoutil.Digest]*Block),
 		txIndex: make(map[cryptoutil.Digest]uint64),
 		nonces:  make(map[cryptoutil.Address]uint64),
 		chainID: chainID,
 	}
 	c.blocks = append(c.blocks, g)
-	c.byHash[g.Hash()] = g
 	return c
 }
 
@@ -83,17 +80,6 @@ func (c *Chain) BlockAt(height uint64) (*Block, error) {
 		return nil, fmt.Errorf("%w: height %d > head %d", ErrNotFound, height, len(c.blocks)-1)
 	}
 	return c.blocks[height], nil
-}
-
-// BlockByHash returns the block with the given header hash.
-func (c *Chain) BlockByHash(h cryptoutil.Digest) (*Block, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	b, ok := c.byHash[h]
-	if !ok {
-		return nil, fmt.Errorf("%w: block %s", ErrNotFound, h.Short())
-	}
-	return b, nil
 }
 
 // HasTx reports whether a transaction is already on chain.
@@ -244,7 +230,6 @@ func (c *Chain) AppendValidated(v *Validated) error {
 // append installs a validated block. Caller holds c.mu.
 func (c *Chain) append(b *Block, ids []cryptoutil.Digest) {
 	c.blocks = append(c.blocks, b)
-	c.byHash[b.Hash()] = b
 	for i, tx := range b.Txs {
 		c.txIndex[ids[i]] = b.Header.Height
 		c.nonces[tx.From] = tx.Nonce + 1

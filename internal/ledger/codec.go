@@ -10,9 +10,9 @@ import (
 // A transaction's and a block's bytes on the wire and on disk are the
 // JSON encoding/json writes for them. appendTx and AppendBlockJSON write
 // those bytes without reflection; readTx and ReadBlockJSON read them
-// back and fail on any other spelling, which the decoders then hand to
-// encoding/json. The types carry no JSON methods, so json.Unmarshal into
-// them is that reference decode, error texts included.
+// back and fail on any other spelling, which the decoders refuse with
+// canonjson.ErrNonCanonical. The types carry no JSON methods, so
+// json.Marshal of them stays the tests' reference encoding.
 
 // txSizeHint is about the encoded size of tx: its fixed fields and
 // 64-number signature come to under 512 bytes. The append functions
@@ -55,15 +55,10 @@ func appendTx(dst []byte, tx *Transaction) []byte {
 	return append(dst, '}')
 }
 
-// readTx reads one transaction, or null (a nil transaction inside a
-// block).
 func readTx(r *canonjson.Reader) *Transaction {
-	if r.Skip("null") {
-		return nil
-	}
 	tx := new(Transaction)
 	r.Lit(`{"type":`)
-	tx.Type = TxType(r.String())
+	tx.Type = TxType(r.Text())
 	r.Lit(`,"from":`)
 	r.Hex(tx.From[:])
 	r.Lit(`,"nonce":`)
@@ -71,7 +66,7 @@ func readTx(r *canonjson.Reader) *Transaction {
 	r.Lit(`,"contract":`)
 	r.Hex(tx.Contract[:])
 	r.Lit(`,"method":`)
-	tx.Method = r.String()
+	tx.Method = r.Text()
 	if r.Skip(`,"args":`) {
 		tx.Args = r.Bytes()
 	}
@@ -180,18 +175,19 @@ func AppendBlockJSON(dst []byte, b *Block) []byte {
 	return append(dst, '}')
 }
 
-// ReadBlockJSON reads a block, or null, in the form AppendBlockJSON
-// writes; r fails on any other.
+// ReadBlockJSON reads a block in the form AppendBlockJSON writes for a
+// non-nil one; r fails on any other.
 func ReadBlockJSON(r *canonjson.Reader) *Block {
-	if r.Skip("null") {
-		return nil
-	}
 	b := new(Block)
 	r.Lit(`{"header":`)
 	readHeader(r, &b.Header)
 	if r.Skip(`,"txs":[`) {
 		for {
-			b.Txs = append(b.Txs, readTx(r))
+			var tx *Transaction // null: a nil transaction
+			if !r.Skip("null") {
+				tx = readTx(r)
+			}
+			b.Txs = append(b.Txs, tx)
 			if !r.Skip(",") {
 				break
 			}

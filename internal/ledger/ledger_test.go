@@ -202,13 +202,6 @@ func TestChainAppendAndLookup(t *testing.T) {
 	if h != 1 || got.ID() != tx.ID() {
 		t.Fatalf("FindTx returned height %d, id %s", h, got.ID().Short())
 	}
-	byHash, err := c.BlockByHash(b.Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if byHash.Header.Height != 1 {
-		t.Fatal("BlockByHash returned wrong block")
-	}
 	byHeight, err := c.BlockAt(1)
 	if err != nil {
 		t.Fatal(err)
@@ -356,9 +349,6 @@ func TestLookupErrors(t *testing.T) {
 	c := NewChain("test")
 	if _, err := c.BlockAt(9); err == nil {
 		t.Fatal("BlockAt(9) on empty chain succeeded")
-	}
-	if _, err := c.BlockByHash(cryptoutil.Sum([]byte("x"))); err == nil {
-		t.Fatal("BlockByHash of unknown hash succeeded")
 	}
 	if _, _, err := c.FindTx(cryptoutil.Sum([]byte("t"))); err == nil {
 		t.Fatal("FindTx of unknown tx succeeded")

@@ -7,7 +7,6 @@
 package ledger
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -157,16 +156,14 @@ func (tx *Transaction) Encode() ([]byte, error) {
 	return appendTx(nil, tx), nil
 }
 
-// DecodeTransaction parses a JSON transaction: the canonical bytes
-// Encode writes in one pass, any other spelling through encoding/json.
+// DecodeTransaction parses a transaction in the canonical bytes Encode
+// writes; any other spelling, null included, is refused with
+// canonjson.ErrNonCanonical.
 func DecodeTransaction(b []byte) (*Transaction, error) {
 	r := canonjson.NewReader(b)
-	if tx := readTx(&r); tx != nil && r.Done() {
-		return tx, nil
-	}
-	var tx Transaction
-	if err := json.Unmarshal(b, &tx); err != nil {
+	tx := readTx(&r)
+	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("ledger: decode tx: %w", err)
 	}
-	return &tx, nil
+	return tx, nil
 }

@@ -161,7 +161,31 @@ func (s *System) PumpRound() bool {
 	}
 
 	// Stage 2: drive every pending transfer through relay + apply/expire
-	// → relay + resolve, strictly state-driven.
+	// → relay + resolve, strictly state-driven. relayed relays shardID's
+	// root at height to the target chain and returns leaf's proof once
+	// the root anchored on the coordination chain verifies it; nil means
+	// the transfer waits for the next round, or an anomaly names what of
+	// it ("prepare", "resolution") could not be proven.
+	relayed := func(id, what, shardID string, height uint64, leaf []byte, target *chain.Cluster, targetNode *chain.Node) *merkle.Proof {
+		if !s.relayRoot(shardID, height, target, targetNode, sentAnchor, submitted) {
+			waiting = true
+			return nil
+		}
+		proof, root, ok := s.proveLeaf(shardID, height, leaf)
+		if !ok {
+			s.anomaly("transfer %s: %s proof unavailable", id, what)
+			return nil
+		}
+		verified, decided := s.relayVerify(shardID, height, root)
+		if !decided {
+			return nil // coordination chain unreachable: retry next round
+		}
+		if !verified {
+			s.anomaly("transfer %s: %s root mismatch", id, what)
+			return nil
+		}
+		return proof
+	}
 	for i := range s.shards {
 		srcCluster := s.shards[i]
 		srcNode := srcCluster.Best()
@@ -186,21 +210,8 @@ func (s *System) PumpRound() bool {
 			if res, ok := destNode.State().CrossInbound(rec.SourceShard, rec.ID); ok {
 				// Destination decided: mirror the resolution back, right
 				// behind the relayed destination root.
-				if !s.relayRoot(rec.DestShard, res.DestHeight, srcCluster, srcNode, sentAnchor, submitted) {
-					waiting = true
-					continue
-				}
-				proof, root, ok := s.proveLeaf(rec.DestShard, res.DestHeight, res.Leaf())
-				if !ok {
-					s.anomaly("transfer %s: resolution proof unavailable", rec.ID)
-					continue
-				}
-				verified, decided := s.relayVerify(rec.DestShard, res.DestHeight, root)
-				if !decided {
-					continue // coordination chain unreachable: retry next round
-				}
-				if !verified {
-					s.anomaly("transfer %s: resolution root mismatch", rec.ID)
+				proof := relayed(rec.ID, "resolution", rec.DestShard, res.DestHeight, res.Leaf(), srcCluster, srcNode)
+				if proof == nil {
 					continue
 				}
 				args := contract.CrossResolveArgs{Resolution: res, Proof: proof}
@@ -211,21 +222,8 @@ func (s *System) PumpRound() bool {
 			}
 			// Destination undecided: relay the source root and, right
 			// behind it, apply (or expire past the deadline).
-			if !s.relayRoot(rec.SourceShard, rec.SourceHeight, destCluster, destNode, sentAnchor, submitted) {
-				waiting = true
-				continue
-			}
-			proof, root, ok := s.proveLeaf(rec.SourceShard, rec.SourceHeight, rec.Leaf())
-			if !ok {
-				s.anomaly("transfer %s: prepare proof unavailable", rec.ID)
-				continue
-			}
-			verified, decided := s.relayVerify(rec.SourceShard, rec.SourceHeight, root)
-			if !decided {
-				continue // coordination chain unreachable: retry next round
-			}
-			if !verified {
-				s.anomaly("transfer %s: prepare root mismatch", rec.ID)
+			proof := relayed(rec.ID, "prepare", rec.SourceShard, rec.SourceHeight, rec.Leaf(), destCluster, destNode)
+			if proof == nil {
 				continue
 			}
 			method := "apply"

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"medchain/internal/canonjson/canontest"
 	"medchain/internal/contract"
 	"medchain/internal/ledger"
 )
@@ -193,8 +194,9 @@ func restampFrames(raw []byte) {
 
 // FuzzOpen: whatever bytes a data directory holds as its WAL and its
 // newest snapshot, Open returns a typed refusal or a recovered store —
-// it never panics — and a chain it accepts passes the full audit it no
-// longer runs itself.
+// it never panics — a chain it accepts passes the full audit it no
+// longer runs itself, and it never recovers from a snapshot in any
+// spelling but the canonical one.
 func FuzzOpen(f *testing.F) {
 	blocks, _ := buildBlocks(f, testChainID, 3)
 	seeded := NewMemFS()
@@ -206,6 +208,10 @@ func FuzzOpen(f *testing.F) {
 	}
 	flipped := append([]byte(nil), wal...)
 	flipped[frameHeaderSize+4] ^= 0xff
+	frames := encodeBlocks(blocks)
+	frames[1] = canontest.Reordered(frames[1])
+	writeFrames(f, seeded, "n0", frames)
+	reordered := walBytes(f, seeded, "n0")
 	blocks[1].Txs = []*ledger.Transaction{nil}
 	reroot(f, blocks[1])
 	rewriteWAL(f, seeded, "n0", blocks)
@@ -217,6 +223,8 @@ func FuzzOpen(f *testing.F) {
 	f.Add(flipped, []byte(nil), uint8(0), false)
 	f.Add(flipped, snap, uint8(2), true)
 	f.Add(nilTx, []byte(nil), uint8(0), true)
+	f.Add(reordered, []byte(nil), uint8(0), false)
+	f.Add(wal, canontest.Indented(snap), uint8(2), false)
 	f.Add(wal, []byte(`{"chain_id":"store-test","height":2,"state":null,"receipts":[null]}`), uint8(2), false)
 	f.Fuzz(func(t *testing.T, wal, snap []byte, snapAt uint8, restamp bool) {
 		fs := NewMemFS()
@@ -244,6 +252,9 @@ func FuzzOpen(f *testing.F) {
 			return
 		}
 		defer st.Close()
+		if _, err := decodeSnapshot(snap); err != nil && rec.SnapshotHeight != 0 {
+			t.Fatalf("recovered from snapshot %d, which decodeSnapshot refuses: %v", rec.SnapshotHeight, err)
+		}
 		if rec.Height != rec.Chain.Height() {
 			t.Fatalf("recovered height %d, chain height %d", rec.Height, rec.Chain.Height())
 		}

@@ -18,13 +18,14 @@ import (
 // receipt with its events and every dataset row — and through
 // json.Marshal of each other state table, which stays a few hundred KB.
 // readSnapshot reads them back the same way and fails on any other
-// spelling, which decodeSnapshot then hands whole to encoding/json, so
-// every accepted value and every error stay encoding/json's.
+// spelling, which decodeSnapshot refuses with canonjson.ErrNonCanonical:
+// a refused snapshot is unusable, and Open replays the whole WAL.
 
 // stateTables are the StateExport members other than the datasets and
-// the request counter, in field order. Each is encoded and decoded
-// whole by encoding/json; a member that marshals to null or [] is one
-// omitempty drops.
+// the request counter, in field order. Each is encoded whole by
+// json.Marshal, and read by json.Unmarshal only as the canonical check:
+// a table is taken when json.Marshal writes it back as the same bytes.
+// A member that marshals to null or [] is one omitempty drops.
 var stateTables = []struct {
 	key   string // `"name":`
 	field func(*contract.StateExport) any
@@ -223,19 +224,15 @@ func appendEvent(dst []byte, ev *vm.Event) []byte {
 	return append(dst, '}')
 }
 
-// decodeSnapshot parses a snapshot body: the canonical bytes
-// snapshotParts writes in one pass, any other spelling through
-// encoding/json.
+// decodeSnapshot parses a snapshot body in the canonical bytes
+// snapshotParts writes, and refuses any other.
 func decodeSnapshot(body []byte) (*snapshotPayload, error) {
 	r := canonjson.NewReader(body)
-	if p := readSnapshot(&r); r.Done() {
-		return p, nil
-	}
-	var p snapshotPayload
-	if err := json.Unmarshal(body, &p); err != nil {
+	p := readSnapshot(&r)
+	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("store: decode snapshot: %w", err)
 	}
-	return &p, nil
+	return p, nil
 }
 
 // readSnapshot reads a payload in the form snapshotParts writes; r

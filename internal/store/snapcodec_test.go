@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"medchain/internal/canonjson"
 	"medchain/internal/canonjson/canontest"
 	"medchain/internal/contract"
 	"medchain/internal/contract/fixtures"
@@ -95,9 +94,9 @@ func codecDatasets() []contract.Dataset {
 }
 
 // codecPayloads is the byte-identity corpus. valid marks the payloads
-// whose encoding the one-pass reader takes: all but a null state and
-// invalid UTF-8, which encoding/json writes as an escape it does not
-// read back to the same string.
+// whose encoding decodeSnapshot takes: all but a null state and invalid
+// UTF-8, which encoding/json writes as an escape it does not read back
+// to the same string.
 func codecPayloads(t testing.TB) (payloads []*snapshotPayload, valid []bool) {
 	receipts := codecReceipts(t)
 	add := func(ok bool, ex *contract.StateExport, rs []*contract.Receipt) {
@@ -129,15 +128,15 @@ func codecPayloads(t testing.TB) (payloads []*snapshotPayload, valid []bool) {
 }
 
 // TestSnapshotCodecMatchesEncodingJSON holds snapshotParts to
-// json.Marshal's bytes over the corpus, decodeSnapshot to json.Unmarshal,
-// and the one-pass reader to the value encoded.
+// json.Marshal's bytes over the corpus, and decodeSnapshot to the value
+// encoded: it decodes every payload marked valid, and refuses the rest.
 func TestSnapshotCodecMatchesEncodingJSON(t *testing.T) {
 	for _, v := range []any{&snapshotPayload{}, &contract.StateExport{}, &contract.Receipt{}, &contract.Dataset{}, &vm.Event{}} {
 		if _, ok := v.(json.Marshaler); ok {
 			t.Fatalf("%T has a MarshalJSON: the reflective reference would no longer be encoding/json's", v)
 		}
 		if _, ok := v.(json.Unmarshaler); ok {
-			t.Fatalf("%T has an UnmarshalJSON: the fallback would no longer be encoding/json's", v)
+			t.Fatalf("%T has an UnmarshalJSON: the reference decode would no longer be encoding/json's", v)
 		}
 	}
 	// The members appendState writes are StateExport's, in field order.
@@ -168,13 +167,10 @@ func TestSnapshotCodecMatchesEncodingJSON(t *testing.T) {
 			t.Fatalf("payload %d: snapshotParts\n%s\njson.Marshal\n%s", i, got, want)
 		}
 		back, err := decodeSnapshot(got)
-		var ref snapshotPayload
-		refErr := json.Unmarshal(got, &ref)
-		canontest.CheckDecode(t, fmt.Sprint("payload ", i), got, back, &ref, err, refErr, "store: decode snapshot: ")
-		r := canonjson.NewReader(got)
-		if fast := readSnapshot(&r); r.Done() != valid[i] || (valid[i] && !reflect.DeepEqual(fast, &ref)) {
-			t.Fatalf("payload %d: one-pass read done %v, want %v; read %+v", i, r.Done(), valid[i], fast)
+		if (err == nil) != valid[i] {
+			t.Fatalf("payload %d: decode error %v, want decoded %v", i, err, valid[i])
 		}
+		canontest.CheckDecode(t, fmt.Sprint("payload ", i), got, back, err, func() ([]byte, error) { return encodeSnapshot(back, new(receiptCache)) })
 	}
 }
 
@@ -276,16 +272,15 @@ func TestSnapshotsEqualEncodingJSON(t *testing.T) {
 }
 
 // The pre-stamp fixture's snapshot, written by json.Marshal at commit
-// eccc326, reads in one pass and encodes back to its own bytes.
+// eccc326, decodes and encodes back to its own bytes.
 func TestSnapshotFixtureRoundTrips(t *testing.T) {
 	h, body, err := LoadLatestSnapshot(OSFS{}, "testdata/v1")
 	if err != nil || body == nil {
 		t.Fatalf("fixture snapshot at %d: %v", h, err)
 	}
-	r := canonjson.NewReader(body)
-	p := readSnapshot(&r)
-	if !r.Done() {
-		t.Fatal("one-pass read refused the fixture snapshot")
+	p, err := decodeSnapshot(body)
+	if err != nil {
+		t.Fatalf("fixture snapshot refused: %v", err)
 	}
 	got, err := encodeSnapshot(p, new(receiptCache))
 	if err != nil || !bytes.Equal(got, body) {
@@ -293,37 +288,33 @@ func TestSnapshotFixtureRoundTrips(t *testing.T) {
 	}
 }
 
-// FuzzSnapshotCodec is the differential check of the snapshot codec:
-// for any bytes, decodeSnapshot agrees with json.Unmarshal into the
-// payload (the same value, or both an error with the same text),
-// snapshotParts writes what json.Marshal writes for every value
-// decoded, and the one-pass reader accepts only bytes snapshotParts
-// writes.
-func FuzzSnapshotCodec(f *testing.F) {
-	payloads, _ := codecPayloads(f)
+// snapshotSeeds returns the encodings of the corpus and of a small
+// payload, and their twins: each payload's own, its state's, and those
+// of a dataset, a receipt, an event and a table inside the small one,
+// with hand-made respellings of single members.
+func snapshotSeeds(t testing.TB) (canon, twins [][]byte) {
+	payloads, _ := codecPayloads(t)
 	for _, p := range payloads {
 		enc, err := encodeSnapshot(p, new(receiptCache))
 		if err != nil {
-			f.Fatal(err)
+			t.Fatal(err)
 		}
-		f.Add(enc)
-		for _, seed := range canontest.Variants(enc) {
-			f.Add(seed)
-		}
+		canon = append(canon, enc)
+		twins = append(twins, canontest.Variants(enc)...)
 		state, _ := json.Marshal(p.State)
 		for _, seed := range canontest.Variants(state) {
-			f.Add(bytes.Replace(enc, state, seed, 1))
+			twins = append(twins, bytes.Replace(enc, state, seed, 1))
 		}
 	}
 	small := &snapshotPayload{ChainID: "fuzz", Height: 2, State: &contract.StateExport{
 		Datasets: codecDatasets()[1:3], Tools: []contract.Tool{{ID: "t"}}, RequestSeq: 3,
-	}, Receipts: codecReceipts(f)[2:4]}
+	}, Receipts: codecReceipts(t)[2:4]}
 	enc, _ := encodeSnapshot(small, new(receiptCache))
-	f.Add(enc)
+	canon = append(canon, enc)
 	for _, part := range []any{&small.State.Datasets[1], small.Receipts[0], &small.Receipts[0].Events[0], &small.State.Tools} {
 		b, _ := json.Marshal(part)
 		for _, seed := range canontest.Variants(b) {
-			f.Add(bytes.Replace(enc, b, seed, 1))
+			twins = append(twins, bytes.Replace(enc, b, seed, 1))
 		}
 	}
 	for _, r := range [][2]string{
@@ -337,23 +328,33 @@ func FuzzSnapshotCodec(f *testing.F) {
 		{`"err":"`, `"err":"","x":"`},
 		{`,"request_seq"`, `,"tools":[],"request_seq"`},
 	} {
-		f.Add(bytes.Replace(enc, []byte(r[0]), []byte(r[1]), 1))
+		twins = append(twins, bytes.Replace(enc, []byte(r[0]), []byte(r[1]), 1))
 	}
+	return canon, append(twins, []byte(`{"chain_id":"fuzz","height":2}`))
+}
 
+// TestSnapshotTwinsRefused: every twin of the corpus, and a partial
+// payload, is refused with canonjson.ErrNonCanonical.
+func TestSnapshotTwinsRefused(t *testing.T) {
+	_, twins := snapshotSeeds(t)
+	for _, b := range twins {
+		_, err := decodeSnapshot(b)
+		canontest.CheckRefused[snapshotPayload](t, "snapshot", b, err)
+	}
+}
+
+// FuzzSnapshotCodec holds decodeSnapshot to snapshotParts: for any
+// bytes, it refuses them with canonjson.ErrNonCanonical, or decodes the
+// value json.Unmarshal reads, which snapshotParts writes back as the
+// same bytes — json.Marshal's.
+func FuzzSnapshotCodec(f *testing.F) {
+	canon, twins := snapshotSeeds(f)
+	for _, b := range append(canon, twins...) {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := decodeSnapshot(data)
-		var ref snapshotPayload
-		refErr := json.Unmarshal(data, &ref)
-		canontest.CheckDecode(t, "snapshot", data, got, &ref, err, refErr, "store: decode snapshot: ")
-		if err == nil {
-			canontest.CheckEncode(t, data, func() ([]byte, error) { return encodeSnapshot(got, new(receiptCache)) }, &ref)
-		}
-		r := canonjson.NewReader(data)
-		if fast := readSnapshot(&r); r.Done() {
-			if enc, err := encodeSnapshot(fast, new(receiptCache)); err != nil || !bytes.Equal(enc, data) {
-				t.Fatalf("one-pass reader accepted non-canonical snapshot %q", data)
-			}
-		}
+		canontest.CheckDecode(t, "snapshot", data, got, err, func() ([]byte, error) { return encodeSnapshot(got, new(receiptCache)) })
 	})
 }
 

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"medchain/internal/canonjson/canontest"
 	"medchain/internal/contract"
 	"medchain/internal/cryptoutil"
 	"medchain/internal/ledger"
@@ -157,12 +158,23 @@ func corruptWAL(t testing.TB, fs FS, dir string, off int64, b byte) {
 // instead of dying at the frame checksum.
 func rewriteWAL(t testing.TB, fs FS, dir string, blocks []*ledger.Block) {
 	t.Helper()
+	writeFrames(t, fs, dir, encodeBlocks(blocks))
+}
+
+// encodeBlocks returns each block's encoding, a WAL frame's payload.
+func encodeBlocks(blocks []*ledger.Block) [][]byte {
+	payloads := make([][]byte, len(blocks))
+	for i, blk := range blocks {
+		payloads[i], _ = blk.Encode()
+	}
+	return payloads
+}
+
+// writeFrames replaces the WAL with one CRC-valid frame per payload.
+func writeFrames(t testing.TB, fs FS, dir string, payloads [][]byte) {
+	t.Helper()
 	var raw []byte
-	for _, blk := range blocks {
-		payload, err := blk.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, payload := range payloads {
 		var hdr [frameHeaderSize]byte
 		writeFrameHeader(hdr[:], payload)
 		raw = append(append(raw, hdr[:]...), payload...)
@@ -374,6 +386,40 @@ func TestRecoveryEdgeCases(t *testing.T) {
 				rewriteWAL(t, fs, "n0", blocks)
 			},
 			wantErr: true, wantHeight: 4,
+		},
+		{
+			// A CRC-valid frame holding its block in another spelling
+			// is refused like a damaged one.
+			name: "non-canonical frame", blocks: 6,
+			damage: func(t *testing.T, fs FS, blocks []*ledger.Block) {
+				payloads := encodeBlocks(blocks)
+				payloads[3] = canontest.Reordered(payloads[3])
+				writeFrames(t, fs, "n0", payloads)
+			},
+			wantErr: true, wantHeight: 4,
+		},
+		{
+			// A snapshot in another spelling is unusable: the WAL is
+			// replayed in full.
+			name: "non-canonical snapshot", blocks: 6,
+			seed: Options{SnapshotEvery: 3},
+			damage: func(t *testing.T, fs FS, _ []*ledger.Block) {
+				h, body, err := LoadLatestSnapshot(fs, "n0")
+				if err != nil || h != 6 {
+					t.Fatalf("latest snapshot at %d: %v", h, err)
+				}
+				if err := writeSnapshot(fs, "n0", h, make([]byte, snapHeaderLen), canontest.Indented(body)); err != nil {
+					t.Fatal(err)
+				}
+			},
+			check: func(t *testing.T, rec *Recovered, blocks []*ledger.Block) {
+				if !rec.SnapshotIgnored || rec.SnapshotHeight != 0 || rec.ReplayedBlocks != 6 {
+					t.Fatalf("ignored %v, snap %d, replayed %d; want a full replay", rec.SnapshotIgnored, rec.SnapshotHeight, rec.ReplayedBlocks)
+				}
+				if rec.State.Root() != blocks[5].Header.StateRoot {
+					t.Fatal("replay root mismatch")
+				}
+			},
 		},
 		{
 			name: "snapshot newer than wal", blocks: 6,

@@ -361,15 +361,3 @@ func (s *Store) GetManifest(m *Manifest) ([]byte, error) {
 	}
 	return data, nil
 }
-
-// Delete removes a record's manifest (chunks stay — they may be
-// shared with other records and are garbage, not corruption).
-func (s *Store) Delete(record string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.manifests[record]; !ok {
-		return
-	}
-	delete(s.manifests, record)
-	_ = s.fs.Remove(s.manifestPath(record))
-}

@@ -8,7 +8,6 @@ import (
 
 	"medchain/internal/ledger"
 	"medchain/internal/p2p"
-	"medchain/internal/resilience"
 )
 
 // waitRunningMempools waits until every running node has at least want
@@ -72,9 +71,7 @@ func TestCrashedFollowerRestartsAndResyncs(t *testing.T) {
 	if err := c.RestartNode(3); err != nil {
 		t.Fatal(err)
 	}
-	ok := resilience.Poll(time.Now().Add(5*time.Second), nil, func() bool {
-		return c.Node(3).Height() >= 3
-	})
+	ok := waitNodes([]*Node{c.Node(3)}, 5*time.Second, nil, func(n *Node) bool { return n.Height() >= 3 })
 	if !ok {
 		t.Fatalf("restarted node stuck at height %d", c.Node(3).Height())
 	}
@@ -203,9 +200,7 @@ func TestPartitionHealMinorityRestartReconverges(t *testing.T) {
 		if err := c.SubmitVia(1, tx); err != nil {
 			t.Fatal(err)
 		}
-		ok := resilience.Poll(time.Now().Add(3*time.Second), nil, func() bool {
-			return c.Node(2).MempoolSize() >= 1
-		})
+		ok := waitNodes([]*Node{c.Node(2)}, 3*time.Second, nil, func(n *Node) bool { return n.MempoolSize() >= 1 })
 		if !ok {
 			t.Fatal("gossip timeout on majority side")
 		}
@@ -232,9 +227,7 @@ func TestPartitionHealMinorityRestartReconverges(t *testing.T) {
 	if err := c.RestartNode(3); err != nil {
 		t.Fatal(err)
 	}
-	ok := resilience.Poll(time.Now().Add(5*time.Second), nil, func() bool {
-		return c.Node(3).Height() >= 2
-	})
+	ok := waitNodes([]*Node{c.Node(3)}, 5*time.Second, nil, func(n *Node) bool { return n.Height() >= 2 })
 	if !ok {
 		t.Fatalf("minority node stuck at height %d after heal", c.Node(3).Height())
 	}
@@ -287,7 +280,7 @@ func TestCommitAllRetriesThenReportsPartialProgress(t *testing.T) {
 	if err == nil {
 		t.Fatal("CommitAll reported success during partition")
 	}
-	if !errors.Is(err, resilience.ErrRetriesExhausted) || !errors.Is(err, ErrNoQuorum) {
+	if !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("error %v does not wrap exhaustion + no-quorum", err)
 	}
 	if blocks == 0 {
@@ -331,7 +324,7 @@ func TestCommitAllNeverBuildsAnEmptyBlock(t *testing.T) {
 			if n := c.fullestPool(); n != 0 {
 				t.Fatalf("round %d: CommitAll returned with %d txs pooled", round, n)
 			}
-		case !errors.Is(err, resilience.ErrRetriesExhausted):
+		case !errors.Is(err, ErrRetriesExhausted):
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"medchain/internal/guard"
 	"medchain/internal/ledger"
 	"medchain/internal/p2p"
-	"medchain/internal/resilience"
 	"medchain/internal/store"
 )
 
@@ -152,8 +151,7 @@ func (c *Cluster) Network() *p2p.Network { return c.net }
 // and only when every one rejects does Submit fail — with each node's
 // reason preserved in the joined error, so a caller can distinguish
 // "cluster down" (ErrStopped) from "cluster saturated" (every branch
-// wraps ErrMempoolFull) and honor the longest retry-after hint via
-// resilience.RetryAfterHint.
+// wraps ErrMempoolFull).
 func (c *Cluster) Submit(tx *ledger.Transaction) error {
 	var errs []error
 	for i, n := range c.nodes {
@@ -420,7 +418,7 @@ func (c *Cluster) fullestPool() int {
 // that passes with nothing reaching p re-gossips every pool and moves
 // to the next, longer step; after commitAllRetries such steps in a row,
 // or once p stops, the wait gives up and p proposes whatever it holds.
-func (c *Cluster) awaitWork(p *Node, backoff *resilience.Backoff) {
+func (c *Cluster) awaitWork(p *Node, delays *backoff) {
 	target := c.fullestPool()
 	var step time.Duration
 	for quiet := 0; quiet < commitAllRetries && p.Running(); {
@@ -433,7 +431,7 @@ func (c *Cluster) awaitWork(p *Node, backoff *resilience.Backoff) {
 			return
 		}
 		if step == 0 {
-			step = backoff.Next()
+			step = delays.Next()
 		}
 		if waitNodes([]*Node{p}, step, nil, func(n *Node) bool { return n.MempoolSize() > held }) {
 			quiet = 0
@@ -447,6 +445,24 @@ func (c *Cluster) awaitWork(p *Node, backoff *resilience.Backoff) {
 // commitAllRetries bounds the quiet steps CommitAll waits for a
 // proposer's pool, and the consecutive failed rounds it rides out.
 const commitAllRetries = 3
+
+// ErrRetriesExhausted means CommitAll gave up after commitAllRetries
+// consecutive failed rounds; the error wrapping it also wraps each
+// round's error.
+var ErrRetriesExhausted = errors.New("chain: retries exhausted")
+
+// backoff is CommitAll's delay sequence: 1 ms, doubling to 50 ms. A
+// round that commits without error starts it over.
+type backoff struct{ next, max time.Duration }
+
+func commitBackoff() backoff { return backoff{next: time.Millisecond, max: 50 * time.Millisecond} }
+
+// Next returns the current delay and advances to the following one.
+func (b *backoff) Next() time.Duration {
+	d := b.next
+	b.next = min(2*d, b.max)
+	return d
+}
 
 // CommitAll commits blocks until every running node's mempool is empty,
 // returning the number of blocks produced. A round starts when the
@@ -462,30 +478,30 @@ const commitAllRetries = 3
 // whose proposer could not catch up. Failed rounds are retried with the
 // same backoff; after commitAllRetries consecutive ones CommitAll gives
 // up, returning the blocks committed so far alongside an error wrapping
-// resilience.ErrRetriesExhausted and each failed round's error.
+// ErrRetriesExhausted and each failed round's error.
 func (c *Cluster) CommitAll() (int, error) {
 	blocks := 0
 	var failed []error
-	backoff := &resilience.Backoff{Base: time.Millisecond, Max: 50 * time.Millisecond}
+	delays := commitBackoff()
 	for c.fullestPool() > 0 {
-		c.awaitWork(c.Proposer(), backoff)
+		c.awaitWork(c.Proposer(), &delays)
 		blk, err := c.commit(true)
 		if blk != nil {
 			blocks++
 		}
 		if err == nil {
 			failed = nil
-			backoff.Reset()
+			delays = commitBackoff()
 			continue
 		}
 		if !errors.Is(err, ErrNoQuorum) && !errors.Is(err, errBehind) && !errors.Is(err, errNoWork) {
 			return blocks, err
 		}
 		if failed = append(failed, err); len(failed) >= commitAllRetries {
-			return blocks, fmt.Errorf("chain: %w: %d rounds failed: %w",
-				resilience.ErrRetriesExhausted, len(failed), errors.Join(failed...))
+			return blocks, fmt.Errorf("%w: %d rounds failed: %w",
+				ErrRetriesExhausted, len(failed), errors.Join(failed...))
 		}
-		backoff.Sleep()
+		time.Sleep(delays.Next())
 	}
 	return blocks, nil
 }

@@ -415,3 +415,36 @@ func TestEscapedStringsCommit(t *testing.T) {
 		}
 	}
 }
+
+// TestInvalidUTF8MethodRefusedAtAdmission: a transaction whose method is
+// not valid UTF-8 is refused by the node it is submitted to, typed, and
+// never gossiped — Encode would write it as another string, and every
+// peer would score the honest relay malformed. A valid transaction sent
+// after it is the barrier: once every pool holds it, nothing else came.
+func TestInvalidUTF8MethodRefusedAtAdmission(t *testing.T) {
+	c := newCluster(t, 3)
+	user := userKey(t, "invalid-utf8")
+	bad := datasetTx(t, user, 0, "invalid-utf8")
+	bad.Method = "register\xff"
+	if err := bad.Sign(user); err != nil {
+		t.Fatal(err)
+	}
+	err := c.SubmitVia(0, bad)
+	if !errors.Is(err, ledger.ErrInvalidUTF8) || !errors.Is(err, ErrMempool) {
+		t.Fatalf("invalid UTF-8 method: %v, want ErrMempool wrapping ledger.ErrInvalidUTF8", err)
+	}
+	if err := c.SubmitVia(0, datasetTx(t, user, 0, "valid-utf8")); err != nil {
+		t.Fatal(err)
+	}
+	waitMempools(t, c, 1)
+	for i, n := range c.Nodes() {
+		if got := n.MempoolSize(); got != 1 {
+			t.Fatalf("node %d pools %d transactions, want 1", i, got)
+		}
+		for _, p := range n.GuardStats().Peers {
+			if len(p.Offenses) > 0 {
+				t.Fatalf("node %d scored %s: %v", i, p.Peer, p.Offenses)
+			}
+		}
+	}
+}

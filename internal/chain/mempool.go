@@ -14,8 +14,7 @@ import (
 // Backpressure and admission errors surfaced to submitters. They are
 // typed so a client can tell transient overload — back off and
 // resubmit — from permanent rejection. ErrMempoolFull is the one
-// backpressure error; it carries a retry-after hint via
-// resilience.WithRetryAfter.
+// backpressure error.
 var (
 	// ErrMempoolFull means the bounded pool is at capacity and the
 	// transaction's priority did not justify evicting anything, or the

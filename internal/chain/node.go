@@ -42,7 +42,6 @@ import (
 	"medchain/internal/ledger"
 	"medchain/internal/p2p"
 	"medchain/internal/parexec"
-	"medchain/internal/resilience"
 	"medchain/internal/store"
 	"medchain/internal/vm"
 )
@@ -549,18 +548,12 @@ func (n *Node) EventsSince(height uint64) []EventRecord {
 	return out
 }
 
-// mempoolFullRetryAfter is the backpressure hint attached when the
-// bounded pool itself (not the admission controller) rejects: roughly
-// one commit round, after which capacity has usually drained.
-const mempoolFullRetryAfter = 50 * time.Millisecond
-
 // SubmitLocal validates a transaction into the local mempool (no
 // gossip): signature verification, committed/pending dedupe, overload
 // shedding by the admission controller, then bounded-pool admission
 // (nonce contiguity, deadline, capacity). Rejections are typed — a
 // transaction that fails verification returns ErrMempool wrapping the
-// ledger's reason, and a shed or pool-full one ErrMempoolFull with a
-// retry-after hint (resilience.RetryAfterHint reads it) — and
+// ledger's reason, and a shed or pool-full one ErrMempoolFull — and
 // duplicates are silently idempotent, which gossip re-delivery depends
 // on. The signature check goes through the chain's verified set, so the
 // proposal and block that later carry the transaction do not repeat the
@@ -578,8 +571,7 @@ func (n *Node) SubmitLocal(tx *ledger.Transaction) error {
 	if d := n.admission.Decide(tx.From.String(), class, txSize(tx), n.pool.Fill()); !d.Admit {
 		// Overload shedding is fill-driven: to the client it is the pool
 		// being effectively full for its priority class.
-		return resilience.WithRetryAfter(
-			fmt.Errorf("%w: %s (admission state %s)", ErrMempoolFull, d.Reason, d.State), d.RetryAfter)
+		return fmt.Errorf("%w: %s (admission state %s)", ErrMempoolFull, d.Reason, d.State)
 	}
 	err = n.pool.Add(tx, class, c.NextNonce(tx.From), c.Height())
 	switch {
@@ -588,8 +580,6 @@ func (n *Node) SubmitLocal(tx *ledger.Transaction) error {
 		return nil
 	case errors.Is(err, ledger.ErrDuplicateTx):
 		return nil // idempotent
-	case errors.Is(err, ErrMempoolFull):
-		return resilience.WithRetryAfter(err, mempoolFullRetryAfter)
 	default:
 		return err
 	}

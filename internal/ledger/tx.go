@@ -9,6 +9,7 @@ package ledger
 import (
 	"errors"
 	"fmt"
+	"unicode/utf8"
 
 	"medchain/internal/canonjson"
 	"medchain/internal/cryptoutil"
@@ -123,13 +124,20 @@ var (
 	ErrBadSignature = errors.New("ledger: bad transaction signature")
 	ErrBadTxType    = errors.New("ledger: unknown transaction type")
 	ErrAddrMismatch = errors.New("ledger: sender address does not match public key")
+	// ErrInvalidUTF8 refuses a Method that is not valid UTF-8: Encode
+	// would write it as another string, which no peer could verify.
+	ErrInvalidUTF8 = errors.New("ledger: method is not valid UTF-8")
 )
 
-// Verify checks structural validity: known type, address matches the
-// public key, and the signature verifies over the transaction hash.
+// Verify checks structural validity: known type, a method that is valid
+// UTF-8, address matches the public key, and the signature verifies
+// over the transaction hash.
 func (tx *Transaction) Verify() error {
 	if !ValidTxType(tx.Type) {
 		return fmt.Errorf("%w: %q", ErrBadTxType, tx.Type)
+	}
+	if !utf8.ValidString(tx.Method) {
+		return fmt.Errorf("%w: %q", ErrInvalidUTF8, tx.Method)
 	}
 	pub, err := cryptoutil.DecodePublicKey(tx.PubKey)
 	if err != nil {

@@ -324,9 +324,6 @@ func (s *System) ShardIDs() []string { return append([]string(nil), s.shardIDs..
 // Config returns the deployment configuration (with defaults applied).
 func (s *System) Config() Config { return s.cfg }
 
-// CoordinatorAddress returns the coordinator identity's address.
-func (s *System) CoordinatorAddress() cryptoutil.Address { return s.coordKey.Address() }
-
 // GatewayAddress returns shard i's initial gateway address (committee
 // member 0). The current lease holder may differ — see ActiveGateway.
 func (s *System) GatewayAddress(i int) cryptoutil.Address { return s.committees[i][0].Address() }

@@ -24,16 +24,16 @@
 // subSeed — the fuzzer's *rand.Rand, the chaos schedule generator, the
 // p2p loss/jitter RNG, the synthetic EMR cohorts, and the node key
 // derivation. Audit notes for the replayability contract: chaos
-// generators and p2p take explicit seeds (no global rand); backoff
-// jitter in resilience is seeded per Backoff; the offchain runner's
-// only wall-clock read is TaskResult.Elapsed, which is observational
-// and excluded from every comparison; block timestamps are logical
-// (genesis 0, +1 per block), and fuzzed transaction timestamps come
-// from a logical counter. Goroutine scheduling and real-time fault
-// windows still vary run to run, so block *packing* can differ under
-// faults; with NoFaults the harness waits for mempool convergence
-// before each commit, making block contents — and therefore
-// counterexamples — exactly reproducible from the seed.
+// generators and p2p take explicit seeds (no global rand); the
+// offchain runner's only wall-clock read is TaskResult.Elapsed, which
+// is observational and excluded from every comparison; block
+// timestamps are logical (genesis 0, +1 per block), and fuzzed
+// transaction timestamps come from a logical counter. Goroutine
+// scheduling and real-time fault windows still vary run to run, so
+// block *packing* can differ under faults; with NoFaults the harness
+// waits for mempool convergence before each commit, making block
+// contents — and therefore counterexamples — exactly reproducible from
+// the seed.
 package sim
 
 import (

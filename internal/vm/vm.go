@@ -128,9 +128,6 @@ func Int(i int64) Value { return Value{i: i} }
 // Bytes builds a byte-string value.
 func Bytes(b []byte) Value { return Value{isBytes: true, b: b} }
 
-// IsBytes reports whether the value is a byte string.
-func (v Value) IsBytes() bool { return v.isBytes }
-
 // AsInt returns the integer payload (0 for byte strings).
 func (v Value) AsInt() int64 { return v.i }
 

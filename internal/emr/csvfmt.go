@@ -117,7 +117,7 @@ func ParseCSV(data string) ([]*Record, error) {
 			}
 			rec.Encounters = append(rec.Encounters, Encounter{ID: row[2], Type: row[3], DiagnosisCode: row[4], At: at})
 		case "lab":
-			val, err := strconv.ParseFloat(row[3], 64)
+			val, err := parseValue(row[3])
 			if err != nil {
 				return nil, parseWrap(FormatCSV, ReasonBadField, err, "line %d lab value", line)
 			}
@@ -129,7 +129,7 @@ func ParseCSV(data string) ([]*Record, error) {
 		case "genomic":
 			rec.Genomics = append(rec.Genomics, GenomicMarker{Gene: row[2], Variant: row[3], Present: row[4] == "1"})
 		case "vital":
-			val, err := strconv.ParseFloat(row[3], 64)
+			val, err := parseValue(row[3])
 			if err != nil {
 				return nil, parseWrap(FormatCSV, ReasonBadField, err, "line %d vital value", line)
 			}

@@ -386,11 +386,10 @@ func BenchmarkHL7RoundTrip(b *testing.B) {
 }
 
 // BenchmarkDecodeAs decodes one generated record per document, the
-// shape of an anchored blob; fhir-lite-strict is the per-entry path the
-// one-pass FHIR decode falls back to. fhir-lite-non-ascii carries µ and
-// é, which stay on the one pass; fhir-lite-escaped carries a "<", which
-// json.Marshal writes as a backslash escape, so the one pass refuses it
-// and the case times the refusal plus the fallback.
+// shape of an anchored blob. fhir-lite-non-ascii carries µ and é;
+// fhir-lite-escaped carries a "<", which json.Marshal writes as a
+// \u003c escape. Both take the same single FHIR path as fhir-lite, and
+// time what non-ASCII text and unescaping add to it.
 func BenchmarkDecodeAs(b *testing.B) {
 	recs := NewGenerator(GenConfig{Seed: 1, Patients: 1}).Generate()
 	run := func(name string, data []byte, decode func([]byte) ([]*Record, error)) {
@@ -410,9 +409,6 @@ func BenchmarkDecodeAs(b *testing.B) {
 			b.Fatal(err)
 		}
 		run(format, data, func(d []byte) ([]*Record, error) { return DecodeAs(format, d) })
-		if format == FormatFHIR {
-			run(format+"-strict", data, decodeFHIRStrict)
-		}
 	}
 	fhir := func(name string, edit func(r *Record)) {
 		r := *recs[0]

@@ -1,7 +1,6 @@
 package emr
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 )
@@ -18,10 +17,6 @@ type fhirBundle struct {
 
 type fhirEntry struct {
 	Resource json.RawMessage `json:"resource"`
-}
-
-type fhirResourceHeader struct {
-	ResourceType string `json:"resourceType"`
 }
 
 type fhirPatient struct {
@@ -59,146 +54,6 @@ type fhirSequence struct {
 type fhirCondition struct {
 	ResourceType string `json:"resourceType"` // "Condition"
 	Code         string `json:"code"`
-}
-
-// fhirResource is the union of the five resource types' fields, so one
-// json.Unmarshal decodes a whole bundle array. No two fields share a
-// name, even case-folded, and no name has two types.
-type fhirResource struct {
-	ResourceType string  `json:"resourceType"`
-	ID           string  `json:"id"`
-	BirthYear    int     `json:"birthYear"`
-	Gender       string  `json:"gender"`
-	Ethnicity    string  `json:"ethnicity"`
-	Class        string  `json:"class"`
-	Reason       string  `json:"reasonCode"`
-	Period       int64   `json:"period"`
-	Category     string  `json:"category"`
-	Code         string  `json:"code"`
-	Value        float64 `json:"valueQuantity"`
-	Unit         string  `json:"unit"`
-	Effective    int64   `json:"effectiveDateTime"`
-	Gene         string  `json:"gene"`
-	Variant      string  `json:"variant"`
-	Present      bool    `json:"present"`
-}
-
-type fhirFlatBundle struct {
-	ResourceType string `json:"resourceType"`
-	Entry        []struct {
-		Resource *fhirResource `json:"resource"`
-	} `json:"entry"`
-}
-
-// record maps a one-pass bundle onto a CDF record, entry by entry as
-// ParseFHIR does. ok is false wherever ParseFHIR would fail, and the
-// caller then runs it for the exact error. A union field that is
-// mistyped but unused by its entry's resource type fails the one-pass
-// decode itself, which ParseFHIR then accepts.
-func (b *fhirFlatBundle) record() (rec *Record, ok bool) {
-	if b.ResourceType != "Bundle" {
-		return nil, false
-	}
-	rec = &Record{}
-	sawPatient := false
-	for _, e := range b.Entry {
-		r := e.Resource
-		if r == nil {
-			return nil, false
-		}
-		switch r.ResourceType {
-		case "Patient":
-			rec.Patient = Patient{ID: r.ID, BirthYear: r.BirthYear, Sex: r.Gender, Ethnicity: r.Ethnicity}
-			sawPatient = true
-		case "Encounter":
-			rec.Encounters = append(rec.Encounters, Encounter{
-				ID: r.ID, Type: r.Class, DiagnosisCode: r.Reason, At: r.Period,
-			})
-		case "Observation":
-			switch r.Category {
-			case "laboratory":
-				rec.Labs = append(rec.Labs, LabResult{Code: r.Code, Value: r.Value, Unit: r.Unit, At: r.Effective})
-			case "vital-signs":
-				rec.Vitals = append(rec.Vitals, VitalSample{Kind: r.Code, Value: r.Value, At: r.Effective})
-			default:
-				return nil, false
-			}
-		case "MolecularSequence":
-			rec.Genomics = append(rec.Genomics, GenomicMarker{Gene: r.Gene, Variant: r.Variant, Present: r.Present})
-		case "Condition":
-			rec.Conditions = append(rec.Conditions, r.Code)
-		default:
-			return nil, false
-		}
-	}
-	return rec, sawPatient
-}
-
-// decodeFHIROnePass decodes a bundle array in one json.Unmarshal. ok is
-// false when the strict path must decide instead. A document keysOnce
-// cannot count (see there) goes to the strict path before the decode.
-func decodeFHIROnePass(data []byte) (out []*Record, ok bool) {
-	if bytes.IndexByte(data, '\\') >= 0 || bytes.Contains(data, []byte("ſ")) {
-		return nil, false
-	}
-	var bundles []fhirFlatBundle
-	if json.Unmarshal(data, &bundles) != nil {
-		return nil, false
-	}
-	entries := 0
-	for i := range bundles {
-		entries += len(bundles[i].Entry)
-	}
-	if !keysOnce(data, len(bundles), entries) {
-		return nil, false
-	}
-	out = make([]*Record, 0, len(bundles))
-	for i := range bundles {
-		rec, ok := bundles[i].record()
-		if !ok {
-			return nil, false
-		}
-		out = append(out, rec)
-	}
-	return out, true
-}
-
-// keysOnce reports whether data names each bundle's "entry" and each
-// entry's "resource" exactly once, given how many bundles and entries
-// the one-pass decode found. A repeated key is where the two paths
-// part: encoding/json decodes the second object into the struct the
-// first one filled, while the strict path keeps only the last raw
-// value. Every bundle and entry the one-pass decode accepts names its
-// key at least once, and counting each quoted "entry" / "resource"
-// (case-folded, as encoding/json matches keys) can only over-count, so
-// equal counts mean no key repeats. data must hold no backslash and no
-// ſ: a key spelled with an escape would escape the count, and so would
-// one spelled with a non-ASCII rune that encoding/json folds onto an
-// ASCII letter. Of those only ſ (s) and the Kelvin sign (k) exist, and
-// neither key has a k, so other non-ASCII bytes (µmol/L, an accented
-// name) keep the one pass.
-func keysOnce(data []byte, bundles, entries int) bool {
-	// With no escapes, the quotes of valid JSON pair up into its strings.
-	nEntry, nResource := 0, 0
-	for rest := data; ; {
-		open := bytes.IndexByte(rest, '"')
-		if open < 0 {
-			break
-		}
-		rest = rest[open+1:]
-		end := bytes.IndexByte(rest, '"')
-		if end < 0 {
-			break
-		}
-		switch s := rest[:end]; {
-		case len(s) == len("entry") && bytes.EqualFold(s, []byte("entry")):
-			nEntry++
-		case len(s) == len("resource") && bytes.EqualFold(s, []byte("resource")):
-			nResource++
-		}
-		rest = rest[end+1:]
-	}
-	return nEntry == bundles && nResource == entries
 }
 
 // EncodeFHIR renders a record as a FHIR-lite JSON bundle.
@@ -254,78 +109,6 @@ func EncodeFHIR(r *Record) ([]byte, error) {
 		}
 	}
 	return json.Marshal(&b)
-}
-
-// ParseFHIR parses a FHIR-lite bundle back into a CDF record.
-func ParseFHIR(data []byte) (*Record, error) {
-	var b fhirBundle
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, parseWrap(FormatFHIR, ReasonBadSyntax, err, "bundle")
-	}
-	if b.ResourceType == "" {
-		return nil, parseErr(FormatFHIR, ReasonMissingResourceType, "bundle has no resourceType")
-	}
-	if b.ResourceType != "Bundle" {
-		return nil, parseErr(FormatFHIR, ReasonUnknownResource, "resourceType %q, want Bundle", b.ResourceType)
-	}
-	rec := &Record{}
-	sawPatient := false
-	for i, entry := range b.Entry {
-		var hdr fhirResourceHeader
-		if err := json.Unmarshal(entry.Resource, &hdr); err != nil {
-			return nil, parseWrap(FormatFHIR, ReasonBadSyntax, err, "entry %d", i)
-		}
-		switch hdr.ResourceType {
-		case "":
-			return nil, parseErr(FormatFHIR, ReasonMissingResourceType, "entry %d has no resourceType", i)
-		case "Patient":
-			var p fhirPatient
-			if err := json.Unmarshal(entry.Resource, &p); err != nil {
-				return nil, parseWrap(FormatFHIR, ReasonBadField, err, "patient")
-			}
-			rec.Patient = Patient{ID: p.ID, BirthYear: p.BirthYear, Sex: p.Gender, Ethnicity: p.Ethnicity}
-			sawPatient = true
-		case "Encounter":
-			var e fhirEncounter
-			if err := json.Unmarshal(entry.Resource, &e); err != nil {
-				return nil, parseWrap(FormatFHIR, ReasonBadField, err, "encounter")
-			}
-			rec.Encounters = append(rec.Encounters, Encounter{
-				ID: e.ID, Type: e.Class, DiagnosisCode: e.Reason, At: e.Period,
-			})
-		case "Observation":
-			var o fhirObservation
-			if err := json.Unmarshal(entry.Resource, &o); err != nil {
-				return nil, parseWrap(FormatFHIR, ReasonBadField, err, "observation")
-			}
-			switch o.Category {
-			case "laboratory":
-				rec.Labs = append(rec.Labs, LabResult{Code: o.Code, Value: o.Value, Unit: o.Unit, At: o.Effective})
-			case "vital-signs":
-				rec.Vitals = append(rec.Vitals, VitalSample{Kind: o.Code, Value: o.Value, At: o.Effective})
-			default:
-				return nil, parseErr(FormatFHIR, ReasonUnknownResource, "observation category %q", o.Category)
-			}
-		case "MolecularSequence":
-			var s fhirSequence
-			if err := json.Unmarshal(entry.Resource, &s); err != nil {
-				return nil, parseWrap(FormatFHIR, ReasonBadField, err, "sequence")
-			}
-			rec.Genomics = append(rec.Genomics, GenomicMarker{Gene: s.Gene, Variant: s.Variant, Present: s.Present})
-		case "Condition":
-			var c fhirCondition
-			if err := json.Unmarshal(entry.Resource, &c); err != nil {
-				return nil, parseWrap(FormatFHIR, ReasonBadField, err, "condition")
-			}
-			rec.Conditions = append(rec.Conditions, c.Code)
-		default:
-			return nil, parseErr(FormatFHIR, ReasonUnknownResource, "unknown resourceType %q", hdr.ResourceType)
-		}
-	}
-	if !sawPatient {
-		return nil, parseErr(FormatFHIR, ReasonMissingPatient, "bundle has no Patient resource")
-	}
-	return rec, nil
 }
 
 // Formats lists the supported legacy encodings.
@@ -390,32 +173,8 @@ func DecodeAs(format string, data []byte) ([]*Record, error) {
 	case FormatCSV:
 		return ParseCSV(string(data))
 	case FormatFHIR:
-		if out, ok := decodeFHIROnePass(data); ok {
-			return out, nil
-		}
-		return decodeFHIRStrict(data)
+		return decodeFHIR(data)
 	default:
 		return nil, parseErr(format, ReasonUnknownFormat, "unknown format %q", format)
 	}
-}
-
-// decodeFHIRStrict decodes a bundle array bundle by bundle through
-// ParseFHIR, the per-entry decode: the bundle, then each entry's header,
-// then the entry again as its own resource type. It is the reference the
-// one-pass decode must agree with, and the path every document the one
-// pass refuses takes, so each failure keeps its exact ParseError.
-func decodeFHIRStrict(data []byte) ([]*Record, error) {
-	var bundles []json.RawMessage
-	if err := json.Unmarshal(data, &bundles); err != nil {
-		return nil, parseWrap(FormatFHIR, ReasonBadSyntax, err, "bundle array")
-	}
-	out := make([]*Record, 0, len(bundles))
-	for _, b := range bundles {
-		rec, err := ParseFHIR(b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
 }

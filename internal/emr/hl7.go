@@ -2,6 +2,7 @@ package emr
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -83,7 +84,7 @@ func ParseHL7(msg string) (*Record, error) {
 			if len(fields) < 5 {
 				return nil, parseErr(FormatHL7, ReasonTruncatedSegment, "OBX needs 5 fields, got %d", len(fields))
 			}
-			val, err := strconv.ParseFloat(fields[2], 64)
+			val, err := parseValue(fields[2])
 			if err != nil {
 				return nil, parseWrap(FormatHL7, ReasonBadField, err, "OBX value")
 			}
@@ -103,7 +104,7 @@ func ParseHL7(msg string) (*Record, error) {
 			if len(fields) < 4 {
 				return nil, parseErr(FormatHL7, ReasonTruncatedSegment, "WEA needs 4 fields, got %d", len(fields))
 			}
-			val, err := strconv.ParseFloat(fields[2], 64)
+			val, err := parseValue(fields[2])
 			if err != nil {
 				return nil, parseWrap(FormatHL7, ReasonBadField, err, "WEA value")
 			}
@@ -120,6 +121,17 @@ func ParseHL7(msg string) (*Record, error) {
 		return nil, parseErr(FormatHL7, ReasonMissingPatient, "message has no PID segment")
 	}
 	return rec, nil
+}
+
+// parseValue reads a lab or vital value. strconv.ParseFloat also reads
+// NaN and ±Inf, which no record holds: a record's canonical JSON has no
+// form for them, and neither has FHIR-lite.
+func parseValue(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		return 0, fmt.Errorf("value %q is not finite", s)
+	}
+	return v, err
 }
 
 func formatFloat(v float64) string {

@@ -148,7 +148,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	}
 	p.sites = sites
 	p.runner = offchain.NewRunner(sites...)
-	p.hie = hie.NewService(sites...)
+	p.hie = hie.NewService(p.runner)
 
 	fda, err := p.Acquire("fda")
 	if err != nil {
@@ -330,11 +330,11 @@ func (p *Platform) RunTransformed(requester *Account, v *query.Vector) (*QueryRe
 
 	// One request_run per dataset: the on-chain policy check. Denials
 	// stay on the audit trail and are counted.
-	reqs := make([]contract.RequestRunArgs, len(plan.Subs))
+	asks := make([]contract.RequestRunArgs, len(plan.Subs))
 	for i, sub := range plan.Subs {
-		reqs[i] = contract.RequestRunArgs{Tool: sub.Tool, Dataset: sub.Dataset, Params: sub.Params, Purpose: v.Purpose}
+		asks[i] = contract.RequestRunArgs{Tool: sub.Tool, Dataset: sub.Dataset, Params: sub.Params, Purpose: v.Purpose}
 	}
-	grants, _, gas, err := authorize(p, runAuth, requester, reqs)
+	grants, _, gas, err := authorize(p, runAuth, requester, asks)
 	if err != nil {
 		return nil, err
 	}
@@ -345,30 +345,30 @@ func (p *Platform) RunTransformed(requester *Account, v *query.Vector) (*QueryRe
 		RecordsCovered: plan.TotalRecords,
 		GasPerNode:     gas,
 	}
-	var auths []contract.RunAuthorization
+	var reqs []offchain.Request
 	for _, g := range grants {
 		if g == nil {
 			res.SitesDenied++
 			continue
 		}
-		auths = append(auths, *g)
+		reqs = append(reqs, offchain.Request{Op: offchain.OpRun, Run: g})
 	}
-	if len(auths) == 0 {
+	if len(reqs) == 0 {
 		return nil, fmt.Errorf("%w (%d sites)", ErrDenied, res.SitesDenied)
 	}
 
 	// Parallel compute-to-data execution.
 	execStart := time.Now()
-	results, errs := p.runner.RunAll(auths)
+	replies, errs := p.runner.Dispatch(reqs)
 	res.ExecElapsed = time.Since(execStart)
 
-	siteResults := make([]json.RawMessage, len(results))
-	for i, r := range results {
-		if errs[i] != nil || r == nil {
+	siteResults := make([]json.RawMessage, len(replies))
+	for i, r := range replies {
+		if errs[i] != nil {
 			continue
 		}
-		siteResults[i] = r.Result
-		res.ResultBytes += int64(len(r.Result))
+		siteResults[i] = r.Run.Result
+		res.ResultBytes += int64(len(r.Run.Result))
 		res.SitesSucceeded++
 	}
 	composed, _, err := query.Compose(p.reg, plan, siteResults)
@@ -419,12 +419,13 @@ func (p *Platform) RunDuplicated(v *query.Vector) (*DuplicatedResult, error) {
 	var union []*emr.Record
 	var datasetBytes int64
 	for _, site := range p.sites {
-		recs, size, err := siteRecordsWithSize(site)
+		recs := site.LocalRecords()
+		payload, err := json.Marshal(recs)
 		if err != nil {
 			return nil, err
 		}
 		union = append(union, recs...)
-		datasetBytes += size
+		datasetBytes += int64(len(payload))
 	}
 	n := p.cluster.Size()
 
@@ -452,28 +453,6 @@ func (p *Platform) RunDuplicated(v *query.Vector) (*DuplicatedResult, error) {
 	res.TotalCPU = time.Since(totalStart)
 	res.Result = out
 	return res, nil
-}
-
-// siteRecordsWithSize exposes a site's records and their serialized
-// size via an authorized self-fetch (the site owner always may read its
-// own data).
-func siteRecordsWithSize(site *offchain.Site) ([]*emr.Record, int64, error) {
-	auth := contract.AccessAuthorization{
-		RequestID: 0, SiteID: site.ID(), Action: contract.ActionRead,
-	}
-	env, plainBytes, err := site.FetchEncrypted(auth, site.Key().PublicBytes())
-	if err != nil {
-		return nil, 0, err
-	}
-	pt, err := cryptoutil.OpenEnvelope(site.Key(), env, []byte("req-0"))
-	if err != nil {
-		return nil, 0, err
-	}
-	var recs []*emr.Record
-	if err := json.Unmarshal(pt, &recs); err != nil {
-		return nil, 0, err
-	}
-	return recs, int64(plainBytes), nil
 }
 
 // FetchRecords runs the HIE path: on-chain access request, then an
@@ -558,11 +537,7 @@ func (p *Platform) FederatedTrain(cfg FederatedConfig) (*FederatedOutcome, error
 	// each site in deployment).
 	siteSets := make([]*ml.Dataset, len(p.sites))
 	for i, site := range p.sites {
-		recs, _, err := siteRecordsWithSize(site)
-		if err != nil {
-			return nil, err
-		}
-		ds, err := analytics.RecordsToDataset(recs, cfg.Condition)
+		ds, err := analytics.RecordsToDataset(site.LocalRecords(), cfg.Condition)
 		if err != nil {
 			return nil, err
 		}

@@ -13,6 +13,7 @@ import (
 	"medchain/internal/emr"
 	"medchain/internal/indexer"
 	"medchain/internal/ledger"
+	"medchain/internal/offchain"
 	"medchain/internal/query"
 	"medchain/internal/store"
 )
@@ -42,12 +43,7 @@ func (p *Platform) setupDataPlane() error {
 		}
 		site.AttachBlobStore(bs)
 		p.blobStores[site.ID()+"/emr"] = bs
-		var recs []*emr.Record
-		_ = site.Evaluate(func(rr []*emr.Record) error {
-			recs = append(recs, rr...)
-			return nil
-		})
-		if err := p.anchorBlobs(site.ID(), recs); err != nil {
+		if err := p.anchorBlobs(site.ID(), site.LocalRecords()); err != nil {
 			return err
 		}
 	}
@@ -154,9 +150,10 @@ type IndexedResult struct {
 
 // QueryIndexed answers a natural-language query through the off-chain
 // index: candidate selection runs against the index, and only for
-// fetch/summary intents are the selected candidates' blobs fetched —
-// through on-chain access authorizations — and decoded. Counts never
-// touch a blob at all.
+// fetch/summary intents are the selected candidates' blobs read —
+// through on-chain access authorizations, by the sites that host them.
+// A summary leaves each site as its count and lab summary, pooled here;
+// counts never touch a blob at all.
 func (p *Platform) QueryIndexed(requester *Account, q string) (*IndexedResult, error) {
 	if p.idx == nil {
 		return nil, ErrNoIndex
@@ -182,26 +179,25 @@ func (p *Platform) QueryIndexed(requester *Account, q string) (*IndexedResult, e
 	case query.IntentSummary, query.IntentFetch:
 		cands := p.idx.Index().Candidates(iq)
 		res.Candidates = len(cands)
-		recs, fetched, err := p.fetchCandidates(requester, v.Purpose, cands)
+		op := offchain.Request{Op: offchain.OpFetch}
+		if v.Intent == query.IntentSummary {
+			op = offchain.Request{Op: offchain.OpSummarise, LabCode: v.LabCode}
+		}
+		replies, err := p.readCandidates(requester, v.Purpose, op, cands)
 		if err != nil {
 			return nil, err
 		}
-		res.BlobsFetched = fetched
-		res.Count = len(recs)
-		if v.Intent == query.IntentFetch {
-			res.Records = recs
-		} else {
-			var vals []float64
-			for _, r := range recs {
-				for _, l := range r.Labs {
-					if l.Code == v.LabCode {
-						vals = append(vals, l.Value)
-					}
-				}
-			}
-			s, err := analytics.Summarize(vals)
+		res.BlobsFetched = len(cands)
+		parts := make([]*analytics.Summary, len(replies))
+		for i, r := range replies {
+			res.Count += r.Count
+			res.Records = append(res.Records, r.Records...)
+			parts[i] = r.Summary
+		}
+		if v.Intent == query.IntentSummary {
+			s, err := analytics.PoolSummaries(parts)
 			if err != nil {
-				return nil, fmt.Errorf("core: no %q values among %d candidates: %w", v.LabCode, len(recs), err)
+				return nil, fmt.Errorf("core: no %q values among %d candidates: %w", v.LabCode, res.Count, err)
 			}
 			res.Summary = s
 		}
@@ -212,59 +208,47 @@ func (p *Platform) QueryIndexed(requester *Account, q string) (*IndexedResult, e
 	return res, nil
 }
 
-// fetchCandidates fetches and decodes the candidate docs' blobs: one
-// on-chain access request per dataset, then per-record authorized blob
-// reads from the hosting sites. Typed blob errors propagate unwrapped
-// so a missing blob is distinguishable from a policy denial.
-func (p *Platform) fetchCandidates(requester *Account, purpose string, cands []indexer.Doc) ([]*emr.Record, int, error) {
+// readCandidates asks the chain for one read grant per dataset the
+// candidate docs fall in, then dispatches one request per dataset — op
+// under that grant, over the dataset's candidate record IDs — to the
+// hosting sites. Replies come back in dataset order. Typed blob errors
+// propagate so a missing blob is distinguishable from a policy denial.
+func (p *Platform) readCandidates(requester *Account, purpose string, op offchain.Request, cands []indexer.Doc) ([]offchain.Reply, error) {
 	if len(cands) == 0 {
-		return nil, 0, nil
+		return nil, nil
 	}
-	byDataset := make(map[string][]indexer.Doc)
+	byDataset := make(map[string][]string)
 	datasets := make([]string, 0, 4)
 	for _, d := range cands {
 		if _, ok := byDataset[d.Dataset]; !ok {
 			datasets = append(datasets, d.Dataset)
 		}
-		byDataset[d.Dataset] = append(byDataset[d.Dataset], d)
+		byDataset[d.Dataset] = append(byDataset[d.Dataset], d.Record)
 	}
 	sort.Strings(datasets)
 
 	// One request_access per participating dataset.
-	reqs := make([]contract.RequestAccessArgs, len(datasets))
+	asks := make([]contract.RequestAccessArgs, len(datasets))
 	for i, ds := range datasets {
-		reqs[i] = contract.RequestAccessArgs{Resource: "data:" + ds, Action: contract.ActionRead, Purpose: purpose}
+		asks[i] = contract.RequestAccessArgs{Resource: "data:" + ds, Action: contract.ActionRead, Purpose: purpose}
 	}
-	grants, denials, _, err := authorize(p, accessAuth, requester, reqs)
+	grants, denials, _, err := authorize(p, accessAuth, requester, asks)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-
-	var out []*emr.Record
-	fetched := 0
+	reqs := make([]offchain.Request, len(datasets))
 	for i, ds := range datasets {
 		if grants[i] == nil {
-			return nil, fetched, fmt.Errorf("%w: %s: %s", ErrDenied, ds, denials[i])
+			return nil, fmt.Errorf("%w: %s: %s", ErrDenied, ds, denials[i])
 		}
-		auth := *grants[i]
-		site, ok := p.runner.Site(auth.SiteID)
-		if !ok {
-			return nil, fetched, fmt.Errorf("core: no site %q for dataset %q", auth.SiteID, ds)
-		}
-		for _, cand := range byDataset[ds] {
-			data, m, err := site.ServeBlob(auth, cand.Record)
-			if err != nil {
-				return nil, fetched, fmt.Errorf("core: blob %s/%s: %w", ds, cand.Record, err)
-			}
-			fetched++
-			recs, err := emr.DecodeAs(m.Format, data)
-			if err != nil {
-				return nil, fetched, fmt.Errorf("core: decode blob %s/%s: %w", ds, cand.Record, err)
-			}
-			if len(recs) > 0 {
-				out = append(out, recs[0])
-			}
+		reqs[i] = op
+		reqs[i].Access, reqs[i].Records = grants[i], byDataset[ds]
+	}
+	replies, errs := p.runner.Dispatch(reqs)
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("core: %s: %w", datasets[i], err)
 		}
 	}
-	return out, fetched, nil
+	return replies, nil
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
+	"medchain/internal/analytics"
 	"medchain/internal/blob"
 	"medchain/internal/chain"
 	"medchain/internal/contract"
@@ -47,12 +49,7 @@ func allRecords(t *testing.T, p *Platform) []*emr.Record {
 	t.Helper()
 	var out []*emr.Record
 	for _, site := range p.Sites() {
-		if err := site.Evaluate(func(rr []*emr.Record) error {
-			out = append(out, rr...)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+		out = append(out, site.LocalRecords()...)
 	}
 	return out
 }
@@ -120,6 +117,64 @@ func TestQueryIndexedFetchAndSummary(t *testing.T) {
 	}
 	if sum.Summary.N < sum.Count {
 		t.Fatalf("summary over %d values from %d matching records", sum.Summary.N, sum.Count)
+	}
+}
+
+// TestQueryIndexedSummaryMatchesScan pins the index-routed summary,
+// which each site computes over its own candidates and the platform
+// pools, to analytics.Summarize over the matching records' lab values
+// found by a direct scan: N, Min and Max exactly, Mean and M2 to 1e-9
+// relative (pooling reorders the float sums), and Count to the scan's
+// match count.
+func TestQueryIndexedSummaryMatchesScan(t *testing.T) {
+	p, researcher := indexedPlatform(t, 3, 40)
+	for _, q := range []string{
+		"average glucose for patients with diabetes",
+		"average ldl for women with stroke aged 40-80",
+		"average bmi for patients",
+	} {
+		res, err := p.QueryIndexed(researcher, q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		iq := res.Vector.IndexQuery()
+		matches := 0
+		var vals []float64
+		for _, r := range allRecords(t, p) {
+			if !iq.MatchRecord(r) {
+				continue
+			}
+			matches++
+			for _, l := range r.Labs {
+				if l.Code == res.Vector.LabCode {
+					vals = append(vals, l.Value)
+				}
+			}
+		}
+		want, err := analytics.Summarize(vals)
+		if err != nil {
+			t.Fatalf("%q: scan: %v", q, err)
+		}
+		got := res.Summary
+		if res.Count != matches || got == nil || got.N != want.N || got.Min != want.Min || got.Max != want.Max {
+			t.Fatalf("%q: count %d summary %+v, scan finds %d records, summary %+v", q, res.Count, got, matches, want)
+		}
+		if math.Abs(got.Mean-want.Mean) > 1e-9*math.Abs(want.Mean) || math.Abs(got.M2-want.M2) > 1e-9*math.Abs(want.M2) {
+			t.Fatalf("%q: mean/m2 %v/%v, scan %v/%v", q, got.Mean, got.M2, want.Mean, want.M2)
+		}
+		if res.Records != nil {
+			t.Fatalf("%q: a summary returned %d records", q, len(res.Records))
+		}
+	}
+
+	// A site whose blob store is emptied surfaces the typed blob error.
+	empty, err := blob.Open(store.NewMemFS(), "blobs", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Sites()[1].AttachBlobStore(empty)
+	if _, err := p.QueryIndexed(researcher, "average glucose for patients with diabetes"); !errors.Is(err, blob.ErrManifestMissing) {
+		t.Fatalf("err = %v, want blob.ErrManifestMissing", err)
 	}
 }
 

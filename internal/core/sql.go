@@ -2,11 +2,12 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
 	"medchain/internal/contract"
-	"medchain/internal/emr"
+	"medchain/internal/offchain"
 	"medchain/internal/query"
 )
 
@@ -25,8 +26,8 @@ type SQLStats struct {
 
 // RunSQL executes a virtualized-SQL SELECT (paper §III.A) federated
 // across all registered datasets: one on-chain execute authorization
-// per dataset, local evaluation at each authorized site, exact
-// composition of the partials. Only partial aggregates or projected
+// per dataset, evaluation at every authorized site in parallel under
+// its grant, exact composition of the partials. Only partial aggregates or projected
 // rows leave a site, never raw records.
 func (p *Platform) RunSQL(requester *Account, src string) (*query.SQLResult, *SQLStats, error) {
 	start := time.Now()
@@ -39,37 +40,36 @@ func (p *Platform) RunSQL(requester *Account, src string) (*query.SQLResult, *SQ
 		return nil, nil, ErrNoDatasets
 	}
 
-	reqs := make([]contract.RequestAccessArgs, len(datasets))
+	asks := make([]contract.RequestAccessArgs, len(datasets))
 	for i, ds := range datasets {
-		reqs[i] = contract.RequestAccessArgs{Resource: "data:" + ds.ID, Action: contract.ActionExecute, Purpose: "sql"}
+		asks[i] = contract.RequestAccessArgs{Resource: "data:" + ds.ID, Action: contract.ActionExecute, Purpose: "sql"}
 	}
-	grants, _, gas, err := authorize(p, accessAuth, requester, reqs)
+	grants, _, gas, err := authorize(p, accessAuth, requester, asks)
 	if err != nil {
 		return nil, nil, err
 	}
 	stats := &SQLStats{SitesTotal: len(datasets), GasPerNode: gas}
 
-	var parts []*query.SQLPartial
-	for i, g := range grants {
+	var reqs []offchain.Request
+	for _, g := range grants {
 		if g == nil {
 			stats.SitesDenied++
 			continue
 		}
-		site, ok := p.runner.Site(datasets[i].SiteID)
-		if !ok {
+		reqs = append(reqs, offchain.Request{Op: offchain.OpSQL, Access: g, SQL: q})
+	}
+	replies, errs := p.runner.Dispatch(reqs)
+	var parts []*query.SQLPartial
+	for i, err := range errs {
+		switch {
+		case errors.Is(err, offchain.ErrNoSite):
 			stats.SitesDenied++
-			continue
+		case err != nil:
+			return nil, nil, fmt.Errorf("core: sql at %s: %w", reqs[i].SiteID(), err)
+		default:
+			parts = append(parts, replies[i].Partial)
+			stats.SitesSucceeded++
 		}
-		var partial *query.SQLPartial
-		if err := site.Evaluate(func(records []*emr.Record) error {
-			var execErr error
-			partial, execErr = query.ExecuteSQL(q, records)
-			return execErr
-		}); err != nil {
-			return nil, nil, fmt.Errorf("core: sql at %s: %w", datasets[i].SiteID, err)
-		}
-		parts = append(parts, partial)
-		stats.SitesSucceeded++
 	}
 	if stats.SitesSucceeded == 0 {
 		return nil, nil, fmt.Errorf("%w (%d sites)", ErrDenied, stats.SitesDenied)

@@ -8,6 +8,7 @@ import (
 	"medchain/internal/contract"
 	"medchain/internal/core"
 	"medchain/internal/emr"
+	"medchain/internal/offchain"
 	"medchain/internal/query"
 )
 
@@ -106,13 +107,13 @@ func e3ParallelSpeedup(cfg e3Config, seed int64) ([]e3Row, error) {
 					SiteID:     site.ID(),
 					Params:     params,
 				}
-				res, err := site.ExecuteRun(auth)
+				rep, err := site.Serve(offchain.Request{Op: offchain.OpRun, Run: &auth})
 				if err != nil {
 					p.Close()
 					return nil, err
 				}
-				if r == 0 || res.Elapsed < siteLat[i] {
-					siteLat[i] = res.Elapsed
+				if r == 0 || rep.Run.Elapsed < siteLat[i] {
+					siteLat[i] = rep.Run.Elapsed
 				}
 			}
 		}

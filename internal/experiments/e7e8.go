@@ -216,7 +216,7 @@ func e8HIE(exchanges int, seed int64) ([]e8Row, error) {
 		}
 		sites[i] = s
 	}
-	svc := hie.NewService(sites...)
+	svc := hie.NewService(offchain.NewRunner(sites...))
 	fda, err := cryptoutil.DeriveKeyPair(fmt.Sprintf("e8-fda-%d", seed))
 	if err != nil {
 		return nil, err

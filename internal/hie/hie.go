@@ -22,11 +22,8 @@ import (
 	"medchain/internal/offchain"
 )
 
-// Errors.
-var (
-	ErrNoSite   = errors.New("hie: unknown site")
-	ErrTampered = errors.New("hie: audit log tampered")
-)
+// ErrTampered: the audit log's hash chain does not verify.
+var ErrTampered = errors.New("hie: audit log tampered")
 
 // AuditEntry is one hash-chained audit record.
 type AuditEntry struct {
@@ -148,22 +145,25 @@ type ExchangeRecord struct {
 	ViaFDA bool `json:"via_fda,omitempty"`
 }
 
-// Service coordinates audited exchanges over a set of sites.
+// Service coordinates audited exchanges over the sites of a runner.
 type Service struct {
-	mu    sync.RWMutex
-	sites map[string]*offchain.Site
-	audit *AuditLog
+	mu     sync.RWMutex
+	runner *offchain.Runner
+	audit  *AuditLog
 	// fdaKey, when set, enables FDA-mediated relays.
 	fdaKey *cryptoutil.KeyPair
 }
 
-// NewService builds an exchange service over sites.
-func NewService(sites ...*offchain.Site) *Service {
-	s := &Service{sites: make(map[string]*offchain.Site, len(sites)), audit: &AuditLog{}}
-	for _, site := range sites {
-		s.sites[site.ID()] = site
-	}
-	return s
+// NewService builds an exchange service over the runner's sites.
+func NewService(runner *offchain.Runner) *Service {
+	return &Service{runner: runner, audit: &AuditLog{}}
+}
+
+// seal asks the granted site, through the runner, for its records
+// sealed to key. An unknown site fails with offchain.ErrNoSite.
+func (s *Service) seal(auth contract.AccessAuthorization, key []byte) (offchain.Reply, error) {
+	replies, errs := s.runner.Dispatch([]offchain.Request{{Op: offchain.OpSeal, Access: &auth, Recipient: key}})
+	return replies[0], errs[0]
 }
 
 // SetFDA installs the trusted-intermediary key (Fig. 2's government
@@ -181,13 +181,10 @@ func (s *Service) Audit() *AuditLog { return s.audit }
 // the hosting site to the requester, appending an audit entry. at is
 // the logical timestamp (chain height or block time).
 func (s *Service) Exchange(auth contract.AccessAuthorization, requesterPub []byte, at int64) (*cryptoutil.Envelope, error) {
-	s.mu.RLock()
-	site, ok := s.sites[auth.SiteID]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSite, auth.SiteID)
+	rep, err := s.seal(auth, requesterPub)
+	if errors.Is(err, offchain.ErrNoSite) {
+		return nil, err // no site was asked: nothing to audit
 	}
-	env, plainBytes, err := site.FetchEncrypted(auth, requesterPub)
 	if err != nil {
 		if _, auditErr := s.audit.Append("denied", map[string]any{
 			"request_id": auth.RequestID, "site": auth.SiteID, "error": err.Error(),
@@ -198,13 +195,13 @@ func (s *Service) Exchange(auth contract.AccessAuthorization, requesterPub []byt
 	}
 	rec := ExchangeRecord{
 		RequestID: auth.RequestID, FromSite: auth.SiteID, Requester: auth.Requester,
-		Purpose: auth.Purpose, PlaintextBytes: plainBytes,
-		PayloadDigest: cryptoutil.Sum(env.Ciphertext),
+		Purpose: auth.Purpose, PlaintextBytes: rep.PlainBytes,
+		PayloadDigest: cryptoutil.Sum(rep.Envelope.Ciphertext),
 	}
 	if _, err := s.audit.Append("exchange", rec, at); err != nil {
 		return nil, err
 	}
-	return env, nil
+	return rep.Envelope, nil
 }
 
 // ExchangeViaFDA routes the exchange through the trusted FDA node: the
@@ -214,16 +211,15 @@ func (s *Service) Exchange(auth contract.AccessAuthorization, requesterPub []byt
 func (s *Service) ExchangeViaFDA(auth contract.AccessAuthorization, requesterPub []byte, at int64) (*cryptoutil.Envelope, error) {
 	s.mu.RLock()
 	fda := s.fdaKey
-	site, ok := s.sites[auth.SiteID]
 	s.mu.RUnlock()
 	if fda == nil {
 		return nil, errors.New("hie: no FDA key installed")
 	}
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSite, auth.SiteID)
-	}
 	// Site → FDA leg.
-	toFDA, plainBytes, err := site.FetchEncrypted(auth, fda.PublicBytes())
+	toFDA, err := s.seal(auth, fda.PublicBytes())
+	if errors.Is(err, offchain.ErrNoSite) {
+		return nil, err
+	}
 	if err != nil {
 		if _, auditErr := s.audit.Append("denied", map[string]any{
 			"request_id": auth.RequestID, "site": auth.SiteID, "error": err.Error(), "via_fda": true,
@@ -233,7 +229,7 @@ func (s *Service) ExchangeViaFDA(auth contract.AccessAuthorization, requesterPub
 		return nil, err
 	}
 	aad := []byte(fmt.Sprintf("req-%d", auth.RequestID))
-	plaintext, err := cryptoutil.OpenEnvelope(fda, toFDA, aad)
+	plaintext, err := cryptoutil.OpenEnvelope(fda, toFDA.Envelope, aad)
 	if err != nil {
 		return nil, fmt.Errorf("hie: fda unwrap: %w", err)
 	}
@@ -247,7 +243,7 @@ func (s *Service) ExchangeViaFDA(auth contract.AccessAuthorization, requesterPub
 	}
 	rec := ExchangeRecord{
 		RequestID: auth.RequestID, FromSite: auth.SiteID, Requester: auth.Requester,
-		Purpose: auth.Purpose, PlaintextBytes: plainBytes,
+		Purpose: auth.Purpose, PlaintextBytes: toFDA.PlainBytes,
 		PayloadDigest: cryptoutil.Sum(out.Ciphertext), ViaFDA: true,
 	}
 	if _, err := s.audit.Append("fda-relay", rec, at); err != nil {
@@ -260,13 +256,13 @@ func (s *Service) ExchangeViaFDA(auth contract.AccessAuthorization, requesterPub
 // move as opaque plaintext attachments with NO audit trail and NO
 // policy check. It exists for experiment E8's comparison only.
 func EmailExchange(site *offchain.Site, auth contract.AccessAuthorization, requesterPub []byte) ([]byte, error) {
-	env, _, err := site.FetchEncrypted(auth, requesterPub)
+	rep, err := site.Serve(offchain.Request{Op: offchain.OpSeal, Access: &auth, Recipient: requesterPub})
 	if err != nil {
 		return nil, err
 	}
 	// The "email" carries the envelope but nothing is logged anywhere —
 	// the exchange is invisible to any auditor.
-	body, err := json.Marshal(env)
+	body, err := json.Marshal(rep.Envelope)
 	if err != nil {
 		return nil, err
 	}

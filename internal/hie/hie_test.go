@@ -2,6 +2,7 @@ package hie
 
 import (
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"medchain/internal/analytics"
@@ -121,7 +122,7 @@ func TestAuditLogDeleteUndetectedOnlyAtTail(t *testing.T) {
 
 func TestExchangeHappyPathAndAudit(t *testing.T) {
 	site := newSite(t, "site-A", 1)
-	svc := NewService(site)
+	svc := NewService(offchain.NewRunner(site))
 	requester, err := cryptoutil.DeriveKeyPair("researcher")
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +164,7 @@ func TestExchangeHappyPathAndAudit(t *testing.T) {
 
 func TestExchangeDenialIsAudited(t *testing.T) {
 	site := newSite(t, "site-A", 2)
-	svc := NewService(site)
+	svc := NewService(offchain.NewRunner(site))
 	requester, err := cryptoutil.DeriveKeyPair("r")
 	if err != nil {
 		t.Fatal(err)
@@ -181,19 +182,22 @@ func TestExchangeDenialIsAudited(t *testing.T) {
 }
 
 func TestExchangeUnknownSite(t *testing.T) {
-	svc := NewService()
+	svc := NewService(offchain.NewRunner())
 	requester, err := cryptoutil.DeriveKeyPair("r")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Exchange(readAuth("ghost", 1, requester.Address()), requester.PublicBytes(), 1); err == nil {
-		t.Fatal("unknown site accepted")
+	if _, err := svc.Exchange(readAuth("ghost", 1, requester.Address()), requester.PublicBytes(), 1); !errors.Is(err, offchain.ErrNoSite) {
+		t.Fatalf("unknown site: err = %v, want offchain.ErrNoSite", err)
+	}
+	if svc.Audit().Len() != 0 {
+		t.Fatal("a request no site received was audited")
 	}
 }
 
 func TestExchangeViaFDA(t *testing.T) {
 	site := newSite(t, "site-A", 3)
-	svc := NewService(site)
+	svc := NewService(offchain.NewRunner(site))
 	fda, err := cryptoutil.DeriveKeyPair("fda")
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +239,7 @@ func TestExchangeViaFDA(t *testing.T) {
 
 func TestExchangeViaFDARequiresKey(t *testing.T) {
 	site := newSite(t, "site-A", 4)
-	svc := NewService(site)
+	svc := NewService(offchain.NewRunner(site))
 	requester, err := cryptoutil.DeriveKeyPair("r")
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +251,7 @@ func TestExchangeViaFDARequiresKey(t *testing.T) {
 
 func TestEmailExchangeLeavesNoAudit(t *testing.T) {
 	site := newSite(t, "site-A", 5)
-	svc := NewService(site)
+	svc := NewService(offchain.NewRunner(site))
 	requester, err := cryptoutil.DeriveKeyPair("r")
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +293,7 @@ func BenchmarkExchange(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	svc := NewService(site)
+	svc := NewService(offchain.NewRunner(site))
 	requester, err := cryptoutil.DeriveKeyPair("bench-req")
 	if err != nil {
 		b.Fatal(err)

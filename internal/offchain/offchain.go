@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -24,11 +25,14 @@ import (
 	"medchain/internal/emr"
 	"medchain/internal/oracle"
 	"medchain/internal/par"
+	"medchain/internal/query"
 )
 
 // Errors.
 var (
 	ErrWrongSite    = errors.New("offchain: authorization is for another site")
+	ErrWrongGrant   = errors.New("offchain: grant does not permit the operation")
+	ErrNoSite       = errors.New("offchain: no site")
 	ErrDataTampered = errors.New("offchain: local data does not match on-chain digest")
 	ErrToolTampered = errors.New("offchain: tool code does not match on-chain digest")
 	ErrUnknownTool  = errors.New("offchain: unknown tool")
@@ -179,15 +183,139 @@ type TaskResult struct {
 	Elapsed time.Duration `json:"elapsed"`
 }
 
-// ExecuteRun performs an on-chain-authorized analytics run after
-// verifying: the authorization targets this site, the local data still
-// matches the anchored digest, and the tool identity matches its
-// anchored code digest ("enforce its integrity of the off-chain data
-// and code", §III).
-func (s *Site) ExecuteRun(auth contract.RunAuthorization) (*TaskResult, error) {
-	if auth.SiteID != s.id {
-		return nil, fmt.Errorf("%w: auth for %q, this is %q", ErrWrongSite, auth.SiteID, s.id)
+// Op names what a Request asks a site to do.
+type Op int
+
+const (
+	// OpRun runs the granted analytics tool over the site's records.
+	OpRun Op = iota
+	// OpSQL evaluates Request.SQL into a partial (query.ExecuteSQL).
+	OpSQL
+	// OpFetch reads Request.Records from the blob store and returns
+	// them decoded.
+	OpFetch
+	// OpSummarise reads Request.Records from the blob store and returns
+	// only their count and the summary of Request.LabCode: the records
+	// stay at the site.
+	OpSummarise
+	// OpSeal seals all the site's records to Request.Recipient.
+	OpSeal
+)
+
+var opNames = [...]string{"run", "sql", "fetch", "summarise", "seal"}
+
+func (o Op) String() string {
+	if o >= 0 && int(o) < len(opNames) {
+		return opNames[o]
 	}
+	return fmt.Sprintf("op(%d)", int(o))
+}
+
+// opActions lists, for each operation served under an access grant,
+// the granted actions that permit it. OpRun takes a run grant instead.
+var opActions = map[Op][]contract.Action{
+	OpSQL:       {contract.ActionExecute},
+	OpFetch:     {contract.ActionRead, contract.ActionShare},
+	OpSummarise: {contract.ActionRead, contract.ActionShare},
+	OpSeal:      {contract.ActionRead, contract.ActionShare},
+}
+
+// Request is one operation at one site under the grant the chain
+// committed for it: OpRun carries a run grant (Run), every other
+// operation an access grant (Access).
+type Request struct {
+	Op     Op
+	Run    *contract.RunAuthorization
+	Access *contract.AccessAuthorization
+	// SQL is the parsed query OpSQL evaluates.
+	SQL *query.SQLQuery
+	// Records are the record IDs OpFetch and OpSummarise read.
+	Records []string
+	// LabCode is the analyte OpSummarise summarises.
+	LabCode string
+	// Recipient is the public key OpSeal seals to.
+	Recipient []byte
+}
+
+// SiteID is the site the request's grant names ("" without a grant).
+func (r Request) SiteID() string {
+	switch {
+	case r.Run != nil:
+		return r.Run.SiteID
+	case r.Access != nil:
+		return r.Access.SiteID
+	}
+	return ""
+}
+
+// Reply is a site's answer to a Request; only the fields of the
+// request's operation are set.
+type Reply struct {
+	// Run is OpRun's tool result.
+	Run *TaskResult
+	// Partial is OpSQL's partial aggregate or projected rows.
+	Partial *query.SQLPartial
+	// Records are OpFetch's decoded records.
+	Records []*emr.Record
+	// Count is how many records OpFetch or OpSummarise decoded.
+	Count int
+	// Summary is OpSummarise's lab summary, N = 0 when no record
+	// carried the code (the identity under analytics.PoolSummaries).
+	Summary *analytics.Summary
+	// Envelope is OpSeal's sealed records and PlainBytes their size
+	// before sealing (the bytes that would cross the wire unencrypted —
+	// E4 accounting).
+	Envelope   *cryptoutil.Envelope
+	PlainBytes int
+}
+
+// Serve is the site's one entry for work under an on-chain grant. It
+// refuses a grant of the wrong kind or action for the operation
+// (ErrWrongGrant) or for another site (ErrWrongSite); for a run, local
+// data or tool code that no longer matches its anchored digest
+// ("enforce its integrity of the off-chain data and code", §III); and a
+// record read at a site without a blob store. Only then does it act.
+func (s *Site) Serve(req Request) (Reply, error) {
+	if err := s.admit(req); err != nil {
+		return Reply{}, err
+	}
+	switch req.Op {
+	case OpRun:
+		res, err := s.run(*req.Run)
+		return Reply{Run: res}, err
+	case OpSQL:
+		if req.SQL == nil {
+			return Reply{}, errors.New("offchain: sql request without a query")
+		}
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		partial, err := query.ExecuteSQL(req.SQL, s.records)
+		return Reply{Partial: partial}, err
+	case OpFetch, OpSummarise:
+		return s.read(req)
+	default:
+		return s.seal(req.Access.RequestID, req.Recipient)
+	}
+}
+
+// admit checks the grant against the operation and this site.
+func (s *Site) admit(req Request) error {
+	switch {
+	case req.Op == OpRun && req.Run != nil && req.Access == nil:
+	case req.Op != OpRun && req.Access != nil && req.Run == nil:
+	default:
+		return fmt.Errorf("%w: %s under a grant of the wrong kind", ErrWrongGrant, req.Op)
+	}
+	if id := req.SiteID(); id != s.id {
+		return fmt.Errorf("%w: auth for %q, this is %q", ErrWrongSite, id, s.id)
+	}
+	if req.Op != OpRun && !slices.Contains(opActions[req.Op], req.Access.Action) {
+		return fmt.Errorf("%w: action %q cannot %s", ErrWrongGrant, req.Access.Action, req.Op)
+	}
+	return nil
+}
+
+func (s *Site) run(auth contract.RunAuthorization) (*TaskResult, error) {
 	if err := s.VerifyIntegrity(auth.DataDigest); err != nil {
 		return nil, err
 	}
@@ -198,9 +326,7 @@ func (s *Site) ExecuteRun(auth contract.RunAuthorization) (*TaskResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTool, auth.Tool)
 	}
-	s.mu.RLock()
-	records := s.records
-	s.mu.RUnlock()
+	records := s.LocalRecords()
 	start := time.Now()
 	res, err := tool.Run(records, auth.Params)
 	if err != nil {
@@ -216,6 +342,68 @@ func (s *Site) ExecuteRun(auth contract.RunAuthorization) (*TaskResult, error) {
 	}, nil
 }
 
+// read decodes the named records' blobs; the blob layer verifies every
+// chunk against its content address on the way out. Typed blob errors
+// (blob.ErrManifestMissing, blob.ErrChunkMissing, ...) propagate, so a
+// missing blob stays distinguishable from a refused grant.
+func (s *Site) read(req Request) (Reply, error) {
+	bs := s.BlobStore()
+	if bs == nil {
+		return Reply{}, fmt.Errorf("%w: %q", ErrNoBlobStore, s.id)
+	}
+	var recs []*emr.Record
+	for _, id := range req.Records {
+		data, m, err := bs.Get(id)
+		if err != nil {
+			return Reply{}, fmt.Errorf("offchain: blob %s at %s: %w", id, s.id, err)
+		}
+		decoded, err := emr.DecodeAs(m.Format, data)
+		if err != nil {
+			return Reply{}, fmt.Errorf("offchain: decode blob %s at %s: %w", id, s.id, err)
+		}
+		if len(decoded) > 0 {
+			recs = append(recs, decoded[0])
+		}
+	}
+	if req.Op == OpFetch {
+		return Reply{Records: recs, Count: len(recs)}, nil
+	}
+	var vals []float64
+	for _, r := range recs {
+		for _, l := range r.Labs {
+			if l.Code == req.LabCode {
+				vals = append(vals, l.Value)
+			}
+		}
+	}
+	sum := &analytics.Summary{}
+	if len(vals) > 0 {
+		var err error
+		if sum, err = analytics.Summarize(vals); err != nil {
+			return Reply{}, err
+		}
+	}
+	return Reply{Count: len(recs), Summary: sum}, nil
+}
+
+// seal serves the site's records (canonical JSON) sealed to recipient,
+// bound to the request ID.
+func (s *Site) seal(requestID uint64, recipient []byte) (Reply, error) {
+	pub, err := cryptoutil.DecodePublicKey(recipient)
+	if err != nil {
+		return Reply{}, fmt.Errorf("offchain: requester key: %w", err)
+	}
+	payload, err := json.Marshal(s.LocalRecords())
+	if err != nil {
+		return Reply{}, fmt.Errorf("offchain: marshal records: %w", err)
+	}
+	env, err := cryptoutil.SealEnvelope(pub, payload, []byte(fmt.Sprintf("req-%d", requestID)))
+	if err != nil {
+		return Reply{}, err
+	}
+	return Reply{Envelope: env, PlainBytes: len(payload)}, nil
+}
+
 // Quality runs the CDF quality gate over the site's records — the
 // §IV "Data Services" check a site performs before registering or
 // re-anchoring its data set.
@@ -228,46 +416,29 @@ func (s *Site) Quality() *emr.QualityReport {
 // Evaluate runs fn over the site's records under a read lock — the
 // general "run this code on premise" hook of the control-code design
 // (Fig. 1): the computation comes to the data; fn's return value is
-// what leaves. fn must not retain or mutate the slice.
+// what leaves. fn must not retain or mutate the slice. It takes no
+// grant, so no authorised path uses it; the benchmark's ground-truth
+// scan still does.
 func (s *Site) Evaluate(fn func(records []*emr.Record) error) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return fn(s.records)
 }
 
-// FetchEncrypted serves an authorized data request: the site's records
-// (canonical JSON) sealed to the requester's public key. Returns the
-// envelope and the plaintext size (the bytes that would cross the wire
-// unencrypted — E4 accounting).
-func (s *Site) FetchEncrypted(auth contract.AccessAuthorization, requesterPub []byte) (*cryptoutil.Envelope, int, error) {
-	if auth.SiteID != s.id {
-		return nil, 0, fmt.Errorf("%w: auth for %q, this is %q", ErrWrongSite, auth.SiteID, s.id)
-	}
-	if auth.Action != contract.ActionRead && auth.Action != contract.ActionShare {
-		return nil, 0, fmt.Errorf("offchain: action %q cannot fetch records", auth.Action)
-	}
-	pub, err := cryptoutil.DecodePublicKey(requesterPub)
-	if err != nil {
-		return nil, 0, fmt.Errorf("offchain: requester key: %w", err)
-	}
+// LocalRecords is the site's own read of its records, for code that
+// runs on premise: tool runs and seals, the blob anchoring of the data
+// plane, local training and the replication baseline. It takes no
+// grant; nothing leaves the site unless the caller ships it. Callers
+// must not mutate the records.
+func (s *Site) LocalRecords() []*emr.Record {
 	s.mu.RLock()
-	records := s.records
-	s.mu.RUnlock()
-	payload, err := json.Marshal(records)
-	if err != nil {
-		return nil, 0, fmt.Errorf("offchain: marshal records: %w", err)
-	}
-	aad := []byte(fmt.Sprintf("req-%d", auth.RequestID))
-	env, err := cryptoutil.SealEnvelope(pub, payload, aad)
-	if err != nil {
-		return nil, 0, err
-	}
-	return env, len(payload), nil
+	defer s.mu.RUnlock()
+	return s.records[:len(s.records):len(s.records)]
 }
 
 // AttachBlobStore installs the site's content-addressed blob store —
 // the per-record off-chain data plane the chain-tailing indexer and
-// candidate-fetch path read through.
+// the record reads of Serve go through.
 func (s *Site) AttachBlobStore(bs *blob.Store) {
 	s.mu.Lock()
 	s.blobs = bs
@@ -281,31 +452,10 @@ func (s *Site) BlobStore() *blob.Store {
 	return s.blobs
 }
 
-// ServeBlob serves one record's blob bytes against a valid on-chain
-// authorization: the auth must target this site and carry a read/share
-// action — the same gate FetchEncrypted applies — and the blob layer
-// verifies every chunk against its content address on the way out.
-// Typed blob errors (blob.ErrChunkMissing, blob.ErrManifestMissing,
-// ...) propagate so callers can distinguish a missing blob from a
-// denied request.
-func (s *Site) ServeBlob(auth contract.AccessAuthorization, record string) ([]byte, *blob.Manifest, error) {
-	if auth.SiteID != s.id {
-		return nil, nil, fmt.Errorf("%w: auth for %q, this is %q", ErrWrongSite, auth.SiteID, s.id)
-	}
-	if auth.Action != contract.ActionRead && auth.Action != contract.ActionShare {
-		return nil, nil, fmt.Errorf("offchain: action %q cannot fetch blobs", auth.Action)
-	}
-	bs := s.BlobStore()
-	if bs == nil {
-		return nil, nil, fmt.Errorf("%w: %q", ErrNoBlobStore, s.id)
-	}
-	return bs.Get(record)
-}
-
-// Runner fans authorized tasks out to sites in parallel — the
+// Runner dispatches authorized requests to sites in parallel — the
 // transformed architecture's compute engine. Fan-out runs on the same
 // bounded worker pool (par.ForEachN) the on-chain engine uses, so
-// a large task batch cannot spawn unbounded goroutines.
+// a large batch cannot spawn unbounded goroutines.
 type Runner struct {
 	mu      sync.RWMutex
 	sites   map[string]*Site
@@ -321,8 +471,8 @@ func NewRunner(sites ...*Site) *Runner {
 	return r
 }
 
-// SetWorkers bounds RunAll's concurrent task fan-out (<= 0 restores
-// the default, GOMAXPROCS).
+// SetWorkers bounds Dispatch's concurrent fan-out (<= 0 restores the
+// default, GOMAXPROCS).
 func (r *Runner) SetWorkers(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -354,31 +504,24 @@ func (r *Runner) Sites() int {
 	return len(r.sites)
 }
 
-// RunAll executes each authorization at its target site concurrently
-// on a bounded worker pool. Both returned slices are index-aligned
-// with auths: results[i] and errs[i] always describe auths[i], with
-// exactly one of them nil — unknown-site failures, execution failures,
-// and successes may interleave in any order without shifting
-// positions. The first error aborts nothing — every task runs.
-func (r *Runner) RunAll(auths []contract.RunAuthorization) ([]*TaskResult, []error) {
-	results := make([]*TaskResult, len(auths))
-	errs := make([]error, len(auths))
-	sites := make([]*Site, len(auths))
-	for i, auth := range auths {
-		site, ok := r.Site(auth.SiteID)
+// Dispatch serves each request at the site its grant names,
+// concurrently on a bounded worker pool. Both returned slices are
+// index-aligned with reqs: replies[i] and errs[i] always describe
+// reqs[i] — unknown-site failures (ErrNoSite), refusals, execution
+// failures and successes may interleave in any order without shifting
+// positions. The first error aborts nothing — every request runs.
+func (r *Runner) Dispatch(reqs []Request) ([]Reply, []error) {
+	replies := make([]Reply, len(reqs))
+	errs := make([]error, len(reqs))
+	par.ForEachN(len(reqs), r.Workers(), func(i int) {
+		site, ok := r.Site(reqs[i].SiteID())
 		if !ok {
-			errs[i] = fmt.Errorf("offchain: no site %q", auth.SiteID)
-			continue
+			errs[i] = fmt.Errorf("%w %q", ErrNoSite, reqs[i].SiteID())
+			return
 		}
-		sites[i] = site
-	}
-	par.ForEachN(len(auths), r.Workers(), func(i int) {
-		if sites[i] == nil {
-			return // unknown site: error already recorded at this index
-		}
-		results[i], errs[i] = sites[i].ExecuteRun(auths[i])
+		replies[i], errs[i] = site.Serve(reqs[i])
 	})
-	return results, errs
+	return replies, errs
 }
 
 // Controller wires a site to the monitor node: RunAuthorized events
@@ -400,7 +543,7 @@ func AttachController(mon *oracle.Monitor, site *Site, onResult func(*TaskResult
 		if auth.SiteID != site.ID() {
 			return nil // someone else's task
 		}
-		res, err := site.ExecuteRun(auth)
+		rep, err := site.Serve(Request{Op: OpRun, Run: &auth})
 		if err != nil {
 			if onError != nil {
 				onError(err)
@@ -408,7 +551,7 @@ func AttachController(mon *oracle.Monitor, site *Site, onResult func(*TaskResult
 			return nil // executed-and-failed is terminal, not retryable
 		}
 		if onResult != nil {
-			onResult(res)
+			onResult(rep.Run)
 		}
 		return nil
 	})

@@ -7,9 +7,12 @@ import (
 	"testing"
 
 	"medchain/internal/analytics"
+	"medchain/internal/blob"
 	"medchain/internal/contract"
 	"medchain/internal/cryptoutil"
 	"medchain/internal/emr"
+	"medchain/internal/query"
+	"medchain/internal/store"
 )
 
 func newSite(t testing.TB, id string, seed int64, n int) *Site {
@@ -39,6 +42,42 @@ func authFor(t testing.TB, s *Site, tool string, params string) contract.RunAuth
 	}
 }
 
+// run serves a run grant at s.
+func run(s *Site, auth contract.RunAuthorization) (*TaskResult, error) {
+	rep, err := s.Serve(Request{Op: OpRun, Run: &auth})
+	return rep.Run, err
+}
+
+// readAuth is a read grant at s.
+func readAuth(s *Site, action contract.Action) *contract.AccessAuthorization {
+	return &contract.AccessAuthorization{
+		RequestID: 42, Resource: "data:" + s.ID() + "/emr", Action: action, SiteID: s.ID(),
+	}
+}
+
+// withBlobs attaches a blob store holding every record of s, each in
+// the FHIR-lite encoding, and returns the record IDs.
+func withBlobs(t testing.TB, s *Site) []string {
+	t.Helper()
+	bs, err := blob.Open(store.NewMemFS(), "blobs", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, r := range s.LocalRecords() {
+		data, err := emr.EncodeAs(emr.FormatFHIR, []*emr.Record{r}, s.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bs.Put(r.Patient.ID, emr.FormatFHIR, data); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, r.Patient.ID)
+	}
+	s.AttachBlobStore(bs)
+	return ids
+}
+
 func TestNewSiteRequiresRecords(t *testing.T) {
 	key, err := cryptoutil.DeriveKeyPair("k")
 	if err != nil {
@@ -52,7 +91,7 @@ func TestNewSiteRequiresRecords(t *testing.T) {
 func TestExecuteRunHappyPath(t *testing.T) {
 	s := newSite(t, "site-A", 1, 80)
 	auth := authFor(t, s, "cohort.count", `{"condition":"diabetes"}`)
-	res, err := s.ExecuteRun(auth)
+	res, err := run(s, auth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +114,7 @@ func TestExecuteRunWrongSite(t *testing.T) {
 	s := newSite(t, "site-A", 1, 20)
 	auth := authFor(t, s, "cohort.count", `{}`)
 	auth.SiteID = "site-B"
-	if _, err := s.ExecuteRun(auth); !errors.Is(err, ErrWrongSite) {
+	if _, err := run(s, auth); !errors.Is(err, ErrWrongSite) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -89,7 +128,7 @@ func TestExecuteRunDetectsDataTampering(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ExecuteRun(auth); !errors.Is(err, ErrDataTampered) {
+	if _, err := run(s, auth); !errors.Is(err, ErrDataTampered) {
 		t.Fatalf("err = %v, want ErrDataTampered", err)
 	}
 }
@@ -98,7 +137,7 @@ func TestExecuteRunDetectsToolTampering(t *testing.T) {
 	s := newSite(t, "site-A", 3, 20)
 	auth := authFor(t, s, "cohort.count", `{}`)
 	auth.ToolDigest = cryptoutil.Sum([]byte("evil build"))
-	if _, err := s.ExecuteRun(auth); !errors.Is(err, ErrToolTampered) {
+	if _, err := run(s, auth); !errors.Is(err, ErrToolTampered) {
 		t.Fatalf("err = %v, want ErrToolTampered", err)
 	}
 }
@@ -106,7 +145,7 @@ func TestExecuteRunDetectsToolTampering(t *testing.T) {
 func TestExecuteRunUnknownTool(t *testing.T) {
 	s := newSite(t, "site-A", 4, 20)
 	auth := authFor(t, s, "nonexistent.tool", `{}`)
-	if _, err := s.ExecuteRun(auth); !errors.Is(err, ErrUnknownTool) {
+	if _, err := run(s, auth); !errors.Is(err, ErrUnknownTool) {
 		t.Fatalf("err = %v, want ErrUnknownTool", err)
 	}
 }
@@ -115,7 +154,7 @@ func TestExecuteRunToolFailureSurfaced(t *testing.T) {
 	s := newSite(t, "site-A", 5, 20)
 	// lab.summary without a code fails inside the tool.
 	auth := authFor(t, s, "lab.summary", `{}`)
-	if _, err := s.ExecuteRun(auth); err == nil {
+	if _, err := run(s, auth); err == nil {
 		t.Fatal("tool failure swallowed")
 	}
 }
@@ -139,15 +178,12 @@ func TestFetchEncrypted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auth := contract.AccessAuthorization{
-		RequestID: 42, Resource: "data:site-A/emr",
-		Action: contract.ActionRead, SiteID: "site-A",
-	}
-	env, plainBytes, err := s.FetchEncrypted(auth, requester.PublicBytes())
+	rep, err := s.Serve(Request{Op: OpSeal, Access: readAuth(s, contract.ActionRead), Recipient: requester.PublicBytes()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plainBytes == 0 {
+	env := rep.Envelope
+	if rep.PlainBytes == 0 {
 		t.Fatal("no plaintext bytes accounted")
 	}
 	// Only the requester can open it, bound to the request ID.
@@ -177,16 +213,20 @@ func TestFetchEncryptedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	seal := func(auth contract.AccessAuthorization, key []byte) error {
+		_, err := s.Serve(Request{Op: OpSeal, Access: &auth, Recipient: key})
+		return err
+	}
 	wrong := contract.AccessAuthorization{SiteID: "site-B", Action: contract.ActionRead}
-	if _, _, err := s.FetchEncrypted(wrong, requester.PublicBytes()); !errors.Is(err, ErrWrongSite) {
+	if err := seal(wrong, requester.PublicBytes()); !errors.Is(err, ErrWrongSite) {
 		t.Fatalf("err = %v", err)
 	}
 	exec := contract.AccessAuthorization{SiteID: "site-A", Action: contract.ActionExecute}
-	if _, _, err := s.FetchEncrypted(exec, requester.PublicBytes()); err == nil {
-		t.Fatal("execute action fetched records")
+	if err := seal(exec, requester.PublicBytes()); !errors.Is(err, ErrWrongGrant) {
+		t.Fatalf("execute action fetched records: %v", err)
 	}
 	read := contract.AccessAuthorization{SiteID: "site-A", Action: contract.ActionRead}
-	if _, _, err := s.FetchEncrypted(read, []byte("junk")); err == nil {
+	if err := seal(read, []byte("junk")); err == nil {
 		t.Fatal("junk key accepted")
 	}
 }
@@ -201,18 +241,19 @@ func TestRunnerParallelFanOut(t *testing.T) {
 	if r.Sites() != 3 {
 		t.Fatalf("sites %d", r.Sites())
 	}
-	auths := make([]contract.RunAuthorization, len(sites))
+	reqs := make([]Request, len(sites))
 	for i, s := range sites {
-		auths[i] = authFor(t, s, "cohort.count", `{"condition":"diabetes"}`)
-		auths[i].RequestID = uint64(i)
+		auth := authFor(t, s, "cohort.count", `{"condition":"diabetes"}`)
+		auth.RequestID = uint64(i)
+		reqs[i] = Request{Op: OpRun, Run: &auth}
 	}
-	results, errs := r.RunAll(auths)
-	for i := range results {
+	replies, errs := r.Dispatch(reqs)
+	for i := range replies {
 		if errs[i] != nil {
 			t.Fatalf("task %d: %v", i, errs[i])
 		}
-		if results[i].SiteID != fmt.Sprintf("site-%d", i) {
-			t.Fatalf("order not preserved: %d got %s", i, results[i].SiteID)
+		if replies[i].Run.SiteID != fmt.Sprintf("site-%d", i) {
+			t.Fatalf("order not preserved: %d got %s", i, replies[i].Run.SiteID)
 		}
 	}
 }
@@ -225,12 +266,12 @@ func TestRunnerReportsPerTaskErrors(t *testing.T) {
 	badSite.SiteID = "ghost"
 	badTool := authFor(t, s, "cohort.count", `{}`)
 	badTool.ToolDigest = cryptoutil.Sum([]byte("x"))
-	results, errs := r.RunAll([]contract.RunAuthorization{good, badSite, badTool})
-	if errs[0] != nil || results[0] == nil {
+	replies, errs := r.Dispatch([]Request{{Op: OpRun, Run: &good}, {Op: OpRun, Run: &badSite}, {Op: OpRun, Run: &badTool}})
+	if errs[0] != nil || replies[0].Run == nil {
 		t.Fatalf("good task failed: %v", errs[0])
 	}
-	if errs[1] == nil {
-		t.Fatal("missing-site error lost")
+	if !errors.Is(errs[1], ErrNoSite) {
+		t.Fatalf("missing-site error lost: %v", errs[1])
 	}
 	if errs[2] == nil {
 		t.Fatal("tampered-tool error lost")
@@ -258,7 +299,7 @@ func BenchmarkExecuteRunCohort(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.ExecuteRun(auth); err != nil {
+		if _, err := run(s, auth); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -347,70 +388,222 @@ func TestEvaluateRunsOnPremise(t *testing.T) {
 func TestControllerCallbackErrorPath(t *testing.T) {
 	// AttachController's handler must decode-fail gracefully and route
 	// execution failures to onError. Exercise via direct handler calls
-	// through a tiny fake monitor is complex; instead drive ExecuteRun
-	// failure by tampering and checking the error surface.
+	// through a tiny fake monitor is complex; instead drive the run
+	// failure the handler serves by tampering and checking the error
+	// surface.
 	s := newSite(t, "site-ctl", 33, 5)
 	if err := s.Tamper(0, func(r *emr.Record) { r.Labs[0].Value++ }); err != nil {
 		t.Fatal(err)
 	}
 	auth := authFor(t, s, "cohort.count", `{}`)
-	if _, err := s.ExecuteRun(auth); !errors.Is(err, ErrDataTampered) {
+	if _, err := run(s, auth); !errors.Is(err, ErrDataTampered) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
-// TestRunAllIndexAlignment is the regression test for RunAll's
-// contract: results[i] and errs[i] always describe auths[i] (exactly
-// one non-nil), regardless of worker count or how tasks interleave
-// good, missing-site, and failing entries.
+// TestRunAllIndexAlignment is the regression test for Dispatch's
+// contract: replies[i] and errs[i] always describe reqs[i] (exactly one
+// of a reply and an error), regardless of worker count or how one
+// batch interleaves operations, good requests, unknown sites and
+// refusals.
 func TestRunAllIndexAlignment(t *testing.T) {
 	sites := []*Site{
 		newSite(t, "site-0", 30, 20),
 		newSite(t, "site-1", 31, 20),
 	}
+	ids := make([][]string, len(sites))
+	for i, s := range sites {
+		ids[i] = withBlobs(t, s)
+	}
+	requester, err := cryptoutil.DeriveKeyPair("researcher")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql, err := query.ParseSQL("SELECT count(*) FROM records")
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := NewRunner(sites...)
-	var auths []contract.RunAuthorization
+	var reqs []Request
 	wantErr := map[int]bool{}
-	for i := 0; i < 24; i++ {
+	for i := 0; i < 30; i++ {
 		s := sites[i%len(sites)]
 		auth := authFor(t, s, "cohort.count", `{}`)
 		auth.RequestID = uint64(i)
-		switch i % 4 {
+		access := readAuth(s, contract.ActionRead)
+		access.RequestID = uint64(i)
+		var req Request
+		switch Op(i % 5) {
+		case OpRun:
+			req = Request{Op: OpRun, Run: &auth}
+		case OpSQL:
+			access.Action = contract.ActionExecute
+			req = Request{Op: OpSQL, Access: access, SQL: sql}
+		case OpFetch:
+			req = Request{Op: OpFetch, Access: access, Records: ids[i%len(sites)][:3]}
+		case OpSummarise:
+			req = Request{Op: OpSummarise, Access: access, Records: ids[i%len(sites)], LabCode: emr.LabGlucose}
+		case OpSeal:
+			req = Request{Op: OpSeal, Access: access, Recipient: requester.PublicBytes()}
+		}
+		switch i % 3 {
 		case 1: // unknown site: the runner itself must report it
-			auth.SiteID = fmt.Sprintf("ghost-%d", i)
+			if req.Run != nil {
+				req.Run.SiteID = fmt.Sprintf("ghost-%d", i)
+			} else {
+				req.Access.SiteID = fmt.Sprintf("ghost-%d", i)
+			}
 			wantErr[i] = true
-		case 3: // tampered tool digest: the site rejects it
-			auth.ToolDigest = cryptoutil.Sum([]byte(fmt.Sprintf("bad-%d", i)))
+		case 2: // tampered tool digest or a grant of the wrong action: the site refuses it
+			if req.Run != nil {
+				req.Run.ToolDigest = cryptoutil.Sum([]byte(fmt.Sprintf("bad-%d", i)))
+			} else if req.Op == OpSQL {
+				req.Access.Action = contract.ActionRead
+			} else {
+				req.Access.Action = contract.ActionExecute
+			}
 			wantErr[i] = true
 		}
-		auths = append(auths, auth)
+		reqs = append(reqs, req)
 	}
 	for _, workers := range []int{0, 1, 3} {
 		r.SetWorkers(workers)
 		if workers > 0 && r.Workers() != workers {
 			t.Fatalf("Workers() = %d, want %d", r.Workers(), workers)
 		}
-		results, errs := r.RunAll(auths)
-		if len(results) != len(auths) || len(errs) != len(auths) {
-			t.Fatalf("workers=%d: got %d results / %d errs for %d auths",
-				workers, len(results), len(errs), len(auths))
+		replies, errs := r.Dispatch(reqs)
+		if len(replies) != len(reqs) || len(errs) != len(reqs) {
+			t.Fatalf("workers=%d: got %d replies / %d errs for %d requests",
+				workers, len(replies), len(errs), len(reqs))
 		}
-		for i := range auths {
+		for i, req := range reqs {
+			rep := replies[i]
+			empty := rep.Run == nil && rep.Partial == nil && rep.Records == nil && rep.Summary == nil && rep.Envelope == nil
 			if wantErr[i] {
-				if errs[i] == nil || results[i] != nil {
-					t.Fatalf("workers=%d task %d: want error only, got result=%v err=%v",
-						workers, i, results[i], errs[i])
+				if errs[i] == nil || !empty {
+					t.Fatalf("workers=%d request %d (%s): want error only, got reply=%+v err=%v",
+						workers, i, req.Op, rep, errs[i])
+				}
+				if i%3 == 1 && !errors.Is(errs[i], ErrNoSite) {
+					t.Fatalf("workers=%d request %d: err = %v, want ErrNoSite", workers, i, errs[i])
 				}
 				continue
 			}
-			if errs[i] != nil || results[i] == nil {
-				t.Fatalf("workers=%d task %d: want result only, got result=%v err=%v",
-					workers, i, results[i], errs[i])
+			if errs[i] != nil {
+				t.Fatalf("workers=%d request %d (%s): %v", workers, i, req.Op, errs[i])
 			}
-			if results[i].RequestID != auths[i].RequestID || results[i].SiteID != auths[i].SiteID {
-				t.Fatalf("workers=%d task %d: result misaligned: %+v for auth %+v",
-					workers, i, results[i], auths[i])
+			var ok bool
+			switch req.Op {
+			case OpRun:
+				ok = rep.Run != nil && rep.Run.RequestID == req.Run.RequestID && rep.Run.SiteID == req.Run.SiteID
+			case OpSQL:
+				ok = rep.Partial != nil
+			case OpFetch:
+				ok = rep.Count == 3 && len(rep.Records) == 3 && rep.Records[0].Patient.ID == req.Records[0]
+			case OpSummarise:
+				ok = rep.Count == 20 && rep.Records == nil && rep.Summary != nil && rep.Summary.N > 0
+			case OpSeal:
+				ok = rep.Envelope != nil && rep.PlainBytes > 0
+			}
+			if !ok {
+				t.Fatalf("workers=%d request %d (%s) at %s: reply misaligned: %+v",
+					workers, i, req.Op, req.SiteID(), rep)
 			}
 		}
+	}
+}
+
+// TestServeRefusals holds Serve as the one gate: for every operation,
+// a grant for another site, a grant of the wrong kind or action, and
+// the operation's own integrity faults are each refused with a typed
+// error before the site acts.
+func TestServeRefusals(t *testing.T) {
+	requester, err := cryptoutil.DeriveKeyPair("researcher")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql, err := query.ParseSQL("SELECT count(*) FROM records")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// req builds a well-formed request for op at s.
+	req := func(s *Site, op Op) Request {
+		auth := authFor(t, s, "cohort.count", `{}`)
+		access := readAuth(s, contract.ActionRead)
+		switch op {
+		case OpRun:
+			return Request{Op: op, Run: &auth}
+		case OpSQL:
+			access.Action = contract.ActionExecute
+			return Request{Op: op, Access: access, SQL: sql}
+		case OpSeal:
+			return Request{Op: op, Access: access, Recipient: requester.PublicBytes()}
+		}
+		return Request{Op: op, Access: access, Records: []string{"P-000000"}, LabCode: emr.LabGlucose}
+	}
+	type refusal struct {
+		name   string
+		mutate func(s *Site, r *Request)
+		want   error
+	}
+	otherSite := refusal{"another site", func(_ *Site, r *Request) {
+		if r.Run != nil {
+			r.Run.SiteID = "site-B"
+		} else {
+			r.Access.SiteID = "site-B"
+		}
+	}, ErrWrongSite}
+	wrongKind := refusal{"wrong kind", func(s *Site, r *Request) {
+		if r.Run != nil {
+			r.Run, r.Access = nil, readAuth(s, contract.ActionExecute)
+		} else {
+			auth := authFor(t, s, "cohort.count", `{}`)
+			r.Run, r.Access = &auth, nil
+		}
+	}, ErrWrongGrant}
+	bothKinds := refusal{"both kinds", func(s *Site, r *Request) {
+		auth := authFor(t, s, "cohort.count", `{}`)
+		r.Run, r.Access = &auth, readAuth(s, contract.ActionRead)
+	}, ErrWrongGrant}
+	action := func(a contract.Action) refusal {
+		return refusal{"action " + string(a), func(_ *Site, r *Request) { r.Access.Action = a }, ErrWrongGrant}
+	}
+	noBlobs := refusal{"no blob store", func(s *Site, _ *Request) { s.AttachBlobStore(nil) }, ErrNoBlobStore}
+	table := map[Op][]refusal{
+		OpRun: {otherSite, wrongKind, bothKinds,
+			{"tampered data", func(s *Site, _ *Request) {
+				if err := s.Tamper(0, func(r *emr.Record) { r.Conditions = append(r.Conditions, "cured") }); err != nil {
+					t.Fatal(err)
+				}
+			}, ErrDataTampered},
+			{"tampered tool", func(_ *Site, r *Request) { r.Run.ToolDigest = cryptoutil.Sum([]byte("evil build")) }, ErrToolTampered},
+			{"unknown tool", func(_ *Site, r *Request) {
+				r.Run.Tool, r.Run.ToolDigest = "nonexistent.tool", analytics.Digest("nonexistent.tool")
+			}, ErrUnknownTool},
+		},
+		OpSQL:       {otherSite, wrongKind, bothKinds, action(contract.ActionRead), action(contract.ActionShare)},
+		OpFetch:     {otherSite, wrongKind, bothKinds, action(contract.ActionExecute), noBlobs},
+		OpSummarise: {otherSite, wrongKind, bothKinds, action(contract.ActionExecute), noBlobs},
+		OpSeal:      {otherSite, wrongKind, bothKinds, action(contract.ActionExecute)},
+	}
+	for op := OpRun; op <= OpSeal; op++ {
+		for _, tc := range table[op] {
+			t.Run(op.String()+"/"+tc.name, func(t *testing.T) {
+				s := newSite(t, "site-A", 0, 5)
+				withBlobs(t, s)
+				r := req(s, op)
+				if _, err := s.Serve(r); err != nil {
+					t.Fatalf("well-formed %s refused: %v", op, err)
+				}
+				tc.mutate(s, &r)
+				if _, err := s.Serve(r); !errors.Is(err, tc.want) {
+					t.Fatalf("err = %v, want %v", err, tc.want)
+				}
+			})
+		}
+	}
+	s := newSite(t, "site-A", 0, 5)
+	if _, err := s.Serve(Request{Op: Op(99), Access: readAuth(s, contract.ActionRead)}); !errors.Is(err, ErrWrongGrant) {
+		t.Fatalf("unknown operation: err = %v, want ErrWrongGrant", err)
 	}
 }

@@ -11,8 +11,7 @@
 //   - Bridge: a named-service RPC registry whose responses are
 //     canonicalized JSON — the deterministic "standard format" that
 //     lets replicated smart-contract executions agree on host-call
-//     results. The bridge adapts to vm.HostFunc and is also servable
-//     over real TCP (see rpc.go).
+//     results. The bridge adapts to vm.HostFunc.
 package oracle
 
 import (

@@ -328,96 +328,6 @@ func TestCanonicalizeCases(t *testing.T) {
 	}
 }
 
-func TestRPCServerClient(t *testing.T) {
-	b := NewBridge()
-	if err := b.Register("sum", func(args json.RawMessage) (json.RawMessage, error) {
-		var xs []int
-		if err := json.Unmarshal(args, &xs); err != nil {
-			return nil, err
-		}
-		total := 0
-		for _, x := range xs {
-			total += x
-		}
-		return json.Marshal(map[string]int{"total": total})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := Serve(b, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	res, err := cli.Call("sum", json.RawMessage(`[1,2,3]`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(res) != `{"total":6}` {
-		t.Fatalf("rpc result %s", res)
-	}
-	// Remote errors propagate.
-	if _, err := cli.Call("ghost", nil); err == nil {
-		t.Fatal("remote error swallowed")
-	}
-	// Multiple sequential calls on one connection.
-	for i := 0; i < 5; i++ {
-		if _, err := cli.Call("sum", json.RawMessage(`[1]`)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if srv.Close() != nil {
-		t.Fatal("close error")
-	}
-	srv.Close() // idempotent
-}
-
-func TestRPCServerConcurrentClients(t *testing.T) {
-	b := NewBridge()
-	if err := b.Register("ping", func(json.RawMessage) (json.RawMessage, error) {
-		return json.RawMessage(`"pong"`), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := Serve(b, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cli, err := Dial(srv.Addr())
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer cli.Close()
-			for j := 0; j < 10; j++ {
-				if _, err := cli.Call("ping", nil); err != nil {
-					errs[i] = err
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", i, err)
-		}
-	}
-}
-
 func TestMonitorReplayCatchesUpMissedEvents(t *testing.T) {
 	c, commit := testChain(t)
 	// Events commit while NO monitor is attached.

@@ -26,7 +26,7 @@
 // mvcc.go for the scheduler.
 //
 // Off chain, the same bounded pool (par.ForEachN) fans analytics tasks out
-// across sites (offchain.Runner.RunAll) — the paper's "move the
+// across sites (offchain.Runner.Dispatch) — the paper's "move the
 // computing to the data" layer.
 package parexec
 

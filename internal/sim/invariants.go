@@ -429,9 +429,9 @@ func (ck *checker) checkIndexer() {
 	}
 }
 
-// flushOffchain fans the collected RunAuthorized batch out through the
-// offchain runner at two worker counts and requires identical results
-// (modulo wall-clock Elapsed, which is observational).
+// flushOffchain dispatches the collected RunAuthorized batch through
+// the offchain runner at two worker counts and requires identical
+// replies (modulo wall-clock Elapsed, which is observational).
 func (ck *checker) flushOffchain() {
 	if ck.runner == nil || len(ck.auths) == 0 {
 		return
@@ -442,15 +442,19 @@ func (ck *checker) flushOffchain() {
 		return
 	}
 	ck.checks++
-	normalize := func(results []*offchain.TaskResult, errs []error) string {
+	reqs := make([]offchain.Request, len(batch))
+	for i := range batch {
+		reqs[i] = offchain.Request{Op: offchain.OpRun, Run: &batch[i]}
+	}
+	normalize := func(replies []offchain.Reply, errs []error) string {
 		type entry struct {
 			Result *offchain.TaskResult `json:"result,omitempty"`
 			Err    string               `json:"err,omitempty"`
 		}
-		entries := make([]entry, len(results))
-		for i := range results {
-			if results[i] != nil {
-				r := *results[i]
+		entries := make([]entry, len(replies))
+		for i := range replies {
+			if replies[i].Run != nil {
+				r := *replies[i].Run
 				r.Elapsed = 0
 				entries[i].Result = &r
 			}
@@ -462,11 +466,11 @@ func (ck *checker) flushOffchain() {
 		return string(b)
 	}
 	ck.runner.SetWorkers(1)
-	serial := normalize(ck.runner.RunAll(batch))
+	serial := normalize(ck.runner.Dispatch(reqs))
 	ck.runner.SetWorkers(4)
-	parallel := normalize(ck.runner.RunAll(batch))
+	parallel := normalize(ck.runner.Dispatch(reqs))
 	if serial != parallel {
-		ck.violationf("offchain: RunAll over %d auths diverges between 1 and 4 workers", len(batch))
+		ck.violationf("offchain: Dispatch over %d requests diverges between 1 and 4 workers", len(batch))
 	}
 	ck.offchainRuns += len(batch)
 }

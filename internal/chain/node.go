@@ -443,16 +443,11 @@ func (n *Node) Chain() *ledger.Chain { return n.view.Load().chain }
 // State exposes the node's contract state (read-only use).
 func (n *Node) State() *contract.State { return n.view.Load().state }
 
-// SetHost installs oracle host functions on the node's state machine.
-func (n *Node) SetHost(host map[string]vm.HostFunc) { n.do(func(r *replica) { r.state.SetHost(host) }) }
-
 // SetExec replaces the node's block executor; the default
 // parexec.Config{} runs a block's transactions one after another. Every
 // mode is bit-identical to serial execution, so a cluster may freely
 // mix modes across nodes — consensus itself then acts as a
-// cross-engine differential oracle. Under ModeMVCCWave, HOST functions
-// installed via SetHost may be called concurrently and must be safe
-// for concurrent use.
+// cross-engine differential oracle.
 func (n *Node) SetExec(cfg parexec.Config) {
 	n.do(func(r *replica) { r.exec = parexec.NewEngine(cfg) })
 }

@@ -28,11 +28,11 @@ func (n *Node) reopenStore() error {
 // replica and publishes them as one view. The mempool is dropped (a
 // crashed process loses it; gossip and ResubmitPending repopulate it),
 // and committed-transaction dedupe needs no rebuild — SubmitLocal
-// consults the recovered chain's transaction index directly. Host
-// functions installed on the previous state (oracle bridges) carry over.
+// consults the recovered chain's transaction index directly. The
+// recovered state is complete as it stands: HOST calls read replicated
+// state, which the replay rebuilt.
 func (r *replica) adoptRecovered(st *store.Store, rec *store.Recovered) {
 	r.pending = nil // a preview is tied to the state object it was made over
-	rec.State.AdoptHostFrom(r.state)
 	r.chain, r.state = rec.Chain, rec.State
 	r.pool.Reset()
 	// The audit nonce sequence re-anchors to the recovered chain: any

@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -14,6 +15,7 @@ import (
 	"medchain/internal/ledger"
 	"medchain/internal/p2p"
 	"medchain/internal/store"
+	"medchain/internal/vm"
 )
 
 // NewNode refuses a config without exactly one transport before it
@@ -255,6 +257,79 @@ func TestPersistentClusterReopenResumes(t *testing.T) {
 	}
 	if err := c2.VerifyConsistency(); err != nil {
 		t.Fatalf("post-reopen consistency: %v", err)
+	}
+}
+
+// A contract's HOST registry reads are replayed on recovery exactly as
+// the live nodes ran them: with no snapshot, recovery re-executes the
+// invocation on the state it rebuilds from the WAL, and that state
+// answers registry.* itself. A restarted node and a node built fresh
+// over the same data directory both reach the live head and root.
+func TestPersistentNodeReplaysRegistryHostCalls(t *testing.T) {
+	c, disks := persistentCluster(t, 4, "persist-host", 1, 0)
+	kp := userKey(t, "persist-host-user")
+	submit := func(tx *ledger.Transaction) {
+		t.Helper()
+		if err := tx.Sign(kp); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Submit(tx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.CommitAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit(persistTx(t, kp, 0, "host-ds"))
+	code := vm.MustAssemble(`
+		PUSHB "registry.datasets"
+		PUSHB ""
+		HOST
+		PUSHB "reg"
+		SWAP
+		SSTORE
+		HALT
+	`)
+	deploy, err := json.Marshal(contract.DeployArgs{Name: "lister", Code: base64.StdEncoding.EncodeToString(code)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit(&ledger.Transaction{Type: ledger.TxDeploy, Nonce: 1, Method: "deploy", Args: deploy, Timestamp: 1})
+	addr := contract.DeployedAddress(kp.Address(), 1)
+	invoke := &ledger.Transaction{Type: ledger.TxInvoke, Nonce: 2, Contract: addr, Method: "list", Timestamp: 1}
+	submit(invoke)
+
+	live := c.Node(0)
+	if r, ok := live.Receipt(invoke.ID()); !ok || !r.OK() {
+		t.Fatalf("invoke receipt %+v (found %v)", r, ok)
+	}
+	if v, _ := live.State().StorageValue(addr, []byte("reg")); string(v) != `["host-ds"]` {
+		t.Fatalf("stored registry %q", v)
+	}
+	head, root := live.Chain().Head().Hash(), live.State().Root()
+
+	victim := 1
+	c.StopNode(victim)
+	if err := c.RestartNode(victim); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	n := c.Node(victim)
+	if n.Chain().Head().Hash() != head || n.State().Root() != root {
+		t.Fatalf("restarted node at head %s root %s, live %s %s", n.Chain().Head().Hash().Short(), n.State().Root().Short(), head.Short(), root.Short())
+	}
+
+	c.StopNode(victim)
+	fresh, rec, err := NewNode(NodeConfig{
+		ID: "fresh", Key: c.keys[victim], ChainID: "medchain", Validators: c.Validators(),
+		Network: p2p.NewNetwork(p2p.Config{}),
+		Store:   &store.Options{FS: disks[victim], Dir: n.DataDir()},
+	})
+	if err != nil {
+		t.Fatalf("fresh node over the restarted node's data: %v", err)
+	}
+	defer fresh.Close()
+	if rec.Chain.Head().Hash() != head || rec.State.Root() != root {
+		t.Fatalf("fresh node recovered head %s root %s, live %s %s", rec.Chain.Head().Hash().Short(), rec.State.Root().Short(), head.Short(), root.Short())
 	}
 }
 

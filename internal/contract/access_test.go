@@ -173,7 +173,6 @@ func TestSnapshotExecuteMergeMatchesDirectApply(t *testing.T) {
 	owner := key(t, "snap-owner")
 	grantee := key(t, "snap-grantee")
 	base := NewState()
-	base.SetHost(base.RegistryHostFuncs())
 	registerDataset(t, base, owner, "ds1", "site-1")
 	mustOK(t, apply(t, base, tx(t, owner, ledger.TxAnalytics, "register_tool", RegisterToolArgs{
 		ID: "t1", Digest: cryptoutil.Sum([]byte("t1")),

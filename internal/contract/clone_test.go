@@ -27,7 +27,6 @@ func TestCloneIsDeepAndIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustOK(t, apply(t, s, itx))
-	s.SetHost(s.RegistryHostFuncs())
 
 	c := s.Clone()
 	srcRoot, cloneRoot := s.Root(), c.Root()
@@ -73,7 +72,6 @@ func TestCloneIsDeepAndIndependent(t *testing.T) {
 // datasets would compute a root no follower can reproduce.
 func TestCloneRebindsRegistryHostFuncs(t *testing.T) {
 	s := NewState()
-	s.SetHost(s.RegistryHostFuncs())
 	owner := key(t, "owner")
 	registerDataset(t, s, owner, "shared", "site-1")
 

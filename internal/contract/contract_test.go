@@ -744,24 +744,24 @@ func TestValidAction(t *testing.T) {
 	}
 }
 
+// TestHostFunctionsReachVM: every State, with nothing installed,
+// answers the registry.* HOST calls from its own tables, and a name
+// outside that namespace fails the invocation with vm.ErrNoHost.
 func TestHostFunctionsReachVM(t *testing.T) {
 	s := NewState()
-	s.SetHost(map[string]vm.HostFunc{
-		"oracle.fetch": func(arg []byte) ([]byte, int64, error) {
-			return []byte("std:" + string(arg)), 5, nil
-		},
-	})
+	owner := key(t, "owner")
+	registerDataset(t, s, owner, "d1", "site-1")
 	dev := key(t, "dev")
 	src := `
-		PUSHB "oracle.fetch"
-		PUSHB "q1"
+		PUSHB "registry.dataset_info"
+		PUSHB "d1"
 		HOST
 		PUSHB "res"
 		SWAP
 		SSTORE
 		HALT
 	`
-	mustOK(t, apply(t, s, deployTx(t, dev, 0, "oracle-user", src)))
+	mustOK(t, apply(t, s, deployTx(t, dev, 0, "registry-user", src)))
 	addr := DeployedAddress(dev.Address(), 0)
 	itx := &ledger.Transaction{Type: ledger.TxInvoke, Nonce: 1, Contract: addr, Timestamp: 1}
 	if err := itx.Sign(dev); err != nil {
@@ -769,8 +769,25 @@ func TestHostFunctionsReachVM(t *testing.T) {
 	}
 	mustOK(t, apply(t, s, itx))
 	v, _ := s.StorageValue(addr, []byte("res"))
-	if string(v) != "std:q1" {
-		t.Fatalf("host result %q", v)
+	var ds Dataset
+	if err := json.Unmarshal(v, &ds); err != nil || ds.ID != "d1" || ds.SiteID != "site-1" {
+		t.Fatalf("host result %q (%v)", v, err)
+	}
+
+	other := `
+		PUSHB "oracle.fetch"
+		PUSHB "q1"
+		HOST
+		HALT
+	`
+	mustOK(t, apply(t, s, deployTx(t, dev, 2, "oracle-user", other)))
+	itx = &ledger.Transaction{Type: ledger.TxInvoke, Nonce: 3, Contract: DeployedAddress(dev.Address(), 2), Timestamp: 1}
+	if err := itx.Sign(dev); err != nil {
+		t.Fatal(err)
+	}
+	r := apply(t, s, itx)
+	if r.OK() || !strings.Contains(r.Err, vm.ErrNoHost.Error()) {
+		t.Fatalf("a HOST name outside registry.* gave receipt %+v, want %v", r, vm.ErrNoHost)
 	}
 }
 

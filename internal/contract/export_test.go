@@ -19,6 +19,14 @@ func SetSkipCrossProofVerify() (restore func()) {
 	return func() { skipCrossProofVerify = false }
 }
 
+// SetSkipRegistryRead installs the invocation-footprint mutation seam
+// for a test: no invocation declares its read of the registry. It
+// returns the function that removes it.
+func SetSkipRegistryRead() (restore func()) {
+	skipRegistryRead = true
+	return func() { skipRegistryRead = false }
+}
+
 // MethodNames lists the method table's entries as "<type>/<method>"
 // ("<type>/" for the types whose entry matches any method), sorted.
 func MethodNames() []string {

@@ -180,7 +180,6 @@ func New(t testing.TB) *Set {
 	// --- the member shard ---
 	empty := contract.NewState()
 	m := contract.NewState()
-	m.SetHost(m.RegistryHostFuncs())
 	initMember := sc.tx(owner, ledger.TxCross, "init", contract.InitCrossArgs{ShardID: "shard-1", Shards: 2, Coordinator: coord})
 	sc.setup(m, 1, initMember)
 	for _, id := range []string{"ds", "ds-out", "ds-moving"} {

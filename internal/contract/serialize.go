@@ -62,10 +62,7 @@ type VMPair struct {
 	Value []byte `json:"v"`
 }
 
-// Export deep-copies the state into its serializable form. The host
-// function table is not exported — it is process configuration, not
-// replicated state; reinstall it with SetHost or AdoptHostFrom after
-// ImportState.
+// Export deep-copies the state into its serializable form.
 func (s *State) Export() *StateExport {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -76,26 +73,11 @@ func (s *State) Export() *StateExport {
 	return ex
 }
 
-// ImportState reconstructs a State from an export. The returned state
-// has no host table (see Export).
+// ImportState reconstructs a State from an export.
 func ImportState(ex *StateExport) *State {
 	s := NewState()
 	for _, k := range kinds {
 		k.load(s, ex)
 	}
 	return s
-}
-
-// AdoptHostFrom installs src's host table on s, rebinding the
-// "registry.*" entries to s's own registry (the same rule Clone and
-// Versions.SnapshotAt apply). A nil src host leaves s without one. The
-// storage engine's recovery path uses this to carry a node's oracle
-// bridges onto the state it rebuilt from disk.
-func (s *State) AdoptHostFrom(src *State) {
-	src.mu.RLock()
-	host := src.host
-	src.mu.RUnlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.bindHost(host)
 }

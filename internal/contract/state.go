@@ -136,8 +136,6 @@ type State struct {
 	// routing is the coordination chain's routing-epoch table (see
 	// xshard.go begin_epoch / commit_epoch); nil until the first epoch.
 	routing *RoutingTable
-	// host provides HOST functions to VM executions; nil disables.
-	host map[string]vm.HostFunc
 	// requestSeq numbers access/run requests for event correlation.
 	requestSeq uint64
 	// tree is the state root's hash tree and dirty the keys written
@@ -155,16 +153,6 @@ func NewState() *State {
 		k.alloc(s)
 	}
 	return s
-}
-
-// SetHost installs the HOST function table used by VM invocations (the
-// oracle bridge). Host functions must be deterministic across nodes for
-// replicated execution to agree; the monitor-node design of Fig. 3
-// achieves that by returning canonical standard-format responses.
-func (s *State) SetHost(host map[string]vm.HostFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.host = host
 }
 
 // Clone deep-copies the state machine: the oracles' and experiments'
@@ -187,31 +175,13 @@ func (s *State) Clone() *State {
 	return c
 }
 
-// child creates an empty state carrying everything of s that no
-// StateKey addresses: the request sequence and the host table. Clone
-// and Versions.SnapshotAt fill it per kind. The caller holds s.mu.
+// child creates an empty state carrying the one thing of s that no
+// StateKey addresses: the request sequence. Clone and
+// Versions.SnapshotAt fill it per kind. The caller holds s.mu.
 func (s *State) child() *State {
 	c := NewState()
 	c.requestSeq = s.requestSeq
-	c.bindHost(s.host)
 	return c
-}
-
-// bindHost installs a host table on s with the "registry.*" entries
-// rebound to s's own registry, so they read s's data; other entries
-// (oracle bridges) are shared — they must be state-independent,
-// deterministic and safe for concurrent use anyway. A nil table leaves
-// s without one.
-func (s *State) bindHost(host map[string]vm.HostFunc) {
-	if host == nil {
-		return
-	}
-	s.host = s.RegistryHostFuncs()
-	for name, fn := range host {
-		if _, registry := s.host[name]; !registry {
-			s.host[name] = fn
-		}
-	}
 }
 
 // resource keys.
@@ -680,7 +650,7 @@ func (s *State) invoke(x *env, a *InvokeArgs) error {
 		Caller:   x.tx.From,
 		Self:     x.tx.Contract,
 		Storage:  buffered,
-		Host:     s.host,
+		Host:     s.registryHost(),
 		GasLimit: limit,
 	})
 	if res != nil {
@@ -776,15 +746,15 @@ func (s *State) StorageValue(addr cryptoutil.Address, key []byte) ([]byte, bool)
 	return st.Get(key)
 }
 
-// RegistryHostFuncs returns HOST functions exposing the replicated
-// registry to VM contracts: "registry.datasets" (sorted dataset IDs),
-// "registry.dataset_info" (one dataset's metadata; arg = raw ID bytes),
-// and "registry.tools" (sorted tool IDs). The functions read the state
-// WITHOUT locking: they are only safe installed as this State's own
-// host table, because invocations run inside Apply, which already holds
-// the state lock. Identical replicated state yields byte-identical
-// results, so replicated executions agree.
-func (s *State) RegistryHostFuncs() map[string]vm.HostFunc {
+// registryHost is the HOST namespace of every VM invocation: the
+// replicated registry, "registry.datasets" (sorted dataset IDs),
+// "registry.dataset_info" (one dataset's metadata; arg = raw ID bytes)
+// and "registry.tools" (sorted tool IDs). It is part of the protocol,
+// not configuration: every replica answers from its own state, so
+// identical states give byte-identical results and replicated
+// executions agree. The functions read s WITHOUT locking: invoke runs
+// inside Run, which already holds the state lock.
+func (s *State) registryHost() map[string]vm.HostFunc {
 	return map[string]vm.HostFunc{
 		"registry.datasets": func([]byte) ([]byte, int64, error) {
 			b, err := json.Marshal(sortedKeys(s.datasets))

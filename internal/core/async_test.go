@@ -143,13 +143,12 @@ func TestAsyncControllerIgnoresOtherSitesTasks(t *testing.T) {
 }
 
 // TestVMContractReadsRegistryViaOracle deploys a VM contract that makes
-// a HOST call into the on-chain registry and stores the result. Every
-// node executes the call against its own replicated state, so the state
-// roots must still agree — the determinism requirement of the oracle
-// design.
+// a HOST call into the on-chain registry and stores the result, on a
+// platform with nothing installed for it. Every node executes the call
+// against its own replicated state, so the state roots must still
+// agree — the determinism requirement of the oracle design.
 func TestVMContractReadsRegistryViaOracle(t *testing.T) {
 	p, _ := testPlatform(t, 3, 10)
-	p.EnableOracle()
 
 	dev, err := p.Acquire("dapp-dev")
 	if err != nil {

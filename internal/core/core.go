@@ -129,17 +129,12 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	sites := make([]*offchain.Site, 0, cfg.Sites)
 	for i := 0; i < cfg.Sites; i++ {
 		siteID := fmt.Sprintf("site-%d", i)
-		key, err := cryptoutil.DeriveKeyPair(fmt.Sprintf("%s/%s", cfg.KeySeed, siteID))
-		if err != nil {
-			cluster.Close()
-			return nil, err
-		}
 		recs := emr.NewGenerator(emr.GenConfig{
 			Seed:     cfg.Seed + int64(i)*7919,
 			Patients: cfg.PatientsPerSite,
 			StartID:  i * cfg.PatientsPerSite,
 		}).Generate()
-		site, err := offchain.NewSite(siteID, key, p.reg, recs)
+		site, err := offchain.NewSite(siteID, p.reg, recs)
 		if err != nil {
 			cluster.Close()
 			return nil, err
@@ -597,19 +592,6 @@ func pooledStandardizer(siteSets []*ml.Dataset) (*ml.Standardizer, error) {
 		}
 	}
 	return &ml.Standardizer{Mean: mean, Std: stdv}, nil
-}
-
-// EnableOracle installs the registry host-call table on every chain
-// node, so deployed VM contracts can read the on-chain dataset/tool
-// registry through HOST calls ("registry.datasets",
-// "registry.dataset_info", "registry.tools"). Each node's table reads
-// that node's own replicated state, so identical executions see
-// byte-identical results — the determinism requirement of Fig. 3's
-// monitor-node design.
-func (p *Platform) EnableOracle() {
-	for _, n := range p.cluster.Nodes() {
-		n.SetHost(n.State().RegistryHostFuncs())
-	}
 }
 
 // RefreshDataset re-anchors a site's dataset after legitimate data

@@ -203,14 +203,10 @@ const (
 func e8HIE(exchanges int, seed int64) ([]e8Row, error) {
 	sites := make([]*offchain.Site, e8Sites)
 	for i := range sites {
-		key, err := cryptoutil.DeriveKeyPair(fmt.Sprintf("e8-site-%d-%d", seed, i))
-		if err != nil {
-			return nil, err
-		}
 		recs := emr.NewGenerator(emr.GenConfig{
 			Seed: seed + int64(i)*37, Patients: e8PatientsPerSite, StartID: i * e8PatientsPerSite,
 		}).Generate()
-		s, err := offchain.NewSite(fmt.Sprintf("site-%d", i), key, analytics.NewRegistry(), recs)
+		s, err := offchain.NewSite(fmt.Sprintf("site-%d", i), analytics.NewRegistry(), recs)
 		if err != nil {
 			return nil, err
 		}

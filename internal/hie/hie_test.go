@@ -14,12 +14,8 @@ import (
 
 func newSite(t testing.TB, id string, seed int64) *offchain.Site {
 	t.Helper()
-	key, err := cryptoutil.DeriveKeyPair("hie-site/" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
 	recs := emr.NewGenerator(emr.GenConfig{Seed: seed, Patients: 12, StartID: int(seed) * 1000}).Generate()
-	s, err := offchain.NewSite(id, key, analytics.NewRegistry(), recs)
+	s, err := offchain.NewSite(id, analytics.NewRegistry(), recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,12 +280,8 @@ func TestAuditHeadMovesPerEntry(t *testing.T) {
 }
 
 func BenchmarkExchange(b *testing.B) {
-	key, err := cryptoutil.DeriveKeyPair("bench-site")
-	if err != nil {
-		b.Fatal(err)
-	}
 	recs := emr.NewGenerator(emr.GenConfig{Seed: 1, Patients: 20}).Generate()
-	site, err := offchain.NewSite("s", key, analytics.NewRegistry(), recs)
+	site, err := offchain.NewSite("s", analytics.NewRegistry(), recs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -40,11 +40,9 @@ var (
 	ErrNoBlobStore  = errors.New("offchain: site has no blob store")
 )
 
-// Site is one hospital/provider premise: records + tool registry + a
-// key pair for encrypting outbound data.
+// Site is one hospital/provider premise: records + tool registry.
 type Site struct {
 	id      string
-	key     *cryptoutil.KeyPair
 	reg     *analytics.Registry
 	mu      sync.RWMutex
 	records []*emr.Record
@@ -59,7 +57,7 @@ type Site struct {
 
 // NewSite builds a site over its local records. The returned site owns
 // the slice.
-func NewSite(id string, key *cryptoutil.KeyPair, reg *analytics.Registry, records []*emr.Record) (*Site, error) {
+func NewSite(id string, reg *analytics.Registry, records []*emr.Record) (*Site, error) {
 	if len(records) == 0 {
 		return nil, ErrNoRecords
 	}
@@ -67,14 +65,11 @@ func NewSite(id string, key *cryptoutil.KeyPair, reg *analytics.Registry, record
 	if err != nil {
 		return nil, err
 	}
-	return &Site{id: id, key: key, reg: reg, records: records, digest: d}, nil
+	return &Site{id: id, reg: reg, records: records, digest: d}, nil
 }
 
 // ID returns the site identifier.
 func (s *Site) ID() string { return s.id }
-
-// Key returns the site's key pair.
-func (s *Site) Key() *cryptoutil.KeyPair { return s.key }
 
 // Records returns the site's record count.
 func (s *Site) Records() int {

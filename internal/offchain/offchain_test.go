@@ -17,12 +17,8 @@ import (
 
 func newSite(t testing.TB, id string, seed int64, n int) *Site {
 	t.Helper()
-	key, err := cryptoutil.DeriveKeyPair("site/" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
 	recs := emr.NewGenerator(emr.GenConfig{Seed: seed, Patients: n, StartID: int(seed) * 100000}).Generate()
-	s, err := NewSite(id, key, analytics.NewRegistry(), recs)
+	s, err := NewSite(id, analytics.NewRegistry(), recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +75,7 @@ func withBlobs(t testing.TB, s *Site) []string {
 }
 
 func TestNewSiteRequiresRecords(t *testing.T) {
-	key, err := cryptoutil.DeriveKeyPair("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewSite("s", key, analytics.NewRegistry(), nil); err == nil {
+	if _, err := NewSite("s", analytics.NewRegistry(), nil); err == nil {
 		t.Fatal("empty site accepted")
 	}
 }
@@ -282,12 +274,8 @@ func TestRunnerReportsPerTaskErrors(t *testing.T) {
 }
 
 func BenchmarkExecuteRunCohort(b *testing.B) {
-	key, err := cryptoutil.DeriveKeyPair("bench")
-	if err != nil {
-		b.Fatal(err)
-	}
 	recs := emr.NewGenerator(emr.GenConfig{Seed: 1, Patients: 500}).Generate()
-	s, err := NewSite("bench", key, analytics.NewRegistry(), recs)
+	s, err := NewSite("bench", analytics.NewRegistry(), recs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,36 +2,22 @@
 // mechanism that "securely bridges the smart contract and the external
 // world by remote procedure calls which will return a standard format".
 //
-// Two pieces:
-//
-//   - Monitor: tails a chain node's committed blocks by height (DESIGN.md
-//     "Reading the chain") and dispatches their contract events to
-//     registered handlers, with bounded retries and optional batching
-//     (ablation A2 compares per-event vs batched dispatch).
-//   - Bridge: a named-service RPC registry whose responses are
-//     canonicalized JSON — the deterministic "standard format" that
-//     lets replicated smart-contract executions agree on host-call
-//     results. The bridge adapts to vm.HostFunc.
+// Monitor tails a chain node's committed blocks by height (DESIGN.md
+// "Reading the chain") and dispatches their contract events to
+// registered handlers, with bounded retries and optional batching
+// (ablation A2 compares per-event vs batched dispatch). The other
+// direction, a contract reading the world during execution, is limited
+// to what every replica holds: the registry.* HOST functions that
+// internal/contract hands every invocation.
 package oracle
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"sort"
 	"sync"
 
 	"medchain/internal/chain"
 	"medchain/internal/contract"
 	"medchain/internal/ledger"
-)
-
-// Errors.
-var (
-	ErrNoService = errors.New("oracle: unknown service")
-	ErrClosed    = errors.New("oracle: closed")
 )
 
 // Handler processes one committed contract event.
@@ -236,157 +222,4 @@ func (m *Monitor) Close() {
 	m.cancel()
 	m.wg.Wait()
 	m.Flush()
-}
-
-// ServiceFunc is one RPC-exposed off-chain service.
-type ServiceFunc func(args json.RawMessage) (json.RawMessage, error)
-
-// Bridge is the RPC registry between on-chain smart contracts and
-// off-chain data/analytics services.
-type Bridge struct {
-	mu       sync.RWMutex
-	services map[string]ServiceFunc
-	calls    int64
-}
-
-// NewBridge creates an empty bridge.
-func NewBridge() *Bridge {
-	return &Bridge{services: make(map[string]ServiceFunc)}
-}
-
-// Register installs a service under a name.
-func (b *Bridge) Register(name string, fn ServiceFunc) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, dup := b.services[name]; dup {
-		return fmt.Errorf("oracle: service %q already registered", name)
-	}
-	b.services[name] = fn
-	return nil
-}
-
-// Services lists registered names, sorted.
-func (b *Bridge) Services() []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]string, 0, len(b.services))
-	for n := range b.services {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Calls returns how many calls the bridge has served.
-func (b *Bridge) Calls() int64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.calls
-}
-
-// Call invokes a service and canonicalizes its JSON result — the
-// "standard format" guarantee: identical logical results are
-// byte-identical.
-func (b *Bridge) Call(name string, args json.RawMessage) (json.RawMessage, error) {
-	b.mu.RLock()
-	fn, ok := b.services[name]
-	b.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoService, name)
-	}
-	b.mu.Lock()
-	b.calls++
-	b.mu.Unlock()
-	res, err := fn(args)
-	if err != nil {
-		return nil, fmt.Errorf("oracle: service %q: %w", name, err)
-	}
-	return Canonicalize(res)
-}
-
-// HostFuncs adapts the bridge to the VM's HOST-call table. The HOST arg
-// bytes are passed as the service args; the per-call gas charge grows
-// with the result size.
-func (b *Bridge) HostFuncs() map[string]func(arg []byte) ([]byte, int64, error) {
-	names := b.Services()
-	out := make(map[string]func(arg []byte) ([]byte, int64, error), len(names))
-	for _, name := range names {
-		name := name
-		out[name] = func(arg []byte) ([]byte, int64, error) {
-			res, err := b.Call(name, arg)
-			if err != nil {
-				return nil, 0, err
-			}
-			return res, int64(len(res)), nil
-		}
-	}
-	return out
-}
-
-// Canonicalize re-encodes JSON with sorted object keys and no
-// insignificant whitespace, so logically-equal documents are
-// byte-equal. Non-JSON input is returned quoted as a JSON string.
-func Canonicalize(raw []byte) (json.RawMessage, error) {
-	if len(raw) == 0 {
-		return json.RawMessage("null"), nil
-	}
-	var v any
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	if err := dec.Decode(&v); err != nil {
-		// Not JSON: wrap as a string for a stable representation.
-		return json.Marshal(string(raw))
-	}
-	var buf bytes.Buffer
-	if err := writeCanonical(&buf, v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func writeCanonical(buf *bytes.Buffer, v any) error {
-	switch t := v.(type) {
-	case map[string]any:
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		buf.WriteByte('{')
-		for i, k := range keys {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			kb, err := json.Marshal(k)
-			if err != nil {
-				return err
-			}
-			buf.Write(kb)
-			buf.WriteByte(':')
-			if err := writeCanonical(buf, t[k]); err != nil {
-				return err
-			}
-		}
-		buf.WriteByte('}')
-		return nil
-	case []any:
-		buf.WriteByte('[')
-		for i, e := range t {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			if err := writeCanonical(buf, e); err != nil {
-				return err
-			}
-		}
-		buf.WriteByte(']')
-		return nil
-	default:
-		b, err := json.Marshal(t)
-		if err != nil {
-			return err
-		}
-		buf.Write(b)
-		return nil
-	}
 }

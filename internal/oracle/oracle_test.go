@@ -218,116 +218,6 @@ func TestMonitorCloseFlushesAndIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestBridgeCallAndCanonical(t *testing.T) {
-	b := NewBridge()
-	err := b.Register("echo", func(args json.RawMessage) (json.RawMessage, error) {
-		return args, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Key order and whitespace normalize away.
-	r1, err := b.Call("echo", json.RawMessage(`{"b":1, "a":2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := b.Call("echo", json.RawMessage(`{ "a": 2,"b": 1 }`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(r1) != string(r2) {
-		t.Fatalf("canonicalization failed: %s vs %s", r1, r2)
-	}
-	if string(r1) != `{"a":2,"b":1}` {
-		t.Fatalf("canonical form %s", r1)
-	}
-	if b.Calls() != 2 {
-		t.Fatalf("calls %d", b.Calls())
-	}
-}
-
-func TestBridgeErrors(t *testing.T) {
-	b := NewBridge()
-	if _, err := b.Call("ghost", nil); err == nil {
-		t.Fatal("unknown service accepted")
-	}
-	if err := b.Register("x", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Register("x", nil); err == nil {
-		t.Fatal("duplicate register accepted")
-	}
-	if err := b.Register("fail", func(json.RawMessage) (json.RawMessage, error) {
-		return nil, errors.New("boom")
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Call("fail", nil); err == nil {
-		t.Fatal("service error swallowed")
-	}
-}
-
-func TestBridgeHostFuncs(t *testing.T) {
-	b := NewBridge()
-	if err := b.Register("fetch", func(args json.RawMessage) (json.RawMessage, error) {
-		return json.RawMessage(`{"ok":true}`), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	hosts := b.HostFuncs()
-	fn, ok := hosts["fetch"]
-	if !ok {
-		t.Fatal("host func missing")
-	}
-	res, gas, err := fn([]byte(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(res) != `{"ok":true}` {
-		t.Fatalf("host result %s", res)
-	}
-	if gas != int64(len(res)) {
-		t.Fatalf("gas %d", gas)
-	}
-}
-
-func TestCanonicalizeCases(t *testing.T) {
-	tests := []struct {
-		name, in, want string
-	}{
-		{"nested objects", `{"z":{"b":1,"a":[3,2,{"y":0,"x":1}]},"a":null}`,
-			`{"a":null,"z":{"a":[3,2,{"x":1,"y":0}],"b":1}}`},
-		{"numbers preserved", `{"a":1.50,"b":1e3}`, `{"a":1.50,"b":1e3}`},
-		{"string", `"hi"`, `"hi"`},
-		{"bool", `true`, `true`},
-		{"array", `[ 1 , 2 ]`, `[1,2]`},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got, err := Canonicalize([]byte(tt.in))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != tt.want {
-				t.Fatalf("got %s, want %s", got, tt.want)
-			}
-		})
-	}
-	// Empty → null; non-JSON → quoted string.
-	got, err := Canonicalize(nil)
-	if err != nil || string(got) != "null" {
-		t.Fatalf("empty: %s, %v", got, err)
-	}
-	got, err = Canonicalize([]byte("not json at all"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s string
-	if err := json.Unmarshal(got, &s); err != nil || s != "not json at all" {
-		t.Fatalf("non-json wrapped as %s", got)
-	}
-}
-
 func TestMonitorReplayCatchesUpMissedEvents(t *testing.T) {
 	c, commit := testChain(t)
 	// Events commit while NO monitor is attached.

@@ -70,7 +70,7 @@ type fuzzer struct {
 	initialAnchors map[string][]contract.ManifestEntry
 	blobSeq        int
 
-	code string // base64 VM loop program shared by all deploys
+	code string // base64 VM program shared by all deploys: a loop, then a HOST registry read
 }
 
 // siteID names fuzzed offchain sites.
@@ -103,7 +103,7 @@ func newFuzzer(cfg Config, rng *rand.Rand) (*fuzzer, error) {
 		records := emr.NewGenerator(emr.GenConfig{
 			Seed: subSeed(cfg.Seed, fmt.Sprintf("emr-%d", i)), Patients: 20, StartID: i * 100,
 		}).Generate()
-		site, err := offchain.NewSite(siteID(i), fz.actors[0].kp, reg, records)
+		site, err := offchain.NewSite(siteID(i), reg, records)
 		if err != nil {
 			return nil, err
 		}
@@ -136,6 +136,12 @@ func newFuzzer(cfg Config, rng *rand.Rand) (*fuzzer, error) {
 		SUB
 		DUP
 		JNZ loop
+		PUSHB "registry.datasets"
+		PUSHB ""
+		HOST
+		PUSHB "reg"
+		SWAP
+		SSTORE
 		HALT
 	`))
 	return fz, nil

@@ -127,9 +127,9 @@ func (o Options) withDefaults() Options {
 type Recovered struct {
 	// Chain is the recovered ledger (genesis + every durable block).
 	Chain *ledger.Chain
-	// State is the contract state at Chain's head. It has no host
-	// table; call AdoptHostFrom / SetHost before executing VM txs that
-	// need oracles.
+	// State is the contract state at Chain's head, ready to execute
+	// every transaction type, VM invocations and their HOST calls
+	// included.
 	State *contract.State
 	// Receipts holds the receipt of every transaction in chain order.
 	Receipts []*contract.Receipt

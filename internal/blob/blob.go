@@ -17,6 +17,7 @@
 package blob
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -80,11 +81,14 @@ func ManifestRoot(chunks []cryptoutil.Digest) cryptoutil.Digest {
 // Verify checks the manifest's internal consistency: the chunk list
 // must hash to the root and the chunk count must cover the size.
 func (m *Manifest) Verify() error {
-	if m.ChunkSize <= 0 {
-		return fmt.Errorf("%w: record %q: chunk size %d", ErrManifestMismatch, m.Record, m.ChunkSize)
+	if m.ChunkSize <= 0 || m.Size < 0 {
+		return fmt.Errorf("%w: record %q: chunk size %d, size %d", ErrManifestMismatch, m.Record, m.ChunkSize, m.Size)
 	}
-	want := int((m.Size + int64(m.ChunkSize) - 1) / int64(m.ChunkSize))
-	if len(m.Chunks) != want {
+	want := m.Size / int64(m.ChunkSize)
+	if m.Size%int64(m.ChunkSize) != 0 {
+		want++
+	}
+	if int64(len(m.Chunks)) != want {
 		return fmt.Errorf("%w: record %q: %d chunks cannot cover %d bytes at chunk size %d",
 			ErrManifestMismatch, m.Record, len(m.Chunks), m.Size, m.ChunkSize)
 	}
@@ -347,14 +351,17 @@ func (s *Store) GetManifest(m *Manifest) ([]byte, error) {
 	if err := m.Verify(); err != nil {
 		return nil, err
 	}
-	data := make([]byte, 0, m.Size)
-	for _, d := range m.Chunks {
+	// The size and chunk size are the manifest's word, so the buffer
+	// grows only by the bytes the chunks hold.
+	chunks := make([][]byte, len(m.Chunks))
+	for i, d := range m.Chunks {
 		chunk, err := s.GetChunk(d)
 		if err != nil {
 			return nil, fmt.Errorf("record %q: %w", m.Record, err)
 		}
-		data = append(data, chunk...)
+		chunks[i] = chunk
 	}
+	data := bytes.Join(chunks, nil)
 	if int64(len(data)) != m.Size {
 		return nil, fmt.Errorf("%w: record %q: reassembled %d bytes, manifest claims %d",
 			ErrManifestMismatch, m.Record, len(data), m.Size)

@@ -6,13 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"medchain/internal/cryptoutil"
 	"medchain/internal/store"
 )
 
-func mustOpen(t *testing.T, fs store.FS, chunkSize int) *Store {
+func mustOpen(t testing.TB, fs store.FS, chunkSize int) *Store {
 	t.Helper()
 	s, err := Open(fs, "blobs", chunkSize)
 	if err != nil {
@@ -224,4 +225,119 @@ func TestChunkHelper(t *testing.T) {
 	if ManifestRoot([]cryptoutil.Digest{a, b}) == ManifestRoot([]cryptoutil.Digest{b, a}) {
 		t.Fatal("manifest root ignores chunk order")
 	}
+}
+
+// writeManifestFile stores raw as a manifest file of the store at
+// "blobs", where the next Open loads it.
+func writeManifestFile(t testing.TB, fs store.FS, raw []byte) {
+	t.Helper()
+	f, err := fs.OpenFile(store.Join("blobs", "manifests", "hostile.json"), os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(raw, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHostileManifestSizes refuses a negative size, whether the
+// manifest comes to GetManifest or from a file Open loads, and reads a
+// manifest that claims far more bytes than its chunk holds without
+// allocating what it claims.
+func TestHostileManifestSizes(t *testing.T) {
+	fs := store.NewMemFS()
+	s := mustOpen(t, fs, 32)
+	negative := &Manifest{Record: "P1", Size: -5, ChunkSize: 32, Root: ManifestRoot(nil)}
+	if _, err := s.GetManifest(negative); !errors.Is(err, ErrManifestMismatch) {
+		t.Fatalf("negative size: GetManifest = %v, want ErrManifestMismatch", err)
+	}
+	raw, err := json.Marshal(negative)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeManifestFile(t, fs, raw)
+	if _, err := Open(fs, "blobs", 32); !errors.Is(err, ErrManifestMismatch) {
+		t.Fatalf("negative size: Open = %v, want ErrManifestMismatch", err)
+	}
+
+	m, err := s.Put("P2", "csv", blobData(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const claimed = 64 << 20
+	huge := &Manifest{Record: "P2", Size: claimed, ChunkSize: claimed, Chunks: m.Chunks, Root: m.Root}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = s.GetManifest(huge)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrManifestMismatch) {
+		t.Fatalf("oversized claim: GetManifest = %v, want ErrManifestMismatch", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > claimed/2 {
+		t.Fatalf("a %d-byte claim allocated %d bytes for a 20-byte chunk", claimed, grew)
+	}
+}
+
+// FuzzBlobOpen loads arbitrary bytes as a manifest file beside two
+// stored records. Open never panics: it refuses the file with
+// ErrManifestMismatch, or every record it loads reads back as its
+// manifest's bytes or fails with one of the package's typed errors.
+func FuzzBlobOpen(f *testing.F) {
+	fs := store.NewMemFS()
+	s := mustOpen(f, fs, 16)
+	var stored []*Manifest
+	for i, n := range []int{40, 0} {
+		m, err := s.Put(fmt.Sprintf("P%d", i), "hl7", blobData(n))
+		if err != nil {
+			f.Fatal(err)
+		}
+		stored = append(stored, m)
+	}
+	seed := func(m *Manifest) {
+		raw, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	seed(&Manifest{Record: "P9", Size: -5, ChunkSize: 32, Root: ManifestRoot(nil)})
+	for _, m := range stored {
+		seed(m)
+	}
+	one := stored[0].Chunks[:1]
+	seed(&Manifest{Record: "P9", Size: 1 << 26, ChunkSize: 1 << 26, Chunks: one, Root: ManifestRoot(one)})
+	seed(&Manifest{Record: "P0", Size: 40, ChunkSize: 16, Chunks: stored[0].Chunks[:2], Root: ManifestRoot(stored[0].Chunks[:2])})
+	f.Add([]byte(`{"record":"P9","size":1e30,"chunk_size":16,"chunks":[],"root":"00"}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{`))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		writeManifestFile(t, fs, raw)
+		loaded, err := Open(fs, "blobs", 16)
+		if err != nil {
+			if !errors.Is(err, ErrManifestMismatch) {
+				t.Fatalf("Open refused with an untyped error: %v", err)
+			}
+			return
+		}
+		for _, id := range loaded.Records() {
+			data, m, err := loaded.Get(id)
+			switch {
+			case err == nil:
+				if int64(len(data)) != m.Size {
+					t.Fatalf("record %q: %d bytes, manifest claims %d", id, len(data), m.Size)
+				}
+			case errors.Is(err, ErrChunkMissing), errors.Is(err, ErrChunkCorrupt),
+				errors.Is(err, ErrManifestMismatch), errors.Is(err, ErrManifestMissing):
+			default:
+				t.Fatalf("record %q: untyped error %v", id, err)
+			}
+		}
+	})
 }

@@ -56,6 +56,29 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
+// ErrUnsupportedFloat is AppendFloat's error for NaN and ±Inf, which
+// json.Marshal refuses too: JSON has no spelling for them.
+var ErrUnsupportedFloat = errors.New("canonjson: unsupported value")
+
+// AppendFloat appends f as json.Marshal writes a float64: the shortest
+// decimal that reads back as f, in exponent form below 1e-6 and from
+// 1e21 up, with a negative exponent written without its leading zero.
+func AppendFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return dst, fmt.Errorf("%w: %s", ErrUnsupportedFloat, strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
+		// e-07 becomes e-7; a positive exponent has no leading zero.
+		if n := len(dst); dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+		return dst, nil
+	}
+	return strconv.AppendFloat(dst, f, 'f', -1, 64), nil
+}
+
 // AppendHex appends b as quoted lower-case hex, the text a
 // cryptoutil.Digest or Address marshals to.
 func AppendHex(dst, b []byte) []byte {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -23,6 +24,40 @@ func TestAppendBytesMatchesMarshal(t *testing.T) {
 	}
 	if got := AppendBytes(nil, nil); string(got) != "null" {
 		t.Fatalf("nil: %s", got)
+	}
+}
+
+// TestAppendFloatMatchesMarshal holds AppendFloat to json.Marshal at the
+// exponent cutoffs, at the extremes of float64 and over random bit
+// patterns, and requires both to refuse NaN and ±Inf.
+func TestAppendFloatMatchesMarshal(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1e-6, 9.99e-7, 1e-7, -1e-7, 1e20, 1e21, 1.5e21,
+		-1e21, 1e100, 1e-100, 5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+		123456789, 1234567890123456789, 0.000001234, 72.5, 1e-10}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		floats = append(floats, math.Float64frombits(rng.Uint64()))
+	}
+	for _, f := range floats {
+		want, wantErr := json.Marshal(f)
+		got, err := AppendFloat([]byte("x"), f)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%v: AppendFloat error %v, json.Marshal %v", f, err, wantErr)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrUnsupportedFloat) || string(got) != "x" {
+				t.Fatalf("%v: refused with %v, appending %q", f, err, got)
+			}
+			continue
+		}
+		if !bytes.Equal(got, append([]byte("x"), want...)) {
+			t.Fatalf("%v: %s, json.Marshal %s", f, got[1:], want)
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := AppendFloat(nil, f); !errors.Is(err, ErrUnsupportedFloat) {
+			t.Fatalf("%v: %v", f, err)
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package emr
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -169,6 +173,28 @@ func TestCanonicalOrderInsensitive(t *testing.T) {
 	}
 }
 
+// TestSortedMatchesSortSlice holds the canonical form's sort to the
+// sort.Slice it replaced where the two could differ: elements that
+// compare equal but are not alike, in lists long enough for every
+// stage of the quicksort.
+func TestSortedMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 300; n++ {
+		for _, keys := range []int{1, 2, 5, n + 1} {
+			s := make([]LabResult, n)
+			for i := range s {
+				s[i] = LabResult{At: int64(rng.Intn(keys)), Value: float64(i)}
+			}
+			want := append([]LabResult(nil), s...)
+			sort.Slice(want, func(i, j int) bool { return want[i].At < want[j].At })
+			got := sorted(s, func(a, b LabResult) int { return cmp.Compare(a.At, b.At) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d elements over %d keys: sorted differs from sort.Slice", n, keys)
+			}
+		}
+	}
+}
+
 func TestDatasetDigestOrderInsensitiveAndTamperSensitive(t *testing.T) {
 	recs := genRecords(t, 3, 10)
 	d1, err := DatasetDigest(recs)
@@ -264,7 +290,7 @@ func TestHL7ParseErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ParseHL7(tt.msg); err == nil {
+			if _, err := ParseHL7([]byte(tt.msg)); err == nil {
 				t.Fatalf("ParseHL7(%q) succeeded", tt.msg)
 			}
 		})
@@ -273,7 +299,7 @@ func TestHL7ParseErrors(t *testing.T) {
 
 func TestHL7EmptyConditions(t *testing.T) {
 	r := &Record{Patient: Patient{ID: "P-1", BirthYear: 1970, Sex: SexMale, Ethnicity: "g"}}
-	got, err := ParseHL7(EncodeHL7(r, "s"))
+	got, err := ParseHL7(EncodeHL7(nil, r, "s"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +323,7 @@ func TestCSVParseErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ParseCSV(tt.data); err == nil {
+			if _, err := ParseCSV([]byte(tt.data)); err == nil {
 				t.Fatalf("ParseCSV succeeded for %s", tt.name)
 			}
 		})
@@ -429,6 +455,33 @@ func BenchmarkDecodeAs(b *testing.B) {
 	fhir("escaped", func(r *Record) { r.Patient.Ethnicity = "<unknown>" })
 }
 
+// BenchmarkEncodeAs encodes one generated record per document, the
+// shape of an anchored blob.
+func BenchmarkEncodeAs(b *testing.B) {
+	recs := NewGenerator(GenConfig{Seed: 1, Patients: 1}).Generate()
+	for _, format := range Formats {
+		b.Run(format, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := EncodeAs(format, recs, "s"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRecordDigest hashes one generated record's canonical form.
+func BenchmarkRecordDigest(b *testing.B) {
+	r := NewGenerator(GenConfig{Seed: 1, Patients: 1}).Generate()[0]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Digest(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkDatasetDigest(b *testing.B) {
 	recs := NewGenerator(GenConfig{Seed: 1, Patients: 100}).Generate()
 	b.ReportAllocs()
@@ -452,7 +505,7 @@ func TestGeneratedRecordsRoundTripAllFormats(t *testing.T) {
 
 func TestHL7FormatShape(t *testing.T) {
 	r := genRecords(t, 1, 1)[0]
-	msg := EncodeHL7(r, "site-1")
+	msg := string(EncodeHL7(nil, r, "site-1"))
 	if !strings.HasPrefix(msg, "MSH|^~\\&|MEDCHAIN|site-1\r") {
 		t.Fatalf("MSH header malformed: %q", msg[:40])
 	}
@@ -466,10 +519,7 @@ func TestHL7FormatShape(t *testing.T) {
 
 func TestCSVFormatShape(t *testing.T) {
 	recs := genRecords(t, 1, 2)
-	data, err := EncodeCSV(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := string(EncodeCSV(nil, recs))
 	lines := strings.Split(strings.TrimSpace(data), "\n")
 	if lines[0] != strings.Join(csvHeader, ",") {
 		t.Fatalf("header line %q", lines[0])

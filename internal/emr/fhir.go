@@ -1,114 +1,88 @@
 package emr
 
 import (
-	"encoding/json"
 	"fmt"
+	"strconv"
+
+	"medchain/internal/canonjson"
 )
 
 // FormatFHIR is the legacy-format label for FHIR-lite JSON bundles.
 const FormatFHIR = "fhir-lite"
 
-// fhirBundle is a minimal FHIR-shaped bundle: one Patient resource plus
-// Encounter / Observation / MolecularSequence / Condition entries.
-type fhirBundle struct {
-	ResourceType string      `json:"resourceType"` // "Bundle"
-	Entry        []fhirEntry `json:"entry"`
-}
-
-type fhirEntry struct {
-	Resource json.RawMessage `json:"resource"`
-}
-
-type fhirPatient struct {
-	ResourceType string `json:"resourceType"` // "Patient"
-	ID           string `json:"id"`
-	BirthYear    int    `json:"birthYear"`
-	Gender       string `json:"gender"`
-	Ethnicity    string `json:"ethnicity"`
-}
-
-type fhirEncounter struct {
-	ResourceType string `json:"resourceType"` // "Encounter"
-	ID           string `json:"id"`
-	Class        string `json:"class"`
-	Reason       string `json:"reasonCode"`
-	Period       int64  `json:"period"`
-}
-
-type fhirObservation struct {
-	ResourceType string  `json:"resourceType"` // "Observation"
-	Category     string  `json:"category"`     // "laboratory" | "vital-signs"
-	Code         string  `json:"code"`
-	Value        float64 `json:"valueQuantity"`
-	Unit         string  `json:"unit,omitempty"`
-	Effective    int64   `json:"effectiveDateTime"`
-}
-
-type fhirSequence struct {
-	ResourceType string `json:"resourceType"` // "MolecularSequence"
-	Gene         string `json:"gene"`
-	Variant      string `json:"variant"`
-	Present      bool   `json:"present"`
-}
-
-type fhirCondition struct {
-	ResourceType string `json:"resourceType"` // "Condition"
-	Code         string `json:"code"`
-}
-
-// EncodeFHIR renders a record as a FHIR-lite JSON bundle.
-func EncodeFHIR(r *Record) ([]byte, error) {
-	b := fhirBundle{ResourceType: "Bundle"}
-	add := func(v any) error {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		b.Entry = append(b.Entry, fhirEntry{Resource: raw})
-		return nil
-	}
-	if err := add(fhirPatient{
-		ResourceType: "Patient", ID: r.Patient.ID, BirthYear: r.Patient.BirthYear,
-		Gender: r.Patient.Sex, Ethnicity: r.Patient.Ethnicity,
-	}); err != nil {
-		return nil, fmt.Errorf("emr: fhir encode: %w", err)
-	}
+// EncodeFHIR appends a record as a FHIR-lite JSON bundle: one Patient
+// resource, then Encounter, laboratory and vital-signs Observation,
+// MolecularSequence and Condition resources, in that order. A lab or
+// vital value that is NaN or infinite has no JSON form and fails the
+// encoding.
+func EncodeFHIR(dst []byte, r *Record) ([]byte, error) {
+	dst = append(dst, `{"resourceType":"Bundle","entry":[{"resource":{"resourceType":"Patient","id":`...)
+	dst = canonjson.AppendString(dst, r.Patient.ID)
+	dst = append(dst, `,"birthYear":`...)
+	dst = strconv.AppendInt(dst, int64(r.Patient.BirthYear), 10)
+	dst = append(dst, `,"gender":`...)
+	dst = canonjson.AppendString(dst, r.Patient.Sex)
+	dst = append(dst, `,"ethnicity":`...)
+	dst = canonjson.AppendString(dst, r.Patient.Ethnicity)
+	dst = append(dst, "}}"...)
 	for _, e := range r.Encounters {
-		if err := add(fhirEncounter{
-			ResourceType: "Encounter", ID: e.ID, Class: e.Type, Reason: e.DiagnosisCode, Period: e.At,
-		}); err != nil {
-			return nil, fmt.Errorf("emr: fhir encode: %w", err)
-		}
+		dst = append(dst, `,{"resource":{"resourceType":"Encounter","id":`...)
+		dst = canonjson.AppendString(dst, e.ID)
+		dst = append(dst, `,"class":`...)
+		dst = canonjson.AppendString(dst, e.Type)
+		dst = append(dst, `,"reasonCode":`...)
+		dst = canonjson.AppendString(dst, e.DiagnosisCode)
+		dst = append(dst, `,"period":`...)
+		dst = strconv.AppendInt(dst, e.At, 10)
+		dst = append(dst, "}}"...)
 	}
+	var err error
 	for _, l := range r.Labs {
-		if err := add(fhirObservation{
-			ResourceType: "Observation", Category: "laboratory",
-			Code: l.Code, Value: l.Value, Unit: l.Unit, Effective: l.At,
-		}); err != nil {
-			return nil, fmt.Errorf("emr: fhir encode: %w", err)
+		if dst, err = appendObservation(dst, "laboratory", l.Code, l.Value, l.Unit, l.At); err != nil {
+			return nil, err
 		}
 	}
 	for _, v := range r.Vitals {
-		if err := add(fhirObservation{
-			ResourceType: "Observation", Category: "vital-signs",
-			Code: v.Kind, Value: v.Value, Effective: v.At,
-		}); err != nil {
-			return nil, fmt.Errorf("emr: fhir encode: %w", err)
+		if dst, err = appendObservation(dst, "vital-signs", v.Kind, v.Value, "", v.At); err != nil {
+			return nil, err
 		}
 	}
 	for _, g := range r.Genomics {
-		if err := add(fhirSequence{
-			ResourceType: "MolecularSequence", Gene: g.Gene, Variant: g.Variant, Present: g.Present,
-		}); err != nil {
-			return nil, fmt.Errorf("emr: fhir encode: %w", err)
-		}
+		dst = append(dst, `,{"resource":{"resourceType":"MolecularSequence","gene":`...)
+		dst = canonjson.AppendString(dst, g.Gene)
+		dst = append(dst, `,"variant":`...)
+		dst = canonjson.AppendString(dst, g.Variant)
+		dst = append(dst, `,"present":`...)
+		dst = strconv.AppendBool(dst, g.Present)
+		dst = append(dst, "}}"...)
 	}
 	for _, c := range r.Conditions {
-		if err := add(fhirCondition{ResourceType: "Condition", Code: c}); err != nil {
-			return nil, fmt.Errorf("emr: fhir encode: %w", err)
-		}
+		dst = append(dst, `,{"resource":{"resourceType":"Condition","code":`...)
+		dst = canonjson.AppendString(dst, c)
+		dst = append(dst, "}}"...)
 	}
-	return json.Marshal(&b)
+	return append(dst, "]}"...), nil
+}
+
+// appendObservation appends one Observation entry; an empty unit is
+// left out.
+func appendObservation(dst []byte, category, code string, value float64, unit string, at int64) ([]byte, error) {
+	dst = append(dst, `,{"resource":{"resourceType":"Observation","category":"`...)
+	dst = append(dst, category...)
+	dst = append(dst, `","code":`...)
+	dst = canonjson.AppendString(dst, code)
+	dst = append(dst, `,"valueQuantity":`...)
+	dst, err := canonjson.AppendFloat(dst, value)
+	if err != nil {
+		return nil, fmt.Errorf("emr: fhir encode: %w", err)
+	}
+	if unit != "" {
+		dst = append(dst, `,"unit":`...)
+		dst = canonjson.AppendString(dst, unit)
+	}
+	dst = append(dst, `,"effectiveDateTime":`...)
+	dst = strconv.AppendInt(dst, at, 10)
+	return append(dst, "}}"...), nil
 }
 
 // Formats lists the supported legacy encodings.
@@ -118,35 +92,53 @@ var Formats = []string{FormatHL7, FormatCSV, FormatFHIR}
 // produce one document per record joined by '\n' (HL7) or a JSON array
 // (FHIR); CSV produces a single extract.
 func EncodeAs(format string, records []*Record, siteID string) ([]byte, error) {
+	out := make([]byte, 0, sizeHint(format, records))
 	switch format {
 	case FormatHL7:
-		var out []byte
 		for i, r := range records {
 			if i > 0 {
 				out = append(out, '\n')
 			}
-			out = append(out, EncodeHL7(r, siteID)...)
+			out = EncodeHL7(out, r, siteID)
 		}
 		return out, nil
 	case FormatCSV:
-		s, err := EncodeCSV(records)
-		if err != nil {
-			return nil, err
-		}
-		return []byte(s), nil
+		return EncodeCSV(out, records), nil
 	case FormatFHIR:
-		bundles := make([]json.RawMessage, 0, len(records))
-		for _, r := range records {
-			b, err := EncodeFHIR(r)
-			if err != nil {
+		out = append(out, '[')
+		for i, r := range records {
+			if i > 0 {
+				out = append(out, ',')
+			}
+			var err error
+			if out, err = EncodeFHIR(out, r); err != nil {
 				return nil, err
 			}
-			bundles = append(bundles, b)
 		}
-		return json.Marshal(bundles)
+		return append(out, ']'), nil
 	default:
 		return nil, parseErr(format, ReasonUnknownFormat, "unknown format %q", format)
 	}
+}
+
+// sizeHint is about the length of records' encoding in a format, so
+// that EncodeAs writes into one buffer: a generated record's segments,
+// rows or resources average 38, 50 and 147 bytes.
+func sizeHint(format string, records []*Record) int {
+	per := 0
+	switch format {
+	case FormatHL7:
+		per = 40
+	case FormatCSV:
+		per = 56
+	case FormatFHIR:
+		per = 160
+	}
+	n := 0
+	for _, r := range records {
+		n += 2 + len(r.Encounters) + len(r.Labs) + len(r.Genomics) + len(r.Vitals) + len(r.Conditions)
+	}
+	return n * per
 }
 
 // DecodeAs parses a legacy document produced by EncodeAs back into CDF
@@ -155,23 +147,9 @@ func EncodeAs(format string, records []*Record, siteID string) ([]byte, error) {
 func DecodeAs(format string, data []byte) ([]*Record, error) {
 	switch format {
 	case FormatHL7:
-		var out []*Record
-		start := 0
-		for i := 0; i <= len(data); i++ {
-			if i == len(data) || data[i] == '\n' {
-				if i > start {
-					rec, err := ParseHL7(string(data[start:i]))
-					if err != nil {
-						return nil, err
-					}
-					out = append(out, rec)
-				}
-				start = i + 1
-			}
-		}
-		return out, nil
+		return decodeHL7(data)
 	case FormatCSV:
-		return ParseCSV(string(data))
+		return ParseCSV(data)
 	case FormatFHIR:
 		return decodeFHIR(data)
 	default:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,11 +12,11 @@ import (
 
 // FuzzDecodeAs feeds arbitrary bytes to the three legacy decoders. A
 // decode never panics, and it either refuses with a typed *ParseError
-// or returns records that re-encode and decode equal. For FHIR-lite the
-// decoder must also agree with the encoding/json reference, in its
-// records and in its refusal's format and reason, wherever no bundle,
-// entry or resource object repeats a key; where one does, the decoder
-// refuses the document as bad syntax.
+// or returns records that re-encode and decode equal. Each decoder must
+// also agree with its reference, in its records and in its refusal's
+// format and reason: HL7 and CSV always, and FHIR-lite wherever no
+// bundle, entry or resource object repeats a key; where one does, the
+// decoder refuses the document as bad syntax.
 func FuzzDecodeAs(f *testing.F) {
 	for _, tc := range malformedHL7 {
 		f.Add(uint8(0), []byte(tc.data))
@@ -54,19 +55,23 @@ func FuzzDecodeAs(f *testing.F) {
 	for _, tc := range fhirDocs {
 		f.Add(uint8(2), []byte(tc.data))
 	}
+	for _, doc := range hl7Docs {
+		f.Add(uint8(0), []byte(doc))
+	}
+	for _, doc := range csvDocs {
+		f.Add(uint8(1), []byte(csvHeaderLine+doc))
+	}
 
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		format := Formats[int(which)%len(Formats)]
 		recs, err := DecodeAs(format, data)
-		if format == FormatFHIR {
-			if repeatsKey(data) {
-				if ReasonOf(err) != ReasonBadSyntax {
-					t.Fatalf("a repeated key decodes with %q (%v)", ReasonOf(err), err)
-				}
-			} else {
-				want, wantErr := refDecodeFHIR(data)
-				sameDecode(t, recs, err, want, wantErr)
+		if format == FormatFHIR && repeatsKey(data) {
+			if ReasonOf(err) != ReasonBadSyntax {
+				t.Fatalf("a repeated key decodes with %q (%v)", ReasonOf(err), err)
 			}
+		} else {
+			want, wantErr := refDecodeAs(format, data)
+			sameDecode(t, recs, err, want, wantErr)
 		}
 		if err != nil {
 			var pe *ParseError
@@ -92,6 +97,158 @@ func FuzzDecodeAs(f *testing.F) {
 			}
 		}
 	})
+}
+
+// hl7Docs are HL7v2-lite documents at the edges of the segment and
+// field splits; each seeds FuzzDecodeAs.
+var hl7Docs = []string{
+	"\n\nPID|1|P1|1980|F|x|a~~b\r\r\nPID|1|P2|1981|M|y\n",
+	"PID|1|P1|1980|F|x|c\rPID|1|P1|1980|F|x\rPID|1|P1|1980|F|x||extra\r",
+	"PID|1|P1|1980|F|x\rMSH\rGEN|g|v|1|more\rGEN|g|v|true\rOBX|c|1e400|u|5\r",
+	"\r\r\n\r",
+	"PID|1|P1|+1980|F|x\rPV1|e|t|d|-0\rWEA|k|0x1p-2|5\rOBX|c|1_000|u|5\r",
+}
+
+// csvDocs are CSV rows, after the header, at the edges of
+// encoding/csv's reading: quoted fields across lines, "\r\n", a final
+// '\r', blank lines and bare quotes; each seeds FuzzDecodeAs.
+var csvDocs = []string{
+	"patient,\"P\"\"1\",1980,F,\"a,b\",\"x\ny\",\n\n\r\nlab,\"P\"\"1\",c,1,\"u\r\nv\",5,\r\n",
+	"patient,P1,1980,F,x,,\r",
+	"patient,P1,1980,F,x,,\"\"\r\r",
+	"patient,P1,1980,F,x,,\"unterminated\n",
+	"patient,P1,1980,F,x,,a\"b\n",
+	"patient,P1,1980,F,x,,\"a\"b\n",
+	"patient,P1,1980,F,x,,\"\"\n",
+	"patient,P1,1980,F,x,\";;\",\npatient,P1,1981,M,y,,\n",
+	"patient,P1,1980,F,x,,,\n",
+	"patient,P1,1980,F,x,,\"a\"\r\n",
+	"genomic,P1,g,v,1,,\nvital,P1,k,1,2,,\npatient,,1980,F,x,,\n",
+}
+
+// FuzzEncodeAs builds records from fuzz inputs and holds every encoder
+// to its reference byte for byte: EncodeAs in each format, Canonical
+// for each record, and DatasetDigest; where one fails, its reference
+// must fail too. Each encoding must also decode as its reference
+// decoder decodes it. The records mix the inputs' strings and values
+// with ties and up to 115 elements a list, so the canonical form's
+// sorts run past insertion sort and meet equal keys.
+func FuzzEncodeAs(f *testing.F) {
+	specials := []string{"<a>&b", "x\u2028y\u2029", "bad\xffutf8", "\xc3", ",", `"`, "\r", "\n", " lead", "\u00a0nbsp", `\.`, "a;b", "a~b|c", ""}
+	floats := []float64{1e-6, 9.99e-7, 1e21, 1e20, math.Copysign(0, -1), 5e-324, math.MaxFloat64, -math.MaxFloat64,
+		0.1, 72.5, math.NaN(), math.Inf(1), math.Inf(-1)}
+	for i, s := range specials {
+		x := floats[i%len(floats)]
+		f.Add(s, specials[(i+1)%len(specials)], x, -x, int64(i), []byte{3, byte(i), 19, 7, 13, 200, byte(i * 37)})
+	}
+	for _, x := range floats {
+		f.Add("P-1", "mg/dL", x, 1.5, int64(1700000000), []byte{1, 5, 5, 5, 5})
+	}
+	f.Add("P-1", "P-2", 1.0, 2.0, int64(-1), bytes.Repeat([]byte{19}, 64))
+	f.Add("P-1", "P-2", 1.0, 2.0, int64(7), []byte{1, 1, 1, 1, 255, 3, 1, 254, 5, 0, 2, 253})
+	f.Fuzz(func(t *testing.T, s, u string, x, y float64, at int64, shape []byte) {
+		recs, site := fuzzRecords(s, u, x, y, at, shape)
+		for _, format := range Formats {
+			got, err := EncodeAs(format, recs, site)
+			want, wantErr := refEncodeAs(format, recs, site)
+			if (err != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
+				t.Fatalf("%s: EncodeAs wrote %q (%v), reference %q (%v)", format, got, err, want, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if format == FormatFHIR && repeatsKey(got) {
+				t.Fatalf("fhir-lite encoding repeats a key: %q", got)
+			}
+			back, err := DecodeAs(format, got)
+			refBack, refErr := refDecodeAs(format, got)
+			sameDecode(t, back, err, refBack, refErr)
+		}
+		for i, r := range recs {
+			got, err := r.Canonical(nil)
+			want, wantErr := refCanonical(r)
+			if (err != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
+				t.Fatalf("record %d: Canonical wrote %s (%v), reference %s (%v)", i, got, err, want, wantErr)
+			}
+		}
+		got, err := DatasetDigest(recs)
+		want, wantErr := refDatasetDigest(recs)
+		if (err != nil) != (wantErr != nil) || got != want {
+			t.Fatalf("DatasetDigest %s (%v), reference %s (%v)", got, err, want, wantErr)
+		}
+	})
+}
+
+// fuzzRecords builds up to three records and a site ID from fuzz
+// inputs. Each byte of shape picks a count, a string or a value; an
+// exhausted shape reads as zeros.
+func fuzzRecords(s, u string, x, y float64, at int64, shape []byte) ([]*Record, string) {
+	next := func() int {
+		if len(shape) == 0 {
+			return 0
+		}
+		b := shape[0]
+		shape = shape[1:]
+		return int(b)
+	}
+	str := func() string {
+		switch next() % 6 {
+		case 0:
+			return s
+		case 1:
+			return u
+		case 2:
+			return s + u
+		case 3:
+			return ""
+		case 4:
+			return s[:len(s)/2] // may cut a UTF-8 sequence
+		default:
+			return "P-1"
+		}
+	}
+	val := func() float64 {
+		switch next() % 4 {
+		case 0:
+			return x
+		case 1:
+			return y
+		case 2:
+			return -x
+		default:
+			return float64(next()) / 10
+		}
+	}
+	when := func() int64 { return at + int64(next()%3) } // ties between neighbours
+	count := func() int {
+		n := next()
+		if n >= 200 {
+			return n - 140 // 60 to 115: the quicksort's larger-input stages
+		}
+		return n % 20
+	}
+	site := str()
+	recs := make([]*Record, next()%4)
+	for i := range recs {
+		r := &Record{Patient: Patient{ID: str(), BirthYear: int(at%3000) - next(), Sex: str(), Ethnicity: str()}}
+		for n := count(); n > 0; n-- {
+			r.Encounters = append(r.Encounters, Encounter{ID: str(), Type: str(), DiagnosisCode: str(), At: when()})
+		}
+		for n := count(); n > 0; n-- {
+			r.Labs = append(r.Labs, LabResult{Code: str(), Value: val(), Unit: str(), At: when()})
+		}
+		for n := count(); n > 0; n-- {
+			r.Genomics = append(r.Genomics, GenomicMarker{Gene: str(), Variant: str(), Present: next()%2 == 1})
+		}
+		for n := count(); n > 0; n-- {
+			r.Vitals = append(r.Vitals, VitalSample{Kind: str(), Value: val(), At: when()})
+		}
+		for n := count(); n > 0; n-- {
+			r.Conditions = append(r.Conditions, str())
+		}
+		recs[i] = r
+	}
+	return recs, site
 }
 
 // sameDecode fails unless the decoder agrees with the reference: equal

@@ -115,7 +115,7 @@ func nestedBundle(n int) string {
 func TestMalformedHL7(t *testing.T) {
 	for _, tc := range malformedHL7 {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseHL7(tc.data)
+			_, err := ParseHL7([]byte(tc.data))
 			mustParseError(t, err, FormatHL7, tc.reason)
 		})
 	}
@@ -124,7 +124,7 @@ func TestMalformedHL7(t *testing.T) {
 func TestMalformedCSV(t *testing.T) {
 	for _, tc := range malformedCSV {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseCSV(tc.data)
+			_, err := ParseCSV([]byte(tc.data))
 			mustParseError(t, err, FormatCSV, tc.reason)
 		})
 	}

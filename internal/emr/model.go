@@ -13,10 +13,13 @@
 package emr
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
+	"medchain/internal/canonjson"
 	"medchain/internal/cryptoutil"
 )
 
@@ -157,59 +160,153 @@ func (r *Record) MeanVital(kind string) (float64, bool) {
 	return sum / float64(n), true
 }
 
-// Canonical returns the canonical JSON encoding of the record (sorted
-// inner slices), suitable for hashing.
-func (r *Record) Canonical() ([]byte, error) {
-	cp := *r
-	cp.Encounters = append([]Encounter(nil), r.Encounters...)
-	sort.Slice(cp.Encounters, func(i, j int) bool { return cp.Encounters[i].ID < cp.Encounters[j].ID })
-	cp.Labs = append([]LabResult(nil), r.Labs...)
-	sort.Slice(cp.Labs, func(i, j int) bool {
-		if cp.Labs[i].At != cp.Labs[j].At {
-			return cp.Labs[i].At < cp.Labs[j].At
-		}
-		return cp.Labs[i].Code < cp.Labs[j].Code
-	})
-	cp.Genomics = append([]GenomicMarker(nil), r.Genomics...)
-	sort.Slice(cp.Genomics, func(i, j int) bool { return cp.Genomics[i].Gene < cp.Genomics[j].Gene })
-	cp.Vitals = append([]VitalSample(nil), r.Vitals...)
-	sort.Slice(cp.Vitals, func(i, j int) bool {
-		if cp.Vitals[i].At != cp.Vitals[j].At {
-			return cp.Vitals[i].At < cp.Vitals[j].At
-		}
-		return cp.Vitals[i].Kind < cp.Vitals[j].Kind
-	})
-	cp.Conditions = append([]string(nil), r.Conditions...)
-	sort.Strings(cp.Conditions)
-	b, err := json.Marshal(&cp)
-	if err != nil {
-		return nil, fmt.Errorf("emr: canonicalize record: %w", err)
+// Canonical appends the canonical JSON encoding of the record to dst:
+// the bytes json.Marshal writes for it once its inner slices are sorted
+// (encounters by ID, labs and vitals by time then code or kind, markers
+// by gene, conditions), suitable for hashing. A lab or vital value that
+// is NaN or infinite has no JSON form and fails the encoding.
+func (r *Record) Canonical(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"patient":{"id":`...)
+	dst = canonjson.AppendString(dst, r.Patient.ID)
+	dst = append(dst, `,"birth_year":`...)
+	dst = strconv.AppendInt(dst, int64(r.Patient.BirthYear), 10)
+	dst = append(dst, `,"sex":`...)
+	dst = canonjson.AppendString(dst, r.Patient.Sex)
+	dst = append(dst, `,"ethnicity":`...)
+	dst = canonjson.AppendString(dst, r.Patient.Ethnicity)
+	dst = append(dst, '}')
+	var err error
+	for i, e := range sorted(r.Encounters, func(a, b Encounter) int { return strings.Compare(a.ID, b.ID) }) {
+		dst = appendListSep(dst, i, `,"encounters":[`)
+		dst = append(dst, `{"id":`...)
+		dst = canonjson.AppendString(dst, e.ID)
+		dst = append(dst, `,"type":`...)
+		dst = canonjson.AppendString(dst, e.Type)
+		dst = append(dst, `,"diagnosis_code":`...)
+		dst = canonjson.AppendString(dst, e.DiagnosisCode)
+		dst = append(dst, `,"at":`...)
+		dst = strconv.AppendInt(dst, e.At, 10)
+		dst = append(dst, '}')
 	}
-	return b, nil
+	dst = closeList(dst, len(r.Encounters))
+	for i, l := range sorted(r.Labs, func(a, b LabResult) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), strings.Compare(a.Code, b.Code))
+	}) {
+		dst = appendListSep(dst, i, `,"labs":[`)
+		dst = append(dst, `{"code":`...)
+		dst = canonjson.AppendString(dst, l.Code)
+		dst = append(dst, `,"value":`...)
+		if dst, err = canonjson.AppendFloat(dst, l.Value); err != nil {
+			return nil, fmt.Errorf("emr: canonicalize record: %w", err)
+		}
+		dst = append(dst, `,"unit":`...)
+		dst = canonjson.AppendString(dst, l.Unit)
+		dst = append(dst, `,"at":`...)
+		dst = strconv.AppendInt(dst, l.At, 10)
+		dst = append(dst, '}')
+	}
+	dst = closeList(dst, len(r.Labs))
+	for i, g := range sorted(r.Genomics, func(a, b GenomicMarker) int { return strings.Compare(a.Gene, b.Gene) }) {
+		dst = appendListSep(dst, i, `,"genomics":[`)
+		dst = append(dst, `{"gene":`...)
+		dst = canonjson.AppendString(dst, g.Gene)
+		dst = append(dst, `,"variant":`...)
+		dst = canonjson.AppendString(dst, g.Variant)
+		dst = append(dst, `,"present":`...)
+		dst = strconv.AppendBool(dst, g.Present)
+		dst = append(dst, '}')
+	}
+	dst = closeList(dst, len(r.Genomics))
+	for i, v := range sorted(r.Vitals, func(a, b VitalSample) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), strings.Compare(a.Kind, b.Kind))
+	}) {
+		dst = appendListSep(dst, i, `,"vitals":[`)
+		dst = append(dst, `{"kind":`...)
+		dst = canonjson.AppendString(dst, v.Kind)
+		dst = append(dst, `,"value":`...)
+		if dst, err = canonjson.AppendFloat(dst, v.Value); err != nil {
+			return nil, fmt.Errorf("emr: canonicalize record: %w", err)
+		}
+		dst = append(dst, `,"at":`...)
+		dst = strconv.AppendInt(dst, v.At, 10)
+		dst = append(dst, '}')
+	}
+	dst = closeList(dst, len(r.Vitals))
+	for i, c := range sorted(r.Conditions, strings.Compare) {
+		dst = appendListSep(dst, i, `,"conditions":[`)
+		dst = canonjson.AppendString(dst, c)
+	}
+	dst = closeList(dst, len(r.Conditions))
+	return append(dst, '}'), nil
+}
+
+// sorted returns s in the order the canonical form lists it: s itself
+// when it is already strictly increasing, which is the one order any
+// sort gives it, and otherwise a sorted copy. The copy is sorted with
+// slices.SortFunc, whose pattern-defeating quicksort makes the same
+// moves as sort.Slice's under the same comparison, so elements that
+// compare equal end in the order the canonical form has always given
+// them (TestSortedMatchesSortSlice).
+func sorted[E any](s []E, cmp func(a, b E) int) []E {
+	for i := 1; i < len(s); i++ {
+		if cmp(s[i-1], s[i]) >= 0 {
+			s = slices.Clone(s)
+			slices.SortFunc(s, cmp)
+			return s
+		}
+	}
+	return s
+}
+
+// appendListSep opens an omitempty list field before its first element
+// and separates the later ones.
+func appendListSep(dst []byte, i int, open string) []byte {
+	if i == 0 {
+		return append(dst, open...)
+	}
+	return append(dst, ',')
+}
+
+// closeList closes a list field that held n > 0 elements.
+func closeList(dst []byte, n int) []byte {
+	if n == 0 {
+		return dst
+	}
+	return append(dst, ']')
 }
 
 // Digest returns the hash of the canonical encoding.
 func (r *Record) Digest() (cryptoutil.Digest, error) {
-	b, err := r.Canonical()
+	var buf [4 << 10]byte // a generated record's canonical form is under 4 KiB
+	d, _, err := r.digest(buf[:0])
+	return d, err
+}
+
+// digest hashes the canonical encoding, written over buf, and returns
+// the buffer for the next record.
+func (r *Record) digest(buf []byte) (cryptoutil.Digest, []byte, error) {
+	buf, err := r.Canonical(buf[:0])
 	if err != nil {
-		return cryptoutil.ZeroDigest, err
+		return cryptoutil.ZeroDigest, buf, err
 	}
-	return cryptoutil.Sum(b), nil
+	return cryptoutil.Sum(buf), buf, nil
 }
 
 // DatasetDigest computes a deterministic digest over a set of records
 // (sorted by patient ID) — the value anchored on chain when a site
 // registers its data set.
 func DatasetDigest(records []*Record) (cryptoutil.Digest, error) {
-	sorted := append([]*Record(nil), records...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Patient.ID < sorted[j].Patient.ID })
-	parts := make([][]byte, 0, len(sorted))
-	for _, r := range sorted {
-		d, err := r.Digest()
-		if err != nil {
+	byID := slices.Clone(records)
+	slices.SortFunc(byID, func(a, b *Record) int { return strings.Compare(a.Patient.ID, b.Patient.ID) })
+	digests := make([]cryptoutil.Digest, len(byID))
+	parts := make([][]byte, len(byID))
+	var buf []byte
+	for i, r := range byID {
+		var err error
+		if digests[i], buf, err = r.digest(buf); err != nil {
 			return cryptoutil.ZeroDigest, err
 		}
-		parts = append(parts, d.Bytes())
+		parts[i] = digests[i][:]
 	}
 	return cryptoutil.SumAll(parts...), nil
 }
@@ -219,8 +316,8 @@ func (r *Record) Equal(other *Record) bool {
 	if r == nil || other == nil {
 		return r == other
 	}
-	a, err1 := r.Canonical()
-	b, err2 := other.Canonical()
+	a, err1 := r.Canonical(nil)
+	b, err2 := other.Canonical(nil)
 	if err1 != nil || err2 != nil {
 		return false
 	}
